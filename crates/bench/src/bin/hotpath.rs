@@ -355,114 +355,6 @@ fn bench_service(cfg: &Config, wl: Workload, out: &mut Vec<Entry>) {
     drop(service.shutdown());
 }
 
-/// The insert-heavy scenario: IoT-clustered keys bulk-loaded at tight
-/// error budgets (many segments), then a stream of fresh interleaved
-/// keys applied through the write path in random order so buffer
-/// overflows — and therefore re-segmentations — land all over the
-/// directory. Measured twice on identical workloads: with the
-/// incremental directory **splice** (the shipping code) and with the
-/// retired O(S) from-scratch directory **rebuild** re-enabled as a
-/// baseline (`FitingTree::set_directory_rebuild_baseline`). The ratio
-/// is the amortization win of retiring the mutation-side B+ tree's
-/// re-mirror; the acceptance gate wants splice ≥ 1.3× at error ≤ 64.
-///
-/// Measurement semantics: both modes perform the full insert
-/// (including the splice, which is the structural mutation itself);
-/// the rebuild mode *additionally* pays the retired O(S)
-/// reconstruction after each structural change, as
-/// `rebuild_directory()` used to. The ratio therefore reads "how much
-/// slower inserts get when every structural mutation re-pays the
-/// O(S) directory rebuild" — a slightly conservative stand-in for the
-/// old path, whose tree maintenance cost the splice replaces.
-fn bench_insert_heavy(cfg: &Config, out: &mut Vec<Entry>) -> Json {
-    let keys = Dataset::Iot.generate(cfg.n, cfg.seed ^ 0x1456);
-    // Bulk-load the even positions; the odd positions become the
-    // insert stream, shuffled so consecutive inserts hit different
-    // segments (the worst case for any per-mutation O(S) cost).
-    let bulk: Vec<(u64, u64)> = keys
-        .iter()
-        .step_by(2)
-        .enumerate()
-        .map(|(i, &k)| (k, i as u64))
-        .collect();
-    let mut stream: Vec<u64> = keys
-        .iter()
-        .skip(1)
-        .step_by(2)
-        .copied()
-        .filter(|k| bulk.binary_search_by_key(k, |&(b, _)| b).is_err())
-        .collect();
-    stream.dedup();
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x5471);
-    for i in (1..stream.len()).rev() {
-        stream.swap(i, rng.gen_range(0..i + 1));
-    }
-
-    let mut rows = Vec::new();
-    for &error in &cfg.errors {
-        if error > 64 {
-            continue; // the amortization story is about tight budgets
-        }
-        let mut measured = [0.0f64; 2]; // [splice, rebuild]
-        let mut segments = [0usize; 2];
-        for (mode, slot) in [("splice", 0usize), ("rebuild", 1)] {
-            // Two repetitions on fresh trees, keeping the faster one:
-            // the first pass also warms the allocator/page cache, so a
-            // cold-start penalty never masquerades as a splice win (or
-            // loss).
-            let mut best = f64::INFINITY;
-            for _rep in 0..2 {
-                let mut tree = FitingTreeBuilder::new(error)
-                    .bulk_load(bulk.iter().copied())
-                    .expect("bulk pairs are strictly increasing");
-                tree.set_directory_rebuild_baseline(mode == "rebuild");
-                let ns = measure(&stream, |k| tree.insert(k, k));
-                best = best.min(ns);
-                segments[slot] = tree.segment_count();
-            }
-            let ns = best;
-            measured[slot] = ns;
-            out.push(Entry {
-                path: "direct",
-                dataset: "insert-heavy",
-                index: if mode == "splice" {
-                    "fiting-splice"
-                } else {
-                    "fiting-rebuild"
-                },
-                strategy: "Binary",
-                error,
-                op: "insert",
-                ns_per_op: ns,
-                ops: stream.len(),
-            });
-        }
-        rows.push(
-            Json::obj()
-                .with("error", Json::Num(error as f64))
-                .with("bulk_n", Json::Num(bulk.len() as f64))
-                .with("stream_n", Json::Num(stream.len() as f64))
-                .with("segments", Json::Num(segments[0] as f64))
-                .with("splice_ns_per_op", Json::Num(measured[0]))
-                .with("rebuild_ns_per_op", Json::Num(measured[1]))
-                .with("speedup", Json::Num(measured[1] / measured[0])),
-        );
-    }
-    Json::obj()
-        .with("scenario", Json::Str("insert-heavy".into()))
-        .with(
-            "note",
-            Json::Str(
-                "splice = incremental flat-directory patch (shipping); rebuild = same \
-                 insert path plus the retired O(S) from-scratch directory reconstruction \
-                 after every structural mutation (the speedup is the marginal cost of \
-                 that O(S) step)"
-                    .into(),
-            ),
-        )
-        .with("rows", Json::Arr(rows))
-}
-
 /// Max/mean shard occupancy — the imbalance ratio rebalancing bounds.
 fn imbalance(lens: &[usize]) -> f64 {
     let total: usize = lens.iter().sum();
@@ -784,8 +676,6 @@ fn main() {
     let mut entries = run(&cfg);
     eprintln!("  measuring append-heavy / rebalance ...");
     let rebalance_summary = bench_rebalance(&cfg, &mut entries);
-    eprintln!("  measuring insert-heavy / splice-vs-rebuild ...");
-    let insert_heavy_summary = bench_insert_heavy(&cfg, &mut entries);
     let after = entries_json(&entries);
 
     let before = before_path.map(|p| {
@@ -840,7 +730,6 @@ fn main() {
         }
     }
     doc.set("rebalance", rebalance_summary);
-    doc.set("insert_heavy", insert_heavy_summary);
     doc.set("after", after);
 
     std::fs::write(&out_path, doc.pretty()).expect("writable output path");
@@ -887,23 +776,5 @@ fn main() {
             num("merges"),
             num("moved_keys"),
         );
-    }
-    if let Some(rows) = doc
-        .get("insert_heavy")
-        .and_then(|s| s.get("rows"))
-        .and_then(Json::as_arr)
-    {
-        for row in rows {
-            let num = |k: &str| row.get(k).and_then(Json::as_f64).unwrap_or(0.0);
-            println!(
-                "insert-heavy (e={}, {} segments): splice {:.0} ns/op vs rebuild {:.0} \
-                 ns/op — {:.2}x",
-                num("error"),
-                num("segments"),
-                num("splice_ns_per_op"),
-                num("rebuild_ns_per_op"),
-                num("speedup"),
-            );
-        }
     }
 }

@@ -54,11 +54,12 @@ pub struct FitingTree<K: Key, V> {
     pub(crate) splices: u64,
     /// Cumulative `(anchor, slot)` entries written by those splices.
     pub(crate) splice_entries: u64,
-    /// Bench-only baseline: when set, every splice is followed by a
-    /// from-scratch rebuild of the directory arrays — the retired O(S)
-    /// behavior — so the `insert-heavy` hotpath scenario can measure
-    /// splice vs rebuild on identical workloads.
-    pub(crate) rebuild_baseline: bool,
+    /// Cumulative new keys pushed onto a page tail without buffering.
+    pub(crate) in_place_appends: u64,
+    /// Cumulative merge-and-re-carve passes over one segment.
+    pub(crate) resegmentations: u64,
+    /// Cumulative entries those passes rewrote.
+    pub(crate) resegmented_entries: u64,
 }
 
 impl<K: Key, V> FitingTree<K, V> {
@@ -90,7 +91,9 @@ impl<K: Key, V> FitingTree<K, V> {
             len: 0,
             splices: 0,
             splice_entries: 0,
-            rebuild_baseline: false,
+            in_place_appends: 0,
+            resegmentations: 0,
+            resegmented_entries: 0,
         })
     }
 
@@ -104,51 +107,58 @@ impl<K: Key, V> FitingTree<K, V> {
     /// Bulk loads strictly increasing `(key, value)` pairs (paper
     /// Section 3): one segmentation pass, then one dense directory
     /// build over the segment anchors.
-    pub(crate) fn bulk_load_sorted<I>(mut self, iter: I) -> Result<Self, BuildError>
+    pub(crate) fn bulk_load_sorted<I>(self, iter: I) -> Result<Self, BuildError>
     where
         I: IntoIterator<Item = (K, V)>,
     {
-        let mut data: Vec<(K, V)> = Vec::new();
-        for (i, (k, v)) in iter.into_iter().enumerate() {
-            if let Some((prev, _)) = data.last() {
-                if *prev >= k {
-                    return Err(BuildError::UnsortedInput { at: i });
-                }
+        let iter = iter.into_iter();
+        let mut carver = Carver::new(self.seg_error, iter.size_hint().0);
+        let mut prev: Option<K> = None;
+        for (i, (k, v)) in iter.enumerate() {
+            if prev.is_some_and(|prev| prev >= k) {
+                return Err(BuildError::UnsortedInput { at: i });
             }
-            data.push((k, v));
+            prev = Some(k);
+            carver.push(k, v);
         }
-        if data.is_empty() {
-            return Ok(self);
-        }
-        self.len = data.len();
+        Ok(self.load(carver))
+    }
 
-        // Install pages in the arena and build the directory densely.
-        let pages = carve_segments(self.seg_error, data);
-        self.segments = Vec::with_capacity(pages.len());
-        let mut entries = Vec::with_capacity(pages.len());
-        for (i, seg) in pages.into_iter().enumerate() {
-            entries.push((seg.start_key, i as u32));
-            self.segments.push(Some(seg));
+    /// Fills an empty tree with the pages of one carved run.
+    fn load(mut self, carver: Carver<K, V>) -> Self {
+        debug_assert!(self.segments.is_empty());
+        let entries = self.install(carver);
+        if !entries.is_empty() {
+            self.dir.rebuild(entries);
         }
-        debug_assert!(self.segments.len() <= u32::MAX as usize);
-        self.dir.rebuild(entries);
-        Ok(self)
+        self
+    }
+
+    /// Installs a carved run's pages in the arena (counting their
+    /// entries into `len`) and returns their directory entries in key
+    /// order.
+    fn install(&mut self, carver: Carver<K, V>) -> Vec<(K, u32)> {
+        let pieces = carver.finish();
+        debug_assert!(self.segments.len() + pieces.len() <= u32::MAX as usize);
+        pieces
+            .into_iter()
+            .map(|piece| {
+                piece.assert_invariants(self.seg_error, 0);
+                self.len += piece.len();
+                (piece.start_key, self.alloc_slot(piece) as u32)
+            })
+            .collect()
     }
 
     /// Applies one incremental directory mutation: replaces the
     /// directory window `range` with `entries`, shifting only the tail
     /// — O(entries + shift), the path that retired the per-mutation
     /// O(S) re-mirror of the old B+ tree. Counts toward the splice
-    /// statistics; in bench-baseline mode it additionally re-runs the
-    /// old from-scratch rebuild so the two costs can be compared on
-    /// identical workloads.
+    /// statistics.
     fn splice_directory(&mut self, range: std::ops::Range<usize>, entries: &[(K, u32)]) {
         self.splices += 1;
         self.splice_entries += entries.len() as u64;
         self.dir.splice(range, entries);
-        if self.rebuild_baseline {
-            self.dir.rebuild_in_place();
-        }
     }
 
     /// Directory position of the segment anchored exactly at `anchor`.
@@ -159,15 +169,6 @@ impl<K: Key, V> FitingTree<K, V> {
             .expect("anchor lookup on non-empty directory");
         debug_assert_eq!(self.dir.anchor_at(pos), anchor);
         pos
-    }
-
-    /// Enables (or disables) the bench-only directory-rebuild baseline:
-    /// when on, every structural mutation pays the retired O(S)
-    /// from-scratch directory rebuild *in addition to* the splice, so
-    /// the `insert-heavy` benchmark can measure what the incremental
-    /// splice path saves. Not intended for production use.
-    pub fn set_directory_rebuild_baseline(&mut self, enabled: bool) {
-        self.rebuild_baseline = enabled;
     }
 
     /// Number of key/value pairs in the index.
@@ -291,13 +292,17 @@ impl<K: Key, V> FitingTree<K, V> {
         )
     }
 
-    /// Inserts `key → value` (paper Algorithm 4), returning the previous
-    /// value if the key existed. New keys go to the covering segment's
-    /// sorted buffer; a full buffer triggers merge + re-segmentation.
+    /// Inserts `key → value` (paper Section 5), returning the previous
+    /// value if the key existed. A new key that sorts after the covering
+    /// segment's page and sits where that segment's model already
+    /// predicts the next slot (within the segmentation error) is
+    /// appended to the page in place; any other new key goes to the
+    /// segment's sorted buffer, and a full buffer triggers merge +
+    /// re-segmentation (Algorithm 4).
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
         let Some(slot) = self.locate(&key) else {
             // Empty index: open the first segment.
-            let slot = self.alloc_slot(Segment::new(key, 0.0, vec![(key, value)]));
+            let slot = self.alloc_slot(Segment::from_run(key, 0.0, vec![key], vec![value]));
             self.splice_directory(0..0, &[(key, slot as u32)]);
             self.len += 1;
             return None;
@@ -305,12 +310,15 @@ impl<K: Key, V> FitingTree<K, V> {
         let seg = self.segments[slot]
             .as_mut()
             .expect("directory points at live segment");
+        let page_len = seg.keys.len();
         let old = seg.insert(key, value, self.seg_error, self.strategy);
         if old.is_some() {
             return old;
         }
         self.len += 1;
-        if seg.buffer.len() > self.buffer_size as usize {
+        if seg.keys.len() > page_len {
+            self.in_place_appends += 1;
+        } else if seg.buffer.len() > self.buffer_size as usize {
             self.resegment(slot);
         }
         None
@@ -419,6 +427,9 @@ impl<K: Key, V> FitingTree<K, V> {
             buffered_entries: buffered,
             directory_splices: self.splices,
             directory_splice_entries: self.splice_entries,
+            in_place_appends: self.in_place_appends,
+            resegmentations: self.resegmentations,
+            resegmented_entries: self.resegmented_entries,
             directory_version: self.dir.version(),
             avg_segment_len: if live == 0 {
                 0.0
@@ -468,39 +479,42 @@ impl<K: Key, V> FitingTree<K, V> {
     /// current one — the DBA retuning knob fed by the cost model's
     /// selectors (pick a new error, then `rebuild`).
     pub fn rebuild(self, error: u64) -> Result<Self, BuildError> {
-        let strategy = self.strategy;
-        let mut entries: Vec<(K, V)> = Vec::with_capacity(self.len);
-        let slots: Vec<usize> = self.dir.entries().map(|(_, slot)| slot).collect();
+        let rebuilt = FitingTree::from_parts(error, error / 2, self.strategy)?;
+        let mut carver = Carver::new(rebuilt.seg_error, self.len);
         let mut segments = self.segments;
-        for slot in slots {
-            let seg = segments[slot]
+        for (_, slot) in self.dir.entries() {
+            segments[slot]
                 .take()
-                .expect("directory points at live segment");
-            entries.extend(seg.into_merged());
+                .expect("directory points at live segment")
+                .merge_into(|k, v| carver.push(k, v));
         }
-        FitingTree::from_parts(error, error / 2, strategy)?.bulk_load_sorted(entries)
+        Ok(rebuilt.load(carver))
+    }
+
+    /// Takes the segment in `slot` out of the arena (and its entries
+    /// out of `len`) to be merged and re-carved.
+    fn take_for_recarve(&mut self, slot: usize) -> Segment<K, V> {
+        let seg = self.segments[slot]
+            .take()
+            .expect("directory points at live segment");
+        self.free.push(slot);
+        self.len -= seg.len();
+        self.resegmentations += 1;
+        self.resegmented_entries += seg.len() as u64;
+        seg
     }
 
     /// Merges a segment's page and buffer, re-runs ShrinkingCone over the
     /// merged run, and splices the resulting segment(s) into the
     /// directory window the old segment occupied (paper Algorithm 4,
-    /// lines 5–9) — O(merged run + directory tail shift), no tree walk.
+    /// lines 5–9) — one pass over the run into the arrays the new page
+    /// adopts, plus the directory tail shift; no tree walk.
     fn resegment(&mut self, slot: usize) {
-        let seg = self.segments[slot]
-            .take()
-            .expect("resegment target is live");
-        self.free.push(slot);
-        let anchor = seg.start_key;
-        let merged = seg.into_merged();
-        let pos = self.dir_pos_of(anchor);
-
-        let pieces = carve_segments(self.seg_error, merged);
-        let mut entries = Vec::with_capacity(pieces.len());
-        for piece in pieces {
-            let start_key = piece.start_key;
-            let new_slot = self.alloc_slot(piece);
-            entries.push((start_key, new_slot as u32));
-        }
+        let seg = self.take_for_recarve(slot);
+        let pos = self.dir_pos_of(seg.start_key);
+        let mut carver = Carver::new(self.seg_error, seg.len());
+        seg.merge_into(|k, v| carver.push(k, v));
+        let entries = self.install(carver);
         self.splice_directory(pos..pos + 1, &entries);
     }
 
@@ -560,29 +574,19 @@ impl<K: Key, V> FitingTree<K, V> {
             self.splice_directory(p..p + 1, &[]);
         }
         if straddles {
-            let seg = self.segments[bslot]
-                .take()
-                .expect("directory points at live segment");
-            self.free.push(bslot);
-            self.len -= seg.len();
-            let mut left_run = seg.into_merged();
-            let right_run = left_run.split_off(left_run.partition_point(|(k, _)| k < at));
-
-            self.len += left_run.len();
-            let mut left_entries = Vec::new();
-            for piece in carve_segments(self.seg_error, left_run) {
-                let anchor = piece.start_key;
-                let slot = self.alloc_slot(piece);
-                left_entries.push((anchor, slot as u32));
-            }
+            let seg = self.take_for_recarve(bslot);
+            let mut left = Carver::new(self.seg_error, seg.len());
+            let mut upper = Carver::new(self.seg_error, 0);
+            seg.merge_into(|k, v| {
+                if k < *at {
+                    left.push(k, v);
+                } else {
+                    upper.push(k, v);
+                }
+            });
+            let left_entries = self.install(left);
             self.splice_directory(p..p + 1, &left_entries);
-
-            right.len += right_run.len();
-            for piece in carve_segments(right.seg_error, right_run) {
-                let anchor = piece.start_key;
-                let slot = right.alloc_slot(piece);
-                right_entries.push((anchor, slot as u32));
-            }
+            right_entries = right.install(upper);
         }
 
         // Hand the tail segments over wholesale: arena moves only, no
@@ -648,6 +652,7 @@ impl<K: Key, V> FitingTree<K, V> {
                 .expect("directory points at live segment");
             let below = seg.buffer.partition_point(|(k, _)| *k < seg.start_key);
             reinserts.extend(seg.buffer.drain(..below));
+            seg.assert_invariants(other.seg_error, 0);
         }
 
         let mut entries: Vec<(K, u32)> = Vec::with_capacity(other.dir.len());
@@ -695,11 +700,12 @@ impl<K: Key, V> FitingTree<K, V> {
     /// flat directory and the segment run**. Checks: directory anchors
     /// are strictly ascending and point at live arena segments
     /// registered under their anchor; every live arena segment is
-    /// referenced exactly once (and free-list slots are dead); segment
-    /// pages and buffers are sorted; every live page key is found by a
-    /// windowed lookup (the error guarantee) *and* located to its
-    /// segment by the directory; `len` consistency; segments are
-    /// disjoint and ordered.
+    /// referenced exactly once (and free-list slots are dead); every
+    /// segment is well formed on its own (sorted page and buffer,
+    /// disjoint, bitmap sized, live slots inside their windows); every
+    /// live page key is found by a windowed lookup (the error
+    /// guarantee) *and* located to its segment by the directory; `len`
+    /// consistency; segments are disjoint and ordered.
     pub fn check_invariants(&self) -> Result<(), String> {
         let live_slots = self.segments.iter().filter(|s| s.is_some()).count();
         if live_slots != self.dir.len() {
@@ -743,18 +749,10 @@ impl<K: Key, V> FitingTree<K, V> {
                     seg.start_key
                 ));
             }
-            if !seg.keys.windows(2).all(|w| w[0] < w[1]) {
-                return Err("unsorted segment page".into());
-            }
-            if seg.keys.len() != seg.values.len() {
-                return Err("page keys/values length mismatch".into());
-            }
+            seg.check_invariants(self.seg_error, 0)?;
             let dead = (0..seg.keys.len()).filter(|&i| !seg.is_live(i)).count();
             if seg.removed as usize != dead {
                 return Err("tombstone count diverged from bitmap".into());
-            }
-            if !seg.buffer.windows(2).all(|w| w[0].0 < w[1].0) {
-                return Err("unsorted segment buffer".into());
             }
             if seg.buffer.len() > self.buffer_size as usize + 1 {
                 return Err(format!(
@@ -807,34 +805,61 @@ impl<K: Key, V> FitingTree<K, V> {
     }
 }
 
-/// Runs ShrinkingCone over a sorted `(key, value)` run and carves it
-/// into per-segment SoA pages — the one segmentation pass shared by
-/// bulk load, re-segmentation, and the boundary-segment split.
-fn carve_segments<K: Key, V>(seg_error: u64, run: Vec<(K, V)>) -> Vec<Segment<K, V>> {
-    if run.is_empty() {
-        return Vec::new();
-    }
-    let mut sc = ShrinkingCone::new(seg_error);
-    let mut plr_segs = Vec::new();
-    for (pos, (k, _)) in run.iter().enumerate() {
-        if let Some(seg) = sc.push(Point::new(k.to_f64(), pos as u64)) {
-            plr_segs.push(seg);
+/// Carves a sorted run, fed one entry at a time, into per-segment SoA
+/// pages: ShrinkingCone and the page arrays advance together, so the
+/// run is written exactly once, straight into the arrays the pages
+/// adopt. The one segmentation pass shared by bulk load,
+/// re-segmentation, and the boundary-segment split.
+struct Carver<K, V> {
+    cone: ShrinkingCone,
+    /// Entries pushed so far (the cone wants increasing positions).
+    pos: u64,
+    /// The page being filled: the run's tail since the last cut.
+    keys: Vec<K>,
+    values: Vec<V>,
+    pages: Vec<Segment<K, V>>,
+}
+
+impl<K: Key, V> Carver<K, V> {
+    /// `expected` sizes the first page's arrays for the whole run: the
+    /// cone keeps nearly every re-carved run in one piece, which then
+    /// never reallocates. A later page starts at the size of the one
+    /// before it.
+    fn new(seg_error: u64, expected: usize) -> Self {
+        Carver {
+            cone: ShrinkingCone::new(seg_error),
+            pos: 0,
+            keys: Vec::with_capacity(expected),
+            values: Vec::with_capacity(expected),
+            pages: Vec::new(),
         }
     }
-    if let Some(seg) = sc.finish() {
-        plr_segs.push(seg);
+
+    fn push(&mut self, key: K, value: V) {
+        if let Some(done) = self.cone.push(Point::new(key.to_f64(), self.pos)) {
+            let n = self.keys.len();
+            let keys = std::mem::replace(&mut self.keys, Vec::with_capacity(n));
+            let values = std::mem::replace(&mut self.values, Vec::with_capacity(n));
+            self.pages.push(Self::page(done.slope, keys, values));
+        }
+        self.pos += 1;
+        self.keys.push(key);
+        self.values.push(value);
     }
 
-    // Carve back to front so each split_off is O(segment length).
-    let mut rest = run;
-    let mut pages: Vec<Segment<K, V>> = Vec::with_capacity(plr_segs.len());
-    for ls in plr_segs.iter().rev() {
-        let page = rest.split_off(ls.start_pos as usize);
-        let start_key = page[0].0;
-        pages.push(Segment::new(start_key, ls.slope, page));
+    fn page(slope: f64, mut keys: Vec<K>, mut values: Vec<V>) -> Segment<K, V> {
+        keys.shrink_to_fit();
+        values.shrink_to_fit();
+        Segment::from_run(keys[0], slope, keys, values)
     }
-    pages.reverse();
-    pages
+
+    fn finish(self) -> Vec<Segment<K, V>> {
+        let mut pages = self.pages;
+        if let Some(last) = self.cone.finish() {
+            pages.push(Self::page(last.slope, self.keys, self.values));
+        }
+        pages
+    }
 }
 
 impl<K: Key, V: std::fmt::Debug> std::fmt::Debug for FitingTree<K, V> {
@@ -1030,6 +1055,148 @@ mod tests {
         for k in (0..5_000u64).step_by(97) {
             assert_eq!(t.get(&k), Some(&k));
         }
+        t.check_invariants().unwrap();
+        // The opening one-key segment has no slope to extend; one
+        // re-carve learns the line and every later key lands in place.
+        let s = t.stats();
+        assert_eq!((s.resegmentations, s.segment_count), (1, 1));
+        assert!(s.in_place_appends > 4_900);
+    }
+
+    /// Linear `(k * 10, k)` for `k < n`: `error` 32 ⇒ `seg_error` 16.
+    fn linear(n: u64) -> FitingTree<u64, u64> {
+        FitingTreeBuilder::new(32)
+            .bulk_load((0..n).map(|k| (k * 10, k)))
+            .unwrap()
+    }
+
+    #[test]
+    fn linear_appends_never_resegment() {
+        let mut t = linear(1_000);
+        for k in 1_000..101_000u64 {
+            assert_eq!(t.insert(k * 10, k), None);
+        }
+        let s = t.stats();
+        assert_eq!(s.in_place_appends, 100_000);
+        assert_eq!((s.resegmentations, s.resegmented_entries), (0, 0));
+        assert_eq!((s.segment_count, s.buffered_entries), (1, 0));
+        assert_eq!(s.directory_splices, 0);
+        assert_eq!(t.len(), 101_000);
+        assert_eq!(t.last(), Some((&1_009_990, &100_999)));
+        for k in (0..101_000u64).step_by(101) {
+            assert_eq!(t.get(&(k * 10)), Some(&k));
+            assert_eq!(t.get(&(k * 10 + 1)), None);
+        }
+        t.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn appends_that_bend_the_model_recarve_into_a_new_tail_segment() {
+        let mut t = linear(1_000);
+        // A hundredfold sparser: the old line predicts slots far past
+        // the tail, so these are buffered until the buffer overflows.
+        let bent = |k: u64| 9_990 + (k + 1) * 1_000;
+        for k in 0..16 {
+            t.insert(bent(k), k);
+        }
+        let s = t.stats();
+        assert_eq!((s.in_place_appends, s.buffered_entries), (0, 16));
+        t.insert(bent(16), 16);
+        let s = t.stats();
+        assert_eq!((s.resegmentations, s.resegmented_entries), (1, 1_017));
+        assert_eq!((s.segment_count, s.buffered_entries), (2, 0));
+        // The new tail segment was fitted to the sparse keys: it takes
+        // the rest in place.
+        for k in 17..500 {
+            t.insert(bent(k), k);
+        }
+        let s = t.stats();
+        assert_eq!((s.in_place_appends, s.resegmentations), (483, 1));
+        assert_eq!(s.segment_count, 2);
+        for k in 0..500 {
+            assert_eq!(t.get(&bent(k)), Some(&k));
+        }
+        assert_eq!(t.get(&9_990), Some(&999));
+        t.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn appended_keys_replace_remove_and_resurrect_like_any_page_key() {
+        let mut t = linear(100);
+        assert_eq!(t.insert(1_000, 1), None);
+        assert_eq!(t.insert(1_000, 2), Some(1), "duplicate of an appended key");
+        assert_eq!(t.len(), 101);
+        // Remove the tail key, re-insert it: the slot is reclaimed.
+        assert_eq!(t.remove(&1_000), Some(2));
+        assert_eq!(t.last(), Some((&990, &99)));
+        assert_eq!(t.insert(1_000, 3), None);
+        assert_eq!(t.last(), Some((&1_000, &3)));
+        // Remove it again and append past the tombstone.
+        assert_eq!(t.remove(&1_000), Some(3));
+        assert_eq!(t.insert(1_010, 4), None);
+        assert_eq!(t.get(&1_000), None);
+        assert_eq!(t.last(), Some((&1_010, &4)));
+        let s = t.stats();
+        assert_eq!((s.in_place_appends, s.buffered_entries), (2, 0));
+        assert_eq!(t.len(), 101);
+        t.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn buffered_key_above_the_tail_survives_admitted_appends() {
+        let mut t = linear(100);
+        // 40 slots past the tail: off the line by more than 16, buffered.
+        assert_eq!(t.insert(990 + 400, 7_000), None);
+        assert_eq!(t.stats().buffered_entries, 1);
+        assert_eq!(t.last(), Some((&1_390, &7_000)));
+        // Appends walk up to it, over it (a replace in the buffer), and
+        // past it; the page and the buffer stay sorted and disjoint.
+        for k in 100..160u64 {
+            let old = t.insert(k * 10, k);
+            assert_eq!(old, (k == 139).then_some(7_000), "key {}", k * 10);
+        }
+        let s = t.stats();
+        assert_eq!((s.in_place_appends, s.buffered_entries), (59, 1));
+        assert_eq!(t.get(&1_390), Some(&139));
+        assert_eq!(t.last(), Some((&1_590, &159)));
+        let tail: Vec<u64> = t.range(1_370..=1_410).map(|(k, _)| *k).collect();
+        assert_eq!(tail, vec![1_370, 1_380, 1_390, 1_400, 1_410]);
+        assert_eq!(t.iter().count(), 160);
+        assert!(t.keys().zip(t.keys().skip(1)).all(|(a, b)| a < b));
+        t.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn split_off_and_absorb_after_appends() {
+        let mut t = linear(2_000);
+        for k in 2_000..12_000u64 {
+            t.insert(k * 10, k);
+        }
+        t.insert(55_555, 1); // one buffered key inside the appended run
+        assert_eq!(t.remove(&119_990), Some(11_999)); // tombstoned tail slot
+        let model: Vec<(u64, u64)> = t.iter().map(|(k, v)| (*k, *v)).collect();
+        // The cut falls inside the page grown by appends.
+        let mut right = t.split_off(&60_005);
+        assert_eq!(t.len() + right.len(), model.len());
+        assert_eq!(t.last(), Some((&60_000, &6_000)));
+        assert_eq!(right.first(), Some((&60_010, &6_001)));
+        assert_eq!(right.last(), Some((&119_980, &11_998)));
+        t.check_invariants().unwrap();
+        right.check_invariants().unwrap();
+        // Both halves keep appending in place (the boundary re-carve
+        // dropped the tombstone, so 119_990 is an append too).
+        let appends = (t.stats().in_place_appends, right.stats().in_place_appends);
+        t.insert(60_003, 2);
+        right.insert(119_990, 3);
+        right.insert(120_000, 4);
+        assert_eq!(t.stats().in_place_appends, appends.0 + 1);
+        assert_eq!(right.stats().in_place_appends, appends.1 + 2);
+        assert_eq!(t.remove(&60_003), Some(2));
+        t.absorb(&mut right).unwrap();
+        let mut want = model;
+        want.extend([(119_990, 3), (120_000, 4)]);
+        let got: Vec<(u64, u64)> = t.iter().map(|(k, v)| (*k, *v)).collect();
+        assert_eq!(got, want);
         t.check_invariants().unwrap();
     }
 

@@ -149,21 +149,6 @@ impl<K: Key> FlatDirectory<K> {
         upper
     }
 
-    /// From-scratch reconstruction of the arrays from their own
-    /// contents — the retired `rebuild_directory()` cost (an O(S)
-    /// collect-and-repush), kept **only** as the measurable baseline
-    /// for the `insert-heavy` bench scenario's splice-vs-rebuild
-    /// comparison.
-    pub fn rebuild_in_place(&mut self) {
-        let entries: Vec<(K, u32)> = self
-            .anchors
-            .iter()
-            .copied()
-            .zip(self.slots.iter().copied())
-            .collect();
-        self.rebuild(entries);
-    }
-
     /// Directory position of the segment responsible for `key`: the
     /// floor anchor, falling back to position 0 for keys below every
     /// anchor (the first segment may hold buffered keys below its
@@ -542,16 +527,6 @@ mod tests {
         c.splice(1..1, &[(5, 0)]);
         assert_eq!(c.version(), 5);
         assert_eq!(d.version(), 4);
-    }
-
-    #[test]
-    fn rebuild_in_place_is_identity() {
-        let anchors: Vec<u64> = (0..150u64).map(|i| i * i).collect();
-        let mut d = dir(&anchors);
-        let before: Vec<_> = d.entries().collect();
-        d.rebuild_in_place();
-        assert_eq!(d.entries().collect::<Vec<_>>(), before);
-        assert_eq!(d.floor_index(100), dir(&anchors).floor_index(100));
     }
 
     #[test]

@@ -123,23 +123,25 @@ impl<'a, K: Key, V> MergeIter<'a, K, V> {
     }
 
     /// Positions both runs at the first entry satisfying `start`, so a
-    /// range scan does not walk the segment prefix item by item.
+    /// range scan does not walk the segment prefix item by item. The
+    /// page seek searches only the model's window
+    /// ([`Segment::lower_bound`]), not the whole page.
     fn starting_at(seg: &'a Segment<K, V>, start: &Bound<K>) -> Self {
-        let seek_keys = match start {
-            Bound::Unbounded => 0,
-            Bound::Included(s) => seg.keys.partition_point(|k| k < s),
-            Bound::Excluded(s) => seg.keys.partition_point(|k| k <= s),
+        let (di, bi) = match start {
+            Bound::Unbounded => (0, 0),
+            Bound::Included(s) => (
+                seg.lower_bound(*s),
+                seg.buffer.partition_point(|(k, _)| k < s),
+            ),
+            Bound::Excluded(s) => {
+                let di = seg.lower_bound(*s);
+                (
+                    di + usize::from(seg.keys.get(di) == Some(s)),
+                    seg.buffer.partition_point(|(k, _)| k <= s),
+                )
+            }
         };
-        let seek_buf = match start {
-            Bound::Unbounded => 0,
-            Bound::Included(s) => seg.buffer.partition_point(|(k, _)| k < s),
-            Bound::Excluded(s) => seg.buffer.partition_point(|(k, _)| k <= s),
-        };
-        MergeIter {
-            seg,
-            di: seek_keys,
-            bi: seek_buf,
-        }
+        MergeIter { seg, di, bi }
     }
 }
 
@@ -238,6 +240,56 @@ mod tests {
             .unwrap();
         assert_eq!(t.range(500..1_500).count(), 1_000);
         assert_eq!(t.range(0..100_000).count(), 100_000);
+    }
+
+    #[test]
+    fn seeks_agree_with_btreemap_for_every_kind_of_start_key() {
+        use std::collections::BTreeMap;
+        use std::ops::Bound::{Excluded, Included, Unbounded};
+        // Curved keys (many segments, wide envelopes), then buffered
+        // back-fills, in-place appends and tombstones on top.
+        let mut t = FitingTreeBuilder::new(16)
+            .bulk_load((0..3_000u64).map(|k| (1_000 + k * k / 16 + k * 3, k)))
+            .unwrap();
+        let mut model: BTreeMap<u64, u64> = t.iter().map(|(k, v)| (*k, *v)).collect();
+        let top = *model.keys().next_back().unwrap();
+        for k in 0..400u64 {
+            for key in [1_001 + k * 1_400, top + 380 * (k + 1)] {
+                assert_eq!(t.insert(key, k), model.insert(key, k));
+            }
+        }
+        let s = t.stats();
+        assert!(s.in_place_appends > 300 && s.buffered_entries > 0);
+        let doomed: Vec<u64> = model.keys().copied().step_by(7).collect();
+        for key in doomed {
+            assert_eq!(t.remove(&key), model.remove(&key));
+        }
+        t.check_invariants().unwrap();
+
+        let last = *model.keys().next_back().unwrap();
+        let mut starts: Vec<u64> = vec![0, 999, 1_000, last, last + 1, u64::MAX];
+        // Present keys, removed keys, and absent neighbours of both.
+        for key in (1_000..last).step_by(997) {
+            let at = *model.range(key..).next().unwrap().0;
+            starts.extend([key, at, at + 1, at - 1]);
+        }
+        for &s in &starts {
+            let e = s.saturating_add(20_000);
+            for bounds in [
+                (Included(s), Excluded(e)),
+                (Excluded(s), Included(e)),
+                (Included(s), Unbounded),
+            ] {
+                let got: Vec<(u64, u64)> =
+                    t.range(bounds).map(|(k, v)| (*k, *v)).take(50).collect();
+                let want: Vec<(u64, u64)> = model
+                    .range(bounds)
+                    .map(|(k, v)| (*k, *v))
+                    .take(50)
+                    .collect();
+                assert_eq!(got, want, "range {bounds:?}");
+            }
+        }
     }
 
     #[test]

@@ -7,6 +7,11 @@
 //! search only the `±seg_error` window around it — the bound the
 //! segmentation algorithm guarantees — and finally the buffer.
 //!
+//! A new key above the page's last key whose slot the *existing* model
+//! predicts within `seg_error` is pushed onto the page tail in O(1)
+//! (the paper's in-place insert strategy, for the case that shifts
+//! nothing); every other new key goes to the buffer.
+//!
 //! # Page layout (SoA)
 //!
 //! The page is stored **structure-of-arrays**: `keys: Vec<K>` parallel
@@ -59,6 +64,11 @@ pub enum SearchStrategy {
     Interpolation,
 }
 
+/// An envelope deviation as stored (the window caps it at the budget).
+fn saturate_u32(deviation: usize) -> u32 {
+    u32::try_from(deviation).unwrap_or(u32::MAX)
+}
+
 /// One variable-sized page of the clustered index.
 #[derive(Debug, Clone)]
 pub(crate) struct Segment<K, V> {
@@ -89,26 +99,25 @@ pub(crate) struct Segment<K, V> {
     /// support is an extension over the paper).
     pub removed: u64,
     /// Measured prediction error bounds over this page: every key at
-    /// position `i` satisfies `pred − under ≤ i ≤ pred + over`. Exact —
-    /// computed with the same clamped f64 prediction lookups use — and
-    /// stable until re-segmentation, because tombstones never move
-    /// slots. The search window is the *intersection* of these bounds
-    /// with the configured `±(seg_error + 1)` budget, so it can only
-    /// shrink relative to the paper's worst case.
+    /// position `i` satisfies `pred − under ≤ i ≤ pred + over`, where
+    /// `pred` is [`predict`](Self::predict) — clamped at 0 only, never
+    /// at the page end, so a key's deviation depends on the key and the
+    /// model alone and a tail append leaves every older slot's
+    /// deviation as it was (tombstones never move slots either). The
+    /// search window is the *intersection* of these bounds with the
+    /// configured `±(seg_error + 1)` budget and with the page, so it
+    /// can only shrink relative to the paper's worst case.
     under: u32,
     /// See [`under`](field@Self::under): max of `i − pred` over the page.
     over: u32,
 }
 
 impl<K: Key, V> Segment<K, V> {
-    pub fn new(start_key: K, slope: f64, data: Vec<(K, V)>) -> Self {
-        debug_assert!(data.windows(2).all(|w| w[0].0 <= w[1].0));
-        let mut keys = Vec::with_capacity(data.len());
-        let mut values = Vec::with_capacity(data.len());
-        for (k, v) in data {
-            keys.push(k);
-            values.push(v);
-        }
+    /// A segment whose page adopts the sorted parallel arrays `keys` ∥
+    /// `values` as they are (no copy); one pass measures the envelope.
+    pub fn from_run(start_key: K, slope: f64, keys: Vec<K>, values: Vec<V>) -> Self {
+        debug_assert!(keys.windows(2).all(|w| w[0] < w[1]));
+        debug_assert_eq!(keys.len(), values.len());
         let mut seg = Segment {
             start_key,
             start_key_f: start_key.to_f64(),
@@ -212,16 +221,14 @@ impl<K: Key, V> Segment<K, V> {
     /// envelope (`under`/`over`), which the window search intersects
     /// with the configured budget. O(page) with pure arithmetic.
     fn measure_error_bounds(&mut self) {
-        let mut under = 0i64;
-        let mut over = 0i64;
+        let (mut under, mut over) = (0usize, 0usize);
         for (i, &k) in self.keys.iter().enumerate() {
-            let pred = self.predict(k) as i64;
-            let d = i as i64 - pred;
-            over = over.max(d);
-            under = under.min(d);
+            let pred = self.predict(k);
+            under = under.max(pred.saturating_sub(i));
+            over = over.max(i.saturating_sub(pred));
         }
-        self.under = (-under).min(u32::MAX as i64) as u32;
-        self.over = over.min(u32::MAX as i64) as u32;
+        self.under = saturate_u32(under);
+        self.over = saturate_u32(over);
     }
 
     /// Live page entries (tombstones excluded).
@@ -269,37 +276,56 @@ impl<K: Key, V> Segment<K, V> {
         }
     }
 
-    /// Interpolated local slot for `key`, clamped into the page.
+    /// Interpolated local slot for `key`, clamped at 0 but **not** at
+    /// the page end (see [`under`](field@Self::under)): callers clip to
+    /// the page.
     ///
     /// Rounds to the nearest slot: the segmentation bound holds in real
     /// arithmetic, and rounding (plus one slot of window slack below)
     /// absorbs `f64` evaluation error in `(key − start) × slope`.
+    #[inline]
     pub fn predict(&self, key: K) -> usize {
-        if self.keys.is_empty() {
-            return 0;
-        }
-        let p = ((key.to_f64() - self.start_key_f) * self.slope).round();
-        if p <= 0.0 {
-            // Keys are NaN-free by construction (Key contract), so this
-            // covers exactly the negative-or-zero predictions.
-            return 0;
-        }
-        (p as usize).min(self.keys.len() - 1)
+        // `+ 0.5` then truncate rounds half up without the libm call
+        // `f64::round` costs on baseline x86-64 (this runs once per page
+        // key in the envelope pass). The cast saturates: negative
+        // predictions land on slot 0 (keys are NaN-free by the Key
+        // contract), huge ones on `usize::MAX`.
+        ((key.to_f64() - self.start_key_f) * self.slope + 0.5) as usize
     }
 
     /// The bounded search window `(lo, hi, predicted)` (inclusive) for
-    /// `key`: the measured per-page error envelope intersected with the
-    /// `±(seg_error + 1)` budget (the `+ 1` covers `f64` rounding, see
-    /// [`predict`](Self::predict)). Tombstones keep slots in place, so
-    /// the window does **not** widen with removals, and the measured
-    /// envelope stays exact until re-segmentation.
+    /// `key` on a non-empty page: the measured per-page error envelope
+    /// intersected with the `±(seg_error + 1)` budget (the `+ 1` covers
+    /// `f64` rounding, see [`predict`](Self::predict)) and clipped to
+    /// the page. Tombstones keep slots in place and appends leave old
+    /// deviations alone, so the window does **not** widen with either.
     #[inline]
     fn window(&self, key: K, seg_error: u64) -> (usize, usize, usize) {
         let pred = self.predict(key);
         let budget = seg_error as usize + 1;
-        let lo = pred.saturating_sub(budget.min(self.under as usize));
-        let hi = (pred + budget.min(self.over as usize)).min(self.keys.len().saturating_sub(1));
+        let hi = pred
+            .saturating_add(budget.min(self.over as usize))
+            .min(self.keys.len() - 1);
+        // A prediction past the page leaves a one-slot window at the
+        // tail, which the exact-match compare then rejects.
+        let lo = pred.saturating_sub(budget.min(self.under as usize)).min(hi);
         (lo, hi, pred)
+    }
+
+    /// First page slot whose key is `>= key` (`keys.len()` if none) —
+    /// the range-scan seek. Predictions are monotone in the key, so the
+    /// lower bound of *any* key lies in `[pred − under, pred + over + 1]`
+    /// clipped to the page: only that window is searched, as the
+    /// paper's range query (point lookup, then scan) does.
+    pub fn lower_bound(&self, key: K) -> usize {
+        let pred = self.predict(key);
+        let n = self.keys.len();
+        let hi = pred
+            .saturating_add(self.over as usize)
+            .saturating_add(1)
+            .min(n);
+        let lo = pred.saturating_sub(self.under as usize).min(hi);
+        lo + self.keys[lo..hi].partition_point(|&k| k < key)
     }
 
     /// Exact-match probe of the page keys, honoring the error window —
@@ -472,8 +498,10 @@ impl<K: Key, V> Segment<K, V> {
     }
 
     /// Inserts into the segment: replaces in place if the key exists
-    /// (page or buffer, resurrecting a tombstoned page slot), otherwise
-    /// appends to the sorted buffer. Returns the previous value if any.
+    /// (page or buffer, resurrecting a tombstoned page slot). A new key
+    /// above the page's last key whose slot the existing model predicts
+    /// within `seg_error` is pushed onto the page tail; any other new
+    /// key goes to the sorted buffer. Returns the previous value if any.
     pub fn insert(
         &mut self,
         key: K,
@@ -494,10 +522,37 @@ impl<K: Key, V> Segment<K, V> {
         match self.buffer.binary_search_by(|(k, _)| k.cmp(&key)) {
             Ok(i) => Some(std::mem::replace(&mut self.buffer[i].1, value)),
             Err(i) => {
-                self.buffer.insert(i, (key, value));
+                if let Err(value) = self.push_tail(key, value, seg_error) {
+                    self.buffer.insert(i, (key, value));
+                }
                 None
             }
         }
+    }
+
+    /// The in-place append: admits `key` iff it sorts after the whole
+    /// page and the model's prediction for it is within `seg_error` of
+    /// the next free slot — so the one new deviation fits the search
+    /// budget and nothing already on the page moves or is re-measured.
+    /// `value` is only consumed on admission.
+    fn push_tail(&mut self, key: K, value: V, seg_error: u64) -> Result<(), V> {
+        if self.keys.last().is_none_or(|&last| key <= last) {
+            return Err(value);
+        }
+        let slot = self.keys.len();
+        let pred = self.predict(key);
+        if slot.abs_diff(pred) as u64 > seg_error {
+            return Err(value);
+        }
+        self.under = self.under.max(saturate_u32(pred.saturating_sub(slot)));
+        self.over = self.over.max(saturate_u32(slot.saturating_sub(pred)));
+        self.keys.push(key);
+        self.values.push(value);
+        if !self.dead.is_empty() {
+            self.dead.resize(self.keys.len().div_ceil(64), 0);
+        }
+        self.assert_invariants(seg_error, slot);
+        Ok(())
     }
 
     /// Removes `key` from the segment. Buffer entries are dropped;
@@ -544,37 +599,76 @@ impl<K: Key, V> Segment<K, V> {
         None
     }
 
-    /// Merges live page entries and buffer into one sorted run,
-    /// consuming the segment (the first step of the paper's Algorithm 4
-    /// split). Tombstones are dropped here.
-    pub fn into_merged(self) -> Vec<(K, V)> {
-        let mut out = Vec::with_capacity(self.live_len() + self.buffer.len());
+    /// Feeds the live page entries merged with the buffer — one sorted
+    /// run — to `sink`, consuming the segment (the first step of the
+    /// paper's Algorithm 4 split). Tombstones are dropped here.
+    pub fn merge_into(self, mut sink: impl FnMut(K, V)) {
         let dead = self.dead;
-        let live = |i: &usize| dead.is_empty() || dead[i >> 6] & (1 << (i & 63)) == 0;
-        let mut a = self
-            .keys
-            .into_iter()
-            .zip(self.values)
-            .enumerate()
-            .filter(|(i, _)| live(i))
-            .map(|(_, kv)| kv)
-            .peekable();
-        let mut b = self.buffer.into_iter().peekable();
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some(x), Some(y)) => {
-                    if x.0 <= y.0 {
-                        out.push(a.next().expect("peeked"));
-                    } else {
-                        out.push(b.next().expect("peeked"));
-                    }
-                }
-                (Some(_), None) => out.push(a.next().expect("peeked")),
-                (None, Some(_)) => out.push(b.next().expect("peeked")),
-                (None, None) => break,
+        let mut buffer = self.buffer.into_iter().peekable();
+        for (i, (k, v)) in self.keys.into_iter().zip(self.values).enumerate() {
+            while let Some((bk, bv)) = buffer.next_if(|(bk, _)| *bk < k) {
+                sink(bk, bv);
+            }
+            if dead.is_empty() || dead[i >> 6] & (1 << (i & 63)) == 0 {
+                sink(k, v);
             }
         }
-        out
+        for (bk, bv) in buffer {
+            sink(bk, bv);
+        }
+    }
+
+    /// Verifies the segment from page slot `from` on: page arrays
+    /// parallel and sorted, bitmap sized to the page, every live slot
+    /// inside its own search window, buffer sorted and disjoint from
+    /// the page.
+    pub fn check_invariants(&self, seg_error: u64, from: usize) -> Result<(), String> {
+        if self.keys.len() != self.values.len() {
+            return Err("page keys/values length mismatch".into());
+        }
+        if !self.dead.is_empty() && self.dead.len() != self.keys.len().div_ceil(64) {
+            return Err(format!(
+                "bitmap holds {} words for a {}-slot page",
+                self.dead.len(),
+                self.keys.len()
+            ));
+        }
+        for i in from..self.keys.len() {
+            let k = self.keys[i];
+            if i > 0 && self.keys[i - 1] >= k {
+                return Err(format!("segment page unsorted at slot {i}"));
+            }
+            let (lo, hi, _) = self.window(k, seg_error);
+            if self.is_live(i) && !(lo..=hi).contains(&i) {
+                return Err(format!(
+                    "error guarantee violated: slot {i} ({k:?}) outside its window {lo}..={hi}"
+                ));
+            }
+        }
+        if !self.buffer.windows(2).all(|w| w[0].0 < w[1].0) {
+            return Err("unsorted segment buffer".into());
+        }
+        match self
+            .buffer
+            .iter()
+            .find(|(k, _)| self.keys.binary_search(k).is_ok())
+        {
+            Some((k, _)) => Err(format!("{k:?} is both buffered and on the page")),
+            None => Ok(()),
+        }
+    }
+
+    /// Debug builds panic unless [`check_invariants`](Self::check_invariants)
+    /// holds; called after every mutation that restructures a segment,
+    /// with `from` at the first slot touched. Compiles to nothing in
+    /// release builds.
+    #[inline]
+    pub fn assert_invariants(&self, seg_error: u64, from: usize) {
+        if cfg!(debug_assertions) {
+            if let Err(why) = self.check_invariants(seg_error, from) {
+                panic!("segment anchored at {:?}: {why}", self.start_key);
+            }
+        }
     }
 
     /// Estimated heap bytes of the page + buffer payload.
@@ -591,14 +685,14 @@ mod tests {
     use super::*;
 
     fn seg(keys: &[u64]) -> Segment<u64, u64> {
-        let data: Vec<(u64, u64)> = keys.iter().map(|&k| (k, k * 10)).collect();
+        let values = keys.iter().map(|&k| k * 10).collect();
         // Slope from endpoints.
         let slope = if keys.len() > 1 {
             (keys.len() - 1) as f64 / (keys[keys.len() - 1] - keys[0]) as f64
         } else {
             0.0
         };
-        Segment::new(keys[0], slope, data)
+        Segment::from_run(keys[0], slope, keys.to_vec(), values)
     }
 
     #[test]
@@ -669,8 +763,7 @@ mod tests {
     fn window_respects_error_budget() {
         // Deliberately bad slope: predictions land at slot 0 for every
         // key, so only keys within the window of slot 0 are findable.
-        let data: Vec<(u64, u64)> = (0..100).map(|k| (k, k)).collect();
-        let s = Segment::new(0u64, 0.0, data);
+        let s = Segment::from_run(0u64, 0.0, (0..100).collect(), (0..100u64).collect());
         assert_eq!(s.get(3, 5, SearchStrategy::Binary), Some(&3));
         // Slot 50 is outside the ±5 window around slot 0.
         assert_eq!(s.get(50, 5, SearchStrategy::Binary), None);
@@ -689,6 +782,71 @@ mod tests {
         // Replace page value in place, not via buffer.
         assert_eq!(s.insert(20, 999, 2, SearchStrategy::Binary), Some(200));
         assert_eq!(s.buffer.len(), 1);
+    }
+
+    #[test]
+    fn tail_append_is_admitted_only_within_seg_error() {
+        let keys: Vec<u64> = (0..100).map(|i| i * 10).collect();
+        let mut s = seg(&keys);
+        // On the model's line: pushed onto the page, nothing buffered.
+        for k in 100..200u64 {
+            assert_eq!(s.insert(k * 10, k, 2, SearchStrategy::Binary), None);
+        }
+        assert_eq!((s.keys.len(), s.buffer.len()), (200, 0));
+        assert_eq!(s.error_envelope(), (0, 0));
+        // Off the line by more than ±2 slots: buffered; by less: admitted,
+        // and the envelope records the one new deviation.
+        assert_eq!(s.insert(2_100, 7, 2, SearchStrategy::Binary), None);
+        assert_eq!((s.keys.len(), s.buffer.len()), (200, 1));
+        assert_eq!(s.insert(2_018, 8, 2, SearchStrategy::Binary), None);
+        assert_eq!((s.keys.len(), s.buffer.len()), (201, 1));
+        assert_eq!(s.error_envelope(), (2, 0));
+        // A duplicate of an appended key replaces; every older key is
+        // still found through its unchanged window.
+        assert_eq!(s.insert(2_018, 9, 2, SearchStrategy::Binary), Some(8));
+        for k in 0..200u64 {
+            assert!(s.get(k * 10, 2, SearchStrategy::Binary).is_some(), "{k}");
+        }
+        assert_eq!(s.get(2_100, 2, SearchStrategy::Binary), Some(&7));
+    }
+
+    #[test]
+    fn append_grows_the_tombstone_bitmap_and_resurrects_the_tail() {
+        let keys: Vec<u64> = (0..64).collect();
+        let mut s = seg(&keys);
+        assert_eq!(s.remove(63, 1, SearchStrategy::Binary), Some(630));
+        assert_eq!(s.dead_words().len(), 1);
+        // Slot 64 opens a second bitmap word, live.
+        assert_eq!(s.insert(64, 1, 1, SearchStrategy::Binary), None);
+        assert_eq!(s.dead_words().len(), 2);
+        assert_eq!(s.get(64, 1, SearchStrategy::Binary), Some(&1));
+        assert_eq!(s.remove(64, 1, SearchStrategy::Binary), Some(1));
+        assert_eq!(s.max_key(), Some(62));
+        // Re-inserting a removed tail key reclaims its slot.
+        assert_eq!(s.insert(64, 2, 1, SearchStrategy::Binary), None);
+        assert_eq!((s.keys.len(), s.buffer.len(), s.removed), (65, 0, 1));
+    }
+
+    #[test]
+    fn lower_bound_agrees_with_partition_point() {
+        // Curved keys and a coarse slope, so the envelope is wide on
+        // both sides; then appends, so it is wider than the page tail.
+        let keys: Vec<u64> = (0..300u64).map(|i| i * i / 7 + i).collect();
+        let mut s = seg(&keys);
+        for k in 0..40u64 {
+            s.insert(keys[299] + 1 + k * 40, k, 64, SearchStrategy::Binary);
+        }
+        assert!(s.keys.len() > 300);
+        let top = *s.keys.last().unwrap() + 500;
+        for key in (0..top).step_by(3) {
+            assert_eq!(
+                s.lower_bound(key),
+                s.keys.partition_point(|&k| k < key),
+                "key {key}"
+            );
+        }
+        let empty: Segment<u64, u64> = Segment::from_run(5, 1.0, Vec::new(), Vec::new());
+        assert_eq!(empty.lower_bound(9), 0);
     }
 
     #[test]
@@ -738,10 +896,11 @@ mod tests {
         // slot; `remove_with` relaxes that with a caller extraction.
         #[derive(Debug, Default, PartialEq)]
         struct Token(u64);
-        let mut s: Segment<u64, Token> = Segment::new(
+        let mut s: Segment<u64, Token> = Segment::from_run(
             10,
             1.0,
-            vec![(10, Token(1)), (11, Token(2)), (12, Token(3))],
+            vec![10, 11, 12],
+            vec![Token(1), Token(2), Token(3)],
         );
         // Page hit: moved out via mem::take (V: Default).
         assert_eq!(
@@ -758,10 +917,12 @@ mod tests {
             )),
             Some(Token(3))
         );
-        // Buffer hit: moved out directly, extraction never called.
-        s.insert(15, Token(5), 2, SearchStrategy::Binary);
+        // Buffer hit (a key inside the page's range is never appended):
+        // moved out directly, extraction never called.
+        s.insert(9, Token(5), 2, SearchStrategy::Binary);
+        assert_eq!(s.buffer.len(), 1);
         assert_eq!(
-            s.remove_with(15, 2, SearchStrategy::Binary, |_| unreachable!(
+            s.remove_with(9, 2, SearchStrategy::Binary, |_| unreachable!(
                 "buffer removals never extract"
             )),
             Some(Token(5))
@@ -788,13 +949,19 @@ mod tests {
     }
 
     #[test]
-    fn into_merged_interleaves_sorted_and_drops_tombstones() {
+    fn merge_into_interleaves_sorted_and_drops_tombstones() {
         let mut s = seg(&[10, 30, 50]);
         s.insert(20, 2, 1, SearchStrategy::Binary);
-        s.insert(60, 6, 1, SearchStrategy::Binary);
+        s.insert(5, 0, 1, SearchStrategy::Binary);
+        s.insert(1000, 9, 1, SearchStrategy::Binary); // bends past ±1: buffered
         s.remove(30, 1, SearchStrategy::Binary);
-        let merged: Vec<u64> = s.into_merged().into_iter().map(|(k, _)| k).collect();
-        assert_eq!(merged, vec![10, 20, 50, 60]);
+        assert_eq!(s.buffer.len(), 3);
+        let mut merged = Vec::new();
+        s.merge_into(|k, v| merged.push((k, v)));
+        assert_eq!(
+            merged,
+            vec![(5, 0), (10, 100), (20, 2), (50, 500), (1000, 9)]
+        );
     }
 
     #[test]
@@ -814,7 +981,7 @@ mod tests {
 
     #[test]
     fn empty_page_lookups_hit_buffer_only() {
-        let mut s: Segment<u64, u64> = Segment::new(0, 0.0, Vec::new());
+        let mut s: Segment<u64, u64> = Segment::from_run(0, 0.0, Vec::new(), Vec::new());
         assert_eq!(s.get(1, 10, SearchStrategy::Binary), None);
         s.insert(1, 11, 10, SearchStrategy::Binary);
         assert_eq!(s.get(1, 10, SearchStrategy::Binary), Some(&11));

@@ -13,7 +13,7 @@
 //!
 //! ```text
 //! header (one 64-byte block)
-//!   0..8    magic "FITSNP01"
+//!   0..8    magic "FITSNP02"
 //!   8..10   key width in bytes   (u16, = K::ENCODED_LEN)
 //!   10..12  value width in bytes (u16, = V::ENCODED_LEN)
 //!   12      search strategy      (u8)
@@ -58,8 +58,10 @@ use crate::error::BuildError;
 use crate::key::Key;
 use crate::segment::{SearchStrategy, Segment};
 
-/// First eight bytes of every snapshot.
-pub const SNAPSHOT_MAGIC: [u8; 8] = *b"FITSNP01";
+/// First eight bytes of every snapshot. Version `02`: the persisted
+/// envelope is measured against the open-top prediction (clamped at 0
+/// only), which is what lets a page grow by in-place appends.
+pub const SNAPSHOT_MAGIC: [u8; 8] = *b"FITSNP02";
 
 /// Alignment of the header and of every section start.
 pub const SNAPSHOT_ALIGN: usize = 64;
@@ -139,6 +141,10 @@ pub enum SnapshotError {
     Truncated(&'static str),
     /// The first eight bytes are not [`SNAPSHOT_MAGIC`].
     BadMagic,
+    /// A `FITSNP01` image: its error envelopes were measured under the
+    /// old (page-clamped) prediction and cannot be trusted; rebuild the
+    /// index from its source instead.
+    UnsupportedVersion,
     /// A stored CRC32 did not match the bytes it covers (section 0 is
     /// the header).
     ChecksumMismatch {
@@ -175,6 +181,9 @@ impl std::fmt::Display for SnapshotError {
         match self {
             SnapshotError::Truncated(what) => write!(f, "snapshot truncated reading {what}"),
             SnapshotError::BadMagic => f.write_str("not a FITing-Tree snapshot (bad magic)"),
+            SnapshotError::UnsupportedVersion => {
+                f.write_str("FITSNP01 snapshot: envelope definition changed, image not readable")
+            }
             SnapshotError::ChecksumMismatch { section } => {
                 write!(f, "checksum mismatch in block {section}")
             }
@@ -366,6 +375,9 @@ fn read_key<K: Key>(r: &mut Reader<'_>, what: &'static str) -> Result<K, Snapsho
 pub fn decode_tree<K: Key, V: Key>(bytes: &[u8]) -> Result<FitingTree<K, V>, SnapshotError> {
     let mut r = Reader { bytes, pos: 0 };
     let header = r.take(HEADER_LEN, "header")?;
+    if header[0..8] == *b"FITSNP01" {
+        return Err(SnapshotError::UnsupportedVersion);
+    }
     if header[0..8] != SNAPSHOT_MAGIC {
         return Err(SnapshotError::BadMagic);
     }
@@ -582,6 +594,48 @@ mod tests {
         let got: Vec<(u64, u64)> = back.range(..).map(|(k, v)| (*k, *v)).collect();
         assert_eq!(got, expect);
         back.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn snapshot_round_trips_a_tail_page_grown_in_place() {
+        let mut tree = FitingTreeBuilder::new(64)
+            .bulk_load((0..3_000u64).map(|k| (k * k / 32 + k, k)))
+            .unwrap();
+        let top = *tree.last().unwrap().0;
+        // Appends bend the tail model within its budget, so the
+        // persisted envelope is one only appends could have produced.
+        for k in 1..=2_000u64 {
+            tree.insert(top + k * 180 + k % 7, k);
+        }
+        let tail = *tree.last().unwrap().0;
+        assert_eq!(tree.remove(&tail), Some(2_000)); // tombstoned tail slot
+        let stats = tree.stats();
+        assert!(stats.in_place_appends > 1_000, "{stats:?}");
+        let expect: Vec<(u64, u64)> = tree.range(..).map(|(k, v)| (*k, *v)).collect();
+
+        let mut back: FitingTree<u64, u64> = decode_tree(&encode_tree(&tree)).unwrap();
+        assert_eq!(back.segment_count(), tree.segment_count());
+        let got: Vec<(u64, u64)> = back.range(..).map(|(k, v)| (*k, *v)).collect();
+        assert_eq!(got, expect);
+        // The decoded tail keeps growing in place, tombstone included.
+        assert_eq!(back.insert(tail, 1), None);
+        assert_eq!(back.insert(tail + 180, 2), None);
+        assert_eq!(back.stats().in_place_appends, 1);
+        back.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn decode_refuses_the_previous_format() {
+        // FITSNP01 envelopes were measured against a page-clamped
+        // prediction; an otherwise valid image must not be trusted.
+        let mut old = encode_tree(&sample_tree(500));
+        old[..8].copy_from_slice(b"FITSNP01");
+        let crc = crc32(&old[0..48]);
+        old[48..52].copy_from_slice(&crc.to_le_bytes());
+        assert_eq!(
+            decode_tree::<u64, u64>(&old).unwrap_err(),
+            SnapshotError::UnsupportedVersion
+        );
     }
 
     #[test]

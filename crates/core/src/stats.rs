@@ -28,6 +28,15 @@ pub struct FitingTreeStats {
     /// Cumulative `(anchor, slot)` entries written by those splices
     /// (the "moved segments" side of the O(moved + shift) splice cost).
     pub directory_splice_entries: u64,
+    /// Cumulative new keys pushed onto a page tail in place (the
+    /// paper's in-place insert strategy) instead of being buffered.
+    pub in_place_appends: u64,
+    /// Cumulative merge-and-re-carve passes over one segment (buffer
+    /// overflow, tombstone pressure, the boundary segment of a split).
+    pub resegmentations: u64,
+    /// Cumulative entries those passes rewrote — with
+    /// `resegmentations`, the page-rewriting share of the write path.
+    pub resegmented_entries: u64,
     /// Structural version of the flat directory: bumped by every
     /// mutation of the anchor/slot arrays (dense rebuilds included, so
     /// it runs ahead of `directory_splices`). Equal versions across two
