@@ -2,9 +2,10 @@
 //! fails (exit 1) on any finding. CI runs this as a blocking job:
 //! `cargo run -p fiting-analysis`.
 //!
-//! The workspace root is the first argument when given, otherwise the
-//! manifest's grandparent (so the binary works from any cwd under
-//! `cargo run`).
+//! The workspace root is the first positional argument when given,
+//! otherwise the manifest's grandparent (so the binary works from any
+//! cwd under `cargo run`). With `--lines` it prints the per-crate
+//! production line-count scoreboard instead of running the rules.
 
 #![forbid(unsafe_code)]
 
@@ -12,7 +13,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn workspace_root() -> PathBuf {
-    if let Some(arg) = std::env::args().nth(1) {
+    if let Some(arg) = std::env::args().skip(1).find(|a| a != "--lines") {
         return PathBuf::from(arg);
     }
     // crates/analysis/ -> crates/ -> workspace root
@@ -23,8 +24,30 @@ fn workspace_root() -> PathBuf {
         .map_or(manifest.clone(), std::path::Path::to_path_buf)
 }
 
+/// `--lines`: production code lines per workspace crate, and the total.
+fn print_lines(root: &std::path::Path) -> ExitCode {
+    match fiting_analysis::workspace_lines(root) {
+        Ok(rows) => {
+            println!("production code lines (non-blank; comments and #[cfg(test)] items excluded)");
+            for (name, lines) in &rows {
+                println!("  {name:<24}{lines:>7}");
+            }
+            let total: usize = rows.iter().map(|&(_, lines)| lines).sum();
+            println!("  {:<24}{total:>7}", "total");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("fiting-check: cannot count {}: {e}", root.display());
+            ExitCode::FAILURE
+        }
+    }
+}
+
 fn main() -> ExitCode {
     let root = workspace_root();
+    if std::env::args().any(|a| a == "--lines") {
+        return print_lines(&root);
+    }
     match fiting_analysis::check_workspace(&root) {
         Ok((findings, scanned)) => {
             for f in &findings {

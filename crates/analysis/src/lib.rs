@@ -25,6 +25,10 @@
 //! with inline `// fiting-check: allow(<rule>) — reason` comments or
 //! (for `hot-path-panic`) `allowlist.txt` entries, both of which
 //! reviewers can grep.
+//!
+//! `fiting-check --lines` reuses the same lexer for the ROADMAP's
+//! "least code" scoreboard: production code lines per workspace crate
+//! ([`workspace_lines`]).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -112,4 +116,95 @@ pub fn check_workspace(root: &Path) -> std::io::Result<(Vec<Finding>, usize)> {
         findings.extend(check_doc_file(&rel, &text, &exists));
     }
     Ok((findings, scanned))
+}
+
+/// Production code lines in `source`: lines outside `#[cfg(test)]`
+/// items that are non-blank once comments are stripped. (The lexer
+/// blanks literal *contents* but keeps their quotes, so a line holding
+/// only a string literal still counts.)
+#[must_use]
+pub fn production_lines(source: &str) -> usize {
+    let file = lexer::clean(source);
+    file.code
+        .iter()
+        .enumerate()
+        .filter(|(i, line)| file.is_production(i + 1) && !line.trim().is_empty())
+        .count()
+}
+
+/// The quoted strings of `text`, in order (`"a", "b"` → `a`, `b`).
+fn quoted(text: &str) -> impl Iterator<Item = &str> {
+    text.split('"').skip(1).step_by(2)
+}
+
+/// `(package name, production lines under its src/)` for the root
+/// package and every `members` entry of the workspace manifest at
+/// `root`, in manifest order.
+///
+/// # Errors
+///
+/// Propagates I/O errors from reading the manifests or walking a
+/// crate's `src/`; an unreadable individual source file counts zero.
+pub fn workspace_lines(root: &Path) -> std::io::Result<Vec<(String, usize)>> {
+    let manifest = std::fs::read_to_string(root.join("Cargo.toml"))?;
+    let members = manifest
+        .split_once("members = [")
+        .and_then(|(_, rest)| rest.split_once(']'))
+        .map_or("", |(list, _)| list);
+    let mut rows = Vec::new();
+    for dir in std::iter::once("").chain(quoted(members)) {
+        let crate_root = root.join(dir);
+        let package = std::fs::read_to_string(crate_root.join("Cargo.toml"))?;
+        let name = package
+            .split_once("[package]")
+            .and_then(|(_, rest)| rest.split_once("name = "))
+            .and_then(|(_, rest)| quoted(rest).next())
+            .unwrap_or(dir)
+            .to_string();
+        let mut files = Vec::new();
+        collect_ext(&crate_root.join("src"), ".rs", &mut files)?;
+        let lines = files
+            .iter()
+            .filter_map(|path| std::fs::read_to_string(path).ok())
+            .map(|source| production_lines(&source))
+            .sum();
+        rows.push((name, lines));
+    }
+    Ok(rows)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn production_lines_skip_comments_blanks_and_test_items() {
+        let source = "\
+//! Module docs.
+
+/* a block comment
+   spanning lines */
+fn prod() -> &'static str { // trailing comment
+    \"// not a comment\"
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() {}
+}
+/* inline */ const X: u8 = 1;
+";
+        // `fn prod`, the literal line, `}`, and `const X`.
+        assert_eq!(production_lines(source), 4);
+    }
+
+    #[test]
+    fn workspace_lines_lists_root_and_members_by_package_name() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let rows = workspace_lines(&root).unwrap();
+        assert_eq!(rows[0].0, "fiting", "root package first");
+        let own = rows.iter().find(|(name, _)| name == "fiting-analysis");
+        assert!(own.is_some_and(|&(_, lines)| lines > 0));
+    }
 }

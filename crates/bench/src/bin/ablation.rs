@@ -1,4 +1,5 @@
-//! **Ablation** (DESIGN.md §5, beyond the paper's figures): how the
+//! **Ablation** (beyond the paper's figures; see ARCHITECTURE.md
+//! "Layer 1" for the lookup path it dissects): how the
 //! design choices inside the FITing-Tree's lookup path interact.
 //!
 //! 1. In-segment search strategy × error threshold — the paper

@@ -40,11 +40,11 @@
 use fiting_bench::json::Json;
 use fiting_bench::{default_n, default_seed, env_usize, print_table, sample_probes};
 use fiting_index_api::ShardedIndex;
-use fiting_tree::{ConcurrentFitingTree, FitingTreeBuilder};
+use fiting_tree::{FitingTree, FitingTreeBuilder};
 use std::time::Instant;
 
 fn run_mix(
-    index: &ConcurrentFitingTree<u64, u64>,
+    index: &ShardedIndex<u64, u64, FitingTree<u64, u64>>,
     threads: usize,
     ops_per_thread: usize,
     probes: &[u64],
@@ -101,7 +101,7 @@ struct ScaleCell {
 /// worker touches the index once before the clock starts so per-thread
 /// routing caches are warm (steady state is what the sweep measures).
 fn run_scale_cell(
-    index: &ConcurrentFitingTree<u64, u64>,
+    index: &ShardedIndex<u64, u64, FitingTree<u64, u64>>,
     threads: usize,
     total_ops: usize,
     probes: &[u64],
@@ -151,7 +151,7 @@ fn run_scale_sweep(
     let pairs: Vec<(u64, u64)> = (0..n as u64).map(|k| (k * 2, k)).collect();
     let keys: Vec<u64> = pairs.iter().map(|&(k, _)| k).collect();
     let probes = sample_probes(&keys, 65_536, seed);
-    let index: ConcurrentFitingTree<u64, u64> =
+    let index: ShardedIndex<u64, u64, FitingTree<u64, u64>> =
         ShardedIndex::bulk_load(&FitingTreeBuilder::new(64), SCALE_SHARDS, pairs).unwrap();
     let point: Vec<ScaleCell> = SCALE_THREADS
         .iter()
@@ -358,7 +358,7 @@ fn main() {
                 // Fresh index per cell: every measurement starts from
                 // the same bulk-loaded state, not one mutated by the
                 // previous cell's inserts.
-                let index: ConcurrentFitingTree<u64, u64> =
+                let index: ShardedIndex<u64, u64, FitingTree<u64, u64>> =
                     ShardedIndex::bulk_load(&FitingTreeBuilder::new(128), shards, pairs.clone())
                         .unwrap();
                 if cells.is_empty() {

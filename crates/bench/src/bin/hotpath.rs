@@ -31,8 +31,8 @@ use fiting_bench::json::Json;
 use fiting_bench::{default_n, default_probes, default_seed, print_table, sample_probes};
 use fiting_datasets::Dataset;
 use fiting_index_api::{RebalancePolicy, Rebalancer, ShardedIndex, SortedIndex};
-use fiting_index_service::ServiceConfig;
-use fiting_tree::{FitingService, FitingTree, FitingTreeBuilder, SearchStrategy};
+use fiting_index_service::{IndexService, ServiceConfig};
+use fiting_tree::{FitingTree, FitingTreeBuilder, SearchStrategy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -318,7 +318,8 @@ fn bench_service(cfg: &Config, wl: Workload, out: &mut Vec<Entry>) {
     let span = span_for(kmin, kmax, all_keys.len(), 100);
 
     let index = ShardedIndex::bulk_load(&FitingTreeBuilder::new(64), 4, pairs).expect("sorted");
-    let service: FitingService<u64, u64> = FitingService::start(index, ServiceConfig::default());
+    let service: IndexService<u64, u64, FitingTree<u64, u64>> =
+        IndexService::start(index, ServiceConfig::default());
     let client = service.client();
     if !appends.is_empty() {
         client

@@ -33,8 +33,8 @@
 
 use fiting_bench::{default_n, env_usize, print_table};
 use fiting_index_api::ShardedIndex;
-use fiting_index_service::ServiceConfig;
-use fiting_tree::{ConcurrentFitingTree, FitingService, FitingTreeBuilder};
+use fiting_index_service::{IndexService, ServiceConfig};
+use fiting_tree::{FitingTree, FitingTreeBuilder};
 use std::time::{Duration, Instant};
 
 /// Unique odd key for global op number `j`, spread uniformly over the
@@ -43,17 +43,15 @@ fn write_key(j: u64, key_span: u64) -> u64 {
     (j.wrapping_mul(0x9e37_79b9_7f4a_7c15) % key_span) * 2 + 1
 }
 
-fn load(pairs: &[(u64, u64)], shards: usize) -> ConcurrentFitingTree<u64, u64> {
+type Index = ShardedIndex<u64, u64, FitingTree<u64, u64>>;
+type Service = IndexService<u64, u64, FitingTree<u64, u64>>;
+
+fn load(pairs: &[(u64, u64)], shards: usize) -> Index {
     ShardedIndex::bulk_load(&FitingTreeBuilder::new(128), shards, pairs.to_vec())
         .expect("bench data is strictly increasing")
 }
 
-fn direct_per_op(
-    index: &ConcurrentFitingTree<u64, u64>,
-    threads: usize,
-    ops: usize,
-    span: u64,
-) -> f64 {
+fn direct_per_op(index: &Index, threads: usize, ops: usize, span: u64) -> f64 {
     let start = Instant::now();
     std::thread::scope(|scope| {
         for t in 0..threads {
@@ -69,7 +67,7 @@ fn direct_per_op(
     (threads * ops) as f64 / start.elapsed().as_secs_f64() / 1e6
 }
 
-fn service_per_op(service: &FitingService<u64, u64>, threads: usize, ops: usize, span: u64) -> f64 {
+fn service_per_op(service: &Service, threads: usize, ops: usize, span: u64) -> f64 {
     let start = Instant::now();
     std::thread::scope(|scope| {
         for t in 0..threads {
@@ -89,13 +87,7 @@ fn service_per_op(service: &FitingService<u64, u64>, threads: usize, ops: usize,
     (threads * ops) as f64 / start.elapsed().as_secs_f64() / 1e6
 }
 
-fn service_batched(
-    service: &FitingService<u64, u64>,
-    threads: usize,
-    ops: usize,
-    span: u64,
-    batch: usize,
-) -> f64 {
+fn service_batched(service: &Service, threads: usize, ops: usize, span: u64, batch: usize) -> f64 {
     let start = Instant::now();
     std::thread::scope(|scope| {
         for t in 0..threads {
@@ -164,7 +156,7 @@ fn main() {
                 }
                 "service/op" => {
                     let service =
-                        FitingService::start(load(&pairs, shards), ServiceConfig::default());
+                        IndexService::start(load(&pairs, shards), ServiceConfig::default());
                     let m = service_per_op(&service, threads, ops, span);
                     let _ = service.shutdown();
                     svc_op_at.push(m);
@@ -172,7 +164,7 @@ fn main() {
                 }
                 _ => {
                     let service =
-                        FitingService::start(load(&pairs, shards), ServiceConfig::default());
+                        IndexService::start(load(&pairs, shards), ServiceConfig::default());
                     let m = service_batched(&service, threads, ops, span, batch);
                     let _ = service.shutdown();
                     svc_batch_at.push(m);
@@ -197,7 +189,7 @@ fn main() {
             batch_window: Duration::from_micros(window_us),
             ..ServiceConfig::default()
         };
-        let service = FitingService::start(load(&pairs, shards), config);
+        let service = IndexService::start(load(&pairs, shards), config);
         let mops = service_per_op(&service, threads, ops, span);
         let stats = service.stats();
         rows.push(vec![

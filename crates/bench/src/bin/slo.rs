@@ -55,9 +55,11 @@
 use fiting_bench::json::Json;
 use fiting_bench::{env_usize, print_table};
 use fiting_index_api::ShardedIndex;
-use fiting_index_service::{Command, Completer, Outcome, ServiceConfig, TryPushError};
+use fiting_index_service::{
+    Command, Completer, IndexService, Outcome, ServiceConfig, TryPushError,
+};
 use fiting_telemetry::Histogram;
-use fiting_tree::{ConcurrentFitingTree, FitingService, FitingTreeBuilder};
+use fiting_tree::{FitingTree, FitingTreeBuilder};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -79,7 +81,7 @@ fn read_key(j: u64, key_span: u64) -> u64 {
     (j.wrapping_mul(0xd1b5_4a32_d192_ed03) % key_span) * 2
 }
 
-fn load(n: usize, shards: usize) -> ConcurrentFitingTree<u64, u64> {
+fn load(n: usize, shards: usize) -> ShardedIndex<u64, u64, FitingTree<u64, u64>> {
     let pairs: Vec<(u64, u64)> = (0..n as u64).map(|k| (k * 2, k)).collect();
     ShardedIndex::bulk_load(&FitingTreeBuilder::new(128), shards, pairs)
         .expect("bench data is strictly increasing")
@@ -158,8 +160,7 @@ impl RatePoint {
 /// sweep's rate axis; it is an *estimate*, deliberately re-measured on
 /// every machine rather than recorded.
 fn closed_loop_calibration(cfg: &Config) -> f64 {
-    let service: FitingService<u64, u64> =
-        FitingService::start(load(cfg.n, cfg.shards), ServiceConfig::default());
+    let service = IndexService::start(load(cfg.n, cfg.shards), ServiceConfig::default());
     let span = cfg.n as u64;
     let ops = cfg.calib_ops;
     let start = Instant::now();
@@ -213,8 +214,7 @@ fn wait_until(base: Instant, intended: Duration) {
 /// time — so generator lag and queue wait both land in the recorded
 /// latency (no coordinated omission).
 fn open_loop(cfg: &Config, rate: f64, secs: f64) -> RatePoint {
-    let service: FitingService<u64, u64> =
-        FitingService::start(load(cfg.n, cfg.shards), ServiceConfig::default());
+    let service = IndexService::start(load(cfg.n, cfg.shards), ServiceConfig::default());
     let span = cfg.n as u64;
     let total = (rate * secs) as u64;
     let ns_per_op = 1e9 / rate;

@@ -17,7 +17,7 @@ use crate::error::{AbsorbError, BuildError};
 use crate::key::Key;
 use crate::range::RangeIter;
 use crate::segment::{SearchStrategy, Segment};
-use crate::stats::{DirectoryPath, FitingTreeStats, LookupTrace};
+use crate::stats::{FitingTreeStats, LookupTrace};
 use crate::SEGMENT_METADATA_BYTES;
 use fiting_plr::{Point, ShrinkingCone};
 use std::ops::RangeBounds;
@@ -217,21 +217,7 @@ impl<K: Key, V> FitingTree<K, V> {
     /// retired.
     #[inline]
     fn locate(&self, key: &K) -> Option<usize> {
-        self.locate_traced(key).map(|(slot, _)| slot)
-    }
-
-    /// [`locate`](Self::locate) plus the [`DirectoryPath`] marker of
-    /// the structure that produced the slot. The marker is attached at
-    /// the routing site — each arm of this function names the directory
-    /// it actually searched — so any future alternate routing cannot
-    /// keep reporting [`DirectoryPath::FlatDirectory`] without the
-    /// dishonesty being visible right here, and the trace-level test
-    /// in `tests/hotpath_differential.rs` pins the expected value.
-    #[inline]
-    fn locate_traced(&self, key: &K) -> Option<(usize, DirectoryPath)> {
-        self.dir
-            .locate(*key)
-            .map(|slot| (slot, DirectoryPath::FlatDirectory))
+        self.dir.locate(*key)
     }
 
     /// Point lookup (paper Algorithm 3): flat-directory search,
@@ -262,20 +248,14 @@ impl<K: Key, V> FitingTree<K, V> {
 
     /// Instrumented lookup for the Figure 13 breakdown: returns the value
     /// and the time spent in each of the two phases (segment location
-    /// vs in-segment search), plus which directory the locate step
-    /// reported searching — [`DirectoryPath::FlatDirectory`] on the
-    /// current hot path (the internal `locate_traced` step keeps the
-    /// marker honest).
+    /// vs in-segment search). Same routing as [`get`](Self::get).
     #[must_use]
     pub fn get_traced(&self, key: &K) -> (Option<&V>, LookupTrace) {
         let t0 = Instant::now();
-        // Same routing as `get`; the marker reports which directory the
-        // locate step searched.
-        let located = self.locate_traced(key);
+        let located = self.locate(key);
         let tree_nanos = t0.elapsed().as_nanos() as u64;
-        let via = located.map_or(DirectoryPath::FlatDirectory, |(_, via)| via);
         let t1 = Instant::now();
-        let value = located.and_then(|(s, _)| {
+        let value = located.and_then(|s| {
             self.segments[s]
                 .as_ref()
                 .expect("directory points at live segment")
@@ -287,7 +267,6 @@ impl<K: Key, V> FitingTree<K, V> {
             LookupTrace {
                 tree_nanos,
                 segment_nanos,
-                via,
             },
         )
     }

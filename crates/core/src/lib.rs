@@ -43,20 +43,17 @@
 //! * [`DeltaFitingTree`] — the write-optimized delta-main layering the
 //!   paper sketches at the end of Section 5 (extension): batch all
 //!   writes in a dense delta, merge into the main index in one pass.
-//! * [`ConcurrentFitingTree`] — sharded concurrent front-end for shared
-//!   use (extension; the paper's evaluation is single-threaded per
-//!   core): an alias for [`ShardedIndex`] over [`FitingTree`] shards,
-//!   range-partitioned with one reader-writer lock per shard.
-//! * [`FitingService`] — the command-pipeline service over those
-//!   shards (extension): bounded per-shard queues, workers that batch
-//!   reads and coalesce writes, ticket completions, backpressure —
-//!   an alias for `fiting_index_service::IndexService` over
-//!   [`FitingTree`] shards.
 //!
 //! Every structure here implements the crate-neutral
 //! [`SortedIndex`] trait from `fiting-index-api` (re-exported below),
 //! the interface the benchmark harness and the conformance suite
-//! drive.
+//! drive — and the one the layers above plug into: for shared,
+//! multi-threaded use (an extension; the paper's evaluation is
+//! single-threaded per core) wrap [`FitingTree`] shards in
+//! [`ShardedIndex`]`<K, V, FitingTree<K, V>>`, and put
+//! `fiting_index_service::IndexService` over that for a batching,
+//! backpressured command pipeline. Neither is a dependency of this
+//! crate.
 //!
 //! # Quickstart
 //!
@@ -83,7 +80,6 @@
 
 mod builder;
 mod clustered;
-mod concurrent;
 pub mod cost;
 mod delta;
 mod directory;
@@ -97,7 +93,6 @@ mod stats;
 
 pub use builder::FitingTreeBuilder;
 pub use clustered::FitingTree;
-pub use concurrent::{ConcurrentFitingTree, FitingService};
 pub use delta::{DeltaConfig, DeltaFitingTree};
 pub use error::{AbsorbError, BuildError, InsertError};
 pub use fiting_index_api::{BuildableIndex, DynSortedIndex, ShardedIndex, SortedIndex};
@@ -105,7 +100,7 @@ pub use key::{Key, OrderedF64};
 pub use range::RangeIter;
 pub use secondary::{RowId, SecondaryIndex};
 pub use segment::SearchStrategy;
-pub use stats::{DirectoryPath, FitingTreeStats, LookupTrace};
+pub use stats::{FitingTreeStats, LookupTrace};
 
 /// Bytes of metadata the paper charges per segment in its size model
 /// (Section 6.2): start key + slope + page pointer, 8 bytes each.

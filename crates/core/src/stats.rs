@@ -54,30 +54,6 @@ pub struct FitingTreeStats {
     pub buffer_size: u64,
 }
 
-/// Which structure located the covering segment during a lookup.
-///
-/// Since the flat-directory rework, the read hot path must never
-/// descend the pointer-based B+ tree; [`crate::FitingTree::get_traced`]
-/// reports the routing so tests can assert it stays that way.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DirectoryPath {
-    /// The dense SoA anchor array (interpolation-seeded branchless
-    /// search) — the only routing the hot path is allowed to take.
-    FlatDirectory,
-    /// A pointer-chasing B+ tree descent.
-    ///
-    /// **Unconstructible in the current code**: the mutation-side B+
-    /// tree was retired entirely (the flat directory is the only
-    /// directory structure), so no routing site can produce this value.
-    /// The variant is retained so recorded traces stay comparable
-    /// across versions and the trace-level test keeps pinning the
-    /// expected `FlatDirectory` variant. The *behavioral* enforcement
-    /// is `FitingTree::check_invariants`, which verifies the directory
-    /// directly against the segment run and that every live key routes
-    /// to its owning segment.
-    BTreeDescent,
-}
-
 /// Phase timing of one instrumented lookup (paper Figure 13's
 /// tree-vs-page breakdown). Produced by [`crate::FitingTree::get_traced`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,8 +64,6 @@ pub struct LookupTrace {
     /// Nanoseconds spent interpolating and searching the segment
     /// (page window + buffer).
     pub segment_nanos: u64,
-    /// Which directory located the segment.
-    pub via: DirectoryPath,
 }
 
 impl LookupTrace {
@@ -120,14 +94,12 @@ mod tests {
         let t = LookupTrace {
             tree_nanos: 75,
             segment_nanos: 25,
-            via: DirectoryPath::FlatDirectory,
         };
         assert_eq!(t.total_nanos(), 100);
         assert!((t.tree_fraction() - 0.75).abs() < 1e-12);
         let z = LookupTrace {
             tree_nanos: 0,
             segment_nanos: 0,
-            via: DirectoryPath::FlatDirectory,
         };
         assert_eq!(z.tree_fraction(), 0.0);
     }

@@ -24,7 +24,7 @@
 //!   `&mut dyn DynSortedIndex<K, V>`.
 //! * [`ShardedIndex`] — a range-partitioned concurrent front-end with a
 //!   wait-free read path: boundaries sampled at bulk load, an
-//!   epoch-reclaimed routing snapshot, one seqlock per shard,
+//!   versioned routing snapshot (`Arc`-reclaimed), one seqlock per shard,
 //!   cross-shard `range_collect`, batched `insert_many`, and online
 //!   [`split_shard`](ShardedIndex::split_shard) /
 //!   [`merge_with_next`](ShardedIndex::merge_with_next) boundary moves.

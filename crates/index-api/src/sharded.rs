@@ -1,12 +1,10 @@
 //! Sharded concurrent front-end over any [`SortedIndex`] with a
 //! **wait-free steady-state read path**.
 //!
-//! The previous concurrency story was one `RwLock` around the whole
-//! index: every write serialized every read. [`ShardedIndex`]
-//! range-partitions the key space into shards — boundaries chosen
-//! from the bulk-load sample — so point operations on different
-//! shards never contend; this revision then removes the two remaining
-//! shared-mutable touches from the read path itself.
+//! [`ShardedIndex`] range-partitions the key space into shards —
+//! boundaries chosen from the bulk-load sample — so point operations
+//! on different shards never contend, and keeps every shared-mutable
+//! touch off the steady-state read path.
 //!
 //! # Design notes
 //!
@@ -16,17 +14,16 @@
 //!   move segment runs between shards online, and the
 //!   [`rebalance`](crate::rebalance) module drives them from observed
 //!   occupancy so append-skewed streams stop piling onto one shard.
-//! * **Epoch-reclaimed routing snapshots.** All routing state (the
+//! * **Versioned routing snapshots.** All routing state (the
 //!   boundary keys and the shard handles) lives in one immutable
 //!   table published through [`fiting_sync::Snapshots`]: a rebalance
 //!   publishes a replacement table with one pointer swap, and a
 //!   steady-state reader resolves the current table from a
 //!   **thread-local cache** gated on one atomic version word — zero
 //!   lock acquisitions, zero `Arc` refcount bumps, zero shared
-//!   mutable cache lines. Retired tables are reclaimed after a grace
-//!   period, once every participating thread's resident version has
-//!   advanced past them. The old protocol's `Arc`-clone-under-read-
-//!   lock table fetch (one shared-line RMW per operation) is gone.
+//!   mutable cache lines. A superseded table (and, after a merge, the
+//!   drained shard only it references) lives exactly as long as some
+//!   thread's cache holds it; the last holder drops it.
 //! * **Seqlock shards.** Each shard sits behind a
 //!   [`fiting_sync::SeqRwLock`] instead of an `RwLock`: readers
 //!   announce themselves in per-thread presence slots and enter
@@ -45,6 +42,12 @@
 //!   the operation re-fetches the current table and accepts if it
 //!   still routes the key to the locked shard (shard identity by
 //!   `Arc` pointer); otherwise it retries against the new layout.
+//! * **One way in for batches.** [`insert_many`],
+//!   [`insert_many_reporting`] and [`with_write_groups`] are thin
+//!   wrappers over one private kernel that buckets items by owning
+//!   shard, takes each involved shard's write lock once, revalidates
+//!   every item against the table current *inside* the lock, and
+//!   re-buckets whatever a concurrent rebalance re-routed.
 //! * **Lock order.** Multi-shard operations ([`range_collect`],
 //!   [`insert_many`], [`len`]) visit shards in ascending index order
 //!   and hold at most one shard lock (or read section) at a time; a
@@ -53,17 +56,20 @@
 //!   lock cycle exists. The cost is cross-shard snapshot consistency:
 //!   a `range_collect` concurrent with writes sees each *shard*
 //!   atomically, not the whole index.
-//! * **Shared handle.** `Clone` clones an `Arc` handle, mirroring how
-//!   the old `ConcurrentFitingTree` wrapper was shared across threads.
+//! * **Shared handle.** `Clone` clones an `Arc` handle; every clone
+//!   sees the same shards and the same routing.
 //!
-//! The wait-free claims are not just asserted: the epoch-reclamation
-//! and seqlock protocols are model-checked under the deterministic
-//! scheduler (`crates/sync/tests/shuttle_models.rs`), and the
-//! oracle-differential battery (`tests/read_path_differential.rs`)
-//! proves the zero-lock steady state by counter deltas.
+//! The wait-free claims are not just asserted: the seqlock and the
+//! route-then-validate protocol are model-checked under the
+//! deterministic scheduler (`crates/sync/tests/shuttle_models.rs`,
+//! `tests/shuttle_models.rs` here), and the oracle-differential
+//! battery (`tests/read_path_differential.rs`) proves the zero-lock
+//! steady state by counter deltas.
 //!
 //! [`range_collect`]: ShardedIndex::range_collect
 //! [`insert_many`]: ShardedIndex::insert_many
+//! [`insert_many_reporting`]: ShardedIndex::insert_many_reporting
+//! [`with_write_groups`]: ShardedIndex::with_write_groups
 //! [`len`]: ShardedIndex::len
 //! [`split_shard`]: ShardedIndex::split_shard
 //! [`merge_with_next`]: ShardedIndex::merge_with_next
@@ -129,13 +135,6 @@ pub struct RoutingStats {
     /// cache (first touch per thread, post-publish revalidation, or a
     /// nested read) and fell back to the publisher mutex.
     pub refreshes: u64,
-    /// Retired routing tables whose grace period elapsed and were
-    /// dropped.
-    pub reclaimed: u64,
-    /// Retired routing tables still awaiting their grace period.
-    pub retired_backlog: usize,
-    /// Threads currently registered as routing-table readers.
-    pub participants: usize,
     /// Shard reads that arrived while a writer was inside and fell
     /// back to that shard's writer mutex (summed over the *current*
     /// shards; counts on shards retired by merges are dropped with
@@ -213,10 +212,22 @@ impl<K: Key, I> Table<K, I> {
             Bound::Unbounded => 0,
         }
     }
+
+    /// Whether position `sid` of this table is `shard` itself (shard
+    /// identity by `Arc` pointer) — the revalidation step of
+    /// route-then-validate. Asked from *inside* `shard`'s read or
+    /// write section of a table fetched after entering it, with `sid`
+    /// the position a key routes to: no rebalance touching `shard` can
+    /// complete while the section is held, so `true` means `shard`
+    /// authoritatively owns that key.
+    #[inline]
+    fn owns(&self, sid: usize, shard: &Arc<SeqRwLock<I>>) -> bool {
+        Arc::ptr_eq(&self.shards[sid], shard)
+    }
 }
 
 struct Inner<K, I> {
-    /// The current routing table, epoch-reclaimed. Steady-state
+    /// The current routing table. Steady-state
     /// readers pin it from a thread-local cache without locking;
     /// rebalances publish replacements with one pointer swap. The
     /// table's publisher version doubles as the rebalance epoch:
@@ -286,8 +297,7 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V>> Clone for ShardedIndex<K, V, I> {
     }
 }
 
-/// Wraps an already-built index as a single-shard front-end — the exact
-/// semantics of the old whole-index-lock `ConcurrentFitingTree`.
+/// Wraps an already-built index as a single-shard front-end.
 impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> From<I> for ShardedIndex<K, V, I> {
     fn from(index: I) -> Self {
         ShardedIndex::from_table(Table {
@@ -564,6 +574,19 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ShardedIndex<K, V, I> {
         self.inner.routing.current()
     }
 
+    /// The slow half of route-then-validate, for an operation that
+    /// routed `key` to `shard`, entered it (read section or write
+    /// lock), and then saw a newer routing version than it pinned:
+    /// re-fetch the table and ask whether it still routes `key` here
+    /// (see `Table::owns`). The fast half — version unchanged, so the
+    /// routing is current by construction, because a rebalance
+    /// publishes before releasing the shard write locks it holds —
+    /// stays inline in the callers.
+    fn still_owns(&self, shard: &Arc<SeqRwLock<I>>, key: &K) -> bool {
+        let cur = self.table();
+        cur.owns(cur.shard_for(key), shard)
+    }
+
     /// Runs `f` with shared access to the shard that owns `key` under
     /// the *current* routing table, retrying if a concurrent rebalance
     /// moves the key's boundary between routing and shard entry.
@@ -579,23 +602,8 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ShardedIndex<K, V, I> {
             let done = routing.read(|version, table| {
                 let shard = &table.shards[table.shard_for(key)];
                 shard.read_with(|s| {
-                    // Fast path: no table published since we pinned, so
-                    // the routing is current by construction (a
-                    // rebalance publishes before releasing the shard
-                    // write locks it holds — see the module docs).
-                    if routing.version() == version {
-                        return Some((f.take().expect("resolved on first success"))(s));
-                    }
-                    // Slow path: re-fetch the table. While we are
-                    // inside the shard's read section, no rebalance
-                    // touching this shard can complete; so if the
-                    // current table routes `key` here, this shard
-                    // authoritatively owns it.
-                    let cur = routing.current();
-                    if Arc::ptr_eq(&cur.shards[cur.shard_for(key)], shard) {
-                        return Some((f.take().expect("resolved on first success"))(s));
-                    }
-                    None
+                    (routing.version() == version || self.still_owns(shard, key))
+                        .then(|| (f.take().expect("resolved on first success"))(s))
                 })
             });
             if let Some(r) = done {
@@ -614,14 +622,8 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ShardedIndex<K, V, I> {
             let done = routing.read(|version, table| {
                 let shard = &table.shards[table.shard_for(key)];
                 let mut guard = shard.write();
-                if routing.version() == version {
-                    return Some((f.take().expect("resolved on first success"))(&mut guard));
-                }
-                let cur = routing.current();
-                if Arc::ptr_eq(&cur.shards[cur.shard_for(key)], shard) {
-                    return Some((f.take().expect("resolved on first success"))(&mut guard));
-                }
-                None
+                (routing.version() == version || self.still_owns(shard, key))
+                    .then(|| (f.take().expect("resolved on first success"))(&mut guard))
             });
             if let Some(r) = done {
                 return r;
@@ -668,19 +670,8 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ShardedIndex<K, V, I> {
             version: s.version,
             publishes: s.publishes,
             refreshes: s.refreshes,
-            reclaimed: s.reclaimed,
-            retired_backlog: s.retired_backlog,
-            participants: s.participants,
             contended_reads: contended,
         }
-    }
-
-    /// Runs a reclamation pass over retired routing tables (normally
-    /// piggybacked on every publish; exposed so maintenance ticks can
-    /// drain the backlog of a rebalance-quiet index whose readers have
-    /// since advanced).
-    pub fn collect_routing(&self) {
-        self.inner.routing.collect();
     }
 
     /// The key span shard `shard` currently routes, as
@@ -747,6 +738,55 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ShardedIndex<K, V, I> {
         self.write_owner(key, |shard| shard.remove(key))
     }
 
+    /// The one grouped-write loop: buckets `items` by owning shard,
+    /// takes each involved shard's write lock **once** per pass (in
+    /// ascending shard order, one lock at a time), and hands `apply`
+    /// the items that shard still owns under the table current *inside*
+    /// the lock (see `Table::owns`). Items a concurrent rebalance
+    /// re-routed between bucketing and locking are re-bucketed against
+    /// the new layout on the next pass — so every item reaches `apply`
+    /// exactly once, with the shard that owns its key at that moment,
+    /// and a key's items keep their submitted order (bucketing is
+    /// stable and a key's items always share a bucket).
+    ///
+    /// Returns the number of write-lock acquisitions taken.
+    fn write_groups<T>(
+        &self,
+        items: Vec<(K, T)>,
+        mut apply: impl FnMut(&mut I, Vec<(K, T)>),
+    ) -> usize {
+        let mut pending = items;
+        let mut locks = 0;
+        while !pending.is_empty() {
+            let table = self.table();
+            let mut groups: Vec<Vec<(K, T)>> =
+                (0..table.shards.len()).map(|_| Vec::new()).collect();
+            for (k, t) in std::mem::take(&mut pending) {
+                groups[table.shard_for(&k)].push((k, t));
+            }
+            for (shard, group) in table.shards.iter().zip(groups) {
+                if group.is_empty() {
+                    continue;
+                }
+                let mut guard = shard.write();
+                locks += 1;
+                let cur = self.table();
+                let mut owned = Vec::with_capacity(group.len());
+                for (k, t) in group {
+                    if cur.owns(cur.shard_for(&k), shard) {
+                        owned.push((k, t));
+                    } else {
+                        pending.push((k, t));
+                    }
+                }
+                if !owned.is_empty() {
+                    apply(&mut guard, owned);
+                }
+            }
+        }
+        locks
+    }
+
     /// Batched insert: groups the batch by destination shard, then
     /// takes each destination's write lock **once** and applies that
     /// group through [`SortedIndex::insert_many`] — for `b` keys
@@ -758,119 +798,52 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ShardedIndex<K, V, I> {
     ///
     /// Returns the number of keys that were new (not overwrites).
     pub fn insert_many<It: IntoIterator<Item = (K, V)>>(&self, batch: It) -> usize {
-        let mut pending: Vec<(K, V)> = batch.into_iter().collect();
         let mut fresh = 0;
-        while !pending.is_empty() {
-            let table = self.table();
-            let mut groups: Vec<Vec<(K, V)>> =
-                (0..table.shards.len()).map(|_| Vec::new()).collect();
-            for (k, v) in std::mem::take(&mut pending) {
-                groups[table.shard_for(&k)].push((k, v));
-            }
-            for (sid, group) in groups.into_iter().enumerate() {
-                if group.is_empty() {
-                    continue;
-                }
-                let shard = &table.shards[sid];
-                let mut guard = shard.write();
-                let cur = self.table();
-                let mut owned = Vec::with_capacity(group.len());
-                for (k, v) in group {
-                    if Arc::ptr_eq(&cur.shards[cur.shard_for(&k)], shard) {
-                        owned.push((k, v));
-                    } else {
-                        pending.push((k, v));
-                    }
-                }
-                if !owned.is_empty() {
-                    fresh += guard.insert_many(owned);
-                }
-            }
-        }
+        self.write_groups(batch.into_iter().collect(), |shard, owned| {
+            fresh += shard.insert_many(owned);
+        });
         fresh
     }
 
-    /// Applies `f` to every `(key, payload)` item inside the owning
-    /// shard's *read* section, grouping items so each involved shard is
-    /// entered once per pass instead of once per item. Items whose key
-    /// a concurrent rebalance re-routes mid-pass are retried against
-    /// the new layout, so `f` runs exactly once per item and always
-    /// against the shard that owns the key at that moment.
-    ///
-    /// Returns the number of read sections entered — the coalescing
-    /// win the service layer reports as `read_runs`.
-    ///
-    /// Within one key, items keep their submitted order (grouping is
-    /// stable and a key's items always land in the same group).
-    pub fn with_read_groups<T>(&self, items: Vec<(K, T)>, mut f: impl FnMut(&I, K, T)) -> usize {
-        let mut pending = items;
-        let mut runs = 0;
-        while !pending.is_empty() {
-            let table = self.table();
-            let mut groups: Vec<Vec<(K, T)>> =
-                (0..table.shards.len()).map(|_| Vec::new()).collect();
-            for (k, t) in std::mem::take(&mut pending) {
-                groups[table.shard_for(&k)].push((k, t));
+    /// Refusal-aware counterpart of
+    /// [`insert_many`](Self::insert_many): applies each shard's group
+    /// through [`SortedIndex::try_insert_many`] and returns `(fresh,
+    /// refused)` — `refused` counts keys whose owning shard is
+    /// degraded and did **not** apply them. Groups for healthy shards
+    /// still apply even when another shard refuses, so one dying shard
+    /// does not block writes routed elsewhere.
+    pub fn insert_many_reporting<It: IntoIterator<Item = (K, V)>>(
+        &self,
+        batch: It,
+    ) -> (usize, usize) {
+        let mut fresh = 0;
+        let mut refused = 0;
+        self.write_groups(batch.into_iter().collect(), |shard, owned| {
+            let n = owned.len();
+            match shard.try_insert_many(owned) {
+                Ok(f) => fresh += f,
+                Err(_) => refused += n,
             }
-            for (sid, group) in groups.into_iter().enumerate() {
-                if group.is_empty() {
-                    continue;
-                }
-                let shard = &table.shards[sid];
-                shard.read_with(|s| {
-                    let cur = self.table();
-                    runs += 1;
-                    for (k, t) in group {
-                        if Arc::ptr_eq(&cur.shards[cur.shard_for(&k)], shard) {
-                            f(s, k, t);
-                        } else {
-                            pending.push((k, t));
-                        }
-                    }
-                });
-            }
-        }
-        runs
+        });
+        (fresh, refused)
     }
 
-    /// Write-lock counterpart of
-    /// [`with_read_groups`](Self::with_read_groups): applies `f` to
-    /// every `(key, payload)` item under the owning shard's write
-    /// lock, one acquisition per involved shard per pass, revalidating
-    /// against concurrent rebalances. Returns the number of write-lock
-    /// acquisitions taken.
+    /// Applies `f` to every `(key, payload)` item under the owning
+    /// shard's write lock, one acquisition per involved shard per pass,
+    /// revalidating against concurrent rebalances: `f` runs exactly
+    /// once per item, always against the shard that owns the key at
+    /// that moment, and a key's items keep their submitted order.
+    /// Returns the number of write-lock acquisitions taken.
     pub fn with_write_groups<T>(
         &self,
         items: Vec<(K, T)>,
         mut f: impl FnMut(&mut I, K, T),
     ) -> usize {
-        let mut pending = items;
-        let mut locks = 0;
-        while !pending.is_empty() {
-            let table = self.table();
-            let mut groups: Vec<Vec<(K, T)>> =
-                (0..table.shards.len()).map(|_| Vec::new()).collect();
-            for (k, t) in std::mem::take(&mut pending) {
-                groups[table.shard_for(&k)].push((k, t));
+        self.write_groups(items, |shard, owned| {
+            for (k, t) in owned {
+                f(shard, k, t);
             }
-            for (sid, group) in groups.into_iter().enumerate() {
-                if group.is_empty() {
-                    continue;
-                }
-                let shard = &table.shards[sid];
-                let mut guard = shard.write();
-                let cur = self.table();
-                locks += 1;
-                for (k, t) in group {
-                    if Arc::ptr_eq(&cur.shards[cur.shard_for(&k)], shard) {
-                        f(&mut guard, k, t);
-                    } else {
-                        pending.push((k, t));
-                    }
-                }
-            }
-        }
-        locks
+        })
     }
 
     /// Collects a cross-shard range scan, visiting each overlapping
@@ -908,7 +881,7 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ShardedIndex<K, V, I> {
                     } else {
                         cur = routing.current();
                         let csid = cur.shard_for_bound(&cursor);
-                        if !Arc::ptr_eq(&cur.shards[csid], shard) {
+                        if !cur.owns(csid, shard) {
                             return None;
                         }
                         (csid, &cur.bounds)
@@ -1051,47 +1024,16 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ShardedIndex<K, V, I> {
     }
 
     /// Flushes every shard's buffered write-ahead log records
-    /// ([`SortedIndex::sync`]) — the sharded group-commit point the
+    /// ([`SortedIndex::try_sync`]) — the sharded group-commit point the
     /// service worker invokes after draining a batch that contained
-    /// writes. Returns the number of shards that actually flushed.
+    /// writes. Returns `(flushed, failed)`: `failed` counts shards
+    /// whose flush refused or errored (i.e. shards now degraded), so a
+    /// dying disk shows up in `ServiceStats` instead of being silently
+    /// swallowed.
     ///
     /// Each shard is write-locked one at a time (never two locks at
     /// once); for volatile shard structures every call is a no-op and
     /// the cost is one uncontended lock round per shard.
-    pub fn sync_all(&self) -> usize {
-        self.table()
-            .shards
-            .iter()
-            .filter(|s| s.write().sync())
-            .count()
-    }
-
-    /// Checkpoints ([`SortedIndex::checkpoint`]) every shard whose
-    /// write-ahead log has grown to at least `min_wal_bytes`, bounding
-    /// recovery replay time. Returns the number of shards
-    /// checkpointed.
-    ///
-    /// Like [`sync_all`](Self::sync_all), shards are write-locked one
-    /// at a time; volatile shard structures report `wal_bytes() == 0`
-    /// and are skipped (unless `min_wal_bytes == 0`, where the
-    /// checkpoint call itself is still a no-op for them).
-    pub fn checkpoint_shards(&self, min_wal_bytes: usize) -> usize {
-        self.table()
-            .shards
-            .iter()
-            .filter(|s| {
-                let mut shard = s.write();
-                shard.wal_bytes() >= min_wal_bytes && shard.checkpoint()
-            })
-            .count()
-    }
-
-    /// Failure-reporting counterpart of [`sync_all`](Self::sync_all):
-    /// flushes every shard through [`SortedIndex::try_sync`] and
-    /// returns `(flushed, failed)` — `failed` counts shards whose
-    /// flush refused or errored (i.e. shards now degraded). The
-    /// service worker uses this so a dying disk shows up in
-    /// `ServiceStats` instead of being silently swallowed.
     pub fn try_sync_all(&self) -> (usize, usize) {
         let mut flushed = 0;
         let mut failed = 0;
@@ -1105,13 +1047,23 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ShardedIndex<K, V, I> {
         (flushed, failed)
     }
 
-    /// Failure-reporting counterpart of
-    /// [`checkpoint_shards`](Self::checkpoint_shards): checkpoints
-    /// every shard at or above the WAL threshold through
-    /// [`SortedIndex::try_checkpoint`], returning `(checkpointed,
-    /// failed)`. A failed checkpoint leaves that shard's previous
-    /// generation intact and the shard degraded — the checkpoint
-    /// coordinator re-arms and surfaces the count.
+    /// [`try_sync_all`](Self::try_sync_all) for callers that only want
+    /// the number of shards that actually flushed.
+    pub fn sync_all(&self) -> usize {
+        self.try_sync_all().0
+    }
+
+    /// Checkpoints ([`SortedIndex::try_checkpoint`]) every shard whose
+    /// write-ahead log has grown to at least `min_wal_bytes`, bounding
+    /// recovery replay time. Returns `(checkpointed, failed)`: a failed
+    /// checkpoint leaves that shard's previous generation intact and
+    /// the shard degraded — the checkpoint coordinator re-arms and
+    /// surfaces the count.
+    ///
+    /// Like [`try_sync_all`](Self::try_sync_all), shards are
+    /// write-locked one at a time; volatile shard structures report
+    /// `wal_bytes() == 0` and are skipped (unless `min_wal_bytes == 0`,
+    /// where the checkpoint call itself is still a no-op for them).
     pub fn try_checkpoint_shards(&self, min_wal_bytes: usize) -> (usize, usize) {
         let mut done = 0;
         let mut failed = 0;
@@ -1129,6 +1081,12 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ShardedIndex<K, V, I> {
         (done, failed)
     }
 
+    /// [`try_checkpoint_shards`](Self::try_checkpoint_shards) for
+    /// callers that only want the number of shards checkpointed.
+    pub fn checkpoint_shards(&self, min_wal_bytes: usize) -> usize {
+        self.try_checkpoint_shards(min_wal_bytes).0
+    }
+
     /// Attempts to heal every [`ShardHealth::Degraded`] shard with an
     /// immediate [`SortedIndex::try_checkpoint`] (ignoring any WAL
     /// threshold — a degraded shard is worth a rotation attempt at any
@@ -1143,54 +1101,6 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ShardedIndex<K, V, I> {
             }
         }
         healed
-    }
-
-    /// Refusal-aware counterpart of
-    /// [`insert_many`](Self::insert_many): applies each shard's group
-    /// through [`SortedIndex::try_insert_many`] and returns `(fresh,
-    /// refused)` — `refused` counts keys whose owning shard is
-    /// degraded and did **not** apply them. Groups for healthy shards
-    /// still apply even when another shard refuses, so one dying shard
-    /// does not block writes routed elsewhere.
-    pub fn insert_many_reporting<It: IntoIterator<Item = (K, V)>>(
-        &self,
-        batch: It,
-    ) -> (usize, usize) {
-        let mut pending: Vec<(K, V)> = batch.into_iter().collect();
-        let mut fresh = 0;
-        let mut refused = 0;
-        while !pending.is_empty() {
-            let table = self.table();
-            let mut groups: Vec<Vec<(K, V)>> =
-                (0..table.shards.len()).map(|_| Vec::new()).collect();
-            for (k, v) in std::mem::take(&mut pending) {
-                groups[table.shard_for(&k)].push((k, v));
-            }
-            for (sid, group) in groups.into_iter().enumerate() {
-                if group.is_empty() {
-                    continue;
-                }
-                let shard = &table.shards[sid];
-                let mut guard = shard.write();
-                let cur = self.table();
-                let mut owned = Vec::with_capacity(group.len());
-                for (k, v) in group {
-                    if Arc::ptr_eq(&cur.shards[cur.shard_for(&k)], shard) {
-                        owned.push((k, v));
-                    } else {
-                        pending.push((k, v));
-                    }
-                }
-                if !owned.is_empty() {
-                    let n = owned.len();
-                    match guard.try_insert_many(owned) {
-                        Ok(f) => fresh += f,
-                        Err(_) => refused += n,
-                    }
-                }
-            }
-        }
-        (fresh, refused)
     }
 
     /// Rebuilds shard `idx` in place from its persistent storage
@@ -1226,10 +1136,21 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ShardedIndex<K, V, I> {
 mod tests {
     use super::*;
     use crate::doctest_support::VecIndex;
+    use crate::sorted::Degraded;
+    use std::cell::RefCell;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::thread;
 
     fn load(n: u64, shards: usize) -> ShardedIndex<u64, u64, VecIndex<u64, u64>> {
         ShardedIndex::bulk_load(&(), shards, (0..n).map(|k| (k * 2, k)).collect()).unwrap()
+    }
+
+    /// Position of the fullest shard — where the storm tests split.
+    fn hottest_shard<I: SortedIndex<u64, u64> + 'static>(idx: &ShardedIndex<u64, u64, I>) -> usize {
+        let lens = idx.shard_lens();
+        (0..lens.len())
+            .max_by_key(|&i| lens[i])
+            .expect("at least one shard")
     }
 
     #[test]
@@ -1256,6 +1177,16 @@ mod tests {
         assert_eq!(empty.insert(5, 5), None);
         assert_eq!(empty.get(&5), Some(5));
         assert_eq!(empty.range_collect(..).len(), 1);
+
+        // `From` wraps an already-built structure as one shard with
+        // the full API.
+        let built = VecIndex::build_sorted(&(), vec![(1u64, 1u64), (3, 3)]).unwrap();
+        let wrapped = ShardedIndex::from(built);
+        assert_eq!(wrapped.shard_count(), 1);
+        assert_eq!(wrapped.insert(2, 2), None);
+        assert_eq!(wrapped.range_collect(2..), vec![(2, 2), (3, 3)]);
+        assert_eq!(wrapped.remove(&1), Some(1));
+        assert_eq!(wrapped.len(), 2);
     }
 
     #[test]
@@ -1438,13 +1369,7 @@ mod tests {
         let idx = load(2_000, 3);
         let model = idx.range_collect(..);
         for _ in 0..4 {
-            let hot = idx
-                .shard_lens()
-                .iter()
-                .enumerate()
-                .max_by_key(|&(_, &l)| l)
-                .map(|(i, _)| i)
-                .unwrap();
+            let hot = hottest_shard(&idx);
             let at = idx.shard_median(hot).unwrap();
             idx.split_shard(&(), hot, at).unwrap();
         }
@@ -1484,13 +1409,7 @@ mod tests {
             }));
         }
         for _ in 0..6 {
-            let hot = idx
-                .shard_lens()
-                .iter()
-                .enumerate()
-                .max_by_key(|&(_, &l)| l)
-                .map(|(i, _)| i)
-                .unwrap();
+            let hot = hottest_shard(&idx);
             if let Some(at) = idx.shard_median(hot) {
                 let _ = idx.split_shard(&(), hot, at);
             }
@@ -1521,13 +1440,7 @@ mod tests {
             }));
         }
         for _ in 0..8 {
-            let hot = idx
-                .shard_lens()
-                .iter()
-                .enumerate()
-                .max_by_key(|&(_, &l)| l)
-                .map(|(i, _)| i)
-                .unwrap();
+            let hot = hottest_shard(&idx);
             if let Some(at) = idx.shard_median(hot) {
                 let _ = idx.split_shard(&(), hot, at);
             }
@@ -1547,27 +1460,242 @@ mod tests {
         }
     }
 
-    #[test]
-    fn grouped_accessors_apply_every_item_once() {
-        let idx = load(1_000, 4);
-        let writes: Vec<(u64, u64)> = (0..300u64).map(|k| (k * 2 + 1, k)).collect();
-        let mut applied = 0;
-        let locks = idx.with_write_groups(writes, |shard, k, v| {
-            shard.insert(k, v);
-            applied += 1;
-        });
-        assert_eq!(applied, 300);
-        assert!(locks <= 4, "one write lock per involved shard");
-        assert_eq!(idx.len(), 1_300);
+    /// [`VecIndex`] plus what the grouped-kernel tests need to observe:
+    /// a shared count of items handed to the batch entry points, a
+    /// refusal switch, and a one-shot thread-local hook run inside the
+    /// first batch apply — i.e. while the kernel holds that shard's
+    /// write lock, which is how a test lands a rebalance *mid-pass*
+    /// deterministically instead of hoping a storm does.
+    #[derive(Debug)]
+    struct Probe {
+        inner: VecIndex<u64, u64>,
+        applied: Arc<AtomicUsize>,
+        refuse: bool,
+    }
 
-        let reads: Vec<(u64, usize)> = (0..300u64).map(|k| (k * 2 + 1, 0usize)).collect();
-        let mut hits = 0;
-        let locks = idx.with_read_groups(reads, |shard, k, _| {
-            assert!(shard.get(&k).is_some());
-            hits += 1;
+    thread_local! {
+        static MID_PASS: RefCell<Option<Box<dyn FnOnce()>>> = const { RefCell::new(None) };
+    }
+
+    fn run_mid_pass_hook() {
+        let hook = MID_PASS.with(|h| h.borrow_mut().take());
+        if let Some(hook) = hook {
+            hook();
+        }
+    }
+
+    impl SortedIndex<u64, u64> for Probe {
+        type RangeIter<'a> = <VecIndex<u64, u64> as SortedIndex<u64, u64>>::RangeIter<'a>;
+
+        fn name(&self) -> &'static str {
+            "Probe"
+        }
+        fn get(&self, key: &u64) -> Option<&u64> {
+            self.inner.get(key)
+        }
+        fn insert(&mut self, key: u64, value: u64) -> Option<u64> {
+            self.inner.insert(key, value)
+        }
+        fn remove(&mut self, key: &u64) -> Option<u64> {
+            self.inner.remove(key)
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn size_bytes(&self) -> usize {
+            0
+        }
+        fn range<R: RangeBounds<u64>>(&self, range: R) -> Self::RangeIter<'_> {
+            self.inner.range(range)
+        }
+        fn insert_many(&mut self, batch: Vec<(u64, u64)>) -> usize {
+            run_mid_pass_hook();
+            self.applied.fetch_add(batch.len(), Ordering::Relaxed);
+            self.inner.insert_many(batch)
+        }
+        fn try_insert_many(&mut self, batch: Vec<(u64, u64)>) -> Result<usize, Degraded> {
+            if self.refuse {
+                return Err(Degraded);
+            }
+            Ok(self.insert_many(batch))
+        }
+        // Native merge handoff, so `merge_with_next` does not route the
+        // moved run through the counted `insert_many`.
+        fn absorb_tail(&mut self, other: &mut Self) -> bool {
+            for (k, v) in std::mem::take(&mut other.inner).range(..) {
+                self.inner.insert(k, v);
+            }
+            true
+        }
+    }
+
+    impl BuildableIndex<u64, u64> for Probe {
+        type Config = Arc<AtomicUsize>;
+        type BuildError = std::convert::Infallible;
+
+        fn build_sorted(
+            applied: &Self::Config,
+            sorted: Vec<(u64, u64)>,
+        ) -> Result<Self, Self::BuildError> {
+            Ok(Probe {
+                inner: VecIndex::build_sorted(&(), sorted)?,
+                applied: Arc::clone(applied),
+                refuse: false,
+            })
+        }
+    }
+
+    /// Even keys `0..2n` over `shards` shards of [`Probe`].
+    fn load_probe(n: u64, shards: usize) -> (ShardedIndex<u64, u64, Probe>, Arc<AtomicUsize>) {
+        let applied = Arc::new(AtomicUsize::new(0));
+        let pairs = (0..n).map(|k| (k * 2, k)).collect();
+        let idx = ShardedIndex::bulk_load(&applied, shards, pairs).unwrap();
+        (idx, applied)
+    }
+
+    /// The three public forms of the grouped kernel, each applying
+    /// `items` as upserts and counting what it applied in `applied`.
+    type Wrapper = fn(&ShardedIndex<u64, u64, Probe>, Vec<(u64, u64)>, &AtomicUsize);
+
+    const WRAPPERS: [(&str, Wrapper); 3] = [
+        ("insert_many", |idx, items, _| {
+            idx.insert_many(items);
+        }),
+        ("insert_many_reporting", |idx, items, _| {
+            let (_, refused) = idx.insert_many_reporting(items);
+            assert_eq!(refused, 0);
+        }),
+        ("with_write_groups", |idx, items, applied| {
+            idx.with_write_groups(items, |shard, k, v| {
+                run_mid_pass_hook();
+                applied.fetch_add(1, Ordering::Relaxed);
+                shard.insert(k, v);
+            });
+        }),
+    ];
+
+    /// Every shard holds only keys inside the span routing gives it.
+    fn assert_every_key_in_its_owner(idx: &ShardedIndex<u64, u64, Probe>) {
+        let mut sid = 0;
+        idx.for_each_shard(|shard| {
+            let (lo, hi) = idx.shard_span(sid).expect("shard exists");
+            for (k, _) in shard.range(..) {
+                assert!(lo.is_none_or(|lo| k >= lo), "key {k} below shard {sid}");
+                assert!(hi.is_none_or(|hi| k < hi), "key {k} above shard {sid}");
+            }
+            sid += 1;
         });
-        assert_eq!(hits, 300);
-        assert!(locks <= 4);
+    }
+
+    #[test]
+    fn grouped_kernel_rebuckets_items_a_mid_pass_rebalance_moved() {
+        for (name, wrapper) in WRAPPERS {
+            // Shards [0, 1000) [1000, 2000) [2000, ∞); odd keys across
+            // all three.
+            let (idx, applied) = load_probe(1_500, 3);
+            assert_eq!(idx.boundaries(), vec![1_000, 2_000], "{name}");
+            let items: Vec<(u64, u64)> = (0..300u64).map(|i| (i * 10 + 1, i)).collect();
+            // While the kernel holds shard 0 (first group, ascending
+            // order): split shard 1 at 1500, then merge the old shard 2
+            // into the new upper half. The already-bucketed shard-1
+            // group now owns only its keys below 1500, and the shard-2
+            // group's shard is retired outright.
+            let rebalancer = idx.clone();
+            let config = Arc::clone(&applied);
+            MID_PASS.with(|h| {
+                *h.borrow_mut() = Some(Box::new(move || {
+                    rebalancer.split_shard(&config, 1, 1_500).unwrap();
+                    rebalancer.merge_with_next(2).unwrap();
+                }));
+            });
+            wrapper(&idx, items.clone(), &applied);
+            assert!(MID_PASS.with(|h| h.borrow().is_none()), "{name}: hook ran");
+            assert_eq!(idx.boundaries(), vec![1_000, 1_500], "{name}");
+            assert_eq!(applied.load(Ordering::Relaxed), 300, "{name}: once each");
+            assert_eq!(idx.len(), 1_800, "{name}");
+            for (k, v) in items {
+                assert_eq!(idx.get(&k), Some(v), "{name}: lost {k}");
+            }
+            assert_every_key_in_its_owner(&idx);
+        }
+    }
+
+    #[test]
+    fn grouped_kernel_survives_a_split_merge_storm() {
+        // One writer thread per wrapper pushes disjoint odd keys in
+        // batches that span every shard while this thread splits and
+        // merges; the barrier starts the storm with the writers.
+        let (idx, applied) = load_probe(4_000, 2);
+        let start = Arc::new(std::sync::Barrier::new(WRAPPERS.len() + 1));
+        let writers: Vec<_> = WRAPPERS
+            .into_iter()
+            .enumerate()
+            .map(|(t, (_, wrapper))| {
+                let (idx, applied, start) = (idx.clone(), Arc::clone(&applied), Arc::clone(&start));
+                thread::spawn(move || {
+                    start.wait();
+                    for batch in 0..20u64 {
+                        let items = (0..50u64)
+                            .map(|i| ((i * 60 + batch * 3 + t as u64) * 2 + 1, i))
+                            .collect();
+                        wrapper(&idx, items, &applied);
+                    }
+                })
+            })
+            .collect();
+        start.wait();
+        for _ in 0..12 {
+            let hot = hottest_shard(&idx);
+            if let Some(at) = idx.shard_median(hot) {
+                let _ = idx.split_shard(&applied, hot, at);
+            }
+            if idx.shard_count() > 3 {
+                let _ = idx.merge_with_next(0);
+            }
+        }
+        for w in writers {
+            w.join().unwrap();
+        }
+        assert_eq!(applied.load(Ordering::Relaxed), 3_000, "once each");
+        assert_eq!(idx.len(), 7_000);
+        for t in 0..3u64 {
+            for batch in 0..20u64 {
+                for i in 0..50u64 {
+                    let k = (i * 60 + batch * 3 + t) * 2 + 1;
+                    assert_eq!(idx.get(&k), Some(i), "lost write {k}");
+                }
+            }
+        }
+        assert_every_key_in_its_owner(&idx);
+    }
+
+    #[test]
+    fn insert_many_reporting_counts_a_refusing_shards_keys() {
+        let (idx, _) = load_probe(1_500, 3);
+        idx.with_shard_write(&1_200, |shard| shard.refuse = true);
+        // Per shard: two new odd keys and one overwrite.
+        let batch = vec![
+            (1, 7),
+            (3, 7),
+            (4, 7),
+            (1_201, 7),
+            (1_203, 7),
+            (1_204, 7),
+            (2_201, 7),
+            (2_203, 7),
+            (2_204, 7),
+        ];
+        assert_eq!(idx.insert_many_reporting(batch), (4, 3));
+        // The refusing shard applied nothing; the healthy ones all of
+        // theirs.
+        assert_eq!(idx.shard_lens(), vec![502, 500, 502]);
+        assert_eq!(idx.get(&1_201), None);
+        assert_eq!(idx.get(&1_204), Some(602));
+        assert_eq!(idx.get(&4), Some(7));
+        assert_eq!(idx.get(&2_203), Some(7));
+        // `with_write_groups` reports one lock per involved shard.
+        let locks = idx.with_write_groups(vec![(5, ()), (7, ()), (2_205, ())], |_, _, ()| {});
+        assert_eq!(locks, 2);
     }
 
     #[test]
@@ -1612,8 +1740,5 @@ mod tests {
         assert_eq!(idx.get(&0), Some(0));
         let refreshed = idx.routing_stats();
         assert_eq!(refreshed.refreshes, bumped.refreshes + 1);
-        // Retired tables drain once every participant has advanced.
-        idx.collect_routing();
-        assert_eq!(idx.routing_stats().retired_backlog, 0);
     }
 }

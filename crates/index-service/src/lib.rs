@@ -15,8 +15,8 @@
 //!
 //! * runs of point writes apply under **one** write-lock acquisition
 //!   per involved shard,
-//! * runs of point reads answer under **one** read-lock acquisition
-//!   per involved shard,
+//! * point reads are answered one by one straight off the index's
+//!   wait-free read path (there is no read lock to amortize),
 //! * `InsertMany` flows through a single `insert_many` call,
 //! * each command resolves an executor-free Condvar [`Ticket`] the submitter
 //!   holds (executor-agnostic: a future `tokio` front-end wraps
@@ -276,9 +276,10 @@ pub struct IndexService<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> {
     /// to join it and stores the respawned one, so shutdown always
     /// joins the *current* generation of every lane's worker.
     workers: Arc<Mutex<Vec<Option<JoinHandle<()>>>>>,
-    coordinator: Option<JoinHandle<()>>,
-    checkpointer: Option<JoinHandle<()>>,
-    supervisor: Option<JoinHandle<()>>,
+    /// The timer threads (rebalance coordinator, checkpointer, lane
+    /// supervisor — whichever this service was started with), in spawn
+    /// order; all share `coordinator_stop`.
+    coordinators: Vec<JoinHandle<()>>,
     coordinator_stop: Arc<(Mutex<bool>, Condvar)>,
 }
 
@@ -346,27 +347,11 @@ where
             interval,
             max_lane_restarts: max_restarts,
         } = supervisor;
-        let stop = Arc::clone(&service.coordinator_stop);
         let shared = Arc::clone(&service.shared);
         let workers = Arc::clone(&service.workers);
-        let handle = std::thread::Builder::new()
-            .name("index-service-supervisor".into())
-            .spawn(move || {
-                let (lock, cvar) = &*stop;
-                loop {
-                    let mut stopped = lock.lock();
-                    if !*stopped {
-                        let _ = cvar.wait_for(&mut stopped, interval);
-                    }
-                    if *stopped {
-                        return;
-                    }
-                    drop(stopped);
-                    supervise_pass(&shared, &workers, max_restarts);
-                }
-            })
-            .expect("spawn index-service supervisor");
-        service.supervisor = Some(handle);
+        service.spawn_ticker("index-service-supervisor", interval, move || {
+            supervise_pass(&shared, &workers, max_restarts);
+        });
         service
     }
 
@@ -387,36 +372,19 @@ where
             .expect("checkpointer requires durability config");
         let interval = durability.checkpoint_interval;
         let threshold = durability.checkpoint_wal_bytes;
-        let stop = Arc::clone(&self.coordinator_stop);
         let shared = Arc::clone(&self.shared);
-        let checkpointer = std::thread::Builder::new()
-            .name("index-service-checkpoint".into())
-            .spawn(move || {
-                let (lock, cvar) = &*stop;
-                loop {
-                    let mut stopped = lock.lock();
-                    if !*stopped {
-                        let _ = cvar.wait_for(&mut stopped, interval);
-                    }
-                    if *stopped {
-                        return;
-                    }
-                    drop(stopped);
-                    let (_rotated, failed) = shared.index.try_checkpoint_shards(threshold);
-                    if failed > 0 {
-                        // ordering: Relaxed — advisory failure total,
-                        // read only by stats snapshots; the shard's own
-                        // degraded flag (under its RwLock) carries the
-                        // behavioral change.
-                        shared
-                            .checkpoint_failures
-                            .fetch_add(failed as u64, AtomicOrdering::Relaxed);
-                    }
-                    let _ = shared.index.heal_shards();
-                }
-            })
-            .expect("spawn checkpoint coordinator");
-        self.checkpointer = Some(checkpointer);
+        self.spawn_ticker("index-service-checkpoint", interval, move || {
+            let (_rotated, failed) = shared.index.try_checkpoint_shards(threshold);
+            if failed > 0 {
+                // ordering: Relaxed — advisory failure total, read only
+                // by stats snapshots; the shard's own degraded flag
+                // (under its write lock) carries the behavioral change.
+                shared
+                    .checkpoint_failures
+                    .fetch_add(failed as u64, AtomicOrdering::Relaxed);
+            }
+            let _ = shared.index.heal_shards();
+        });
     }
 
     /// Starts the service *and* a rebalance coordinator thread that
@@ -442,27 +410,11 @@ where
         let sampler = rebalancer.sampler();
         let counters = rebalancer.counters();
         let mut service = Self::launch(index, config, Some(sampler), Some(counters), None);
-        let stop = Arc::clone(&service.coordinator_stop);
         let index = service.shared.index.clone();
         let mut rebalancer = rebalancer;
-        let coordinator = std::thread::Builder::new()
-            .name("index-service-rebalance".into())
-            .spawn(move || {
-                let (lock, cvar) = &*stop;
-                loop {
-                    let mut stopped = lock.lock();
-                    if !*stopped {
-                        let _ = cvar.wait_for(&mut stopped, interval);
-                    }
-                    if *stopped {
-                        return;
-                    }
-                    drop(stopped);
-                    rebalancer.step(&index);
-                }
-            })
-            .expect("spawn rebalance coordinator");
-        service.coordinator = Some(coordinator);
+        service.spawn_ticker("index-service-rebalance", interval, move || {
+            rebalancer.step(&index);
+        });
         service
     }
 
@@ -496,9 +448,7 @@ where
         IndexService {
             shared,
             workers: Arc::new(Mutex::new(workers)),
-            coordinator: None,
-            checkpointer: None,
-            supervisor: None,
+            coordinators: Vec::new(),
             coordinator_stop: Arc::new((Mutex::new(false), Condvar::new())),
         }
     }
@@ -574,26 +524,51 @@ where
 }
 
 impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> IndexService<K, V, I> {
+    /// Spawns a timer thread named `name` that runs `body` every
+    /// `interval` until [`stop`](Self::stop) raises the shared stop
+    /// flag (checked under its mutex before and after every wait, so a
+    /// stop raised mid-`body` is seen without sleeping a full interval).
+    fn spawn_ticker(
+        &mut self,
+        name: &str,
+        interval: Duration,
+        mut body: impl FnMut() + Send + 'static,
+    ) {
+        let stop = Arc::clone(&self.coordinator_stop);
+        let handle = std::thread::Builder::new()
+            .name(name.into())
+            .spawn(move || {
+                let (lock, cvar) = &*stop;
+                loop {
+                    let mut stopped = lock.lock();
+                    if !*stopped {
+                        let _ = cvar.wait_for(&mut stopped, interval);
+                    }
+                    if *stopped {
+                        return;
+                    }
+                    drop(stopped);
+                    body();
+                }
+            })
+            .expect("spawn index-service timer thread");
+        self.coordinators.push(handle);
+    }
+
     fn stop(&mut self) {
-        // Coordinators first, so the layout stops moving while queues
+        // Timer threads first, so the layout stops moving while queues
         // drain — and, critically, so the supervisor cannot reopen a
-        // queue or respawn a worker after we close and join below.
+        // queue or respawn a worker after we close and join below:
+        // joining it means any in-flight resurrection has finished (its
+        // respawned worker handle is in `workers`) before the
+        // close-and-join sweep starts.
         {
             let (lock, cvar) = &*self.coordinator_stop;
             *lock.lock() = true;
             cvar.notify_all();
         }
-        if let Some(coordinator) = self.coordinator.take() {
+        for coordinator in self.coordinators.drain(..) {
             let _ = coordinator.join();
-        }
-        if let Some(checkpointer) = self.checkpointer.take() {
-            let _ = checkpointer.join();
-        }
-        if let Some(supervisor) = self.supervisor.take() {
-            // Joining here means any in-flight resurrection finishes
-            // (its respawned worker handle lands in `workers`) before
-            // the close-and-join sweep starts.
-            let _ = supervisor.join();
         }
         for queue in &self.shared.queues {
             queue.close();

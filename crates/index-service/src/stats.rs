@@ -123,7 +123,7 @@ pub(crate) struct WorkerCounters {
     /// plus one per `InsertMany` command (whose cross-shard call may
     /// take one lock per destination shard internally).
     pub write_runs: AtomicU64,
-    /// Read-lock acquisitions taken for runs of ≥ 1 point reads.
+    /// Shard read sections entered for point reads — one per `Get`.
     pub read_runs: AtomicU64,
     /// Individual `Insert`/`InsertMany` pairs applied through a
     /// coalesced batch path instead of one-lock-per-op.
@@ -174,7 +174,8 @@ pub struct LaneServiceStats {
     /// Write-lock acquisitions for coalesced point-write runs, plus
     /// one per `InsertMany` command.
     pub write_runs: u64,
-    /// Read-lock acquisitions for batched point-read runs.
+    /// Shard read sections entered for point reads (one per executed
+    /// `Get`; reads take no lock, so runs of `Get`s are not grouped).
     pub read_runs: u64,
     /// Writes applied through a coalesced batch path.
     pub coalesced_writes: u64,
@@ -240,8 +241,7 @@ pub struct ServiceStats {
     /// Wait-free read-path counters of the underlying index's routing
     /// snapshot and shard seqlocks. Steady state shows `refreshes` and
     /// `contended_reads` flat between snapshots; each rebalance step
-    /// bumps `publishes`, and `retired_backlog` returning to zero shows
-    /// epoch reclamation keeping up.
+    /// bumps `publishes`.
     pub routing: RoutingStats,
     /// Checkpoint rotations the coordinator attempted that failed
     /// (each one also flipped its shard to

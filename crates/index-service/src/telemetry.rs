@@ -307,7 +307,7 @@ pub(crate) fn stats_metrics(stats: &ServiceStats) -> Vec<Metric> {
         Metric::counter(
             "service.read_runs",
             Unit::Count,
-            "read-lock acquisitions for batched point-read runs",
+            "shard read sections entered for point reads (one per get)",
             lane_sum(|l| l.read_runs),
         ),
         Metric::counter(
@@ -405,18 +405,6 @@ pub(crate) fn stats_metrics(stats: &ServiceStats) -> Vec<Metric> {
             Unit::Count,
             "shard reads that hit a writer and took the fallback lock",
             stats.routing.contended_reads,
-        ),
-        Metric::counter(
-            "routing.reclaimed",
-            Unit::Count,
-            "retired routing tables reclaimed after their grace period",
-            stats.routing.reclaimed,
-        ),
-        Metric::gauge(
-            "routing.retired_backlog",
-            Unit::Count,
-            "retired routing tables still awaiting reclamation",
-            stats.routing.retired_backlog as f64,
         ),
     ];
     if let Some(reb) = &stats.rebalance {

@@ -11,18 +11,19 @@
 //! * a run of point writes (`Insert`/`Remove`) executes through
 //!   [`ShardedIndex::with_write_groups`] — **one** write-lock
 //!   acquisition per involved shard instead of one per op;
-//! * a run of point reads (`Get`) executes through
-//!   [`ShardedIndex::with_read_groups`] — one read-lock acquisition
-//!   per involved shard;
+//! * a run of point reads (`Get`) is answered one
+//!   [`ShardedIndex::get`] at a time — the read path is wait-free, so
+//!   there is no lock to amortize; the run only shares one `execute`
+//!   latency sample;
 //! * `InsertMany` goes through a single
-//!   [`ShardedIndex::insert_many`] call (cross-shard capable, one lock
-//!   per destination shard);
+//!   [`ShardedIndex::insert_many_reporting`] call (cross-shard capable,
+//!   one lock per destination shard);
 //! * `Range` executes through [`ShardedIndex::range_collect`], which
-//!   walks the live routing table shard by shard, one read lock at a
-//!   time.
+//!   walks the live routing table shard by shard, one read section at
+//!   a time.
 //!
-//! All four paths revalidate against the routing table after acquiring
-//! each shard lock, so a concurrent split/merge re-routes rather than
+//! All four paths revalidate against the routing table after entering
+//! each shard, so a concurrent split/merge re-routes rather than
 //! strands a command. Inserted keys are fed to the rebalancer's
 //! [`WriteSampler`](fiting_index_api::WriteSampler) (when attached) so
 //! split boundaries track the live write distribution.
@@ -58,7 +59,7 @@
 //!
 //! Writes execute through the fallible [`SortedIndex::try_insert`] /
 //! [`try_remove`](SortedIndex::try_remove) /
-//! `ShardedIndex::insert_many_reporting` paths: a shard in degraded
+//! [`ShardedIndex::insert_many_reporting`] paths: a shard in degraded
 //! read-only mode (permanent storage failure) refuses fast and the
 //! ticket resolves `Err(`[`CommandError::Degraded`]`)` — the write was
 //! declined, not lost — while reads keep serving. Refusals and failed
@@ -70,9 +71,9 @@
 //! [`CommandError::Degraded`]: crate::CommandError::Degraded
 //!
 //! [`Ticket::wait`]: crate::Ticket::wait
-//! [`ShardedIndex::insert_many`]: fiting_index_api::ShardedIndex::insert_many
+//! [`ShardedIndex::get`]: fiting_index_api::ShardedIndex::get
+//! [`ShardedIndex::insert_many_reporting`]: fiting_index_api::ShardedIndex::insert_many_reporting
 //! [`ShardedIndex::range_collect`]: fiting_index_api::ShardedIndex::range_collect
-//! [`ShardedIndex::with_read_groups`]: fiting_index_api::ShardedIndex::with_read_groups
 //! [`ShardedIndex::with_write_groups`]: fiting_index_api::ShardedIndex::with_write_groups
 
 use crate::command::Command;
@@ -249,21 +250,19 @@ fn execute_batch<K: Key, V: Clone, I: SortedIndex<K, V> + 'static>(
                 }
             }
             Command::Get { key, done } => {
-                // Maximal run of point reads: answer them all with one
-                // read-lock acquisition per involved shard.
-                let mut run = vec![(key, done)];
-                while matches!(cmds.peek(), Some(Command::Get { .. })) {
-                    let Some(Command::Get { key, done }) = cmds.next() else {
-                        break;
-                    };
-                    run.push((key, done));
+                // Maximal run of point reads, each answered straight
+                // off the wait-free read path (nothing to amortize: a
+                // steady-state `get` takes no lock); the run shares
+                // one `execute` sample.
+                done.complete(shared.index.get(&key));
+                let mut reads = 1u64;
+                while let Some(Command::Get { key, done }) =
+                    cmds.next_if(|next| matches!(next, Command::Get { .. }))
+                {
+                    done.complete(shared.index.get(&key));
+                    reads += 1;
                 }
-                let locks = shared.index.with_read_groups(run, |idx, key, done| {
-                    done.complete(idx.get(&key).cloned());
-                });
-                counters
-                    .read_runs
-                    .fetch_add(locks as u64, Ordering::Relaxed);
+                counters.read_runs.fetch_add(reads, Ordering::Relaxed);
             }
             first @ (Command::Insert { .. } | Command::Remove { .. }) => {
                 // Maximal run of point writes: apply them all — in
@@ -333,4 +332,45 @@ fn execute_batch<K: Key, V: Clone, I: SortedIndex<K, V> + 'static>(
             .record_duration(run_started.elapsed());
     }
     refused
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{IndexService, ServiceConfig};
+    use fiting_index_api::doctest_support::VecIndex;
+    use fiting_index_api::ShardedIndex;
+
+    #[test]
+    fn a_get_after_an_insert_in_one_batch_observes_it() {
+        // One hand-built batch through `execute_batch` (the lane's own
+        // worker idles on its empty queue), so "one drained batch" is a
+        // fact rather than a timing hope.
+        let index: ShardedIndex<u64, u64, VecIndex<u64, u64>> =
+            ShardedIndex::bulk_load(&(), 2, (0..100u64).map(|k| (k * 2, k)).collect()).unwrap();
+        let svc = IndexService::start(index, ServiceConfig::default());
+        let (miss, miss_ticket) = Command::get(7);
+        let (put, put_ticket) = Command::insert(7, 70);
+        let (hit, hit_ticket) = Command::get(7);
+        let (other, other_ticket) = Command::get(150);
+        let (del, del_ticket) = Command::remove(7);
+        let (gone, gone_ticket) = Command::get(7);
+        let refused = execute_batch(0, &svc.shared, vec![miss, put, hit, other, del, gone]);
+        assert_eq!(refused, 0);
+        // Per-lane order: each read sees exactly the writes before it.
+        assert_eq!(miss_ticket.wait(), Ok(None));
+        assert_eq!(put_ticket.wait(), Ok(None));
+        assert_eq!(hit_ticket.wait(), Ok(Some(70)));
+        assert_eq!(other_ticket.wait(), Ok(Some(75)), "cross-shard read");
+        assert_eq!(del_ticket.wait(), Ok(Some(70)));
+        assert_eq!(gone_ticket.wait(), Ok(None));
+        // One read section per executed `Get`, one execute sample per
+        // run (get, insert, get+get, remove, get).
+        let lane = &svc.stats().lanes[0];
+        assert_eq!(lane.read_runs, 4);
+        assert_eq!(lane.write_runs, 2);
+        let samples = |kind| svc.shared.telemetry.execute(kind).snapshot().count();
+        assert_eq!(samples(telemetry::CommandKind::Get), 3);
+        let _ = svc.shutdown();
+    }
 }

@@ -4,17 +4,15 @@
 //! Two primitives, built for one protocol (the sharded front-end in
 //! `fiting-index-api`):
 //!
-//! * [`Snapshots`] — an epoch-reclaimed snapshot publisher. A writer
+//! * [`Snapshots`] — a versioned snapshot publisher. A writer
 //!   publishes a new immutable snapshot with one pointer swap under a
 //!   leaf mutex; steady-state readers resolve the current snapshot
 //!   from a **thread-local cache** keyed on one atomic version word —
 //!   zero lock acquisitions, zero `Arc` refcount traffic, zero shared
-//!   mutable state touched. Retired snapshots are dropped after a
-//!   grace period: when every participant's *resident* version has
-//!   advanced past the retired one. Implemented in 100% safe Rust
-//!   (the caches hold `Arc`s, so the grace-period protocol governs
-//!   *promptness* of reclamation while `Arc` makes it unconditionally
-//!   sound).
+//!   mutable state touched. 100% safe Rust: the caches hold `Arc`s, so
+//!   a superseded snapshot lives exactly as long as some thread still
+//!   caches it and is dropped by its last holder, outside the publish
+//!   mutex.
 //! * [`SeqRwLock`] — a reader-announcing seqlock: an even/odd sequence
 //!   word gates entry and per-thread presence slots let a writer wait
 //!   for in-flight readers to drain instead of tearing them. Readers
@@ -39,11 +37,10 @@
 //!    (`sync-ordering-per-site` rule — stricter than the workspace's
 //!    per-function `ordering-justification`).
 //!
-//! The protocols themselves are model-checked: `tests/shuttle_models.rs`
-//! replays the epoch-reclamation and seqlock state machines under the
-//! workspace's deterministic scheduler, including seeded mutants
-//! (use-after-reclaim, missing sequence bump) that the checker must
-//! catch.
+//! The seqlock protocol is model-checked: `tests/shuttle_models.rs`
+//! replays its state machine under the workspace's deterministic
+//! scheduler, including a seeded mutant (missing sequence bump) that
+//! the checker must catch.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]

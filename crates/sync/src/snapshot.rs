@@ -1,39 +1,35 @@
-//! Epoch-reclaimed snapshot publishing: wait-free, cache-local reads
-//! of an immutable value that a writer occasionally replaces.
+//! Versioned snapshot publishing: wait-free, cache-local reads of an
+//! immutable value that a writer occasionally replaces.
 //!
 //! # Protocol
 //!
 //! A [`Snapshots<T>`] owns a monotonically increasing **version** word
 //! and the current `Arc<T>` behind a leaf mutex (the *publish cell*).
 //! Each reading thread keeps, in thread-local storage, a cache of
-//! `(version, Arc<T>)` per publisher plus a shared *participant slot*
-//! holding the version it is **resident** on:
+//! `(version, Arc<T>)` per publisher:
 //!
 //! * **Read (steady state):** load the version word; it equals the
 //!   cached version, so the cached `Arc<T>` is current — hand out
 //!   `&T`. No locks, no `Arc` clone, no shared store. This is the
 //!   whole hot path.
 //! * **Read (stale cache):** take the publish cell mutex once, clone
-//!   the current `Arc`, advance the cache and the resident slot to the
-//!   new version. One mutex hold + one refcount bump per *publish*,
-//!   not per read.
+//!   the current `Arc` into the cache, and drop the displaced one after
+//!   the mutex is released. One mutex hold + one refcount bump per
+//!   *publish*, not per read.
 //! * **Publish:** swap the `Arc` in the cell, bump the version
-//!   (`Release`), move the previous snapshot to the **retired list**
-//!   tagged with the version it was current for.
-//! * **Reclaim (grace period):** a retired snapshot tagged `v` is
-//!   dropped once `min(resident) > v` over all live participants —
-//!   i.e. no thread can still be handing out references into it. A
-//!   participant that has never read (or whose thread exited) is
-//!   *quiescent* and does not hold reclamation back.
+//!   (`Release`), and drop the previous snapshot's cell reference after
+//!   the mutex is released.
 //!
-//! Safety does **not** rest on the grace-period arithmetic: the caches
-//! hold real `Arc`s, so even a protocol bug could only delay or hasten
-//! the publisher's *own* reference drop, never free memory a reader
-//! still uses. The protocol is what makes reclamation prompt and the
-//! read path free of refcount traffic; the `ebr_*` shuttle models in
-//! `tests/shuttle_models.rs` check the arithmetic against a
-//! use-after-reclaim mutant on raw (un-`Arc`ed) state, where it alone
-//! carries safety.
+//! # Reclamation
+//!
+//! `Arc` is the whole reclamation scheme. A superseded snapshot lives
+//! exactly as long as some thread's cache (or an in-flight
+//! [`current`](Snapshots::current) handle) still holds it: the last
+//! holder to let go — the publisher if nobody cached it, else the
+//! reader that refreshes or exits last — runs `T`'s destructor. That
+//! drop always happens **outside** the publish cell's mutex, so a
+//! destructor of `T` never runs under (and can never re-enter) that
+//! lock.
 
 use parking_lot::Mutex;
 use std::any::Any;
@@ -42,8 +38,9 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
-/// Resident-slot sentinel: "this participant holds no snapshot".
-const QUIESCENT: u64 = u64::MAX;
+/// Cache-version sentinel: "nothing cached yet". Published versions
+/// start at 1, so it never equals a live version.
+const UNCACHED: u64 = 0;
 
 /// Thread-local registry length that triggers a sweep of cache entries
 /// whose publisher has been dropped.
@@ -62,20 +59,6 @@ pub struct SnapshotStats {
     /// Slow-path resolutions: cache refreshes plus cache-bypass reads.
     /// Constant while no publish intervenes and caches are warm.
     pub refreshes: u64,
-    /// Retired snapshots whose grace period elapsed and whose
-    /// publisher-side reference was dropped.
-    pub reclaimed: u64,
-    /// Retired snapshots still waiting for a participant to advance.
-    pub retired_backlog: usize,
-    /// Live participant slots (reader threads that have touched this
-    /// publisher and not yet exited).
-    pub participants: usize,
-}
-
-/// One participant's shared residency word. The publisher reads it
-/// during reclamation; only the owning thread writes it.
-struct Slot {
-    resident: AtomicU64,
 }
 
 struct Inner<T> {
@@ -84,19 +67,14 @@ struct Inner<T> {
     /// Published version; bumped by every publish, `Release`-paired
     /// with the readers' `Acquire` loads.
     version: AtomicU64,
-    /// The publish cell. Lock order: leaf among this type's locks —
-    /// taken alone, never while `participants` or `retired` is held.
+    /// The publish cell. Lock order: leaf — taken alone, and never held
+    /// while an `Arc<T>` is dropped (see the module docs).
     current: Mutex<Arc<T>>,
-    /// Participant slots, pruned when their thread exits.
-    participants: Mutex<Vec<Arc<Slot>>>,
-    /// Retired snapshots: `(version it was current for, snapshot)`.
-    retired: Mutex<Vec<(u64, Arc<T>)>>,
     publishes: AtomicU64,
     refreshes: AtomicU64,
-    reclaimed: AtomicU64,
 }
 
-/// Epoch-reclaimed snapshot publisher — see the module docs for the
+/// Versioned snapshot publisher — see the module docs for the
 /// protocol. `Clone` shares the publisher (both handles see the same
 /// versions); independent instances never interfere.
 ///
@@ -131,28 +109,18 @@ impl<T: 'static> std::fmt::Debug for Snapshots<T> {
     }
 }
 
-/// The per-thread cache for one publisher.
+/// The per-thread cache for one publisher. Dropped with the thread
+/// (or swept once the publisher is gone), which releases its `Arc`.
 struct ThreadCache<T> {
     /// Back-reference for liveness sweeps (a dead publisher's registry
     /// entry is garbage).
     publisher: Weak<Inner<T>>,
-    /// This thread's residency word, shared with the publisher.
-    slot: Arc<Slot>,
-    /// Version `value` was current for; `QUIESCENT` before first use.
+    /// Version `value` was current for; `UNCACHED` before first use.
     version: Cell<u64>,
     /// The cached snapshot. `RefCell` so a *nested* read that needs a
     /// refresh mid-read detects the outstanding borrow and bypasses the
     /// cache instead of invalidating the outer `&T`.
     value: RefCell<Option<Arc<T>>>,
-}
-
-impl<T> Drop for ThreadCache<T> {
-    fn drop(&mut self) {
-        // ordering: Release so a publisher that observes the quiescent
-        // announcement also observes every read this thread performed
-        // before exiting.
-        self.slot.resident.store(QUIESCENT, Ordering::Release);
-    }
 }
 
 /// A type-erased registry row. `dead` re-instantiates the concrete
@@ -188,14 +156,9 @@ fn cache_for<T: 'static>(inner: &Arc<Inner<T>>) -> Option<Rc<ThreadCache<T>>> {
             if registry.len() >= REGISTRY_SWEEP_LEN {
                 registry.retain(|e| !(e.dead)(e.cache.as_ref()));
             }
-            let slot = Arc::new(Slot {
-                resident: AtomicU64::new(QUIESCENT),
-            });
-            inner.participants.lock().push(Arc::clone(&slot));
             let cache = Rc::new(ThreadCache::<T> {
                 publisher: Arc::downgrade(inner),
-                slot,
-                version: Cell::new(QUIESCENT),
+                version: Cell::new(UNCACHED),
                 value: RefCell::new(None),
             });
             registry.push(RegistryEntry {
@@ -223,11 +186,8 @@ impl<T: 'static> Snapshots<T> {
                 id: NEXT_PUBLISHER_ID.fetch_add(1, Ordering::Relaxed),
                 version: AtomicU64::new(1),
                 current: Mutex::new(Arc::new(value)),
-                participants: Mutex::new(Vec::new()),
-                retired: Mutex::new(Vec::new()),
                 publishes: AtomicU64::new(0),
                 refreshes: AtomicU64::new(0),
-                reclaimed: AtomicU64::new(0),
             }),
         }
     }
@@ -274,25 +234,24 @@ impl<T: 'static> Snapshots<T> {
     /// Advances `cache` to the currently published snapshot. `false`
     /// when the cache is mid-borrow (nested read) and must be bypassed.
     fn refresh(&self, cache: &ThreadCache<T>) -> bool {
-        let Ok(mut value) = cache.value.try_borrow_mut() else {
-            return false;
-        };
-        // ordering: Relaxed — diagnostics counter only.
-        self.inner.refreshes.fetch_add(1, Ordering::Relaxed);
-        let version = {
+        let (version, displaced) = {
+            let Ok(mut value) = cache.value.try_borrow_mut() else {
+                return false;
+            };
+            // ordering: Relaxed — diagnostics counter only.
+            self.inner.refreshes.fetch_add(1, Ordering::Relaxed);
             let current = self.inner.current.lock();
-            *value = Some(Arc::clone(&current));
+            let displaced = value.replace(Arc::clone(&current));
             // ordering: Relaxed under the publish cell's mutex — the
             // version is only stored while it is held (see `publish`),
             // so this load is exactly the cloned snapshot's version.
-            self.inner.version.load(Ordering::Relaxed)
+            (self.inner.version.load(Ordering::Relaxed), displaced)
         };
         cache.version.set(version);
-        // ordering: Release so the publisher's Acquire scan in
-        // `collect` never observes residency *newer* than the cache
-        // state it reflects; an older (conservative) value only delays
-        // reclamation.
-        cache.slot.resident.store(version, Ordering::Release);
+        // Possibly the last reference to a superseded snapshot: `T`'s
+        // destructor runs here, on this already-counted slow path, with
+        // the publish cell's mutex and the cache borrow both released.
+        drop(displaced);
         true
     }
 
@@ -314,18 +273,20 @@ impl<T: 'static> Snapshots<T> {
         self.inner.version.load(Ordering::Acquire)
     }
 
-    /// Publishes `value` as the new snapshot and retires the previous
-    /// one (dropped once every participant has moved past it). Returns
-    /// the new version. The swap itself is O(1) under the publish
-    /// cell's leaf mutex, which steady-state readers never touch —
-    /// publishing never waits for readers.
+    /// Publishes `value` as the new snapshot and returns the new
+    /// version. The previous snapshot stays alive for as long as a
+    /// thread cache holds it and is dropped by its last holder (here,
+    /// if no thread ever cached it). The swap itself is O(1) under the
+    /// publish cell's leaf mutex, which steady-state readers never
+    /// touch — publishing never waits for readers.
     pub fn publish(&self, value: T) -> u64 {
+        let next = Arc::new(value);
         let (previous, new_version) = {
             let mut current = self.inner.current.lock();
             // ordering: Relaxed under the publish cell's mutex (every
             // version store happens inside it).
             let old_version = self.inner.version.load(Ordering::Relaxed);
-            let previous = std::mem::replace(&mut *current, Arc::new(value));
+            let previous = std::mem::replace(&mut *current, next);
             let bumped = &self.inner.version;
             // ordering: Release pairs with the Acquire loads in `read`
             // and `version` — a reader observing the bumped version
@@ -333,46 +294,13 @@ impl<T: 'static> Snapshots<T> {
             bumped.store(old_version + 1, Ordering::Release);
             (previous, old_version + 1)
         };
-        self.inner.retired.lock().push((new_version - 1, previous));
         // ordering: Relaxed — diagnostics counter only.
         self.inner.publishes.fetch_add(1, Ordering::Relaxed);
-        self.collect();
+        // The cell's reference to the superseded snapshot, released
+        // only now that the mutex is: if no cache holds it this is the
+        // last one, and `T`'s destructor must not run under that lock.
+        drop(previous);
         new_version
-    }
-
-    /// One reclamation pass: drops every retired snapshot whose grace
-    /// period has elapsed (no participant resident on it or anything
-    /// older). Runs automatically after each publish; callable for
-    /// tests and idle housekeeping.
-    pub fn collect(&self) {
-        let min_resident = {
-            let mut participants = self.inner.participants.lock();
-            // A slot whose cache was dropped (thread exit) holds only
-            // our reference; prune it.
-            participants.retain(|slot| Arc::strong_count(slot) > 1);
-            participants
-                .iter()
-                // ordering: Acquire pairs with the readers' Release
-                // resident stores, so the residency floor is never
-                // newer than the caches it describes.
-                .map(|slot| slot.resident.load(Ordering::Acquire))
-                .filter(|&v| v != QUIESCENT)
-                .min()
-                .unwrap_or(u64::MAX)
-        };
-        let freed = {
-            let mut retired = self.inner.retired.lock();
-            let before = retired.len();
-            // Entry (v, _) is reclaimable once every resident version
-            // is strictly past v.
-            retired.retain(|&(v, _)| v >= min_resident);
-            before - retired.len()
-        };
-        if freed > 0 {
-            let reclaimed = &self.inner.reclaimed;
-            // ordering: Relaxed — diagnostics counter only.
-            reclaimed.fetch_add(freed as u64, Ordering::Relaxed);
-        }
     }
 
     /// Lifecycle counters — see [`SnapshotStats`].
@@ -384,9 +312,6 @@ impl<T: 'static> Snapshots<T> {
             version: self.inner.version.load(Ordering::Relaxed), // ordering: Relaxed diag
             publishes: self.inner.publishes.load(Ordering::Relaxed), // ordering: Relaxed diag
             refreshes: self.inner.refreshes.load(Ordering::Relaxed), // ordering: Relaxed diag
-            reclaimed: self.inner.reclaimed.load(Ordering::Relaxed), // ordering: Relaxed diag
-            retired_backlog: self.inner.retired.lock().len(),
-            participants: self.inner.participants.lock().len(),
         }
     }
 }
@@ -394,8 +319,51 @@ impl<T: 'static> Snapshots<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
+    use std::sync::mpsc;
     use std::thread;
+
+    /// A payload whose destructor is observable: bumps `drops` once.
+    struct Flagged {
+        id: u64,
+        drops: Arc<AtomicUsize>,
+    }
+
+    impl Drop for Flagged {
+        fn drop(&mut self) {
+            self.drops.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    fn flagged(id: u64) -> (Flagged, Arc<AtomicUsize>) {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let payload = Flagged {
+            id,
+            drops: Arc::clone(&drops),
+        };
+        (payload, drops)
+    }
+
+    /// A reader thread that performs one `read` per message received
+    /// and acknowledges it, so the test controls exactly when its cache
+    /// advances; closing the channel ends the thread.
+    fn stepped_reader(
+        snaps: &Snapshots<Flagged>,
+    ) -> (
+        mpsc::Sender<()>,
+        mpsc::Receiver<u64>,
+        thread::JoinHandle<()>,
+    ) {
+        let (step_tx, step_rx) = mpsc::channel::<()>();
+        let (seen_tx, seen_rx) = mpsc::channel::<u64>();
+        let snaps = snaps.clone();
+        let handle = thread::spawn(move || {
+            for () in step_rx {
+                seen_tx.send(snaps.read(|_, p| p.id)).unwrap();
+            }
+        });
+        (step_tx, seen_rx, handle)
+    }
 
     #[test]
     fn read_sees_latest_publish() {
@@ -429,51 +397,62 @@ mod tests {
     }
 
     #[test]
-    fn retired_snapshots_reclaim_after_readers_advance() {
-        let snaps = Snapshots::new(0u64);
-        snaps.read(|_, _| ());
-        snaps.publish(1);
-        // This thread is still resident on version 1's *predecessor*?
-        // No: the publish retired version 1's snapshot (value 0) and we
-        // are resident on version 1. Reading refreshes us to version 2,
-        // after which the retired entry's grace period elapses.
-        let backlog = snaps.stats().retired_backlog;
-        assert_eq!(backlog, 1, "old snapshot awaits our advance");
-        snaps.read(|_, _| ());
-        snaps.collect();
-        let stats = snaps.stats();
-        assert_eq!(stats.retired_backlog, 0);
-        assert_eq!(stats.reclaimed, 1);
+    fn superseded_snapshot_drops_when_the_last_reader_moves_on() {
+        let (first, first_drops) = flagged(1);
+        let snaps = Snapshots::new(first);
+        let (step, seen, reader) = stepped_reader(&snaps);
+        // Both this thread and the reader cache snapshot 1.
+        assert_eq!(snaps.read(|_, p| p.id), 1);
+        step.send(()).unwrap();
+        assert_eq!(seen.recv().unwrap(), 1);
+
+        snaps.publish(flagged(2).0);
+        assert_eq!(first_drops.load(Ordering::SeqCst), 0, "two caches hold it");
+        assert_eq!(snaps.read(|_, p| p.id), 2);
+        assert_eq!(
+            first_drops.load(Ordering::SeqCst),
+            0,
+            "the reader thread's cache still holds it"
+        );
+        // The last holder's next read returns ⇒ dropped, right then:
+        // no reclamation pass, no further publish.
+        step.send(()).unwrap();
+        assert_eq!(seen.recv().unwrap(), 2);
+        assert_eq!(first_drops.load(Ordering::SeqCst), 1);
+
+        drop(step);
+        reader.join().unwrap();
     }
 
     #[test]
-    fn quiescent_participants_do_not_block_reclamation() {
-        let snaps = Snapshots::new(0u64);
-        // No reader has ever pinned: every retired entry reclaims at
-        // the next pass.
-        for i in 1..=5 {
-            snaps.publish(i);
-        }
-        let stats = snaps.stats();
-        assert_eq!(stats.retired_backlog, 0);
-        assert_eq!(stats.reclaimed, 5);
-        assert_eq!(stats.version, 6);
+    fn uncached_snapshot_drops_at_publish() {
+        let (first, first_drops) = flagged(1);
+        let snaps = Snapshots::new(first);
+        // No thread ever read it: the publish cell held the only
+        // reference.
+        snaps.publish(flagged(2).0);
+        assert_eq!(first_drops.load(Ordering::SeqCst), 1);
+        assert_eq!(snaps.stats().version, 2);
     }
 
     #[test]
-    fn exited_threads_release_their_residency() {
-        let snaps = Snapshots::new(0u64);
-        let reader = snaps.clone();
-        thread::spawn(move || reader.read(|_, _| ()))
-            .join()
-            .unwrap();
-        // The spawned thread pinned version 1 and exited; its slot must
-        // not hold future reclamation back.
-        snaps.publish(1);
-        snaps.collect();
-        let stats = snaps.stats();
-        assert_eq!(stats.retired_backlog, 0);
-        assert_eq!(stats.participants, 0, "exited participant pruned");
+    fn thread_exit_releases_its_cached_snapshot() {
+        let (first, first_drops) = flagged(1);
+        let snaps = Snapshots::new(first);
+        let (step, seen, reader) = stepped_reader(&snaps);
+        step.send(()).unwrap();
+        assert_eq!(seen.recv().unwrap(), 1);
+        snaps.publish(flagged(2).0);
+        assert_eq!(
+            first_drops.load(Ordering::SeqCst),
+            0,
+            "parked reader still caches it"
+        );
+        // The reader exits without ever reading again; its thread-local
+        // cache goes with it.
+        drop(step);
+        reader.join().unwrap();
+        assert_eq!(first_drops.load(Ordering::SeqCst), 1);
     }
 
     #[test]
@@ -527,11 +506,7 @@ mod tests {
         for r in readers {
             assert!(r.join().unwrap() > 0);
         }
-        // Every retired snapshot eventually reclaims once readers exit.
-        snaps.collect();
-        let stats = snaps.stats();
-        assert_eq!(stats.retired_backlog, 0);
-        assert_eq!(stats.reclaimed, 200);
+        assert_eq!(snaps.stats().publishes, 200);
     }
 
     #[test]

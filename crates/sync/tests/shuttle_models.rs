@@ -1,23 +1,20 @@
-//! Model-checked ports of this crate's two wait-free primitives, run
-//! under the workspace's deterministic scheduler (`shuttle`).
+//! Model-checked port of this crate's seqlock, run under the
+//! workspace's deterministic scheduler (`shuttle`).
 //!
-//! The real `Snapshots` keeps retired snapshots alive with `Arc`s, so a
-//! grace-period arithmetic bug there delays reclamation but cannot free
-//! live memory. These models strip that backstop: snapshots live in a
-//! raw `heap` of `Option` payloads where reclamation really destroys
-//! the value, so the epoch protocol *alone* carries safety — exactly
-//! the property worth model-checking. Likewise the seqlock model
-//! updates a two-word pair non-atomically, so only the announce/drain
-//! handshake keeps readers from observing a half-applied splice.
+//! The model updates a two-word pair non-atomically, so only the
+//! announce/drain handshake keeps readers from observing a
+//! half-applied splice. (`Snapshots` has no model here: its
+//! reclamation is `Arc`'s, and its route-then-validate use is modelled
+//! where it is used, in `crates/index-api/tests/shuttle_models.rs`.)
 //!
-//! Each correct protocol clears ≥ 10 000 interleavings; each
+//! The correct protocol clears ≥ 10 000 interleavings; the
 //! deliberately broken variant (the bug class the protocol exists to
 //! prevent) must be *caught*, and its recorded schedule must replay to
 //! the same failure — proving red results reproduce on demand.
 //!
-//! If a protocol change in `src/snapshot.rs` or `src/seqlock.rs` is
-//! intentional, change the mirror here in the same PR — drift between
-//! the two is exactly what this file exists to surface.
+//! If a protocol change in `src/seqlock.rs` is intentional, change the
+//! mirror here in the same PR — drift between the two is exactly what
+//! this file exists to surface.
 
 use shuttle::atomic::{AtomicU64, Ordering};
 use shuttle::model;
@@ -80,149 +77,6 @@ fn must_catch<F: Fn() + Send + Sync + Clone + 'static>(body: F, expected: &str) 
         "replay diverged: {}",
         replayed.message
     );
-}
-
-// ---------------------------------------------------------------------
-// Epoch-based reclamation model (mirrors src/snapshot.rs)
-// ---------------------------------------------------------------------
-
-/// Resident-slot sentinel, as in the real protocol.
-const QUIESCENT: u64 = u64::MAX;
-
-/// The epoch protocol over a raw snapshot heap. `heap[v]` holds
-/// version `v`'s payload until reclamation sets it to `None` — a
-/// pinned reader finding `None` is a real use-after-reclaim, with no
-/// `Arc` to paper over it.
-struct ModelEbr {
-    heap: Vec<Mutex<Option<u64>>>,
-    /// The publish cell: the currently published version.
-    current: Mutex<u64>,
-    /// One residency word per participant.
-    resident: Vec<AtomicU64>,
-    /// Retired versions awaiting their grace period.
-    retired: Mutex<Vec<u64>>,
-}
-
-impl ModelEbr {
-    fn new(participants: usize, versions: usize) -> Self {
-        let heap: Vec<Mutex<Option<u64>>> = (0..versions)
-            .map(|v| Mutex::new((v == 0).then_some(0)))
-            .collect();
-        ModelEbr {
-            heap,
-            current: Mutex::new(0),
-            resident: (0..participants)
-                .map(|_| AtomicU64::new(QUIESCENT))
-                .collect(),
-            retired: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Pin: announce residency on the current version under the
-    /// publish cell, as `Snapshots::refresh` does while holding the
-    /// cell mutex — the announcement is mutex-ordered with `publish`,
-    /// which is what closes the pin-vs-retire race on raw state.
-    fn pin(&self, slot: usize) -> u64 {
-        let current = self.current.lock();
-        let v = *current;
-        self.resident[slot].store(v, Ordering::Release);
-        v
-    }
-
-    /// Dereference the pinned snapshot. Reclaimed-under-us is the bug
-    /// this whole protocol exists to prevent.
-    fn read(&self, v: u64) -> u64 {
-        self.heap[v as usize]
-            .lock()
-            .expect("use-after-reclaim: snapshot freed while a reader is resident on it")
-    }
-
-    fn unpin(&self, slot: usize) {
-        self.resident[slot].store(QUIESCENT, Ordering::Release);
-    }
-
-    /// Publish version `v_new`, retire the previous one, and run a
-    /// collection pass. `exact_grace` selects the correct grace rule;
-    /// `false` is the off-by-one mutant that frees the snapshot the
-    /// minimum-resident reader still stands on.
-    fn publish(&self, v_new: u64, exact_grace: bool) {
-        *self.heap[v_new as usize].lock() = Some(v_new * 10);
-        let old = {
-            let mut current = self.current.lock();
-            std::mem::replace(&mut *current, v_new)
-        };
-        self.retired.lock().push(old);
-        self.collect(exact_grace);
-    }
-
-    /// One reclamation pass: free every retired version past its grace
-    /// period, mirroring `Snapshots::collect`'s `v >= min_resident`
-    /// retain rule.
-    fn collect(&self, exact_grace: bool) {
-        let min_resident = self
-            .resident
-            .iter()
-            .map(|slot| slot.load(Ordering::Acquire))
-            .filter(|&v| v != QUIESCENT)
-            .min()
-            .unwrap_or(u64::MAX);
-        self.retired.lock().retain(|&v| {
-            // BUG (exact_grace = false): `v > min_resident` reclaims
-            // the snapshot a reader is resident on.
-            let keep = if exact_grace {
-                v >= min_resident
-            } else {
-                v > min_resident
-            };
-            if !keep {
-                *self.heap[v as usize].lock() = None;
-            }
-            keep
-        });
-    }
-}
-
-/// Two pinned readers racing two publishes: every pinned dereference
-/// must see its own version's payload intact (grace period held), and
-/// once both readers are quiescent a final pass must reclaim every
-/// retired snapshot (no leak).
-fn ebr_pin_retire_grace(exact_grace: bool) {
-    let ebr = Arc::new(ModelEbr::new(2, 3));
-    let readers: Vec<_> = (0..2)
-        .map(|slot| {
-            let ebr = Arc::clone(&ebr);
-            thread::spawn(move || {
-                let v = ebr.pin(slot);
-                assert_eq!(ebr.read(v), v * 10, "payload corrupted");
-                // Second dereference while still pinned: the grace
-                // period must span the whole residency, not one read.
-                assert_eq!(ebr.read(v), v * 10, "payload corrupted");
-                ebr.unpin(slot);
-            })
-        })
-        .collect();
-    ebr.publish(1, exact_grace);
-    ebr.publish(2, exact_grace);
-    for r in readers {
-        r.join().unwrap();
-    }
-    // All participants quiescent: the final pass reclaims everything
-    // retired, and only the current version survives.
-    ebr.collect(exact_grace);
-    assert!(ebr.retired.lock().is_empty(), "retired backlog leaked");
-    assert_eq!(*ebr.heap[0].lock(), None, "version 0 never reclaimed");
-    assert_eq!(*ebr.heap[1].lock(), None, "version 1 never reclaimed");
-    assert_eq!(*ebr.heap[2].lock(), Some(20), "current version freed");
-}
-
-#[test]
-fn ebr_grace_period_protects_pinned_readers() {
-    quick_battery("ebr_pin_retire_grace", || ebr_pin_retire_grace(true));
-}
-
-#[test]
-fn ebr_eager_reclaim_mutant_is_caught() {
-    must_catch(|| ebr_pin_retire_grace(false), "use-after-reclaim");
 }
 
 // ---------------------------------------------------------------------

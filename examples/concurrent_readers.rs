@@ -3,17 +3,17 @@
 //! ingests live events while reader threads serve point and range
 //! queries.
 //!
-//! `ConcurrentFitingTree` is the sharded front-end
-//! (`ShardedIndex<K, V, FitingTree>`): the key space is
-//! range-partitioned at bulk load and each shard sits behind its own
-//! reader-writer lock, so the appending writer contends only with
-//! readers of the hottest (latest) shard.
+//! `ShardedIndex<K, V, FitingTree<K, V>>` is the sharded front-end:
+//! the key space is range-partitioned at bulk load and each shard sits
+//! behind its own seqlock, so reads are wait-free in steady state and
+//! the appending writer contends only with readers of the hottest
+//! (latest) shard.
 //!
 //! Run: `cargo run --release --example concurrent_readers`
 
 use fiting::datasets;
 use fiting::index_api::ShardedIndex;
-use fiting::tree::{ConcurrentFitingTree, FitingTreeBuilder};
+use fiting::tree::{FitingTree, FitingTreeBuilder};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -22,7 +22,7 @@ use std::time::Duration;
 fn main() {
     let history = datasets::weblogs(500_000, 5);
     let last = *history.last().unwrap();
-    let index: ConcurrentFitingTree<u64, u64> = ShardedIndex::bulk_load(
+    let index: ShardedIndex<u64, u64, FitingTree<u64, u64>> = ShardedIndex::bulk_load(
         &FitingTreeBuilder::new(128),
         8,
         history

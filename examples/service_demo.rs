@@ -1,5 +1,5 @@
 //! The command-pipeline service end to end: a sharded FITing-Tree
-//! behind `FitingService`, concurrent clients submitting typed
+//! behind `IndexService`, concurrent clients submitting typed
 //! commands, the workers manufacturing batches, and a clean draining
 //! shutdown.
 //!
@@ -14,8 +14,8 @@
 //! Run: `cargo run --release --example service_demo`
 
 use fiting::datasets;
-use fiting::service::{Command, ServiceConfig, TryPushError};
-use fiting::tree::{FitingService, FitingTreeBuilder};
+use fiting::service::{Command, IndexService, ServiceConfig, TryPushError};
+use fiting::tree::{FitingTree, FitingTreeBuilder};
 use fiting::ShardedIndex;
 use std::thread;
 use std::time::Duration;
@@ -23,7 +23,7 @@ use std::time::Duration;
 fn main() {
     // A sharded FITing-Tree over weblog-shaped timestamps.
     let history = datasets::weblogs(200_000, 5);
-    let index = ShardedIndex::bulk_load(
+    let index: ShardedIndex<u64, u64, FitingTree<u64, u64>> = ShardedIndex::bulk_load(
         &FitingTreeBuilder::new(128),
         4,
         history
@@ -37,7 +37,7 @@ fn main() {
 
     // One queue + one worker per shard; a 200µs batch window lets
     // light traffic still form coalesced batches.
-    let service = FitingService::start(
+    let service = IndexService::start(
         index,
         ServiceConfig {
             queue_capacity: 512,

@@ -13,7 +13,7 @@
 //!   write-ahead logs with group commit, and crash-consistent
 //!   recovery (`DurableIndex` wraps any snapshot-capable structure
 //!   and drops into `ShardedIndex`/the service unchanged).
-//! * [`sync`] — the wait-free read-path primitives: epoch-reclaimed
+//! * [`sync`] — the wait-free read-path primitives: versioned
 //!   snapshot publication (`Snapshots`) and the per-shard seqlock
 //!   (`SeqRwLock`), the audited foundation of `ShardedIndex`'s
 //!   zero-lock steady-state reads.
@@ -36,8 +36,8 @@
 //!   paper's Weblogs / IoT / Maps / Taxi traces, plus the non-linearity
 //!   metric of Figure 8.
 //!
-//! See `DESIGN.md` for the full system inventory and `EXPERIMENTS.md`
-//! for paper-vs-measured results.
+//! See `ARCHITECTURE.md` for the full system inventory and the
+//! README's "Performance" section for paper-vs-measured results.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,6 +1,6 @@
 //! Linearizability-style stress test for the command-pipeline service.
 //!
-//! N client threads hammer one `FitingService` with pipelined mixed
+//! N client threads hammer one `IndexService` with pipelined mixed
 //! commands (insert / get / remove / range), each thread owning a
 //! disjoint stripe of odd keys and mirroring its own operations
 //! against a private model map. Because commands on one key are
@@ -23,8 +23,8 @@
 //! Scale knob: `FITING_STRESS_OPS` = commands per thread (default
 //! 5000; CI runs a smaller count).
 
-use fiting::service::{ServiceConfig, Ticket};
-use fiting::tree::{FitingService, FitingTreeBuilder};
+use fiting::service::{IndexService, ServiceConfig, Ticket};
+use fiting::tree::{FitingTree, FitingTreeBuilder};
 use fiting::ShardedIndex;
 use std::collections::BTreeMap;
 
@@ -103,9 +103,10 @@ fn check(expect: Expect, t: u64, i: usize) {
 fn mixed_stress_matches_models_and_drains_on_shutdown() {
     let ops = ops_per_thread();
     let pairs: Vec<(u64, u64)> = (0..PRELOAD).map(|k| (k * 2, k)).collect();
-    let index = ShardedIndex::bulk_load(&FitingTreeBuilder::new(64), SHARDS, pairs.clone())
-        .expect("preload");
-    let service = FitingService::start(
+    let index: ShardedIndex<u64, u64, FitingTree<u64, u64>> =
+        ShardedIndex::bulk_load(&FitingTreeBuilder::new(64), SHARDS, pairs.clone())
+            .expect("preload");
+    let service = IndexService::start(
         index,
         ServiceConfig {
             // Small queues so backpressure actually engages mid-test.

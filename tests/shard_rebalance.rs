@@ -14,8 +14,8 @@
 //! the full service path (`IndexService::start_rebalancing`).
 
 use fiting::index_api::{RebalanceOutcome, RebalancePolicy, Rebalancer, ShardedIndex};
-use fiting::service::ServiceConfig;
-use fiting::tree::{FitingService, FitingTree, FitingTreeBuilder};
+use fiting::service::{IndexService, ServiceConfig};
+use fiting::tree::{FitingTree, FitingTreeBuilder};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -156,7 +156,7 @@ fn skew_stress_service_rebalances_under_pipelined_load() {
     let config = FitingTreeBuilder::new(64);
     let index: Idx = ShardedIndex::bulk_load(&config, SHARDS, bulk_pairs()).unwrap();
     let rebalancer: Reb = Rebalancer::new(config, prompt_policy());
-    let service: FitingService<u64, u64> = FitingService::start_rebalancing(
+    let service: IndexService<u64, u64, FitingTree<u64, u64>> = IndexService::start_rebalancing(
         index,
         ServiceConfig::default(),
         rebalancer,
