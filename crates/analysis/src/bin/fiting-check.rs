@@ -5,17 +5,15 @@
 //! The workspace root is the first positional argument when given,
 //! otherwise the manifest's grandparent (so the binary works from any
 //! cwd under `cargo run`). With `--lines` it prints the per-crate
-//! production line-count scoreboard instead of running the rules.
+//! production line-count scoreboard instead of running the rules; any
+//! other `--flag` is refused with a usage line (exit 2).
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-fn workspace_root() -> PathBuf {
-    if let Some(arg) = std::env::args().skip(1).find(|a| a != "--lines") {
-        return PathBuf::from(arg);
-    }
+fn default_root() -> PathBuf {
     // crates/analysis/ -> crates/ -> workspace root
     let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     manifest
@@ -44,8 +42,18 @@ fn print_lines(root: &std::path::Path) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let root = workspace_root();
-    if std::env::args().any(|a| a == "--lines") {
+    let (lines, root) = match fiting_analysis::parse_args(std::env::args().skip(1)) {
+        Ok(parsed) => parsed,
+        Err(flag) => {
+            eprintln!(
+                "fiting-check: unknown flag {flag}\n{}",
+                fiting_analysis::USAGE
+            );
+            return ExitCode::from(2);
+        }
+    };
+    let root = root.unwrap_or_else(default_root);
+    if lines {
         return print_lines(&root);
     }
     match fiting_analysis::check_workspace(&root) {

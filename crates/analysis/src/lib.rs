@@ -173,6 +173,32 @@ pub fn workspace_lines(root: &Path) -> std::io::Result<Vec<(String, usize)>> {
     Ok(rows)
 }
 
+/// One-line usage `fiting-check` prints when [`parse_args`] refuses.
+pub const USAGE: &str = "usage: fiting-check [--lines] [WORKSPACE_ROOT]";
+
+/// Splits `fiting-check`'s arguments (program name already skipped)
+/// into `(--lines given, first positional = workspace root)`.
+///
+/// # Errors
+///
+/// Any `-`-prefixed argument other than `--lines` is returned as the
+/// error, so `--help` or a typo is not mistaken for a root to scan.
+pub fn parse_args(
+    args: impl IntoIterator<Item = String>,
+) -> Result<(bool, Option<std::path::PathBuf>), String> {
+    let (mut lines, mut root) = (false, None);
+    for arg in args {
+        if arg == "--lines" {
+            lines = true;
+        } else if arg.starts_with('-') {
+            return Err(arg);
+        } else if root.is_none() {
+            root = Some(arg.into());
+        }
+    }
+    Ok((lines, root))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,5 +232,15 @@ mod tests {
         assert_eq!(rows[0].0, "fiting", "root package first");
         let own = rows.iter().find(|(name, _)| name == "fiting-analysis");
         assert!(own.is_some_and(|&(_, lines)| lines > 0));
+    }
+
+    #[test]
+    fn parse_args_takes_lines_and_a_root_and_rejects_other_flags() {
+        let parse = |args: &[&str]| parse_args(args.iter().copied().map(String::from));
+        assert_eq!(parse(&[]), Ok((false, None)));
+        assert_eq!(parse(&["--lines"]), Ok((true, None)));
+        assert_eq!(parse(&["/ws", "--lines"]), Ok((true, Some("/ws".into()))));
+        assert_eq!(parse(&["--help"]), Err("--help".to_string()));
+        assert_eq!(parse(&["--line", "/ws"]), Err("--line".to_string()));
     }
 }

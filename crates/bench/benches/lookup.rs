@@ -1,12 +1,11 @@
-//! Criterion microbench: point lookups across index structures and
-//! FITing-Tree search strategies (the paper's Figure 6 operation, in
-//! regression-trackable form).
+//! Criterion microbench: point lookups across index structures (the
+//! paper's Figure 6 operation, in regression-trackable form).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fiting_baselines::{BinarySearchIndex, FixedPageIndex, FullIndex, SortedIndex};
 use fiting_bench::{enumerate_pairs, sample_probes};
 use fiting_datasets::Dataset;
-use fiting_tree::{FitingTreeBuilder, SearchStrategy};
+use fiting_tree::FitingTreeBuilder;
 use std::hint::black_box;
 
 const N: usize = 500_000;
@@ -55,28 +54,6 @@ fn bench_lookup(c: &mut Criterion) {
             }
         });
     });
-    group.finish();
-
-    // Ablation: in-window search strategy (paper Section 4.1.2).
-    let mut group = c.benchmark_group("lookup_search_strategy");
-    for (name, strategy) in [
-        ("binary", SearchStrategy::Binary),
-        ("linear", SearchStrategy::Linear),
-        ("exponential", SearchStrategy::Exponential),
-        ("interpolation", SearchStrategy::Interpolation),
-    ] {
-        let tree = FitingTreeBuilder::new(256)
-            .search_strategy(strategy)
-            .bulk_load(pairs.iter().copied())
-            .unwrap();
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                for &p in &probes {
-                    black_box(tree.get(black_box(&p)));
-                }
-            });
-        });
-    }
     group.finish();
 }
 

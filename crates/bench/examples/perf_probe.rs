@@ -25,18 +25,13 @@ fn main() {
         .buffer_size(0)
         .bulk_load(pairs.iter().copied())
         .unwrap();
-    let tree_exp = FitingTreeBuilder::new(1024)
-        .search_strategy(fiting_tree::SearchStrategy::Exponential)
-        .bulk_load(pairs.iter().copied())
-        .unwrap();
     let fixed = FixedPageIndex::bulk_load(4096, pairs.iter().copied());
 
     for round in 0..3 {
         let t = time_per_op(&probes, |p| tree.get(&p).copied());
         let t0 = time_per_op(&probes, |p| tree0.get(&p).copied());
-        let te = time_per_op(&probes, |p| tree_exp.get(&p).copied());
         let f = time_per_op(&probes, |p| fixed.get(&p).copied());
-        println!("round {round}: fiting(bin)={t:.0}ns fiting(buf0)={t0:.0}ns fiting(exp)={te:.0}ns fixed(4096)={f:.0}ns  segs={} segs0={} pages={}",
+        println!("round {round}: fiting={t:.0}ns fiting(buf0)={t0:.0}ns fixed(4096)={f:.0}ns  segs={} segs0={} pages={}",
             tree.segment_count(), tree0.segment_count(), fixed.page_count());
     }
     // decompose: floor-only vs full

@@ -1,14 +1,8 @@
 //! **Ablation** (beyond the paper's figures; see ARCHITECTURE.md
-//! "Layer 1" for the lookup path it dissects): how the
-//! design choices inside the FITing-Tree's lookup path interact.
-//!
-//! 1. In-segment search strategy × error threshold — the paper
-//!    (Section 4.1.2) defaults to binary search and remarks that linear
-//!    wins at very small errors; we add galloping and in-window
-//!    interpolation search.
-//! 2. Buffer split ratio — the paper fixes buffer = error/2 for the
-//!    Figure 7 comparison; we sweep the ratio at a fixed total error to
-//!    show the read-side cost of write headroom.
+//! "Layer 1" for the lookup path it dissects): the buffer split ratio.
+//! The paper fixes buffer = error/2 for the Figure 7 comparison; we
+//! sweep the ratio at a fixed total error to show the read-side cost of
+//! write headroom.
 //!
 //! Run: `cargo run --release -p fiting-bench --bin ablation`
 
@@ -18,45 +12,19 @@ use fiting_bench::{
     dedup_pairs, default_n, default_probes, default_seed, print_table, sample_probes, time_per_op,
 };
 use fiting_datasets::Dataset;
-use fiting_tree::{FitingTreeBuilder, SearchStrategy};
+use fiting_tree::FitingTreeBuilder;
 
 fn main() {
     let n = default_n();
     let probes_n = default_probes();
     let seed = default_seed();
-    println!("# Ablations ({n} rows, {probes_n} probes, Weblogs)");
+    println!("# Ablation ({n} rows, {probes_n} probes, Weblogs)");
 
     let pairs = dedup_pairs(Dataset::Weblogs.generate(n, seed));
     let keys: Vec<u64> = pairs.iter().map(|&(k, _)| k).collect();
     let probes = sample_probes(&keys, probes_n, seed);
 
-    // 1. Search strategy × error.
-    let strategies = [
-        ("binary", SearchStrategy::Binary),
-        ("linear", SearchStrategy::Linear),
-        ("gallop", SearchStrategy::Exponential),
-        ("interp", SearchStrategy::Interpolation),
-    ];
-    let mut rows = Vec::new();
-    for error in [8u64, 64, 512, 4096] {
-        let mut row = vec![error.to_string()];
-        for (_, strategy) in strategies {
-            let tree = FitingTreeBuilder::new(error)
-                .search_strategy(strategy)
-                .bulk_load(pairs.iter().copied())
-                .unwrap();
-            let ns = time_per_op(&probes, |p| tree.get(&p).copied());
-            row.push(format!("{ns:.0}"));
-        }
-        rows.push(row);
-    }
-    print_table(
-        "lookup ns by in-segment search strategy",
-        &["error", "binary", "linear", "gallop", "interp"],
-        &rows,
-    );
-
-    // 2. Buffer split ratio at fixed total error.
+    // Buffer split ratio at fixed total error.
     let total_error = 1024u64;
     let mut rows = Vec::new();
     for (label, buffer) in [
@@ -83,7 +51,6 @@ fn main() {
         &["split", "buffer", "seg error", "ns/lookup", "segments"],
         &rows,
     );
-    println!("\nReading: small errors favor linear scans; large errors favor binary or");
-    println!("galloping. Larger buffers shrink the segmentation budget, producing more");
+    println!("\nReading: larger buffers shrink the segmentation budget, producing more");
     println!("segments (bigger directory) in exchange for cheaper inserts.");
 }

@@ -23,10 +23,10 @@
 
 #![forbid(unsafe_code)]
 
-use fiting_bench::json::Json;
 use fiting_bench::{default_seed, env_usize};
 use fiting_index_api::{BuildableIndex, SortedIndex};
 use fiting_storage::{DurableConfig, DurableIndex, FsyncPolicy};
+use fiting_telemetry::json::Json;
 use fiting_tree::{FitingTree, FitingTreeBuilder};
 use std::time::Instant;
 

@@ -22,7 +22,7 @@
 #![forbid(unsafe_code)]
 
 use fiting_bench::driver::{
-    binary_spec, fiting_gallop_spec, fiting_spec, fixed_spec, full_spec, lookup_row, IndexSpec,
+    binary_spec, fiting_spec, fixed_spec, full_spec, lookup_row, IndexSpec,
 };
 use fiting_bench::{
     dedup_pairs, default_n, default_probes, default_seed, error_sweep, fmt_bytes, print_table,
@@ -37,13 +37,11 @@ fn main() {
     let seed = default_seed();
     println!("# Figure 6 — lookup latency vs index size ({n} rows, {probes_n} probes)");
 
-    // The sweep: FITing-Tree (both search strategies) across errors,
-    // fixed-size pages across page sizes, one full index, one binary
-    // search.
+    // The sweep: FITing-Tree across errors, fixed-size pages across
+    // page sizes, one full index, one binary search.
     let mut specs: Vec<IndexSpec> = Vec::new();
     for error in error_sweep() {
         specs.push(fiting_spec(error));
-        specs.push(fiting_gallop_spec(error));
     }
     for page in error_sweep() {
         specs.push(fixed_spec(page as usize));

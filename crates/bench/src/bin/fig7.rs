@@ -5,8 +5,7 @@
 //! as buffer; the full index inserts directly. Expected shape: the full
 //! index is fastest (no page splits), FITing-Tree and fixed-paging are
 //! comparable, with FITing-Tree occasionally ahead at small errors
-//! (more segments ⇒ rarer merges). The delta-main variant rides along
-//! as our write-optimized extension.
+//! (more segments ⇒ rarer merges).
 //!
 //! Every structure is built and driven through the generic
 //! [`fiting_bench::driver`] — no per-type code paths.
@@ -15,7 +14,7 @@
 
 #![forbid(unsafe_code)]
 
-use fiting_bench::driver::{delta_spec, fiting_spec, fixed_spec, full_spec, insert_mops};
+use fiting_bench::driver::{fiting_spec, fixed_spec, full_spec, insert_mops};
 use fiting_bench::{dedup_pairs, default_n, default_seed, print_table};
 use fiting_datasets::Dataset;
 use rand::rngs::StdRng;
@@ -53,12 +52,7 @@ fn main() {
         let mut rows = Vec::new();
 
         for error in [16u64, 64, 256, 1024] {
-            let specs = [
-                fiting_spec(error),
-                fixed_spec(error as usize),
-                full_spec(),
-                delta_spec(error, 4_096),
-            ];
+            let specs = [fiting_spec(error), fixed_spec(error as usize), full_spec()];
             let mut cells = vec![error.to_string()];
             for spec in &specs {
                 let mut index = spec.build(&pairs);
@@ -68,7 +62,7 @@ fn main() {
         }
         print_table(
             &format!("{} — insert throughput (M ops/s)", ds.name()),
-            &["error", "FITing-Tree", "Fixed", "Full", "Delta"],
+            &["error", "FITing-Tree", "Fixed", "Full"],
             &rows,
         );
     }

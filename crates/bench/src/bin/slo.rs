@@ -52,12 +52,12 @@
 
 #![forbid(unsafe_code)]
 
-use fiting_bench::json::Json;
 use fiting_bench::{env_usize, print_table};
 use fiting_index_api::ShardedIndex;
 use fiting_index_service::{
     Command, Completer, IndexService, Outcome, ServiceConfig, TryPushError,
 };
+use fiting_telemetry::json::Json;
 use fiting_telemetry::Histogram;
 use fiting_tree::{FitingTree, FitingTreeBuilder};
 use std::sync::atomic::{AtomicU64, Ordering};

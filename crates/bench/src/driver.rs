@@ -1,8 +1,7 @@
 //! Generic benchmark drivers over the unified [`DynSortedIndex`]
 //! interface.
 //!
-//! The figure binaries used to carry one hand-written code path per
-//! index structure. They now declare *which* structures to measure as a
+//! The figure binaries declare *which* structures to measure as a
 //! list of [`IndexSpec`]s — a label plus a boxed builder — and drive
 //! every one of them through the same object-safe trait, which is the
 //! paper's fairness rule (Section 7.1) enforced by construction: the
@@ -10,8 +9,8 @@
 
 use crate::{fmt_bytes, throughput_mops, time_per_op};
 use fiting_baselines::{BinarySearchIndex, FixedPageIndex, FullIndex};
-use fiting_index_api::{BuildableIndex, DynSortedIndex};
-use fiting_tree::{DeltaConfig, DeltaFitingTree, FitingTreeBuilder, SearchStrategy};
+use fiting_index_api::DynSortedIndex;
+use fiting_tree::FitingTreeBuilder;
 
 /// A boxed index over the standard `u64 -> u64` bench schema.
 pub type DynIndex = Box<dyn DynSortedIndex<u64, u64>>;
@@ -50,40 +49,13 @@ impl IndexSpec {
     }
 }
 
-/// FITing-Tree at the given error budget (binary in-segment search, the
-/// paper's default).
+/// FITing-Tree at the given error budget.
 #[must_use]
 pub fn fiting_spec(error: u64) -> IndexSpec {
     IndexSpec::new("FITing-Tree", format!("e={error}"), move |pairs| {
         Box::new(
             FitingTreeBuilder::new(error)
                 .bulk_load(pairs.iter().copied())
-                .expect("bench data is strictly increasing"),
-        )
-    })
-}
-
-/// FITing-Tree with galloping in-segment search (the paper's suggested
-/// alternative exploiting prediction accuracy).
-#[must_use]
-pub fn fiting_gallop_spec(error: u64) -> IndexSpec {
-    IndexSpec::new("FITing-Tree (gallop)", format!("e={error}"), move |pairs| {
-        Box::new(
-            FitingTreeBuilder::new(error)
-                .search_strategy(SearchStrategy::Exponential)
-                .bulk_load(pairs.iter().copied())
-                .expect("bench data is strictly increasing"),
-        )
-    })
-}
-
-/// Delta-main FITing-Tree: writes batched in a dense delta, merged at
-/// `delta_budget` pending entries.
-#[must_use]
-pub fn delta_spec(error: u64, delta_budget: usize) -> IndexSpec {
-    IndexSpec::new("FITing-Tree (delta)", format!("e={error}"), move |pairs| {
-        Box::new(
-            DeltaFitingTree::build_sorted(&DeltaConfig::new(error, delta_budget), pairs.to_vec())
                 .expect("bench data is strictly increasing"),
         )
     })
@@ -162,14 +134,7 @@ mod tests {
     fn every_spec_builds_and_answers() {
         let pairs: Vec<(u64, u64)> = (0..5_000u64).map(|k| (k * 2, k)).collect();
         let probes: Vec<u64> = (0..500u64).map(|k| k * 20).collect();
-        let specs = vec![
-            fiting_spec(64),
-            fiting_gallop_spec(64),
-            delta_spec(64, 1024),
-            fixed_spec(64),
-            full_spec(),
-            binary_spec(),
-        ];
+        let specs = vec![fiting_spec(64), fixed_spec(64), full_spec(), binary_spec()];
         for spec in &specs {
             let mut index = spec.build(&pairs);
             assert_eq!(index.dyn_len(), 5_000, "{}", spec.label);

@@ -23,10 +23,6 @@
 #![forbid(unsafe_code)]
 
 pub mod driver;
-// The JSON codec moved to `fiting-telemetry` (the service crates now
-// serialize metrics snapshots through it); re-exported here so
-// `fiting_bench::json::Json` call sites keep working.
-pub use fiting_telemetry::json;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

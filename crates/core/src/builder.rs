@@ -3,16 +3,14 @@
 use crate::clustered::FitingTree;
 use crate::error::BuildError;
 use crate::key::Key;
-use crate::segment::SearchStrategy;
 
 /// Configures and constructs a [`FitingTree`].
 ///
 /// ```
-/// use fiting_tree::{FitingTree, FitingTreeBuilder, SearchStrategy};
+/// use fiting_tree::{FitingTree, FitingTreeBuilder};
 ///
 /// let index: FitingTree<u64, &str> = FitingTreeBuilder::new(100)
 ///     .buffer_size(32)                       // default: error / 2
-///     .search_strategy(SearchStrategy::Exponential)
 ///     .build_empty()
 ///     .unwrap();
 /// assert_eq!(index.error(), 100);
@@ -21,7 +19,6 @@ use crate::segment::SearchStrategy;
 pub struct FitingTreeBuilder {
     error: u64,
     buffer_size: Option<u64>,
-    strategy: SearchStrategy,
 }
 
 impl FitingTreeBuilder {
@@ -31,7 +28,6 @@ impl FitingTreeBuilder {
         FitingTreeBuilder {
             error,
             buffer_size: None,
-            strategy: SearchStrategy::Binary,
         }
     }
 
@@ -44,20 +40,10 @@ impl FitingTreeBuilder {
         self
     }
 
-    /// Sets the in-segment search strategy (default: binary).
-    #[must_use]
-    pub fn search_strategy(mut self, strategy: SearchStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    // The `tree_order` knob was retired with the mutation-side B+
-    // tree: the flat directory has no node order to tune.
-
     /// Builds an empty index ready for inserts.
     pub fn build_empty<K: Key, V>(self) -> Result<FitingTree<K, V>, BuildError> {
         let buffer = self.buffer_size.unwrap_or(self.error / 2);
-        FitingTree::from_parts(self.error, buffer, self.strategy)
+        FitingTree::from_parts(self.error, buffer)
     }
 
     /// Bulk loads strictly increasing `(key, value)` pairs.

@@ -1,13 +1,12 @@
 //! The clustered FITing-Tree (paper Figure 2): unique keys over a sorted
 //! attribute, segments owned by one dense flat directory.
 //!
-//! The paper stores segments under a conventional B+ tree; this
-//! implementation retired that tree entirely. The [`FlatDirectory`] —
-//! two dense SoA arrays of anchor keys and arena slots — is the *single*
-//! directory structure: lookups search it branchlessly (since PR 3) and
-//! structural mutations patch it in place with an incremental
-//! [`FlatDirectory::splice`] of the affected window (O(moved segments +
-//! tail shift), one `memmove`, no tree walk and no O(S) re-mirror).
+//! The paper stores segments under a conventional B+ tree; here the
+//! [`FlatDirectory`] — two dense SoA arrays of anchor keys and arena
+//! slots — is the *single* directory structure: lookups search it
+//! branchlessly and structural mutations patch it in place with an
+//! incremental [`FlatDirectory::splice`] of the affected window
+//! (O(moved segments + tail shift), one `memmove`).
 //! Whole-run handoffs ([`FitingTree::split_off`] / `absorb`) move SoA
 //! pages and directory spans between trees without re-segmentation.
 
@@ -16,7 +15,7 @@ use crate::directory::FlatDirectory;
 use crate::error::{AbsorbError, BuildError};
 use crate::key::Key;
 use crate::range::RangeIter;
-use crate::segment::{SearchStrategy, Segment};
+use crate::segment::Segment;
 use crate::stats::{FitingTreeStats, LookupTrace};
 use crate::SEGMENT_METADATA_BYTES;
 use fiting_plr::{Point, ShrinkingCone};
@@ -36,14 +35,11 @@ pub struct FitingTree<K: Key, V> {
     pub(crate) buffer_size: u64,
     /// Segmentation budget: `error − buffer_size` (paper Section 5).
     pub(crate) seg_error: u64,
-    pub(crate) strategy: SearchStrategy,
     /// The segment directory — anchor keys and arena slots in two dense
     /// SoA arrays. The **only** directory structure: lookups search it
     /// with an interpolation-seeded branchless bounded search, and
     /// structural mutations (segment split/merge/insert/remove) patch
-    /// the affected window in place with
-    /// [`FlatDirectory::splice`] instead of the retired B+ tree +
-    /// O(S) re-mirror.
+    /// the affected window in place with [`FlatDirectory::splice`].
     pub(crate) dir: FlatDirectory<K>,
     /// Segment arena; slots are recycled through `free`.
     pub(crate) segments: Vec<Option<Segment<K, V>>>,
@@ -65,18 +61,13 @@ pub struct FitingTree<K: Key, V> {
 impl<K: Key, V> FitingTree<K, V> {
     /// Starts building an index with the given error budget (in slots).
     ///
-    /// Defaults: buffer size `error / 2` (the paper's evaluation split),
-    /// binary in-segment search.
+    /// Default buffer size: `error / 2` (the paper's evaluation split).
     #[must_use]
     pub fn builder(error: u64) -> FitingTreeBuilder {
         FitingTreeBuilder::new(error)
     }
 
-    pub(crate) fn from_parts(
-        error: u64,
-        buffer_size: u64,
-        strategy: SearchStrategy,
-    ) -> Result<Self, BuildError> {
+    pub(crate) fn from_parts(error: u64, buffer_size: u64) -> Result<Self, BuildError> {
         if buffer_size > error || (error > 0 && buffer_size == error) {
             return Err(BuildError::BufferConsumesError { error, buffer_size });
         }
@@ -84,7 +75,6 @@ impl<K: Key, V> FitingTree<K, V> {
             error,
             buffer_size,
             seg_error: error - buffer_size,
-            strategy,
             dir: FlatDirectory::new(),
             segments: Vec::new(),
             free: Vec::new(),
@@ -97,10 +87,10 @@ impl<K: Key, V> FitingTree<K, V> {
         })
     }
 
-    /// An empty tree sharing `self`'s configuration (error split,
-    /// strategy) — the seed for [`split_off`](Self::split_off).
+    /// An empty tree sharing `self`'s error split — the seed for
+    /// [`split_off`](Self::split_off).
     fn empty_like(&self) -> Self {
-        FitingTree::from_parts(self.error, self.buffer_size, self.strategy)
+        FitingTree::from_parts(self.error, self.buffer_size)
             .expect("configuration was already validated")
     }
 
@@ -152,9 +142,7 @@ impl<K: Key, V> FitingTree<K, V> {
 
     /// Applies one incremental directory mutation: replaces the
     /// directory window `range` with `entries`, shifting only the tail
-    /// — O(entries + shift), the path that retired the per-mutation
-    /// O(S) re-mirror of the old B+ tree. Counts toward the splice
-    /// statistics.
+    /// — O(entries + shift). Counts toward the splice statistics.
     fn splice_directory(&mut self, range: std::ops::Range<usize>, entries: &[(K, u32)]) {
         self.splices += 1;
         self.splice_entries += entries.len() as u64;
@@ -212,9 +200,8 @@ impl<K: Key, V> FitingTree<K, V> {
     /// below every anchor.
     ///
     /// This is the read hot path: it searches the flat SoA directory
-    /// (interpolation seed → gallop → branchless binary). There is no
-    /// other directory left to descend — the mutation-side B+ tree is
-    /// retired.
+    /// (interpolation seed → gallop → branchless binary), the only
+    /// directory there is.
     #[inline]
     fn locate(&self, key: &K) -> Option<usize> {
         self.dir.locate(*key)
@@ -228,7 +215,7 @@ impl<K: Key, V> FitingTree<K, V> {
         self.segments[slot]
             .as_ref()
             .expect("directory points at live segment")
-            .get(*key, self.seg_error, self.strategy)
+            .get(*key, self.seg_error)
     }
 
     /// Mutable point lookup.
@@ -237,7 +224,7 @@ impl<K: Key, V> FitingTree<K, V> {
         self.segments[slot]
             .as_mut()
             .expect("directory points at live segment")
-            .get_mut(*key, self.seg_error, self.strategy)
+            .get_mut(*key, self.seg_error)
     }
 
     /// Whether `key` is present.
@@ -259,7 +246,7 @@ impl<K: Key, V> FitingTree<K, V> {
             self.segments[s]
                 .as_ref()
                 .expect("directory points at live segment")
-                .get(*key, self.seg_error, self.strategy)
+                .get(*key, self.seg_error)
         });
         let segment_nanos = t1.elapsed().as_nanos() as u64;
         (
@@ -290,7 +277,7 @@ impl<K: Key, V> FitingTree<K, V> {
             .as_mut()
             .expect("directory points at live segment");
         let page_len = seg.keys.len();
-        let old = seg.insert(key, value, self.seg_error, self.strategy);
+        let old = seg.insert(key, value, self.seg_error);
         if old.is_some() {
             return old;
         }
@@ -349,7 +336,7 @@ impl<K: Key, V> FitingTree<K, V> {
         let seg = self.segments[slot]
             .as_mut()
             .expect("directory points at live segment");
-        let removed = seg.remove_with(*key, self.seg_error, self.strategy, extract)?;
+        let removed = seg.remove_with(*key, self.seg_error, extract)?;
         self.len -= 1;
         if seg.len() == 0 {
             // Drop the empty segment entirely (keep at least none: an
@@ -379,8 +366,8 @@ impl<K: Key, V> FitingTree<K, V> {
 
     /// Index structure size in bytes, following the paper's accounting:
     /// the flat directory arrays + [`SEGMENT_METADATA_BYTES`] per
-    /// segment (the retired B+ tree's node bytes are gone). The table
-    /// data itself is *not* index overhead (it exists regardless).
+    /// segment. The table data itself is *not* index overhead (it
+    /// exists regardless).
     #[must_use]
     pub fn index_size_bytes(&self) -> usize {
         self.dir.size_bytes() + self.segment_count() * SEGMENT_METADATA_BYTES
@@ -458,7 +445,7 @@ impl<K: Key, V> FitingTree<K, V> {
     /// current one — the DBA retuning knob fed by the cost model's
     /// selectors (pick a new error, then `rebuild`).
     pub fn rebuild(self, error: u64) -> Result<Self, BuildError> {
-        let rebuilt = FitingTree::from_parts(error, error / 2, self.strategy)?;
+        let rebuilt = FitingTree::from_parts(error, error / 2)?;
         let mut carver = Carver::new(rebuilt.seg_error, self.len);
         let mut segments = self.segments;
         for (_, slot) in self.dir.entries() {
@@ -674,9 +661,8 @@ impl<K: Key, V> FitingTree<K, V> {
 
     /// Verifies structural invariants; used by tests.
     ///
-    /// With the mutation-side B+ tree retired there is no mirror to
-    /// compare against: coherence is checked **directly between the
-    /// flat directory and the segment run**. Checks: directory anchors
+    /// Coherence is checked **directly between the flat directory and
+    /// the segment run**. Checks: directory anchors
     /// are strictly ascending and point at live arena segments
     /// registered under their anchor; every live arena segment is
     /// referenced exactly once (and free-list slots are dead); every
@@ -752,7 +738,7 @@ impl<K: Key, V> FitingTree<K, V> {
                 if !seg.is_live(i) {
                     continue; // tombstoned slot: invisible to lookups
                 }
-                if seg.get(*k, self.seg_error, self.strategy).is_none() {
+                if seg.get(*k, self.seg_error).is_none() {
                     return Err(format!(
                         "error guarantee violated: page key {k:?} not found within window"
                     ));
@@ -1240,24 +1226,16 @@ mod tests {
     }
 
     #[test]
-    fn search_strategies_agree() {
+    fn window_search_finds_keys_on_a_jittered_line() {
         let pairs: Vec<(u64, u64)> = (0..5_000u64).map(|k| (k * 3 + k % 5, k)).collect();
         let mut sorted = pairs;
         sorted.sort();
         sorted.dedup_by_key(|p| p.0);
-        for strategy in [
-            SearchStrategy::Binary,
-            SearchStrategy::Linear,
-            SearchStrategy::Exponential,
-            SearchStrategy::Interpolation,
-        ] {
-            let t = FitingTreeBuilder::new(32)
-                .search_strategy(strategy)
-                .bulk_load(sorted.clone())
-                .unwrap();
-            for (k, v) in sorted.iter().step_by(53) {
-                assert_eq!(t.get(k), Some(v), "{strategy:?}");
-            }
+        let t = FitingTreeBuilder::new(32)
+            .bulk_load(sorted.iter().copied())
+            .unwrap();
+        for (k, v) in sorted.iter().step_by(53) {
+            assert_eq!(t.get(k), Some(v));
         }
     }
 

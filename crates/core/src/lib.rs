@@ -11,10 +11,9 @@
 //! anchor keys is the *only* directory structure: lookups locate their
 //! segment there (interpolation-seeded, branchless bounded search — no
 //! pointer chasing), and structural mutations splice the affected
-//! window of the same arrays in place (the paper's B+ tree directory —
-//! and our former mutation-side copy of it — is retired entirely;
-//! `crates/btree` survives only as a benchmark baseline). A lookup
-//! therefore costs
+//! window of the same arrays in place (there is no B+ tree directory;
+//! `crates/btree` is a benchmark baseline only). A lookup therefore
+//! costs
 //!
 //! ```text
 //! O(log2 S_e)   branchless floor search over S_e anchors (dense array,
@@ -40,9 +39,6 @@
 //! * [`cost`] — the Section 6 cost model: latency and size estimators
 //!   plus the two selectors (latency SLA → smallest index; space budget
 //!   → fastest index).
-//! * [`DeltaFitingTree`] — the write-optimized delta-main layering the
-//!   paper sketches at the end of Section 5 (extension): batch all
-//!   writes in a dense delta, merge into the main index in one pass.
 //!
 //! Every structure here implements the crate-neutral
 //! [`SortedIndex`] trait from `fiting-index-api` (re-exported below),
@@ -81,7 +77,6 @@
 mod builder;
 mod clustered;
 pub mod cost;
-mod delta;
 mod directory;
 mod error;
 mod key;
@@ -93,13 +88,11 @@ mod stats;
 
 pub use builder::FitingTreeBuilder;
 pub use clustered::FitingTree;
-pub use delta::{DeltaConfig, DeltaFitingTree};
 pub use error::{AbsorbError, BuildError, InsertError};
 pub use fiting_index_api::{BuildableIndex, DynSortedIndex, ShardedIndex, SortedIndex};
 pub use key::{Key, OrderedF64};
 pub use range::RangeIter;
 pub use secondary::{RowId, SecondaryIndex};
-pub use segment::SearchStrategy;
 pub use stats::{FitingTreeStats, LookupTrace};
 
 /// Bytes of metadata the paper charges per segment in its size model

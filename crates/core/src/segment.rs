@@ -23,9 +23,9 @@
 //! and range scans stream exactly `size_of::<V>()` bytes per entry.
 //!
 //! Removals are **tombstones** in a lazily-allocated bitmap: O(1), and
-//! — unlike the old shifting `Vec::remove` — they leave every
-//! surviving key at its original slot, so interpolated predictions
-//! stay exact and the search window never needs to widen. The
+//! they leave every surviving key at its original slot, so
+//! interpolated predictions stay exact and the search window never
+//! needs to widen. The
 //! `removed` count still drives re-segmentation so pages don't
 //! accumulate dead slots forever.
 
@@ -41,28 +41,6 @@ use crate::key::Key;
 /// scan wins far past the point where instruction counts would suggest
 /// (16 cache lines of u64 keys at this setting).
 const SMALL_WINDOW: usize = 128;
-
-/// How to search the bounded window around an interpolated position
-/// (paper Section 4.1.2 lists binary, linear, and exponential search;
-/// it defaults to binary and notes linear can win at very small errors).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SearchStrategy {
-    /// Bounded search over the window (the paper's default): a
-    /// branchless count-based scan for small windows, branchless binary
-    /// search for large ones.
-    #[default]
-    Binary,
-    /// Left-to-right scan of the window; fastest for tiny errors.
-    Linear,
-    /// Galloping outward from the predicted slot, then binary search in
-    /// the bracketed range; adaptive when predictions are usually good.
-    Exponential,
-    /// Repeated interpolation inside the window (Graefe's in-page
-    /// interpolation search, cited by the paper's Section 4.1.2):
-    /// near-O(log log w) probes on locally uniform data, degrading to a
-    /// bounded binary tail otherwise.
-    Interpolation,
-}
 
 /// An envelope deviation as stored (the window caps it at the budget).
 fn saturate_u32(deviation: usize) -> u32 {
@@ -293,14 +271,14 @@ impl<K: Key, V> Segment<K, V> {
         ((key.to_f64() - self.start_key_f) * self.slope + 0.5) as usize
     }
 
-    /// The bounded search window `(lo, hi, predicted)` (inclusive) for
-    /// `key` on a non-empty page: the measured per-page error envelope
+    /// The bounded search window `(lo, hi)` (inclusive) for `key` on a
+    /// non-empty page: the measured per-page error envelope
     /// intersected with the `±(seg_error + 1)` budget (the `+ 1` covers
     /// `f64` rounding, see [`predict`](Self::predict)) and clipped to
     /// the page. Tombstones keep slots in place and appends leave old
     /// deviations alone, so the window does **not** widen with either.
     #[inline]
-    fn window(&self, key: K, seg_error: u64) -> (usize, usize, usize) {
+    fn window(&self, key: K, seg_error: u64) -> (usize, usize) {
         let pred = self.predict(key);
         let budget = seg_error as usize + 1;
         let hi = pred
@@ -309,7 +287,7 @@ impl<K: Key, V> Segment<K, V> {
         // A prediction past the page leaves a one-slot window at the
         // tail, which the exact-match compare then rejects.
         let lo = pred.saturating_sub(budget.min(self.under as usize)).min(hi);
-        (lo, hi, pred)
+        (lo, hi)
     }
 
     /// First page slot whose key is `>= key` (`keys.len()` if none) —
@@ -328,147 +306,33 @@ impl<K: Key, V> Segment<K, V> {
         lo + self.keys[lo..hi].partition_point(|&k| k < key)
     }
 
-    /// Exact-match probe of the page keys, honoring the error window —
-    /// returns the slot whether it is live or tombstoned (callers that
-    /// only want live hits use [`search_data`](Self::search_data); the
-    /// insert path uses the raw slot to resurrect tombstones).
+    /// Exact-match probe of the page keys, honoring the error window
+    /// (the paper's Section 4.1.2 bounded search) — returns the slot
+    /// whether it is live or tombstoned (callers that only want live
+    /// hits use [`search_data`](Self::search_data); the insert path uses
+    /// the raw slot to resurrect tombstones).
     #[inline]
-    fn probe(&self, key: K, seg_error: u64, strategy: SearchStrategy) -> Option<usize> {
+    fn probe(&self, key: K, seg_error: u64) -> Option<usize> {
         if self.keys.is_empty() {
             return None;
         }
-        let (lo, hi, pred) = self.window(key, seg_error);
-        self.probe_in(key, lo, hi, pred, strategy)
-    }
-
-    /// [`probe`](Self::probe) over an already-computed window: the
-    /// model is evaluated exactly once per lookup (in
-    /// [`window`](Self::window)) and the prediction threaded through to
-    /// the strategies that reuse it (exponential galloping).
-    #[inline]
-    fn probe_in(
-        &self,
-        key: K,
-        lo: usize,
-        hi: usize,
-        pred: usize,
-        strategy: SearchStrategy,
-    ) -> Option<usize> {
-        match strategy {
-            SearchStrategy::Binary => {
-                let window = &self.keys[lo..=hi];
-                let idx = if window.len() <= SMALL_WINDOW {
-                    // Count-based scan: no early exit, no branches —
-                    // the compiler vectorizes the comparison loop over
-                    // the dense key array.
-                    lo + window.iter().filter(|&&k| k < key).count()
-                } else {
-                    lo + branchless_floor(window, &key)
-                };
-                (idx <= hi && self.keys[idx] == key).then_some(idx)
-            }
-            SearchStrategy::Linear => self.keys[lo..=hi]
-                .iter()
-                .position(|&k| k == key)
-                .map(|i| lo + i),
-            SearchStrategy::Exponential => self.search_exponential(key, lo, hi, pred),
-            SearchStrategy::Interpolation => self.search_interpolation(key, lo, hi),
-        }
+        let (lo, hi) = self.window(key, seg_error);
+        let window = &self.keys[lo..=hi];
+        let idx = if window.len() <= SMALL_WINDOW {
+            // Count-based scan: no early exit, no branches — the
+            // compiler vectorizes the comparison loop over the dense
+            // key array.
+            lo + window.iter().filter(|&&k| k < key).count()
+        } else {
+            lo + branchless_floor(window, &key)
+        };
+        (idx <= hi && self.keys[idx] == key).then_some(idx)
     }
 
     /// Exact-match search in the page, honoring the error window.
     /// Returns the index into the page for a **live** slot.
-    pub fn search_data(&self, key: K, seg_error: u64, strategy: SearchStrategy) -> Option<usize> {
-        self.probe(key, seg_error, strategy)
-            .filter(|&i| self.is_live(i))
-    }
-
-    /// Repeated interpolation within `[lo, hi]`, falling back to binary
-    /// once the bracket is small or interpolation stops converging.
-    fn search_interpolation(&self, key: K, mut lo: usize, mut hi: usize) -> Option<usize> {
-        const BINARY_TAIL: usize = 8;
-        let kf = key.to_f64();
-        while hi - lo > BINARY_TAIL {
-            let lk = self.keys[lo].to_f64();
-            let hk = self.keys[hi].to_f64();
-            if kf < lk || kf > hk {
-                return None;
-            }
-            let span = hk - lk;
-            let guess = if span > 0.0 {
-                lo + (((kf - lk) / span) * (hi - lo) as f64) as usize
-            } else {
-                // Flat key range within the bracket: projection collapsed
-                // (lossy to_f64) or duplicate-looking keys; bisect.
-                (lo + hi) / 2
-            };
-            let guess = guess.clamp(lo, hi);
-            match self.keys[guess].cmp(&key) {
-                std::cmp::Ordering::Equal => return Some(guess),
-                std::cmp::Ordering::Less => {
-                    if guess == lo {
-                        lo += 1; // force progress when interpolation stalls
-                    } else {
-                        lo = guess + 1;
-                    }
-                }
-                std::cmp::Ordering::Greater => {
-                    if guess == hi {
-                        hi -= 1;
-                    } else {
-                        hi = guess.saturating_sub(1);
-                    }
-                }
-            }
-            if lo > hi {
-                return None;
-            }
-        }
-        self.keys[lo..=hi].binary_search(&key).ok().map(|i| lo + i)
-    }
-
-    /// Gallop outward from the (already-computed) prediction, then
-    /// binary search the bracketed range.
-    fn search_exponential(&self, key: K, lo: usize, hi: usize, pred: usize) -> Option<usize> {
-        let pred = pred.clamp(lo, hi);
-        let pk = self.keys[pred];
-        let (mut a, mut b) = if pk == key {
-            return Some(pred);
-        } else if pk < key {
-            // Gallop right.
-            let mut step = 1usize;
-            let mut prev = pred;
-            loop {
-                let next = (pred + step).min(hi);
-                if next == prev {
-                    break (prev, hi);
-                }
-                if self.keys[next] >= key {
-                    break (prev, next);
-                }
-                prev = next;
-                step *= 2;
-            }
-        } else {
-            // Gallop left.
-            let mut step = 1usize;
-            let mut prev = pred;
-            loop {
-                let next = pred.saturating_sub(step).max(lo);
-                if next == prev {
-                    break (lo, prev);
-                }
-                if self.keys[next] <= key {
-                    break (next, prev);
-                }
-                prev = next;
-                step *= 2;
-            }
-        };
-        if a > b {
-            std::mem::swap(&mut a, &mut b);
-        }
-        self.keys[a..=b].binary_search(&key).ok().map(|i| a + i)
+    pub fn search_data(&self, key: K, seg_error: u64) -> Option<usize> {
+        self.probe(key, seg_error).filter(|&i| self.is_live(i))
     }
 
     /// Exact-match search in the buffer.
@@ -477,8 +341,8 @@ impl<K: Key, V> Segment<K, V> {
     }
 
     /// Point lookup across page and buffer.
-    pub fn get(&self, key: K, seg_error: u64, strategy: SearchStrategy) -> Option<&V> {
-        if let Some(i) = self.probe(key, seg_error, strategy) {
+    pub fn get(&self, key: K, seg_error: u64) -> Option<&V> {
+        if let Some(i) = self.probe(key, seg_error) {
             // A page key is never duplicated in the buffer, so a dead
             // hit means the key is absent.
             return self.is_live(i).then(|| &self.values[i]);
@@ -487,8 +351,8 @@ impl<K: Key, V> Segment<K, V> {
     }
 
     /// Mutable point lookup across page and buffer.
-    pub fn get_mut(&mut self, key: K, seg_error: u64, strategy: SearchStrategy) -> Option<&mut V> {
-        if let Some(i) = self.probe(key, seg_error, strategy) {
+    pub fn get_mut(&mut self, key: K, seg_error: u64) -> Option<&mut V> {
+        if let Some(i) = self.probe(key, seg_error) {
             return self.is_live(i).then(move || &mut self.values[i]);
         }
         if let Some(i) = self.search_buffer(key) {
@@ -502,14 +366,8 @@ impl<K: Key, V> Segment<K, V> {
     /// above the page's last key whose slot the existing model predicts
     /// within `seg_error` is pushed onto the page tail; any other new
     /// key goes to the sorted buffer. Returns the previous value if any.
-    pub fn insert(
-        &mut self,
-        key: K,
-        value: V,
-        seg_error: u64,
-        strategy: SearchStrategy,
-    ) -> Option<V> {
-        if let Some(i) = self.probe(key, seg_error, strategy) {
+    pub fn insert(&mut self, key: K, value: V, seg_error: u64) -> Option<V> {
+        if let Some(i) = self.probe(key, seg_error) {
             if self.is_live(i) {
                 return Some(std::mem::replace(&mut self.values[i], value));
             }
@@ -555,43 +413,25 @@ impl<K: Key, V> Segment<K, V> {
         Ok(())
     }
 
-    /// Removes `key` from the segment. Buffer entries are dropped;
+    /// Removes `key` from the segment. Buffer entries are moved out;
     /// page entries become O(1) tombstones (the key keeps its slot, so
-    /// predictions stay exact — the old shifting `Vec::remove` was
-    /// O(page)). Returns the value if present; page removals clone it
-    /// out, since the dense value array keeps the slot until the next
-    /// re-segmentation. A convenience wrapper over
-    /// [`remove_with`](Self::remove_with) — non-`Clone` values pass an
-    /// extraction of their own (`mem::take`, `mem::replace`); the tree
-    /// layer routes everything through `remove_with` directly, so this
-    /// wrapper survives for in-crate callers and tests.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn remove(&mut self, key: K, seg_error: u64, strategy: SearchStrategy) -> Option<V>
-    where
-        V: Clone,
-    {
-        self.remove_with(key, seg_error, strategy, |v| v.clone())
-    }
-
-    /// [`remove`](Self::remove) with a caller-supplied extraction for
-    /// the page case, so the operation works for **non-`Clone`**
-    /// values. `extract` pulls the value out of the tombstoned slot
-    /// (the dense value array keeps the slot until re-segmentation, so
-    /// *something* must stay behind): `|v| v.clone()` for `Clone`
-    /// types, `mem::take` for `Default` types, or a `mem::replace`
-    /// with any placeholder. Buffer hits are moved out directly and
-    /// never invoke it; the extracted slot is never read again.
+    /// predictions stay exact). The dense value array keeps the slot
+    /// until the next re-segmentation, so *something* must stay behind:
+    /// `extract` pulls the value out of the tombstoned slot —
+    /// `|v| v.clone()` for `Clone` types, `mem::take` for `Default`
+    /// types, or a `mem::replace` with any placeholder — which makes
+    /// the operation work for **non-`Clone`** values. Buffer hits never
+    /// invoke it; the extracted slot is never read again.
     pub fn remove_with(
         &mut self,
         key: K,
         seg_error: u64,
-        strategy: SearchStrategy,
         extract: impl FnOnce(&mut V) -> V,
     ) -> Option<V> {
         if let Some(i) = self.search_buffer(key) {
             return Some(self.buffer.remove(i).1);
         }
-        if let Some(i) = self.search_data(key, seg_error, strategy) {
+        if let Some(i) = self.search_data(key, seg_error) {
             let value = extract(&mut self.values[i]);
             self.mark_dead(i);
             return Some(value);
@@ -638,7 +478,7 @@ impl<K: Key, V> Segment<K, V> {
             if i > 0 && self.keys[i - 1] >= k {
                 return Err(format!("segment page unsorted at slot {i}"));
             }
-            let (lo, hi, _) = self.window(k, seg_error);
+            let (lo, hi) = self.window(k, seg_error);
             if self.is_live(i) && !(lo..=hi).contains(&i) {
                 return Err(format!(
                     "error guarantee violated: slot {i} ({k:?}) outside its window {lo}..={hi}"
@@ -695,67 +535,34 @@ mod tests {
         Segment::from_run(keys[0], slope, keys.to_vec(), values)
     }
 
-    #[test]
-    fn all_strategies_find_every_key() {
-        let keys: Vec<u64> = (0..500).map(|i| i * 3).collect();
-        let s = seg(&keys);
-        for strategy in [
-            SearchStrategy::Binary,
-            SearchStrategy::Linear,
-            SearchStrategy::Exponential,
-            SearchStrategy::Interpolation,
-        ] {
-            for &k in &keys {
-                assert_eq!(
-                    s.get(k, 1, strategy),
-                    Some(&(k * 10)),
-                    "strategy {strategy:?} key {k}"
-                );
-            }
-            assert_eq!(s.get(1, 1, strategy), None);
-            assert_eq!(s.get(1_000_000, 1, strategy), None);
-        }
+    /// `remove_with` cloning the value out, as the tree layer does for
+    /// `Clone` values.
+    fn remove(s: &mut Segment<u64, u64>, key: u64, seg_error: u64) -> Option<u64> {
+        s.remove_with(key, seg_error, |v| *v)
     }
 
     #[test]
-    fn binary_uses_both_window_regimes() {
+    fn every_key_is_found_and_neighbours_miss() {
+        let keys: Vec<u64> = (0..500).map(|i| i * 3).collect();
+        let s = seg(&keys);
+        for &k in &keys {
+            assert_eq!(s.get(k, 1), Some(&(k * 10)), "key {k}");
+        }
+        assert_eq!(s.get(1, 1), None);
+        assert_eq!(s.get(1_000_000, 1), None);
+    }
+
+    #[test]
+    fn both_window_regimes_agree_on_hits_and_misses() {
         // Small error ⇒ the branchless scan; large error ⇒ the
         // branchless binary. Both must agree on hits and misses.
         let keys: Vec<u64> = (0..2_000).map(|i| i * 2).collect();
         let s = seg(&keys);
         for error in [1u64, 4, 11, 12, 64, 500] {
             for &k in keys.iter().step_by(37) {
-                assert_eq!(s.get(k, error, SearchStrategy::Binary), Some(&(k * 10)));
-                assert_eq!(s.get(k + 1, error, SearchStrategy::Binary), None);
+                assert_eq!(s.get(k, error), Some(&(k * 10)));
+                assert_eq!(s.get(k + 1, error), None);
             }
-        }
-    }
-
-    #[test]
-    fn interpolation_search_handles_skewed_windows() {
-        // Highly non-uniform keys inside the window: interpolation's
-        // guesses are bad, the forced-progress clamps must still
-        // terminate and find every key.
-        let keys: Vec<u64> = (0..200).map(|i| i * i * i).collect();
-        let s = seg(&keys);
-        for &k in &keys {
-            assert_eq!(
-                s.get(k, 200, SearchStrategy::Interpolation),
-                Some(&(k * 10)),
-                "key {k}"
-            );
-        }
-        assert_eq!(s.get(5, 200, SearchStrategy::Interpolation), None);
-    }
-
-    #[test]
-    fn interpolation_search_with_duplicate_projections() {
-        // All keys identical is impossible for a clustered page, but a
-        // flat span can arise from lossy to_f64; emulate with a dense run.
-        let keys: Vec<u64> = (0..64).collect();
-        let s = seg(&keys);
-        for &k in &keys {
-            assert_eq!(s.get(k, 64, SearchStrategy::Interpolation), Some(&(k * 10)));
         }
     }
 
@@ -764,23 +571,23 @@ mod tests {
         // Deliberately bad slope: predictions land at slot 0 for every
         // key, so only keys within the window of slot 0 are findable.
         let s = Segment::from_run(0u64, 0.0, (0..100).collect(), (0..100u64).collect());
-        assert_eq!(s.get(3, 5, SearchStrategy::Binary), Some(&3));
+        assert_eq!(s.get(3, 5), Some(&3));
         // Slot 50 is outside the ±5 window around slot 0.
-        assert_eq!(s.get(50, 5, SearchStrategy::Binary), None);
+        assert_eq!(s.get(50, 5), None);
         // A wider budget finds it.
-        assert_eq!(s.get(50, 64, SearchStrategy::Binary), Some(&50));
+        assert_eq!(s.get(50, 64), Some(&50));
     }
 
     #[test]
     fn insert_buffers_and_replaces() {
         let mut s = seg(&[10, 20, 30]);
-        assert_eq!(s.insert(15, 150, 2, SearchStrategy::Binary), None);
+        assert_eq!(s.insert(15, 150, 2), None);
         assert_eq!(s.buffer.len(), 1);
-        assert_eq!(s.get(15, 2, SearchStrategy::Binary), Some(&150));
+        assert_eq!(s.get(15, 2), Some(&150));
         // Replace buffered value.
-        assert_eq!(s.insert(15, 151, 2, SearchStrategy::Binary), Some(150));
+        assert_eq!(s.insert(15, 151, 2), Some(150));
         // Replace page value in place, not via buffer.
-        assert_eq!(s.insert(20, 999, 2, SearchStrategy::Binary), Some(200));
+        assert_eq!(s.insert(20, 999, 2), Some(200));
         assert_eq!(s.buffer.len(), 1);
     }
 
@@ -790,40 +597,40 @@ mod tests {
         let mut s = seg(&keys);
         // On the model's line: pushed onto the page, nothing buffered.
         for k in 100..200u64 {
-            assert_eq!(s.insert(k * 10, k, 2, SearchStrategy::Binary), None);
+            assert_eq!(s.insert(k * 10, k, 2), None);
         }
         assert_eq!((s.keys.len(), s.buffer.len()), (200, 0));
         assert_eq!(s.error_envelope(), (0, 0));
         // Off the line by more than ±2 slots: buffered; by less: admitted,
         // and the envelope records the one new deviation.
-        assert_eq!(s.insert(2_100, 7, 2, SearchStrategy::Binary), None);
+        assert_eq!(s.insert(2_100, 7, 2), None);
         assert_eq!((s.keys.len(), s.buffer.len()), (200, 1));
-        assert_eq!(s.insert(2_018, 8, 2, SearchStrategy::Binary), None);
+        assert_eq!(s.insert(2_018, 8, 2), None);
         assert_eq!((s.keys.len(), s.buffer.len()), (201, 1));
         assert_eq!(s.error_envelope(), (2, 0));
         // A duplicate of an appended key replaces; every older key is
         // still found through its unchanged window.
-        assert_eq!(s.insert(2_018, 9, 2, SearchStrategy::Binary), Some(8));
+        assert_eq!(s.insert(2_018, 9, 2), Some(8));
         for k in 0..200u64 {
-            assert!(s.get(k * 10, 2, SearchStrategy::Binary).is_some(), "{k}");
+            assert!(s.get(k * 10, 2).is_some(), "{k}");
         }
-        assert_eq!(s.get(2_100, 2, SearchStrategy::Binary), Some(&7));
+        assert_eq!(s.get(2_100, 2), Some(&7));
     }
 
     #[test]
     fn append_grows_the_tombstone_bitmap_and_resurrects_the_tail() {
         let keys: Vec<u64> = (0..64).collect();
         let mut s = seg(&keys);
-        assert_eq!(s.remove(63, 1, SearchStrategy::Binary), Some(630));
+        assert_eq!(remove(&mut s, 63, 1), Some(630));
         assert_eq!(s.dead_words().len(), 1);
         // Slot 64 opens a second bitmap word, live.
-        assert_eq!(s.insert(64, 1, 1, SearchStrategy::Binary), None);
+        assert_eq!(s.insert(64, 1, 1), None);
         assert_eq!(s.dead_words().len(), 2);
-        assert_eq!(s.get(64, 1, SearchStrategy::Binary), Some(&1));
-        assert_eq!(s.remove(64, 1, SearchStrategy::Binary), Some(1));
+        assert_eq!(s.get(64, 1), Some(&1));
+        assert_eq!(remove(&mut s, 64, 1), Some(1));
         assert_eq!(s.max_key(), Some(62));
         // Re-inserting a removed tail key reclaims its slot.
-        assert_eq!(s.insert(64, 2, 1, SearchStrategy::Binary), None);
+        assert_eq!(s.insert(64, 2, 1), None);
         assert_eq!((s.keys.len(), s.buffer.len(), s.removed), (65, 0, 1));
     }
 
@@ -834,7 +641,7 @@ mod tests {
         let keys: Vec<u64> = (0..300u64).map(|i| i * i / 7 + i).collect();
         let mut s = seg(&keys);
         for k in 0..40u64 {
-            s.insert(keys[299] + 1 + k * 40, k, 64, SearchStrategy::Binary);
+            s.insert(keys[299] + 1 + k * 40, k, 64);
         }
         assert!(s.keys.len() > 300);
         let top = *s.keys.last().unwrap() + 500;
@@ -853,7 +660,7 @@ mod tests {
     fn buffer_stays_sorted() {
         let mut s = seg(&[100]);
         for k in [50u64, 10, 70, 30] {
-            s.insert(k, k, 1, SearchStrategy::Binary);
+            s.insert(k, k, 1);
         }
         let buffered: Vec<u64> = s.buffer.iter().map(|(k, _)| *k).collect();
         assert_eq!(buffered, vec![10, 30, 50, 70]);
@@ -866,34 +673,33 @@ mod tests {
         // Remove a few early keys: tombstones keep every surviving key
         // at its slot, so even a ±1 window still finds them all.
         for k in 0..5u64 {
-            assert_eq!(s.remove(k, 1, SearchStrategy::Binary), Some(k * 10));
-            assert_eq!(s.get(k, 1, SearchStrategy::Binary), None, "key {k} dead");
+            assert_eq!(remove(&mut s, k, 1), Some(k * 10));
+            assert_eq!(s.get(k, 1), None, "key {k} dead");
         }
         assert_eq!(s.removed, 5);
         assert_eq!(s.live_len(), 45);
         for k in 5..50u64 {
-            assert_eq!(s.get(k, 1, SearchStrategy::Binary), Some(&(k * 10)));
+            assert_eq!(s.get(k, 1), Some(&(k * 10)));
         }
     }
 
     #[test]
     fn tombstone_resurrection_via_insert() {
         let mut s = seg(&[10, 20, 30]);
-        assert_eq!(s.remove(20, 2, SearchStrategy::Binary), Some(200));
+        assert_eq!(remove(&mut s, 20, 2), Some(200));
         assert_eq!(s.removed, 1);
         assert_eq!(s.len(), 2);
         // Re-inserting the key reclaims the page slot — no buffer entry.
-        assert_eq!(s.insert(20, 7, 2, SearchStrategy::Binary), None);
+        assert_eq!(s.insert(20, 7, 2), None);
         assert_eq!(s.removed, 0);
         assert_eq!(s.buffer.len(), 0);
-        assert_eq!(s.get(20, 2, SearchStrategy::Binary), Some(&7));
+        assert_eq!(s.get(20, 2), Some(&7));
     }
 
     #[test]
     fn remove_with_extracts_non_clone_values() {
-        // A deliberately non-Clone value type: the PR 3 note said
-        // `remove` needed `V: Clone` only to clone out of a tombstoned
-        // slot; `remove_with` relaxes that with a caller extraction.
+        // A deliberately non-Clone value type: the caller's extraction
+        // is what leaves something behind in the tombstoned slot.
         #[derive(Debug, Default, PartialEq)]
         struct Token(u64);
         let mut s: Segment<u64, Token> = Segment::from_run(
@@ -903,58 +709,47 @@ mod tests {
             vec![Token(1), Token(2), Token(3)],
         );
         // Page hit: moved out via mem::take (V: Default).
-        assert_eq!(
-            s.remove_with(11, 2, SearchStrategy::Binary, std::mem::take),
-            Some(Token(2))
-        );
-        assert_eq!(s.get(11, 2, SearchStrategy::Binary), None);
+        assert_eq!(s.remove_with(11, 2, std::mem::take), Some(Token(2)));
+        assert_eq!(s.get(11, 2), None);
         assert_eq!(s.removed, 1);
         // Page hit: moved out via mem::replace with a placeholder.
         assert_eq!(
-            s.remove_with(12, 2, SearchStrategy::Binary, |v| std::mem::replace(
-                v,
-                Token(u64::MAX)
-            )),
+            s.remove_with(12, 2, |v| std::mem::replace(v, Token(u64::MAX))),
             Some(Token(3))
         );
         // Buffer hit (a key inside the page's range is never appended):
         // moved out directly, extraction never called.
-        s.insert(9, Token(5), 2, SearchStrategy::Binary);
+        s.insert(9, Token(5), 2);
         assert_eq!(s.buffer.len(), 1);
         assert_eq!(
-            s.remove_with(9, 2, SearchStrategy::Binary, |_| unreachable!(
-                "buffer removals never extract"
-            )),
+            s.remove_with(9, 2, |_| unreachable!("buffer removals never extract")),
             Some(Token(5))
         );
         // Miss.
-        assert_eq!(
-            s.remove_with(99, 2, SearchStrategy::Binary, std::mem::take),
-            None
-        );
-        assert_eq!(s.get(10, 2, SearchStrategy::Binary), Some(&Token(1)));
+        assert_eq!(s.remove_with(99, 2, std::mem::take), None);
+        assert_eq!(s.get(10, 2), Some(&Token(1)));
     }
 
     #[test]
     fn remove_from_buffer_does_not_tombstone() {
         let mut s = seg(&[10, 20]);
-        s.insert(15, 1, 1, SearchStrategy::Binary);
-        assert_eq!(s.remove(15, 1, SearchStrategy::Binary), Some(1));
+        s.insert(15, 1, 1);
+        assert_eq!(remove(&mut s, 15, 1), Some(1));
         assert_eq!(s.removed, 0);
-        assert_eq!(s.remove(99, 1, SearchStrategy::Binary), None);
+        assert_eq!(remove(&mut s, 99, 1), None);
         // Double-remove of a page key: second call is a miss.
-        assert_eq!(s.remove(10, 1, SearchStrategy::Binary), Some(100));
-        assert_eq!(s.remove(10, 1, SearchStrategy::Binary), None);
+        assert_eq!(remove(&mut s, 10, 1), Some(100));
+        assert_eq!(remove(&mut s, 10, 1), None);
         assert_eq!(s.removed, 1);
     }
 
     #[test]
     fn merge_into_interleaves_sorted_and_drops_tombstones() {
         let mut s = seg(&[10, 30, 50]);
-        s.insert(20, 2, 1, SearchStrategy::Binary);
-        s.insert(5, 0, 1, SearchStrategy::Binary);
-        s.insert(1000, 9, 1, SearchStrategy::Binary); // bends past ±1: buffered
-        s.remove(30, 1, SearchStrategy::Binary);
+        s.insert(20, 2, 1);
+        s.insert(5, 0, 1);
+        s.insert(1000, 9, 1); // bends past ±1: buffered
+        remove(&mut s, 30, 1);
         assert_eq!(s.buffer.len(), 3);
         let mut merged = Vec::new();
         s.merge_into(|k, v| merged.push((k, v)));
@@ -967,14 +762,14 @@ mod tests {
     #[test]
     fn min_max_consider_buffer_and_skip_tombstones() {
         let mut s = seg(&[100, 200]);
-        s.insert(5, 0, 1, SearchStrategy::Binary);
-        s.insert(500, 0, 1, SearchStrategy::Binary);
+        s.insert(5, 0, 1);
+        s.insert(500, 0, 1);
         assert_eq!(s.min_key(), Some(5));
         assert_eq!(s.max_key(), Some(500));
         // Tombstoned endpoints no longer count.
         let mut t = seg(&[10, 20, 30]);
-        t.remove(10, 2, SearchStrategy::Binary);
-        t.remove(30, 2, SearchStrategy::Binary);
+        remove(&mut t, 10, 2);
+        remove(&mut t, 30, 2);
         assert_eq!(t.min_key(), Some(20));
         assert_eq!(t.max_key(), Some(20));
     }
@@ -982,9 +777,9 @@ mod tests {
     #[test]
     fn empty_page_lookups_hit_buffer_only() {
         let mut s: Segment<u64, u64> = Segment::from_run(0, 0.0, Vec::new(), Vec::new());
-        assert_eq!(s.get(1, 10, SearchStrategy::Binary), None);
-        s.insert(1, 11, 10, SearchStrategy::Binary);
-        assert_eq!(s.get(1, 10, SearchStrategy::Binary), Some(&11));
+        assert_eq!(s.get(1, 10), None);
+        s.insert(1, 11, 10);
+        assert_eq!(s.get(1, 10), Some(&11));
         assert_eq!(s.min_key(), Some(1));
     }
 }

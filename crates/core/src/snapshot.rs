@@ -16,7 +16,8 @@
 //!   0..8    magic "FITSNP02"
 //!   8..10   key width in bytes   (u16, = K::ENCODED_LEN)
 //!   10..12  value width in bytes (u16, = V::ENCODED_LEN)
-//!   12      search strategy      (u8)
+//!   12      reserved, written 0  (u8; images from before the single
+//!           in-segment search carry 1..=3 here and still decode)
 //!   13..16  zero
 //!   16..24  error budget         (u64)
 //!   24..32  buffer size          (u64)
@@ -56,7 +57,7 @@
 use crate::clustered::FitingTree;
 use crate::error::BuildError;
 use crate::key::Key;
-use crate::segment::{SearchStrategy, Segment};
+use crate::segment::Segment;
 
 /// First eight bytes of every snapshot. Version `02`: the persisted
 /// envelope is measured against the open-top prediction (clamped at 0
@@ -166,7 +167,8 @@ pub enum SnapshotError {
         /// Width stored in the header.
         found: usize,
     },
-    /// The strategy byte is not a known [`SearchStrategy`].
+    /// Header byte 12 (reserved; once a search-strategy selector) holds
+    /// a value no writer ever produced.
     BadStrategy(u8),
     /// The stored configuration is itself invalid (e.g. buffer size
     /// consuming the whole error budget).
@@ -193,7 +195,7 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::ValueWidthMismatch { expected, found } => {
                 write!(f, "value width {found} (expected {expected})")
             }
-            SnapshotError::BadStrategy(b) => write!(f, "unknown search strategy byte {b}"),
+            SnapshotError::BadStrategy(b) => write!(f, "reserved header byte 12 holds {b}"),
             SnapshotError::Config(e) => write!(f, "stored configuration invalid: {e}"),
             SnapshotError::Corrupt(why) => write!(f, "snapshot inconsistent: {why}"),
         }
@@ -202,24 +204,11 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-fn strategy_byte(s: SearchStrategy) -> u8 {
-    match s {
-        SearchStrategy::Binary => 0,
-        SearchStrategy::Linear => 1,
-        SearchStrategy::Exponential => 2,
-        SearchStrategy::Interpolation => 3,
-    }
-}
-
-fn strategy_from_byte(b: u8) -> Result<SearchStrategy, SnapshotError> {
-    match b {
-        0 => Ok(SearchStrategy::Binary),
-        1 => Ok(SearchStrategy::Linear),
-        2 => Ok(SearchStrategy::Exponential),
-        3 => Ok(SearchStrategy::Interpolation),
-        other => Err(SnapshotError::BadStrategy(other)),
-    }
-}
+/// Largest value any writer put in header byte 12: earlier formats
+/// stored one of four in-segment search selectors there (0..=3). The
+/// selector never changed which keys a page holds or where, so all
+/// four decode to the one search; anything above is foreign.
+const MAX_RESERVED_BYTE: u8 = 3;
 
 fn pad_to(out: &mut Vec<u8>, align: usize) {
     let rem = out.len() % align;
@@ -248,8 +237,7 @@ pub fn encode_tree<K: Key, V: Key>(tree: &FitingTree<K, V>) -> Vec<u8> {
     out.extend_from_slice(&SNAPSHOT_MAGIC);
     out.extend_from_slice(&(K::ENCODED_LEN as u16).to_le_bytes());
     out.extend_from_slice(&(V::ENCODED_LEN as u16).to_le_bytes());
-    out.push(strategy_byte(tree.strategy));
-    out.extend_from_slice(&[0u8; 3]);
+    out.extend_from_slice(&[0u8; 4]);
     out.extend_from_slice(&tree.error.to_le_bytes());
     out.extend_from_slice(&tree.buffer_size.to_le_bytes());
     out.extend_from_slice(&(tree.len as u64).to_le_bytes());
@@ -369,9 +357,9 @@ fn read_key<K: Key>(r: &mut Reader<'_>, what: &'static str) -> Result<K, Snapsho
 ///
 /// # Errors
 ///
-/// Any truncation, checksum mismatch, width/strategy disagreement with
-/// the requested `K`/`V` types, or structural inconsistency returns a
-/// [`SnapshotError`] and builds nothing.
+/// Any truncation, checksum mismatch, width disagreement with the
+/// requested `K`/`V` types, unknown reserved byte, or structural
+/// inconsistency returns a [`SnapshotError`] and builds nothing.
 pub fn decode_tree<K: Key, V: Key>(bytes: &[u8]) -> Result<FitingTree<K, V>, SnapshotError> {
     let mut r = Reader { bytes, pos: 0 };
     let header = r.take(HEADER_LEN, "header")?;
@@ -402,7 +390,9 @@ pub fn decode_tree<K: Key, V: Key>(bytes: &[u8]) -> Result<FitingTree<K, V>, Sna
             found: value_width,
         });
     }
-    let strategy = strategy_from_byte(header[12])?;
+    if header[12] > MAX_RESERVED_BYTE {
+        return Err(SnapshotError::BadStrategy(header[12]));
+    }
     let error = u64::from_le_bytes(header[16..24].try_into().unwrap());
     let buffer_size = u64::from_le_bytes(header[24..32].try_into().unwrap());
     let len = u64::from_le_bytes(header[32..40].try_into().unwrap());
@@ -411,8 +401,8 @@ pub fn decode_tree<K: Key, V: Key>(bytes: &[u8]) -> Result<FitingTree<K, V>, Sna
     let seg_count =
         usize::try_from(seg_count).map_err(|_| SnapshotError::Truncated("segment count"))?;
 
-    let mut tree = FitingTree::<K, V>::from_parts(error, buffer_size, strategy)
-        .map_err(SnapshotError::Config)?;
+    let mut tree =
+        FitingTree::<K, V>::from_parts(error, buffer_size).map_err(SnapshotError::Config)?;
 
     // Directory sections.
     let anchors_payload = r.section(1)?;
@@ -636,6 +626,26 @@ mod tests {
             decode_tree::<u64, u64>(&old).unwrap_err(),
             SnapshotError::UnsupportedVersion
         );
+    }
+
+    #[test]
+    fn reserved_byte_accepts_the_old_strategy_values_and_nothing_else() {
+        let good = encode_tree(&sample_tree(2000));
+        assert_eq!(good[12], 0);
+        let with_byte = |b: u8| {
+            let mut image = good.clone();
+            image[12] = b;
+            let crc = crc32(&image[0..48]);
+            image[48..52].copy_from_slice(&crc.to_le_bytes());
+            decode_tree::<u64, u64>(&image)
+        };
+        for b in 0..=3u8 {
+            // Same tree, so it re-encodes to the image byte 12 = 0 gave.
+            assert_eq!(encode_tree(&with_byte(b).unwrap()), good, "byte {b}");
+        }
+        for b in [4u8, 255] {
+            assert_eq!(with_byte(b).unwrap_err(), SnapshotError::BadStrategy(b));
+        }
     }
 
     #[test]

@@ -33,9 +33,9 @@
 //!   stream, a [`RebalancePolicy`] with hysteresis, and the
 //!   [`Rebalancer`] stepper a coordinator thread runs on a timer.
 //!
-//! Implementations live with their structures: `fiting_tree::FitingTree`
-//! and `DeltaFitingTree`, `fiting_btree::BPlusTree`, and the three
-//! baselines in `fiting_baselines`. The shared conformance suite in the
+//! Implementations live with their structures: `fiting_tree::FitingTree`,
+//! `fiting_btree::BPlusTree`, and the three baselines in
+//! `fiting_baselines`. The shared conformance suite in the
 //! facade crate's `tests/sorted_index_conformance.rs` holds them all to
 //! this contract.
 

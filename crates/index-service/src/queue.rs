@@ -7,8 +7,7 @@
 //! caller can shed load or retry. The consumer side drains in batches:
 //! [`pop_batch`](BoundedQueue::pop_batch) returns everything queued (up
 //! to a cap), optionally lingering a short *batch window* to let more
-//! commands accumulate — the knob the `service_throughput` bench
-//! sweeps.
+//! commands accumulate.
 //!
 //! Closing ([`close`](BoundedQueue::close)) is one-way: producers are
 //! refused from that point, but the consumer keeps draining what was

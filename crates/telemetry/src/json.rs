@@ -7,10 +7,8 @@
 //! instead of `serde_json` this is a ~200-line self-contained
 //! implementation covering exactly the JSON subset those callers
 //! emit: objects (insertion-ordered), arrays, strings, finite
-//! numbers, booleans, and null. It started life in `fiting-bench`
-//! (which still re-exports it as `fiting_bench::json`) and moved here
-//! so the service crates can serialize snapshots without depending on
-//! the bench harness.
+//! numbers, booleans, and null. It lives here so the service crates
+//! can serialize snapshots without depending on the bench harness.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

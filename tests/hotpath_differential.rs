@@ -1,10 +1,9 @@
-//! Differential battery for the rebuilt read hot path: the flat SoA
-//! segment directory + branchless bounded window search, pitted against
-//! a `BTreeMap` oracle across every `SearchStrategy`, on key shapes
-//! chosen to stress the new machinery:
+//! Differential battery for the read hot path: the flat SoA segment
+//! directory + branchless bounded window search, pitted against a
+//! `BTreeMap` oracle on key shapes chosen to stress the machinery:
 //!
-//! * skewed `i³` keys — interpolation guesses are bad, brackets must
-//!   still converge;
+//! * skewed `i³` keys — the fitted slopes swing by orders of magnitude
+//!   between neighbouring segments;
 //! * lossy `to_f64` flat spans — keys above 2⁵³ whose projections
 //!   collapse to the same `f64`, disabling interpolation seeding and
 //!   producing zero-slope spans inside segments;
@@ -14,21 +13,19 @@
 //! * mixed churn — inserts, removes, re-inserts (tombstone
 //!   resurrection), and range scans interleaved, with
 //!   `check_invariants` asserting after every phase that the flat
-//!   directory exactly mirrors the mutation-side B+ tree and routes
-//!   every live key to its segment.
+//!   directory routes every live key to its segment and every live
+//!   page slot sits inside its own search window;
+//! * the numeric edges of the projection (the `edge_*` tests) — signed
+//!   keys straddling zero, a run ending at `u64::MAX`, dense runs above
+//!   2⁵³ and above 2¹⁰⁰ that *arrive through `insert`*, so the in-place
+//!   tail append is decided where neighbouring keys share one abscissa.
 //!
 //! Plus a guard that the instrumented lookup (`get_traced`) answers
 //! exactly as `get` does.
 
-use fiting::tree::{FitingTree, FitingTreeBuilder, SearchStrategy};
+use fiting::tree::{FitingTree, FitingTreeBuilder};
+use fiting::Key;
 use std::collections::BTreeMap;
-
-const STRATEGIES: [SearchStrategy; 4] = [
-    SearchStrategy::Binary,
-    SearchStrategy::Linear,
-    SearchStrategy::Exponential,
-    SearchStrategy::Interpolation,
-];
 
 /// Deterministic xorshift64* stream.
 fn rng(seed: u64) -> impl FnMut() -> u64 {
@@ -45,8 +42,8 @@ fn rng(seed: u64) -> impl FnMut() -> u64 {
 fn key_shapes() -> Vec<(&'static str, Vec<u64>)> {
     let skewed: Vec<u64> = (0..4_000u64).map(|i| i * i * i).collect();
     // Keys beyond f64's 53-bit mantissa: runs of 200 consecutive keys
-    // project to (nearly) one f64 value, so slopes collapse and the
-    // in-segment interpolation must fall back to bounded bisection.
+    // project to (nearly) one f64 value, so slopes collapse and every
+    // key of a run predicts the same slot.
     let lossy: Vec<u64> = (0..3_000u64)
         .map(|i| (1u64 << 60) + (i / 200) * (1 << 12) + (i % 200))
         .collect();
@@ -63,33 +60,26 @@ fn key_shapes() -> Vec<(&'static str, Vec<u64>)> {
     ]
 }
 
-fn build(keys: &[u64], error: u64, strategy: SearchStrategy) -> FitingTree<u64, u64> {
+fn build(keys: &[u64], error: u64) -> FitingTree<u64, u64> {
     FitingTreeBuilder::new(error)
-        .search_strategy(strategy)
         .bulk_load(keys.iter().map(|&k| (k, k.wrapping_mul(3))))
         .expect("strictly increasing keys")
 }
 
 #[test]
-fn bulk_load_agrees_with_oracle_on_all_shapes_and_strategies() {
+fn bulk_load_agrees_with_oracle_on_all_shapes() {
     for (shape, keys) in key_shapes() {
         let oracle: BTreeMap<u64, u64> = keys.iter().map(|&k| (k, k.wrapping_mul(3))).collect();
-        for strategy in STRATEGIES {
-            for error in [8u64, 64, 512] {
-                let t = build(&keys, error, strategy);
-                t.check_invariants()
-                    .unwrap_or_else(|e| panic!("{shape}/{strategy:?}/e={error}: {e}"));
-                for &k in &keys {
-                    assert_eq!(
-                        t.get(&k),
-                        oracle.get(&k),
-                        "{shape}/{strategy:?}/e={error} key {k}"
-                    );
-                    // Near-misses must not produce false hits.
-                    for miss in [k.wrapping_sub(1), k + 1] {
-                        if !oracle.contains_key(&miss) {
-                            assert_eq!(t.get(&miss), None, "{shape}/{strategy:?} miss {miss}");
-                        }
+        for error in [8u64, 64, 512] {
+            let t = build(&keys, error);
+            t.check_invariants()
+                .unwrap_or_else(|e| panic!("{shape}/e={error}: {e}"));
+            for &k in &keys {
+                assert_eq!(t.get(&k), oracle.get(&k), "{shape}/e={error} key {k}");
+                // Near-misses must not produce false hits.
+                for miss in [k.wrapping_sub(1), k + 1] {
+                    if !oracle.contains_key(&miss) {
+                        assert_eq!(t.get(&miss), None, "{shape}/e={error} miss {miss}");
                     }
                 }
             }
@@ -98,83 +88,70 @@ fn bulk_load_agrees_with_oracle_on_all_shapes_and_strategies() {
 }
 
 #[test]
-fn churn_agrees_with_oracle_across_strategies() {
+fn churn_agrees_with_oracle() {
     for (shape, keys) in key_shapes() {
-        for strategy in STRATEGIES {
-            let mut t = build(&keys, 32, strategy);
-            let mut oracle: BTreeMap<u64, u64> =
-                keys.iter().map(|&k| (k, k.wrapping_mul(3))).collect();
-            let mut r = rng(0x5EED ^ keys.len() as u64);
-            let key_domain: Vec<u64> = keys.iter().copied().chain((0..500).map(|_| r())).collect();
-            for step in 0..4_000 {
-                let k = key_domain[(r() as usize) % key_domain.len()];
-                match r() % 4 {
-                    0 | 1 => {
-                        assert_eq!(
-                            t.insert(k, step),
-                            oracle.insert(k, step),
-                            "{shape}/{strategy:?} insert {k}"
-                        );
-                    }
-                    2 => {
-                        assert_eq!(
-                            t.remove(&k),
-                            oracle.remove(&k),
-                            "{shape}/{strategy:?} remove {k}"
-                        );
-                    }
-                    _ => {
-                        assert_eq!(t.get(&k), oracle.get(&k), "{shape}/{strategy:?} get {k}");
-                    }
+        let mut t = build(&keys, 32);
+        let mut oracle: BTreeMap<u64, u64> = keys.iter().map(|&k| (k, k.wrapping_mul(3))).collect();
+        let mut r = rng(0x5EED ^ keys.len() as u64);
+        let key_domain: Vec<u64> = keys.iter().copied().chain((0..500).map(|_| r())).collect();
+        for step in 0..4_000 {
+            let k = key_domain[(r() as usize) % key_domain.len()];
+            match r() % 4 {
+                0 | 1 => {
+                    assert_eq!(
+                        t.insert(k, step),
+                        oracle.insert(k, step),
+                        "{shape} insert {k}"
+                    );
                 }
-                assert_eq!(t.len(), oracle.len());
+                2 => {
+                    assert_eq!(t.remove(&k), oracle.remove(&k), "{shape} remove {k}");
+                }
+                _ => {
+                    assert_eq!(t.get(&k), oracle.get(&k), "{shape} get {k}");
+                }
             }
-            t.check_invariants()
-                .unwrap_or_else(|e| panic!("{shape}/{strategy:?} post-churn: {e}"));
-            let got: Vec<(u64, u64)> = t.iter().map(|(k, v)| (*k, *v)).collect();
-            let want: Vec<(u64, u64)> = oracle.into_iter().collect();
-            assert_eq!(got, want, "{shape}/{strategy:?} full-scan divergence");
+            assert_eq!(t.len(), oracle.len());
         }
+        t.check_invariants()
+            .unwrap_or_else(|e| panic!("{shape} post-churn: {e}"));
+        let got: Vec<(u64, u64)> = t.iter().map(|(k, v)| (*k, *v)).collect();
+        let want: Vec<(u64, u64)> = oracle.into_iter().collect();
+        assert_eq!(got, want, "{shape} full-scan divergence");
     }
 }
 
 #[test]
 fn post_remove_windows_find_every_survivor() {
     for (shape, keys) in key_shapes() {
-        for strategy in STRATEGIES {
-            let mut t = build(&keys, 16, strategy);
-            // Remove two of every three keys: heavy tombstoning, several
-            // re-segmentations (removed > seg_error / 2).
-            let mut survivors = Vec::new();
-            for (i, &k) in keys.iter().enumerate() {
-                if i % 3 == 0 {
-                    survivors.push(k);
-                } else {
-                    assert_eq!(t.remove(&k), Some(k.wrapping_mul(3)), "{shape} remove {k}");
-                }
+        let mut t = build(&keys, 16);
+        // Remove two of every three keys: heavy tombstoning, several
+        // re-segmentations (removed > seg_error / 2).
+        let mut survivors = Vec::new();
+        for (i, &k) in keys.iter().enumerate() {
+            if i % 3 == 0 {
+                survivors.push(k);
+            } else {
+                assert_eq!(t.remove(&k), Some(k.wrapping_mul(3)), "{shape} remove {k}");
             }
-            t.check_invariants()
-                .unwrap_or_else(|e| panic!("{shape}/{strategy:?} post-remove: {e}"));
-            for &k in &survivors {
-                assert_eq!(
-                    t.get(&k),
-                    Some(&k.wrapping_mul(3)),
-                    "{shape}/{strategy:?} survivor {k}"
-                );
-            }
-            assert_eq!(t.len(), survivors.len());
-            assert_eq!(t.iter().count(), survivors.len());
-            // Removed keys must stay invisible to range scans too.
-            let seen: Vec<u64> = t.iter().map(|(k, _)| *k).collect();
-            assert_eq!(seen, survivors, "{shape}/{strategy:?} scan sees tombstones");
         }
+        t.check_invariants()
+            .unwrap_or_else(|e| panic!("{shape} post-remove: {e}"));
+        for &k in &survivors {
+            assert_eq!(t.get(&k), Some(&k.wrapping_mul(3)), "{shape} survivor {k}");
+        }
+        assert_eq!(t.len(), survivors.len());
+        assert_eq!(t.iter().count(), survivors.len());
+        // Removed keys must stay invisible to range scans too.
+        let seen: Vec<u64> = t.iter().map(|(k, _)| *k).collect();
+        assert_eq!(seen, survivors, "{shape} scan sees tombstones");
     }
 }
 
 #[test]
 fn range_scans_agree_with_oracle_after_churn() {
     for (shape, keys) in key_shapes() {
-        let mut t = build(&keys, 64, SearchStrategy::Binary);
+        let mut t = build(&keys, 64);
         let mut oracle: BTreeMap<u64, u64> = keys.iter().map(|&k| (k, k.wrapping_mul(3))).collect();
         let mut r = rng(42);
         for step in 0..1_500u64 {
@@ -199,7 +176,7 @@ fn range_scans_agree_with_oracle_after_churn() {
 #[test]
 fn tombstone_resurrection_roundtrip() {
     let keys: Vec<u64> = (0..2_000u64).map(|k| k * 7).collect();
-    let mut t = build(&keys, 32, SearchStrategy::Binary);
+    let mut t = build(&keys, 32);
     let mut oracle: BTreeMap<u64, u64> = keys.iter().map(|&k| (k, k.wrapping_mul(3))).collect();
     // Remove, then re-insert the same keys with new values: the page
     // slots must resurrect in place (no buffer growth, no len drift).
@@ -218,15 +195,15 @@ fn tombstone_resurrection_roundtrip() {
 
 #[test]
 fn hot_path_never_descends_the_btree() {
-    // There is no B+ tree left to descend: the flat directory is the
-    // only routing structure, and `check_invariants` (every live key
-    // routes to its owning segment) is the enforcement. What this test
-    // still pins is that the instrumented lookup takes the same route
-    // as `get` — on hits and misses, before and after structural churn.
+    // The flat directory is the only routing structure, and
+    // `check_invariants` (every live key routes to its owning segment)
+    // is the enforcement. What this test pins is that the instrumented
+    // lookup takes the same route as `get` — on hits and misses, before
+    // and after structural churn.
     let keys: Vec<u64> = (0..20_000u64).map(|i| i * i / 7 + i).collect();
     let mut dedup = keys;
     dedup.dedup();
-    let mut t = build(&dedup, 64, SearchStrategy::Binary);
+    let mut t = build(&dedup, 64);
     let probe_set: Vec<u64> = dedup.iter().step_by(17).copied().collect();
     for &k in &probe_set {
         assert_eq!(t.get_traced(&k).0, Some(&k.wrapping_mul(3)), "hit {k}");
@@ -240,4 +217,160 @@ fn hot_path_never_descends_the_btree() {
         assert_eq!(t.get_traced(&k).0, t.get(&k), "post-churn {k}");
     }
     t.check_invariants().unwrap();
+}
+
+/// One edge-of-the-projection key shape: `bulk` is bulk-loaded, then
+/// `arrivals` come through `insert` in the order given.
+struct EdgeShape<K> {
+    name: &'static str,
+    bulk: Vec<K>,
+    arrivals: Vec<K>,
+    /// The keys one below and one above `k`, where the type has them.
+    near: fn(K) -> [Option<K>; 2],
+}
+
+/// An [`EdgeShape`] over any integer key type.
+macro_rules! edge_shape {
+    ($name:expr, $bulk:expr, $arrivals:expr) => {
+        EdgeShape {
+            name: $name,
+            bulk: $bulk,
+            arrivals: $arrivals,
+            near: |k| [k.checked_sub(1), k.checked_add(1)],
+        }
+    };
+}
+
+/// Every other key of `keys` is bulk-loaded; the rest arrive shuffled
+/// (back-fill between loaded neighbours), then `tail` in order.
+fn interleaved<K: Copy>(keys: &[K], tail: &[K], seed: u64) -> (Vec<K>, Vec<K>) {
+    let bulk = keys.iter().copied().step_by(2).collect();
+    let mut arrivals: Vec<K> = keys.iter().copied().skip(1).step_by(2).collect();
+    let mut r = rng(seed);
+    for i in (1..arrivals.len()).rev() {
+        arrivals.swap(i, (r() as usize) % (i + 1));
+    }
+    arrivals.extend_from_slice(tail);
+    (bulk, arrivals)
+}
+
+/// Gets, misses, removes, re-inserts, bounded and full scans against
+/// the oracle, with `check_invariants`, after every phase, at a small
+/// and a mid-sized error budget.
+fn lifecycle<K: Key>(shape: &EdgeShape<K>) {
+    for error in [8u64, 64] {
+        lifecycle_at(shape, error);
+    }
+}
+
+fn lifecycle_at<K: Key>(shape: &EdgeShape<K>, error: u64) {
+    let name = shape.name;
+    let mut oracle: BTreeMap<K, u64> = shape.bulk.iter().copied().zip(0..).collect();
+    let mut keys: Vec<K> = shape.bulk.iter().chain(&shape.arrivals).copied().collect();
+    keys.sort_unstable();
+    // Invariants, length, full scan, and a get of every key the run
+    // ever holds (so removed keys are checked as misses).
+    let agree = |t: &FitingTree<K, u64>, oracle: &BTreeMap<K, u64>, phase: &str| {
+        t.check_invariants()
+            .unwrap_or_else(|e| panic!("{name}/e={error} after {phase}: {e}"));
+        assert_eq!(t.len(), oracle.len(), "{name}/e={error} {phase}: len");
+        let got: Vec<(K, u64)> = t.iter().map(|(k, v)| (*k, *v)).collect();
+        let want: Vec<(K, u64)> = oracle.iter().map(|(k, v)| (*k, *v)).collect();
+        assert_eq!(got, want, "{name}/e={error} {phase}: full scan");
+        for k in &keys {
+            assert_eq!(t.get(k), oracle.get(k), "{name}/e={error} {phase}: {k:?}");
+        }
+    };
+
+    let mut t: FitingTree<K, u64> = FitingTreeBuilder::new(error)
+        .bulk_load(oracle.iter().map(|(k, v)| (*k, *v)))
+        .expect("strictly increasing keys");
+    agree(&t, &oracle, "bulk load");
+
+    for (&k, v) in shape.arrivals.iter().zip(1_000_000..) {
+        assert_eq!(t.insert(k, v), oracle.insert(k, v), "{name} insert {k:?}");
+    }
+    agree(&t, &oracle, "arrivals");
+    for &k in &keys {
+        assert_eq!(t.get_traced(&k).0, oracle.get(&k), "{name} traced {k:?}");
+        for miss in (shape.near)(k).into_iter().flatten() {
+            assert_eq!(t.get(&miss), oracle.get(&miss), "{name} near {miss:?}");
+        }
+    }
+    // Bounded scans seek through the window too (`lower_bound`): the
+    // whole key span first, then random sub-spans.
+    let mut r = rng(0xB0B ^ error);
+    let mut span = (0, keys.len() - 1);
+    for _ in 0..64 {
+        let (lo, hi) = (keys[span.0.min(span.1)], keys[span.0.max(span.1)]);
+        let got: Vec<(K, u64)> = t.range(lo..=hi).map(|(k, v)| (*k, *v)).collect();
+        let want: Vec<(K, u64)> = oracle.range(lo..=hi).map(|(k, v)| (*k, *v)).collect();
+        assert_eq!(got, want, "{name}/e={error} range {lo:?}..={hi:?}");
+        span = ((r() as usize) % keys.len(), (r() as usize) % keys.len());
+    }
+
+    // Two of every three keys go: tombstones, drained buffers, re-carves.
+    let doomed: Vec<K> = keys
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| i % 3 != 0)
+        .map(|(_, &k)| k)
+        .collect();
+    for &k in &doomed {
+        assert_eq!(t.remove(&k), oracle.remove(&k), "{name} remove {k:?}");
+    }
+    agree(&t, &oracle, "removes");
+
+    // They come back (resurrected slots, appends, or buffered).
+    for (&k, v) in doomed.iter().zip(2_000_000..) {
+        assert_eq!(
+            t.insert(k, v),
+            oracle.insert(k, v),
+            "{name} re-insert {k:?}"
+        );
+    }
+    agree(&t, &oracle, "re-inserts");
+}
+
+/// Signed keys straddling zero, with both type extremes arriving
+/// late: the first segment is anchored far below zero and predicts for
+/// keys on both sides of it.
+#[test]
+fn edge_i64_straddling_zero() {
+    let keys: Vec<i64> = (-3_000..3_000i64).map(|i| i * 7 + i % 5).collect();
+    let (bulk, arrivals) = interleaved(&keys, &[i64::MIN, i64::MAX], 0x51);
+    lifecycle(&edge_shape!("i64-straddling-zero", bulk, arrivals));
+}
+
+/// A run ending exactly at `u64::MAX` (f64 spacing there is 2048, and
+/// `MAX` itself projects to 2^64): the top thousand arrive in order.
+#[test]
+fn edge_u64_max_adjacent() {
+    let keys: Vec<u64> = (0..4_000u64).rev().map(|i| u64::MAX - 3 * i).collect();
+    let (bulk, arrivals) = interleaved(&keys[..3_000], &keys[3_000..], 0x52);
+    lifecycle(&edge_shape!("u64-max-adjacent", bulk, arrivals));
+}
+
+/// A dense run above 2^53 that arrives through `insert`, ascending:
+/// every key lands on the last page's tail, where 256 neighbours share
+/// one abscissa, so the append's admission check decides slot by slot
+/// whether the model still covers them.
+#[test]
+fn edge_dense_run_above_2_53_arrives_through_insert() {
+    let base = 1u64 << 60;
+    lifecycle(&edge_shape!(
+        "u64-dense-above-2^53-inserted",
+        (base..base + 512).collect(),
+        (base + 512..base + 6_000).collect()
+    ));
+}
+
+/// The same above 2^100 in `u128`: the whole run shares one abscissa.
+#[test]
+fn edge_u128_dense_high() {
+    let base = 1u128 << 100;
+    let keys: Vec<u128> = (0..3_000u128).map(|i| base + i).collect();
+    let tail: Vec<u128> = (3_000..4_000u128).map(|i| base + i).collect();
+    let (bulk, arrivals) = interleaved(&keys, &tail, 0x53);
+    lifecycle(&edge_shape!("u128-dense-high", bulk, arrivals));
 }

@@ -9,7 +9,7 @@
 use fiting::baselines::{BinarySearchIndex, FixedPageIndex, FullIndex};
 use fiting::btree::BPlusTree;
 use fiting::service::{Command, IndexService, ServiceConfig, TryPushError};
-use fiting::tree::{DeltaConfig, DeltaFitingTree, FitingTree, FitingTreeBuilder};
+use fiting::tree::{FitingTree, FitingTreeBuilder};
 use fiting::{BuildableIndex, ShardedIndex};
 
 /// Runs the service battery over one shard structure.
@@ -104,12 +104,6 @@ where
 #[test]
 fn service_over_fiting_tree() {
     service_battery::<FitingTree<u64, u64>>("FITing-Tree", &FitingTreeBuilder::new(32));
-}
-
-#[test]
-fn service_over_delta_fiting_tree() {
-    // Budget 64: merges fire during the battery's write traffic.
-    service_battery::<DeltaFitingTree<u64, u64>>("Delta", &DeltaConfig::new(64, 64));
 }
 
 #[test]

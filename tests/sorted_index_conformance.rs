@@ -11,7 +11,7 @@
 
 use fiting::baselines::{BinarySearchIndex, FixedPageIndex, FullIndex};
 use fiting::btree::BPlusTree;
-use fiting::tree::{DeltaConfig, DeltaFitingTree, FitingTree, FitingTreeBuilder};
+use fiting::tree::{FitingTree, FitingTreeBuilder};
 use fiting::{BuildableIndex, DynSortedIndex, ShardedIndex, SortedIndex};
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -198,18 +198,6 @@ fn fiting_tree_conforms() {
     // Tiny error: many segments, boundaries everywhere.
     battery("FITing-Tree(e=4)", |pairs| {
         FitingTree::build_sorted(&FitingTreeBuilder::new(4), pairs).unwrap()
-    });
-}
-
-#[test]
-fn delta_fiting_tree_conforms() {
-    // Budget 64: merges fire constantly during the churn battery.
-    battery("Delta", |pairs| {
-        DeltaFitingTree::build_sorted(&DeltaConfig::new(64, 64), pairs).unwrap()
-    });
-    // Budget 0: pure overlay, no auto-merge.
-    battery("Delta(no-merge)", |pairs| {
-        DeltaFitingTree::build_sorted(&DeltaConfig::new(64, 0), pairs).unwrap()
     });
 }
 
