@@ -1,8 +1,6 @@
 //! Convenience APIs layered over the core tree operations: key/value
-//! iterators, bulk extension, in-place value mutation, and owned
-//! consumption.
+//! iterators and bulk extension.
 
-use crate::node::Node;
 use crate::tree::BPlusTree;
 
 impl<K: Ord + Clone, V> BPlusTree<K, V> {
@@ -14,49 +12,6 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
     /// Iterator over values in ascending key order.
     pub fn values(&self) -> impl Iterator<Item = &V> {
         self.iter().map(|(_, v)| v)
-    }
-
-    /// Calls `f` on every entry in ascending key order with a mutable
-    /// value reference. (A lending mutable iterator over a recursive
-    /// structure needs unsafe or arena tricks; a visitor does not.)
-    pub fn for_each_mut(&mut self, mut f: impl FnMut(&K, &mut V)) {
-        fn walk<K, V>(node: &mut Node<K, V>, f: &mut impl FnMut(&K, &mut V)) {
-            match node {
-                Node::Leaf(leaf) => {
-                    for (k, v) in leaf.keys.iter().zip(leaf.values.iter_mut()) {
-                        f(k, v);
-                    }
-                }
-                Node::Internal(inner) => {
-                    for child in &mut inner.children {
-                        walk(child, f);
-                    }
-                }
-            }
-        }
-        walk(&mut self.root, &mut f);
-    }
-
-    /// Drains the tree into an ascending `Vec` of entries.
-    #[must_use]
-    pub fn into_sorted_vec(mut self) -> Vec<(K, V)> {
-        fn drain<K, V>(node: Node<K, V>, out: &mut Vec<(K, V)>) {
-            match node {
-                Node::Leaf(leaf) => {
-                    out.extend(leaf.keys.into_iter().zip(leaf.values));
-                }
-                Node::Internal(inner) => {
-                    for child in inner.children {
-                        drain(*child, out);
-                    }
-                }
-            }
-        }
-        let mut out = Vec::with_capacity(self.len);
-        let root = std::mem::replace(self.root.as_mut(), Node::new_leaf());
-        self.len = 0;
-        drain(root, &mut out);
-        out
     }
 }
 
@@ -82,33 +37,10 @@ mod tests {
     }
 
     #[test]
-    fn for_each_mut_updates_every_value() {
-        let mut t = BPlusTree::bulk_load((0..500u64).map(|k| (k, 0u64)));
-        t.for_each_mut(|k, v| *v = k * 3);
-        for k in (0..500u64).step_by(41) {
-            assert_eq!(t.get(&k), Some(&(k * 3)));
-        }
-    }
-
-    #[test]
-    fn into_sorted_vec_roundtrips() {
-        let t: BPlusTree<u64, u64> = (0..300u64).rev().map(|k| (k, k)).collect();
-        let v = t.into_sorted_vec();
-        assert_eq!(v.len(), 300);
-        assert!(v.windows(2).all(|w| w[0].0 < w[1].0));
-    }
-
-    #[test]
     fn extend_merges_entries() {
         let mut t = BPlusTree::bulk_load((0..10u64).map(|k| (k * 2, k)));
         t.extend((0..10u64).map(|k| (k * 2 + 1, k)));
         assert_eq!(t.len(), 20);
         t.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn into_sorted_vec_on_empty() {
-        let t = BPlusTree::<u64, u64>::new();
-        assert!(t.into_sorted_vec().is_empty());
     }
 }

@@ -141,7 +141,7 @@ impl<'a, K: Ord + Clone, V> IntoIterator for &'a BPlusTree<K, V> {
 
 /// Iterator over the entries of a [`BPlusTree`] within a key range.
 ///
-/// Created by [`BPlusTree::range`] and [`BPlusTree::iter_from_floor`].
+/// Created by [`BPlusTree::range`].
 pub struct Range<'a, K, V> {
     cursor: Cursor<'a, K, V>,
     end: Bound<K>,
@@ -244,16 +244,5 @@ mod tests {
                 .collect();
             assert_eq!(got, want, "start {start}");
         }
-    }
-
-    #[test]
-    fn iter_from_floor_starts_at_covering_key() {
-        let t = tree_of(100);
-        // Floor of 15 is 14.
-        let got: Vec<u64> = t.iter_from_floor(&15).take(3).map(|(k, _)| *k).collect();
-        assert_eq!(got, vec![14, 16, 18]);
-        // Below the first key: starts at the beginning.
-        let got: Vec<u64> = t.iter_from_floor(&0).take(2).map(|(k, _)| *k).collect();
-        assert_eq!(got, vec![0, 2]);
     }
 }

@@ -15,8 +15,8 @@
 //! * inserts with node splits and deletes with borrow/merge rebalancing,
 //! * one-pass bottom-up bulk loading from sorted input, and
 //! * size/shape accounting ([`BPlusTree::size_in_bytes`],
-//!   [`BPlusTree::depth`], [`BPlusTree::node_count`]) used by the paper's
-//!   storage-footprint experiments (Figures 6, 9, 10b, 11).
+//!   [`BPlusTree::depth`]) used by the paper's storage-footprint
+//!   experiments (Figures 6, 9, 10b, 11).
 //!
 //! The tree maps keys to values generically; the FITing-Tree core crate
 //! instantiates it as `BPlusTree<K, SegmentId>`, the full-index baseline

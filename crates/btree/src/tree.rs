@@ -177,32 +177,6 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
         }
     }
 
-    /// Mutable variant of [`floor`](Self::floor).
-    pub fn floor_mut<Q>(&mut self, key: &Q) -> Option<(&K, &mut V)>
-    where
-        K: Borrow<Q>,
-        Q: Ord + ?Sized,
-    {
-        // Two-phase: find the floor key by shared search, then walk down
-        // mutably to it. Keeps the borrow checker happy without unsafe.
-        let target = self.floor(key).map(|(k, _)| k.clone())?;
-        let mut node = self.root.as_mut();
-        loop {
-            match node {
-                Node::Internal(n) => {
-                    let i = n.keys.partition_point(|k| *k <= target);
-                    node = &mut n.children[i];
-                }
-                Node::Leaf(n) => {
-                    let i = n.keys.binary_search(&target).ok()?;
-                    let key_ref = &n.keys[i];
-                    // Reborrow values disjointly from keys.
-                    return Some((key_ref, &mut n.values[i]));
-                }
-            }
-        }
-    }
-
     /// Smallest entry with key `>= key` (successor query).
     #[must_use]
     pub fn ceiling<Q>(&self, key: &Q) -> Option<(&K, &V)>
@@ -487,20 +461,6 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
         Range::new(self, range)
     }
 
-    /// Iterator starting at the greatest key `<= key` (the floor), or at
-    /// the first key if no floor exists; yields entries in key order.
-    ///
-    /// This is how a FITing-Tree walks consecutive segments during a
-    /// range scan: start at the segment covering the range's lower bound
-    /// and sweep right.
-    #[must_use]
-    pub fn iter_from_floor<'a>(&'a self, key: &K) -> Range<'a, K, V> {
-        match self.floor(key) {
-            Some((start, _)) => Range::new(self, start.clone()..),
-            None => Range::new(self, ..),
-        }
-    }
-
     /// Collects shape statistics; walks the whole tree.
     #[must_use]
     pub fn stats(&self) -> TreeStats {
@@ -541,12 +501,6 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
     #[must_use]
     pub fn depth(&self) -> usize {
         self.stats().depth
-    }
-
-    /// Total node count.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.stats().total_nodes()
     }
 
     /// Verifies structural invariants; used by tests and debug assertions.
@@ -714,19 +668,6 @@ mod tests {
             let expected = (k / 10) * 10;
             assert_eq!(t.floor(&k).map(|(k, _)| *k), Some(expected), "probe {k}");
         }
-    }
-
-    #[test]
-    fn floor_mut_allows_updates() {
-        let mut t = BPlusTree::new();
-        t.insert(10u64, 1);
-        t.insert(20u64, 2);
-        {
-            let (k, v) = t.floor_mut(&15).unwrap();
-            assert_eq!(*k, 10);
-            *v = 99;
-        }
-        assert_eq!(t.get(&10), Some(&99));
     }
 
     #[test]

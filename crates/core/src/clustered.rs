@@ -396,7 +396,6 @@ impl<K: Key, V> FitingTree<K, V> {
             in_place_appends: self.in_place_appends,
             resegmentations: self.resegmentations,
             resegmented_entries: self.resegmented_entries,
-            directory_version: self.dir.version(),
             avg_segment_len: if live == 0 {
                 0.0
             } else {
@@ -874,17 +873,15 @@ impl<K: Key, V: Clone> fiting_index_api::SortedIndex<K, V> for FitingTree<K, V> 
     }
 
     /// Native run handoff: `ShardedIndex::split_shard` over FITing-Tree
-    /// shards moves whole segments in O(moved segments) instead of
-    /// copying and re-segmenting every entry.
+    /// shards moves whole segments in O(moved segments); never refuses.
     fn split_off_tail(&mut self, at: &K) -> Option<Self> {
         Some(FitingTree::split_off(self, at))
     }
 
     /// Native append: `ShardedIndex::merge_with_next` hands the right
-    /// shard's segment run over without re-segmentation. Falls back
+    /// shard's segment run over without re-segmentation. Refuses
     /// (returning `false`, touching nothing) on config mismatch or key
-    /// overlap, which the sharded layer resolves with the generic
-    /// copy path.
+    /// overlap, which the sharded layer reports as a refused merge.
     fn absorb_tail(&mut self, other: &mut Self) -> bool {
         FitingTree::absorb(self, other).is_ok()
     }

@@ -46,33 +46,17 @@ pub(crate) struct FlatDirectory<K> {
     /// `(len − 1) / (max_f − min_f)`; `0.0` disables seeding (too few
     /// anchors, or a projection span that is zero/non-finite).
     inv_span: f64,
-    /// Structural version: bumped by every mutation that changes the
-    /// anchor/slot arrays (`rebuild`, `splice`, `split_off` — both
-    /// halves). The in-process analogue of the sharded front-end's
-    /// seqlock sequence word: a reader that records the version before
-    /// and after an unlocked observation can detect a concurrent splice
-    /// the same way a seqlock read detects a writer, and invariant
-    /// checks use equality to prove a window was mutation-free.
-    version: u64,
 }
 
 impl<K: Key> FlatDirectory<K> {
-    /// An empty directory (version 0; the first mutation moves to 1).
+    /// An empty directory.
     pub fn new() -> Self {
         FlatDirectory {
             anchors: Vec::new(),
             slots: Vec::new(),
             min_f: 0.0,
             inv_span: 0.0,
-            version: 0,
         }
-    }
-
-    /// Structural version — see the field docs. Monotonic per
-    /// directory instance; a `split_off` upper half starts its own
-    /// sequence at 1.
-    pub fn version(&self) -> u64 {
-        self.version
     }
 
     /// Number of segments.
@@ -99,12 +83,10 @@ impl<K: Key> FlatDirectory<K> {
     }
 
     /// Recomputes the interpolation-seed state from the current anchor
-    /// run and bumps the structural version. O(1): only the endpoints
-    /// are read. Every structural mutation funnels through here, which
-    /// is what makes the version counter exhaustive.
+    /// run. O(1): only the endpoints are read. Every structural
+    /// mutation funnels through here.
     fn reseed(&mut self) {
         debug_assert!(self.anchors.windows(2).all(|w| w[0] < w[1]));
-        self.version += 1;
         let n = self.anchors.len();
         self.min_f = 0.0;
         self.inv_span = 0.0;
@@ -143,7 +125,6 @@ impl<K: Key> FlatDirectory<K> {
             slots,
             min_f: 0.0,
             inv_span: 0.0,
-            version: 0,
         };
         upper.reseed();
         upper
@@ -500,33 +481,6 @@ mod tests {
         assert!(none.is_empty());
         assert_eq!(d2.len(), 300);
         drop(upper);
-    }
-
-    #[test]
-    fn version_counts_every_structural_mutation() {
-        let mut d: FlatDirectory<u64> = FlatDirectory::new();
-        assert_eq!(d.version(), 0);
-        d.rebuild((0..10u64).map(|i| (i * 10, i as u32)));
-        assert_eq!(d.version(), 1);
-        // Reads never bump.
-        let _ = d.floor_index(35);
-        let _ = d.locate(35);
-        let _ = d.entries().count();
-        assert_eq!(d.version(), 1);
-        // Every mutation primitive bumps exactly once...
-        d.splice(3..3, &[(25, 9)]);
-        assert_eq!(d.version(), 2);
-        d.splice(3..4, &[]);
-        assert_eq!(d.version(), 3);
-        let upper = d.split_off(5);
-        assert_eq!(d.version(), 4);
-        // ...and a split-off upper half starts its own sequence.
-        assert_eq!(upper.version(), 1);
-        // A clone carries the version forward independently.
-        let mut c = d.clone();
-        c.splice(1..1, &[(5, 0)]);
-        assert_eq!(c.version(), 5);
-        assert_eq!(d.version(), 4);
     }
 
     #[test]

@@ -37,13 +37,6 @@ pub struct FitingTreeStats {
     /// Cumulative entries those passes rewrote — with
     /// `resegmentations`, the page-rewriting share of the write path.
     pub resegmented_entries: u64,
-    /// Structural version of the flat directory: bumped by every
-    /// mutation of the anchor/slot arrays (dense rebuilds included, so
-    /// it runs ahead of `directory_splices`). Equal versions across two
-    /// observations prove the window was structurally quiescent — the
-    /// single-tree analogue of the sharded front-end's seqlock sequence
-    /// word.
-    pub directory_version: u64,
     /// Mean entries per segment.
     pub avg_segment_len: f64,
     /// Configured total error budget.
@@ -64,43 +57,4 @@ pub struct LookupTrace {
     /// Nanoseconds spent interpolating and searching the segment
     /// (page window + buffer).
     pub segment_nanos: u64,
-}
-
-impl LookupTrace {
-    /// Total lookup time.
-    #[must_use]
-    pub fn total_nanos(&self) -> u64 {
-        self.tree_nanos + self.segment_nanos
-    }
-
-    /// Fraction of the lookup spent in the directory tree.
-    #[must_use]
-    pub fn tree_fraction(&self) -> f64 {
-        let total = self.total_nanos();
-        if total == 0 {
-            0.0
-        } else {
-            self.tree_nanos as f64 / total as f64
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn trace_fractions() {
-        let t = LookupTrace {
-            tree_nanos: 75,
-            segment_nanos: 25,
-        };
-        assert_eq!(t.total_nanos(), 100);
-        assert!((t.tree_fraction() - 0.75).abs() < 1e-12);
-        let z = LookupTrace {
-            tree_nanos: 0,
-            segment_nanos: 0,
-        };
-        assert_eq!(z.tree_fraction(), 0.0);
-    }
 }

@@ -139,12 +139,15 @@ impl_key_int!(u128, i128);
 ///
 /// Construction rejects NaN; ordering is then the usual numeric order
 /// (`total_cmp`, which for non-NaN values matches `<`/`==` except that
-/// `-0.0 < 0.0`).
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// `-0.0 < 0.0`). Equality agrees with that order: `-0.0` and `0.0` are
+/// two distinct keys (which share one `to_f64` abscissa).
+#[derive(Debug, Clone, Copy)]
 pub struct OrderedF64(f64);
 
 impl OrderedF64 {
-    /// Wraps a finite-or-infinite (non-NaN) value.
+    /// Wraps a finite-or-infinite (non-NaN) value. `±∞` are ordinary
+    /// keys — the smallest and largest there are; having no finite
+    /// distance to any neighbour, each gets a model segment of its own.
     ///
     /// Returns `None` for NaN.
     #[must_use]
@@ -160,6 +163,14 @@ impl OrderedF64 {
     #[must_use]
     pub fn get(self) -> f64 {
         self.0
+    }
+}
+
+// Not derived: `f64`'s `==` says `-0.0 == 0.0`, which `cmp` (and so
+// every search that ends in a key comparison) does not.
+impl PartialEq for OrderedF64 {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
     }
 }
 
@@ -291,6 +302,14 @@ mod tests {
         assert!(OrderedF64::new(f64::NAN).is_none());
         assert!(OrderedF64::try_from(f64::NAN).is_err());
         assert!(OrderedF64::new(f64::INFINITY).is_some());
+    }
+
+    #[test]
+    fn ordered_f64_equality_agrees_with_its_order() {
+        let (neg, pos) = (OrderedF64(-0.0), OrderedF64(0.0));
+        assert!(neg < pos);
+        assert_ne!(neg, pos);
+        assert_eq!(neg, OrderedF64(-0.0));
     }
 
     fn roundtrip<K: Key>(keys: &[K]) {

@@ -122,6 +122,24 @@ pub mod doctest_support {
                 .iter()
                 .map(crate::clone_entry as fn(&(K, V)) -> (K, V))
         }
+
+        fn split_off_tail(&mut self, at: &K) -> Option<Self> {
+            let cut = self.data.partition_point(|(k, _)| k < at);
+            Some(VecIndex {
+                data: self.data.split_off(cut),
+            })
+        }
+
+        fn absorb_tail(&mut self, other: &mut Self) -> bool {
+            let disjoint = match (self.data.last(), other.data.first()) {
+                (Some(last), Some(first)) => last.0 < first.0,
+                _ => true,
+            };
+            if disjoint {
+                self.data.append(&mut other.data);
+            }
+            disjoint
+        }
     }
 
     impl<K: Key, V: Clone> BuildableIndex<K, V> for VecIndex<K, V> {

@@ -28,11 +28,11 @@
 //!   an adjacent pair is colder than `merge_fraction ×` the mean, and
 //!   wait `cooldown_steps` after every action so one burst cannot
 //!   thrash the layout.
-//! * [`Rebalancer`] owns both plus the shard-structure build config,
-//!   and exposes one [`step`](Rebalancer::step): snapshot occupancy,
-//!   decide, act. The split boundary is the median of the sampled
-//!   writes inside the hot shard's span, falling back to the shard's
-//!   own stored median when the sample is too thin.
+//! * [`Rebalancer`] owns both and exposes one
+//!   [`step`](Rebalancer::step): snapshot occupancy, decide, act. The
+//!   split boundary is the median of the sampled writes inside the hot
+//!   shard's span, falling back to the shard's own stored median when
+//!   the sample is too thin.
 //!
 //! Each `step` performs at most one split *or* one merge, so a
 //! coordinator can run it on a timer and stay comprehensible.
@@ -51,8 +51,7 @@
 //!     cooldown_steps: 0,
 //!     ..RebalancePolicy::default()
 //! };
-//! let mut rebalancer: Rebalancer<u64, u64, VecIndex<u64, u64>> =
-//!     Rebalancer::new((), policy);
+//! let mut rebalancer: Rebalancer<u64> = Rebalancer::new(policy);
 //!
 //! let sampler = rebalancer.sampler();
 //! for k in 4_000..8_000u64 {
@@ -68,7 +67,7 @@
 
 use crate::key::Key;
 use crate::sharded::ShardedIndex;
-use crate::sorted::BuildableIndex;
+use crate::sorted::SortedIndex;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -338,43 +337,37 @@ pub enum RebalanceOutcome {
     },
 }
 
-/// Drives online rebalancing of a [`ShardedIndex`]: owns the policy,
-/// the write sampler, and the shard-structure build config, and turns
-/// occupancy snapshots into split/merge calls — one action per
-/// [`step`](Self::step) at most.
+/// Drives online rebalancing of a [`ShardedIndex`]: owns the policy
+/// and the write sampler, and turns occupancy snapshots into
+/// split/merge calls — one action per [`step`](Self::step) at most.
 ///
 /// The service layer runs `step` from a coordinator thread on a timer
 /// (`IndexService::start_rebalancing` in `fiting-index-service`);
 /// embedders without the service can call it from any maintenance
 /// loop. See the [module docs](self) for a worked example.
-pub struct Rebalancer<K: Key, V: Clone, I: BuildableIndex<K, V>> {
-    config: I::Config,
+pub struct Rebalancer<K: Key> {
     policy: RebalancePolicy,
     sampler: Arc<WriteSampler<K>>,
     counters: Arc<RebalanceCounters>,
     hot_streak: u32,
     cooldown: u32,
-    _marker: std::marker::PhantomData<fn() -> (V, I)>,
 }
 
-impl<K: Key, V: Clone, I: BuildableIndex<K, V> + 'static> Rebalancer<K, V, I> {
-    /// A rebalancer that builds split-off shards with `config` and
-    /// decides according to `policy`.
+impl<K: Key> Rebalancer<K> {
+    /// A rebalancer that decides according to `policy`.
     #[must_use]
-    pub fn new(config: I::Config, policy: RebalancePolicy) -> Self {
+    pub fn new(policy: RebalancePolicy) -> Self {
         let sampler = Arc::new(WriteSampler::new(
             policy.reservoir_capacity,
             policy.decay_every,
             policy.seed,
         ));
         Rebalancer {
-            config,
             policy,
             sampler,
             counters: Arc::new(RebalanceCounters::default()),
             hot_streak: 0,
             cooldown: 0,
-            _marker: std::marker::PhantomData,
         }
     }
 
@@ -413,7 +406,10 @@ impl<K: Key, V: Clone, I: BuildableIndex<K, V> + 'static> Rebalancer<K, V, I> {
     /// Safe to call concurrently with any index traffic; the
     /// underlying primitives revalidate and never block readers of
     /// untouched shards.
-    pub fn step(&mut self, index: &ShardedIndex<K, V, I>) -> RebalanceOutcome {
+    pub fn step<V: Clone, I: SortedIndex<K, V> + 'static>(
+        &mut self,
+        index: &ShardedIndex<K, V, I>,
+    ) -> RebalanceOutcome {
         // ordering: Relaxed on every counter in this function — the
         // rebalancer is single-threaded per instance and the counters
         // are advisory stats; split/merge publication is ordered by
@@ -454,7 +450,7 @@ impl<K: Key, V: Clone, I: BuildableIndex<K, V> + 'static> Rebalancer<K, V, I> {
             let Some(at) = at else {
                 return RebalanceOutcome::Watching;
             };
-            return match index.split_shard(&self.config, hot, at) {
+            return match index.split_shard(hot, at) {
                 Ok(moved) => {
                     self.counters.splits.fetch_add(1, Ordering::Relaxed);
                     self.counters
@@ -464,8 +460,9 @@ impl<K: Key, V: Clone, I: BuildableIndex<K, V> + 'static> Rebalancer<K, V, I> {
                     self.cooldown = self.policy.cooldown_steps;
                     RebalanceOutcome::Split { shard: hot, moved }
                 }
-                // A refused split (e.g. the sampled median landed on
-                // the span edge) is not an error; re-observe.
+                // A refused split (the sampled median landed on the
+                // span edge, or the shard structure declined the
+                // handoff) is not an error; re-observe.
                 Err(_) => {
                     self.hot_streak = 0;
                     RebalanceOutcome::Watching
@@ -502,7 +499,7 @@ mod tests {
     use crate::doctest_support::VecIndex;
 
     type Idx = ShardedIndex<u64, u64, VecIndex<u64, u64>>;
-    type Reb = Rebalancer<u64, u64, VecIndex<u64, u64>>;
+    type Reb = Rebalancer<u64>;
 
     fn load(n: u64, shards: usize) -> Idx {
         ShardedIndex::bulk_load(&(), shards, (0..n).map(|k| (k, k)).collect()).unwrap()
@@ -548,7 +545,7 @@ mod tests {
     #[test]
     fn step_splits_hot_shard_at_sampled_median() {
         let idx = load(4_000, 4);
-        let mut reb: Reb = Rebalancer::new((), prompt_policy());
+        let mut reb: Reb = Rebalancer::new(prompt_policy());
         let sampler = reb.sampler();
         // Append-skew: everything lands on the last shard.
         for k in 4_000..8_000u64 {
@@ -579,7 +576,7 @@ mod tests {
         for k in 1_000..4_000u64 {
             idx.insert(k, k); // hot, but nothing observed by the sampler
         }
-        let mut reb: Reb = Rebalancer::new((), prompt_policy());
+        let mut reb: Reb = Rebalancer::new(prompt_policy());
         assert!(matches!(
             reb.step(&idx),
             RebalanceOutcome::Split { shard: 1, .. }
@@ -599,7 +596,7 @@ mod tests {
             min_split_entries: 64,
             ..RebalancePolicy::default()
         };
-        let mut reb: Reb = Rebalancer::new((), policy);
+        let mut reb: Reb = Rebalancer::new(policy);
         // Two watching steps before the trigger fires on the third.
         assert_eq!(reb.step(&idx), RebalanceOutcome::Watching);
         assert_eq!(reb.step(&idx), RebalanceOutcome::Watching);
@@ -619,7 +616,7 @@ mod tests {
         for k in 2_502..3_498u64 {
             idx.remove(&k);
         }
-        let mut reb: Reb = Rebalancer::new((), prompt_policy());
+        let mut reb: Reb = Rebalancer::new(prompt_policy());
         let outcome = reb.step(&idx);
         let RebalanceOutcome::Merge { shard, moved } = outcome else {
             panic!("expected merge, got {outcome:?}");
@@ -635,16 +632,13 @@ mod tests {
     #[test]
     fn quiet_index_stays_idle_and_respects_bounds() {
         let idx = load(4_000, 4);
-        let mut reb: Reb = Rebalancer::new(
-            (),
-            RebalancePolicy {
-                min_shards: 4,
-                max_shards: 4,
-                trigger_steps: 1,
-                cooldown_steps: 0,
-                ..RebalancePolicy::default()
-            },
-        );
+        let mut reb: Reb = Rebalancer::new(RebalancePolicy {
+            min_shards: 4,
+            max_shards: 4,
+            trigger_steps: 1,
+            cooldown_steps: 0,
+            ..RebalancePolicy::default()
+        });
         // Balanced: idle.
         assert_eq!(reb.step(&idx), RebalanceOutcome::Idle);
         // Hot, but max_shards forbids splitting.
@@ -660,7 +654,7 @@ mod tests {
         assert_eq!(reb.step(&idx), RebalanceOutcome::Idle);
         assert_eq!(idx.shard_count(), 4);
         let empty: Idx = ShardedIndex::bulk_load(&(), 1, Vec::new()).unwrap();
-        let mut reb2: Reb = Rebalancer::new((), prompt_policy());
+        let mut reb2: Reb = Rebalancer::new(prompt_policy());
         assert_eq!(reb2.step(&empty), RebalanceOutcome::Idle);
     }
 }

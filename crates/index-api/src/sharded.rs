@@ -148,7 +148,7 @@ pub struct RoutingStats {
 /// Every error leaves the index exactly as it was — rebalance
 /// primitives either complete fully or change nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RebalanceError<E> {
+pub enum RebalanceError {
     /// The shard index does not name an existing shard (for a merge:
     /// the *right-hand* shard of the pair).
     NoSuchShard {
@@ -163,11 +163,15 @@ pub enum RebalanceError<E> {
     /// The requested split key would leave one side of the split with
     /// no entries (it is ≤ the shard's first key or > its last).
     EmptySide,
-    /// Building the new upper shard failed; no data was moved.
-    Build(E),
+    /// The shard structure declined the run handoff
+    /// ([`SortedIndex::split_off_tail`] returned `None`, or
+    /// [`SortedIndex::absorb_tail`] returned `false`): it has no native
+    /// handoff, the pair's configurations differ, or a durable shard
+    /// cannot persist the move right now.
+    Refused,
 }
 
-impl<E: std::fmt::Debug> std::fmt::Display for RebalanceError<E> {
+impl std::fmt::Display for RebalanceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RebalanceError::NoSuchShard { shard, shard_count } => {
@@ -179,12 +183,12 @@ impl<E: std::fmt::Debug> std::fmt::Display for RebalanceError<E> {
             RebalanceError::EmptySide => {
                 f.write_str("split key would leave one side of the split empty")
             }
-            RebalanceError::Build(e) => write!(f, "building the upper shard failed: {e:?}"),
+            RebalanceError::Refused => f.write_str("the shard structure refused the run handoff"),
         }
     }
 }
 
-impl<E: std::fmt::Debug> std::error::Error for RebalanceError<E> {}
+impl std::error::Error for RebalanceError {}
 
 /// One immutable routing epoch: the boundary keys plus the shard
 /// handles they route to. Published wholesale through [`Snapshots`] by
@@ -273,7 +277,7 @@ struct Inner<K, I> {
 ///     ShardedIndex::bulk_load(&(), 2, pairs).unwrap();
 ///
 /// // Shard 1 owns [500, ∞); split it at 750.
-/// let moved = index.split_shard(&(), 1, 750).unwrap();
+/// let moved = index.split_shard(1, 750).unwrap();
 /// assert_eq!(moved, 250);
 /// assert_eq!(index.shard_count(), 3);
 /// assert_eq!(index.boundaries(), vec![500, 750]);
@@ -396,19 +400,19 @@ impl<K: Key, V: Clone, I: BuildableIndex<K, V> + 'static> ShardedIndex<K, V, I> 
                 .collect(),
         })
     }
+}
 
+impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ShardedIndex<K, V, I> {
     /// Splits shard `shard` at key `at`: entries with keys `>= at` move
     /// into a new shard inserted immediately after, and `at` becomes a
     /// routing boundary. Returns the number of entries moved.
     ///
-    /// When the shard structure provides a native run handoff
+    /// The move is the shard structure's own run handoff
     /// ([`SortedIndex::split_off_tail`] — the FITing-Tree moves whole
-    /// segment pages plus their directory span), the split costs
+    /// segment pages plus their directory span), so the split costs
     /// **O(moved segments)** and the new shard inherits the source
-    /// shard's configuration (`config` is unused). Otherwise the
-    /// generic fallback copies the upper run out, builds the new shard
-    /// with `config`, and removes the moved keys from the source —
-    /// O(moved entries × structure op).
+    /// shard's configuration. There is no other path: a structure that
+    /// declines the handoff refuses the split.
     ///
     /// The move happens under the source shard's write lock and the new
     /// routing table is published *before* that lock is released, so
@@ -420,14 +424,9 @@ impl<K: Key, V: Clone, I: BuildableIndex<K, V> + 'static> ShardedIndex<K, V, I> 
     ///
     /// Refused (changing nothing) when `shard` does not exist, when
     /// `at` falls outside the shard's routed span, when either side of
-    /// the split would hold no entries, or when building the upper
-    /// shard fails (fallback path only).
-    pub fn split_shard(
-        &self,
-        config: &I::Config,
-        shard: usize,
-        at: K,
-    ) -> Result<usize, RebalanceError<I::BuildError>> {
+    /// the split would hold no entries, or when the shard structure
+    /// declines the handoff ([`RebalanceError::Refused`]).
+    pub fn split_shard(&self, shard: usize, at: K) -> Result<usize, RebalanceError> {
         let _serial = self.inner.rebalances.lock();
         let table = self.table();
         let shard_count = table.shards.len();
@@ -456,25 +455,8 @@ impl<K: Key, V: Clone, I: BuildableIndex<K, V> + 'static> ShardedIndex<K, V, I> 
         {
             return Err(RebalanceError::EmptySide);
         }
-        let (upper, moved) = match guard.split_off_tail(&at) {
-            // Fast path: structure-level handoff, O(moved segments).
-            Some(upper) => {
-                let moved = upper.len();
-                (upper, moved)
-            }
-            // Fallback: copy the upper run out and build the new shard
-            // *before* draining the source, so a build failure leaves
-            // the index untouched.
-            None => {
-                let moving = guard.range_collect(at..);
-                let moved_keys: Vec<K> = moving.iter().map(|&(k, _)| k).collect();
-                let upper = I::build_sorted(config, moving).map_err(RebalanceError::Build)?;
-                for k in &moved_keys {
-                    guard.remove(k);
-                }
-                (upper, moved_keys.len())
-            }
-        };
+        let upper = guard.split_off_tail(&at).ok_or(RebalanceError::Refused)?;
+        let moved = upper.len();
         let mut bounds = table.bounds.clone();
         bounds.insert(shard, at);
         let mut shards = table.shards.clone();
@@ -494,12 +476,12 @@ impl<K: Key, V: Clone, I: BuildableIndex<K, V> + 'static> ShardedIndex<K, V, I> 
     /// and the right shard is retired. Returns the number of entries
     /// moved.
     ///
-    /// When the shard structure provides a native append
+    /// The move is the shard structure's own append
     /// ([`SortedIndex::absorb_tail`] — the FITing-Tree hands the right
-    /// shard's whole segment run over), the merge costs **O(moved
-    /// segments)** with no re-segmentation or per-entry copying;
-    /// otherwise the right shard's entries are copied out and
-    /// re-inserted through `insert_many`.
+    /// shard's whole segment run over), so the merge costs **O(moved
+    /// segments)** with no re-segmentation or per-entry copying. There
+    /// is no other path: a structure that declines the append refuses
+    /// the merge.
     ///
     /// Both shards' write locks are held across the move and the
     /// routing-table publish, so concurrent operations on either shard
@@ -508,8 +490,9 @@ impl<K: Key, V: Clone, I: BuildableIndex<K, V> + 'static> ShardedIndex<K, V, I> 
     /// # Errors
     ///
     /// Refused (changing nothing) when `shard + 1` does not name an
-    /// existing shard.
-    pub fn merge_with_next(&self, shard: usize) -> Result<usize, RebalanceError<I::BuildError>> {
+    /// existing shard, or when the shard structure declines the append
+    /// ([`RebalanceError::Refused`]).
+    pub fn merge_with_next(&self, shard: usize) -> Result<usize, RebalanceError> {
         let _serial = self.inner.rebalances.lock();
         let table = self.table();
         let shard_count = table.shards.len();
@@ -527,21 +510,10 @@ impl<K: Key, V: Clone, I: BuildableIndex<K, V> + 'static> ShardedIndex<K, V, I> 
         // adjacent locks here cannot deadlock.
         let mut keep_guard = keep.write();
         let mut retire_guard = retire.write();
-        let to_move = retire_guard.len();
-        let moved = if keep_guard.absorb_tail(&mut retire_guard) {
-            // Fast path: segment-run handoff; the retired shard is
-            // drained in place.
-            to_move
-        } else {
-            // Fallback: copy + re-insert. The retired shard then still
-            // holds its (now duplicate) entries, but no table
-            // references it: once the last stale operation revalidates
-            // and retries, it is dropped.
-            let moving = retire_guard.range_collect(..);
-            let moved = moving.len();
-            keep_guard.insert_many(moving);
-            moved
-        };
+        let moved = retire_guard.len();
+        if !keep_guard.absorb_tail(&mut retire_guard) {
+            return Err(RebalanceError::Refused);
+        }
         let mut bounds = table.bounds.clone();
         bounds.remove(shard);
         let mut shards = table.shards.clone();
@@ -553,9 +525,7 @@ impl<K: Key, V: Clone, I: BuildableIndex<K, V> + 'static> ShardedIndex<K, V, I> 
         drop(keep_guard);
         Ok(moved)
     }
-}
 
-impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ShardedIndex<K, V, I> {
     fn from_table(table: Table<K, I>) -> Self {
         ShardedIndex {
             inner: Arc::new(Inner {
@@ -969,13 +939,6 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ShardedIndex<K, V, I> {
         }
     }
 
-    /// Runs `f` with shared access to the shard that owns `key`,
-    /// revalidating against concurrent rebalances (like every key-
-    /// routed operation).
-    pub fn with_shard_read<R>(&self, key: &K, f: impl FnOnce(&I) -> R) -> R {
-        self.read_owner(key, f)
-    }
-
     /// Runs `f` with exclusive access to the shard that owns `key`,
     /// revalidating against concurrent rebalances.
     pub fn with_shard_write<R>(&self, key: &K, f: impl FnOnce(&mut I) -> R) -> R {
@@ -1118,17 +1081,6 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ShardedIndex<K, V, I> {
         let shard = table.shards.get(idx)?;
         let reloaded = shard.write().reload();
         Some(reloaded)
-    }
-
-    /// The [`ShardHealth`] of every shard, in shard order — the
-    /// supervisor's cheap probe (one read section per shard).
-    #[must_use]
-    pub fn shard_health(&self) -> Vec<ShardHealth> {
-        self.table()
-            .shards
-            .iter()
-            .map(|s| s.read_with(SortedIndex::health))
-            .collect()
     }
 }
 
@@ -1285,7 +1237,7 @@ mod tests {
         assert_eq!(before, vec![500, 500]);
 
         // Split shard 1 (keys 1000..1998) at 1500.
-        let moved = idx.split_shard(&(), 1, 1_500).unwrap();
+        let moved = idx.split_shard(1, 1_500).unwrap();
         assert_eq!(moved, 250);
         assert_eq!(idx.shard_count(), 3);
         assert_eq!(idx.boundaries(), vec![1_000, 1_500]);
@@ -1326,7 +1278,7 @@ mod tests {
         let idx = load(1_000, 2); // boundary at 1000
         let count = idx.shard_count();
         assert_eq!(
-            idx.split_shard(&(), 5, 1_500),
+            idx.split_shard(5, 1_500),
             Err(RebalanceError::NoSuchShard {
                 shard: 5,
                 shard_count: count
@@ -1334,22 +1286,19 @@ mod tests {
         );
         // Outside shard 1's span (≤ its lower bound / ≥ next bound).
         assert_eq!(
-            idx.split_shard(&(), 1, 1_000),
+            idx.split_shard(1, 1_000),
             Err(RebalanceError::BoundaryOutOfSpan)
         );
         assert_eq!(
-            idx.split_shard(&(), 0, 1_000),
+            idx.split_shard(0, 1_000),
             Err(RebalanceError::BoundaryOutOfSpan)
         );
         // Inside the span but above every key in the shard: the upper
         // side would be empty.
-        assert_eq!(
-            idx.split_shard(&(), 1, 1_999),
-            Err(RebalanceError::EmptySide)
-        );
+        assert_eq!(idx.split_shard(1, 1_999), Err(RebalanceError::EmptySide));
         // At or below the shard's first key: the lower side would be
         // empty (0 is shard 0's minimum, so everything moves).
-        assert_eq!(idx.split_shard(&(), 0, 0), Err(RebalanceError::EmptySide));
+        assert_eq!(idx.split_shard(0, 0), Err(RebalanceError::EmptySide));
         // Nothing changed.
         assert_eq!(idx.shard_count(), 2);
         assert_eq!(idx.len(), 1_000);
@@ -1362,6 +1311,18 @@ mod tests {
                 shard_count: 2
             })
         );
+
+        // A structure that declines the handoff refuses a valid move,
+        // and nothing is copied behind its back.
+        let (idx, applied) = load_probe(1_000, 2);
+        idx.with_shard_write(&0, |shard| shard.refuse = true);
+        let before = idx.range_collect(..);
+        assert_eq!(idx.split_shard(0, 500), Err(RebalanceError::Refused));
+        assert_eq!(idx.merge_with_next(0), Err(RebalanceError::Refused));
+        assert_eq!(idx.boundaries(), vec![1_000]);
+        assert_eq!(idx.shard_lens(), vec![500, 500]);
+        assert_eq!(idx.range_collect(..), before);
+        assert_eq!(applied.load(Ordering::Relaxed), 0, "no insert_many copy");
     }
 
     #[test]
@@ -1371,7 +1332,7 @@ mod tests {
         for _ in 0..4 {
             let hot = hottest_shard(&idx);
             let at = idx.shard_median(hot).unwrap();
-            idx.split_shard(&(), hot, at).unwrap();
+            idx.split_shard(hot, at).unwrap();
         }
         assert_eq!(idx.shard_count(), 7);
         assert_eq!(idx.range_collect(..), model);
@@ -1411,7 +1372,7 @@ mod tests {
         for _ in 0..6 {
             let hot = hottest_shard(&idx);
             if let Some(at) = idx.shard_median(hot) {
-                let _ = idx.split_shard(&(), hot, at);
+                let _ = idx.split_shard(hot, at);
             }
         }
         while idx.shard_count() > 2 {
@@ -1442,7 +1403,7 @@ mod tests {
         for _ in 0..8 {
             let hot = hottest_shard(&idx);
             if let Some(at) = idx.shard_median(hot) {
-                let _ = idx.split_shard(&(), hot, at);
+                let _ = idx.split_shard(hot, at);
             }
             if idx.shard_count() > 3 {
                 let _ = idx.merge_with_next(0);
@@ -1462,10 +1423,11 @@ mod tests {
 
     /// [`VecIndex`] plus what the grouped-kernel tests need to observe:
     /// a shared count of items handed to the batch entry points, a
-    /// refusal switch, and a one-shot thread-local hook run inside the
-    /// first batch apply — i.e. while the kernel holds that shard's
-    /// write lock, which is how a test lands a rebalance *mid-pass*
-    /// deterministically instead of hoping a storm does.
+    /// refusal switch (batches and run handoffs alike), and a one-shot
+    /// thread-local hook run inside the first batch apply — i.e. while
+    /// the kernel holds that shard's write lock, which is how a test
+    /// lands a rebalance *mid-pass* deterministically instead of hoping
+    /// a storm does.
     #[derive(Debug)]
     struct Probe {
         inner: VecIndex<u64, u64>,
@@ -1519,13 +1481,18 @@ mod tests {
             }
             Ok(self.insert_many(batch))
         }
-        // Native merge handoff, so `merge_with_next` does not route the
-        // moved run through the counted `insert_many`.
-        fn absorb_tail(&mut self, other: &mut Self) -> bool {
-            for (k, v) in std::mem::take(&mut other.inner).range(..) {
-                self.inner.insert(k, v);
+        fn split_off_tail(&mut self, at: &u64) -> Option<Self> {
+            if self.refuse {
+                return None;
             }
-            true
+            Some(Probe {
+                inner: self.inner.split_off_tail(at)?,
+                applied: Arc::clone(&self.applied),
+                refuse: false,
+            })
+        }
+        fn absorb_tail(&mut self, other: &mut Self) -> bool {
+            !self.refuse && self.inner.absorb_tail(&mut other.inner)
         }
     }
 
@@ -1601,10 +1568,9 @@ mod tests {
             // group now owns only its keys below 1500, and the shard-2
             // group's shard is retired outright.
             let rebalancer = idx.clone();
-            let config = Arc::clone(&applied);
             MID_PASS.with(|h| {
                 *h.borrow_mut() = Some(Box::new(move || {
-                    rebalancer.split_shard(&config, 1, 1_500).unwrap();
+                    rebalancer.split_shard(1, 1_500).unwrap();
                     rebalancer.merge_with_next(2).unwrap();
                 }));
             });
@@ -1647,7 +1613,7 @@ mod tests {
         for _ in 0..12 {
             let hot = hottest_shard(&idx);
             if let Some(at) = idx.shard_median(hot) {
-                let _ = idx.split_shard(&applied, hot, at);
+                let _ = idx.split_shard(hot, at);
             }
             if idx.shard_count() > 3 {
                 let _ = idx.merge_with_next(0);
@@ -1733,7 +1699,7 @@ mod tests {
         // A rebalance publishes exactly one new table and the next
         // read revalidates (one refresh), then goes quiet again.
         let at = idx.shard_median(0).unwrap();
-        idx.split_shard(&(), 0, at).unwrap();
+        idx.split_shard(0, at).unwrap();
         let bumped = idx.routing_stats();
         assert_eq!(bumped.publishes, after.publishes + 1);
         assert_eq!(bumped.version, after.version + 1);

@@ -136,10 +136,13 @@ pub trait SortedIndex<K: Key, V: Clone> {
     ///
     /// Structures with a native run handoff (the FITing-Tree moves
     /// whole segment pages plus their directory span, in O(moved
-    /// segments)) override this; the default returns `None`, telling
-    /// callers to fall back to the generic copy-out + rebuild + remove
-    /// path. Implementations must either move the entries or return
-    /// `None` without touching anything.
+    /// segments)) override this. `None` means **refused, nothing
+    /// touched** — the default (no handoff exists), or an implementor
+    /// that cannot complete the move right now (a durable shard that
+    /// cannot persist it); `split_shard` reports it as
+    /// [`RebalanceError::Refused`](crate::RebalanceError::Refused) and
+    /// copies nothing. Implementations must either move the entries or
+    /// return `None` with `self` exactly as it was.
     ///
     /// Excluded from [`DynSortedIndex`] (returns `Self`); `where Self:
     /// Sized` keeps the trait object-safe.
@@ -157,11 +160,13 @@ pub trait SortedIndex<K: Key, V: Clone> {
     /// [`split_off_tail`](Self::split_off_tail), behind
     /// [`ShardedIndex::merge_with_next`](crate::ShardedIndex::merge_with_next).
     ///
-    /// Returns `true` when the handoff happened; `false` (touching
-    /// neither structure) when the structure has no native append path
-    /// or its preconditions — disjoint ascending key runs, matching
-    /// configuration — do not hold, in which case callers fall back to
-    /// copy + `insert_many`.
+    /// Returns `true` when the handoff happened. `false` means
+    /// **refused, neither structure touched**: the structure has no
+    /// native append path (the default), its preconditions — disjoint
+    /// ascending key runs, matching configuration — do not hold, or it
+    /// cannot complete the move right now; `merge_with_next` reports it
+    /// as [`RebalanceError::Refused`](crate::RebalanceError::Refused)
+    /// and copies nothing.
     fn absorb_tail(&mut self, other: &mut Self) -> bool
     where
         Self: Sized,

@@ -239,17 +239,6 @@ where
         self.shared.queues.len()
     }
 
-    /// Racy snapshot of each lane queue's depth — the live
-    /// backpressure signal, cheap enough to poll per request.
-    #[must_use]
-    pub fn queue_depths(&self) -> Vec<usize> {
-        self.shared
-            .queues
-            .iter()
-            .map(super::queue::BoundedQueue::len)
-            .collect()
-    }
-
     /// Whether the service has shut down (all further submissions
     /// fail).
     #[must_use]

@@ -99,7 +99,7 @@ pub use ticket::{ticket, CommandError, Completer, Outcome, Ticket};
 // separate fiting-index-api import.
 pub use fiting_index_api::{RebalancePolicy, RebalanceStats, Rebalancer, WriteSampler};
 
-use fiting_index_api::{BuildableIndex, Key, RebalanceCounters, ShardedIndex, SortedIndex};
+use fiting_index_api::{Key, RebalanceCounters, ShardedIndex, SortedIndex};
 use parking_lot::{Condvar, Mutex};
 use stats::{LaneState, WorkerCounters};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
@@ -400,13 +400,9 @@ where
     pub fn start_rebalancing(
         index: ShardedIndex<K, V, I>,
         config: ServiceConfig,
-        rebalancer: Rebalancer<K, V, I>,
+        rebalancer: Rebalancer<K>,
         interval: Duration,
-    ) -> Self
-    where
-        I: BuildableIndex<K, V>,
-        I::Config: Send + 'static,
-    {
+    ) -> Self {
         let sampler = rebalancer.sampler();
         let counters = rebalancer.counters();
         let mut service = Self::launch(index, config, Some(sampler), Some(counters), None);
@@ -674,7 +670,7 @@ fn supervise_pass<K, V, I>(
 mod tests {
     use super::*;
     use fiting_index_api::doctest_support::VecIndex;
-    use fiting_index_api::RebalanceOutcome;
+    use fiting_index_api::{BuildableIndex, RebalanceOutcome};
     use std::thread;
 
     type Svc = IndexService<u64, u64, VecIndex<u64, u64>>;
@@ -987,16 +983,13 @@ mod tests {
     fn rebalancing_service_splits_hot_shard_under_load() {
         let index: fiting_index_api::ShardedIndex<u64, u64, VecIndex<u64, u64>> =
             ShardedIndex::bulk_load(&(), 4, (0..4_000u64).map(|k| (k, k)).collect()).unwrap();
-        let rebalancer: Rebalancer<u64, u64, VecIndex<u64, u64>> = Rebalancer::new(
-            (),
-            RebalancePolicy {
-                trigger_steps: 1,
-                cooldown_steps: 0,
-                min_split_entries: 256,
-                min_reservoir_samples: 8,
-                ..RebalancePolicy::default()
-            },
-        );
+        let rebalancer = Rebalancer::new(RebalancePolicy {
+            trigger_steps: 1,
+            cooldown_steps: 0,
+            min_split_entries: 256,
+            min_reservoir_samples: 8,
+            ..RebalancePolicy::default()
+        });
         let svc = IndexService::start_rebalancing(
             index,
             ServiceConfig::default(),

@@ -66,12 +66,19 @@ impl Cone {
     /// For a duplicate of the origin key (`dx == 0`) the prediction is
     /// pinned at `origin_pos`, so the point fits iff its distance from the
     /// origin position is within `error`.
+    ///
+    /// A non-finite `dx` (an infinite origin or key, or `f64::MAX`-scale
+    /// keys whose difference overflows) has no slope: the point is
+    /// rejected, closing the segment, in both admission tests.
     #[must_use]
     pub fn admits_endpoint(&self, key: f64, pos: u64, error: u64) -> bool {
         debug_assert!(key >= self.origin_key, "keys must arrive in order");
         debug_assert!(pos >= self.origin_pos, "positions must increase");
         let dx = key - self.origin_key;
         let dy = (pos - self.origin_pos) as f64;
+        if !dx.is_finite() {
+            return false;
+        }
         if dx == 0.0 {
             return dy <= error as f64;
         }
@@ -94,6 +101,9 @@ impl Cone {
         let dx = key - self.origin_key;
         let dy = (pos - self.origin_pos) as f64;
         let err = error as f64;
+        if !dx.is_finite() {
+            return false;
+        }
         if dx == 0.0 {
             return dy <= err;
         }
@@ -191,6 +201,23 @@ mod tests {
         assert!(c.admits_endpoint(5.0, 103, 3));
         assert!(!c.admits_endpoint(5.0, 104, 3));
         assert!(!c.admits_feasible(5.0, 104, 3));
+    }
+
+    #[test]
+    fn non_finite_dx_closes_the_segment() {
+        // slope = dy / ∞ = 0 would pass `low <= 0 <= high` and then
+        // collapse the cone to [0, 0], admitting every later point.
+        for (origin, key) in [
+            (f64::NEG_INFINITY, 0.0),
+            (0.0, f64::INFINITY),
+            (f64::NEG_INFINITY, f64::INFINITY),
+            (f64::NEG_INFINITY, f64::NEG_INFINITY), // dx is NaN
+            (-f64::MAX, f64::MAX),                  // dx overflows
+        ] {
+            let c = Cone::new(origin, 0);
+            assert!(!c.admits_endpoint(key, 1, 16), "{origin} -> {key}");
+            assert!(!c.admits_feasible(key, 1, 16), "{origin} -> {key}");
+        }
     }
 
     #[test]

@@ -240,8 +240,8 @@ fn write_file_durable(
     })
 }
 
-/// Writes `data` as generation `generation`'s snapshot: temp file,
-/// data fsync, atomic rename, directory fsync (the commit point). On
+/// Publishes `data` as generation `generation`'s snapshot: temp file,
+/// data fsync, atomic rename — the caller owes the directory fsync. On
 /// failure the temp file is cleaned up best-effort and nothing of the
 /// new generation is visible.
 fn write_snapshot(
@@ -255,8 +255,7 @@ fn write_snapshot(
     let publish = (|| {
         write_file_durable(store, retries, &tmp, data)?;
         let target = gen_file(dir, "snapshot", generation);
-        store.run(retries, IoOp::Rename, &tmp, |io| io.rename(&tmp, &target))?;
-        store.run(retries, IoOp::SyncDir, dir, |io| io.sync_dir(dir))
+        store.run(retries, IoOp::Rename, &tmp, |io| io.rename(&tmp, &target))
     })();
     if publish.is_err() {
         let _ = store.io.remove_file(&tmp);
@@ -338,7 +337,9 @@ pub enum StorageBuildError<E> {
 /// [`split_off_tail`](SortedIndex::split_off_tail) and
 /// [`absorb_tail`](SortedIndex::absorb_tail) checkpoint the involved
 /// shards, so rebalancing rotates per-shard logs instead of leaving a
-/// log that disagrees with its shard's key span.
+/// log that disagrees with its shard's key span; a move that cannot be
+/// persisted is undone in memory and refused (`None` / `false`), with
+/// the shard whose disk failed left degraded.
 #[derive(Debug)]
 pub struct DurableIndex<K: Key, V: Key, I = FitingTree<K, V>> {
     inner: I,
@@ -355,15 +356,22 @@ pub struct DurableIndex<K: Key, V: Key, I = FitingTree<K, V>> {
 }
 
 impl<K: Key, V: Key, I: SortedIndex<K, V> + PageSnapshot> DurableIndex<K, V, I> {
-    /// Wraps `inner`, minting a fresh shard directory with an initial
-    /// snapshot (generation 0) and an empty log. On failure `inner` is
+    /// Wraps `inner`, minting a fresh shard directory with an empty log
+    /// and an initial snapshot (generation 0). On failure `inner` is
     /// handed back so the caller can undo an in-memory move.
+    ///
+    /// The snapshot's rename is the last step that can fail the call,
+    /// so a failed `create` leaves a directory with no decodable
+    /// snapshot, which reopen skips — never a live-looking copy of a
+    /// run whose move the caller then undoes, which reopen's "upper
+    /// shard owns the overlap" rule would prefer over every later
+    /// write. Past the rename the shard exists: a failed directory
+    /// fsync leaves it born degraded (read-only until its first
+    /// checkpoint re-syncs the directory) rather than undone.
     fn create(inner: I, store: Arc<Store>) -> Result<Self, (StorageError, I)> {
         let retries = Arc::new(AtomicU64::new(0));
         let prep = (|| {
             let dir = store.mint_shard_dir(&retries)?;
-            let data = inner.snapshot_bytes();
-            write_snapshot(&store, &retries, &dir, 0, &data)?;
             let wal = Wal::create(
                 store.io.as_ref(),
                 &gen_file(&dir, "wal", 0),
@@ -371,9 +379,14 @@ impl<K: Key, V: Key, I: SortedIndex<K, V> + PageSnapshot> DurableIndex<K, V, I> 
                 Arc::clone(&store.retry),
                 Arc::clone(&retries),
             )?;
-            Ok((dir, data.len(), wal))
+            let data = inner.snapshot_bytes();
+            write_snapshot(&store, &retries, &dir, 0, &data)?;
+            let unsynced = store
+                .run(&retries, IoOp::SyncDir, &dir, |io| io.sync_dir(&dir))
+                .err();
+            Ok((dir, data.len(), wal, unsynced))
         })();
-        let (dir, disk_bytes, wal) = match prep {
+        let (dir, disk_bytes, wal, unsynced) = match prep {
             Ok(parts) => parts,
             Err(e) => return Err((e, inner)),
         };
@@ -384,7 +397,7 @@ impl<K: Key, V: Key, I: SortedIndex<K, V> + PageSnapshot> DurableIndex<K, V, I> 
             generation: 0,
             wal,
             disk_bytes,
-            degraded: None,
+            degraded: unsynced.map(|e| e.to_string()),
             retries,
         })
     }
@@ -929,7 +942,9 @@ impl<K: Key, V: Key, I: SortedIndex<K, V> + PageSnapshot> SortedIndex<K, V>
         let right = match DurableIndex::create(right_inner, Arc::clone(&self.store)) {
             Ok(right) => right,
             Err((e, mut right_inner)) => {
-                // Undo the in-memory move; disk never changed.
+                // Undo the in-memory move. This shard's disk never
+                // changed, and the directory `create` abandoned holds
+                // no decodable snapshot, so reopen skips it.
                 if !self.inner.absorb_tail(&mut right_inner) {
                     let all: (Bound<K>, Bound<K>) = (Bound::Unbounded, Bound::Unbounded);
                     let pairs: Vec<(K, V)> = right_inner.range(all).collect();
@@ -957,33 +972,44 @@ impl<K: Key, V: Key, I: SortedIndex<K, V> + PageSnapshot> SortedIndex<K, V>
         if !self.inner.absorb_tail(&mut other.inner) {
             return false;
         }
-        // Persist the absorber before draining the donor: a failure
-        // (or crash) between the two duplicates the absorbed run —
-        // reconciled at reopen — rather than losing it.
-        if let Err(e) = self.checkpoint_now() {
-            // Undo the in-memory absorb so memory and disk agree.
-            let undone = match &other_min {
-                Some(min) => match self.inner.split_off_tail(min) {
-                    Some(tail) => {
-                        other.inner = tail;
-                        true
-                    }
-                    None => false,
-                },
-                None => true, // absorbed nothing
-            };
-            self.degrade(&e);
-            // If the undo failed the absorbed keys live on in memory
-            // here and on disk in the donor's directory — nothing
-            // lost; reopen reconciles.
-            return !undone;
+        // Persist the absorber before draining the donor: a crash
+        // between the two duplicates the absorbed run — reconciled at
+        // reopen — rather than losing it.
+        let keeper_saved = self.checkpoint_now();
+        match &keeper_saved {
+            Ok(()) => match other.checkpoint_now() {
+                Ok(()) => return true,
+                Err(e) => other.degrade(&e),
+            },
+            Err(e) => self.degrade(e),
         }
-        if let Err(e) = other.checkpoint_now() {
-            // Donor disk still holds the moved run (now duplicated in
-            // this shard's generation) — reconciled at reopen.
-            other.degrade(&e);
+        // One directory could not take the move: hand the run back so
+        // memory matches what the disks hold, and refuse. A retired
+        // donor whose drain never landed would leave a stale run that
+        // reopen's "upper shard owns the overlap" rule prefers over
+        // every later write to this shard; kept in the table it heals
+        // through its own checkpoint and the rule stays true.
+        let undone = match &other_min {
+            Some(min) => match self.inner.split_off_tail(min) {
+                Some(tail) => {
+                    other.inner = tail;
+                    true
+                }
+                None => false,
+            },
+            None => true, // absorbed nothing
+        };
+        if undone && keeper_saved.is_ok() {
+            // This shard's new generation holds the run it just gave
+            // back; rewrite it, or stay read-only until that works.
+            if let Err(e) = self.checkpoint_now() {
+                self.degrade(&e);
+            }
         }
-        true
+        // If the undo failed the absorbed keys live on in memory here
+        // and on disk in the donor's directory — nothing lost; reopen
+        // reconciles.
+        !undone
     }
 
     fn disk_bytes(&self) -> usize {

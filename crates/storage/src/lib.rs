@@ -95,7 +95,7 @@ pub use fiting_tree::snapshot::{crc32, SnapshotError};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fiting_index_api::{BuildableIndex, ShardHealth, SortedIndex};
+    use fiting_index_api::{BuildableIndex, RebalanceError, ShardHealth, SortedIndex};
     use fiting_tree::{FitingTree, FitingTreeBuilder};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -235,7 +235,7 @@ mod tests {
         assert_eq!(index.shard_count(), 4);
 
         // Native split path rotates logs and mints a new shard dir.
-        let moved = index.split_shard(&cfg, 0, 1000).unwrap();
+        let moved = index.split_shard(0, 1000).unwrap();
         assert!(moved > 0);
         assert_eq!(index.shard_count(), 5);
         // Merge drains a shard; its directory stays behind (empty).
@@ -259,6 +259,94 @@ mod tests {
         assert_eq!(back.len(), expect);
         assert_eq!(back.get(&90001), Some(42));
         assert_eq!(back.get(&500), Some(500));
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// Two durable shards, `[0, 1000)` in `shard-000000` and
+    /// `[1000, 2000)` in `shard-000001`, behind `io`.
+    fn two_shards(
+        root: &PathBuf,
+        io: &FaultIo,
+    ) -> fiting_index_api::ShardedIndex<u64, u64, Durable> {
+        let pairs = (0..2000u64).map(|k| (k, k)).collect();
+        fiting_index_api::ShardedIndex::bulk_load(&fault_config(root, io), 2, pairs).unwrap()
+    }
+
+    fn healths(index: &fiting_index_api::ShardedIndex<u64, u64, Durable>) -> Vec<ShardHealth> {
+        index.shard_stats().iter().map(|s| s.health).collect()
+    }
+
+    #[test]
+    fn merge_the_keeper_cannot_persist_is_refused_then_heals() {
+        let root = temp_root("merge-keeper");
+        let io = FaultIo::quiet();
+        let index = two_shards(&root, &io);
+        let before = index.range_collect(..);
+
+        io.fail_nth(IoOp::Rename, "shard-000000", 1, InjectKind::Enospc, false);
+        assert_eq!(index.merge_with_next(0), Err(RebalanceError::Refused));
+        assert_eq!(index.boundaries(), vec![1000]);
+        assert_eq!(index.range_collect(..), before);
+        assert_eq!(
+            healths(&index),
+            [ShardHealth::Degraded, ShardHealth::Healthy]
+        );
+
+        assert_eq!(index.heal_shards(), 1);
+        assert_eq!(index.merge_with_next(0), Ok(1000));
+        assert_eq!(index.shard_count(), 1);
+        assert_eq!(index.range_collect(..), before);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn split_of_a_degraded_shard_is_refused_and_mints_nothing() {
+        let root = temp_root("split-degraded");
+        let io = FaultIo::quiet();
+        let index = two_shards(&root, &io);
+        index.insert(1, 11);
+        io.fail_nth(IoOp::Fsync, "shard-000000", 1, InjectKind::Eio, false);
+        assert_eq!(index.try_sync_all(), (1, 1));
+        let before = index.range_collect(..);
+
+        assert_eq!(index.split_shard(0, 500), Err(RebalanceError::Refused));
+        assert_eq!(index.boundaries(), vec![1000]);
+        assert_eq!(index.range_collect(..), before);
+        assert_eq!(std::fs::read_dir(&root).unwrap().count(), 2, "shard dirs");
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn merge_the_donor_cannot_drain_is_undone_so_reopen_keeps_later_writes() {
+        let root = temp_root("merge-donor");
+        let io = FaultIo::quiet();
+        let index = two_shards(&root, &io);
+        let before = index.range_collect(..);
+
+        io.fail_nth(IoOp::Rename, "shard-000001", 1, InjectKind::Enospc, false);
+        assert_eq!(index.merge_with_next(0), Err(RebalanceError::Refused));
+        assert_eq!(index.boundaries(), vec![1000]);
+        assert_eq!(index.range_collect(..), before);
+        assert_eq!(
+            healths(&index),
+            [ShardHealth::Healthy, ShardHealth::Degraded]
+        );
+
+        // The donor stayed in the table, so it heals and the run's
+        // later writes land in the directory reopen will believe.
+        assert_eq!(index.heal_shards(), 1);
+        assert_eq!(index.insert(1500, 777), Some(1500));
+        assert_eq!(index.remove(&1600), Some(1600));
+        assert_eq!(index.try_sync_all(), (2, 0));
+        let expect = index.range_collect(..);
+        drop(index);
+
+        let (back, report) =
+            open_sharded::<u64, u64, FitingTree<u64, u64>>(&fault_config(&root, &io)).unwrap();
+        assert_eq!(back.get(&1500), Some(777));
+        assert_eq!(back.get(&1600), None);
+        assert_eq!(back.range_collect(..), expect);
+        assert!(report.shards.iter().all(|r| r.overlap_dropped == 0));
         std::fs::remove_dir_all(&root).unwrap();
     }
 

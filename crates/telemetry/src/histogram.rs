@@ -262,18 +262,6 @@ impl HistogramSnapshot {
         self.sum = self.sum.wrapping_add(other.sum);
         self.max = self.max.max(other.max);
     }
-
-    /// Non-empty bucket `(midpoint_nanos, count)` pairs, ascending —
-    /// the raw curve for export or plotting.
-    #[must_use]
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(i, &n)| (bucket_mid(i), n))
-            .collect()
-    }
 }
 
 #[cfg(test)]

@@ -10,7 +10,6 @@
 //! numbers, booleans, and null. It lives here so the service crates
 //! can serialize snapshots without depending on the bench harness.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// A JSON value. Object keys keep insertion order so emitted files are
@@ -168,24 +167,6 @@ impl Json {
             return Err(format!("trailing characters at byte {pos}"));
         }
         Ok(value)
-    }
-
-    /// Flattens `{"k": num, ...}`-style measurement objects into a map
-    /// keyed by the given identity fields, for baseline comparison.
-    pub fn index_by<'a>(rows: &'a [Json], fields: &[&str]) -> BTreeMap<String, &'a Json> {
-        let mut map = BTreeMap::new();
-        for row in rows {
-            let key: Vec<String> = fields
-                .iter()
-                .map(|f| match row.get(f) {
-                    Some(Json::Str(s)) => s.clone(),
-                    Some(Json::Num(n)) => format!("{n}"),
-                    other => format!("{other:?}"),
-                })
-                .collect();
-            map.insert(key.join("/"), row);
-        }
-        map
     }
 }
 
@@ -415,21 +396,10 @@ mod tests {
     }
 
     #[test]
-    fn set_replaces_and_index_by_keys() {
+    fn set_replaces() {
         let mut o = Json::obj().with("x", Json::Num(1.0));
         o.set("x", Json::Num(2.0));
         assert_eq!(o.get("x").and_then(Json::as_f64), Some(2.0));
-        let rows = vec![
-            Json::obj()
-                .with("path", Json::Str("direct".into()))
-                .with("error", Json::Num(64.0)),
-            Json::obj()
-                .with("path", Json::Str("service".into()))
-                .with("error", Json::Num(64.0)),
-        ];
-        let map = Json::index_by(&rows, &["path", "error"]);
-        assert!(map.contains_key("direct/64"));
-        assert!(map.contains_key("service/64"));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Chaos battery: seeded fault schedules + worker panics vs a
 //! `BTreeMap` oracle of the acknowledged state.
 //!
-//! Three batteries, ≥ 500 distinct schedules at the default scale:
+//! Four batteries, ≥ 600 distinct schedules at the default scale:
 //!
 //! * **A — shard storms** (`FITING_CHAOS_SEEDS`, default 400): one
 //!   durable shard per seed behind a [`FaultIo`] following
@@ -31,11 +31,24 @@
 //!   reopens the store from disk — the recovered state must match the
 //!   oracle on every certain key.
 //!
+//! * **D — rebalance storms** (¼ of the seed knob, min 100): a
+//!   three-shard durable `ShardedIndex` per seed under
+//!   `FaultPlan::seeded`, mixing refusal-aware writes with
+//!   `split_shard` / `merge_with_next` and the sync / checkpoint / heal
+//!   passes a service's coordinators would run. A move either happens
+//!   (shard count changes by exactly one) or is refused with count,
+//!   boundaries and contents untouched — never a panic, never a copy —
+//!   and a full scan equals the oracle after *every* step. After the
+//!   storm the harness disarms, heals, syncs, drops the index and
+//!   reopens the store: the recovered state must equal the oracle
+//!   exactly, whatever directories refused or undone moves left behind.
+//!
 //! On any violation the failing schedule (seed + full injection log)
 //! is written to `target/chaos/` so the exact run can be replayed.
 //!
 //! Scale knob: `FITING_CHAOS_SEEDS` (nightly CI raises it).
 
+use fiting::index_api::RebalanceError;
 use fiting::storage::{
     DurableConfig, DurableIndex, FaultIo, FaultPlan, FsyncPolicy, InjectKind, IoOp, RetryPolicy,
 };
@@ -811,5 +824,202 @@ fn battery_c_service_storms_keep_every_acknowledged_write() {
     if let Err(e) = forced_checkpoint_failure(&dir, &io) {
         panic!("{}", dump_schedule("service-forced", 0, &io, &e));
     }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+// ---------------------------------------------------------------- D --
+
+fn scan_equals(index: &ShardedIndex<u64, u64, Durable>, oracle: &BTreeMap<u64, u64>) -> bool {
+    let scan = index.range_collect(..);
+    scan.into_iter().eq(oracle.iter().map(|(&k, &v)| (k, v)))
+}
+
+/// One seeded storm of writes, splits, merges and maintenance passes
+/// against a three-shard durable index. `Ok` carries `(refused moves,
+/// completed moves)`; `Err` a violation for the caller to dump.
+fn rebalance_storm(root: &Path, seed: u64, io: &FaultIo) -> Result<(u64, u64), String> {
+    io.disarm(); // build under clean I/O; the storm starts after
+    let fsync = match seed % 3 {
+        0 => FsyncPolicy::Always,
+        1 => FsyncPolicy::EveryN(3),
+        _ => FsyncPolicy::Off,
+    };
+    let cfg = DurableConfig::with_io(
+        root,
+        fsync,
+        FitingTreeBuilder::new(64),
+        Arc::new(io.clone()),
+        RetryPolicy::immediate(2),
+    )
+    .map_err(|e| format!("clean-io config failed: {e}"))?;
+    let base: Vec<(u64, u64)> = (0..300u64).map(|k| (k * 4, k)).collect();
+    let mut oracle: BTreeMap<u64, u64> = base.iter().copied().collect();
+    let index: ShardedIndex<u64, u64, Durable> = ShardedIndex::bulk_load(&cfg, 3, base)
+        .map_err(|e| format!("clean-io bulk load failed: {e:?}"))?;
+
+    io.arm();
+    let mut rng = Lcg(seed ^ 0xD15C_0B07_5EED_0D0D);
+    let (mut refused, mut completed) = (0u64, 0u64);
+    for step in 0..120u32 {
+        let roll = rng.next() % 100;
+        match roll {
+            0..=24 => {
+                let (k, v) = (rng.next() % 1_600, rng.next());
+                index.with_write_groups(vec![(k, v)], |shard, k, v| {
+                    if shard.try_insert(k, v).is_ok() {
+                        oracle.insert(k, v);
+                    }
+                });
+            }
+            25..=34 => {
+                let k = rng.next() % 1_600;
+                let mut wrong_prev = false;
+                index.with_write_groups(vec![(k, ())], |shard, k, ()| {
+                    if let Ok(prev) = shard.try_remove(&k) {
+                        wrong_prev = prev != oracle.remove(&k);
+                    }
+                });
+                if wrong_prev {
+                    return Err(format!("step {step}: remove({k}) returned wrong prev"));
+                }
+            }
+            35..=49 => {
+                // Distinct keys, so the per-key verdict below is exact.
+                let batch: BTreeMap<u64, u64> = (0..1 + rng.next() % 8)
+                    .map(|_| (rng.next() % 1_600, rng.next()))
+                    .collect();
+                let (_, refused_keys) = index.insert_many_reporting(batch.clone());
+                // Nothing runs concurrently, so a key was refused iff
+                // the shard that owns it is degraded right now.
+                let health: Vec<ShardHealth> =
+                    index.shard_stats().iter().map(|s| s.health).collect();
+                let mut expect_refused = 0;
+                for (k, v) in batch {
+                    if health[index.shard_of(&k)] == ShardHealth::Healthy {
+                        oracle.insert(k, v);
+                    } else {
+                        expect_refused += 1;
+                    }
+                }
+                if refused_keys != expect_refused {
+                    return Err(format!(
+                        "step {step}: batch reported {refused_keys} refused keys, \
+                         degraded shards own {expect_refused}"
+                    ));
+                }
+            }
+            50..=71 => {
+                let (count, bounds) = (index.shard_count(), index.boundaries());
+                let (what, outcome, want_count) = if roll <= 61 {
+                    let at = *oracle
+                        .keys()
+                        .nth(rng.next() as usize % oracle.len())
+                        .expect("the storm never drains the oracle");
+                    let outcome = index.split_shard(index.shard_of(&at), at);
+                    (format!("split at {at}"), outcome, count + 1)
+                } else {
+                    let left = rng.next() as usize % count;
+                    (
+                        format!("merge {left}+{}", left + 1),
+                        index.merge_with_next(left),
+                        count - 1,
+                    )
+                };
+                match outcome {
+                    Ok(_) => {
+                        completed += 1;
+                        if index.shard_count() != want_count {
+                            return Err(format!(
+                                "step {step}: {what} succeeded, shard count {count} -> {}",
+                                index.shard_count()
+                            ));
+                        }
+                    }
+                    Err(e) => {
+                        refused += u64::from(e == RebalanceError::Refused);
+                        if (index.shard_count(), index.boundaries()) != (count, bounds) {
+                            return Err(format!("step {step}: {what} failed ({e}) yet moved"));
+                        }
+                    }
+                }
+            }
+            72..=79 => {
+                let _ = index.try_sync_all();
+            }
+            80..=85 => {
+                let _ = index.try_checkpoint_shards(0);
+            }
+            86..=91 => {
+                let _ = index.heal_shards();
+            }
+            _ => {
+                // Read probe — degraded shards must still serve reads.
+                let k = rng.next() % 1_600;
+                if index.get(&k) != oracle.get(&k).copied() {
+                    return Err(format!("step {step}: mid-storm read diverged at key {k}"));
+                }
+            }
+        }
+        // Memory is the acknowledged state after every step: a refused
+        // write or move left nothing behind, a completed one lost nothing.
+        if !scan_equals(&index, &oracle) {
+            return Err(format!(
+                "step {step} (roll {roll}): scan diverged from oracle"
+            ));
+        }
+    }
+
+    // Quiesce: heal every shard, flush, and recover from disk.
+    io.disarm();
+    index.heal_shards();
+    if index
+        .shard_stats()
+        .iter()
+        .any(|s| s.health != ShardHealth::Healthy)
+    {
+        return Err("a shard stayed degraded after a clean heal pass".to_string());
+    }
+    index.sync_all();
+    drop(index);
+    let (back, _report) = open_sharded::<u64, u64, FitingTree<u64, u64>>(&cfg)
+        .map_err(|e| format!("clean-io reopen failed: {e}"))?;
+    if !scan_equals(&back, &oracle) {
+        return Err("recovered state diverged from acknowledged oracle".to_string());
+    }
+    Ok((refused, completed))
+}
+
+#[test]
+fn battery_d_rebalance_storms_move_whole_runs_or_nothing() {
+    let root = scratch_root("rebalance");
+    let seeds = (seed_count() / 4).max(100);
+    let (mut refusing_seeds, mut moving_seeds) = (0u64, 0u64);
+    for seed in 0..seeds {
+        let dir = root.join(format!("seed-{seed}"));
+        let io = FaultIo::new(FaultPlan::seeded(seed ^ 0x0D15_C0DE));
+        // A panic is the first thing this battery forbids; catch it so
+        // its schedule is dumped like any other violation.
+        let storm = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            rebalance_storm(&dir, seed, &io)
+        }))
+        .unwrap_or_else(|_| Err("panicked (message above)".to_string()));
+        match storm {
+            Ok((refused, completed)) => {
+                refusing_seeds += u64::from(refused > 0);
+                moving_seeds += u64::from(completed > 0);
+            }
+            Err(e) => panic!("{}", dump_schedule("rebalance", seed, &io, &e)),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    // The storm must be real on both sides of the all-or-nothing rule.
+    assert!(
+        refusing_seeds > seeds / 20,
+        "only {refusing_seeds}/{seeds} seeds ever had a move refused — storm too quiet"
+    );
+    assert!(
+        moving_seeds > seeds / 2,
+        "only {moving_seeds}/{seeds} seeds ever completed a move — storm too harsh"
+    );
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -18,13 +18,15 @@
 //! * the numeric edges of the projection (the `edge_*` tests) — signed
 //!   keys straddling zero, a run ending at `u64::MAX`, dense runs above
 //!   2⁵³ and above 2¹⁰⁰ that *arrive through `insert`*, so the in-place
-//!   tail append is decided where neighbouring keys share one abscissa.
+//!   tail append is decided where neighbouring keys share one abscissa;
+//!   `OrderedF64` infinities (a key with no finite distance to any
+//!   neighbour) and `-0.0` / `+0.0` (two keys, one abscissa).
 //!
 //! Plus a guard that the instrumented lookup (`get_traced`) answers
 //! exactly as `get` does.
 
 use fiting::tree::{FitingTree, FitingTreeBuilder};
-use fiting::Key;
+use fiting::{Key, OrderedF64};
 use std::collections::BTreeMap;
 
 /// Deterministic xorshift64* stream.
@@ -373,4 +375,60 @@ fn edge_u128_dense_high() {
     let tail: Vec<u128> = (3_000..4_000u128).map(|i| base + i).collect();
     let (bulk, arrivals) = interleaved(&keys, &tail, 0x53);
     lifecycle(&edge_shape!("u128-dense-high", bulk, arrivals));
+}
+
+/// An [`EdgeShape`] over `OrderedF64`: the near misses are the adjacent
+/// representable floats.
+fn f64_shape(name: &'static str, bulk: &[f64], arrivals: &[f64]) -> EdgeShape<OrderedF64> {
+    let keys = |vs: &[f64]| vs.iter().map(|&v| OrderedF64::new(v).unwrap()).collect();
+    EdgeShape {
+        name,
+        bulk: keys(bulk),
+        arrivals: keys(arrivals),
+        near: |k| {
+            [
+                OrderedF64::new(k.get().next_down()),
+                OrderedF64::new(k.get().next_up()),
+            ]
+        },
+    }
+}
+
+/// `-∞` first and `+∞` last, a dense run beside each: loaded in bulk,
+/// then arriving late through `insert` with ordinary inserts after them
+/// (so buffers holding an infinity overflow and re-carve). No finite
+/// slope reaches an infinite key; a cone that takes `dy / ∞ = 0` for one
+/// collapses to `[0, 0]` and swallows every key after it.
+#[test]
+fn edge_ordered_f64_infinities() {
+    let run: Vec<f64> = (0..3_000).map(|i| f64::from(i) * 1.5).collect();
+    let (evens, odds) = interleaved(&run, &[], 0x54);
+
+    let mut bulk = vec![f64::NEG_INFINITY];
+    bulk.extend(&evens);
+    bulk.push(f64::INFINITY);
+    lifecycle(&f64_shape("f64-infinities-bulk-loaded", &bulk, &odds));
+
+    let mut arrivals = vec![f64::NEG_INFINITY, f64::INFINITY];
+    arrivals.extend(&odds);
+    lifecycle(&f64_shape("f64-infinities-inserted", &evens, &arrivals));
+}
+
+/// `-0.0` and `+0.0` are distinct, adjacent keys that project to one
+/// abscissa, in the middle of a dense run straddling zero — one loaded
+/// and one inserted, each way round.
+#[test]
+fn edge_ordered_f64_signed_zeros() {
+    let run: Vec<f64> = (-1_500..1_500)
+        .filter(|&i| i != 0)
+        .map(|i| f64::from(i) * 0.25)
+        .collect();
+    let (bulk, arrivals) = interleaved(&run, &[], 0x55);
+    let zero_at = bulk.partition_point(|&v| v < 0.0);
+    for (loaded, inserted) in [(-0.0, 0.0), (0.0, -0.0)] {
+        let (mut bulk, mut arrivals) = (bulk.clone(), arrivals.clone());
+        bulk.insert(zero_at, loaded);
+        arrivals.push(inserted);
+        lifecycle(&f64_shape("f64-signed-zeros", &bulk, &arrivals));
+    }
 }

@@ -157,7 +157,6 @@ fn assert_steady_state_reads_are_wait_free(index: &Idx, oracle: &BTreeMap<u64, u
 fn concurrent_reads_match_oracle_under_split_merge_churn() {
     let index = build_index();
     let oracle = Arc::new(oracle());
-    let config = FitingTreeBuilder::new(64);
 
     let stop = Arc::new(AtomicBool::new(false));
     let started = Arc::new(AtomicU64::new(0));
@@ -213,7 +212,7 @@ fn concurrent_reads_match_oracle_under_split_merge_churn() {
         if index.shard_count() < 10 {
             let k = (xorshift(&mut rng) % STABLE) * 10;
             let shard = index.shard_of(&k);
-            if index.split_shard(&config, shard, k).is_ok() {
+            if index.split_shard(shard, k).is_ok() {
                 splits += 1;
             }
         }
@@ -239,14 +238,11 @@ fn concurrent_reads_match_oracle_under_split_merge_churn() {
 #[test]
 fn steady_state_reads_are_wait_free_from_cold_start() {
     let index = build_index();
-    let config = FitingTreeBuilder::new(64);
     // A couple of structural mutations so the routing version is past
     // its initial value — the steady state must hold on any version.
     // 30_000 sits mid-quartile, strictly inside its shard's span.
     let shard = index.shard_of(&30_000);
-    index
-        .split_shard(&config, shard, 30_000)
-        .expect("mid-key split");
+    index.split_shard(shard, 30_000).expect("mid-key split");
     index.merge_with_next(0).expect("adjacent merge");
     assert_steady_state_reads_are_wait_free(&index, &oracle());
 }

@@ -22,7 +22,7 @@ use std::thread;
 use std::time::Duration;
 
 type Idx = ShardedIndex<u64, u64, FitingTree<u64, u64>>;
-type Reb = Rebalancer<u64, u64, FitingTree<u64, u64>>;
+type Reb = Rebalancer<u64>;
 
 const SHARDS: usize = 4;
 const BULK: u64 = 20_000;
@@ -73,7 +73,7 @@ fn imbalance(lens: &[usize]) -> f64 {
 fn skew_stress_direct_rebalance_drops_imbalance_no_lost_keys() {
     let config = FitingTreeBuilder::new(64);
     let index: Idx = ShardedIndex::bulk_load(&config, SHARDS, bulk_pairs()).unwrap();
-    let mut rebalancer: Reb = Rebalancer::new(config, prompt_policy());
+    let mut rebalancer: Reb = Rebalancer::new(prompt_policy());
     let sampler = rebalancer.sampler();
 
     // Concurrent readers: every bulk key, plus every appended key the
@@ -155,7 +155,7 @@ fn skew_stress_direct_rebalance_drops_imbalance_no_lost_keys() {
 fn skew_stress_service_rebalances_under_pipelined_load() {
     let config = FitingTreeBuilder::new(64);
     let index: Idx = ShardedIndex::bulk_load(&config, SHARDS, bulk_pairs()).unwrap();
-    let rebalancer: Reb = Rebalancer::new(config, prompt_policy());
+    let rebalancer: Reb = Rebalancer::new(prompt_policy());
     let service: IndexService<u64, u64, FitingTree<u64, u64>> = IndexService::start_rebalancing(
         index,
         ServiceConfig::default(),
@@ -231,15 +231,12 @@ fn skew_stress_service_rebalances_under_pipelined_load() {
 fn draining_a_region_merges_cold_shards_back() {
     let config = FitingTreeBuilder::new(64);
     let index: Idx = ShardedIndex::bulk_load(&config, 8, bulk_pairs()).unwrap();
-    let mut rebalancer: Reb = Rebalancer::new(
-        config,
-        RebalancePolicy {
-            trigger_steps: 1,
-            cooldown_steps: 0,
-            min_shards: 2,
-            ..RebalancePolicy::default()
-        },
-    );
+    let mut rebalancer: Reb = Rebalancer::new(RebalancePolicy {
+        trigger_steps: 1,
+        cooldown_steps: 0,
+        min_shards: 2,
+        ..RebalancePolicy::default()
+    });
 
     // Hollow out two adjacent shards (keys are k*10; shard spans are
     // eighths of 0..200_000): leave a couple of sentinels behind.

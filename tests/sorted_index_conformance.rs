@@ -7,10 +7,13 @@
 //! harness can drive it interchangeably.
 //!
 //! Plus a multi-threaded smoke test for the sharded concurrent
-//! front-end (`ShardedIndex`).
+//! front-end (`ShardedIndex`), and the other half of its move contract:
+//! a structure without the segment-run hooks is *refused* a split or a
+//! merge — nothing is copied on its behalf.
 
 use fiting::baselines::{BinarySearchIndex, FixedPageIndex, FullIndex};
 use fiting::btree::BPlusTree;
+use fiting::index_api::{RebalanceError, RebalanceOutcome, RebalancePolicy, Rebalancer};
 use fiting::tree::{FitingTree, FitingTreeBuilder};
 use fiting::{BuildableIndex, DynSortedIndex, ShardedIndex, SortedIndex};
 use std::collections::BTreeMap;
@@ -190,6 +193,81 @@ fn churn_agrees_with_model<I: SortedIndex<u64, u64>>(
     assert_eq!(got, want, "{name}: final scan");
 }
 
+/// A structure with no `split_off_tail` / `absorb_tail` cannot move a
+/// run, so `ShardedIndex` refuses to move one for it — contents and
+/// boundaries untouched — and a `Rebalancer` that wants a merge, then a
+/// split, keeps observing instead of copying or panicking.
+fn refuses_moves<I: BuildableIndex<u64, u64> + 'static>(name: &str, config: &I::Config) {
+    let pairs: Vec<(u64, u64)> = (0..4_000u64).map(|k| (k, k)).collect();
+    let index: ShardedIndex<u64, u64, I> = ShardedIndex::bulk_load(config, 8, pairs).unwrap();
+    let bounds = index.boundaries();
+    let refused = |index: &ShardedIndex<u64, u64, I>, contents: &[(u64, u64)], when: &str| {
+        assert_eq!(
+            index.split_shard(0, 250),
+            Err(RebalanceError::Refused),
+            "{name} {when}"
+        );
+        assert_eq!(
+            index.merge_with_next(0),
+            Err(RebalanceError::Refused),
+            "{name} {when}"
+        );
+        assert_eq!(index.boundaries(), bounds, "{name} {when}: boundaries");
+        assert_eq!(index.range_collect(..), contents, "{name} {when}: contents");
+    };
+    refused(&index, &index.range_collect(..), "balanced");
+
+    let mut rebalancer = Rebalancer::new(RebalancePolicy {
+        trigger_steps: 1,
+        cooldown_steps: 0,
+        min_split_entries: 64,
+        ..RebalancePolicy::default()
+    });
+    // Shards 5 and 6 hollowed out: the policy asks for their merge.
+    for k in 2_502..3_498u64 {
+        index.remove(&k);
+    }
+    for _ in 0..4 {
+        assert_eq!(rebalancer.step(&index), RebalanceOutcome::Idle, "{name}");
+    }
+    // An appended tail on the last shard: the policy asks for its split.
+    index.insert_many((4_000..8_000u64).map(|k| (k, k)));
+    for _ in 0..4 {
+        assert_eq!(
+            rebalancer.step(&index),
+            RebalanceOutcome::Watching,
+            "{name}"
+        );
+    }
+    assert_eq!(rebalancer.stats().splits + rebalancer.stats().merges, 0);
+    refused(&index, &index.range_collect(..), "after rebalancer steps");
+}
+
+/// Two FITing-Tree shards built with different error budgets cannot
+/// hand a run over (the moved segments' envelopes would not fit the
+/// absorber's window): the merge is refused, not re-inserted entry by
+/// entry.
+#[test]
+fn mixed_config_shards_refuse_to_merge() {
+    let build = |error, keys: std::ops::Range<u64>| {
+        FitingTree::build_sorted(
+            &FitingTreeBuilder::new(error),
+            keys.map(|k| (k, k)).collect(),
+        )
+        .unwrap()
+    };
+    let index = ShardedIndex::from_shards(
+        vec![1_000],
+        vec![build(16, 0..1_000), build(64, 1_000..2_000)],
+    );
+    let before = index.range_collect(..);
+    assert_eq!(index.merge_with_next(0), Err(RebalanceError::Refused));
+    assert_eq!(index.boundaries(), vec![1_000]);
+    assert_eq!(index.range_collect(..), before);
+    // Each side still splits on its own terms.
+    assert_eq!(index.split_shard(1, 1_500), Ok(500));
+}
+
 #[test]
 fn fiting_tree_conforms() {
     battery("FITing-Tree", |pairs| {
@@ -206,11 +284,13 @@ fn bplus_tree_conforms() {
     battery("B+ tree", |pairs| {
         BPlusTree::build_sorted(&(), pairs).unwrap()
     });
+    refuses_moves::<BPlusTree<u64, u64>>("B+ tree", &());
 }
 
 #[test]
 fn full_index_conforms() {
     battery("Full", |pairs| FullIndex::build_sorted(&(), pairs).unwrap());
+    refuses_moves::<FullIndex<u64, u64>>("Full", &());
 }
 
 #[test]
@@ -222,6 +302,7 @@ fn fixed_page_index_conforms() {
     battery("Fixed(page=4)", |pairs| {
         FixedPageIndex::build_sorted(&4, pairs).unwrap()
     });
+    refuses_moves::<FixedPageIndex<u64, u64>>("Fixed(page=64)", &64);
 }
 
 #[test]
@@ -229,6 +310,7 @@ fn binary_search_index_conforms() {
     battery("Binary", |pairs| {
         BinarySearchIndex::build_sorted(&(), pairs).unwrap()
     });
+    refuses_moves::<BinarySearchIndex<u64, u64>>("Binary", &());
 }
 
 /// The size-accounting contract across structures, on the same data:
