@@ -17,6 +17,7 @@
 //! | `reader-wait-free` | no `.read()` guard acquisition in reader hot-path modules or anywhere in `crates/telemetry/` — recording must never block a reader or worker |
 //! | `unsafe-safety-comment` | every `unsafe` site in the audited `crates/sync/` carries a per-site `// safety:` comment |
 //! | `sync-ordering-per-site` | every atomic-ordering site in `crates/sync/` carries its own `// ordering:` comment |
+//! | `branchless-claim` | a production `fn` named `*branchless*` calls `select_unpredictable` and holds no `if` / `match` inside its loop — the name stays true of the compiled code |
 //! | `doc-link-integrity` | relative links and `BENCH_*.json` references in the operator docs (README / ARCHITECTURE / ROADMAP / docs/ / crate READMEs) resolve to real files |
 //!
 //! The checker is a hand-rolled lexer (comments, strings, brace depth,

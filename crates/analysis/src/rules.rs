@@ -106,6 +106,7 @@ pub fn check_file(path: &str, raw: &str, allow: &[AllowEntry]) -> Vec<Finding> {
         findings.extend(rule_reader_wait_free(path, &cf));
         findings.extend(rule_unsafe_safety_comment(path, &cf));
         findings.extend(rule_sync_ordering_per_site(path, &cf));
+        findings.extend(rule_kernel_claim(path, &cf));
     }
     findings.extend(rule_forbid_unsafe(path, &cf));
     findings.sort_by_key(|f| f.line);
@@ -467,10 +468,11 @@ fn rule_hot_path_panic(
 /// locally; `forbid` cannot.
 ///
 /// The one vetted exception is `crates/sync/`, the workspace's single
-/// audited `unsafe` boundary (the seqlock's shared reads cannot be
-/// expressed in safe Rust). Its crate root must instead carry
-/// `#![deny(unsafe_op_in_unsafe_fn)]`, and every `unsafe` site there
-/// is held to the `unsafe-safety-comment` rule.
+/// audited `unsafe` boundary (the seqlock's shared reads and the
+/// prefetch intrinsic cannot be expressed in safe Rust). Its crate
+/// root must instead carry `#![deny(unsafe_op_in_unsafe_fn)]`, and
+/// every `unsafe` site there is held to the `unsafe-safety-comment`
+/// rule.
 fn rule_forbid_unsafe(path: &str, cf: &CleanFile) -> Vec<Finding> {
     let is_root = path.ends_with("/lib.rs")
         || path == "src/lib.rs"
@@ -726,6 +728,69 @@ fn rule_sync_ordering_per_site(path: &str, cf: &CleanFile) -> Vec<Finding> {
 }
 
 // ---------------------------------------------------------------------
+// Rule: branchless-claim — a fn named branchless compiles without one
+// ---------------------------------------------------------------------
+
+const LOOP_KEYWORDS: [&str; 3] = ["while", "for", "loop"];
+
+/// A production `fn` whose name says `branchless` must ask for the
+/// conditional move by name (`select_unpredictable`) and hold no
+/// `if` / `match` inside its loop: the optimizer turns a plain
+/// `if c { a } else { b }` into compare-and-jump as readily as into a
+/// select, so the name is only true while the body spells it out.
+/// (Named for what it checks rather than for its id, or it would be its
+/// own first finding.)
+fn rule_kernel_claim(path: &str, cf: &CleanFile) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    let mut finding = |line: usize, message: &str| {
+        findings.push(Finding {
+            file: path.to_string(),
+            line,
+            rule: "branchless-claim",
+            message: message.to_string(),
+        });
+    };
+    let has_word = |line: &str, words: &[&str]| words.iter().any(|w| find_word(line, w).is_some());
+    for f in &cf.fns {
+        let name = cf.code[f.decl_line - 1]
+            .split_once("fn ")
+            .and_then(|(_, rest)| {
+                rest.split(|c: char| !c.is_alphanumeric() && c != '_')
+                    .next()
+            });
+        if !cf.is_production(f.decl_line) || !name.is_some_and(|n| n.contains("branchless")) {
+            continue;
+        }
+        let body = &cf.code[f.body_start - 1..f.body_end];
+        if !body.iter().any(|l| l.contains("select_unpredictable")) {
+            finding(
+                f.decl_line,
+                "fn named branchless never calls `select_unpredictable`: name the select or rename the fn",
+            );
+        }
+        // Brace depth at which the outermost open loop began. Its
+        // header line is exempt: a `while` condition is the loop's one,
+        // predictable, branch.
+        let (mut depth, mut loop_at) = (0isize, None);
+        for (line, ln) in body.iter().zip(f.body_start..) {
+            if loop_at.is_none() && has_word(line, &LOOP_KEYWORDS) {
+                loop_at = Some(depth);
+            } else if loop_at.is_some() && has_word(line, &["if", "match"]) {
+                finding(
+                    ln,
+                    "data-dependent branch inside the loop of a fn named branchless",
+                );
+            }
+            depth += line.matches('{').count() as isize - line.matches('}').count() as isize;
+            if line.contains('}') && loop_at.is_some_and(|at| depth <= at) {
+                loop_at = None;
+            }
+        }
+    }
+    findings
+}
+
+// ---------------------------------------------------------------------
 // Mutation self-tests: every rule fires on a seeded violation and is
 // quiet on the corrected source.
 // ---------------------------------------------------------------------
@@ -959,6 +1024,65 @@ fn bump(&self) {
         // wouldn't compile there anyway — forbid(unsafe_code)).
         let f = check_file("crates/x/src/lib.rs", bad, &[]);
         assert!(!rules_of(&f).contains(&"unsafe-safety-comment"), "{f:?}");
+
+        // The crate's second site, `prefetch_read`, as it ships — and
+        // with its `// safety:` line taken out.
+        let shipped = include_str!("../../sync/src/prefetch.rs");
+        let f = check_file("crates/sync/src/prefetch.rs", shipped, &[]);
+        assert!(!rules_of(&f).contains(&"unsafe-safety-comment"), "{f:?}");
+        let stripped = shipped.replacen("// safety:", "//", 1);
+        let f = check_file("crates/sync/src/prefetch.rs", &stripped, &[]);
+        assert!(rules_of(&f).contains(&"unsafe-safety-comment"), "{f:?}");
+    }
+
+    #[test]
+    fn branchless_claim_fires_on_a_branch_in_the_loop_or_a_missing_select() {
+        let kernel = |step: &str| {
+            format!(
+                "fn branchless_floor<T: Ord>(run: &[T], key: &T) -> usize {{\n    \
+                 let mut base = 0usize;\n    let mut size = run.len();\n    \
+                 while size > 1 {{\n        let half = size / 2;\n        \
+                 let mid = base + half;\n        {step}\n        size -= half;\n    }}\n    \
+                 base\n}}\n"
+            )
+        };
+        // Mutation: the body this rule was written against — it reads
+        // as a select and compiled to `cmp; ja; mov; jmp`.
+        let bad = kernel("base = if run[mid] <= *key { mid } else { base };");
+        let f = check_file("crates/core/src/directory.rs", &bad, &[]);
+        let claims: Vec<_> = f.iter().filter(|f| f.rule == "branchless-claim").collect();
+        assert!(
+            claims
+                .iter()
+                .any(|f| f.line == 7 && f.message.contains("inside the loop")),
+            "{f:?}"
+        );
+        assert!(
+            claims
+                .iter()
+                .any(|f| f.line == 1 && f.message.contains("select_unpredictable")),
+            "{f:?}"
+        );
+
+        let good = kernel("base = std::hint::select_unpredictable(run[mid] <= *key, mid, base);");
+        let f = check_file("crates/core/src/directory.rs", &good, &[]);
+        assert!(!rules_of(&f).contains(&"branchless-claim"), "{f:?}");
+
+        // Branches outside the loop (an empty-input guard) are fine, as
+        // is any body under a name that claims nothing.
+        let guarded = good.replacen(
+            "let mut base = 0usize;",
+            "if run.is_empty() { return 0; }\n    let mut base = 0usize;",
+            1,
+        );
+        let f = check_file("crates/core/src/directory.rs", &guarded, &[]);
+        assert!(!rules_of(&f).contains(&"branchless-claim"), "{f:?}");
+        let f = check_file(
+            "crates/core/src/directory.rs",
+            &bad.replace("branchless_floor", "bounded_floor"),
+            &[],
+        );
+        assert!(!rules_of(&f).contains(&"branchless-claim"), "{f:?}");
     }
 
     #[test]

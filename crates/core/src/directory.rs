@@ -15,8 +15,15 @@
 //!    trick the segments use internally),
 //! 2. gallop outward from the guess to a bracket that must contain the
 //!    floor anchor,
-//! 3. finish with a branchless binary search (conditional-move `base`
-//!    update, no unpredictable branches) inside the bracket.
+//! 3. finish with [`branchless_floor`] inside the bracket — the one
+//!    floor kernel, whose step is `std::hint::select_unpredictable`
+//!    (a conditional move in the compiled loop, no data-dependent
+//!    branch).
+//!
+//! This is the first step of a lookup's miss budget (directory →
+//! `slots[i]` + segment header → {key window ∥ value window}, see
+//! `segment.rs`): about 1 MB per 8 M keys, so it is served from cache
+//! while the pages are not.
 //!
 //! Since the mutation-side B+ tree was retired, this flat form is the
 //! **only** segment directory: structural mutations (segment
@@ -30,8 +37,8 @@
 
 use crate::key::Key;
 
-/// Anchors below this count skip interpolation seeding: a branchless
-/// binary over one or two cache lines is already minimal.
+/// Anchors below this count skip interpolation seeding: the floor
+/// kernel over one or two cache lines is already minimal.
 const SEED_MIN_ANCHORS: usize = 64;
 
 /// Dense, immutable-between-rebuilds segment directory (SoA layout).
@@ -140,17 +147,8 @@ impl<K: Key> FlatDirectory<K> {
         if n == 0 {
             return None;
         }
-        let (mut base, mut size) = self.bracket(key, n);
-        // Branchless bounded search: the conditional assignment compiles
-        // to a conditional move, so the loop retires with no
-        // unpredictable branches regardless of the key distribution.
-        while size > 1 {
-            let half = size / 2;
-            let mid = base + half;
-            base = if self.anchors[mid] <= key { mid } else { base };
-            size -= half;
-        }
-        Some(base)
+        let (base, size) = self.bracket(key, n);
+        Some(base + branchless_floor(&self.anchors[base..base + size], &key))
     }
 
     /// Arena slot of the segment responsible for `key`.
@@ -249,8 +247,15 @@ impl<K: Key> FlatDirectory<K> {
 }
 
 /// Largest index in `run` whose element is `<= key`, or 0 when every
-/// element exceeds `key` — the shared branchless floor kernel used by
-/// both the directory and the segments' bounded window search.
+/// element exceeds `key` — the one floor kernel, used by the directory
+/// and by the segments' wide-window search.
+///
+/// The step is a data-dependent select, not a branch: an `if`/`else`
+/// here compiles to compare-and-jump on the pinned toolchain, and on
+/// uniform keys that jump mispredicts every other probe.
+/// `select_unpredictable` asks for the conditional move by name
+/// (`fiting-check`'s `branchless-claim` rule keeps name and body
+/// together).
 #[inline]
 pub(crate) fn branchless_floor<T: Ord>(run: &[T], key: &T) -> usize {
     debug_assert!(!run.is_empty());
@@ -259,7 +264,7 @@ pub(crate) fn branchless_floor<T: Ord>(run: &[T], key: &T) -> usize {
     while size > 1 {
         let half = size / 2;
         let mid = base + half;
-        base = if run[mid] <= *key { mid } else { base };
+        base = std::hint::select_unpredictable(run[mid] <= *key, mid, base);
         size -= half;
     }
     base

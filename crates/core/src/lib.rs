@@ -23,6 +23,12 @@
 //! + O(log2 bu)  search of the segment's insert buffer
 //! ```
 //!
+//! In cache misses rather than comparisons: directory search →
+//! `slots[i]` + segment header → {key window ∥ value window}. The
+//! model bounds the slot before a page byte is read, so the window's
+//! value lines are requested together with its key lines and a lookup
+//! pays one DRAM round trip per page, not two (`segment.rs`).
+//!
 //! The tunable error `e` trades index size against lookup latency: the
 //! paper shows (and our benches reproduce) index-size reductions of
 //! orders of magnitude at equal latency versus dense and fixed-page

@@ -17,10 +17,20 @@
 //! The page is stored **structure-of-arrays**: `keys: Vec<K>` parallel
 //! to `values: Vec<V>`. The bounded window search only ever touches the
 //! dense key array — every cache line it pulls is full of keys, not
-//! half value payload — so small windows resolve with a branchless
-//! (autovectorizable) scan and large windows with a branchless binary
-//! search; the value array is read exactly once, on a confirmed hit,
-//! and range scans stream exactly `size_of::<V>()` bytes per entry.
+//! half value payload — so small windows resolve with a count scan
+//! (scalar compare-and-add, no early exit: its loads are independent)
+//! and large windows with a branchless binary search; the value array
+//! is read exactly once, on a confirmed hit, and range scans stream
+//! exactly `size_of::<V>()` bytes per entry.
+//!
+//! # Miss budget of a point lookup
+//!
+//! directory search → `slots[i]` + this header → {key window ∥ value
+//! window}. The model bounds the slot to `[lo, hi]` before a page byte
+//! is read, and `values[lo..=hi]` is as known then as `keys[lo..=hi]`,
+//! so `Segment::probe` requests the value lines *before* the
+//! key scan starts: the value miss overlaps the key miss instead of
+//! starting when the scan ends. One DRAM round trip per page, not two.
 //!
 //! Removals are **tombstones** in a lazily-allocated bitmap: O(1), and
 //! they leave every surviving key at its original slot, so
@@ -31,9 +41,10 @@
 
 use crate::directory::branchless_floor;
 use crate::key::Key;
+use fiting_index_api::prefetch_read;
 
-/// Window widths at or below this use the branchless (autovectorizable)
-/// count scan; wider windows use the branchless binary search.
+/// Window widths at or below this use the count scan; wider windows
+/// use the branchless binary search.
 ///
 /// The scan's loads are independent, so the out-of-order core overlaps
 /// every cache line of the window behind roughly one miss latency,
@@ -41,6 +52,17 @@ use crate::key::Key;
 /// scan wins far past the point where instruction counts would suggest
 /// (16 cache lines of u64 keys at this setting).
 const SMALL_WINDOW: usize = 128;
+
+/// Bytes one prefetch hint covers.
+const CACHE_LINE: usize = 64;
+
+/// Keys of the sorted `window` below `key` — on a sorted run, the
+/// offset of `key`'s lower bound. No early exit and no dependence
+/// between iterations: every load of the window is in flight at once.
+#[inline]
+fn count_below<K: Key>(window: &[K], key: K) -> usize {
+    window.iter().filter(|&&k| k < key).count()
+}
 
 /// An envelope deviation as stored (the window caps it at the budget).
 fn saturate_u32(deviation: usize) -> u32 {
@@ -303,7 +325,32 @@ impl<K: Key, V> Segment<K, V> {
             .saturating_add(1)
             .min(n);
         let lo = pred.saturating_sub(self.under as usize).min(hi);
-        lo + self.keys[lo..hi].partition_point(|&k| k < key)
+        let window = &self.keys[lo..hi];
+        lo + if window.len() <= SMALL_WINDOW {
+            // The scan most likely starts at the predicted slot: ask
+            // for its value line while the key lines are in flight.
+            if let Some(value) = self.values.get(pred) {
+                prefetch_read(value);
+            }
+            count_below(window, key)
+        } else {
+            window.partition_point(|&k| k < key)
+        }
+    }
+
+    /// Requests every cache line of `values[lo..=hi]`. The hit lands on
+    /// one of them; which one is only known after the key scan, and a
+    /// request issued then is a second, serialized miss.
+    #[inline]
+    fn prefetch_values(&self, lo: usize, hi: usize) {
+        // `max(1)` twice: a zero-sized `V` must not divide by zero and
+        // a `V` wider than a line must still step.
+        let per_line = (CACHE_LINE / std::mem::size_of::<V>().max(1)).max(1);
+        let window = &self.values[lo..=hi];
+        window.iter().step_by(per_line).for_each(prefetch_read);
+        // `values[lo]` may sit mid-line, so the strides can stop one
+        // line short of the window's end.
+        prefetch_read(&window[hi - lo]);
     }
 
     /// Exact-match probe of the page keys, honoring the error window
@@ -319,10 +366,8 @@ impl<K: Key, V> Segment<K, V> {
         let (lo, hi) = self.window(key, seg_error);
         let window = &self.keys[lo..=hi];
         let idx = if window.len() <= SMALL_WINDOW {
-            // Count-based scan: no early exit, no branches — the
-            // compiler vectorizes the comparison loop over the dense
-            // key array.
-            lo + window.iter().filter(|&&k| k < key).count()
+            self.prefetch_values(lo, hi);
+            lo + count_below(window, key)
         } else {
             lo + branchless_floor(window, &key)
         };
@@ -554,16 +599,35 @@ mod tests {
 
     #[test]
     fn both_window_regimes_agree_on_hits_and_misses() {
-        // Small error ⇒ the branchless scan; large error ⇒ the
-        // branchless binary. Both must agree on hits and misses.
-        let keys: Vec<u64> = (0..2_000).map(|i| i * 2).collect();
-        let s = seg(&keys);
-        for error in [1u64, 4, 11, 12, 64, 500] {
-            for &k in keys.iter().step_by(37) {
-                assert_eq!(s.get(k, error), Some(&(k * 10)));
-                assert_eq!(s.get(k + 1, error), None);
+        // Narrow window ⇒ the count scan (value lines requested first);
+        // wide ⇒ the branchless binary (none requested). A straight
+        // page measures a zero envelope and never leaves the first arm,
+        // so a curved page under an endpoint slope rides along; its
+        // unit-valued twin takes the line stride through the zero-size
+        // guard.
+        let straight: Vec<u64> = (0..2_000).map(|i| i * 2).collect();
+        let curved: Vec<u64> = (0..2_000).map(|i| i * i / 5 + i * 2).collect();
+        for keys in [&straight, &curved] {
+            let s = seg(keys);
+            let units = Segment::from_run(s.start_key, s.slope, keys.clone(), vec![(); keys.len()]);
+            for error in [1u64, 4, 11, 12, 64, 500] {
+                for (slot, &k) in keys.iter().enumerate().step_by(37) {
+                    // The budget decides whether the slot is in reach;
+                    // within reach, either arm must find it.
+                    let (lo, hi) = s.window(k, error);
+                    let reachable = (lo..=hi).contains(&slot);
+                    assert_eq!(s.get(k, error), reachable.then_some(&(k * 10)), "{k}");
+                    assert_eq!(units.get(k, error), reachable.then_some(&()), "{k}");
+                    assert_eq!(s.get(k + 1, error), None);
+                }
             }
         }
+        let s = seg(&curved);
+        let width = |error| {
+            let (lo, hi) = s.window(curved[1_000], error);
+            hi - lo + 1
+        };
+        assert!(width(64) <= SMALL_WINDOW && width(500) > SMALL_WINDOW);
     }
 
     #[test]

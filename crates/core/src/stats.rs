@@ -55,6 +55,9 @@ pub struct LookupTrace {
     /// search; historically a B+ tree descent, hence the field name).
     pub tree_nanos: u64,
     /// Nanoseconds spent interpolating and searching the segment
-    /// (page window + buffer).
+    /// (page window + buffer). The span ends when the slot is found:
+    /// `get` returns a reference and the *caller* reads the value
+    /// line, so that load — and whatever requesting it early saves —
+    /// is the caller's time, not this field's.
     pub segment_nanos: u64,
 }

@@ -47,6 +47,10 @@ pub mod rebalance;
 mod sharded;
 mod sorted;
 
+/// The cache-line read hint from `fiting-sync` (the one crate that may
+/// hold `unsafe`), re-exported so index structures built on this API
+/// reach it without a manifest edge of their own.
+pub use fiting_sync::prefetch_read;
 pub use key::{Key, KeyBytes, OrderedF64};
 pub use rebalance::{
     RebalanceCounters, RebalanceOutcome, RebalancePolicy, RebalanceStats, Rebalancer, WriteSampler,

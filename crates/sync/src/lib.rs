@@ -1,8 +1,8 @@
 //! **fiting-sync** — the wait-free read-path primitives of the
 //! FITing-Tree reproduction workspace.
 //!
-//! Two primitives, built for one protocol (the sharded front-end in
-//! `fiting-index-api`):
+//! Two primitives built for one protocol (the sharded front-end in
+//! `fiting-index-api`), and one hint for the page lookup under it:
 //!
 //! * [`Snapshots`] — a versioned snapshot publisher. A writer
 //!   publishes a new immutable snapshot with one pointer swap under a
@@ -18,15 +18,20 @@
 //!   for in-flight readers to drain instead of tearing them. Readers
 //!   that lose the race to a writer fall back to the writer mutex, so
 //!   every read completes in bounded steps and never observes a torn
-//!   value. This type is the workspace's **single audited `unsafe`
-//!   boundary** (shared reads of an in-place-mutated value cannot be
-//!   expressed in safe Rust); the audit rules below apply.
+//!   value. Shared reads of an in-place-mutated value cannot be
+//!   expressed in safe Rust: this is the first of the workspace's
+//!   **two audited `unsafe` sites**.
+//! * [`prefetch_read`] — a safe wrapper over the x86-64 `prefetcht0`
+//!   hint (a no-op elsewhere), the second site: the intrinsic takes a
+//!   raw pointer, the wrapper a reference. `fiting-tree` reaches it
+//!   through `fiting-index-api`'s re-export to request a lookup's value
+//!   window together with its key window.
 //!
 //! # Audit rules for `unsafe` in this crate
 //!
 //! Every other crate in the workspace carries
 //! `#![forbid(unsafe_code)]`, enforced by the `fiting-check`
-//! `forbid-unsafe` rule. This crate is the vetted exception, held to a
+//! `forbid-unsafe` rule. This crate holds both sites and is held to a
 //! stricter local bar (also machine-checked by `fiting-check`):
 //!
 //! 1. `#![deny(unsafe_op_in_unsafe_fn)]` — no implicit unsafe scopes.
@@ -46,9 +51,11 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 mod padded;
+mod prefetch;
 mod seqlock;
 mod snapshot;
 
 pub use padded::CachePadded;
+pub use prefetch::prefetch_read;
 pub use seqlock::{SeqRwLock, SeqWriteGuard};
 pub use snapshot::{SnapshotStats, Snapshots};

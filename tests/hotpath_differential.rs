@@ -20,7 +20,14 @@
 //!   2⁵³ and above 2¹⁰⁰ that *arrive through `insert`*, so the in-place
 //!   tail append is decided where neighbouring keys share one abscissa;
 //!   `OrderedF64` infinities (a key with no finite distance to any
-//!   neighbour) and `-0.0` / `+0.0` (two keys, one abscissa).
+//!   neighbour) and `-0.0` / `+0.0` (two keys, one abscissa);
+//! * the edges of the window arithmetic — the lookup requests the value
+//!   lines of its window `[lo, hi]` before it scans the keys, so the
+//!   same sweeps run with zero-sized values, at an error wide enough
+//!   for the binary-search arm (which requests none), and over a
+//!   one-slot page, predictions clamped to slot 0 or clipped to the
+//!   last slot, and a page whose every slot is dead under a live
+//!   buffer.
 //!
 //! Plus a guard that the instrumented lookup (`get_traced`) answers
 //! exactly as `get` does.
@@ -257,40 +264,54 @@ fn interleaved<K: Copy>(keys: &[K], tail: &[K], seed: u64) -> (Vec<K>, Vec<K>) {
 }
 
 /// Gets, misses, removes, re-inserts, bounded and full scans against
-/// the oracle, with `check_invariants`, after every phase, at a small
-/// and a mid-sized error budget.
+/// the oracle, with `check_invariants`, after every phase, at a small, a
+/// mid-sized and a wide error budget — at 512 the pages whose keys
+/// share one abscissa measure an envelope past the count-scan's limit,
+/// so the binary-search arm answers to the same oracle — and once more
+/// with zero-sized values, whose "cache lines per window" has no
+/// divisor.
 fn lifecycle<K: Key>(shape: &EdgeShape<K>) {
-    for error in [8u64, 64] {
-        lifecycle_at(shape, error);
+    for error in [8u64, 64, 512] {
+        lifecycle_at(shape, error, |v| v);
     }
+    lifecycle_at(shape, 64, |_| ());
 }
 
-fn lifecycle_at<K: Key>(shape: &EdgeShape<K>, error: u64) {
+fn lifecycle_at<K: Key, V: Clone + PartialEq + std::fmt::Debug>(
+    shape: &EdgeShape<K>,
+    error: u64,
+    value: fn(u64) -> V,
+) {
     let name = shape.name;
-    let mut oracle: BTreeMap<K, u64> = shape.bulk.iter().copied().zip(0..).collect();
+    let mut oracle: BTreeMap<K, V> = shape.bulk.iter().copied().zip((0..).map(value)).collect();
     let mut keys: Vec<K> = shape.bulk.iter().chain(&shape.arrivals).copied().collect();
     keys.sort_unstable();
     // Invariants, length, full scan, and a get of every key the run
-    // ever holds (so removed keys are checked as misses).
-    let agree = |t: &FitingTree<K, u64>, oracle: &BTreeMap<K, u64>, phase: &str| {
+    // ever holds (so removed keys are checked as misses — on the page,
+    // a hit on a tombstoned slot).
+    let agree = |t: &FitingTree<K, V>, oracle: &BTreeMap<K, V>, phase: &str| {
         t.check_invariants()
             .unwrap_or_else(|e| panic!("{name}/e={error} after {phase}: {e}"));
         assert_eq!(t.len(), oracle.len(), "{name}/e={error} {phase}: len");
-        let got: Vec<(K, u64)> = t.iter().map(|(k, v)| (*k, *v)).collect();
-        let want: Vec<(K, u64)> = oracle.iter().map(|(k, v)| (*k, *v)).collect();
+        let got: Vec<(K, V)> = t.iter().map(|(k, v)| (*k, v.clone())).collect();
+        let want: Vec<(K, V)> = oracle.iter().map(|(k, v)| (*k, v.clone())).collect();
         assert_eq!(got, want, "{name}/e={error} {phase}: full scan");
         for k in &keys {
             assert_eq!(t.get(k), oracle.get(k), "{name}/e={error} {phase}: {k:?}");
         }
     };
 
-    let mut t: FitingTree<K, u64> = FitingTreeBuilder::new(error)
-        .bulk_load(oracle.iter().map(|(k, v)| (*k, *v)))
+    let mut t: FitingTree<K, V> = FitingTreeBuilder::new(error)
+        .bulk_load(oracle.iter().map(|(k, v)| (*k, v.clone())))
         .expect("strictly increasing keys");
     agree(&t, &oracle, "bulk load");
 
-    for (&k, v) in shape.arrivals.iter().zip(1_000_000..) {
-        assert_eq!(t.insert(k, v), oracle.insert(k, v), "{name} insert {k:?}");
+    for (&k, v) in shape.arrivals.iter().zip((1_000_000..).map(value)) {
+        assert_eq!(
+            t.insert(k, v.clone()),
+            oracle.insert(k, v),
+            "{name} insert {k:?}"
+        );
     }
     agree(&t, &oracle, "arrivals");
     for &k in &keys {
@@ -305,8 +326,11 @@ fn lifecycle_at<K: Key>(shape: &EdgeShape<K>, error: u64) {
     let mut span = (0, keys.len() - 1);
     for _ in 0..64 {
         let (lo, hi) = (keys[span.0.min(span.1)], keys[span.0.max(span.1)]);
-        let got: Vec<(K, u64)> = t.range(lo..=hi).map(|(k, v)| (*k, *v)).collect();
-        let want: Vec<(K, u64)> = oracle.range(lo..=hi).map(|(k, v)| (*k, *v)).collect();
+        let got: Vec<(K, V)> = t.range(lo..=hi).map(|(k, v)| (*k, v.clone())).collect();
+        let want: Vec<(K, V)> = oracle
+            .range(lo..=hi)
+            .map(|(k, v)| (*k, v.clone()))
+            .collect();
         assert_eq!(got, want, "{name}/e={error} range {lo:?}..={hi:?}");
         span = ((r() as usize) % keys.len(), (r() as usize) % keys.len());
     }
@@ -324,14 +348,43 @@ fn lifecycle_at<K: Key>(shape: &EdgeShape<K>, error: u64) {
     agree(&t, &oracle, "removes");
 
     // They come back (resurrected slots, appends, or buffered).
-    for (&k, v) in doomed.iter().zip(2_000_000..) {
+    for (&k, v) in doomed.iter().zip((2_000_000..).map(value)) {
         assert_eq!(
-            t.insert(k, v),
+            t.insert(k, v.clone()),
             oracle.insert(k, v),
             "{name} re-insert {k:?}"
         );
     }
     agree(&t, &oracle, "re-inserts");
+}
+
+/// A tree grown from empty: the first insert opens a one-slot page with
+/// slope 0, so every prediction is slot 0 and the smaller keys that
+/// follow are buffered under it; removing that one key leaves a page
+/// with no live slot over a live buffer, looking it up hits a
+/// tombstone, and re-inserting it resurrects the slot.
+#[test]
+fn edge_one_slot_page_under_a_buffer() {
+    lifecycle(&edge_shape!(
+        "grown-from-empty",
+        Vec::new(),
+        vec![1_000u64, 5, 7, 3, 900]
+    ));
+}
+
+/// One short page probed far outside it: a key far above the last slot
+/// predicts a slot the page does not have (the window is clipped to the
+/// last slot) and one far below the first predicts slot 0 — as
+/// arrivals the model cannot place (buffered), then as misses once
+/// removed.
+#[test]
+fn edge_predictions_past_either_end_of_the_page() {
+    let base = 1u64 << 40;
+    lifecycle(&edge_shape!(
+        "short-page-probed-far-outside",
+        (0..40).map(|i| base + i * 1_000).collect(),
+        vec![0u64, u64::MAX, 1, u64::MAX - 1]
+    ));
 }
 
 /// Signed keys straddling zero, with both type extremes arriving
