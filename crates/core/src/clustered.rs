@@ -295,8 +295,9 @@ impl<K: Key, V> FitingTree<K, V> {
     /// directly; page removals are O(1) tombstones (slots keep their
     /// position, so predictions stay exact — the value is cloned out of
     /// the dense page) and trigger re-segmentation once they exceed
-    /// half the segmentation budget, so pages shed dead slots and the
-    /// lookup bound stays `O(error)`.
+    /// both half the segmentation budget and a quarter of the page's
+    /// slots — so a page sheds dead slots in proportion to its size:
+    /// O(1) amortized per removal, never more than ¼ of a page dead.
     ///
     /// The `V: Clone` bound exists only to extract the value from a
     /// tombstoned page slot (the dense value array keeps the slot until
@@ -346,7 +347,7 @@ impl<K: Key, V> FitingTree<K, V> {
             self.free.push(slot);
             let pos = self.dir_pos_of(anchor);
             self.splice_directory(pos..pos + 1, &[]);
-        } else if seg.removed > self.seg_error / 2 {
+        } else if seg.removed > (self.seg_error / 2).max(seg.keys.len() as u64 / 4) {
             self.resegment(slot);
         }
         Some(removed)
@@ -872,6 +873,17 @@ impl<K: Key, V: Clone> fiting_index_api::SortedIndex<K, V> for FitingTree<K, V> 
         FitingTree::range(self, range).map(fiting_index_api::clone_pair as fn((&K, &V)) -> (K, V))
     }
 
+    /// Run by run, one reservation per segment — not through the `fn`
+    /// pointer [`range`](Self::range) maps each entry with.
+    fn range_into<R: std::ops::RangeBounds<K>>(&self, range: R, out: &mut Vec<(K, V)>) {
+        FitingTree::range(self, range).collect_into(out);
+    }
+
+    /// Arithmetic per segment: no value is cloned, or read.
+    fn range_count<R: std::ops::RangeBounds<K>>(&self, range: R) -> usize {
+        FitingTree::range(self, range).count()
+    }
+
     /// Native run handoff: `ShardedIndex::split_shard` over FITing-Tree
     /// shards moves whole segments in O(moved segments); never refuses.
     fn split_off_tail(&mut self, at: &K) -> Option<Self> {
@@ -1174,6 +1186,29 @@ mod tests {
             assert_eq!(t.get(&(k * 7)).copied(), expect, "key {}", k * 7);
         }
         assert_eq!(t.len(), 2_000 - 2_000_usize.div_ceil(3));
+        t.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_page_sheds_tombstones_in_proportion_to_its_size() {
+        let mut t = build(100_000, 16);
+        assert_eq!(t.segment_count(), 1);
+        // 30 k removes spread over the one 100 k-slot page. A threshold
+        // in slots (`seg_error / 2`) would rewrite it every fifth remove.
+        for k in (0..90_000u64).step_by(3) {
+            assert_eq!(t.remove(&(k * 7)), Some(k));
+        }
+        let s = t.stats();
+        assert!(s.resegmentations <= 3, "{} re-carves", s.resegmentations);
+        assert!(s.resegmented_entries < 200_000, "{}", s.resegmented_entries);
+        for seg in t.segments.iter().flatten() {
+            assert!(seg.removed as usize <= (seg.keys.len() / 4).max(8));
+        }
+        assert_eq!(t.len(), 70_000);
+        for k in 0..100_000u64 {
+            let survives = k >= 90_000 || k % 3 != 0;
+            assert_eq!(t.get(&(k * 7)), survives.then_some(&k), "key {}", k * 7);
+        }
         t.check_invariants().unwrap();
     }
 

@@ -200,6 +200,53 @@ impl<K: Key, V> Segment<K, V> {
         self.dead.is_empty() || self.dead[i >> 6] & (1 << (i & 63)) == 0
     }
 
+    /// First slot of `from..to` whose tombstone bit equals `dead`, or
+    /// `to` when there is none — a word of the bitmap per step.
+    fn next_slot(&self, from: usize, to: usize, dead: bool) -> usize {
+        let mut i = from;
+        while i < to {
+            let word = self.dead[i >> 6];
+            let wanted = if dead { word } else { !word } >> (i & 63);
+            if wanted != 0 {
+                return (i + wanted.trailing_zeros() as usize).min(to);
+            }
+            i = (i | 63) + 1;
+        }
+        to
+    }
+
+    /// The first stretch of live slots in `from..to`, as `(start, end)`:
+    /// `end` is the tombstone that interrupts it, or `to`; `start == end`
+    /// when every slot of `from..to` is dead.
+    pub(crate) fn live_run(&self, from: usize, to: usize) -> (usize, usize) {
+        if self.dead.is_empty() {
+            return (from, to);
+        }
+        let start = self.next_slot(from, to, false);
+        (start, self.next_slot(start, to, true))
+    }
+
+    /// Tombstones among page slots `from..to`, by popcount: no key and
+    /// no value is read.
+    pub(crate) fn dead_in(&self, from: usize, to: usize) -> usize {
+        if self.dead.is_empty() || from >= to {
+            return 0;
+        }
+        if (from, to) == (0, self.keys.len()) {
+            return self.removed as usize;
+        }
+        let ones = |word: u64| word.count_ones() as usize;
+        let (first, last) = (from >> 6, (to - 1) >> 6);
+        // Slots at or after `from` in its word; slots before `to` in its.
+        let head = !0u64 << (from & 63);
+        let tail = !0u64 >> (63 - ((to - 1) & 63));
+        if first == last {
+            return ones(self.dead[first] & head & tail);
+        }
+        let between: usize = self.dead[first + 1..last].iter().map(|&w| ones(w)).sum();
+        ones(self.dead[first] & head) + between + ones(self.dead[last] & tail)
+    }
+
     /// Tombstones page slot `i`, allocating the bitmap on first use.
     fn mark_dead(&mut self, i: usize) {
         if self.dead.is_empty() {
@@ -335,6 +382,23 @@ impl<K: Key, V> Segment<K, V> {
             count_below(window, key)
         } else {
             window.partition_point(|&k| k < key)
+        }
+    }
+
+    /// Where a scan bound at `key` cuts the two sorted runs: the page
+    /// slots and the buffered pairs that sort before the cut, which
+    /// falls just below `key`, or just above it when `through`. Both
+    /// ends of a scan are this one search — an `Included` start and an
+    /// `Excluded` end cut below their key, the other two above.
+    pub fn cut(&self, key: K, through: bool) -> (usize, usize) {
+        let slot = self.lower_bound(key);
+        if through {
+            (
+                slot + usize::from(self.keys.get(slot) == Some(&key)),
+                self.buffer.partition_point(|(k, _)| *k <= key),
+            )
+        } else {
+            (slot, self.buffer.partition_point(|(k, _)| *k < key))
         }
     }
 

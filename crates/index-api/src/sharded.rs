@@ -671,8 +671,10 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ShardedIndex<K, V, I> {
     ///
     /// Cost caveat: the generic [`SortedIndex::range`] iterator yields
     /// owned pairs, so reaching position `len / 2` clones half the
-    /// shard's values inside its read section. Fine as the rare
-    /// sampler-miss fallback it exists for; prefer feeding the
+    /// shard's values inside its read section (`Map::nth` steps the
+    /// scan an entry at a time; the run-copying
+    /// [`SortedIndex::range_into`] path does not change that). Fine as
+    /// the rare sampler-miss fallback it exists for; prefer feeding the
     /// [`WriteSampler`](crate::WriteSampler) so the sampled median is
     /// used instead.
     ///
@@ -825,7 +827,9 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ShardedIndex<K, V, I> {
     /// concurrent split or merge neither skips nor repeats a key span —
     /// though, like any cross-shard scan, entries a rebalance moves
     /// between two visits may be seen in their pre- or post-move shard.
-    /// Like `get`, each step is wait-free in steady state.
+    /// Like `get`, each step is wait-free in steady state. Each shard
+    /// appends its span through [`SortedIndex::range_into`], so a
+    /// structure that can copy runs of entries does.
     #[must_use]
     pub fn range_collect<R: RangeBounds<K>>(&self, range: R) -> Vec<(K, V)> {
         let routing = &self.inner.routing;
@@ -870,7 +874,7 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ShardedIndex<K, V, I> {
                         (false, Some(b)) => Bound::Excluded(b),
                         (false, None) => unreachable!("non-final steps have a shard boundary"),
                     };
-                    out.extend(s.range((cursor, step_hi)));
+                    s.range_into((cursor, step_hi), &mut out);
                     Some((last_step, shard_hi))
                 })
             });

@@ -63,6 +63,11 @@ impl std::error::Error for Degraded {}
 ///   that overlay structures (delta-main) can synthesize entries; the
 ///   iterator type is an associated type so tree-backed structures can
 ///   expose their native cursors without boxing.
+/// * **Bulk paths.** Two provided methods exist to be overridden by a
+///   structure that can do better than an entry at a time:
+///   [`insert_many`](Self::insert_many) on the write side and
+///   [`range_into`](Self::range_into) on the scan side (the
+///   FITing-Tree copies whole page runs through it).
 pub trait SortedIndex<K: Key, V: Clone> {
     /// Iterator returned by [`range`](Self::range), in increasing key
     /// order.
@@ -99,9 +104,24 @@ pub trait SortedIndex<K: Key, V: Clone> {
         self.len() == 0
     }
 
+    /// Appends the entries whose keys fall in `range` to `out`, in key
+    /// order — the bulk scan path behind
+    /// [`range_collect`](Self::range_collect) and
+    /// [`ShardedIndex::range_collect`](crate::ShardedIndex::range_collect).
+    ///
+    /// The default extends `out` from [`range`](Self::range), an entry
+    /// at a time. Implementations whose entries sit in arrays (the
+    /// FITing-Tree's pages) override it to reserve once per page and
+    /// copy whole runs.
+    fn range_into<R: RangeBounds<K>>(&self, range: R, out: &mut Vec<(K, V)>) {
+        out.extend(self.range(range));
+    }
+
     /// Collects a range scan into a vector.
     fn range_collect<R: RangeBounds<K>>(&self, range: R) -> Vec<(K, V)> {
-        self.range(range).collect()
+        let mut out = Vec::new();
+        self.range_into(range, &mut out);
+        out
     }
 
     /// Number of entries in `range`.
@@ -398,9 +418,7 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V>> DynSortedIndex<K, V> for I {
     }
 
     fn for_each_in_range(&self, lo: Bound<&K>, hi: Bound<&K>, f: &mut dyn FnMut(K, V)) {
-        for (k, v) in self.range((lo, hi)) {
-            f(k, v);
-        }
+        self.range((lo, hi)).for_each(|(k, v)| f(k, v));
     }
 
     fn insert_many_dyn(&mut self, batch: Vec<(K, V)>) -> usize {

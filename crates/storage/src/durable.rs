@@ -895,6 +895,14 @@ impl<K: Key, V: Key, I: SortedIndex<K, V> + PageSnapshot> SortedIndex<K, V>
         self.inner.range(range)
     }
 
+    fn range_into<R: RangeBounds<K>>(&self, range: R, out: &mut Vec<(K, V)>) {
+        self.inner.range_into(range, out);
+    }
+
+    fn range_count<R: RangeBounds<K>>(&self, range: R) -> usize {
+        self.inner.range_count(range)
+    }
+
     fn insert_many(&mut self, batch: Vec<(K, V)>) -> usize {
         match self.try_insert_many(batch) {
             Ok(fresh) => fresh,

@@ -29,12 +29,18 @@
 //!   last slot, and a page whose every slot is dead under a live
 //!   buffer.
 //!
+//! Every scan the `edge_*` lifecycle sweep compares with the oracle is
+//! consumed each way the run cursor is (`scan_agrees`): `next`,
+//! `for_each`, `count`, `size_hint` and the collect hook.
+//!
 //! Plus a guard that the instrumented lookup (`get_traced`) answers
 //! exactly as `get` does.
 
 use fiting::tree::{FitingTree, FitingTreeBuilder};
-use fiting::{Key, OrderedF64};
+use fiting::{Key, OrderedF64, SortedIndex};
 use std::collections::BTreeMap;
+use std::fmt::Debug;
+use std::ops::Bound::{self, Excluded, Included, Unbounded};
 
 /// Deterministic xorshift64* stream.
 fn rng(seed: u64) -> impl FnMut() -> u64 {
@@ -135,7 +141,7 @@ fn post_remove_windows_find_every_survivor() {
     for (shape, keys) in key_shapes() {
         let mut t = build(&keys, 16);
         // Remove two of every three keys: heavy tombstoning, several
-        // re-segmentations (removed > seg_error / 2).
+        // re-segmentations (removed > max(seg_error / 2, page slots / 4)).
         let mut survivors = Vec::new();
         for (i, &k) in keys.iter().enumerate() {
             if i % 3 == 0 {
@@ -277,7 +283,51 @@ fn lifecycle<K: Key>(shape: &EdgeShape<K>) {
     lifecycle_at(shape, 64, |_| ());
 }
 
-fn lifecycle_at<K: Key, V: Clone + PartialEq + std::fmt::Debug>(
+/// The scan of `bounds` against `want`, consumed every way the run
+/// cursor is: `next` in a loop (`size_hint` never promising more than is
+/// left), `for_each`, `count`, the collect hook appending to what `out`
+/// already held — and `for_each` and `count` once more on a scan `next`
+/// has already stepped into, as the benchmark's core boundary does.
+fn scan_agrees<K: Key, V: Clone + PartialEq + Debug>(
+    t: &FitingTree<K, V>,
+    bounds: (Bound<K>, Bound<K>),
+    want: &[(K, V)],
+    ctx: &str,
+) {
+    let own = |(k, v): (&K, &V)| (*k, v.clone());
+    let mut got = Vec::new();
+    let mut scan = t.range(bounds);
+    loop {
+        let left = want.len() - got.len().min(want.len());
+        let lower = scan.size_hint().0;
+        assert!(lower <= left, "{ctx}: size_hint {lower} > {left} left");
+        match scan.next() {
+            Some(entry) => got.push(own(entry)),
+            None => break,
+        }
+    }
+    assert_eq!(got, want, "{ctx}: by next");
+    for stepped in [0, 1, 3] {
+        let stepped = stepped.min(want.len());
+        let mut scan = t.range(bounds);
+        let mut got: Vec<(K, V)> = scan.by_ref().take(stepped).map(own).collect();
+        scan.for_each(|entry| got.push(own(entry)));
+        assert_eq!(got, want, "{ctx}: by for_each after {stepped}");
+        let mut scan = t.range(bounds);
+        scan.by_ref().take(stepped).for_each(drop);
+        assert_eq!(stepped + scan.count(), want.len(), "{ctx}: by count");
+    }
+    let mut out = want[..want.len().min(1)].to_vec();
+    t.range_into(bounds, &mut out);
+    assert_eq!(
+        out[want.len().min(1)..],
+        *want,
+        "{ctx}: by the collect hook"
+    );
+    assert_eq!(t.range_count(bounds), want.len(), "{ctx}: range_count");
+}
+
+fn lifecycle_at<K: Key, V: Clone + PartialEq + Debug>(
     shape: &EdgeShape<K>,
     error: u64,
     value: fn(u64) -> V,
@@ -293,9 +343,9 @@ fn lifecycle_at<K: Key, V: Clone + PartialEq + std::fmt::Debug>(
         t.check_invariants()
             .unwrap_or_else(|e| panic!("{name}/e={error} after {phase}: {e}"));
         assert_eq!(t.len(), oracle.len(), "{name}/e={error} {phase}: len");
-        let got: Vec<(K, V)> = t.iter().map(|(k, v)| (*k, v.clone())).collect();
         let want: Vec<(K, V)> = oracle.iter().map(|(k, v)| (*k, v.clone())).collect();
-        assert_eq!(got, want, "{name}/e={error} {phase}: full scan");
+        let ctx = format!("{name}/e={error} {phase}: full scan");
+        scan_agrees(t, (Unbounded, Unbounded), &want, &ctx);
         for k in &keys {
             assert_eq!(t.get(k), oracle.get(k), "{name}/e={error} {phase}: {k:?}");
         }
@@ -326,12 +376,14 @@ fn lifecycle_at<K: Key, V: Clone + PartialEq + std::fmt::Debug>(
     let mut span = (0, keys.len() - 1);
     for _ in 0..64 {
         let (lo, hi) = (keys[span.0.min(span.1)], keys[span.0.max(span.1)]);
-        let got: Vec<(K, V)> = t.range(lo..=hi).map(|(k, v)| (*k, v.clone())).collect();
-        let want: Vec<(K, V)> = oracle
+        let mut want: Vec<(K, V)> = oracle
             .range(lo..=hi)
             .map(|(k, v)| (*k, v.clone()))
             .collect();
-        assert_eq!(got, want, "{name}/e={error} range {lo:?}..={hi:?}");
+        let ctx = format!("{name}/e={error} range {lo:?}..={hi:?}");
+        scan_agrees(&t, (Included(lo), Included(hi)), &want, &ctx);
+        want.retain(|&(k, _)| k != lo && k != hi);
+        scan_agrees(&t, (Excluded(lo), Excluded(hi)), &want, &ctx);
         span = ((r() as usize) % keys.len(), (r() as usize) % keys.len());
     }
 

@@ -235,6 +235,97 @@ fn concurrent_reads_match_oracle_under_split_merge_churn() {
     assert_steady_state_reads_are_wait_free(&index, &oracle);
 }
 
+/// Scan under a split, against the oracle: one reader runs
+/// `range_collect` over windows that straddle the boundary between two
+/// shards while the writer splits a shard at keys inside those windows,
+/// merges it back, and back-fills and removes flux keys (`…5`) around
+/// the boundary — so the scanned segments hold buffered keys and
+/// tombstones and are re-carved mid-run. Every stable key of a window
+/// must appear exactly once and in order in every result; a flux key
+/// may be there or not, with its one legal value.
+#[test]
+fn scans_straddling_a_moving_boundary_match_the_oracle() {
+    const MID: u64 = STABLE * 10 / 2;
+    let flux_key = |i: u64| MID - 2_000 + 5 + (i % 400) * 10;
+
+    let config = FitingTreeBuilder::new(64);
+    let index: Idx = ShardedIndex::bulk_load(&config, 2, oracle().into_iter().collect()).unwrap();
+    assert_eq!(index.shard_of(&(MID - 10)) + 1, index.shard_of(&MID));
+    let oracle = Arc::new(oracle());
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let scans = Arc::new(AtomicU64::new(0));
+    let reader = {
+        let (index, oracle) = (index.clone(), Arc::clone(&oracle));
+        let (stop, scans) = (Arc::clone(&stop), Arc::clone(&scans));
+        thread::spawn(move || {
+            let mut rng = 0x5CA7_u64;
+            loop {
+                let lo = MID - 3_000 + xorshift(&mut rng) % 2_900;
+                let hi = MID + 100 + xorshift(&mut rng) % 2_900;
+                let got = index.range_collect(lo..hi);
+                assert!(
+                    got.windows(2).all(|w| w[0].0 < w[1].0),
+                    "window {lo}..{hi} not strictly sorted"
+                );
+                type Rows = Vec<(u64, u64)>;
+                let (stable, flux): (Rows, Rows) = got.iter().partition(|(k, _)| k % 10 == 0);
+                let want: Vec<(u64, u64)> = oracle.range(lo..hi).map(|(&k, &v)| (k, v)).collect();
+                assert_eq!(stable, want, "window {lo}..{hi} diverged from oracle");
+                for (k, v) in flux {
+                    assert_eq!(v, flux_value(k), "flux key {k} carried foreign value");
+                }
+                scans.fetch_add(1, Ordering::Release);
+                if stop.load(Ordering::Acquire) {
+                    return;
+                }
+            }
+        })
+    };
+
+    let mut rng = 0xB0DE_u64;
+    let (mut splits, mut merges) = (0u64, 0u64);
+    for cycle in 0..churn_cycles() * 4 {
+        // Each cycle waits for a scan that started after the last one
+        // ended: the reader and the writer overlap however many cores
+        // there are.
+        let seen = scans.load(Ordering::Acquire);
+        index.insert_many((0..40).map(|i| {
+            let k = flux_key(cycle * 40 + i);
+            (k, flux_value(k))
+        }));
+        let at = MID - 2_000 + (xorshift(&mut rng) % 400) * 10;
+        if index.split_shard(index.shard_of(&at), at).is_ok() {
+            splits += 1;
+        }
+        for i in 0..20 {
+            index.remove(&flux_key(cycle * 40 + i * 2 + 7));
+        }
+        if index.shard_count() > 2 {
+            let pair = (xorshift(&mut rng) as usize) % (index.shard_count() - 1);
+            if index.merge_with_next(pair).is_ok() {
+                merges += 1;
+            }
+        }
+        while scans.load(Ordering::Acquire) < seen + 2 {
+            thread::yield_now();
+        }
+    }
+    stop.store(true, Ordering::Release);
+    reader.join().expect("reader panicked");
+    assert!(
+        splits > 10 && merges > 10,
+        "{splits} splits, {merges} merges"
+    );
+
+    // Quiescent: with the flux keys drained, the whole scan is the oracle.
+    for i in 0..400 {
+        index.remove(&flux_key(i));
+    }
+    let want: Vec<(u64, u64)> = oracle.iter().map(|(&k, &v)| (k, v)).collect();
+    assert_eq!(index.range_collect(..), want);
+}
+
 #[test]
 fn steady_state_reads_are_wait_free_from_cold_start() {
     let index = build_index();

@@ -27,6 +27,41 @@ fn battery<I: SortedIndex<u64, u64>>(name: &str, build: impl Fn(Vec<(u64, u64)>)
     boundary_crossing_ranges(name, &build);
     churn_agrees_with_model(name, &build);
     batched_inserts_match_model(name, &build);
+    collect_hook_appends_what_range_yields(name, &build);
+}
+
+/// `range_into` — the provided default and every override — appends
+/// exactly what `range` yields, after whatever `out` already held, and
+/// `range_collect` / `range_count` agree with it.
+fn collect_hook_appends_what_range_yields<I: SortedIndex<u64, u64>>(
+    name: &str,
+    build: &impl Fn(Vec<(u64, u64)>) -> I,
+) {
+    let mut idx = build((0..3_000u64).map(|k| (k * 5, k)).collect());
+    // Back-fills and removes, so a structure with buffers and
+    // tombstones scans across both.
+    for k in 0..600u64 {
+        idx.insert(k * 25 + 2, k);
+        idx.remove(&(k * 35));
+    }
+    let held = vec![(u64::MAX, 7)];
+    let cases: Vec<(Bound<u64>, Bound<u64>)> = vec![
+        (Bound::Unbounded, Bound::Unbounded),
+        (Bound::Included(2), Bound::Excluded(2_002)),
+        (Bound::Excluded(35), Bound::Included(7_000)),
+        (Bound::Included(5_000), Bound::Excluded(5_000)), // empty
+        (Bound::Included(14_990), Bound::Unbounded),
+        (Bound::Unbounded, Bound::Included(27)),
+    ];
+    for (lo, hi) in cases {
+        let want: Vec<(u64, u64)> = idx.range((lo, hi)).collect();
+        let mut out = held.clone();
+        idx.range_into((lo, hi), &mut out);
+        assert_eq!(out[..1], held[..], "{name}: hook kept {lo:?}..{hi:?}");
+        assert_eq!(out[1..], want[..], "{name}: hook {lo:?}..{hi:?}");
+        assert_eq!(idx.range_collect((lo, hi)), want, "{name}: collect");
+        assert_eq!(idx.range_count((lo, hi)), want.len(), "{name}: count");
+    }
 }
 
 fn batched_inserts_match_model<I: SortedIndex<u64, u64>>(
@@ -311,6 +346,27 @@ fn binary_search_index_conforms() {
         BinarySearchIndex::build_sorted(&(), pairs).unwrap()
     });
     refuses_moves::<BinarySearchIndex<u64, u64>>("Binary", &());
+}
+
+/// The collect hook's remaining two rows: the reference `VecIndex`
+/// (the provided default) and `DurableIndex`, which forwards the hook
+/// to the structure it wraps as it forwards `range`.
+#[test]
+fn collect_hook_conforms_for_vec_index_and_durable_index() {
+    use fiting::index_api::doctest_support::VecIndex;
+    use fiting::storage::{DurableConfig, DurableIndex, FsyncPolicy};
+
+    collect_hook_appends_what_range_yields("VecIndex", &|pairs| {
+        VecIndex::build_sorted(&(), pairs).unwrap()
+    });
+
+    let root = std::env::temp_dir().join(format!("fiting-conformance-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let cfg = DurableConfig::new(&root, FsyncPolicy::Off, FitingTreeBuilder::new(32)).unwrap();
+    collect_hook_appends_what_range_yields("Durable", &|pairs| {
+        DurableIndex::<u64, u64, FitingTree<u64, u64>>::build_sorted(&cfg, pairs).unwrap()
+    });
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// The size-accounting contract across structures, on the same data:
