@@ -979,7 +979,7 @@ fn bump(&self) {
         // read guard.
         let f = check_file("crates/telemetry/src/histogram.rs", bad, &[]);
         assert!(rules_of(&f).contains(&"reader-wait-free"), "{f:?}");
-        let f = check_file("crates/telemetry/src/registry.rs", bad, &[]);
+        let f = check_file("crates/telemetry/src/snapshot.rs", bad, &[]);
         assert!(rules_of(&f).contains(&"reader-wait-free"), "{f:?}");
 
         // Writers may block; cold modules may take read guards.

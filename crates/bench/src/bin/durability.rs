@@ -76,11 +76,11 @@ fn measure(n: usize, seed: u64) -> Measurement {
     for i in 0..wal_ops {
         idx.insert(max_key + 1 + i as u64, i as u64);
     }
-    idx.sync();
+    idx.try_sync().expect("the log reaches the disk");
 
     // Checkpoint cost (encode + write + fsync + rename + log rotate).
     let t = Instant::now();
-    assert!(SortedIndex::checkpoint(&mut idx));
+    assert!(idx.try_checkpoint().expect("the checkpoint rotates"));
     let checkpoint_ms = ms(t);
     let snapshot_bytes = idx.disk_bytes();
 
@@ -89,7 +89,7 @@ fn measure(n: usize, seed: u64) -> Measurement {
     for i in 0..wal_ops {
         idx.insert(max_key + 1 + i as u64, (i as u64) ^ 1);
     }
-    idx.sync();
+    idx.try_sync().expect("the log reaches the disk");
     let wal_bytes = idx.wal_bytes();
     let dir = idx.shard_dir().to_path_buf();
     drop(idx);

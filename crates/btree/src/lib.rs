@@ -70,11 +70,3 @@ pub struct TreeStats {
     /// per-node header), using `size_of::<K>()`/`size_of::<V>()`.
     pub size_in_bytes: usize,
 }
-
-impl TreeStats {
-    /// Total number of nodes of either kind.
-    #[must_use]
-    pub fn total_nodes(&self) -> usize {
-        self.leaf_nodes + self.internal_nodes
-    }
-}

@@ -6,22 +6,15 @@
 //! other tasks may observe the pre-store value until the buffer commits
 //! (at a `Release`-or-stronger store, an RMW, or task exit). That is
 //! the mechanism that lets [`crate::model::check`] catch
-//! publish-without-release bugs. Without the `model` feature these are
-//! plain re-exports of `std`'s atomics.
+//! publish-without-release bugs.
 
 pub use std::sync::atomic::Ordering;
 
-#[cfg(not(feature = "model"))]
-pub use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
-
-#[cfg(feature = "model")]
 use crate::runtime;
-#[cfg(feature = "model")]
 use std::sync::OnceLock;
 
 /// Declares one instrumented atomic type over the shared `u64`-backed
 /// runtime cell.
-#[cfg(feature = "model")]
 macro_rules! instrumented_atomic {
     ($name:ident, $ty:ty, $to:expr, $from:expr) => {
         /// Instrumented atomic: every access is a scheduler decision
@@ -86,14 +79,10 @@ macro_rules! instrumented_atomic {
     };
 }
 
-#[cfg(feature = "model")]
 instrumented_atomic!(AtomicU64, u64, |v: u64| v, |v: u64| v);
-#[cfg(feature = "model")]
 instrumented_atomic!(AtomicUsize, usize, |v: usize| v as u64, |v: u64| v as usize);
-#[cfg(feature = "model")]
 instrumented_atomic!(AtomicBool, bool, |v: bool| u64::from(v), |v: u64| v != 0);
 
-#[cfg(feature = "model")]
 impl AtomicU64 {
     /// Adds `value`, returning the previous value. RMWs always act on
     /// the latest value (all buffers for this location commit first).
@@ -113,7 +102,6 @@ impl AtomicU64 {
     }
 }
 
-#[cfg(feature = "model")]
 impl AtomicUsize {
     /// Adds `value`, returning the previous value.
     pub fn fetch_add(&self, value: usize, _order: Ordering) -> usize {

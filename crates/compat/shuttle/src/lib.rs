@@ -33,12 +33,6 @@
 //! carry that schedule, so every red result reproduces on demand with
 //! [`model::replay`].
 //!
-//! The instrumentation lives behind the `model` feature (default on).
-//! With `--no-default-features` every stand-in degrades to a thin
-//! `std` wrapper and [`model::check`] runs the closure exactly once —
-//! so code written against this crate also builds and runs as a plain
-//! concurrent program.
-//!
 //! Known divergences from the real `shuttle`, beyond scale: spurious
 //! condvar wakeups are not generated (timeouts *are* explored as
 //! scheduling choices), and the weak-memory model is a single
@@ -48,9 +42,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-#[cfg(feature = "model")]
 mod chooser;
-#[cfg(feature = "model")]
 mod runtime;
 
 pub mod atomic;

@@ -1,11 +1,8 @@
 //! Entry points: run a closure under the deterministic scheduler and
 //! explore its interleavings.
 
-#[cfg(feature = "model")]
 use crate::chooser::Chooser;
-#[cfg(feature = "model")]
 use crate::runtime;
-#[cfg(feature = "model")]
 use std::sync::Arc;
 
 /// A property violation found while exploring: the failure message plus
@@ -49,7 +46,6 @@ impl Report {
 /// this workspace's quick battery, small enough to stay interactive.
 pub const DEFAULT_ITERATIONS: usize = 10_000;
 
-#[cfg(feature = "model")]
 fn from_raw(f: runtime::RawFailure) -> Failure {
     Failure {
         message: f.message,
@@ -62,7 +58,6 @@ fn from_raw(f: runtime::RawFailure) -> Failure {
 ///
 /// The closure runs once per schedule and must set up its own state
 /// each time (construct the shared structures inside the closure).
-#[cfg(feature = "model")]
 pub fn explore<F: Fn() + Send + Sync + 'static>(body: F, max_iterations: usize) -> Report {
     let body: Arc<dyn Fn() + Send + Sync> = Arc::new(body);
     let mut chooser = Chooser::dfs();
@@ -98,7 +93,6 @@ pub fn explore<F: Fn() + Send + Sync + 'static>(body: F, max_iterations: usize) 
 /// Explores `body` with `iterations` seeded random walks — deep-schedule
 /// coverage where DFS cannot finish. Deterministic per `seed`; a failure
 /// still reports an exact replayable schedule.
-#[cfg(feature = "model")]
 pub fn explore_random<F: Fn() + Send + Sync + 'static>(
     body: F,
     seed: u64,
@@ -126,7 +120,6 @@ pub fn explore_random<F: Fn() + Send + Sync + 'static>(
 
 /// Re-runs `body` under the exact decision sequence of a recorded
 /// `schedule` string — the reproduction path for any reported failure.
-#[cfg(feature = "model")]
 pub fn replay<F: Fn() + Send + Sync + 'static>(body: F, schedule: &str) -> Report {
     let choices: Vec<usize> = if schedule.is_empty() {
         Vec::new()
@@ -152,44 +145,6 @@ pub fn replay<F: Fn() + Send + Sync + 'static>(body: F, schedule: &str) -> Repor
 /// panicking (with the replayable schedule) on the first property
 /// violation. The `assert!`-style entry point; use [`explore`] /
 /// [`explore_random`] when the report itself is wanted.
-#[cfg(feature = "model")]
 pub fn check<F: Fn() + Send + Sync + 'static>(body: F) {
     explore(body, DEFAULT_ITERATIONS).assert_ok();
-}
-
-// ------------------------------------------------------------------
-// Passthrough (feature "model" disabled): run the closure once.
-// ------------------------------------------------------------------
-
-/// Passthrough: runs `body` once on the live OS scheduler.
-#[cfg(not(feature = "model"))]
-pub fn explore<F: Fn() + Send + Sync + 'static>(body: F, _max_iterations: usize) -> Report {
-    body();
-    Report {
-        iterations: 1,
-        complete: false,
-        failure: None,
-    }
-}
-
-/// Passthrough: runs `body` once on the live OS scheduler.
-#[cfg(not(feature = "model"))]
-pub fn explore_random<F: Fn() + Send + Sync + 'static>(
-    body: F,
-    _seed: u64,
-    _iterations: usize,
-) -> Report {
-    explore(body, 1)
-}
-
-/// Passthrough: runs `body` once; the schedule is ignored.
-#[cfg(not(feature = "model"))]
-pub fn replay<F: Fn() + Send + Sync + 'static>(body: F, _schedule: &str) -> Report {
-    explore(body, 1)
-}
-
-/// Passthrough: runs `body` once on the live OS scheduler.
-#[cfg(not(feature = "model"))]
-pub fn check<F: Fn() + Send + Sync + 'static>(body: F) {
-    body();
 }

@@ -2,19 +2,14 @@
 //! shape: infallible, non-poisoning guards; condvar waits take the
 //! guard by `&mut`).
 //!
-//! With the `model` feature every acquire, release, wait, and notify is
-//! a scheduler decision point; without it these are thin `std` wrappers
-//! with identical signatures.
+//! Every acquire, release, wait, and notify is a scheduler decision
+//! point.
 
+use crate::runtime;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::PoisonError;
+use std::sync::{OnceLock, PoisonError};
 use std::time::Duration;
-
-#[cfg(feature = "model")]
-use crate::runtime;
-#[cfg(feature = "model")]
-use std::sync::OnceLock;
 
 /// Whether a [`Condvar::wait_for`] returned because the timeout fired
 /// rather than a notification arriving.
@@ -31,19 +26,13 @@ impl WaitTimeoutResult {
     }
 }
 
-// =====================================================================
-// Instrumented implementations (feature "model")
-// =====================================================================
-
 /// A mutual-exclusion lock whose acquire/release are scheduler decision
 /// points under the model.
-#[cfg(feature = "model")]
 pub struct Mutex<T> {
     cell: std::sync::Mutex<T>,
     id: OnceLock<usize>,
 }
 
-#[cfg(feature = "model")]
 impl<T> Mutex<T> {
     /// Creates a new mutex holding `value`.
     pub fn new(value: T) -> Self {
@@ -80,14 +69,12 @@ impl<T> Mutex<T> {
 /// Guard returned by [`Mutex::lock`]. The inner `std` guard sits in an
 /// `Option` so [`Condvar::wait`] can release and reacquire it around
 /// the park; callers always observe a held lock.
-#[cfg(feature = "model")]
 pub struct MutexGuard<'a, T> {
     lock: &'a Mutex<T>,
     id: usize,
     inner: Option<std::sync::MutexGuard<'a, T>>,
 }
 
-#[cfg(feature = "model")]
 impl<T> Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
@@ -97,7 +84,6 @@ impl<T> Deref for MutexGuard<'_, T> {
     }
 }
 
-#[cfg(feature = "model")]
 impl<T> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         self.inner
@@ -106,7 +92,6 @@ impl<T> DerefMut for MutexGuard<'_, T> {
     }
 }
 
-#[cfg(feature = "model")]
 impl<T> Drop for MutexGuard<'_, T> {
     fn drop(&mut self) {
         // Release the data lock before the scheduler bookkeeping so a
@@ -118,13 +103,11 @@ impl<T> Drop for MutexGuard<'_, T> {
 
 /// A reader-writer lock whose acquires/releases are scheduler decision
 /// points under the model.
-#[cfg(feature = "model")]
 pub struct RwLock<T> {
     cell: std::sync::RwLock<T>,
     id: OnceLock<usize>,
 }
 
-#[cfg(feature = "model")]
 impl<T> RwLock<T> {
     /// Creates a new lock holding `value`.
     pub fn new(value: T) -> Self {
@@ -167,13 +150,11 @@ impl<T> RwLock<T> {
 }
 
 /// Shared read guard returned by [`RwLock::read`].
-#[cfg(feature = "model")]
 pub struct RwLockReadGuard<'a, T> {
     id: usize,
     inner: Option<std::sync::RwLockReadGuard<'a, T>>,
 }
 
-#[cfg(feature = "model")]
 impl<T> Deref for RwLockReadGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
@@ -181,7 +162,6 @@ impl<T> Deref for RwLockReadGuard<'_, T> {
     }
 }
 
-#[cfg(feature = "model")]
 impl<T> Drop for RwLockReadGuard<'_, T> {
     fn drop(&mut self) {
         drop(self.inner.take());
@@ -190,13 +170,11 @@ impl<T> Drop for RwLockReadGuard<'_, T> {
 }
 
 /// Exclusive write guard returned by [`RwLock::write`].
-#[cfg(feature = "model")]
 pub struct RwLockWriteGuard<'a, T> {
     id: usize,
     inner: Option<std::sync::RwLockWriteGuard<'a, T>>,
 }
 
-#[cfg(feature = "model")]
 impl<T> Deref for RwLockWriteGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
@@ -204,14 +182,12 @@ impl<T> Deref for RwLockWriteGuard<'_, T> {
     }
 }
 
-#[cfg(feature = "model")]
 impl<T> DerefMut for RwLockWriteGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         self.inner.as_mut().expect("write guard holds the lock")
     }
 }
 
-#[cfg(feature = "model")]
 impl<T> Drop for RwLockWriteGuard<'_, T> {
     fn drop(&mut self) {
         drop(self.inner.take());
@@ -222,12 +198,10 @@ impl<T> Drop for RwLockWriteGuard<'_, T> {
 /// A condition variable whose wait/notify are scheduler decision
 /// points; timed waits explore the timeout firing as a schedule choice.
 /// Spurious wakeups are not modeled.
-#[cfg(feature = "model")]
 pub struct Condvar {
     id: OnceLock<usize>,
 }
 
-#[cfg(feature = "model")]
 impl Condvar {
     /// Creates a new condition variable.
     #[must_use]
@@ -290,171 +264,6 @@ impl Condvar {
     }
 }
 
-#[cfg(feature = "model")]
-impl Default for Condvar {
-    fn default() -> Self {
-        Condvar::new()
-    }
-}
-
-// =====================================================================
-// Passthrough implementations (feature "model" disabled)
-// =====================================================================
-
-/// A mutual-exclusion lock (passthrough: thin non-poisoning `std`
-/// wrapper).
-#[cfg(not(feature = "model"))]
-pub struct Mutex<T> {
-    cell: std::sync::Mutex<T>,
-}
-
-#[cfg(not(feature = "model"))]
-impl<T> Mutex<T> {
-    /// Creates a new mutex holding `value`.
-    pub fn new(value: T) -> Self {
-        Mutex {
-            cell: std::sync::Mutex::new(value),
-        }
-    }
-
-    /// Acquires the lock, blocking until available.
-    pub fn lock(&self) -> MutexGuard<'_, T> {
-        MutexGuard {
-            lock: self,
-            inner: Some(self.cell.lock().unwrap_or_else(PoisonError::into_inner)),
-        }
-    }
-
-    /// Consumes the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.cell
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// Guard returned by [`Mutex::lock`] (passthrough).
-#[cfg(not(feature = "model"))]
-pub struct MutexGuard<'a, T> {
-    lock: &'a Mutex<T>,
-    inner: Option<std::sync::MutexGuard<'a, T>>,
-}
-
-#[cfg(not(feature = "model"))]
-impl<T> Deref for MutexGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.inner
-            .as_ref()
-            .expect("guard invariant: lock held outside Condvar::wait")
-    }
-}
-
-#[cfg(not(feature = "model"))]
-impl<T> DerefMut for MutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.inner
-            .as_mut()
-            .expect("guard invariant: lock held outside Condvar::wait")
-    }
-}
-
-/// A reader-writer lock (passthrough: thin non-poisoning `std`
-/// wrapper).
-#[cfg(not(feature = "model"))]
-pub struct RwLock<T> {
-    cell: std::sync::RwLock<T>,
-}
-
-#[cfg(not(feature = "model"))]
-impl<T> RwLock<T> {
-    /// Creates a new lock holding `value`.
-    pub fn new(value: T) -> Self {
-        RwLock {
-            cell: std::sync::RwLock::new(value),
-        }
-    }
-
-    /// Acquires shared read access.
-    pub fn read(&self) -> std::sync::RwLockReadGuard<'_, T> {
-        self.cell.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Acquires exclusive write access.
-    pub fn write(&self) -> std::sync::RwLockWriteGuard<'_, T> {
-        self.cell.write().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.cell
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// A condition variable (passthrough over `std`).
-#[cfg(not(feature = "model"))]
-pub struct Condvar {
-    inner: std::sync::Condvar,
-}
-
-#[cfg(not(feature = "model"))]
-impl Condvar {
-    /// Creates a new condition variable.
-    #[must_use]
-    pub fn new() -> Self {
-        Condvar {
-            inner: std::sync::Condvar::new(),
-        }
-    }
-
-    /// Blocks until notified.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let held = guard
-            .inner
-            .take()
-            .expect("guard invariant: lock held outside Condvar::wait");
-        guard.inner = Some(
-            self.inner
-                .wait(held)
-                .unwrap_or_else(PoisonError::into_inner),
-        );
-    }
-
-    /// Blocks until notified or `timeout` elapses.
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        let held = guard
-            .inner
-            .take()
-            .expect("guard invariant: lock held outside Condvar::wait");
-        let (reacquired, result) = self
-            .inner
-            .wait_timeout(held, timeout)
-            .unwrap_or_else(PoisonError::into_inner);
-        guard.inner = Some(reacquired);
-        let _ = &guard.lock;
-        WaitTimeoutResult {
-            timed_out: result.timed_out(),
-        }
-    }
-
-    /// Wakes one waiter (if any).
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
-    /// Wakes every waiter.
-    pub fn notify_all(&self) {
-        self.inner.notify_all();
-    }
-}
-
-#[cfg(not(feature = "model"))]
 impl Default for Condvar {
     fn default() -> Self {
         Condvar::new()

@@ -2,28 +2,19 @@
 //!
 //! Under the model, spawned closures become scheduler-controlled tasks
 //! on their own (serialized) OS threads; `join` parks the joiner until
-//! the task finishes. Without the `model` feature these re-export
-//! `std::thread`.
+//! the task finishes.
 
-#[cfg(not(feature = "model"))]
-pub use std::thread::{spawn, yield_now, JoinHandle};
-
-#[cfg(feature = "model")]
 use crate::runtime;
-#[cfg(feature = "model")]
 use std::any::Any;
-#[cfg(feature = "model")]
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Handle to a spawned model task; [`join`](JoinHandle::join) parks the
 /// joiner until the task finishes and yields its result.
-#[cfg(feature = "model")]
 pub struct JoinHandle<T> {
     id: runtime::TaskId,
     slot: Arc<Mutex<Option<T>>>,
 }
 
-#[cfg(feature = "model")]
 impl<T> JoinHandle<T> {
     /// Parks until the task finishes, then returns its result.
     ///
@@ -44,7 +35,6 @@ impl<T> JoinHandle<T> {
 
 /// Spawns a scheduler-controlled model task. The spawn itself is a
 /// yield point: the child may run before the parent's next operation.
-#[cfg(feature = "model")]
 pub fn spawn<T, F>(f: F) -> JoinHandle<T>
 where
     T: Send + 'static,
@@ -61,7 +51,6 @@ where
 
 /// An explicit yield point: offers the scheduler a chance to move the
 /// token, exactly like any instrumented operation.
-#[cfg(feature = "model")]
 pub fn yield_now() {
     runtime::schedule_point();
 }

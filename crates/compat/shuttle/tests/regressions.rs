@@ -2,7 +2,6 @@
 //! exploration must catch within a bounded schedule budget, plus
 //! schedule-replay determinism. These prove the checker *fires* — the
 //! workspace's real concurrency models live with the crates they model.
-#![cfg(feature = "model")]
 
 use shuttle::atomic::{AtomicBool, AtomicU64, Ordering};
 use shuttle::sync::{Condvar, Mutex, RwLock};

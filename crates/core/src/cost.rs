@@ -150,16 +150,6 @@ impl CostModel {
         self.cache_miss_ns * (tree.max(1.0) + window + buffer)
     }
 
-    /// Estimated insert latency (ns): tree descent plus sorted insertion
-    /// into the buffer (Section 6.1's discussion of inserts — no page
-    /// probe, but the buffer must be kept sorted).
-    #[must_use]
-    pub fn insert_latency_ns(&self, buffer_size: u64, segments: f64) -> f64 {
-        let tree = segments.max(2.0).ln() / self.fanout.max(2.0).ln();
-        let buffer = (buffer_size.max(2) as f64).log2();
-        self.cache_miss_ns * (tree.max(1.0) + buffer)
-    }
-
     /// Estimated index size in bytes at a given segment count (paper
     /// Equation 6.2.1): pessimistic tree term + 24 B segment metadata.
     #[must_use]

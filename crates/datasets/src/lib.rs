@@ -157,19 +157,6 @@ impl Dataset {
     pub fn headline() -> [Dataset; 3] {
         [Dataset::Weblogs, Dataset::Iot, Dataset::Maps]
     }
-
-    /// The Table 1 datasets, in paper order.
-    #[must_use]
-    pub fn table1() -> [Dataset; 6] {
-        [
-            Dataset::TaxiDropLat,
-            Dataset::TaxiDropLon,
-            Dataset::TaxiPickupTime,
-            Dataset::Maps,
-            Dataset::Weblogs,
-            Dataset::Iot,
-        ]
-    }
 }
 
 #[cfg(test)]

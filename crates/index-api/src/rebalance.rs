@@ -25,7 +25,7 @@
 //! * [`RebalancePolicy`] says when to act: split when the fullest
 //!   shard's occupancy exceeds `split_imbalance ×` the mean for
 //!   `trigger_steps` consecutive observations (hysteresis), merge when
-//!   an adjacent pair is colder than `merge_fraction ×` the mean, and
+//!   an adjacent pair is colder than 0.4 × the mean, and
 //!   wait `cooldown_steps` after every action so one burst cannot
 //!   thrash the layout.
 //! * [`Rebalancer`] owns both and exposes one
@@ -88,11 +88,6 @@ pub struct RebalancePolicy {
     /// Never split a shard holding fewer entries than this — tiny
     /// shards are cheap to search and expensive to fragment.
     pub min_split_entries: usize,
-    /// Merge an adjacent pair whose *combined* entries fall below this
-    /// fraction of the mean shard occupancy. Kept well under
-    /// `split_imbalance` so a merge cannot immediately re-trigger a
-    /// split (hysteresis between the two actions).
-    pub merge_fraction: f64,
     /// Lower bound on the shard count; merges stop here.
     pub min_shards: usize,
     /// Upper bound on the shard count; splits stop here.
@@ -105,19 +100,10 @@ pub struct RebalancePolicy {
     /// hysteresis knob (layout changes get time to settle before the
     /// next decision).
     pub cooldown_steps: u32,
-    /// Capacity of the decaying reservoir sample of written keys.
-    pub reservoir_capacity: usize,
-    /// Observed writes between reservoir decays (each decay halves the
-    /// effective population, so recent writes displace old ones
-    /// faster). Larger values approximate a plain all-time reservoir.
-    pub decay_every: u64,
     /// Minimum sampled keys inside the hot shard's span for the sample
     /// median to be trusted as a split boundary; below this the shard's
     /// own stored median is used instead.
     pub min_reservoir_samples: usize,
-    /// Seed for the reservoir's replacement choices (deterministic
-    /// tests).
-    pub seed: u64,
 }
 
 impl Default for RebalancePolicy {
@@ -125,15 +111,11 @@ impl Default for RebalancePolicy {
         RebalancePolicy {
             split_imbalance: 1.5,
             min_split_entries: 512,
-            merge_fraction: 0.4,
             min_shards: 1,
             max_shards: 64,
             trigger_steps: 2,
             cooldown_steps: 2,
-            reservoir_capacity: 1_024,
-            decay_every: 8_192,
             min_reservoir_samples: 16,
-            seed: 0x5EED,
         }
     }
 }
@@ -353,14 +335,27 @@ pub struct Rebalancer<K: Key> {
     cooldown: u32,
 }
 
+/// Merge an adjacent pair whose *combined* entries fall below this
+/// fraction of the mean shard occupancy. Well under any sensible
+/// `split_imbalance`, so a merge cannot immediately re-trigger a split
+/// (hysteresis between the two actions).
+const MERGE_FRACTION: f64 = 0.4;
+/// Capacity of the decaying reservoir sample of written keys.
+const RESERVOIR_CAPACITY: usize = 1_024;
+/// Observed writes between reservoir decays (each decay halves the
+/// effective population, so recent writes displace old ones).
+const DECAY_EVERY: u64 = 8_192;
+/// Seed for the reservoir's replacement choices (runs are repeatable).
+const SAMPLER_SEED: u64 = 0x5EED;
+
 impl<K: Key> Rebalancer<K> {
     /// A rebalancer that decides according to `policy`.
     #[must_use]
     pub fn new(policy: RebalancePolicy) -> Self {
         let sampler = Arc::new(WriteSampler::new(
-            policy.reservoir_capacity,
-            policy.decay_every,
-            policy.seed,
+            RESERVOIR_CAPACITY,
+            DECAY_EVERY,
+            SAMPLER_SEED,
         ));
         Rebalancer {
             policy,
@@ -478,7 +473,7 @@ impl<K: Key> Rebalancer<K> {
                 .map(|(i, w)| (i, w[0] + w[1]))
                 .min_by_key(|&(_, sum)| sum)
                 .expect("at least two shards");
-            if (pair_sum as f64) <= mean * self.policy.merge_fraction {
+            if (pair_sum as f64) <= mean * MERGE_FRACTION {
                 if let Ok(moved) = index.merge_with_next(cold) {
                     self.counters.merges.fetch_add(1, Ordering::Relaxed);
                     self.counters
@@ -612,7 +607,7 @@ mod tests {
         let idx = load(4_000, 8);
         // Hollow out shards 5 and 6 (spans [2500,3000) and [3000,3500)):
         // occupancy [500×5, 2, 2, 500] keeps max/mean under the split
-        // threshold while the cold pair sits far under merge_fraction.
+        // threshold while the cold pair sits far under MERGE_FRACTION.
         for k in 2_502..3_498u64 {
             idx.remove(&k);
         }

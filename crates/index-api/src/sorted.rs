@@ -209,26 +209,6 @@ pub trait SortedIndex<K: Key, V: Clone> {
         0
     }
 
-    /// Flushes and (policy permitting) fsyncs any buffered write-ahead
-    /// log records — the group-commit point the service layer invokes
-    /// once per drained write batch.
-    ///
-    /// Returns `true` when the structure is durable and performed a
-    /// flush; volatile structures keep the default no-op `false`, so
-    /// calling this unconditionally costs nothing.
-    fn sync(&mut self) -> bool {
-        false
-    }
-
-    /// Writes a fresh snapshot of the current state and rotates the
-    /// write-ahead log, bounding recovery replay time.
-    ///
-    /// Returns `true` when a checkpoint was taken; volatile structures
-    /// keep the default no-op `false`.
-    fn checkpoint(&mut self) -> bool {
-        false
-    }
-
     /// Panic-free upsert: refuses with [`Degraded`] instead of
     /// applying when the structure is in degraded read-only mode. The
     /// service write path uses this vocabulary exclusively, so a
@@ -263,28 +243,35 @@ pub trait SortedIndex<K: Key, V: Clone> {
         Ok(self.insert_many(batch))
     }
 
-    /// Panic-free group commit: like [`sync`](Self::sync) but a
-    /// storage fault surfaces as [`Degraded`] instead of being
-    /// swallowed — the caller learns that buffered records may not
-    /// have reached the disk.
+    /// Group commit: flushes and (policy permitting) fsyncs any
+    /// buffered write-ahead log records — the point the service layer
+    /// invokes once per drained write batch.
+    ///
+    /// `Ok(true)` when the structure is durable and performed a flush;
+    /// volatile structures keep the default no-op `Ok(false)`, so
+    /// calling this unconditionally costs nothing.
     ///
     /// # Errors
     ///
     /// [`Degraded`] when the flush failed (the structure has flipped,
-    /// or already was, degraded).
+    /// or already was, degraded): buffered records may not have
+    /// reached the disk.
     fn try_sync(&mut self) -> Result<bool, Degraded> {
-        Ok(self.sync())
+        Ok(false)
     }
 
-    /// Panic-free checkpoint: like [`checkpoint`](Self::checkpoint)
-    /// but a storage fault surfaces as [`Degraded`]. A successful
+    /// Writes a fresh snapshot of the current state and rotates the
+    /// write-ahead log, bounding recovery replay time. A successful
     /// checkpoint heals a degraded structure.
+    ///
+    /// `Ok(true)` when a checkpoint was taken; volatile structures
+    /// keep the default no-op `Ok(false)`.
     ///
     /// # Errors
     ///
     /// [`Degraded`] when the rotation failed (previous state intact).
     fn try_checkpoint(&mut self) -> Result<bool, Degraded> {
-        Ok(self.checkpoint())
+        Ok(false)
     }
 
     /// Current storage health. Volatile structures are always
@@ -375,21 +362,10 @@ pub trait DynSortedIndex<K: Key, V: Clone> {
     /// Batched upsert through the trait object; returns the number of
     /// keys that were new.
     ///
-    /// The default stable-sorts by key (duplicates keep submission
-    /// order, last write wins) and inserts sequentially; the blanket
-    /// impl forwards to [`SortedIndex::insert_many`] so structure
-    /// overrides apply behind `dyn` too. Lets the bench driver and the
-    /// service layer batch through heterogeneous indexes.
-    fn insert_many_dyn(&mut self, mut batch: Vec<(K, V)>) -> usize {
-        batch.sort_by_key(|&(k, _)| k);
-        let mut fresh = 0;
-        for (k, v) in batch {
-            if self.dyn_insert(k, v).is_none() {
-                fresh += 1;
-            }
-        }
-        fresh
-    }
+    /// Forwards to [`SortedIndex::insert_many`], so structure overrides
+    /// apply behind `dyn` too. Lets the bench driver batch through
+    /// heterogeneous indexes.
+    fn insert_many_dyn(&mut self, batch: Vec<(K, V)>) -> usize;
 }
 
 impl<K: Key, V: Clone, I: SortedIndex<K, V>> DynSortedIndex<K, V> for I {

@@ -51,7 +51,6 @@ use crate::ServiceShared;
 use fiting_index_api::{Key, SortedIndex};
 use parking_lot::Mutex;
 use std::ops::{Bound, RangeBounds};
-use std::sync::atomic::Ordering as AtomicOrdering;
 use std::sync::Arc;
 
 /// A shared submission handle to a running
@@ -110,21 +109,12 @@ where
     pub fn submit(&self, cmd: Command<K, V>) -> Result<(), Closed<Command<K, V>>> {
         let shard = self.route(&cmd);
         let kind = cmd.command_kind();
-        // Count before pushing (undoing on rejection) so a stats
-        // snapshot can never observe `processed > enqueued`.
-        // ordering: Relaxed — monotonic stats counter, read only by
-        // racy snapshots; the queue mutex orders the push itself.
-        let enqueued = &self.shared.counters[shard].enqueued;
-        enqueued.fetch_add(1, AtomicOrdering::Relaxed);
         match self.shared.queues[shard].push(Timed::new(cmd)) {
             Ok(()) => {
                 self.shared.telemetry.note_accepted(kind);
                 Ok(())
             }
-            Err(Closed(timed)) => {
-                enqueued.fetch_sub(1, AtomicOrdering::Relaxed);
-                Err(Closed(timed.item))
-            }
+            Err(Closed(timed)) => Err(Closed(timed.item)),
         }
     }
 
@@ -135,24 +125,16 @@ where
     pub fn try_submit(&self, cmd: Command<K, V>) -> Result<(), TryPushError<Command<K, V>>> {
         let shard = self.route(&cmd);
         let kind = cmd.command_kind();
-        // ordering: Relaxed — same advisory-counter contract as submit.
-        let enqueued = &self.shared.counters[shard].enqueued;
-        enqueued.fetch_add(1, AtomicOrdering::Relaxed);
         match self.shared.queues[shard].try_push(Timed::new(cmd)) {
             Ok(()) => {
                 self.shared.telemetry.note_accepted(kind);
                 Ok(())
             }
-            Err(err) => {
-                enqueued.fetch_sub(1, AtomicOrdering::Relaxed);
-                Err(match err {
-                    TryPushError::Busy(timed) => {
-                        self.shared.telemetry.note_busy(kind);
-                        TryPushError::Busy(timed.item)
-                    }
-                    TryPushError::Closed(timed) => TryPushError::Closed(timed.item),
-                })
+            Err(TryPushError::Busy(timed)) => {
+                self.shared.telemetry.note_busy(kind);
+                Err(TryPushError::Busy(timed.item))
             }
+            Err(TryPushError::Closed(timed)) => Err(TryPushError::Closed(timed.item)),
         }
     }
 

@@ -132,12 +132,6 @@ impl<K, V> Command<K, V> {
             Command::InsertMany { .. } => CommandKind::InsertMany,
         }
     }
-
-    /// Short name for logs and stats.
-    #[must_use]
-    pub fn kind(&self) -> &'static str {
-        self.command_kind().as_str()
-    }
 }
 
 impl<K: std::fmt::Debug, V> std::fmt::Debug for Command<K, V> {
@@ -167,7 +161,7 @@ mod tests {
     fn constructors_pair_command_with_typed_ticket() {
         let (cmd, t) = Command::<u64, u64>::get(3);
         assert!(!cmd.is_write());
-        assert_eq!(cmd.kind(), "get");
+        assert_eq!(cmd.command_kind().as_str(), "get");
         drop(cmd); // dropping the command cancels its ticket
         assert!(t.wait().is_err());
 
@@ -176,11 +170,14 @@ mod tests {
         assert_eq!(format!("{cmd:?}"), "Insert { key: 1 }");
 
         let (cmd, _t) = Command::<u64, u64>::range(5..10);
-        assert_eq!(cmd.kind(), "range");
+        assert_eq!(cmd.command_kind().as_str(), "range");
         assert!(format!("{cmd:?}").contains("lo"));
 
         let (cmd, _t) = Command::insert_many(vec![(1u64, 1u64), (2, 2)]);
         assert_eq!(format!("{cmd:?}"), "InsertMany { len: 2 }");
-        assert_eq!(Command::<u64, u64>::remove(9).0.kind(), "remove");
+        assert_eq!(
+            Command::<u64, u64>::remove(9).0.command_kind().as_str(),
+            "remove"
+        );
     }
 }

@@ -86,9 +86,9 @@ pub use command::Command;
 pub use queue::{BoundedQueue, Closed, TryPushError};
 pub use stats::{LaneHealth, LaneServiceStats, ServiceStats};
 pub use telemetry::CommandKind;
-// Re-exported so embedders can aggregate service metrics into their
-// own registry without a separate fiting-telemetry import.
-pub use fiting_telemetry::{MetricsRegistry, MetricsSnapshot};
+// Re-exported so embedders can name what `metrics()` returns without
+// a separate fiting-telemetry import.
+pub use fiting_telemetry::MetricsSnapshot;
 // `Canceled` is re-exported as a bare name (it is a `CommandError`
 // variant) so pre-taxonomy call sites — `Err(Canceled)` — still read
 // and pattern-match unchanged.
@@ -141,7 +141,7 @@ impl Default for ServiceConfig {
 /// checkpoint shards whose log has outgrown a threshold.
 ///
 /// The service layer stays storage-agnostic — both hooks go through
-/// [`SortedIndex`] provided methods (`sync`, `checkpoint`,
+/// [`SortedIndex`] provided methods (`try_sync`, `try_checkpoint`,
 /// `wal_bytes`), which volatile structures implement as no-ops. A
 /// `DurabilityConfig` over a volatile index is therefore harmless;
 /// it simply does nothing.
@@ -211,8 +211,8 @@ pub(crate) struct ServiceShared<K: Key, V: Clone, I: SortedIndex<K, V> + 'static
     /// is a single relaxed atomic, shared by clients and workers.
     pub(crate) telemetry: Arc<ServiceTelemetry>,
     /// Per-lane health words (see [`LaneHealth`]); written by the
-    /// workers (Healthy/Degraded/Poisoned) and the supervisor
-    /// (Recovering/Healthy), read by stats snapshots.
+    /// workers (Poisoned) and the supervisor (Recovering/Healthy),
+    /// read by stats snapshots.
     pub(crate) lane_state: Vec<LaneState>,
     /// Failed checkpoint rotations observed by the checkpoint
     /// coordinator — surfaced through [`ServiceStats`], where before
@@ -236,8 +236,7 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ServiceShared<K, V, I> {
     }
 
     /// Assembles the whole-service stats snapshot (shared by
-    /// [`IndexService::stats`] and the metrics collector, which holds
-    /// only a `Weak` to this struct).
+    /// [`IndexService::stats`] and [`IndexService::metrics`]).
     pub(crate) fn service_stats(&self) -> ServiceStats {
         ServiceStats {
             lanes: self
@@ -480,25 +479,6 @@ where
         MetricsSnapshot { metrics }
     }
 
-    /// Registers this service's metrics with an external
-    /// [`MetricsRegistry`]: a collector closure holding a `Weak`
-    /// reference contributes everything [`metrics`](Self::metrics)
-    /// reports to each [`MetricsRegistry::snapshot`]. After the
-    /// service shuts down (and its last client is dropped) the
-    /// collector quietly contributes nothing — the registry never
-    /// keeps a dead service alive.
-    pub fn install_metrics(&self, registry: &MetricsRegistry) {
-        let weak = Arc::downgrade(&self.shared);
-        registry.register_collector(move || {
-            let Some(shared) = weak.upgrade() else {
-                return Vec::new();
-            };
-            let mut metrics = shared.telemetry.metrics();
-            metrics.extend(telemetry::stats_metrics(&shared.service_stats()));
-            metrics
-        });
-    }
-
     /// Shared handle to the underlying index (same shards the workers
     /// serve). Direct reads race queued commands; direct writes are
     /// safe (the shard locks still arbitrate) but bypass the per-lane
@@ -703,9 +683,9 @@ mod tests {
     #[test]
     fn durable_hooks_are_noops_on_volatile_shards() {
         // VecIndex leaves the SortedIndex durability defaults in place
-        // (sync/checkpoint return false), so a durable service over it
-        // must behave exactly like a volatile one — hooks fire, nothing
-        // breaks, shutdown is clean.
+        // (try_sync/try_checkpoint do nothing), so a durable service
+        // over it must behave exactly like a volatile one — hooks fire,
+        // nothing breaks, shutdown is clean.
         let index: ShardedIndex<u64, u64, VecIndex<u64, u64>> =
             ShardedIndex::bulk_load(&(), 4, (0..1_000u64).map(|k| (k * 2, k)).collect()).unwrap();
         let durability = DurabilityConfig {
@@ -719,7 +699,7 @@ mod tests {
         assert_eq!(client.remove(1).wait(), Ok(Some(7)));
         assert_eq!(client.insert_many(vec![(3, 1), (5, 2)]).wait(), Ok(2));
         // Give the checkpoint coordinator a few beats; every pass is a
-        // no-op because checkpoint() defaults to false.
+        // no-op because try_checkpoint() defaults to Ok(false).
         thread::sleep(Duration::from_millis(10));
         assert_eq!(svc.shutdown().len(), 1_002);
     }
@@ -862,25 +842,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_collector_goes_quiet_after_shutdown() {
-        let registry = MetricsRegistry::new();
-        let svc = start(100, 1, ServiceConfig::default());
-        svc.install_metrics(&registry);
-        let client = svc.client();
-        client.insert(1, 1).wait().unwrap();
-        assert_eq!(
-            registry.snapshot().counter("service.insert.submitted"),
-            Some(1)
-        );
-        drop(client);
-        let _ = svc.shutdown();
-        // The collector holds only a Weak: once the service (and every
-        // client) is gone it contributes nothing instead of keeping
-        // the pipeline alive.
-        assert_eq!(registry.snapshot().metrics.len(), 0);
-    }
-
-    #[test]
     fn canceled_commands_do_not_pollute_latency() {
         // Poison the lane mid-stream: the canceled tickets must not
         // record end-to-end samples (their wall time measures
@@ -925,8 +886,15 @@ mod tests {
         assert!(stats.imbalance() >= 1.0);
         for s in &stats.lanes {
             assert_eq!(s.queue_capacity, 1_024);
-            assert!(s.enqueued >= s.processed);
         }
+        // Every ticket has resolved, so the per-kind submission
+        // counters account for exactly what the lanes processed.
+        let snap = svc.metrics();
+        let submitted: u64 = CommandKind::ALL
+            .iter()
+            .filter_map(|k| snap.counter(&format!("service.{}.submitted", k.as_str())))
+            .sum();
+        assert_eq!(submitted, stats.total_processed());
         let _ = svc.shutdown();
     }
 

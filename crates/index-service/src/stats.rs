@@ -23,11 +23,14 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 /// State machine (see ARCHITECTURE.md "Failure model"):
 ///
 /// ```text
-/// Healthy <-> Degraded          (writes refused / shard healed)
-/// Healthy | Degraded -> Poisoned  (worker panic; queue closed)
+/// Healthy -> Poisoned           (worker panic; queue closed)
 /// Poisoned -> Recovering        (supervisor resurrecting the lane)
 /// Recovering -> Healthy         (shard reloaded, queue reopened)
 /// ```
+///
+/// "Writes may be refused" is not a lane state: a shard owns its
+/// [`ShardHealth`] under its write lock, and
+/// [`ServiceStats::is_degraded`] reads it there.
 ///
 /// Without a supervisor (plain [`IndexService::start`]) `Poisoned` is
 /// terminal for the process lifetime, exactly as in the pre-supervisor
@@ -39,9 +42,6 @@ pub enum LaneHealth {
     /// Serving normally.
     #[default]
     Healthy,
-    /// The lane's worker is alive but recent writes were refused by a
-    /// degraded read-only shard (reads still serve).
-    Degraded,
     /// The worker caught a panic: the queue is closed and everything
     /// queued was canceled.
     Poisoned,
@@ -54,17 +54,15 @@ impl LaneHealth {
     pub(crate) fn as_u8(self) -> u8 {
         match self {
             LaneHealth::Healthy => 0,
-            LaneHealth::Degraded => 1,
-            LaneHealth::Poisoned => 2,
-            LaneHealth::Recovering => 3,
+            LaneHealth::Poisoned => 1,
+            LaneHealth::Recovering => 2,
         }
     }
 
     pub(crate) fn from_u8(raw: u8) -> Self {
         match raw {
-            1 => LaneHealth::Degraded,
-            2 => LaneHealth::Poisoned,
-            3 => LaneHealth::Recovering,
+            1 => LaneHealth::Poisoned,
+            2 => LaneHealth::Recovering,
             _ => LaneHealth::Healthy,
         }
     }
@@ -91,9 +89,8 @@ impl LaneState {
     }
 
     /// Transitions `from -> to` only if the state is still `from`, so
-    /// the worker's Healthy/Degraded flapping can never stomp a
-    /// `Poisoned`/`Recovering` mark owned by the panic path or the
-    /// supervisor.
+    /// the supervisor's `Recovering -> Healthy` can never stomp a
+    /// `Poisoned` mark a respawned worker has already set again.
     pub(crate) fn transition(&self, from: LaneHealth, to: LaneHealth) -> bool {
         // ordering: Relaxed CAS — see the note on this impl block.
         self.0
@@ -111,8 +108,6 @@ impl LaneState {
 /// [`LaneServiceStats`]).
 #[derive(Debug, Default)]
 pub(crate) struct WorkerCounters {
-    /// Commands accepted into the lane's queue.
-    pub enqueued: AtomicU64,
     /// Commands fully executed (their tickets resolved).
     pub processed: AtomicU64,
     /// Queue drains that produced at least one command.
@@ -163,8 +158,6 @@ pub struct LaneServiceStats {
     pub queue_depth: usize,
     /// The queue's fixed capacity (backpressure threshold).
     pub queue_capacity: usize,
-    /// Commands accepted into the queue so far.
-    pub enqueued: u64,
     /// Commands executed so far.
     pub processed: u64,
     /// Non-empty queue drains so far.
@@ -209,7 +202,6 @@ impl LaneServiceStats {
             lane,
             queue_depth,
             queue_capacity,
-            enqueued: c.enqueued.load(Ordering::Relaxed),
             processed: c.processed.load(Ordering::Relaxed),
             batches: c.batches.load(Ordering::Relaxed),
             largest_batch: c.largest_batch.load(Ordering::Relaxed),
@@ -260,8 +252,8 @@ impl ServiceStats {
         self.shards
             .iter()
             .any(|s| s.health == ShardHealth::Degraded)
-            || self.lanes.iter().any(|l| l.health == LaneHealth::Degraded)
     }
+
     /// Commands executed across all lanes.
     #[must_use]
     pub fn total_processed(&self) -> u64 {
@@ -358,7 +350,7 @@ mod tests {
     }
 
     #[test]
-    fn degraded_flag_reflects_shard_and_lane_health() {
+    fn degraded_flag_reflects_shard_health() {
         let c = WorkerCounters::default();
         let mut stats = ServiceStats {
             lanes: vec![LaneServiceStats::from_counters(
@@ -376,24 +368,26 @@ mod tests {
         assert!(!stats.is_degraded());
         stats.shards[0].health = ShardHealth::Degraded;
         assert!(stats.is_degraded());
+        // A lane's lifecycle state says nothing about refused writes.
         stats.shards[0].health = ShardHealth::Healthy;
-        stats.lanes[0].health = LaneHealth::Degraded;
-        assert!(stats.is_degraded());
+        stats.lanes[0].health = LaneHealth::Poisoned;
+        assert!(!stats.is_degraded());
     }
 
     #[test]
     fn lane_state_transitions_guard_ownership() {
         let state = LaneState::default();
         assert_eq!(state.get(), LaneHealth::Healthy);
-        assert!(state.transition(LaneHealth::Healthy, LaneHealth::Degraded));
-        assert!(!state.transition(LaneHealth::Healthy, LaneHealth::Poisoned));
+        assert!(!state.transition(LaneHealth::Poisoned, LaneHealth::Recovering));
         state.set(LaneHealth::Poisoned);
-        // The worker's Degraded->Healthy heal must not clear Poisoned.
-        assert!(!state.transition(LaneHealth::Degraded, LaneHealth::Healthy));
+        assert!(state.transition(LaneHealth::Poisoned, LaneHealth::Recovering));
+        // A respawned worker re-poisons mid-resurrection: the
+        // supervisor's Recovering->Healthy must not clear Poisoned.
+        state.set(LaneHealth::Poisoned);
+        assert!(!state.transition(LaneHealth::Recovering, LaneHealth::Healthy));
         assert_eq!(state.get(), LaneHealth::Poisoned);
         for h in [
             LaneHealth::Healthy,
-            LaneHealth::Degraded,
             LaneHealth::Poisoned,
             LaneHealth::Recovering,
         ] {

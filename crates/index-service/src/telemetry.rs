@@ -67,7 +67,7 @@ impl CommandKind {
     ];
 
     /// Stable lowercase name (the `{kind}` segment of exported metric
-    /// names; matches [`Command::kind`]).
+    /// names).
     #[must_use]
     pub fn as_str(self) -> &'static str {
         match self {
@@ -252,8 +252,9 @@ fn armed<T: Send + 'static>(
 }
 
 /// Translates a [`ServiceStats`] snapshot into typed metrics — the
-/// collector bridging the pipeline/shard/routing/durability counters
-/// (which predate `fiting-telemetry`) into the unified snapshot.
+/// one place the pipeline/shard/routing/durability counters get their
+/// exported names. A new instrument is a stats field, one row here and
+/// one catalog row in `docs/OBSERVABILITY.md`.
 pub(crate) fn stats_metrics(stats: &ServiceStats) -> Vec<Metric> {
     let lane_sum =
         |f: fn(&crate::LaneServiceStats) -> u64| -> u64 { stats.lanes.iter().map(f).sum() };
@@ -273,12 +274,6 @@ pub(crate) fn stats_metrics(stats: &ServiceStats) -> Vec<Metric> {
             Unit::Count,
             "commands waiting across all lane queues",
             stats.total_queued() as f64,
-        ),
-        Metric::counter(
-            "service.enqueued",
-            Unit::Count,
-            "commands accepted across all lanes",
-            lane_sum(|l| l.enqueued),
         ),
         Metric::counter(
             "service.processed",
@@ -349,7 +344,7 @@ pub(crate) fn stats_metrics(stats: &ServiceStats) -> Vec<Metric> {
         Metric::gauge(
             "service.degraded",
             Unit::Ratio,
-            "1 when any shard or lane is degraded (writes may be refused)",
+            "1 when any shard is degraded (writes may be refused)",
             if stats.is_degraded() { 1.0 } else { 0.0 },
         ),
         Metric::gauge(

@@ -63,10 +63,11 @@
 //! read-only mode (permanent storage failure) refuses fast and the
 //! ticket resolves `Err(`[`CommandError::Degraded`]`)` — the write was
 //! declined, not lost — while reads keep serving. Refusals and failed
-//! post-batch group commits mark the lane
-//! [`Degraded`](crate::LaneHealth::Degraded); a later fully clean
-//! write batch (the shard healed via checkpoint) marks it back
-//! [`Healthy`](crate::LaneHealth::Healthy).
+//! post-batch group commits are counted per lane (`degraded_writes`,
+//! `sync_failures`); *whether* writes may be refused right now is the
+//! shards' own [`ShardHealth`](fiting_index_api::ShardHealth), which
+//! [`ServiceStats::is_degraded`](crate::ServiceStats::is_degraded)
+//! reads and a healing checkpoint clears — the lane keeps no copy.
 //!
 //! [`CommandError::Degraded`]: crate::CommandError::Degraded
 //!
@@ -141,35 +142,22 @@ where
         // of silently stranding its queue.
         let outcome =
             std::panic::catch_unwind(AssertUnwindSafe(|| execute_batch(lane, shared, batch)));
-        let Ok(refused) = outcome else {
+        if outcome.is_err() {
             poison_lane(lane, shared);
             return;
-        };
-        let mut faulted = refused > 0;
+        }
         if had_writes && sync_batches {
             // Group commit: one flush(+fsync per the store's policy)
             // per drained write batch rather than per operation. Shards
             // with an empty WAL buffer make this a cheap no-op. A shard
-            // refusing the flush has just degraded itself; count it and
-            // mark the lane.
+            // refusing the flush has just degraded itself; count it.
             let (_flushed, failed) = shared.index.try_sync_all();
             if failed > 0 {
                 // ordering: Relaxed — advisory stats counter.
                 shared.counters[lane]
                     .sync_failures
                     .fetch_add(failed as u64, Ordering::Relaxed);
-                faulted = true;
             }
-        }
-        // Advisory lane health: refusals flip Healthy -> Degraded; a
-        // fully clean write batch heals Degraded -> Healthy (the shard
-        // evidently accepts writes again). CAS transitions so neither
-        // direction can stomp a Poisoned/Recovering mark.
-        let state = &shared.lane_state[lane];
-        if faulted {
-            state.transition(LaneHealth::Healthy, LaneHealth::Degraded);
-        } else if had_writes {
-            state.transition(LaneHealth::Degraded, LaneHealth::Healthy);
         }
     }
 }
@@ -185,8 +173,8 @@ fn poison_lane<K: Key, V: Clone, I: SortedIndex<K, V> + 'static>(
     // ordering: Relaxed — the panic count is advisory stats; the
     // queue.close() below (a mutex) is what submitters synchronize on.
     shared.counters[lane].panics.fetch_add(1, Ordering::Relaxed);
-    // Unconditional store: poisoning overrides Healthy *and* Degraded
-    // (the supervisor is the only thing that moves a lane out of it).
+    // Unconditional store: the supervisor is the only thing that moves
+    // a lane out of `Poisoned`.
     shared.lane_state[lane].set(LaneHealth::Poisoned);
     queue.close();
     // Drain whatever was queued and drop it: dropping a command drops
@@ -201,17 +189,15 @@ fn poison_lane<K: Key, V: Clone, I: SortedIndex<K, V> + 'static>(
     }
 }
 
-/// Executes one drained batch; returns the number of write commands
-/// refused by degraded read-only shards (their tickets resolve
-/// `Err(Degraded)` rather than canceling — the write was declined, not
-/// lost).
+/// Executes one drained batch. Write commands refused by degraded
+/// read-only shards resolve `Err(Degraded)` rather than canceling —
+/// the write was declined, not lost.
 fn execute_batch<K: Key, V: Clone, I: SortedIndex<K, V> + 'static>(
     lane: usize,
     shared: &ServiceShared<K, V, I>,
     batch: Vec<Command<K, V>>,
-) -> u64 {
+) {
     let counters = &shared.counters[lane];
-    let mut refused = 0u64;
     // ordering: Relaxed on every counter update in this function —
     // monotonic stats, read only by racy snapshots; ticket completion
     // (a mutex) orders the results themselves.
@@ -245,7 +231,6 @@ fn execute_batch<K: Key, V: Clone, I: SortedIndex<K, V> + 'static>(
                     counters
                         .degraded_writes
                         .fetch_add(declined as u64, Ordering::Relaxed);
-                    refused += 1;
                     done.degrade();
                 }
             }
@@ -317,7 +302,6 @@ fn execute_batch<K: Key, V: Clone, I: SortedIndex<K, V> + 'static>(
                     counters
                         .degraded_writes
                         .fetch_add(declined, Ordering::Relaxed);
-                    refused += declined;
                 }
                 if coalesced > 1 {
                     counters
@@ -331,7 +315,6 @@ fn execute_batch<K: Key, V: Clone, I: SortedIndex<K, V> + 'static>(
             .execute(kind)
             .record_duration(run_started.elapsed());
     }
-    refused
 }
 
 #[cfg(test)]
@@ -355,8 +338,7 @@ mod tests {
         let (other, other_ticket) = Command::get(150);
         let (del, del_ticket) = Command::remove(7);
         let (gone, gone_ticket) = Command::get(7);
-        let refused = execute_batch(0, &svc.shared, vec![miss, put, hit, other, del, gone]);
-        assert_eq!(refused, 0);
+        execute_batch(0, &svc.shared, vec![miss, put, hit, other, del, gone]);
         // Per-lane order: each read sees exactly the writes before it.
         assert_eq!(miss_ticket.wait(), Ok(None));
         assert_eq!(put_ticket.wait(), Ok(None));

@@ -333,7 +333,7 @@ pub enum StorageBuildError<E> {
 ///
 /// Mutations are logged (buffered) *before* they are applied; the
 /// buffer reaches the OS — and, policy permitting, stable storage — at
-/// each [`sync`](SortedIndex::sync) group-commit point.
+/// each [`try_sync`](SortedIndex::try_sync) group-commit point.
 /// [`split_off_tail`](SortedIndex::split_off_tail) and
 /// [`absorb_tail`](SortedIndex::absorb_tail) checkpoint the involved
 /// shards, so rebalancing rotates per-shard logs instead of leaving a
@@ -1028,18 +1028,10 @@ impl<K: Key, V: Key, I: SortedIndex<K, V> + PageSnapshot> SortedIndex<K, V>
         self.wal.bytes() as usize
     }
 
-    fn sync(&mut self) -> bool {
-        self.try_sync().unwrap_or(false)
-    }
-
-    fn checkpoint(&mut self) -> bool {
-        self.try_checkpoint().unwrap_or(false)
-    }
-
     fn try_sync(&mut self) -> Result<bool, Degraded> {
         // Attempted even when degraded: flushing the buffered suffix
         // narrows the loss window of already-acknowledged records.
-        // `true` = the flush happened (the `sync` contract); whether
+        // `true` = the flush happened (the trait's contract); whether
         // the policy also fsynced is the Wal's business.
         match self.wal.commit() {
             Ok(_) => Ok(true),

@@ -58,7 +58,7 @@
 //!     DurableIndex::build_sorted(&config, (0..1000u64).map(|k| (k * 2, k)).collect()).unwrap();
 //! index.insert(1001, 7);
 //! index.remove(&0);
-//! index.sync(); // durable up to here
+//! index.try_sync().expect("the log reaches the disk"); // durable up to here
 //! let dir = index.shard_dir().to_path_buf();
 //! drop(index); // "crash"
 //!
@@ -142,7 +142,7 @@ mod tests {
         idx.remove(&0);
         idx.insert_many(vec![(11111, 2), (11113, 3)]);
         assert!(idx.wal_bytes() > 0);
-        assert!(idx.sync());
+        assert!(idx.try_sync().expect("the log reaches the disk"));
         let dir = idx.shard_dir().to_path_buf();
         let expect: Vec<(u64, u64)> = idx.range(..).collect();
         drop(idx);
@@ -163,7 +163,7 @@ mod tests {
         idx.insert(5000, 5);
         assert!(idx.wal_bytes() > 0);
         assert_eq!(idx.generation(), 0);
-        assert!(SortedIndex::checkpoint(&mut idx));
+        assert!(idx.try_checkpoint().unwrap());
         assert_eq!(idx.generation(), 1);
         assert_eq!(idx.wal_bytes(), 0);
         // Old generation files are gone; new pair exists.
@@ -187,7 +187,7 @@ mod tests {
         let mut idx: Durable =
             DurableIndex::build_sorted(&cfg, (0..500u64).map(|k| (k, k)).collect()).unwrap();
         idx.insert(9000, 9);
-        idx.sync();
+        idx.try_sync().expect("the log reaches the disk");
         let dir = idx.shard_dir().to_path_buf();
         drop(idx);
         // Plant a corrupt "newer" snapshot; recovery must skip it and

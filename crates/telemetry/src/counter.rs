@@ -1,4 +1,4 @@
-//! Lock-free counters and gauges behind cache-padded atomics.
+//! Lock-free counters behind cache-padded atomics.
 //!
 //! Hot-path instruments: recording is a single relaxed atomic
 //! operation, and each instrument owns its own cache line so two
@@ -68,39 +68,6 @@ impl Counter {
     }
 }
 
-/// A point-in-time measurement (queue depth, occupancy ratio, …):
-/// last-write-wins `set`/`get` on a cache-padded atomic storing the
-/// value's `f64` bits.
-#[derive(Debug, Default)]
-pub struct Gauge {
-    cell: CachePadded<AtomicU64>,
-}
-
-impl Gauge {
-    /// A gauge at `0.0`.
-    #[must_use]
-    pub const fn new() -> Gauge {
-        Gauge {
-            cell: CachePadded::new(AtomicU64::new(0)),
-        }
-    }
-
-    /// Overwrites the current value.
-    #[inline]
-    pub fn set(&self, value: f64) {
-        // ordering: Relaxed — last-write-wins sample with no
-        // cross-memory publication; staleness is inherent to gauges.
-        self.cell.store(value.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Current value.
-    #[must_use]
-    pub fn get(&self) -> f64 {
-        // ordering: Relaxed — see `set`.
-        f64::from_bits(self.cell.load(Ordering::Relaxed))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,16 +87,6 @@ mod tests {
             }
         });
         assert_eq!(c.get(), 80_000);
-    }
-
-    #[test]
-    fn gauge_round_trips_f64() {
-        let g = Gauge::new();
-        assert_eq!(g.get(), 0.0);
-        g.set(1.875);
-        assert_eq!(g.get(), 1.875);
-        g.set(-0.5);
-        assert_eq!(g.get(), -0.5);
     }
 
     #[test]

@@ -2,26 +2,25 @@
 //!
 //! Three pieces, all std-only and lock-free on the recording path:
 //!
-//! * [`Counter`] / [`Gauge`] — monotonic event counts and
-//!   last-write-wins samples behind cache-padded relaxed atomics
-//!   ([`CachePadded`] keeps unrelated instruments off each other's
-//!   cache lines).
+//! * [`Counter`] — monotonic event counts behind a cache-padded
+//!   relaxed atomic ([`CachePadded`] keeps unrelated instruments off
+//!   each other's cache lines).
 //! * [`Histogram`] — a log-bucketed HDR-style latency histogram:
 //!   fixed 3968-bucket layout (1 ns exact below 128 ns, 128 linear
 //!   sub-buckets per power-of-two octave up to ~137 s), O(1) wait-free
 //!   `record`, exact `count`/`max`, ≤ 1 % relative-error
 //!   [`percentile`](HistogramSnapshot::percentile) readout, and
 //!   lossless cross-thread [`merge`](HistogramSnapshot::merge).
-//! * [`MetricsRegistry`] — names the instruments and unifies them
-//!   (plus *collector* closures bridging subsystems with their own
-//!   stats structs: per-lane, per-shard, routing, durability) into one
-//!   typed [`MetricsSnapshot`], serializable through the workspace's
-//!   serde-free [`json`] codec.
+//! * [`MetricsSnapshot`] — the exported schema: a producer reads its
+//!   own instruments and stats structs at scrape time and names each
+//!   reading as a typed [`Metric`]; the snapshot serializes through
+//!   the workspace's serde-free [`json`] codec. The one producer,
+//!   `IndexService::metrics()`, enumerates what it exports itself.
 //!
 //! The recording invariant — **a metric record never blocks a reader
 //! or worker hot path** — is enforced statically: the `fiting-check`
-//! `reader-wait-free` rule covers this crate, and the registry lock is
-//! reachable only from registration and snapshot, both cold paths.
+//! `reader-wait-free` rule covers this crate, which holds no lock at
+//! all.
 //!
 //! `docs/OBSERVABILITY.md` at the repo root catalogs every metric the
 //! service exports through this crate and how to read it.
@@ -32,9 +31,9 @@
 pub mod counter;
 pub mod histogram;
 pub mod json;
-pub mod registry;
+pub mod snapshot;
 
-pub use counter::{CachePadded, Counter, Gauge};
+pub use counter::{CachePadded, Counter};
 pub use histogram::{Histogram, HistogramSnapshot, BUCKETS, MAX_TRACKABLE_NANOS};
 pub use json::Json;
-pub use registry::{Metric, MetricValue, MetricsRegistry, MetricsSnapshot, Unit};
+pub use snapshot::{Metric, MetricValue, MetricsSnapshot, Unit};

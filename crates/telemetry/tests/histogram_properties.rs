@@ -9,7 +9,7 @@
 //!   of a stream reproduces the unpartitioned recording exactly.
 //! * **Monotonicity**: percentile readout is non-decreasing in `p` and
 //!   capped by the exact max.
-//! * **Registry**: snapshots taken while writer threads record stay
+//! * **Snapshots**: readings taken while writer threads record stay
 //!   internally consistent — counters and histogram counts only grow
 //!   between successive snapshots, and the final snapshot is exact.
 //! * **Model check**: a mirrored mini-histogram over the deterministic
@@ -17,9 +17,10 @@
 //!   and merge keep per-bucket monotonicity and lose no records, across
 //!   every explored interleaving.
 
-use fiting_telemetry::{Histogram, HistogramSnapshot, MetricsRegistry, Unit};
+use fiting_telemetry::{Counter, Histogram, HistogramSnapshot};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------
 // Distributions (compat rand has uniform only; the lognormal is built
@@ -185,16 +186,15 @@ fn percentile_readout_is_monotone_and_max_capped() {
 
 #[test]
 fn registry_snapshots_stay_consistent_under_concurrent_recording() {
-    let registry = MetricsRegistry::new();
-    let ops = registry.counter("test.ops", Unit::Count, "ops recorded");
-    let lat = registry.histogram("test.latency", "recorded latencies");
+    let ops = Arc::new(Counter::new());
+    let lat = Arc::new(Histogram::new());
 
     const THREADS: u64 = 4;
     const PER: u64 = 50_000;
     std::thread::scope(|scope| {
         for t in 0..THREADS {
-            let ops = std::sync::Arc::clone(&ops);
-            let lat = std::sync::Arc::clone(&lat);
+            let ops = Arc::clone(&ops);
+            let lat = Arc::clone(&lat);
             scope.spawn(move || {
                 for i in 0..PER {
                     lat.record((t * PER + i) % 1_000_000 + 1);
@@ -209,9 +209,9 @@ fn registry_snapshots_stay_consistent_under_concurrent_recording() {
         let mut last_ops = 0u64;
         let mut last_count = 0u64;
         for _ in 0..50 {
-            let snap = registry.snapshot();
-            let ops_now = snap.counter("test.ops").expect("registered");
-            let count_now = snap.histogram("test.latency").expect("registered").count();
+            // The counter is read first, as a scrape lists it first.
+            let ops_now = ops.get();
+            let count_now = lat.snapshot().count();
             assert!(ops_now >= last_ops, "counter went backwards");
             assert!(count_now >= last_count, "histogram count went backwards");
             assert!(
@@ -223,9 +223,8 @@ fn registry_snapshots_stay_consistent_under_concurrent_recording() {
         }
     });
 
-    let final_snap = registry.snapshot();
-    assert_eq!(final_snap.counter("test.ops"), Some(THREADS * PER));
-    let h = final_snap.histogram("test.latency").expect("registered");
+    assert_eq!(ops.get(), THREADS * PER);
+    let h = lat.snapshot();
     assert_eq!(h.count(), THREADS * PER);
     assert!(h.max() <= 1_000_000);
 }

@@ -17,10 +17,10 @@
 //!   snapshot publication (`Snapshots`) and the per-shard seqlock
 //!   (`SeqRwLock`), the audited foundation of `ShardedIndex`'s
 //!   zero-lock steady-state reads.
-//! * [`telemetry`] — the observability layer: wait-free counters,
-//!   gauges, and log-bucketed latency histograms (≤ 1 % relative
-//!   error, mergeable snapshots) unified by `MetricsRegistry`;
-//!   `IndexService::metrics` / `install_metrics` report through it.
+//! * [`telemetry`] — the observability layer: wait-free counters and
+//!   log-bucketed latency histograms (≤ 1 % relative error, mergeable
+//!   snapshots) plus the typed `MetricsSnapshot` schema that
+//!   `IndexService::metrics` — the one export path — reports through.
 //!   The metric catalog and runbook live in `docs/OBSERVABILITY.md`.
 //! * [`tree`] — the FITing-Tree itself (clustered + non-clustered index,
 //!   insert path, cost model). This is the paper's contribution.

@@ -164,7 +164,7 @@ fn crash_battery_is_prefix_consistent_against_oracle() {
     for op in &ops {
         op.apply_index(&mut idx);
     }
-    idx.sync();
+    idx.try_sync().expect("the log reaches the disk");
     let shard_dir = idx.shard_dir().to_path_buf();
     drop(idx);
 
@@ -306,7 +306,7 @@ fn missing_wal_recovers_snapshot_only() {
     let mut idx: Durable =
         fiting::BuildableIndex::build_sorted(&cfg, (0..100u64).map(|k| (k, k)).collect()).unwrap();
     idx.insert(777, 7);
-    idx.sync();
+    idx.try_sync().expect("the log reaches the disk");
     let dir: PathBuf = idx.shard_dir().to_path_buf();
     drop(idx);
 
