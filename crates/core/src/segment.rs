@@ -10,7 +10,14 @@
 //! A new key above the page's last key whose slot the *existing* model
 //! predicts within `seg_error` is pushed onto the page tail in O(1)
 //! (the paper's in-place insert strategy, for the case that shifts
-//! nothing); every other new key goes to the buffer.
+//! nothing); every other new key goes to the buffer. A full buffer (or
+//! tombstone pressure) ends the segment: [`Segment::into_merged_run`]
+//! hands page ⨝ buffer over as one sorted run — moved by runs of live
+//! slots, not entry by entry — and the tree makes the next page or
+//! pages from it, re-fitted under the run's endpoint line where the
+//! envelope [`Segment::from_run`] measures allows, carved by the cone
+//! where not, and capped at 64 buffers either way
+//! (`FitingTree::resegment`).
 //!
 //! # Page layout (SoA)
 //!
@@ -68,6 +75,9 @@ fn count_below<K: Key>(window: &[K], key: K) -> usize {
 fn saturate_u32(deviation: usize) -> u32 {
     u32::try_from(deviation).unwrap_or(u32::MAX)
 }
+
+/// A sorted run as the parallel arrays a page adopts: keys ∥ values.
+pub(crate) type Run<K, V> = (Vec<K>, Vec<V>);
 
 /// One variable-sized page of the clustered index.
 #[derive(Debug, Clone)]
@@ -548,22 +558,39 @@ impl<K: Key, V> Segment<K, V> {
         None
     }
 
-    /// Feeds the live page entries merged with the buffer — one sorted
-    /// run — to `sink`, consuming the segment (the first step of the
-    /// paper's Algorithm 4 split). Tombstones are dropped here.
-    pub fn merge_into(self, mut sink: impl FnMut(K, V)) {
-        let dead = self.dead;
-        let mut buffer = self.buffer.into_iter().peekable();
-        for (i, (k, v)) in self.keys.into_iter().zip(self.values).enumerate() {
-            while let Some((bk, bv)) = buffer.next_if(|(bk, _)| *bk < k) {
-                sink(bk, bv);
-            }
-            if dead.is_empty() || dead[i >> 6] & (1 << (i & 63)) == 0 {
-                sink(k, v);
-            }
+    /// The live page entries merged with the buffer — one sorted run, as
+    /// the parallel arrays a new page adopts — consuming the segment
+    /// (the first step of the paper's Algorithm 4 split). The merge
+    /// moves runs, not entries: the live slots between two buffered
+    /// keys, and between tombstones, are copied as slices. Tombstones
+    /// are dropped here; a page with neither hands its arrays over.
+    pub fn into_merged_run(mut self) -> Run<K, V> {
+        if self.buffer.is_empty() && self.removed == 0 {
+            return (self.keys, self.values);
         }
-        for (bk, bv) in buffer {
-            sink(bk, bv);
+        let mut keys = Vec::with_capacity(self.len());
+        let mut values = Vec::with_capacity(self.len());
+        let mut page_values = std::mem::take(&mut self.values).into_iter();
+        let mut buffer = std::mem::take(&mut self.buffer).into_iter();
+        let mut from = 0;
+        loop {
+            // The page slots below the next buffered key, then that key.
+            let next = buffer.next();
+            let to = next
+                .as_ref()
+                .map_or(self.keys.len(), |&(key, _)| self.lower_bound(key));
+            while from < to {
+                let (start, end) = self.live_run(from, to);
+                page_values.by_ref().take(start - from).for_each(drop);
+                keys.extend_from_slice(&self.keys[start..end]);
+                values.extend(page_values.by_ref().take(end - start));
+                from = end;
+            }
+            let Some((key, value)) = next else {
+                return (keys, values);
+            };
+            keys.push(key);
+            values.push(value);
         }
     }
 
@@ -872,19 +899,48 @@ mod tests {
     }
 
     #[test]
-    fn merge_into_interleaves_sorted_and_drops_tombstones() {
+    fn into_merged_run_interleaves_sorted_and_drops_tombstones() {
         let mut s = seg(&[10, 30, 50]);
         s.insert(20, 2, 1);
         s.insert(5, 0, 1);
         s.insert(1000, 9, 1); // bends past ±1: buffered
         remove(&mut s, 30, 1);
         assert_eq!(s.buffer.len(), 3);
-        let mut merged = Vec::new();
-        s.merge_into(|k, v| merged.push((k, v)));
-        assert_eq!(
-            merged,
-            vec![(5, 0), (10, 100), (20, 2), (50, 500), (1000, 9)]
-        );
+        let (keys, values) = s.into_merged_run();
+        assert_eq!(keys, vec![5, 10, 20, 50, 1000]);
+        assert_eq!(values, vec![0, 100, 2, 500, 9]);
+    }
+
+    #[test]
+    fn into_merged_run_moves_every_live_run_between_stops() {
+        // Slots 0..200 (key = 10 × slot); every stop a run can end at:
+        // a tombstone first, last, alone, in a stretch across a bitmap
+        // word, next to a buffered key on either side; buffered keys
+        // below the page, between adjacent slots and above it.
+        let page: Vec<u64> = (0..200).map(|i| i * 10).collect();
+        let dead = [0u64, 1, 60, 61, 62, 63, 64, 65, 100, 131, 199];
+        let buffered = [5u64, 15, 595, 655, 1_005, 1_295, 1_296, 1_985, 2_050, 2_500];
+        let mut s = seg(&page);
+        for slot in dead {
+            assert_eq!(remove(&mut s, slot * 10, 1), Some(slot * 100));
+        }
+        for key in buffered {
+            assert_eq!(s.insert(key, key + 1, 0), None);
+        }
+        assert_eq!((s.buffer.len(), s.removed), (10, 11));
+        let mut want: Vec<(u64, u64)> = page
+            .iter()
+            .filter(|&&k| !dead.contains(&(k / 10)))
+            .map(|&k| (k, k * 10))
+            .chain(buffered.map(|k| (k, k + 1)))
+            .collect();
+        want.sort_unstable();
+        let (keys, values) = s.into_merged_run();
+        assert_eq!(keys.into_iter().zip(values).collect::<Vec<_>>(), want);
+        // Nothing to merge: the page's own arrays are the run.
+        let (keys, values) = seg(&page).into_merged_run();
+        assert_eq!((keys.len(), values.len()), (200, 200));
+        assert_eq!(keys, page);
     }
 
     #[test]

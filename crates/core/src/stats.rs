@@ -23,7 +23,10 @@ pub struct FitingTreeStats {
     /// Cumulative incremental directory splices since construction —
     /// one per structural mutation (segment insert/remove,
     /// re-segmentation, run handoff). The operations that previously
-    /// each paid an O(S) directory re-mirror.
+    /// each paid an O(S) directory re-mirror. Every re-segmentation
+    /// splices, a one-page re-fit under an unchanged anchor included
+    /// (a 1 → 1 replace that shifts no tail), so splices ÷ inserts
+    /// keeps counting re-segmentation *events* however cheap each is.
     pub directory_splices: u64,
     /// Cumulative `(anchor, slot)` entries written by those splices
     /// (the "moved segments" side of the O(moved + shift) splice cost).
@@ -31,11 +34,18 @@ pub struct FitingTreeStats {
     /// Cumulative new keys pushed onto a page tail in place (the
     /// paper's in-place insert strategy) instead of being buffered.
     pub in_place_appends: u64,
-    /// Cumulative merge-and-re-carve passes over one segment (buffer
-    /// overflow, tombstone pressure, the boundary segment of a split).
+    /// Cumulative merge-and-re-segment passes over one segment (buffer
+    /// overflow, tombstone pressure, the boundary segment of a split),
+    /// whether the merged run was re-fitted in one piece or re-carved.
     pub resegmentations: u64,
-    /// Cumulative entries those passes rewrote — with
-    /// `resegmentations`, the page-rewriting share of the write path.
+    /// Cumulative entries those passes rewrote: each pass adds exactly
+    /// the length of its merged run. ÷ inserts, this is the write
+    /// amplification of back-fill — the *time* re-segmentation costs,
+    /// where `directory_splices` ÷ inserts only counts how often. An
+    /// overflow rewrites at most 64 × (`buffer_size` + 1) entries plus
+    /// one buffer, so it stays below ≈ 65 per buffered insert; only a
+    /// page grown past that by tail appends or bulk load is rewritten
+    /// whole, once.
     pub resegmented_entries: u64,
     /// Mean entries per segment.
     pub avg_segment_len: f64,

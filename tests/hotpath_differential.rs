@@ -27,7 +27,11 @@
 //!   for the binary-search arm (which requests none), and over a
 //!   one-slot page, predictions clamped to slot 0 or clipped to the
 //!   last slot, and a page whose every slot is dead under a live
-//!   buffer.
+//!   buffer;
+//! * an overflow storm — re-segmentation caps the pages it makes, merges
+//!   page and buffer by runs and re-fits before it re-carves, so the
+//!   sweep ends on a page grown by appends far past the cap and then
+//!   back-filled, undercut below its anchor and fed duplicates.
 //!
 //! Every scan the `edge_*` lifecycle sweep compares with the oracle is
 //! consumed each way the run cursor is (`scan_agrees`): `next`,
@@ -421,6 +425,35 @@ fn edge_one_slot_page_under_a_buffer() {
         "grown-from-empty",
         Vec::new(),
         vec![1_000u64, 5, 7, 3, 900]
+    ));
+}
+
+/// An overflow storm: a tail appended in place until its one page is
+/// many times the cap re-segmentation puts on the pages it makes at any
+/// of the sweep's budgets, then back-fills shuffled over it (the first
+/// overflow carves it into equal pages, later ones re-fit those), keys
+/// below the first anchor (each overflow there moves the anchor), and
+/// every back-fill once more as a duplicate.
+#[test]
+fn edge_overflow_storm_on_a_giant_appended_page() {
+    let tail: Vec<u64> = (1_000..40_000).map(|i| i * 10).collect();
+    let mut back_fills: Vec<u64> = (0..5_000).map(|i| i * 80 + 10_001 + i % 7).collect();
+    let mut r = rng(0x570);
+    for i in (1..back_fills.len()).rev() {
+        back_fills.swap(i, (r() as usize) % (i + 1));
+    }
+    let below = (0..700).rev().map(|i| i * 3 + 500);
+    let arrivals = [
+        &tail[..],
+        &back_fills,
+        &below.collect::<Vec<_>>(),
+        &back_fills,
+    ]
+    .concat();
+    lifecycle(&edge_shape!(
+        "overflow-storm",
+        (200..1_000).map(|i| i * 10).collect(),
+        arrivals
     ));
 }
 
