@@ -14,9 +14,9 @@
 //! *measurably faster* than a cold bulk load, which is the point of
 //! shipping snapshots at all. Results go to `BENCH_durability.json`
 //! (`--out` to change), and `--smoke` re-measures at a small `n`,
-//! gating on that ratio against the recorded baseline — a
-//! machine-independent check, since both timings come from the same
-//! run.
+//! failing when that ratio is more than 3× away from the recorded
+//! baseline in either direction — a machine-independent check, since
+//! both timings come from the same run.
 //!
 //! Knobs: `FITING_N` (rows; default 1M full, 200k smoke),
 //! `FITING_SEED`.
@@ -157,9 +157,10 @@ fn print_measurement(m: &Measurement) {
     );
 }
 
-/// Regression gate: the smoke run's recover/cold ratio may not exceed
-/// `max(1.0, 3 × recorded ratio)` — recovery slower than a cold build
-/// is a durability-layer regression on any machine.
+/// Staleness gate: the smoke run's recover/cold ratio must sit within
+/// 3× of the recorded one **in either direction** — slower is a
+/// durability-layer regression, faster means the recording (and every
+/// document quoting it) describes a system that no longer exists.
 fn smoke_gate(baseline_path: &str) -> i32 {
     let n = env_usize("FITING_N", 200_000);
     let m = measure(n, default_seed());
@@ -173,18 +174,18 @@ fn smoke_gate(baseline_path: &str) -> i32 {
         eprintln!("smoke: no recorded recover_ratio in {baseline_path}");
         return 1;
     };
-    let limit = (recorded * 3.0).max(1.0);
-    if m.recover_ratio > limit {
+    let (low, high) = (recorded / 3.0, recorded * 3.0);
+    if !(low..=high).contains(&m.recover_ratio) {
         eprintln!(
-            "smoke REGRESSION: recover/cold ratio {:.3} exceeds {:.3} \
-             (recorded {:.3})",
-            m.recover_ratio, limit, recorded
+            "smoke DRIFT: recover/cold ratio {:.3} outside {low:.3}..={high:.3} \
+             (recorded {recorded:.3}): a regression if above, a stale recording if below",
+            m.recover_ratio
         );
         return 1;
     }
     println!(
-        "smoke: recover/cold ratio {:.3} within {:.3} (recorded {:.3})",
-        m.recover_ratio, limit, recorded
+        "smoke: recover/cold ratio {:.3} within {low:.3}..={high:.3} (recorded {recorded:.3})",
+        m.recover_ratio
     );
     0
 }

@@ -247,8 +247,7 @@ impl<K: Key> FlatDirectory<K> {
 }
 
 /// Largest index in `run` whose element is `<= key`, or 0 when every
-/// element exceeds `key` — the one floor kernel, used by the directory
-/// and by the segments' wide-window search.
+/// element exceeds `key` — the directory's floor kernel.
 ///
 /// The step is a data-dependent select, not a branch: an `if`/`else`
 /// here compiles to compare-and-jump on the pinned toolchain, and on

@@ -24,20 +24,24 @@
 //! The page is stored **structure-of-arrays**: `keys: Vec<K>` parallel
 //! to `values: Vec<V>`. The bounded window search only ever touches the
 //! dense key array — every cache line it pulls is full of keys, not
-//! half value payload — so small windows resolve with a count scan
-//! (scalar compare-and-add, no early exit: its loads are independent)
-//! and large windows with a branchless binary search; the value array
-//! is read exactly once, on a confirmed hit, and range scans stream
-//! exactly `size_of::<V>()` bytes per entry.
+//! half value payload — and is the paper's Section 4.1.2 search, a
+//! binary search of the window (`Segment::search`, one for every
+//! caller and every width); the value array is read exactly once, on a
+//! confirmed hit, and range scans stream exactly `size_of::<V>()`
+//! bytes per entry.
 //!
 //! # Miss budget of a point lookup
 //!
 //! directory search → `slots[i]` + this header → {key window ∥ value
 //! window}. The model bounds the slot to `[lo, hi]` before a page byte
-//! is read, and `values[lo..=hi]` is as known then as `keys[lo..=hi]`,
-//! so `Segment::probe` requests the value lines *before* the
-//! key scan starts: the value miss overlaps the key miss instead of
-//! starting when the scan ends. One DRAM round trip per page, not two.
+//! is read, so every cache line of `keys[lo..=hi]` and of
+//! `values[lo..=hi]` is requested up front, each array while its window
+//! is at most `REQUEST_LINES` lines long. One DRAM round trip per
+//! page — and the search that follows is `log2(window)` dependent
+//! compare-and-select steps on lines already in flight, few enough
+//! that the out-of-order core starts the *next* lookup's directory
+//! search while this one's lines are still on their way (a scan of the
+//! window is hundreds of waiting µops, and nothing starts behind it).
 //!
 //! Removals are **tombstones** in a lazily-allocated bitmap: O(1), and
 //! they leave every surviving key at its original slot, so
@@ -46,29 +50,38 @@
 //! `removed` count still drives re-segmentation so pages don't
 //! accumulate dead slots forever.
 
-use crate::directory::branchless_floor;
 use crate::key::Key;
 use fiting_index_api::prefetch_read;
-
-/// Window widths at or below this use the count scan; wider windows
-/// use the branchless binary search.
-///
-/// The scan's loads are independent, so the out-of-order core overlaps
-/// every cache line of the window behind roughly one miss latency,
-/// while binary probing chains dependent misses — on cold pages the
-/// scan wins far past the point where instruction counts would suggest
-/// (16 cache lines of u64 keys at this setting).
-const SMALL_WINDOW: usize = 128;
 
 /// Bytes one prefetch hint covers.
 const CACHE_LINE: usize = 64;
 
-/// Keys of the sorted `window` below `key` — on a sorted run, the
-/// offset of `key`'s lower bound. No early exit and no dependence
-/// between iterations: every load of the window is in flight at once.
+/// The most cache lines a search requests of one array (128 `u64`
+/// keys). A longer window is searched the same way and misses on
+/// demand: the search touches `log2` of its lines, and the budget caps
+/// what one lookup may pull into the cache for the single line a hit
+/// lands on.
+const REQUEST_LINES: usize = 16;
+
+/// Slots from one hint to the next over `run` — a line's worth, or one
+/// slot for a `T` wider than a line — or `None` when nothing is
+/// requested: `run` holds no bytes or more than [`REQUEST_LINES`] lines.
+fn hint_stride<T>(run: &[T]) -> Option<usize> {
+    (1..=REQUEST_LINES * CACHE_LINE)
+        .contains(&std::mem::size_of_val(run))
+        .then(|| (CACHE_LINE / std::mem::size_of::<T>()).max(1))
+}
+
+/// Requests the cache lines of `run`, fire-and-forget, if it is within
+/// the budget.
 #[inline]
-fn count_below<K: Key>(window: &[K], key: K) -> usize {
-    window.iter().filter(|&&k| k < key).count()
+fn request_lines<T>(run: &[T]) {
+    if let Some(stride) = hint_stride(run) {
+        run.iter().step_by(stride).for_each(prefetch_read);
+        // `run[0]` may sit mid-line, so the strides can stop one line
+        // short of the run's end.
+        prefetch_read(&run[run.len() - 1]);
+    }
 }
 
 /// An envelope deviation as stored (the window caps it at the budget).
@@ -382,17 +395,7 @@ impl<K: Key, V> Segment<K, V> {
             .saturating_add(1)
             .min(n);
         let lo = pred.saturating_sub(self.under as usize).min(hi);
-        let window = &self.keys[lo..hi];
-        lo + if window.len() <= SMALL_WINDOW {
-            // The scan most likely starts at the predicted slot: ask
-            // for its value line while the key lines are in flight.
-            if let Some(value) = self.values.get(pred) {
-                prefetch_read(value);
-            }
-            count_below(window, key)
-        } else {
-            window.partition_point(|&k| k < key)
-        }
+        self.search(lo, hi, key)
     }
 
     /// Where a scan bound at `key` cuts the two sorted runs: the page
@@ -412,19 +415,17 @@ impl<K: Key, V> Segment<K, V> {
         }
     }
 
-    /// Requests every cache line of `values[lo..=hi]`. The hit lands on
-    /// one of them; which one is only known after the key scan, and a
-    /// request issued then is a second, serialized miss.
+    /// The in-window search: the first slot of `lo..hi` whose key is
+    /// `>= key`, or `hi`. Both windows are requested before the first
+    /// compare — the hit's value sits on one of those lines; which is
+    /// only known after the search, and a request issued then is a
+    /// second, serialized miss.
     #[inline]
-    fn prefetch_values(&self, lo: usize, hi: usize) {
-        // `max(1)` twice: a zero-sized `V` must not divide by zero and
-        // a `V` wider than a line must still step.
-        let per_line = (CACHE_LINE / std::mem::size_of::<V>().max(1)).max(1);
-        let window = &self.values[lo..=hi];
-        window.iter().step_by(per_line).for_each(prefetch_read);
-        // `values[lo]` may sit mid-line, so the strides can stop one
-        // line short of the window's end.
-        prefetch_read(&window[hi - lo]);
+    fn search(&self, lo: usize, hi: usize, key: K) -> usize {
+        let window = &self.keys[lo..hi];
+        request_lines(window);
+        request_lines(&self.values[lo..hi]);
+        lo + window.partition_point(|&k| k < key)
     }
 
     /// Exact-match probe of the page keys, honoring the error window
@@ -438,13 +439,7 @@ impl<K: Key, V> Segment<K, V> {
             return None;
         }
         let (lo, hi) = self.window(key, seg_error);
-        let window = &self.keys[lo..=hi];
-        let idx = if window.len() <= SMALL_WINDOW {
-            self.prefetch_values(lo, hi);
-            lo + count_below(window, key)
-        } else {
-            lo + branchless_floor(window, &key)
-        };
+        let idx = self.search(lo, hi + 1, key);
         (idx <= hi && self.keys[idx] == key).then_some(idx)
     }
 
@@ -570,15 +565,18 @@ impl<K: Key, V> Segment<K, V> {
         }
         let mut keys = Vec::with_capacity(self.len());
         let mut values = Vec::with_capacity(self.len());
+        // Searched while the page still holds its values: the search
+        // requests their lines.
+        let stops: Vec<usize> = (self.buffer.iter())
+            .map(|&(key, _)| self.lower_bound(key))
+            .collect();
         let mut page_values = std::mem::take(&mut self.values).into_iter();
-        let mut buffer = std::mem::take(&mut self.buffer).into_iter();
+        let mut buffer = std::mem::take(&mut self.buffer).into_iter().zip(stops);
         let mut from = 0;
         loop {
             // The page slots below the next buffered key, then that key.
             let next = buffer.next();
-            let to = next
-                .as_ref()
-                .map_or(self.keys.len(), |&(key, _)| self.lower_bound(key));
+            let to = next.as_ref().map_or(self.keys.len(), |&(_, stop)| stop);
             while from < to {
                 let (start, end) = self.live_run(from, to);
                 page_values.by_ref().take(start - from).for_each(drop);
@@ -586,7 +584,7 @@ impl<K: Key, V> Segment<K, V> {
                 values.extend(page_values.by_ref().take(end - start));
                 from = end;
             }
-            let Some((key, value)) = next else {
+            let Some(((key, value), _)) = next else {
                 return (keys, values);
             };
             keys.push(key);
@@ -688,37 +686,110 @@ mod tests {
         assert_eq!(s.get(1_000_000, 1), None);
     }
 
+    /// The count scan `search` replaced, kept as its oracle: keys of the
+    /// sorted `window` below `key`.
+    fn count_below(window: &[u64], key: u64) -> usize {
+        window.iter().filter(|&&k| k < key).count()
+    }
+
     #[test]
-    fn both_window_regimes_agree_on_hits_and_misses() {
-        // Narrow window ⇒ the count scan (value lines requested first);
-        // wide ⇒ the branchless binary (none requested). A straight
-        // page measures a zero envelope and never leaves the first arm,
-        // so a curved page under an endpoint slope rides along; its
-        // unit-valued twin takes the line stride through the zero-size
-        // guard.
-        let straight: Vec<u64> = (0..2_000).map(|i| i * 2).collect();
-        let curved: Vec<u64> = (0..2_000).map(|i| i * i / 5 + i * 2).collect();
-        for keys in [&straight, &curved] {
-            let s = seg(keys);
-            let units = Segment::from_run(s.start_key, s.slope, keys.clone(), vec![(); keys.len()]);
-            for error in [1u64, 4, 11, 12, 64, 500] {
-                for (slot, &k) in keys.iter().enumerate().step_by(37) {
-                    // The budget decides whether the slot is in reach;
-                    // within reach, either arm must find it.
-                    let (lo, hi) = s.window(k, error);
-                    let reachable = (lo..=hi).contains(&slot);
-                    assert_eq!(s.get(k, error), reachable.then_some(&(k * 10)), "{k}");
-                    assert_eq!(units.get(k, error), reachable.then_some(&()), "{k}");
-                    assert_eq!(s.get(k + 1, error), None);
-                }
+    fn search_is_the_lower_bound_at_every_length_and_position() {
+        // Odd keys: every even key falls below all, between two, or
+        // above all of them.
+        for n in 0..=160usize {
+            let keys: Vec<u64> = (0..n as u64).map(|i| 2 * i + 1).collect();
+            let s = Segment::from_run(1u64, 0.0, keys.clone(), keys.clone());
+            for key in 0..=2 * n as u64 + 2 {
+                assert_eq!(s.search(0, n, key), count_below(&keys, key), "{n} {key}");
+            }
+            // Off the page's ends: a window is a sub-slice.
+            if n >= 3 {
+                let key = n as u64;
+                let want = 1 + count_below(&keys[1..n - 1], key);
+                assert_eq!(s.search(1, n - 1, key), want, "{n}");
             }
         }
+    }
+
+    #[test]
+    fn the_request_budget_is_in_lines_of_each_array() {
+        const EDGE: usize = REQUEST_LINES * CACHE_LINE / 8;
+        assert_eq!(hint_stride(&[0u64; EDGE]), Some(8));
+        assert_eq!(hint_stride(&[0u64; EDGE + 1]), None);
+        assert_eq!(hint_stride(&[0u8; 1]), Some(64));
+        assert_eq!(hint_stride(&[0u128; EDGE / 2]), Some(4));
+        // A value wider than a line: one hint a slot, and only while
+        // the slots together fit the budget.
+        assert_eq!(hint_stride(&[[0u64; 32]; 4]), Some(1));
+        assert_eq!(hint_stride(&[[0u64; 32]; 5]), None);
+        // Nothing to ask for.
+        assert_eq!(hint_stride(&[(); EDGE]), None);
+        assert_eq!(hint_stride::<u64>(&[]), None);
+    }
+
+    /// Hits, misses, tombstones and both scan ends on a page whose one
+    /// window is the whole page, against a linear search.
+    fn whole_page_window_agrees<V: Clone + PartialEq + std::fmt::Debug>(
+        n: usize,
+        value: impl Fn(u64) -> V,
+    ) {
+        // Slope 0 predicts slot 0 for every key: `over` = n − 1, so
+        // under a budget past the page both windows are `0..n`.
+        let keys: Vec<u64> = (0..n as u64).map(|i| 3 * i + 1).collect();
+        let values: Vec<V> = keys.iter().map(|&k| value(k)).collect();
+        let mut s = Segment::from_run(1u64, 0.0, keys.clone(), values);
+        let error = 10 * n as u64;
+        assert_eq!(s.window(keys[n / 2], error), (0, n - 1));
+        let dead: Vec<u64> = [0, 1, n / 2, n - 2, n - 1].map(|i| keys[i]).into();
+        for round in 0..2 {
+            for probe in 0..=keys[n - 1] + 2 {
+                let slot = keys.iter().position(|&k| k == probe);
+                let live = slot.filter(|_| round == 0 || !dead.contains(&probe));
+                assert_eq!(s.probe(probe, error), slot, "{n} {probe}");
+                assert_eq!(s.search_data(probe, error), live, "{n} {probe}");
+                assert_eq!(s.get(probe, error).cloned(), live.map(|_| value(probe)));
+                let below = keys.iter().take_while(|&&k| k < probe).count();
+                assert_eq!(s.lower_bound(probe), below, "{n} {probe}");
+                assert_eq!(s.cut(probe, true).0, below + usize::from(slot.is_some()));
+            }
+            for &k in &dead {
+                let taken = s.remove_with(k, error, |v| v.clone());
+                assert_eq!(taken, (round == 0).then(|| value(k)), "{n} {k}");
+            }
+        }
+        // A tombstoned slot is still found, and resurrected in place.
+        assert_eq!(s.insert(keys[n - 1], value(0), error), None);
+        assert_eq!(s.get(keys[n - 1], error), Some(&value(0)));
+        assert_eq!((s.buffer.len(), s.removed), (0, 4));
+    }
+
+    #[test]
+    fn both_window_regimes_agree_on_hits_and_misses() {
+        // Requested and not (`the_request_budget_is_in_lines_of_each_array`
+        // pins which): with `u64` keys 128 slots are the budget exactly
+        // and 136 one line over it. Values: as long as the keys, absent,
+        // and — at 256 bytes a slot — over the budget on both pages.
+        let at = REQUEST_LINES * CACHE_LINE / 8;
+        for n in [at, at + 8] {
+            whole_page_window_agrees(n, |k| k * 10);
+            whole_page_window_agrees(n, |_| ());
+            whole_page_window_agrees(n, |k| [k; 32]);
+        }
+        // A curved page under an endpoint slope, where the error budget
+        // — not the envelope — decides whether a slot is in reach, from
+        // a few slots wide to well past the request budget.
+        let curved: Vec<u64> = (0..2_000).map(|i| i * i / 5 + i * 2).collect();
         let s = seg(&curved);
-        let width = |error| {
-            let (lo, hi) = s.window(curved[1_000], error);
-            hi - lo + 1
-        };
-        assert!(width(64) <= SMALL_WINDOW && width(500) > SMALL_WINDOW);
+        for error in [1u64, 4, 11, 12, 64, 500] {
+            for (slot, &k) in curved.iter().enumerate().step_by(37) {
+                let (lo, hi) = s.window(k, error);
+                let reachable = (lo..=hi).contains(&slot);
+                assert_eq!(s.get(k, error), reachable.then_some(&(k * 10)), "{k}");
+                assert_eq!(s.get(k + 1, error), None);
+            }
+        }
+        let (lo, hi) = s.window(curved[1_000], 500);
+        assert!(hint_stride(&s.keys[lo..=hi]).is_none());
     }
 
     #[test]
@@ -727,6 +798,10 @@ mod tests {
         // key, so only keys within the window of slot 0 are findable.
         let s = Segment::from_run(0u64, 0.0, (0..100).collect(), (0..100u64).collect());
         assert_eq!(s.get(3, 5), Some(&3));
+        // The window ends at slot 6 (±5, plus one for rounding): the
+        // search stops on slot 7, which holds the key, out of reach.
+        assert_eq!(s.window(7, 5), (0, 6));
+        assert_eq!((s.get(6, 5), s.get(7, 5)), (Some(&6), None));
         // Slot 50 is outside the ±5 window around slot 0.
         assert_eq!(s.get(50, 5), None);
         // A wider budget finds it.
