@@ -12,7 +12,7 @@
 //! | `ordering-justification` | every explicit `Ordering::…` site is covered by a `// ordering:` comment explaining why that strength suffices |
 //! | `hot-path-panic` | no `unwrap` / `expect` / `panic!` in worker-thread and shard-hot-path modules (vetted exceptions in `allowlist.txt`) |
 //! | `forbid-unsafe` | `#![forbid(unsafe_code)]` present on every crate root |
-//! | `std-sync-quarantine` | `std::sync` lock primitives only inside `crates/compat/` |
+//! | `std-sync-quarantine` | a lock or an atomic is named through the seam: `std::sync` locks only in `fiting_sync::primitives` and `crates/compat/`, no `std` atomic imported by the four model-checked modules, `shuttle::sync` in no test file (a mirror) |
 //! | `storage-io-unwrap` | no `.unwrap()` / `.expect(..)` on storage-crate Results outside `#[cfg(test)]` — I/O faults are expected inputs there, not bugs |
 //! | `reader-wait-free` | no `.read()` guard acquisition in reader hot-path modules or anywhere in `crates/telemetry/` — recording must never block a reader or worker |
 //! | `unsafe-safety-comment` | every `unsafe` site in the audited `crates/sync/` carries a per-site `// safety:` comment |

@@ -101,13 +101,13 @@ pub fn check_file(path: &str, raw: &str, allow: &[AllowEntry]) -> Vec<Finding> {
         findings.extend(rule_blocking_in_guard(path, &cf));
         findings.extend(rule_ordering_justification(path, &cf));
         findings.extend(rule_hot_path_panic(path, &cf, &raw_lines, allow));
-        findings.extend(rule_std_sync_quarantine(path, &cf));
         findings.extend(rule_storage_io_unwrap(path, &cf));
         findings.extend(rule_reader_wait_free(path, &cf));
         findings.extend(rule_unsafe_safety_comment(path, &cf));
         findings.extend(rule_sync_ordering_per_site(path, &cf));
         findings.extend(rule_kernel_claim(path, &cf));
     }
+    findings.extend(rule_std_sync_quarantine(path, in_src, &cf));
     findings.extend(rule_forbid_unsafe(path, &cf));
     findings.sort_by_key(|f| f.line);
     findings
@@ -516,56 +516,78 @@ fn rule_forbid_unsafe(path: &str, cf: &CleanFile) -> Vec<Finding> {
 }
 
 // ---------------------------------------------------------------------
-// Rule: std-sync-quarantine — std blocking primitives only in compat
+// Rule: std-sync-quarantine — locks and atomics are named via the seam
 // ---------------------------------------------------------------------
 
 const STD_SYNC_PRIMITIVES: [&str; 4] = ["Mutex", "RwLock", "Condvar", "Barrier"];
 
-/// Outside `crates/compat/`, lock primitives come from the compat
-/// facades (`parking_lot`, `shuttle`) so instrumentation and lock
-/// discipline apply uniformly; `std::sync::{Arc, atomic, OnceLock,
-/// mpsc}` stay allowed.
-fn rule_std_sync_quarantine(path: &str, cf: &CleanFile) -> Vec<Finding> {
-    if path.starts_with("crates/compat/") {
+/// The one module that may name `std::sync` locks (its normal-build
+/// arm wraps them) and `shuttle::sync` (its model-build arm).
+const SEAM: &str = "crates/sync/src/primitives.rs";
+
+/// The concurrency types the model checker runs as themselves: here an
+/// atomic imported straight from `std` would stay uninstrumented under
+/// `--cfg fiting_model`, invisible to the scheduler.
+const SEAM_ONLY_MODULES: [&str; 4] = [
+    "sync/src/seqlock.rs",
+    "sync/src/snapshot.rs",
+    "index-service/src/queue.rs",
+    "index-service/src/ticket.rs",
+];
+
+/// The names `text` takes from module path `prefix`: the word right
+/// after each occurrence, or every word of a brace import there.
+fn names_from<'a>(text: &'a str, prefix: &'a str) -> impl Iterator<Item = &'a str> {
+    text.split(prefix).skip(1).flat_map(|seg| {
+        let braced = seg.strip_prefix('{');
+        let names = braced.map_or(seg, |rest| rest.split('}').next().unwrap_or(rest));
+        let words = names.split(|c: char| !(c.is_alphanumeric() || c == '_'));
+        words.take(if braced.is_some() { usize::MAX } else { 1 })
+    })
+}
+
+/// A lock or an atomic is named through the seam,
+/// `fiting_sync::primitives`. Production code outside it (and outside
+/// `crates/compat/`) names no `std::sync` lock; the
+/// [`SEAM_ONLY_MODULES`] import no `std` atomic either
+/// (`std::sync::{Arc, OnceLock, mpsc}` stay allowed everywhere, atomics
+/// elsewhere); and no file, tests included, names `shuttle::sync` —
+/// a test that builds a protocol out of the checker's locks is a mirror
+/// of a production type, which nothing keeps in step with it.
+fn rule_std_sync_quarantine(path: &str, in_src: bool, cf: &CleanFile) -> Vec<Finding> {
+    if path.starts_with("crates/compat/") || path == SEAM {
         return Vec::new();
     }
+    let seam_only = SEAM_ONLY_MODULES.iter().any(|m| path.ends_with(m));
     let mut findings = Vec::new();
     for (ln0, line) in cf.code.iter().enumerate() {
         let ln = ln0 + 1;
-        if !cf.is_production(ln) || !line.contains("std::sync::") {
+        if !cf.is_production(ln) || line_allows(cf, ln, "std-sync-quarantine") {
             continue;
         }
-        let after: Vec<&str> = line.split("std::sync::").skip(1).collect();
-        for seg in after {
-            // `std::sync::Mutex` directly, or within a brace import
-            // `use std::sync::{Arc, Mutex}`.
-            let hit = STD_SYNC_PRIMITIVES.iter().find(|p| {
-                if let Some(rest) = seg.strip_prefix('{') {
-                    let inner = &rest[..rest.find('}').unwrap_or(rest.len())];
-                    inner
-                        .split(|c: char| !(c.is_alphanumeric() || c == '_'))
-                        .any(|w| w == **p)
-                } else {
-                    let end = seg
-                        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
-                        .unwrap_or(seg.len());
-                    &seg[..end] == **p
-                }
+        // A `use` that rustfmt wrapped is read to its `;`.
+        let is_use = line.trim_start().starts_with("use ");
+        let rest = &cf.code[ln0..];
+        let end = rest.iter().position(|l| !is_use || l.contains(';'));
+        let stmt = rest[..=end.unwrap_or(0)].concat();
+        let named = names_from(&stmt, "std::sync::")
+            .find(|w| in_src && STD_SYNC_PRIMITIVES.contains(w))
+            .or_else(|| {
+                names_from(&stmt, "std::sync::atomic::")
+                    .find(|w| seam_only && w.starts_with("Atomic"))
+            })
+            .or_else(|| stmt.contains("shuttle::sync::").then_some("shuttle::sync"));
+        if let Some(name) = named {
+            findings.push(Finding {
+                file: path.to_string(),
+                line: ln,
+                rule: "std-sync-quarantine",
+                message: format!(
+                    "`{name}` named directly; locks and atomics come through \
+                     `fiting_sync::primitives`, and a model runs the production \
+                     type built with `--cfg fiting_model`, not a copy of it"
+                ),
             });
-            if let Some(p) = hit {
-                if !line_allows(cf, ln, "std-sync-quarantine") {
-                    findings.push(Finding {
-                        file: path.to_string(),
-                        line: ln,
-                        rule: "std-sync-quarantine",
-                        message: format!(
-                            "direct `std::sync::{p}` outside crates/compat/; \
-                             use the compat facade"
-                        ),
-                    });
-                }
-                break;
-            }
         }
     }
     findings
@@ -1150,7 +1172,7 @@ fn bump(&self) {
     }
 
     #[test]
-    fn std_sync_quarantine_fires_outside_compat_only() {
+    fn std_sync_quarantine_fires_outside_the_seam_and_compat_only() {
         let bad = "#![forbid(unsafe_code)]\nuse std::sync::Mutex;\n";
         let f = check_file("crates/x/src/lib.rs", bad, &[]);
         assert!(rules_of(&f).contains(&"std-sync-quarantine"), "{f:?}");
@@ -1165,8 +1187,89 @@ fn bump(&self) {
         let f = check_file("crates/x/src/lib.rs", ok, &[]);
         assert!(!rules_of(&f).contains(&"std-sync-quarantine"), "{f:?}");
 
-        // Inside compat the primitives are the implementation.
-        let f = check_file("crates/compat/parking_lot/src/lib.rs", bad, &[]);
+        // The seam's normal arm and the compat crates are the
+        // implementation; a test may park on a std lock.
+        for exempt in [
+            "crates/sync/src/primitives.rs",
+            "crates/compat/shuttle/src/sync.rs",
+            "crates/x/tests/stress.rs",
+        ] {
+            let f = check_file(exempt, "use std::sync::Mutex;\n", &[]);
+            assert!(!rules_of(&f).contains(&"std-sync-quarantine"), "{f:?}");
+        }
+    }
+
+    #[test]
+    fn std_sync_quarantine_keeps_std_atomics_out_of_the_modelled_types() {
+        // Mutation: the seqlock's sequence word imported from std — it
+        // would compile under `--cfg fiting_model` and never yield.
+        let bad = "use std::sync::atomic::{AtomicU64, Ordering};\n";
+        for module in SEAM_ONLY_MODULES.map(|m| format!("crates/{m}")) {
+            let f = check_file(&module, bad, &[]);
+            assert!(
+                f.iter()
+                    .any(|f| f.rule == "std-sync-quarantine" && f.message.contains("`AtomicU64`")),
+                "{module}: {f:?}"
+            );
+        }
+        let f = check_file(
+            "crates/sync/src/seqlock.rs",
+            "static N: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);\n",
+            &[],
+        );
+        assert!(rules_of(&f).contains(&"std-sync-quarantine"), "{f:?}");
+
+        // Through the seam, `Ordering` alone, and a vetted `static`
+        // counter are the fixed shapes; other modules keep std atomics.
+        for good in [
+            "use crate::primitives::{AtomicU64, Ordering};\n",
+            "use std::sync::atomic::Ordering;\n",
+            "use std::sync::atomic::AtomicU64 as Id; // fiting-check: allow(std-sync-quarantine) static id\n",
+        ] {
+            let f = check_file("crates/sync/src/snapshot.rs", good, &[]);
+            assert!(!rules_of(&f).contains(&"std-sync-quarantine"), "{f:?}");
+        }
+        let f = check_file("crates/index-service/src/stats.rs", bad, &[]);
         assert!(!rules_of(&f).contains(&"std-sync-quarantine"), "{f:?}");
+
+        // The shipped files are clean, and stay so only through the seam.
+        let shipped = include_str!("../../sync/src/seqlock.rs");
+        let f = check_file("crates/sync/src/seqlock.rs", shipped, &[]);
+        assert!(!rules_of(&f).contains(&"std-sync-quarantine"), "{f:?}");
+        let direct = shipped.replacen("use crate::primitives::{", "use std::sync::atomic::{", 1);
+        let f = check_file("crates/sync/src/seqlock.rs", &direct, &[]);
+        assert!(rules_of(&f).contains(&"std-sync-quarantine"), "{f:?}");
+    }
+
+    #[test]
+    fn std_sync_quarantine_fires_on_a_mirror_model() {
+        // Mutation: a test file that rebuilds a protocol from the
+        // checker's own locks — what the three deleted files did.
+        let mirror = "use shuttle::sync::{Condvar, Mutex};\nuse shuttle::thread;\n";
+        for path in [
+            "crates/index-service/tests/models.rs",
+            "tests/chaos.rs",
+            "crates/index-api/src/sharded.rs",
+        ] {
+            let f = check_file(path, mirror, &[]);
+            assert!(
+                f.iter()
+                    .any(|f| f.rule == "std-sync-quarantine" && f.line == 1),
+                "{path}: {f:?}"
+            );
+        }
+
+        // The scheduler's entry points are what a real-type model uses;
+        // the checker's self-tests and the seam name the locks.
+        let model = "use shuttle::{model, thread};\nuse fiting_sync::primitives::Mutex;\n";
+        let f = check_file("crates/index-service/tests/models.rs", model, &[]);
+        assert!(!rules_of(&f).contains(&"std-sync-quarantine"), "{f:?}");
+        for exempt in [
+            "crates/compat/shuttle/tests/regressions.rs",
+            "crates/sync/src/primitives.rs",
+        ] {
+            let f = check_file(exempt, mirror, &[]);
+            assert!(!rules_of(&f).contains(&"std-sync-quarantine"), "{f:?}");
+        }
     }
 }

@@ -1,20 +1,34 @@
 //! Instrumented atomic stand-ins (`AtomicU64` / `AtomicUsize` /
-//! `AtomicBool`) with `std::sync::atomic` signatures.
+//! `AtomicBool`) with `std::sync::atomic` signatures — the operations
+//! this workspace's concurrency types use, not the whole `std` set.
 //!
 //! Under the model, every access is a scheduler decision point, and
 //! `Ordering::Relaxed` stores park in the storing task's store buffer —
 //! other tasks may observe the pre-store value until the buffer commits
-//! (at a `Release`-or-stronger store, an RMW, or task exit). That is
-//! the mechanism that lets [`crate::model::check`] catch
-//! publish-without-release bugs.
+//! (at a `Release`-or-stronger store or read-modify-write by the same
+//! task, or at task exit). That is the mechanism that lets
+//! [`crate::model::explore`] catch publish-without-release bugs.
+//!
+//! Register instrumented atomics per execution (build them inside the
+//! model closure): one in a `static` would outlive the execution that
+//! registered it.
 
 pub use std::sync::atomic::Ordering;
 
 use crate::runtime;
 use std::sync::OnceLock;
 
+/// Whether `order` publishes the calling task's earlier stores.
+fn releases(order: Ordering) -> bool {
+    // ordering: inspects the *caller's* ordering, performs no access.
+    matches!(
+        order,
+        Ordering::Release | Ordering::AcqRel | Ordering::SeqCst
+    )
+}
+
 /// Declares one instrumented atomic type over the shared `u64`-backed
-/// runtime cell.
+/// runtime cell; the integer types also get `fetch_add` / `fetch_sub`.
 macro_rules! instrumented_atomic {
     ($name:ident, $ty:ty, $to:expr, $from:expr) => {
         /// Instrumented atomic: every access is a scheduler decision
@@ -52,64 +66,31 @@ macro_rules! instrumented_atomic {
             /// Stores `value`. `Relaxed` buffers in the storing task;
             /// `Release` and stronger publish the task's whole buffer.
             pub fn store(&self, value: $ty, order: Ordering) {
-                // ordering: inspects the *caller's* ordering — Relaxed
-                // buffers in the store buffer, stronger commits.
-                runtime::atomic_store(self.id(), $to(value), matches!(order, Ordering::Relaxed));
+                runtime::atomic_store(self.id(), $to(value), releases(order));
+            }
+        }
+    };
+    ($name:ident, $ty:ty) => {
+        instrumented_atomic!($name, $ty, |v: $ty| v as u64, |v: u64| v as $ty);
+
+        impl $name {
+            /// Adds `value`, returning the previous value. An RMW acts
+            /// on the latest value of its location; `Release` and
+            /// stronger also publish the task's whole buffer.
+            pub fn fetch_add(&self, value: $ty, order: Ordering) -> $ty {
+                let add = |v: u64| v.wrapping_add(value as u64);
+                runtime::atomic_rmw(self.id(), releases(order), add) as $ty
             }
 
-            /// Swaps in `value`, returning the previous value.
-            pub fn swap(&self, value: $ty, _order: Ordering) -> $ty {
-                $from(runtime::atomic_rmw(self.id(), |_| $to(value)))
-            }
-
-            /// Stores `new` iff the current value equals `current`;
-            /// returns the previous value as `Ok` (stored) / `Err`.
-            pub fn compare_exchange(
-                &self,
-                current: $ty,
-                new: $ty,
-                _success: Ordering,
-                _failure: Ordering,
-            ) -> Result<$ty, $ty> {
-                runtime::atomic_compare_exchange(self.id(), $to(current), $to(new))
-                    .map($from)
-                    .map_err($from)
+            /// Subtracts `value`, returning the previous value.
+            pub fn fetch_sub(&self, value: $ty, order: Ordering) -> $ty {
+                let sub = |v: u64| v.wrapping_sub(value as u64);
+                runtime::atomic_rmw(self.id(), releases(order), sub) as $ty
             }
         }
     };
 }
 
-instrumented_atomic!(AtomicU64, u64, |v: u64| v, |v: u64| v);
-instrumented_atomic!(AtomicUsize, usize, |v: usize| v as u64, |v: u64| v as usize);
+instrumented_atomic!(AtomicU64, u64);
+instrumented_atomic!(AtomicUsize, usize);
 instrumented_atomic!(AtomicBool, bool, |v: bool| u64::from(v), |v: u64| v != 0);
-
-impl AtomicU64 {
-    /// Adds `value`, returning the previous value. RMWs always act on
-    /// the latest value (all buffers for this location commit first).
-    pub fn fetch_add(&self, value: u64, _order: Ordering) -> u64 {
-        runtime::atomic_rmw(self.id(), |v| v.wrapping_add(value))
-    }
-
-    /// Subtracts `value`, returning the previous value.
-    pub fn fetch_sub(&self, value: u64, _order: Ordering) -> u64 {
-        runtime::atomic_rmw(self.id(), |v| v.wrapping_sub(value))
-    }
-
-    /// Stores the maximum of the current value and `value`, returning
-    /// the previous value.
-    pub fn fetch_max(&self, value: u64, _order: Ordering) -> u64 {
-        runtime::atomic_rmw(self.id(), |v| v.max(value))
-    }
-}
-
-impl AtomicUsize {
-    /// Adds `value`, returning the previous value.
-    pub fn fetch_add(&self, value: usize, _order: Ordering) -> usize {
-        runtime::atomic_rmw(self.id(), |v| v.wrapping_add(value as u64)) as usize
-    }
-
-    /// Subtracts `value`, returning the previous value.
-    pub fn fetch_sub(&self, value: usize, _order: Ordering) -> usize {
-        runtime::atomic_rmw(self.id(), |v| v.wrapping_sub(value as u64)) as usize
-    }
-}

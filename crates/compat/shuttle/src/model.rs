@@ -31,20 +31,23 @@ pub struct Report {
 
 impl Report {
     /// Panics with the failure message and its replayable schedule if
-    /// the exploration found one.
-    pub fn assert_ok(&self) {
+    /// the exploration of the model called `name` found one.
+    pub fn assert_ok(&self, name: &str) {
         if let Some(f) = &self.failure {
             panic!(
-                "model check failed after {} interleaving(s): {}\nreplay schedule: \"{}\"",
+                "{name} failed after {} interleaving(s): {}\nreplay schedule: \"{}\"",
                 self.iterations, f.message, f.schedule
             );
         }
     }
 }
 
-/// Default DFS budget for [`check`]: enough to exhaust every model in
-/// this workspace's quick battery, small enough to stay interactive.
+/// Interleavings a model clears in the quick [`battery`], and the
+/// budget within which [`must_catch`] must see a mutant fail.
 pub const DEFAULT_ITERATIONS: usize = 10_000;
+
+/// Seed of the random walks that follow DFS in both helpers.
+const WALK_SEED: u64 = 0x5EED_F17E;
 
 fn from_raw(f: runtime::RawFailure) -> Failure {
     Failure {
@@ -141,10 +144,45 @@ pub fn replay<F: Fn() + Send + Sync + 'static>(body: F, schedule: &str) -> Repor
     }
 }
 
-/// Checks `body` across up to [`DEFAULT_ITERATIONS`] DFS schedules,
-/// panicking (with the replayable schedule) on the first property
-/// violation. The `assert!`-style entry point; use [`explore`] /
-/// [`explore_random`] when the report itself is wanted.
-pub fn check<F: Fn() + Send + Sync + 'static>(body: F) {
-    explore(body, DEFAULT_ITERATIONS).assert_ok();
+/// The clean side of a model: DFS up to the budget, then as many
+/// seeded random walks — a tree too deep to exhaust gets only its tail
+/// varied by DFS, and the walks are what reach early interleavings —
+/// panicking (with the replayable schedule) on the first violation.
+/// The budget is [`DEFAULT_ITERATIONS`] unless `FITING_MODEL_ITERS`
+/// raises it (the nightly deep sweep).
+pub fn battery<F: Fn() + Send + Sync + Clone + 'static>(name: &str, body: F) {
+    let budget = std::env::var("FITING_MODEL_ITERS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(DEFAULT_ITERATIONS);
+    let dfs = explore(body.clone(), budget);
+    dfs.assert_ok(&format!("{name} (DFS)"));
+    explore_random(body, WALK_SEED, budget).assert_ok(&format!("{name} (seeded walks)"));
+    let exhausted = if dfs.complete { " (all there are)" } else { "" };
+    println!(
+        "{name}: clean over {} DFS schedules{exhausted} and {budget} seeded walks",
+        dfs.iterations
+    );
+}
+
+/// The red side: `body` must fail within [`DEFAULT_ITERATIONS`] — DFS
+/// first, then seeded walks for failures deeper than the DFS prefix
+/// reaches — with a message containing `expected`, and its recorded
+/// schedule must replay to the same failure. Returns that failure, so
+/// a test can pin the schedule string against other processes' runs.
+pub fn must_catch<F: Fn() + Send + Sync + Clone + 'static>(body: F, expected: &str) -> Failure {
+    let failure = explore(body.clone(), DEFAULT_ITERATIONS)
+        .failure
+        .or_else(|| explore_random(body.clone(), WALK_SEED, DEFAULT_ITERATIONS).failure)
+        .unwrap_or_else(|| panic!("no explored schedule fails with \"{expected}\""));
+    assert!(
+        failure.message.contains(expected),
+        "unexpected failure kind: {}",
+        failure.message
+    );
+    let replayed = replay(body, &failure.schedule)
+        .failure
+        .expect("the recorded schedule must reproduce the failure");
+    assert_eq!(replayed.message, failure.message, "replay diverged");
+    failure
 }

@@ -30,9 +30,11 @@
 //! different locations may become visible in either order, so a reader
 //! can observe a relaxed flag store *before* the data store that
 //! preceded it — the publish-without-release class of bug. `Release`
-//! (and stronger) stores, read-modify-writes, and task exit commit the
-//! task's whole buffer in program order. This is far from a full C11
-//! model, but it is exactly enough for that bug class.
+//! (and stronger) stores and read-modify-writes, and task exit, commit
+//! the task's whole buffer in program order; a `Relaxed` or `Acquire`
+//! read-modify-write is itself globally visible but publishes nothing
+//! the task stored before it. This is far from a full C11 model, but it
+//! is exactly enough for that bug class.
 //!
 //! # Teardown
 //!
@@ -85,12 +87,6 @@ struct MutexSt {
     waiters: Vec<TaskId>,
 }
 
-struct RwSt {
-    writer: Option<TaskId>,
-    readers: Vec<TaskId>,
-    waiters: Vec<TaskId>,
-}
-
 struct CvWaiter {
     task: TaskId,
     notified: bool,
@@ -109,7 +105,6 @@ struct ExecState {
     joiners: Vec<Vec<TaskId>>,
     active: Option<TaskId>,
     mutexes: Vec<MutexSt>,
-    rwlocks: Vec<RwSt>,
     condvars: Vec<Vec<CvWaiter>>,
     /// Committed (globally visible) value per registered atomic.
     atomics: Vec<u64>,
@@ -136,7 +131,7 @@ thread_local! {
     static CURRENT: RefCell<Option<(Arc<Execution>, TaskId)>> = const { RefCell::new(None) };
 }
 
-fn current() -> (Arc<Execution>, TaskId) {
+pub(crate) fn current() -> (Arc<Execution>, TaskId) {
     CURRENT.with(|c| {
         c.borrow()
             .clone()
@@ -154,7 +149,6 @@ impl Execution {
                 joiners: Vec::new(),
                 active: None,
                 mutexes: Vec::new(),
-                rwlocks: Vec::new(),
                 condvars: Vec::new(),
                 atomics: Vec::new(),
                 buffers: Vec::new(),
@@ -231,14 +225,16 @@ fn choose(exec: &Execution, st: &mut ExecState, options: usize) -> usize {
 }
 
 /// Hands the token to a chooser-selected runnable task — or detects
-/// completion / deadlock when there is none.
-fn reschedule(exec: &Execution, st: &mut ExecState) {
+/// completion / deadlock when there is none. `yielding` is the caller
+/// of a [`fair_yield`]: it stands aside for this one decision when
+/// any other task can run.
+fn reschedule(exec: &Execution, st: &mut ExecState, yielding: Option<TaskId>) {
     if st.abort {
         exec.cv.notify_all();
         return;
     }
     let timeouts_left = st.timeouts < MAX_TIMEOUTS;
-    let candidates: Vec<TaskId> = st
+    let mut candidates: Vec<TaskId> = st
         .tasks
         .iter()
         .enumerate()
@@ -247,6 +243,9 @@ fn reschedule(exec: &Execution, st: &mut ExecState) {
         })
         .map(|(i, _)| i)
         .collect();
+    if candidates.len() > 1 {
+        candidates.retain(|&t| Some(t) != yielding);
+    }
     if candidates.is_empty() {
         if st.finished == st.tasks.len() {
             st.active = None;
@@ -307,13 +306,26 @@ fn wait_for_token<'a>(exec: &'a Execution, mut st: Guard<'a>, me: TaskId) -> Gua
 /// the caller's next visible operation. Every instrumented operation
 /// starts with one.
 pub(crate) fn schedule_point() {
+    switch(false);
+}
+
+/// `yield_now`: a schedule point the caller cannot win while another
+/// task can run. A spin-wait that yields therefore always lets the task
+/// it waits for take a step, so it terminates under every strategy —
+/// a plain schedule point would let DFS re-elect the spinner until the
+/// decision budget runs out.
+pub(crate) fn fair_yield() {
+    switch(true);
+}
+
+fn switch(stand_aside: bool) {
     let (exec, me) = current();
     let mut st = exec.lock();
     if st.abort {
         drop(st);
         std::panic::panic_any(ModelAbort);
     }
-    reschedule(&exec, &mut st);
+    reschedule(&exec, &mut st, stand_aside.then_some(me));
     let _st = wait_for_token(&exec, st, me);
 }
 
@@ -321,7 +333,7 @@ pub(crate) fn schedule_point() {
 /// returns once it is rescheduled.
 fn park_here<'a>(exec: &'a Execution, st: Guard<'a>, me: TaskId) -> Guard<'a> {
     let mut st = st;
-    reschedule(exec, &mut st);
+    reschedule(exec, &mut st, None);
     wait_for_token(exec, st, me)
 }
 
@@ -374,86 +386,6 @@ pub(crate) fn mutex_unlock(id: usize) {
     let (exec, _) = current();
     let mut st = exec.lock();
     mutex_unlock_locked(&mut st, id);
-}
-
-// ---------------------------------------------------------------------
-// RwLock
-// ---------------------------------------------------------------------
-
-pub(crate) fn rwlock_register() -> usize {
-    let (exec, _) = current();
-    let mut st = exec.lock();
-    st.rwlocks.push(RwSt {
-        writer: None,
-        readers: Vec::new(),
-        waiters: Vec::new(),
-    });
-    st.rwlocks.len() - 1
-}
-
-pub(crate) fn rwlock_read(id: usize) {
-    schedule_point();
-    let (exec, me) = current();
-    let mut st = exec.lock();
-    loop {
-        if st.abort {
-            drop(st);
-            std::panic::panic_any(ModelAbort);
-        }
-        if st.rwlocks[id].writer.is_none() {
-            st.rwlocks[id].readers.push(me);
-            return;
-        }
-        st.rwlocks[id].waiters.push(me);
-        st.tasks[me] = Status::Blocked;
-        st = park_here(&exec, st, me);
-    }
-}
-
-pub(crate) fn rwlock_write(id: usize) {
-    schedule_point();
-    let (exec, me) = current();
-    let mut st = exec.lock();
-    loop {
-        if st.abort {
-            drop(st);
-            std::panic::panic_any(ModelAbort);
-        }
-        if st.rwlocks[id].writer.is_none() && st.rwlocks[id].readers.is_empty() {
-            st.rwlocks[id].writer = Some(me);
-            return;
-        }
-        st.rwlocks[id].waiters.push(me);
-        st.tasks[me] = Status::Blocked;
-        st = park_here(&exec, st, me);
-    }
-}
-
-fn rwlock_wake_waiters(st: &mut ExecState, id: usize) {
-    let waiters: Vec<TaskId> = st.rwlocks[id].waiters.drain(..).collect();
-    for w in waiters {
-        if st.tasks[w] == Status::Blocked {
-            st.tasks[w] = Status::Runnable;
-        }
-    }
-}
-
-/// Non-panicking drop-path bookkeeping, like [`mutex_unlock`].
-pub(crate) fn rwlock_read_unlock(id: usize) {
-    let (exec, me) = current();
-    let mut st = exec.lock();
-    st.rwlocks[id].readers.retain(|&r| r != me);
-    if st.rwlocks[id].readers.is_empty() {
-        rwlock_wake_waiters(&mut st, id);
-    }
-}
-
-/// Non-panicking drop-path bookkeeping, like [`mutex_unlock`].
-pub(crate) fn rwlock_write_unlock(id: usize) {
-    let (exec, _) = current();
-    let mut st = exec.lock();
-    st.rwlocks[id].writer = None;
-    rwlock_wake_waiters(&mut st, id);
 }
 
 // ---------------------------------------------------------------------
@@ -594,52 +526,39 @@ pub(crate) fn atomic_load(id: usize) -> u64 {
     st.atomics[id]
 }
 
-pub(crate) fn atomic_store(id: usize, value: u64, relaxed: bool) {
+/// `release` is whether the store's ordering is `Release` or stronger.
+pub(crate) fn atomic_store(id: usize, value: u64, release: bool) {
     schedule_point();
     let (exec, me) = current();
     let mut st = exec.lock();
-    if relaxed {
-        st.buffers[me].push((id, value));
-    } else {
-        // Release (or stronger): everything this task stored before
-        // becomes visible no later than this store.
+    if release {
+        // Everything this task stored before becomes visible no later
+        // than this store.
         flush_buffer(&mut st, me);
         st.atomics[id] = value;
+    } else {
+        st.buffers[me].push((id, value));
     }
 }
 
-/// Read-modify-write: acts on the latest value, so every buffer holding
-/// this location commits first; the RMW itself is globally visible.
-pub(crate) fn atomic_rmw(id: usize, f: impl FnOnce(u64) -> u64) -> u64 {
+/// Read-modify-write: acts on the latest value, so every pending store
+/// to this location commits first; the RMW itself is globally visible.
+/// With `release` (the RMW's ordering is `Release` or stronger) it also
+/// publishes everything the calling task stored before it, exactly as a
+/// store of that ordering does; a `Relaxed` / `Acquire` RMW does not.
+pub(crate) fn atomic_rmw(id: usize, release: bool, f: impl FnOnce(u64) -> u64) -> u64 {
     schedule_point();
-    let (exec, _me) = current();
+    let (exec, me) = current();
     let mut st = exec.lock();
-    let staging: Vec<TaskId> = (0..st.buffers.len())
-        .filter(|&t| st.buffers[t].iter().any(|&(a, _)| a == id))
-        .collect();
-    for t in staging {
-        flush_buffer(&mut st, t);
+    if release {
+        flush_buffer(&mut st, me);
+    }
+    for task in 0..st.buffers.len() {
+        flush_location(&mut st, task, id);
     }
     let old = st.atomics[id];
     st.atomics[id] = f(old);
     old
-}
-
-pub(crate) fn atomic_compare_exchange(id: usize, expected: u64, new: u64) -> Result<u64, u64> {
-    let mut swapped = false;
-    let old = atomic_rmw(id, |v| {
-        if v == expected {
-            swapped = true;
-            new
-        } else {
-            v
-        }
-    });
-    if swapped {
-        Ok(old)
-    } else {
-        Err(old)
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -683,7 +602,7 @@ fn task_main(exec: &Arc<Execution>, me: TaskId, body: impl FnOnce()) {
             st.tasks[j] = Status::Runnable;
         }
     }
-    reschedule(exec, &mut st);
+    reschedule(exec, &mut st, None);
 }
 
 /// Spawns a model task; the new task is immediately schedulable, and

@@ -1,6 +1,7 @@
-//! Instrumented `Mutex` / `RwLock` / `Condvar` stand-ins (parking_lot
-//! shape: infallible, non-poisoning guards; condvar waits take the
-//! guard by `&mut`).
+//! Instrumented `Mutex` / `Condvar` stand-ins with the signatures of
+//! `fiting_sync::primitives`' `std`-backed pair (infallible,
+//! non-poisoning guards; condvar waits take the guard by `&mut`), whose
+//! model-build arm they are.
 //!
 //! Every acquire, release, wait, and notify is a scheduler decision
 //! point.
@@ -10,21 +11,6 @@ use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::{OnceLock, PoisonError};
 use std::time::Duration;
-
-/// Whether a [`Condvar::wait_for`] returned because the timeout fired
-/// rather than a notification arriving.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WaitTimeoutResult {
-    timed_out: bool,
-}
-
-impl WaitTimeoutResult {
-    /// `true` when the wait ended by timeout.
-    #[must_use]
-    pub fn timed_out(self) -> bool {
-        self.timed_out
-    }
-}
 
 /// A mutual-exclusion lock whose acquire/release are scheduler decision
 /// points under the model.
@@ -56,13 +42,6 @@ impl<T> Mutex<T> {
             id,
             inner: Some(self.cell.lock().unwrap_or_else(PoisonError::into_inner)),
         }
-    }
-
-    /// Consumes the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.cell
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -101,100 +80,6 @@ impl<T> Drop for MutexGuard<'_, T> {
     }
 }
 
-/// A reader-writer lock whose acquires/releases are scheduler decision
-/// points under the model.
-pub struct RwLock<T> {
-    cell: std::sync::RwLock<T>,
-    id: OnceLock<usize>,
-}
-
-impl<T> RwLock<T> {
-    /// Creates a new lock holding `value`.
-    pub fn new(value: T) -> Self {
-        RwLock {
-            cell: std::sync::RwLock::new(value),
-            id: OnceLock::new(),
-        }
-    }
-
-    fn id(&self) -> usize {
-        runtime::lazy_id(&self.id, runtime::rwlock_register)
-    }
-
-    /// Acquires shared read access.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        let id = self.id();
-        runtime::rwlock_read(id);
-        RwLockReadGuard {
-            id,
-            inner: Some(self.cell.read().unwrap_or_else(PoisonError::into_inner)),
-        }
-    }
-
-    /// Acquires exclusive write access.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        let id = self.id();
-        runtime::rwlock_write(id);
-        RwLockWriteGuard {
-            id,
-            inner: Some(self.cell.write().unwrap_or_else(PoisonError::into_inner)),
-        }
-    }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.cell
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// Shared read guard returned by [`RwLock::read`].
-pub struct RwLockReadGuard<'a, T> {
-    id: usize,
-    inner: Option<std::sync::RwLockReadGuard<'a, T>>,
-}
-
-impl<T> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.inner.as_ref().expect("read guard holds the lock")
-    }
-}
-
-impl<T> Drop for RwLockReadGuard<'_, T> {
-    fn drop(&mut self) {
-        drop(self.inner.take());
-        runtime::rwlock_read_unlock(self.id);
-    }
-}
-
-/// Exclusive write guard returned by [`RwLock::write`].
-pub struct RwLockWriteGuard<'a, T> {
-    id: usize,
-    inner: Option<std::sync::RwLockWriteGuard<'a, T>>,
-}
-
-impl<T> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.inner.as_ref().expect("write guard holds the lock")
-    }
-}
-
-impl<T> DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("write guard holds the lock")
-    }
-}
-
-impl<T> Drop for RwLockWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        drop(self.inner.take());
-        runtime::rwlock_write_unlock(self.id);
-    }
-}
-
 /// A condition variable whose wait/notify are scheduler decision
 /// points; timed waits explore the timeout firing as a schedule choice.
 /// Spurious wakeups are not modeled.
@@ -215,42 +100,30 @@ impl Condvar {
         runtime::lazy_id(&self.id, runtime::condvar_register)
     }
 
+    /// Releases the guarded lock, parks (timed or not), and reacquires
+    /// it; returns whether the park ended by timeout.
+    fn park<T>(&self, guard: &mut MutexGuard<'_, T>, timed: bool) -> bool {
+        let cv = self.id();
+        drop(guard.inner.take());
+        let timed_out = runtime::condvar_wait(cv, guard.id, timed);
+        let cell = &guard.lock.cell;
+        guard.inner = Some(cell.lock().unwrap_or_else(PoisonError::into_inner));
+        timed_out
+    }
+
     /// Parks until notified, releasing the guarded lock for the
     /// duration and reacquiring it before returning.
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let cv = self.id();
-        drop(guard.inner.take());
-        let _ = runtime::condvar_wait(cv, guard.id, false);
-        guard.inner = Some(
-            guard
-                .lock
-                .cell
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner),
-        );
+        self.park(guard, false);
     }
 
     /// Like [`wait`](Self::wait), but the scheduler may fire the
     /// timeout at any point instead of a notification arriving — both
-    /// sides of every complete-vs-timeout race get explored. The
-    /// `timeout` duration itself is ignored under the model.
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        let _ = timeout;
-        let cv = self.id();
-        drop(guard.inner.take());
-        let timed_out = runtime::condvar_wait(cv, guard.id, true);
-        guard.inner = Some(
-            guard
-                .lock
-                .cell
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner),
-        );
-        WaitTimeoutResult { timed_out }
+    /// sides of every complete-vs-timeout race get explored; the
+    /// duration itself is ignored under the model. Returns whether the
+    /// wait ended by timeout.
+    pub fn wait_for<T>(&self, guard: &mut MutexGuard<'_, T>, _timeout: Duration) -> bool {
+        self.park(guard, true)
     }
 
     /// Wakes the first un-notified waiter (FIFO), if any.
@@ -273,12 +146,6 @@ impl Default for Condvar {
 impl<T> fmt::Debug for Mutex<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Mutex").finish_non_exhaustive()
-    }
-}
-
-impl<T> fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RwLock").finish_non_exhaustive()
     }
 }
 

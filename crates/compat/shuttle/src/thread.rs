@@ -49,8 +49,20 @@ where
     JoinHandle { id, slot }
 }
 
-/// An explicit yield point: offers the scheduler a chance to move the
-/// token, exactly like any instrumented operation.
+/// A **fair** yield: the caller is not a candidate for this one
+/// scheduling decision while any other task can run, so a spin-wait
+/// that yields lets the task it waits for make progress and terminates
+/// under every exploration strategy. (A spin with no yield in it still
+/// trips the per-execution decision budget — that failure stays
+/// visible.)
 pub fn yield_now() {
-    runtime::schedule_point();
+    runtime::fair_yield();
+}
+
+/// Index of the calling model task: `0` for the model closure, then
+/// spawn order — a function of the schedule alone, so anything derived
+/// from it replays identically in every process.
+#[must_use]
+pub fn task_id() -> usize {
+    runtime::current().1
 }

@@ -1,84 +1,294 @@
 //! Self-tests for the model checker: seeded known-bug regressions that
 //! exploration must catch within a bounded schedule budget, plus
-//! schedule-replay determinism. These prove the checker *fires* — the
-//! workspace's real concurrency models live with the crates they model.
+//! schedule-replay determinism. These prove the checker *fires*, on
+//! small fixtures with the shape of the workspace's protocols; that the
+//! shipped types do not have these bugs is proved where they live, by
+//! the `models` test of `fiting-sync`, `fiting-index-api` and
+//! `fiting-index-service`, which run the types themselves under this
+//! scheduler (`--cfg fiting_model`).
+//!
+//! A pinned `schedule` literal is the cross-process half of replay
+//! determinism: every run of this file is a fresh process, and each
+//! must find the mutant on the schedule the recording process found.
 
 use shuttle::atomic::{AtomicBool, AtomicU64, Ordering};
-use shuttle::sync::{Condvar, Mutex, RwLock};
+use shuttle::sync::{Condvar, Mutex};
 use shuttle::{model, thread};
 use std::sync::Arc;
 
-/// A deliberately broken two-lock protocol: one task takes A then B,
-/// the other B then A. DFS must find the deadlock interleaving.
-fn broken_lock_order() {
-    let a = Arc::new(Mutex::new(0u32));
-    let b = Arc::new(Mutex::new(0u32));
+/// Same pair of locks, both tasks in A-then-B order, or — `opposed` —
+/// the second task B-then-A: two mergers of one shard pair with no
+/// `rebalances` mutex and no ascending keep→retire discipline.
+fn merge_pair(opposed: bool) {
+    let a = Arc::new(Mutex::new(vec![1u64]));
+    let b = Arc::new(Mutex::new(vec![10u64]));
     let (a2, b2) = (Arc::clone(&a), Arc::clone(&b));
     let t = thread::spawn(move || {
-        let ga = a2.lock();
-        let mut gb = b2.lock();
-        *gb += *ga;
+        let mut keep = a2.lock();
+        let mut retire = b2.lock();
+        keep.append(&mut retire);
     });
-    let gb = b.lock();
-    let mut ga = a.lock();
-    *ga += *gb;
-    drop((ga, gb));
+    if opposed {
+        let mut retire = b.lock();
+        let mut keep = a.lock();
+        keep.append(&mut retire);
+    } else {
+        let mut keep = a.lock();
+        let mut retire = b.lock();
+        keep.append(&mut retire);
+    }
     t.join().unwrap();
 }
 
 #[test]
-fn catches_lock_order_deadlock() {
-    let report = model::explore(broken_lock_order, model::DEFAULT_ITERATIONS);
-    let failure = report.failure.expect("DFS must find the A/B-B/A deadlock");
-    assert!(
-        failure.message.contains("deadlock"),
-        "unexpected failure kind: {}",
-        failure.message
-    );
-    assert!(
-        report.iterations <= model::DEFAULT_ITERATIONS,
-        "deadlock must surface within the bounded budget"
-    );
+fn unserialized_opposite_order_merge_deadlocks() {
+    let failure = model::must_catch(|| merge_pair(true), "deadlock");
+    assert_eq!(failure.schedule, "0.0.1.1.0");
 }
 
 #[test]
 fn fixed_lock_order_is_clean() {
-    // Same scenario with both tasks locking in A-then-B order: DFS must
-    // exhaust the (small) schedule space without finding anything.
-    let report = model::explore(
-        || {
-            let a = Arc::new(Mutex::new(0u32));
-            let b = Arc::new(Mutex::new(0u32));
-            let (a2, b2) = (Arc::clone(&a), Arc::clone(&b));
-            let t = thread::spawn(move || {
-                let ga = a2.lock();
-                let mut gb = b2.lock();
-                *gb += *ga;
-            });
-            let ga = a.lock();
-            let mut gb = b.lock();
-            *gb += *ga;
-            drop((gb, ga));
-            t.join().unwrap();
-        },
-        model::DEFAULT_ITERATIONS,
-    );
+    let report = model::explore(|| merge_pair(false), model::DEFAULT_ITERATIONS);
     assert!(report.failure.is_none(), "{:?}", report.failure);
     assert!(report.complete, "schedule space should be exhaustible");
 }
 
-/// The classic publish bug: payload then flag, both stored `Relaxed`.
-/// Store buffers commit per location, so a reader can observe the flag
-/// flip while the payload store is still buffered — exactly the
-/// reordering a missing `Release` on the flag permits.
-fn missed_release_store() {
+/// The shipped seqlock handshake in miniature: an atomic sequence word,
+/// one atomic presence slot per reader, a yielding drain, and a
+/// two-word payload the writer stores `Relaxed`, half by half.
+struct MiniSeqlock {
+    seq: AtomicU64,
+    slots: [AtomicU64; 2],
+    writer: Mutex<()>,
+    pair: [AtomicU64; 2],
+}
+
+impl MiniSeqlock {
+    fn pair(&self) -> (u64, u64) {
+        let pair = &self.pair;
+        (
+            pair[0].load(Ordering::Relaxed),
+            pair[1].load(Ordering::Relaxed),
+        )
+    }
+
+    fn read(&self, slot: usize) -> (u64, u64) {
+        self.slots[slot].fetch_add(1, Ordering::SeqCst);
+        if self.seq.load(Ordering::SeqCst) & 1 == 0 {
+            let pair = self.pair();
+            self.slots[slot].fetch_sub(1, Ordering::Release);
+            return pair;
+        }
+        self.slots[slot].fetch_sub(1, Ordering::Relaxed);
+        let _writer = self.writer.lock();
+        self.pair()
+    }
+
+    /// `bump = false` is the missing-sequence-bump mutant: the drain
+    /// still runs, but a reader announcing after it sees an even word.
+    fn write(&self, value: u64, bump: bool) {
+        let _writer = self.writer.lock();
+        if bump {
+            self.seq.fetch_add(1, Ordering::SeqCst);
+        }
+        for slot in &self.slots {
+            while slot.load(Ordering::SeqCst) != 0 {
+                thread::yield_now();
+            }
+        }
+        self.pair[0].store(value, Ordering::Relaxed);
+        self.pair[1].store(value, Ordering::Relaxed);
+        if bump {
+            self.seq.fetch_add(1, Ordering::Release);
+        }
+    }
+}
+
+fn seqlock_read_racing_write(bump: bool) {
+    let lock = Arc::new(MiniSeqlock {
+        seq: AtomicU64::new(0),
+        slots: [AtomicU64::new(0), AtomicU64::new(0)],
+        writer: Mutex::new(()),
+        pair: [AtomicU64::new(0), AtomicU64::new(0)],
+    });
+    let readers: Vec<_> = (0..2)
+        .map(|slot| {
+            let lock = Arc::clone(&lock);
+            thread::spawn(move || {
+                let (a, b) = lock.read(slot);
+                assert!(a == b && (a == 0 || a == 7), "torn read: ({a}, {b})");
+            })
+        })
+        .collect();
+    lock.write(7, bump);
+    for r in readers {
+        r.join().unwrap();
+    }
+}
+
+#[test]
+fn seqlock_missing_bump_mutant_tears_observably() {
+    let failure = model::must_catch(|| seqlock_read_racing_write(false), "torn read");
+    assert_eq!(failure.schedule, "0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.1");
+}
+
+#[test]
+fn seqlock_fixture_is_clean_with_the_bump() {
+    model::battery("mini seqlock", || seqlock_read_racing_write(true));
+}
+
+/// Route-then-validate in miniature: a version word, a routing word
+/// (the shard key 5 routes to) and per-shard "holds key 5" cells. The
+/// split moves the key under the source shard's lock; publishing the
+/// new routing only *after* releasing that lock is the mutant.
+struct MiniSharded {
+    version: AtomicU64,
+    owner: AtomicU64,
+    shards: [Mutex<bool>; 2],
+}
+
+impl MiniSharded {
+    fn get(&self) -> bool {
+        loop {
+            let version = self.version.load(Ordering::Acquire);
+            let shard = self.owner.load(Ordering::Acquire);
+            let holds = self.shards[shard as usize].lock();
+            if self.version.load(Ordering::Acquire) == version
+                || self.owner.load(Ordering::Acquire) == shard
+            {
+                return *holds;
+            }
+        }
+    }
+
+    fn split(&self, publish_before_unlock: bool) {
+        let mut source = self.shards[0].lock();
+        *source = false;
+        *self.shards[1].lock() = true;
+        let publish = || {
+            self.owner.store(1, Ordering::Relaxed);
+            self.version.fetch_add(1, Ordering::Release);
+        };
+        if publish_before_unlock {
+            publish();
+            drop(source);
+        } else {
+            drop(source);
+            publish();
+        }
+    }
+}
+
+fn get_racing_split(publish_before_unlock: bool) {
+    let s = Arc::new(MiniSharded {
+        version: AtomicU64::new(1),
+        owner: AtomicU64::new(0),
+        shards: [Mutex::new(true), Mutex::new(false)],
+    });
+    let s2 = Arc::clone(&s);
+    let splitter = thread::spawn(move || s2.split(publish_before_unlock));
+    assert!(s.get(), "key 5 lost during split");
+    splitter.join().unwrap();
+    assert!(s.get(), "key 5 lost after split");
+}
+
+#[test]
+fn publish_after_unlock_split_is_caught() {
+    let failure = model::must_catch(|| get_racing_split(false), "lost during split");
+    assert_eq!(failure.schedule, "0.0.0.1.1.0.0.0");
+}
+
+#[test]
+fn publish_before_unlock_split_is_clean() {
+    let report = model::explore(|| get_racing_split(true), model::DEFAULT_ITERATIONS);
+    assert!(report.failure.is_none(), "{:?}", report.failure);
+    assert!(report.complete, "schedule space should be exhaustible");
+}
+
+/// Two `Relaxed` payload stores published by a read-modify-write of
+/// `order` on a counter, read by a task that `Acquire`-loads the
+/// counter first. Store buffers commit per location, so unless the RMW
+/// publishes the buffer the reader can see the payload half-written.
+fn rmw_publish(order: Ordering) {
+    let payload = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
+    let counter = Arc::new(AtomicU64::new(0));
+    let (p2, c2) = (Arc::clone(&payload), Arc::clone(&counter));
+    let t = thread::spawn(move || {
+        p2[0].store(7, Ordering::Relaxed);
+        p2[1].store(7, Ordering::Relaxed);
+        c2.fetch_add(1, order);
+        // Keep the task alive so exit does not flush the buffer before
+        // the reader gets a chance to observe the stale payload.
+        for _ in 0..2 {
+            thread::yield_now();
+        }
+    });
+    if counter.load(Ordering::Acquire) == 1 {
+        let (a, b) = (
+            payload[0].load(Ordering::Relaxed),
+            payload[1].load(Ordering::Relaxed),
+        );
+        assert!(a == 7 && b == 7, "torn payload: ({a}, {b})");
+    }
+    t.join().unwrap();
+}
+
+#[test]
+fn release_rmw_publishes_earlier_relaxed_stores() {
+    for order in [Ordering::Release, Ordering::AcqRel, Ordering::SeqCst] {
+        let report = model::explore(move || rmw_publish(order), model::DEFAULT_ITERATIONS);
+        assert!(report.failure.is_none(), "{order:?}: {:?}", report.failure);
+        assert!(report.complete, "{order:?}: space should be exhaustible");
+    }
+}
+
+#[test]
+fn relaxed_rmw_publish_is_caught_and_replays() {
+    for order in [Ordering::Relaxed, Ordering::Acquire] {
+        model::must_catch(move || rmw_publish(order), "torn payload");
+    }
+}
+
+/// A spin-wait on a flag another task sets, with or without a yield in
+/// the loop.
+fn spin_on_flag(yielding: bool) {
+    let flag = Arc::new(AtomicBool::new(false));
+    let f2 = Arc::clone(&flag);
+    let t = thread::spawn(move || f2.store(true, Ordering::Release));
+    while !flag.load(Ordering::Acquire) {
+        if yielding {
+            thread::yield_now();
+        }
+    }
+    t.join().unwrap();
+}
+
+#[test]
+fn yielding_spin_wait_terminates_under_dfs() {
+    let report = model::explore(|| spin_on_flag(true), model::DEFAULT_ITERATIONS);
+    assert!(report.failure.is_none(), "{:?}", report.failure);
+    assert!(report.complete, "a fair yield bounds the spin: exhaustible");
+}
+
+#[test]
+fn spin_wait_without_a_yield_trips_the_decision_budget() {
+    // DFS re-elects the spinner at every load until the budget is gone;
+    // that failure mode stays visible, and replays like any other.
+    model::must_catch(|| spin_on_flag(false), "decision budget exceeded");
+}
+
+/// Payload then flag. With the flag stored `Relaxed` this is the classic
+/// publish bug: store buffers commit per location, so a reader can
+/// observe the flag flip while the payload store is still buffered —
+/// exactly the reordering a missing `Release` on the flag permits. A
+/// `Release` flag store commits the task's whole buffer first.
+fn publish_by_flag(flag_order: Ordering) {
     let payload = Arc::new(AtomicU64::new(0));
     let ready = Arc::new(AtomicBool::new(false));
     let (p2, r2) = (Arc::clone(&payload), Arc::clone(&ready));
     let t = thread::spawn(move || {
         p2.store(42, Ordering::Relaxed);
-        // BUG: the flag needs Ordering::Release to publish the payload.
-        r2.store(true, Ordering::Relaxed);
+        r2.store(true, flag_order);
         // Keep the task alive so exit does not flush the buffer before
         // the reader gets a chance to observe the stale payload.
         for _ in 0..2 {
@@ -93,39 +303,13 @@ fn missed_release_store() {
 
 #[test]
 fn catches_missed_release_store() {
-    let report = model::explore(missed_release_store, model::DEFAULT_ITERATIONS);
-    let failure = report
-        .failure
-        .expect("store-buffer model must expose the relaxed publish");
-    assert!(
-        failure.message.contains("stale payload"),
-        "unexpected failure kind: {}",
-        failure.message
-    );
+    model::must_catch(|| publish_by_flag(Ordering::Relaxed), "stale payload");
 }
 
 #[test]
 fn release_store_publish_is_clean() {
-    // The corrected protocol: payload Relaxed, flag Release. The
-    // Release store commits the task's whole buffer, so a reader that
-    // observes `ready == true` must observe the payload.
     let report = model::explore(
-        || {
-            let payload = Arc::new(AtomicU64::new(0));
-            let ready = Arc::new(AtomicBool::new(false));
-            let (p2, r2) = (Arc::clone(&payload), Arc::clone(&ready));
-            let t = thread::spawn(move || {
-                p2.store(42, Ordering::Relaxed);
-                r2.store(true, Ordering::Release);
-                for _ in 0..2 {
-                    thread::yield_now();
-                }
-            });
-            if ready.load(Ordering::Acquire) {
-                assert_eq!(payload.load(Ordering::Acquire), 42, "stale payload");
-            }
-            t.join().unwrap();
-        },
+        || publish_by_flag(Ordering::Release),
         model::DEFAULT_ITERATIONS,
     );
     assert!(report.failure.is_none(), "{:?}", report.failure);
@@ -197,45 +381,9 @@ fn notify_without_flag_deadlocks_untimed_but_not_timed() {
 }
 
 #[test]
-fn rwlock_writer_starvation_free_and_exclusive() {
-    let report = model::explore(
-        || {
-            let lock = Arc::new(RwLock::new(0u64));
-            let l2 = Arc::clone(&lock);
-            let l3 = Arc::clone(&lock);
-            let w = thread::spawn(move || *l2.write() += 1);
-            let r = thread::spawn(move || {
-                let v = *l3.read();
-                assert!(v == 0 || v == 1, "torn read: {v}");
-            });
-            w.join().unwrap();
-            r.join().unwrap();
-            assert_eq!(*lock.read(), 1);
-        },
-        model::DEFAULT_ITERATIONS,
-    );
-    assert!(report.failure.is_none(), "{:?}", report.failure);
-    assert!(report.complete);
-}
-
-#[test]
-fn replay_reproduces_the_recorded_failure() {
-    let report = model::explore(broken_lock_order, model::DEFAULT_ITERATIONS);
-    let failure = report.failure.expect("deadlock expected");
-    // Replaying the recorded schedule must reproduce the exact failure,
-    // deterministically, every time.
-    for _ in 0..3 {
-        let replayed = model::replay(broken_lock_order, &failure.schedule);
-        let rf = replayed.failure.expect("replay must reproduce the failure");
-        assert_eq!(rf.message, failure.message);
-        assert_eq!(rf.schedule, failure.schedule);
-    }
-}
-
-#[test]
 fn random_walks_are_deterministic_per_seed() {
     let run = |seed| {
-        let report = model::explore_random(missed_release_store, seed, 2_000);
+        let report = model::explore_random(|| publish_by_flag(Ordering::Relaxed), seed, 2_000);
         report.failure.map(|f| (f.message, f.schedule))
     };
     let a = run(7);

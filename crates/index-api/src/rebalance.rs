@@ -68,7 +68,7 @@
 use crate::key::Key;
 use crate::sharded::ShardedIndex;
 use crate::sorted::SortedIndex;
-use parking_lot::Mutex;
+use fiting_sync::primitives::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -59,12 +59,16 @@
 //! * **Shared handle.** `Clone` clones an `Arc` handle; every clone
 //!   sees the same shards and the same routing.
 //!
-//! The wait-free claims are not just asserted: the seqlock and the
-//! route-then-validate protocol are model-checked under the
-//! deterministic scheduler (`crates/sync/tests/shuttle_models.rs`,
-//! `tests/shuttle_models.rs` here), and the oracle-differential
-//! battery (`tests/read_path_differential.rs`) proves the zero-lock
-//! steady state by counter deltas.
+//! The wait-free claims are not just asserted. Built with
+//! `--cfg fiting_model`, this file and the two primitives under it get
+//! their locks and atomics from the model checker (through
+//! `fiting_sync::primitives`), and `tests/models.rs` races the real
+//! `get` / `insert` against the real [`split_shard`] /
+//! [`merge_with_next`] under its deterministic scheduler
+//! (`crates/sync/tests/models.rs` does the same for the seqlock and
+//! the snapshot publisher); the oracle-differential battery
+//! (`tests/read_path_differential.rs`) proves the zero-lock steady
+//! state by counter deltas.
 //!
 //! [`range_collect`]: ShardedIndex::range_collect
 //! [`insert_many`]: ShardedIndex::insert_many
@@ -76,8 +80,8 @@
 
 use crate::key::Key;
 use crate::sorted::{BuildableIndex, ShardHealth, SortedIndex};
+use fiting_sync::primitives::Mutex;
 use fiting_sync::{SeqRwLock, Snapshots};
-use parking_lot::Mutex;
 use std::ops::{Bound, RangeBounds};
 use std::sync::Arc;
 

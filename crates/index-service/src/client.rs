@@ -49,7 +49,7 @@ use crate::telemetry::Timed;
 use crate::ticket::{ticket, Completer, Outcome, Ticket};
 use crate::ServiceShared;
 use fiting_index_api::{Key, SortedIndex};
-use parking_lot::Mutex;
+use fiting_sync::primitives::Mutex;
 use std::ops::{Bound, RangeBounds};
 use std::sync::Arc;
 

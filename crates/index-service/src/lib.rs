@@ -100,7 +100,7 @@ pub use ticket::{ticket, CommandError, Completer, Outcome, Ticket};
 pub use fiting_index_api::{RebalancePolicy, RebalanceStats, Rebalancer, WriteSampler};
 
 use fiting_index_api::{Key, RebalanceCounters, ShardedIndex, SortedIndex};
-use parking_lot::{Condvar, Mutex};
+use fiting_sync::primitives::{Condvar, Mutex};
 use stats::{LaneState, WorkerCounters};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;

@@ -14,7 +14,7 @@
 //! already accepted — an accepted command is never dropped, which is
 //! what lets shutdown resolve every in-flight ticket.
 
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use fiting_sync::primitives::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
@@ -137,11 +137,8 @@ impl<T> BoundedQueue<T> {
                 if now >= deadline || state.items.len() >= max || state.closed {
                     break;
                 }
-                if self
-                    .not_empty
-                    .wait_for(&mut state, deadline - now)
-                    .timed_out()
-                {
+                let timed_out = self.not_empty.wait_for(&mut state, deadline - now);
+                if timed_out {
                     break;
                 }
             }

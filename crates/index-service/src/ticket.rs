@@ -20,7 +20,7 @@
 //!   never blocks. Shutdown drains every queued command, so waiting on
 //!   a submitted ticket never deadlocks against service teardown.
 
-use parking_lot::{Condvar, Mutex};
+use fiting_sync::primitives::{Condvar, Mutex};
 use std::sync::Arc;
 use std::time::Duration;
 

@@ -25,7 +25,7 @@
 
 use crate::error::IoOp;
 use crate::io::{IoFile, RealIo, StorageIo};
-use parking_lot::Mutex;
+use fiting_sync::primitives::Mutex;
 use std::io::{Error, ErrorKind};
 use std::path::Path;
 use std::sync::Arc;

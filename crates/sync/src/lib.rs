@@ -2,7 +2,8 @@
 //! FITing-Tree reproduction workspace.
 //!
 //! Two primitives built for one protocol (the sharded front-end in
-//! `fiting-index-api`), and one hint for the page lookup under it:
+//! `fiting-index-api`), one hint for the page lookup under it, and the
+//! seam all of it is built on ([`primitives`], described last):
 //!
 //! * [`Snapshots`] — a versioned snapshot publisher. A writer
 //!   publishes a new immutable snapshot with one pointer swap under a
@@ -42,16 +43,25 @@
 //!    (`sync-ordering-per-site` rule — stricter than the workspace's
 //!    per-function `ordering-justification`).
 //!
-//! The seqlock protocol is model-checked: `tests/shuttle_models.rs`
-//! replays its state machine under the workspace's deterministic
-//! scheduler, including a seeded mutant (missing sequence bump) that
-//! the checker must catch.
+//! # What the model checker runs
+//!
+//! [`primitives`] is the one seam `Snapshots`, `SeqRwLock` and the
+//! concurrency types downstream (`ShardedIndex`, `BoundedQueue`,
+//! `Ticket`) name their locks and atomics through: `std` in a normal
+//! build, the workspace's deterministic model checker under
+//! `RUSTFLAGS="--cfg fiting_model"`. `tests/models.rs` (empty without
+//! the cfg) therefore races this crate's *own* `SeqRwLock` and
+//! `Snapshots` — announce / check handshake, yielding drain, `Release`
+//! exits and all — across 10 000 DFS schedules and 10 000 seeded walks
+//! on every PR; what a broken handshake looks like to the checker is
+//! pinned on fixtures in `crates/compat/shuttle/tests`.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
 mod padded;
 mod prefetch;
+pub mod primitives;
 mod seqlock;
 mod snapshot;
 

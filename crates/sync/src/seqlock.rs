@@ -28,49 +28,29 @@
 //! or paired `SeqCst` load, so at least one side observes the other —
 //! a reader cannot enter unobserved while a writer mutates.
 //!
-//! The `seqlock_*` shuttle models in `tests/shuttle_models.rs` replay
-//! this state machine under the deterministic scheduler; the
-//! missing-sequence-bump mutant observably tears a read there.
+//! This file is what the model checker runs: built with
+//! `--cfg fiting_model`, `tests/models.rs` races `read_with` against
+//! `write` on this type over an instrumented two-word payload — the
+//! `SeqCst` announce / check handshake, the yielding drain and the
+//! `Release` exits included — under the deterministic scheduler.
 
 use crate::padded::CachePadded;
-use parking_lot::Mutex;
-use std::cell::{Cell, UnsafeCell};
+use crate::primitives::{
+    spin_loop, thread_index, yield_now, AtomicU64, Mutex, MutexGuard, Ordering,
+};
+use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// Presence-slot count. Threads hash onto slots, so this bounds writer
-/// drain-scan work, not reader parallelism (a slot's counter admits any
-/// number of simultaneous readers).
+/// Presence-slot count. Threads hash onto slots by
+/// [`thread_index`], so this bounds writer drain-scan work, not reader
+/// parallelism (a slot's counter admits any number of simultaneous
+/// readers).
 const READER_SLOTS: usize = 8;
-
-thread_local! {
-    /// This thread's slot index, assigned on first use.
-    static READER_SLOT: Cell<usize> = const { Cell::new(usize::MAX) };
-}
-
-/// Round-robin slot assignment for new threads.
-static NEXT_READER_SLOT: AtomicUsize = AtomicUsize::new(0);
-
-fn reader_slot() -> usize {
-    READER_SLOT
-        .try_with(|slot| {
-            let mut s = slot.get();
-            if s == usize::MAX {
-                // ordering: Relaxed — the counter only spreads threads
-                // across slots; nothing is published through it.
-                s = NEXT_READER_SLOT.fetch_add(1, Ordering::Relaxed);
-                slot.set(s);
-            }
-            s % READER_SLOTS
-        })
-        // Thread teardown: slot 0 is always valid, merely contended.
-        .unwrap_or(0)
-}
 
 /// A reader-writer lock whose readers are wait-free against each other
 /// and never spin against writers — see the module docs for the
-/// protocol. Drop-in for the shard-lock role `parking_lot::RwLock`
-/// played in `ShardedIndex`, with closure-based read access.
+/// protocol. The shard lock of `ShardedIndex`, with closure-based read
+/// access.
 ///
 /// Not reentrant: nesting [`read_with`](Self::read_with) inside
 /// [`write`](Self::write) (or `write` inside `read_with`) on the
@@ -126,7 +106,7 @@ impl<T> SeqRwLock<T> {
     /// on the writer mutex (counted in
     /// [`contended_reads`](Self::contended_reads)).
     pub fn read_with<R>(&self, f: impl FnOnce(&T) -> R) -> R {
-        let slot = &self.slots[reader_slot()];
+        let slot = &self.slots[thread_index() % READER_SLOTS];
         // ordering: SeqCst announce — the reader half of the Dekker
         // handshake with `write`'s SeqCst bump + slot scan: either the
         // writer observes this increment and drains, or the load below
@@ -180,11 +160,11 @@ impl<T> SeqRwLock<T> {
             while slot.load(Ordering::SeqCst) != 0 {
                 spins += 1;
                 if spins < 64 {
-                    std::hint::spin_loop();
+                    spin_loop();
                 } else {
                     // An in-section reader is preempted (or this is a
                     // single-core box): make room for it to finish.
-                    std::thread::yield_now();
+                    yield_now();
                 }
             }
         }
@@ -239,7 +219,7 @@ impl Drop for SlotGuard<'_> {
 /// publishes the mutation and reopens the fast read path.
 pub struct SeqWriteGuard<'a, T> {
     lock: &'a SeqRwLock<T>,
-    _writer: parking_lot::MutexGuard<'a, ()>,
+    _writer: MutexGuard<'a, ()>,
 }
 
 impl<T> Deref for SeqWriteGuard<'_, T> {

@@ -31,11 +31,11 @@
 //! destructor of `T` never runs under (and can never re-enter) that
 //! lock.
 
-use parking_lot::Mutex;
+use crate::primitives::{AtomicU64, Mutex, Ordering};
 use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64 as StaticCounter; // fiting-check: allow(std-sync-quarantine) id counter in a `static`
 use std::sync::{Arc, Weak};
 
 /// Cache-version sentinel: "nothing cached yet". Published versions
@@ -140,8 +140,9 @@ thread_local! {
 }
 
 /// Process-unique publisher ids (never reused, so a registry entry can
-/// never alias a new publisher).
-static NEXT_PUBLISHER_ID: AtomicU64 = AtomicU64::new(1);
+/// never alias a new publisher). Compared for equality only, and a
+/// `static`: plain `std` in the model build too — see `primitives`.
+static NEXT_PUBLISHER_ID: StaticCounter = StaticCounter::new(1);
 
 /// Finds or creates this thread's cache for `inner`. `None` when the
 /// registry is unavailable (nested mid-mutation, or thread teardown) —

@@ -12,10 +12,6 @@
 //! * **Snapshots**: readings taken while writer threads record stay
 //!   internally consistent — counters and histogram counts only grow
 //!   between successive snapshots, and the final snapshot is exact.
-//! * **Model check**: a mirrored mini-histogram over the deterministic
-//!   scheduler's instrumented atomics proves snapshot-under-recording
-//!   and merge keep per-bucket monotonicity and lose no records, across
-//!   every explored interleaving.
 
 use fiting_telemetry::{Counter, Histogram, HistogramSnapshot};
 use rand::rngs::StdRng;
@@ -227,125 +223,4 @@ fn registry_snapshots_stay_consistent_under_concurrent_recording() {
     let h = lat.snapshot();
     assert_eq!(h.count(), THREADS * PER);
     assert!(h.max() <= 1_000_000);
-}
-
-// ---------------------------------------------------------------------
-// Model check: merge-under-concurrent-record (deterministic scheduler)
-// ---------------------------------------------------------------------
-
-/// A four-bucket mirror of the production histogram's recording
-/// protocol (relaxed per-bucket `fetch_add` + `fetch_max` max, relaxed
-/// snapshot loads), small enough for the model checker to explore
-/// exhaustively. If `Histogram::record` / `snapshot` change shape,
-/// change this mirror in the same PR.
-mod model {
-    use shuttle::atomic::{AtomicU64, Ordering};
-
-    pub const BUCKETS: usize = 4;
-
-    pub struct MiniHist {
-        buckets: [AtomicU64; BUCKETS],
-        max: AtomicU64,
-    }
-
-    impl MiniHist {
-        pub fn new() -> Self {
-            MiniHist {
-                buckets: [
-                    AtomicU64::new(0),
-                    AtomicU64::new(0),
-                    AtomicU64::new(0),
-                    AtomicU64::new(0),
-                ],
-                max: AtomicU64::new(0),
-            }
-        }
-
-        pub fn record(&self, value: u64) {
-            let bucket = (value as usize).min(BUCKETS - 1);
-            self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-            self.max.fetch_max(value, Ordering::Relaxed);
-        }
-
-        pub fn snapshot(&self) -> ([u64; BUCKETS], u64) {
-            let mut out = [0u64; BUCKETS];
-            for (slot, bucket) in out.iter_mut().zip(&self.buckets) {
-                *slot = bucket.load(Ordering::Relaxed);
-            }
-            (out, self.max.load(Ordering::Relaxed))
-        }
-    }
-
-    pub fn merge(a: ([u64; BUCKETS], u64), b: ([u64; BUCKETS], u64)) -> ([u64; BUCKETS], u64) {
-        let mut out = [0u64; BUCKETS];
-        for (slot, (&x, &y)) in out.iter_mut().zip(a.0.iter().zip(&b.0)) {
-            *slot = x + y;
-        }
-        (out, a.1.max(b.1))
-    }
-}
-
-#[test]
-fn model_merge_under_concurrent_record_loses_nothing() {
-    use std::sync::Arc;
-
-    let body = || {
-        let h1 = Arc::new(model::MiniHist::new());
-        let h2 = Arc::new(model::MiniHist::new());
-
-        let r1 = {
-            let h1 = Arc::clone(&h1);
-            shuttle::thread::spawn(move || {
-                h1.record(1);
-                h1.record(3);
-            })
-        };
-        let r2 = {
-            let h2 = Arc::clone(&h2);
-            shuttle::thread::spawn(move || {
-                h2.record(2);
-                h2.record(2);
-            })
-        };
-
-        // Mid-flight merged snapshots: monotone per bucket, never more
-        // than what was recorded, max never exceeds the final max.
-        let mut prev = ([0u64; model::BUCKETS], 0u64);
-        for _ in 0..2 {
-            let merged = model::merge(h1.snapshot(), h2.snapshot());
-            let count: u64 = merged.0.iter().sum();
-            assert!(count <= 4, "phantom records: {count}");
-            assert!(merged.1 <= 3, "phantom max: {}", merged.1);
-            for i in 0..model::BUCKETS {
-                assert!(
-                    merged.0[i] >= prev.0[i],
-                    "bucket {i} shrank between snapshots"
-                );
-            }
-            assert!(merged.1 >= prev.1, "max shrank between snapshots");
-            prev = merged;
-        }
-
-        r1.join().expect("recorder 1");
-        r2.join().expect("recorder 2");
-
-        // Quiescent merge is exact: every record landed in its bucket.
-        let merged = model::merge(h1.snapshot(), h2.snapshot());
-        assert_eq!(merged.0, [0, 1, 2, 1], "final bucket counts");
-        assert_eq!(merged.1, 3, "final max");
-    };
-
-    let budget = std::env::var("FITING_MODEL_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10_000);
-    let dfs = shuttle::model::explore(body, budget);
-    assert!(dfs.failure.is_none(), "dfs: {:?}", dfs.failure);
-    let mut total = dfs.iterations;
-    if total < budget {
-        let random = shuttle::model::explore_random(body, 0x7E1E_3E7A, budget - total);
-        assert!(random.failure.is_none(), "random: {:?}", random.failure);
-        total += random.iterations;
-    }
-    assert!(total >= budget, "only {total} interleavings explored");
 }
