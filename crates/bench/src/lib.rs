@@ -1,23 +1,11 @@
 //! Shared benchmark harness for the FITing-Tree reproduction.
 //!
-//! Each table/figure of the paper's evaluation has a binary in
-//! `src/bin/` (`table1`, `fig6` … `fig13`) that prints the same
-//! rows/series the paper plots. This library provides the pieces they
-//! share: environment-tunable scales, workload generation, wall-clock
-//! measurement, and table formatting.
-//!
-//! # Environment knobs
-//!
-//! | Variable | Meaning | Used by |
-//! |---|---|---|
-//! | `FITING_N` | dataset rows | fig6, fig7, fig10–13 |
-//! | `FITING_TABLE1_N` | sample size for the optimal DP | table1 |
-//! | `FITING_PROBES` | lookups measured per configuration | all lookup benches |
-//! | `FITING_SEED` | generator seed | all |
-//!
-//! Defaults are laptop-scale (the paper runs 1.5–2B rows on a 256 GB
-//! server); the comparative shapes are what reproduce, not absolute
-//! nanoseconds.
+//! Three binaries live in `src/bin/`: `paper` (the paper's Table 1,
+//! Figures 6–13 and a buffer-split ablation, each with the shape claims
+//! it is held to), `durability` (restart recovery vs a cold build) and
+//! `slo` (the open-loop tail-latency sweep). This library provides the
+//! pieces they share: workload generation, wall-clock measurement, table
+//! formatting, and the environment knobs `durability` and `slo` read.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -29,40 +17,35 @@ use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Reads a `usize` knob from the environment.
+/// Reads a `usize` knob from the environment (`_` separators allowed).
+///
+/// # Panics
+///
+/// Panics naming the variable and its value when the value is set but
+/// is not a number.
 #[must_use]
 pub fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.replace('_', "").parse().ok())
-        .unwrap_or(default)
+    env_knob(name, default)
 }
 
-/// Reads a `u64` knob from the environment.
-#[must_use]
-pub fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.replace('_', "").parse().ok())
-        .unwrap_or(default)
-}
-
-/// Dataset rows for the figure binaries.
-#[must_use]
-pub fn default_n() -> usize {
-    env_usize("FITING_N", 1_000_000)
-}
-
-/// Lookup probes per configuration.
-#[must_use]
-pub fn default_probes() -> usize {
-    env_usize("FITING_PROBES", 200_000)
-}
-
-/// Generator seed.
+/// Generator seed (`FITING_SEED`, default 42).
+///
+/// # Panics
+///
+/// Panics when `FITING_SEED` is set but is not a `u64`.
 #[must_use]
 pub fn default_seed() -> u64 {
-    env_u64("FITING_SEED", 42)
+    env_knob("FITING_SEED", 42)
+}
+
+fn env_knob<T: std::str::FromStr>(name: &str, default: T) -> T {
+    match std::env::var(name) {
+        Ok(value) => value
+            .replace('_', "")
+            .parse()
+            .unwrap_or_else(|_| panic!("{name}={value:?} is not a number")),
+        Err(_) => default,
+    }
 }
 
 /// Samples `count` existing keys uniformly at random (the paper's
@@ -86,14 +69,8 @@ pub fn time_per_op<T>(probes: &[u64], mut f: impl FnMut(u64) -> T) -> f64 {
 }
 
 /// Times `f` over `items`, returning throughput in million ops/second.
-pub fn throughput_mops<T>(items: &[u64], mut f: impl FnMut(u64) -> T) -> f64 {
-    assert!(!items.is_empty());
-    let start = Instant::now();
-    for &i in items {
-        black_box(f(black_box(i)));
-    }
-    let secs = start.elapsed().as_secs_f64();
-    items.len() as f64 / secs / 1e6
+pub fn throughput_mops<T>(items: &[u64], f: impl FnMut(u64) -> T) -> f64 {
+    1e3 / time_per_op(items, f)
 }
 
 /// Measures the machine's random-access latency (the cost model's `c`):
@@ -135,7 +112,7 @@ pub fn fmt_bytes(bytes: usize) -> String {
 }
 
 /// Prints a markdown table.
-pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
+pub fn print_table<C: std::fmt::Display>(title: &str, header: &[&str], rows: &[Vec<C>]) {
     println!("\n## {title}\n");
     println!("| {} |", header.join(" | "));
     println!(
@@ -143,7 +120,8 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
         header.iter().map(|_| "---").collect::<Vec<_>>().join("|")
     );
     for row in rows {
-        println!("| {} |", row.join(" | "));
+        let cells: Vec<String> = row.iter().map(ToString::to_string).collect();
+        println!("| {} |", cells.join(" | "));
     }
 }
 
@@ -165,13 +143,6 @@ pub fn dedup_pairs(mut keys: Vec<u64>) -> Vec<(u64, u64)> {
     enumerate_pairs(&keys)
 }
 
-/// Standard sweep of error thresholds / page sizes used by Figures 6
-/// and 13: powers of four from 16 to 65536.
-#[must_use]
-pub fn error_sweep() -> Vec<u64> {
-    vec![16, 64, 256, 1024, 4096, 16384, 65536]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,6 +152,13 @@ mod tests {
         std::env::set_var("FITING_TEST_KNOB", "1_000_000");
         assert_eq!(env_usize("FITING_TEST_KNOB", 5), 1_000_000);
         assert_eq!(env_usize("FITING_TEST_KNOB_MISSING", 5), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "FITING_TEST_GARBAGE=\"abc\" is not a number")]
+    fn malformed_knob_panics_with_name_and_value() {
+        std::env::set_var("FITING_TEST_GARBAGE", "abc");
+        let _ = env_usize("FITING_TEST_GARBAGE", 5);
     }
 
     #[test]

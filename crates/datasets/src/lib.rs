@@ -37,7 +37,6 @@
 mod arrivals;
 pub mod nonlinearity;
 mod spatial;
-pub mod trace;
 
 pub use arrivals::{iot, taxi_pickup_time, weblogs};
 pub use spatial::{maps, taxi_drop_lat, taxi_drop_lon};
@@ -48,9 +47,10 @@ use rand::{Rng, SeedableRng};
 /// The Figure 9 worst case: a staircase with `step_size` duplicate keys
 /// per step.
 ///
-/// With error threshold `< step_size` every step needs its own segment;
-/// with error `≥ step_size` a single segment of slope 1 covers the whole
-/// dataset — the cliff in Figure 9b.
+/// With error threshold `≤ step_size / 2` every step needs at least one
+/// segment; with error `≥ step_size` a single segment of slope 1 covers
+/// the whole dataset — the cliff in Figure 9b, which ShrinkingCone
+/// reaches before the step size (one segment at `step_size − 1`).
 #[must_use]
 pub fn step(n: usize, step_size: u64) -> Vec<u64> {
     assert!(step_size >= 1, "step size must be positive");
@@ -66,12 +66,6 @@ pub fn uniform(n: usize, seed: u64) -> Vec<u64> {
     keys.sort_unstable();
     keys.dedup();
     keys
-}
-
-/// Dense sequential keys `0..n` — the degenerate best case (slope 1).
-#[must_use]
-pub fn sequential(n: usize) -> Vec<u64> {
-    (0..n as u64).collect()
 }
 
 /// Post-processes sorted keys into strictly increasing ones by nudging
@@ -238,8 +232,7 @@ mod tests {
     }
 
     #[test]
-    fn sequential_and_uniform_basics() {
-        assert_eq!(sequential(5), vec![0, 1, 2, 3, 4]);
+    fn uniform_basics() {
         let u = uniform(1000, 9);
         assert!(u.len() > 990); // dedup removes at most a few
     }

@@ -109,6 +109,21 @@ impl<T: 'static> std::fmt::Debug for Snapshots<T> {
     }
 }
 
+/// When the last handle drops, the dropping thread's cache row goes
+/// with it (other threads' rows wait for their thread's exit or sweep).
+impl<T> Drop for Inner<T> {
+    fn drop(&mut self) {
+        // The row — and the snapshot it caches — is dropped only after
+        // the registry borrow ends: `T`'s destructor may read another
+        // publisher.
+        let _row = REGISTRY.try_with(|registry| {
+            let mut registry = registry.try_borrow_mut().ok()?;
+            let at = registry.iter().position(|e| e.publisher == self.id)?;
+            Some(registry.swap_remove(at))
+        });
+    }
+}
+
 /// The per-thread cache for one publisher. Dropped with the thread
 /// (or swept once the publisher is gone), which releases its `Arc`.
 struct ThreadCache<T> {
@@ -453,6 +468,15 @@ mod tests {
         // cache goes with it.
         drop(step);
         reader.join().unwrap();
+        assert_eq!(first_drops.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn dropping_the_last_handle_releases_this_threads_cache() {
+        let (first, first_drops) = flagged(1);
+        let snaps = Snapshots::new(first);
+        assert_eq!(snaps.read(|_, p| p.id), 1);
+        drop(snaps);
         assert_eq!(first_drops.load(Ordering::SeqCst), 1);
     }
 

@@ -2,12 +2,9 @@
 //! an already-indexed key range (paper Section 5 — per-segment
 //! buffers, in-place tail appends, local re-segmentation).
 //!
-//! Also shows trace save/load from `fiting-datasets` so a run can be
-//! replayed bit-for-bit.
-//!
 //! Run: `cargo run --release --example stream_ingest`
 
-use fiting::datasets::{self, trace};
+use fiting::datasets;
 use fiting::tree::FitingTreeBuilder;
 use std::time::Instant;
 
@@ -19,17 +16,6 @@ fn main() {
         .enumerate()
         .map(|(i, &t)| (t, i as u64))
         .collect();
-
-    // Pin the workload to disk so this run is replayable.
-    let trace_path = std::env::temp_dir().join("fiting-stream-ingest.trace");
-    trace::save_trace(&trace_path, &history).expect("writable temp dir");
-    let replay = trace::load_trace(&trace_path).expect("readable trace");
-    assert_eq!(replay, history);
-    println!(
-        "workload pinned to {} ({} keys)",
-        trace_path.display(),
-        replay.len()
-    );
 
     // The write stream: late-arriving events interleaved into the
     // existing key range.
@@ -62,5 +48,4 @@ fn main() {
         assert!(index.get(&(t - 1)).is_some());
     }
     println!("\nspot-check: ingested events and their neighbours are served");
-    std::fs::remove_file(&trace_path).ok();
 }

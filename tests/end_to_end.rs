@@ -95,8 +95,7 @@ fn cost_model_configurations_are_feasible_end_to_end() {
     let cost = CostModel::default();
 
     // Every candidate the selector returns must build an index whose
-    // *actual* size respects the budget the selector was given (the size
-    // model is pessimistic, so estimated ≥ actual).
+    // *actual* size respects the budget the selector was given.
     for budget in [8.0 * 1024.0, 64.0 * 1024.0, 1024.0 * 1024.0] {
         if let Some(e) = cost.pick_error_for_size(&model, budget) {
             let tree = FitingTreeBuilder::new(e)
