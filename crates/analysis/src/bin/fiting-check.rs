@@ -5,8 +5,9 @@
 //! The workspace root is the first positional argument when given,
 //! otherwise the manifest's grandparent (so the binary works from any
 //! cwd under `cargo run`). With `--lines` it prints the per-crate
-//! production line-count scoreboard instead of running the rules; any
-//! other `--flag` is refused with a usage line (exit 2).
+//! production line-count and `pub`-surface scoreboard instead of
+//! running the rules; any other `--flag` is refused with a usage line
+//! (exit 2).
 
 #![forbid(unsafe_code)]
 
@@ -22,16 +23,37 @@ fn default_root() -> PathBuf {
         .map_or(manifest.clone(), std::path::Path::to_path_buf)
 }
 
-/// `--lines`: production code lines per workspace crate, and the total.
+/// `--lines`: production code lines per workspace crate, each product
+/// crate's `pub` items and how many of them are named outside it, the
+/// totals, and the unnamed items.
 fn print_lines(root: &std::path::Path) -> ExitCode {
     match fiting_analysis::workspace_lines(root) {
         Ok(rows) => {
-            println!("production code lines (non-blank; comments and #[cfg(test)] items excluded)");
-            for (name, lines) in &rows {
-                println!("  {name:<24}{lines:>7}");
+            println!(
+                "production code lines (non-blank; comments and #[cfg(test)] items excluded),"
+            );
+            println!("and the product crates' `pub` items outside #[cfg(test)] / named outside the crate");
+            println!("  {:<24}{:>7}{:>7}{:>7}", "crate", "lines", "pub", "named");
+            let (mut lines, mut items, mut named) = (0, 0, 0);
+            for (name, n, surface) in &rows {
+                lines += n;
+                if let Some(s) = surface {
+                    let (i, o) = (s.items, s.items - s.unnamed.len());
+                    (items, named) = (items + i, named + o);
+                    println!("  {name:<24}{n:>7}{i:>7}{o:>7}");
+                } else {
+                    println!("  {name:<24}{n:>7}");
+                }
             }
-            let total: usize = rows.iter().map(|&(_, lines)| lines).sum();
-            println!("  {:<24}{total:>7}", "total");
+            println!("  {:<24}{lines:>7}{items:>7}{named:>7}", "total");
+            println!("`pub` items nothing outside their crate names:");
+            for unnamed in rows
+                .iter()
+                .filter_map(|r| r.2.as_ref())
+                .flat_map(|s| &s.unnamed)
+            {
+                println!("  {unnamed}");
+            }
             ExitCode::SUCCESS
         }
         Err(e) => {

@@ -330,17 +330,29 @@ fn find_fns(code: &[String]) -> Vec<FnSpan> {
 }
 
 /// Marks the lines of every item annotated `#[cfg(test)]` (through the
-/// end of its brace-matched block).
+/// end of its brace-matched block, or its `;` for a `use`, `const` or
+/// `mod x;`).
 fn find_test_regions(code: &[String]) -> Vec<bool> {
     let mut in_test = vec![false; code.len()];
     let mut pending_attr = false;
     let mut region_depth: Option<isize> = None;
     let mut depth = 0isize;
+    let mut nest = 0isize; // `(` / `[` depth since the attribute
     for (ln0, line) in code.iter().enumerate() {
         if line.contains("#[cfg(test)]") {
             pending_attr = true;
+            nest = 0;
         }
         for c in line.chars() {
+            match c {
+                '(' | '[' => nest += 1,
+                ')' | ']' => nest -= 1,
+                ';' if pending_attr && nest == 0 => {
+                    pending_attr = false;
+                    in_test[ln0] = true;
+                }
+                _ => {}
+            }
             if c == '{' {
                 if pending_attr && region_depth.is_none() {
                     region_depth = Some(depth);
@@ -401,6 +413,13 @@ mod tests {
         assert!(f.is_production(1));
         assert!(!f.is_production(4));
         assert!(f.is_production(6));
+
+        // A brace-less item ends at its `;`, not at the next item's body.
+        let src =
+            "#[cfg(test)]\nuse a::B;\n#[cfg(test)]\nconst N: [u8; 2] = [0; 2];\nfn prod() {}\n";
+        let f = clean(src);
+        assert!(!f.is_production(2) && !f.is_production(4));
+        assert!(f.is_production(5));
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! | `sync-ordering-per-site` | every atomic-ordering site in `crates/sync/` carries its own `// ordering:` comment |
 //! | `branchless-claim` | a production `fn` named `*branchless*` calls `select_unpredictable` and holds no `if` / `match` inside its loop — the name stays true of the compiled code |
 //! | `doc-link-integrity` | relative links and `BENCH_*.json` references in the operator docs (README / ARCHITECTURE / ROADMAP / docs/ / crate READMEs) resolve to real files |
+//! | `e2e-import` | every name an `e2e/src` path takes from a workspace crate is still declared or re-exported `pub` there |
 //!
 //! The checker is a hand-rolled lexer (comments, strings, brace depth,
 //! `#[cfg(test)]` spans) over line-oriented scanning — no `syn`, no
@@ -28,8 +29,9 @@
 //! reviewers can grep.
 //!
 //! `fiting-check --lines` reuses the same lexer for the ROADMAP's
-//! "least code" scoreboard: production code lines per workspace crate
-//! ([`workspace_lines`]).
+//! "least code" and public-surface budgets: production code lines per
+//! workspace crate, and each product crate's `pub` items and how many
+//! of them anything outside the crate names ([`workspace_lines`]).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -37,9 +39,12 @@
 pub mod docs;
 pub mod lexer;
 pub mod rules;
+mod surface;
 
 pub use docs::{check_doc_file, is_checked_doc};
 pub use rules::{check_file, parse_allowlist, AllowEntry, Finding};
+pub use surface::Surface;
+use surface::{check_e2e_imports, PRODUCT_CRATES};
 
 use std::path::{Path, PathBuf};
 
@@ -67,34 +72,47 @@ fn collect_ext(dir: &Path, ext: &str, out: &mut Vec<PathBuf>) -> std::io::Result
     Ok(())
 }
 
+/// Every `.rs` file under `root` (skipping [`SKIP_DIRS`]) as
+/// (root-relative `/`-separated path, source), in sorted order; an
+/// unreadable file is skipped.
+fn workspace_files(root: &Path) -> std::io::Result<Vec<(String, String)>> {
+    let mut paths = Vec::new();
+    collect_ext(root, ".rs", &mut paths)?;
+    Ok(paths
+        .into_iter()
+        .filter_map(|path| {
+            let source = std::fs::read_to_string(&path).ok()?;
+            Some((relative(root, &path), source))
+        })
+        .collect())
+}
+
+fn relative(root: &Path, path: &Path) -> String {
+    path.strip_prefix(root)
+        .unwrap_or(path)
+        .to_string_lossy()
+        .replace('\\', "/")
+}
+
 /// Scans the whole workspace under `root`. Returns every finding plus
 /// the number of files scanned.
 ///
 /// # Errors
 ///
-/// Propagates I/O errors from walking the tree; an unreadable
-/// individual file is skipped.
+/// Propagates I/O errors from walking the tree or reading the
+/// manifests; an unreadable individual file is skipped.
 pub fn check_workspace(root: &Path) -> std::io::Result<(Vec<Finding>, usize)> {
     let allow = match std::fs::read_to_string(root.join("crates/analysis/allowlist.txt")) {
         Ok(text) => parse_allowlist(&text),
         Err(_) => Vec::new(),
     };
-    let mut files = Vec::new();
-    collect_ext(root, ".rs", &mut files)?;
-    let mut findings = Vec::new();
-    let mut scanned = 0;
-    for path in files {
-        let Ok(source) = std::fs::read_to_string(&path) else {
-            continue;
-        };
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        scanned += 1;
-        findings.extend(check_file(&rel, &source, &allow));
-    }
+    let files = workspace_files(root)?;
+    let mut findings: Vec<Finding> = files
+        .iter()
+        .flat_map(|(rel, source)| check_file(rel, source, &allow))
+        .collect();
+    findings.extend(check_e2e_imports(&files, &members(root)?));
+    let mut scanned = files.len();
 
     // Operator documentation: relative links and bench recording
     // references must resolve (`doc-link-integrity`).
@@ -102,11 +120,7 @@ pub fn check_workspace(root: &Path) -> std::io::Result<(Vec<Finding>, usize)> {
     collect_ext(root, ".md", &mut doc_files)?;
     let exists = |rel: &str| root.join(rel).exists();
     for path in doc_files {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
+        let rel = relative(root, &path);
         if !is_checked_doc(&rel) {
             continue;
         }
@@ -133,45 +147,98 @@ pub fn production_lines(source: &str) -> usize {
         .count()
 }
 
+/// The files that `#[cfg(test)] mod name;` lines among `files` pull
+/// in: test code, wherever it is written.
+fn test_module_files(files: &[(String, String)]) -> Vec<String> {
+    let mut found = Vec::new();
+    for (path, source) in files {
+        let file = lexer::clean(source);
+        let stem = path.strip_suffix(".rs").unwrap_or(path);
+        let dir = match stem.rsplit_once('/') {
+            Some((dir, "lib" | "main" | "mod")) => dir,
+            _ => stem,
+        };
+        for (i, line) in file.code.iter().enumerate() {
+            let words: Vec<&str> = line
+                .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .filter(|w| !w.is_empty())
+                .collect();
+            if let [.., "mod", name] = words[..] {
+                if !file.is_production(i + 1) && line.trim_end().ends_with(';') {
+                    found.push(format!("{dir}/{name}.rs"));
+                }
+            }
+        }
+    }
+    found
+}
+
 /// The quoted strings of `text`, in order (`"a", "b"` → `a`, `b`).
 fn quoted(text: &str) -> impl Iterator<Item = &str> {
     text.split('"').skip(1).step_by(2)
 }
 
-/// `(package name, production lines under its src/)` for the root
-/// package and every `members` entry of the workspace manifest at
-/// `root`, in manifest order.
-///
-/// # Errors
-///
-/// Propagates I/O errors from reading the manifests or walking a
-/// crate's `src/`; an unreadable individual source file counts zero.
-pub fn workspace_lines(root: &Path) -> std::io::Result<Vec<(String, usize)>> {
+/// `(package name, directory)` of the root package (directory `""`)
+/// and every `members` entry of the workspace manifest at `root`, in
+/// manifest order.
+fn members(root: &Path) -> std::io::Result<Vec<(String, String)>> {
     let manifest = std::fs::read_to_string(root.join("Cargo.toml"))?;
-    let members = manifest
+    let list = manifest
         .split_once("members = [")
         .and_then(|(_, rest)| rest.split_once(']'))
         .map_or("", |(list, _)| list);
-    let mut rows = Vec::new();
-    for dir in std::iter::once("").chain(quoted(members)) {
-        let crate_root = root.join(dir);
-        let package = std::fs::read_to_string(crate_root.join("Cargo.toml"))?;
-        let name = package
-            .split_once("[package]")
-            .and_then(|(_, rest)| rest.split_once("name = "))
-            .and_then(|(_, rest)| quoted(rest).next())
-            .unwrap_or(dir)
-            .to_string();
-        let mut files = Vec::new();
-        collect_ext(&crate_root.join("src"), ".rs", &mut files)?;
+    std::iter::once("")
+        .chain(quoted(list))
+        .map(|dir| {
+            let package = std::fs::read_to_string(root.join(dir).join("Cargo.toml"))?;
+            let name = package
+                .split_once("[package]")
+                .and_then(|(_, rest)| rest.split_once("name = "))
+                .and_then(|(_, rest)| quoted(rest).next())
+                .unwrap_or(dir);
+            Ok((name.to_string(), dir.to_string()))
+        })
+        .collect()
+}
+
+/// One row per package of the workspace at `root`, in manifest order:
+/// its name, its production lines under `src/` (a `#[cfg(test)]`
+/// module's file counts none), and for each of the
+/// ten product crates its public [`Surface`].
+///
+/// # Errors
+///
+/// Propagates I/O errors from reading the manifests or walking the
+/// tree; an unreadable individual source file counts zero.
+pub fn workspace_lines(root: &Path) -> std::io::Result<Vec<(String, usize, Option<Surface>)>> {
+    let (files, members) = (workspace_files(root)?, members(root)?);
+    let is_product = |name: &str| PRODUCT_CRATES.contains(&name);
+    let product: Vec<_> = members
+        .iter()
+        .filter(|(name, _)| is_product(name))
+        .cloned()
+        .collect();
+    let mut surfaces = surface::surface(&files, &product).into_iter();
+    let tests = test_module_files(&files);
+    let rows = members.into_iter().map(|(name, dir)| {
+        let src = if dir.is_empty() {
+            "src/".to_string()
+        } else {
+            format!("{dir}/src/")
+        };
         let lines = files
             .iter()
-            .filter_map(|path| std::fs::read_to_string(path).ok())
-            .map(|source| production_lines(&source))
+            .filter(|(path, _)| path.starts_with(&src) && !tests.contains(path))
+            .map(|(_, source)| production_lines(source))
             .sum();
-        rows.push((name, lines));
-    }
-    Ok(rows)
+        let surface = if is_product(&name) {
+            surfaces.next()
+        } else {
+            None
+        };
+        (name, lines, surface)
+    });
+    Ok(rows.collect())
 }
 
 /// One-line usage `fiting-check` prints when [`parse_args`] refuses.
@@ -227,12 +294,41 @@ mod tests {
     }
 
     #[test]
+    fn a_cfg_test_module_file_is_test_code() {
+        let files = [
+            (
+                "crates/plr/src/lib.rs",
+                "#[cfg(test)]\nmod adversarial;\nmod cone;\n",
+            ),
+            (
+                "crates/plr/src/cone.rs",
+                "#[cfg(test)]\npub(crate) mod probe;\n",
+            ),
+        ]
+        .map(|(p, s)| (p.to_string(), s.to_string()));
+        assert_eq!(
+            test_module_files(&files),
+            [
+                "crates/plr/src/adversarial.rs",
+                "crates/plr/src/cone/probe.rs"
+            ]
+        );
+    }
+
+    #[test]
     fn workspace_lines_lists_root_and_members_by_package_name() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let rows = workspace_lines(&root).unwrap();
         assert_eq!(rows[0].0, "fiting", "root package first");
-        let own = rows.iter().find(|(name, _)| name == "fiting-analysis");
-        assert!(own.is_some_and(|&(_, lines)| lines > 0));
+        let own = rows.iter().find(|(name, ..)| name == "fiting-analysis");
+        assert!(own.is_some_and(|&(_, lines, ref surface)| lines > 0 && surface.is_none()));
+        let core = rows
+            .iter()
+            .find_map(|(name, _, s)| s.as_ref().filter(|_| name == "fiting-tree"));
+        assert!(
+            core.is_some_and(|s| s.items > s.unnamed.len()),
+            "the core crate has named items"
+        );
     }
 
     #[test]

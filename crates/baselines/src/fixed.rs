@@ -132,7 +132,7 @@ impl<K: Key, V> FixedPageIndex<K, V> {
 
     /// Number of pages.
     #[must_use]
-    pub fn page_count(&self) -> usize {
+    pub(crate) fn page_count(&self) -> usize {
         self.tree.len()
     }
 

@@ -14,8 +14,8 @@
 //!   zero index bytes, `log2(n)` probes. The other end of the spectrum.
 //!
 //! All baselines implement [`SortedIndex`] — the crate-neutral
-//! interface from `fiting-index-api` that the FITing-Tree, its delta
-//! variant, and the B+ tree substrate also implement, and that the
+//! interface from `fiting-index-api` that the FITing-Tree and the B+
+//! tree substrate also implement, and that the
 //! benchmark harness and conformance suite drive. (It replaces the
 //! `OrderedIndex` trait that used to live here: `SortedIndex` adds
 //! `remove`, an associated-type range iterator, bulk construction via

@@ -497,8 +497,8 @@ fn fig10(s: Scale) -> Vec<Row> {
         .into_iter()
         .map(|e| {
             let tree = fiting(FitingTreeBuilder::new(e), &pairs);
-            // The tree segments at e − e/2 (the buffer takes the rest).
-            let segments = segment_model.segments_at((e - e / 2).max(1));
+            // Learned at the tree's own segmentation error: exact here.
+            let segments = segment_model.segments_at(e);
             vec![
                 Int(e),
                 Ns(cost.lookup_latency_ns(e, e / 2, segments)),

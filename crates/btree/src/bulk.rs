@@ -13,8 +13,8 @@ use crate::tree::{BPlusTree, DEFAULT_ORDER, MIN_ORDER};
 impl<K: Ord + Clone, V> BPlusTree<K, V> {
     /// Builds a tree from an iterator of **strictly increasing** keys.
     ///
-    /// Equivalent to [`BPlusTree::bulk_load_with`] using [`DEFAULT_ORDER`]
-    /// and a 100% fill factor.
+    /// Equivalent to `bulk_load_with` at the default order and a 100%
+    /// fill factor.
     ///
     /// # Panics
     ///
@@ -39,7 +39,7 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
     /// Panics if `order < MIN_ORDER`, `fill` is not in `(0, 1]`, or keys
     /// are not strictly increasing.
     #[must_use]
-    pub fn bulk_load_with<I>(sorted: I, order: usize, fill: f64) -> Self
+    pub(crate) fn bulk_load_with<I>(sorted: I, order: usize, fill: f64) -> Self
     where
         I: IntoIterator<Item = (K, V)>,
     {
@@ -170,7 +170,7 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
 
 #[cfg(test)]
 mod tests {
-    use crate::{BPlusTree, MIN_ORDER};
+    use crate::tree::{BPlusTree, MIN_ORDER};
 
     #[test]
     fn bulk_load_roundtrip_various_sizes() {

@@ -174,7 +174,7 @@ impl<'a, K: Ord + Clone, V> Iterator for Range<'a, K, V> {
 
 #[cfg(test)]
 mod tests {
-    use crate::{BPlusTree, MIN_ORDER};
+    use crate::tree::{BPlusTree, MIN_ORDER};
     use std::ops::Bound;
 
     fn tree_of(n: u64) -> BPlusTree<u64, u64> {

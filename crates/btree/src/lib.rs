@@ -8,9 +8,8 @@
 //! systems share the inner-node machinery. This crate plays the role of
 //! the STX-tree: a classic sorted-array-per-node B+ tree with
 //!
-//! * a configurable fanout (`order`), defaulting to [`DEFAULT_ORDER`],
-//! * point lookups, predecessor ([`BPlusTree::floor`]) and successor
-//!   ([`BPlusTree::ceiling`]) queries,
+//! * a fanout (`order`) of 16 entries per node,
+//! * point lookups and predecessor ([`BPlusTree::floor`]) queries,
 //! * sorted iteration and range scans over arbitrary [`core::ops::RangeBounds`],
 //! * inserts with node splits and deletes with borrow/merge rebalancing,
 //! * one-pass bottom-up bulk loading from sorted input, and
@@ -48,7 +47,7 @@ mod sorted_impl;
 mod tree;
 
 pub use iter::{Iter, Range};
-pub use tree::{BPlusTree, DEFAULT_ORDER, MIN_ORDER};
+pub use tree::BPlusTree;
 
 /// Shape and storage statistics for a tree, as reported by
 /// [`BPlusTree::stats`].

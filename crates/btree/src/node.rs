@@ -34,7 +34,7 @@ pub(crate) struct LeafNode<K, V> {
 }
 
 impl<K, V> Node<K, V> {
-    pub fn new_leaf() -> Self {
+    pub(crate) fn new_leaf() -> Self {
         Node::Leaf(LeafNode {
             keys: Vec::new(),
             values: Vec::new(),
@@ -42,7 +42,7 @@ impl<K, V> Node<K, V> {
     }
 
     /// Number of routing keys (internal) or entries (leaf) in this node.
-    pub fn key_count(&self) -> usize {
+    pub(crate) fn key_count(&self) -> usize {
         match self {
             Node::Internal(n) => n.keys.len(),
             Node::Leaf(n) => n.keys.len(),
@@ -54,7 +54,7 @@ impl<K, V> Node<K, V> {
     /// Occupancy is measured in entries for leaves and in *children* for
     /// internal nodes — mixing the two (keys = children − 1) makes merges
     /// overfill nodes by one.
-    pub fn is_underfull(&self, order: usize) -> bool {
+    pub(crate) fn is_underfull(&self, order: usize) -> bool {
         match self {
             Node::Leaf(n) => n.keys.len() < order / 2,
             Node::Internal(n) => n.children.len() < order / 2,
@@ -63,7 +63,7 @@ impl<K, V> Node<K, V> {
 
     /// Whether this node can lend one entry/child to a sibling and stay
     /// at or above minimum occupancy.
-    pub fn can_lend(&self, order: usize) -> bool {
+    pub(crate) fn can_lend(&self, order: usize) -> bool {
         match self {
             Node::Leaf(n) => n.keys.len() > order / 2,
             Node::Internal(n) => n.children.len() > order / 2,
@@ -71,7 +71,7 @@ impl<K, V> Node<K, V> {
     }
 
     /// First key of the subtree rooted at this node, if non-empty.
-    pub fn subtree_min(&self) -> Option<&K> {
+    pub(crate) fn subtree_min(&self) -> Option<&K> {
         let mut node = self;
         loop {
             match node {
@@ -82,7 +82,7 @@ impl<K, V> Node<K, V> {
     }
 
     /// Last entry of the subtree rooted at this node, if non-empty.
-    pub fn subtree_max_entry(&self) -> Option<(&K, &V)> {
+    pub(crate) fn subtree_max_entry(&self) -> Option<(&K, &V)> {
         let mut node = self;
         loop {
             match node {
@@ -98,7 +98,7 @@ impl<K, V> Node<K, V> {
 
     /// Estimated bytes of this single node (not the subtree): sorted key
     /// array + value/child-pointer array + a fixed node header.
-    pub fn node_bytes(&self) -> usize {
+    pub(crate) fn node_bytes(&self) -> usize {
         const NODE_HEADER: usize = 24; // enum tag + two Vec headers, amortized
         match self {
             Node::Internal(n) => {

@@ -11,11 +11,11 @@ use std::ops::RangeBounds;
 /// Sixteen 8-byte keys plus sixteen 8-byte pointers is two cache lines of
 /// payload per node, in the same regime as the STX-tree defaults the paper
 /// benchmarks against.
-pub const DEFAULT_ORDER: usize = 16;
+pub(crate) const DEFAULT_ORDER: usize = 16;
 
 /// Smallest permitted order. Order 4 keeps splits (2/2) and the
 /// borrow/merge deletion rules well-formed.
-pub const MIN_ORDER: usize = 4;
+pub(crate) const MIN_ORDER: usize = 4;
 
 /// An in-memory B+ tree mapping ordered keys to values.
 ///
@@ -42,7 +42,7 @@ impl<K: Ord + Clone, V> Default for BPlusTree<K, V> {
 }
 
 impl<K: Ord + Clone, V> BPlusTree<K, V> {
-    /// Creates an empty tree with [`DEFAULT_ORDER`].
+    /// Creates an empty tree with `DEFAULT_ORDER`.
     #[must_use]
     pub fn new() -> Self {
         Self::with_order(DEFAULT_ORDER)
@@ -54,7 +54,7 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
     ///
     /// Panics if `order < MIN_ORDER`.
     #[must_use]
-    pub fn with_order(order: usize) -> Self {
+    pub(crate) fn with_order(order: usize) -> Self {
         assert!(
             order >= MIN_ORDER,
             "B+ tree order must be at least {MIN_ORDER}, got {order}"
@@ -172,50 +172,6 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
                         return Some((&n.keys[i - 1], &n.values[i - 1]));
                     }
                     return fallback.and_then(Node::subtree_max_entry);
-                }
-            }
-        }
-    }
-
-    /// Smallest entry with key `>= key` (successor query).
-    #[must_use]
-    pub fn ceiling<Q>(&self, key: &Q) -> Option<(&K, &V)>
-    where
-        K: Borrow<Q>,
-        Q: Ord + ?Sized,
-    {
-        let mut node = self.root.as_ref();
-        // The nearest ancestor subtree that is entirely > key.
-        let mut fallback: Option<&Node<K, V>> = None;
-        loop {
-            match node {
-                Node::Internal(n) => {
-                    let route = n.keys.partition_point(|k| k.borrow() <= key);
-                    // Children to the right of `route` hold only keys > key,
-                    // so the next one over is the nearest successor subtree.
-                    if route + 1 < n.children.len() {
-                        fallback = Some(&n.children[route + 1]);
-                    }
-                    node = &n.children[route];
-                }
-                Node::Leaf(n) => {
-                    let i = n.keys.partition_point(|k| k.borrow() < key);
-                    if i < n.keys.len() {
-                        return Some((&n.keys[i], &n.values[i]));
-                    }
-                    return fallback.and_then(|f| {
-                        let mut node = f;
-                        loop {
-                            match node {
-                                Node::Internal(inner) => node = inner.children.first()?,
-                                Node::Leaf(leaf) => {
-                                    let k = leaf.keys.first()?;
-                                    let v = leaf.values.first()?;
-                                    return Some((k, v));
-                                }
-                            }
-                        }
-                    });
                 }
             }
         }
@@ -641,7 +597,7 @@ mod tests {
     }
 
     #[test]
-    fn floor_and_ceiling_basics() {
+    fn floor_basics() {
         let mut t = BPlusTree::new();
         for k in [10u64, 20, 30, 40] {
             t.insert(k, k);
@@ -650,10 +606,6 @@ mod tests {
         assert_eq!(t.floor(&10).map(|(k, _)| *k), Some(10));
         assert_eq!(t.floor(&25).map(|(k, _)| *k), Some(20));
         assert_eq!(t.floor(&99).map(|(k, _)| *k), Some(40));
-        assert_eq!(t.ceiling(&5).map(|(k, _)| *k), Some(10));
-        assert_eq!(t.ceiling(&20).map(|(k, _)| *k), Some(20));
-        assert_eq!(t.ceiling(&21).map(|(k, _)| *k), Some(30));
-        assert_eq!(t.ceiling(&41), None);
     }
 
     #[test]
@@ -753,5 +705,101 @@ mod tests {
         }
         assert_eq!(t.depth(), 1);
         assert_eq!(t.get(&63), Some(&63));
+    }
+
+    /// Model-based: the tree agrees with `BTreeMap` over seeded
+    /// operation sequences, at the smallest, the default and a wide
+    /// order. Each property runs 64 cases; a failure names its seed.
+    mod model {
+        use super::*;
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use std::collections::{BTreeMap, BTreeSet};
+
+        fn cases() -> impl Iterator<Item = (u64, StdRng)> {
+            (0..64).map(|seed| (seed, StdRng::seed_from_u64(seed)))
+        }
+
+        /// Up to 400 operations on keys below 512: inserts, removes,
+        /// gets, floors and ranges in the ratio 3 : 2 : 1 : 1 : 1.
+        fn agrees_with_btreemap(order: usize) {
+            for (seed, mut rng) in cases() {
+                let mut tree: BPlusTree<u16, u32> = BPlusTree::with_order(order);
+                let mut model: BTreeMap<u16, u32> = BTreeMap::new();
+                for _ in 0..rng.gen_range(0..400) {
+                    let k = rng.gen_range(0..512);
+                    match rng.gen_range(0..8) {
+                        0..=2 => {
+                            let v = rng.gen();
+                            let want = model.insert(k, v);
+                            assert_eq!(tree.insert(k, v), want, "seed {seed}: insert {k}");
+                        }
+                        3 | 4 => {
+                            let want = model.remove(&k);
+                            assert_eq!(tree.remove(&k), want, "seed {seed}: remove {k}");
+                        }
+                        5 => assert_eq!(tree.get(&k), model.get(&k), "seed {seed}: get {k}"),
+                        6 => {
+                            let want = model.range(..=k).next_back();
+                            assert_eq!(tree.floor(&k), want, "seed {seed}: floor {k}");
+                        }
+                        _ => {
+                            let other = rng.gen_range(0..512);
+                            let (lo, hi) = (k.min(other), k.max(other));
+                            let got: Vec<_> = tree.range(lo..hi).collect();
+                            let want: Vec<_> = model.range(lo..hi).collect();
+                            assert_eq!(got, want, "seed {seed}: range {lo}..{hi}");
+                        }
+                    }
+                    assert_eq!(tree.len(), model.len(), "seed {seed}");
+                }
+                tree.check_invariants()
+                    .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+                let got: Vec<_> = tree.iter().collect();
+                assert_eq!(got, model.iter().collect::<Vec<_>>(), "seed {seed}");
+            }
+        }
+
+        #[test]
+        fn agrees_with_btreemap_min_order() {
+            agrees_with_btreemap(MIN_ORDER);
+        }
+
+        #[test]
+        fn agrees_with_btreemap_default_order() {
+            agrees_with_btreemap(DEFAULT_ORDER);
+        }
+
+        #[test]
+        fn agrees_with_btreemap_wide_order() {
+            agrees_with_btreemap(64);
+        }
+
+        #[test]
+        fn bulk_load_equals_incremental() {
+            for (seed, mut rng) in cases() {
+                let keys: BTreeSet<u32> = (0..rng.gen_range(0..500)).map(|_| rng.gen()).collect();
+                let pairs: Vec<(u32, u32)> = keys.iter().map(|&k| (k, k ^ 0xdead)).collect();
+                let bulk = BPlusTree::bulk_load(pairs.clone());
+                let incr: BPlusTree<u32, u32> = pairs.iter().copied().collect();
+                bulk.check_invariants()
+                    .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+                let (a, b): (Vec<_>, Vec<_>) = (bulk.iter().collect(), incr.iter().collect());
+                assert_eq!(a, b, "seed {seed}");
+            }
+        }
+
+        #[test]
+        fn floor_is_total() {
+            for (seed, mut rng) in cases() {
+                let keys: BTreeSet<u32> = (0..rng.gen_range(1..300))
+                    .map(|_| rng.gen_range(0..10_000))
+                    .collect();
+                let probe = rng.gen_range(0..10_000);
+                let tree = BPlusTree::bulk_load(keys.iter().map(|&k| (k, ())));
+                let floor = tree.floor(&probe).map(|(k, _)| *k);
+                let want = keys.range(..=probe).next_back().copied();
+                assert_eq!(floor, want, "seed {seed}: floor {probe}");
+            }
+        }
     }
 }

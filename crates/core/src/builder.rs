@@ -11,7 +11,7 @@ use crate::key::Key;
 ///
 /// let index: FitingTree<u64, &str> = FitingTreeBuilder::new(100)
 ///     .buffer_size(32)                       // default: error / 2
-///     .build_empty()
+///     .bulk_load([(7, "seven")])
 ///     .unwrap();
 /// assert_eq!(index.error(), 100);
 /// ```
@@ -41,7 +41,7 @@ impl FitingTreeBuilder {
     }
 
     /// Builds an empty index ready for inserts.
-    pub fn build_empty<K: Key, V>(self) -> Result<FitingTree<K, V>, BuildError> {
+    pub(crate) fn build_empty<K: Key, V>(self) -> Result<FitingTree<K, V>, BuildError> {
         let buffer = self.buffer_size.unwrap_or(self.error / 2);
         FitingTree::from_parts(self.error, buffer)
     }

@@ -182,8 +182,9 @@ impl<K: Key, V> FitingTree<K, V> {
     }
 
     /// The effective segmentation error (`error − buffer_size`).
+    #[cfg(test)]
     #[must_use]
-    pub fn segmentation_error(&self) -> u64 {
+    pub(crate) fn segmentation_error(&self) -> u64 {
         self.seg_error
     }
 
@@ -302,43 +303,16 @@ impl<K: Key, V> FitingTree<K, V> {
     ///
     /// The `V: Clone` bound exists only to extract the value from a
     /// tombstoned page slot (the dense value array keeps the slot until
-    /// the next re-segmentation). Non-`Clone` values can use
-    /// [`remove_take`](Self::remove_take) (`V: Default`) or
-    /// [`remove_replacing`](Self::remove_replacing) (any `V`).
+    /// the next re-segmentation).
     pub fn remove(&mut self, key: &K) -> Option<V>
     where
         V: Clone,
     {
-        self.remove_with(key, |v| v.clone())
-    }
-
-    /// [`remove`](Self::remove) for `V: Default`: the page-resident
-    /// value is moved out with `mem::take`, so no `Clone` is needed.
-    pub fn remove_take(&mut self, key: &K) -> Option<V>
-    where
-        V: Default,
-    {
-        self.remove_with(key, std::mem::take)
-    }
-
-    /// [`remove`](Self::remove) for arbitrary `V`: the caller supplies
-    /// the placeholder left in the (dead, never-read-again) page slot,
-    /// and the stored value is moved out with `mem::replace`.
-    pub fn remove_replacing(&mut self, key: &K, placeholder: V) -> Option<V> {
-        self.remove_with(key, move |v| std::mem::replace(v, placeholder))
-    }
-
-    /// The shared removal path: `extract` pulls the value out of a
-    /// tombstoned page slot (clone, take, or replace — buffer hits are
-    /// moved out directly and never call it). All structural
-    /// consequences (empty-segment drop, tombstone-pressure
-    /// re-segmentation) are bound-free.
-    fn remove_with(&mut self, key: &K, extract: impl FnOnce(&mut V) -> V) -> Option<V> {
         let slot = self.locate(key)?;
         let seg = self.segments[slot]
             .as_mut()
             .expect("directory points at live segment");
-        let removed = seg.remove_with(*key, self.seg_error, extract)?;
+        let removed = seg.remove(*key, self.seg_error)?;
         self.len -= 1;
         if seg.len() == 0 {
             // Drop the empty segment entirely (keep at least none: an
@@ -367,8 +341,8 @@ impl<K: Key, V> FitingTree<K, V> {
     }
 
     /// Index structure size in bytes, following the paper's accounting:
-    /// the flat directory arrays + [`SEGMENT_METADATA_BYTES`] per
-    /// segment. The table data itself is *not* index overhead (it
+    /// the flat directory arrays + 24 B of segment metadata (start key,
+    /// slope, page pointer) per segment. The table data itself is *not* index overhead (it
     /// exists regardless).
     #[must_use]
     pub fn index_size_bytes(&self) -> usize {
@@ -440,23 +414,6 @@ impl<K: Key, V> FitingTree<K, V> {
             (None, Some((bk, bv))) => Some((bk, bv)),
             (None, None) => None,
         }
-    }
-
-    /// Rebuilds the index with a different error budget, consuming the
-    /// current one — the DBA retuning knob fed by the cost model's
-    /// selectors (pick a new error, then `rebuild`).
-    pub fn rebuild(self, error: u64) -> Result<Self, BuildError> {
-        let rebuilt = FitingTree::from_parts(error, error / 2)?;
-        let mut carver = Carver::new(rebuilt.seg_error, self.len);
-        let mut segments = self.segments;
-        for (_, slot) in self.dir.entries() {
-            let seg = segments[slot].take();
-            let (keys, values) = seg
-                .expect("directory points at live segment")
-                .into_merged_run();
-            (keys.into_iter().zip(values)).for_each(|(k, v)| carver.push(k, v));
-        }
-        Ok(rebuilt.load(carver))
     }
 
     /// Takes the segment in `slot` out of the arena (and its entries
@@ -1339,44 +1296,6 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_changes_error_and_keeps_data() {
-        let mut t = build(5_000, 8);
-        for k in 0..100u64 {
-            t.insert(k * 7 + 3, k);
-        }
-        let before_segments = t.segment_count();
-        let len = t.len();
-        let rebuilt = t.rebuild(1024).unwrap();
-        assert_eq!(rebuilt.len(), len);
-        assert_eq!(rebuilt.error(), 1024);
-        assert!(rebuilt.segment_count() < before_segments);
-        for k in 0..100u64 {
-            assert_eq!(rebuilt.get(&(k * 7 + 3)), Some(&k));
-        }
-        rebuilt.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn remove_take_and_replacing_work_for_non_clone_values() {
-        #[derive(Debug, Default, PartialEq)]
-        struct Blob(String); // deliberately !Clone
-        let mut t: FitingTree<u64, Blob> = FitingTreeBuilder::new(16).build_empty().unwrap();
-        for k in 0..200u64 {
-            t.insert(k * 3, Blob(format!("v{k}")));
-        }
-        assert_eq!(t.remove_take(&30), Some(Blob("v10".into())));
-        assert_eq!(t.get(&30), None);
-        assert_eq!(
-            t.remove_replacing(&60, Blob("tombstone".into())),
-            Some(Blob("v20".into()))
-        );
-        assert_eq!(t.get(&60), None);
-        assert_eq!(t.remove_take(&61), None);
-        assert_eq!(t.len(), 198);
-        t.check_invariants().unwrap();
-    }
-
-    #[test]
     fn splice_counters_track_structural_mutations() {
         let mut t = build(1_000, 16);
         let s0 = t.stats();
@@ -1573,18 +1492,16 @@ mod tests {
 
     /// A tree beside a `BTreeMap` oracle that inspects every
     /// re-segmentation as it happens. Values are made twice from one
-    /// counter, so `V` need not be `Clone`; `remove` is whichever removal
-    /// `V` affords.
+    /// counter.
     struct Storm<V> {
         tree: FitingTree<u64, V>,
         oracle: std::collections::BTreeMap<u64, V>,
         value: fn(u64) -> V,
-        remove: fn(&mut FitingTree<u64, V>, &u64) -> Option<V>,
         made: u64,
         overflows: u64,
     }
 
-    impl<V: PartialEq + std::fmt::Debug> Storm<V> {
+    impl<V: Clone + PartialEq + std::fmt::Debug> Storm<V> {
         fn insert(&mut self, key: u64) {
             self.made += 1;
             let (value, made) = (self.value, self.made);
@@ -1599,11 +1516,7 @@ mod tests {
 
         fn remove(&mut self, key: u64) {
             self.watched(key, |s| {
-                assert_eq!(
-                    (s.remove)(&mut s.tree, &key),
-                    s.oracle.remove(&key),
-                    "remove {key}"
-                );
+                assert_eq!(s.tree.remove(&key), s.oracle.remove(&key), "remove {key}");
             });
         }
 
@@ -1665,10 +1578,9 @@ mod tests {
     }
 
     /// Every shape of overflow, at one configuration and value type.
-    fn overflow_storm<V: PartialEq + std::fmt::Debug>(
+    fn overflow_storm<V: Clone + PartialEq + std::fmt::Debug>(
         config: &FitingTreeBuilder,
         value: fn(u64) -> V,
-        remove: fn(&mut FitingTree<u64, V>, &u64) -> Option<V>,
     ) {
         let start = |keys: std::ops::Range<u64>| {
             let load = |made| keys.clone().map(move |k| (k * 10, value(made)));
@@ -1676,7 +1588,6 @@ mod tests {
                 tree: config.clone().bulk_load(load(0)).unwrap(),
                 oracle: load(0).collect(),
                 value,
-                remove,
                 made: 0,
                 overflows: 0,
             }
@@ -1762,18 +1673,15 @@ mod tests {
 
     #[test]
     fn overflow_storm_matches_a_btreemap_and_makes_capped_equal_pages() {
-        #[derive(Debug, Default, PartialEq)]
-        struct Blob(u64); // deliberately !Clone
         for error in [8, 64, 512] {
             let config = FitingTreeBuilder::new(error);
-            overflow_storm::<u64>(&config, |made| made, FitingTree::remove);
+            overflow_storm::<u64>(&config, |made| made);
         }
         // No buffer at all: every buffered insert is an overflow.
         let config = FitingTreeBuilder::new(16).buffer_size(0);
-        overflow_storm::<u64>(&config, |made| made, FitingTree::remove);
+        overflow_storm::<u64>(&config, |made| made);
         let config = FitingTreeBuilder::new(64);
-        overflow_storm::<()>(&config, |_| (), FitingTree::remove);
-        overflow_storm::<Blob>(&config, Blob, FitingTree::remove_take);
+        overflow_storm::<()>(&config, |_| ());
     }
 
     #[test]

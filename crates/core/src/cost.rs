@@ -3,8 +3,14 @@
 //!
 //! Both models are deliberately simple; the paper validates them as
 //! upper bounds (Figure 10). The `paper` bench's Fig. 10 holds the
-//! latency estimate to that at every error; the size estimate is not a
-//! bound here — at some errors it falls below the actual size.
+//! latency estimate to that at every error. For keys of at most 12 B
+//! (`u64` among them) the size estimate is one too: it charges at least
+//! 40 B a segment (one 16 B tree level plus 24 B of metadata), where
+//! the flat directory costs `size_of::<K>()` + 4 B a segment on top of
+//! the same 24 B — so at the segment count the tree really has, the
+//! estimate never falls below `FitingTree::index_size_bytes`. Wider
+//! keys (`u128`, `SecondaryIndex`'s 16 B `DupKey<u64>`) can exceed it
+//! on a tree of few segments.
 //!
 //! * Latency (Section 6.1):
 //!   `latency(e) = c · (log_b(S_e) + log2(e) + log2(bu))` — a cache miss
@@ -19,7 +25,8 @@
 //! paper suggests learning it per dataset. [`SegmentCountModel::learn`]
 //! does exactly that: it runs the one-pass ShrinkingCone at each
 //! candidate error (O(n) apiece) and interpolates between samples in
-//! log-log space.
+//! log-log space. A tree of total error `e` segments at `e − e/2` (the
+//! buffer takes the rest), so that is where each sample is segmented.
 
 use crate::key::Key;
 use fiting_plr::{Point, ShrinkingCone};
@@ -33,7 +40,11 @@ pub struct SegmentCountModel {
 
 impl SegmentCountModel {
     /// Learns the model by segmenting `keys` (sorted, duplicates allowed)
-    /// at each candidate error.
+    /// for each candidate total error `e` at `e − e/2`, the segmentation
+    /// error of a tree built with `FitingTreeBuilder::new(e)` (whose
+    /// buffer takes `e / 2`). A sample is keyed by `e`, so
+    /// [`segments_at`](Self::segments_at)`(e)` is that tree's segment
+    /// count.
     ///
     /// # Panics
     ///
@@ -48,7 +59,7 @@ impl SegmentCountModel {
         let samples = sorted_errors
             .into_iter()
             .map(|e| {
-                let mut sc = ShrinkingCone::new(e);
+                let mut sc = ShrinkingCone::new(e - e / 2);
                 let mut count = 0usize;
                 for (pos, k) in keys.iter().enumerate() {
                     if sc.push(Point::new(k.to_f64(), pos as u64)).is_some() {
@@ -70,8 +81,9 @@ impl SegmentCountModel {
     /// # Panics
     ///
     /// Panics if `samples` is empty.
+    #[cfg(test)]
     #[must_use]
-    pub fn from_samples(mut samples: Vec<(u64, usize)>) -> Self {
+    pub(crate) fn from_samples(mut samples: Vec<(u64, usize)>) -> Self {
         assert!(!samples.is_empty(), "need at least one sample");
         samples.sort_unstable_by_key(|&(e, _)| e);
         samples.dedup_by_key(|&mut (e, _)| e);
@@ -84,8 +96,9 @@ impl SegmentCountModel {
         self.samples.iter().map(|&(e, _)| e).collect()
     }
 
-    /// Estimated segment count at `error`, interpolating between samples
-    /// in log-log space and clamping outside the sampled range.
+    /// Estimated segment count at total error `error`, interpolating
+    /// between samples in log-log space and clamping outside the
+    /// sampled range.
     #[must_use]
     pub fn segments_at(&self, error: u64) -> f64 {
         let e = error.max(1) as f64;
@@ -132,14 +145,6 @@ impl Default for CostModel {
 }
 
 impl CostModel {
-    /// Segment count for a tree configured with total error `e` under
-    /// the paper's `buffer = e / 2` convention: segmentation runs at the
-    /// *effective* error `e − e/2`, so that is where the learned model
-    /// must be evaluated.
-    fn effective_segments(model: &SegmentCountModel, e: u64) -> f64 {
-        model.segments_at((e - e / 2).max(1))
-    }
-
     /// Estimated lookup latency (ns) at error `e` with the given buffer
     /// capacity and segment count (paper Equation 6.1.1).
     #[must_use]
@@ -174,13 +179,10 @@ impl CostModel {
         model
             .errors()
             .into_iter()
-            .filter(|&e| {
-                self.lookup_latency_ns(e, e / 2, Self::effective_segments(model, e))
-                    <= latency_req_ns
-            })
+            .filter(|&e| self.lookup_latency_ns(e, e / 2, model.segments_at(e)) <= latency_req_ns)
             .min_by(|&a, &b| {
-                let sa = self.index_size_bytes(Self::effective_segments(model, a));
-                let sb = self.index_size_bytes(Self::effective_segments(model, b));
+                let sa = self.index_size_bytes(model.segments_at(a));
+                let sb = self.index_size_bytes(model.segments_at(b));
                 sa.total_cmp(&sb)
             })
     }
@@ -199,12 +201,10 @@ impl CostModel {
         model
             .errors()
             .into_iter()
-            .filter(|&e| {
-                self.index_size_bytes(Self::effective_segments(model, e)) <= size_budget_bytes
-            })
+            .filter(|&e| self.index_size_bytes(model.segments_at(e)) <= size_budget_bytes)
             .min_by(|&a, &b| {
-                let la = self.lookup_latency_ns(a, a / 2, Self::effective_segments(model, a));
-                let lb = self.lookup_latency_ns(b, b / 2, Self::effective_segments(model, b));
+                let la = self.lookup_latency_ns(a, a / 2, model.segments_at(a));
+                let lb = self.lookup_latency_ns(b, b / 2, model.segments_at(b));
                 la.total_cmp(&lb)
             })
     }
@@ -230,6 +230,28 @@ mod tests {
             .collect();
         for w in s.windows(2) {
             assert!(w[1] <= w[0], "segment count increased with error: {s:?}");
+        }
+    }
+
+    /// At a sampled error the model prices the tree that error builds:
+    /// its segment count exactly, and a size no smaller than the tree's.
+    #[test]
+    fn size_estimate_bounds_the_built_tree_at_every_sampled_error() {
+        let weblogs = fiting_datasets::Dataset::Weblogs.generate(100_000, 42);
+        let mut curvy = curvy_keys(50_000);
+        curvy.dedup();
+        let errors = [16, 64, 256, 1024, 4096, 16_384];
+        let cm = CostModel::default();
+        for keys in [weblogs, curvy] {
+            let model = SegmentCountModel::learn(&keys, &errors);
+            for e in errors {
+                let pairs = keys.iter().map(|&k| (k, ()));
+                let tree = crate::FitingTreeBuilder::new(e).bulk_load(pairs).unwrap();
+                let segments = model.segments_at(e);
+                assert_eq!(segments, tree.segment_count() as f64, "e = {e}");
+                let (estimate, actual) = (cm.index_size_bytes(segments), tree.index_size_bytes());
+                assert!(estimate >= actual as f64, "e = {e}: {estimate} < {actual}");
+            }
         }
     }
 

@@ -57,7 +57,7 @@ pub(crate) struct FlatDirectory<K> {
 
 impl<K: Key> FlatDirectory<K> {
     /// An empty directory.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         FlatDirectory {
             anchors: Vec::new(),
             slots: Vec::new(),
@@ -67,19 +67,19 @@ impl<K: Key> FlatDirectory<K> {
     }
 
     /// Number of segments.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.anchors.len()
     }
 
     /// Whether the directory is empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.anchors.is_empty()
     }
 
     /// Rebuilds from `(anchor, slot)` entries in ascending anchor order
     /// — one dense pass, used by bulk load (where the whole run changes
     /// anyway). Incremental mutations use [`splice`](Self::splice).
-    pub fn rebuild<I: IntoIterator<Item = (K, u32)>>(&mut self, entries: I) {
+    pub(crate) fn rebuild<I: IntoIterator<Item = (K, u32)>>(&mut self, entries: I) {
         self.anchors.clear();
         self.slots.clear();
         for (anchor, slot) in entries {
@@ -112,7 +112,7 @@ impl<K: Key> FlatDirectory<K> {
     /// O(`entries.len()` + tail shift): one `memmove` of the dense
     /// arrays instead of the retired O(S) tree re-mirror. The resulting
     /// anchor run must remain strictly ascending (debug-asserted).
-    pub fn splice(&mut self, range: std::ops::Range<usize>, entries: &[(K, u32)]) {
+    pub(crate) fn splice(&mut self, range: std::ops::Range<usize>, entries: &[(K, u32)]) {
         self.anchors
             .splice(range.clone(), entries.iter().map(|&(a, _)| a));
         self.slots.splice(range, entries.iter().map(|&(_, s)| s));
@@ -123,7 +123,7 @@ impl<K: Key> FlatDirectory<K> {
     /// move into the returned directory, `[0, pos)` stay. Both sides
     /// reseed. O(moved entries) — the whole-run handoff primitive
     /// behind `FitingTree::split_off`.
-    pub fn split_off(&mut self, pos: usize) -> FlatDirectory<K> {
+    pub(crate) fn split_off(&mut self, pos: usize) -> FlatDirectory<K> {
         let anchors = self.anchors.split_off(pos);
         let slots = self.slots.split_off(pos);
         self.reseed();
@@ -142,7 +142,7 @@ impl<K: Key> FlatDirectory<K> {
     /// anchor (the first segment may hold buffered keys below its
     /// anchor). `None` only when the directory is empty.
     #[inline]
-    pub fn floor_index(&self, key: K) -> Option<usize> {
+    pub(crate) fn floor_index(&self, key: K) -> Option<usize> {
         let n = self.anchors.len();
         if n == 0 {
             return None;
@@ -153,13 +153,13 @@ impl<K: Key> FlatDirectory<K> {
 
     /// Arena slot of the segment responsible for `key`.
     #[inline]
-    pub fn locate(&self, key: K) -> Option<usize> {
+    pub(crate) fn locate(&self, key: K) -> Option<usize> {
         self.floor_index(key).map(|i| self.slots[i] as usize)
     }
 
     /// Arena slot at directory position `i` (for ordered walks).
     #[inline]
-    pub fn slot_at(&self, i: usize) -> usize {
+    pub(crate) fn slot_at(&self, i: usize) -> usize {
         self.slots[i] as usize
     }
 
@@ -167,23 +167,23 @@ impl<K: Key> FlatDirectory<K> {
     /// debug assertions so they don't reintroduce per-mutation O(S)
     /// walks in debug builds.
     #[inline]
-    pub fn anchor_at(&self, i: usize) -> K {
+    pub(crate) fn anchor_at(&self, i: usize) -> K {
         self.anchors[i]
     }
 
     /// Slot of the last (largest-anchor) segment.
-    pub fn last_slot(&self) -> Option<usize> {
+    pub(crate) fn last_slot(&self) -> Option<usize> {
         self.slots.last().map(|&s| s as usize)
     }
 
     /// Heap bytes of the two directory arrays.
-    pub fn size_bytes(&self) -> usize {
+    pub(crate) fn size_bytes(&self) -> usize {
         self.anchors.len() * std::mem::size_of::<K>()
             + self.slots.len() * std::mem::size_of::<u32>()
     }
 
     /// Ordered `(anchor, slot)` view, for invariant checks.
-    pub fn entries(&self) -> impl Iterator<Item = (K, usize)> + '_ {
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (K, usize)> + '_ {
         self.anchors
             .iter()
             .zip(&self.slots)

@@ -78,25 +78,6 @@ impl fmt::Display for AbsorbError {
 
 impl std::error::Error for AbsorbError {}
 
-/// Why an insert was rejected. (Currently unused by the core paths —
-/// inserts always succeed — but part of the public API for extensions
-/// such as bounded-memory operation.)
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum InsertError {
-    /// The index was configured read-only.
-    ReadOnly,
-}
-
-impl fmt::Display for InsertError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            InsertError::ReadOnly => write!(f, "index is read-only"),
-        }
-    }
-}
-
-impl std::error::Error for InsertError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,6 +91,5 @@ mod tests {
         assert!(e.to_string().contains("buffer_size < error"));
         let e = BuildError::UnsortedInput { at: 7 };
         assert!(e.to_string().contains('7'));
-        assert_eq!(InsertError::ReadOnly.to_string(), "index is read-only");
     }
 }

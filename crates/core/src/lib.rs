@@ -94,7 +94,7 @@ mod stats;
 
 pub use builder::FitingTreeBuilder;
 pub use clustered::FitingTree;
-pub use error::{AbsorbError, BuildError, InsertError};
+pub use error::{AbsorbError, BuildError};
 pub use fiting_index_api::{BuildableIndex, DynSortedIndex, ShardedIndex, SortedIndex};
 pub use key::{Key, OrderedF64};
 pub use range::RangeIter;
@@ -103,4 +103,4 @@ pub use stats::{FitingTreeStats, LookupTrace};
 
 /// Bytes of metadata the paper charges per segment in its size model
 /// (Section 6.2): start key + slope + page pointer, 8 bytes each.
-pub const SEGMENT_METADATA_BYTES: usize = 24;
+pub(crate) const SEGMENT_METADATA_BYTES: usize = 24;

@@ -138,7 +138,7 @@ pub(crate) struct Segment<K, V> {
 impl<K: Key, V> Segment<K, V> {
     /// A segment whose page adopts the sorted parallel arrays `keys` ∥
     /// `values` as they are (no copy); one pass measures the envelope.
-    pub fn from_run(start_key: K, slope: f64, keys: Vec<K>, values: Vec<V>) -> Self {
+    pub(crate) fn from_run(start_key: K, slope: f64, keys: Vec<K>, values: Vec<V>) -> Self {
         debug_assert!(keys.windows(2).all(|w| w[0] < w[1]));
         debug_assert_eq!(keys.len(), values.len());
         let mut seg = Segment {
@@ -302,12 +302,12 @@ impl<K: Key, V> Segment<K, V> {
     }
 
     /// Live page entries (tombstones excluded).
-    pub fn live_len(&self) -> usize {
+    pub(crate) fn live_len(&self) -> usize {
         self.keys.len() - self.removed as usize
     }
 
     /// Live entries in page + buffer.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.live_len() + self.buffer.len()
     }
 
@@ -319,7 +319,7 @@ impl<K: Key, V> Segment<K, V> {
     }
 
     /// Last live page entry.
-    pub fn last_live(&self) -> Option<(&K, &V)> {
+    pub(crate) fn last_live(&self) -> Option<(&K, &V)> {
         (0..self.keys.len())
             .rev()
             .find(|&i| self.is_live(i))
@@ -327,7 +327,7 @@ impl<K: Key, V> Segment<K, V> {
     }
 
     /// Smallest key stored anywhere in this segment.
-    pub fn min_key(&self) -> Option<K> {
+    pub(crate) fn min_key(&self) -> Option<K> {
         match (self.first_live(), self.buffer.first()) {
             (Some((&d, _)), Some(&(b, _))) => Some(d.min(b)),
             (Some((&d, _)), None) => Some(d),
@@ -337,7 +337,7 @@ impl<K: Key, V> Segment<K, V> {
     }
 
     /// Largest key stored anywhere in this segment.
-    pub fn max_key(&self) -> Option<K> {
+    pub(crate) fn max_key(&self) -> Option<K> {
         match (self.last_live(), self.buffer.last()) {
             (Some((&d, _)), Some(&(b, _))) => Some(d.max(b)),
             (Some((&d, _)), None) => Some(d),
@@ -354,7 +354,7 @@ impl<K: Key, V> Segment<K, V> {
     /// arithmetic, and rounding (plus one slot of window slack below)
     /// absorbs `f64` evaluation error in `(key − start) × slope`.
     #[inline]
-    pub fn predict(&self, key: K) -> usize {
+    pub(crate) fn predict(&self, key: K) -> usize {
         // `+ 0.5` then truncate rounds half up without the libm call
         // `f64::round` costs on baseline x86-64 (this runs once per page
         // key in the envelope pass). The cast saturates: negative
@@ -387,7 +387,7 @@ impl<K: Key, V> Segment<K, V> {
     /// lower bound of *any* key lies in `[pred − under, pred + over + 1]`
     /// clipped to the page: only that window is searched, as the
     /// paper's range query (point lookup, then scan) does.
-    pub fn lower_bound(&self, key: K) -> usize {
+    pub(crate) fn lower_bound(&self, key: K) -> usize {
         let pred = self.predict(key);
         let n = self.keys.len();
         let hi = pred
@@ -403,7 +403,7 @@ impl<K: Key, V> Segment<K, V> {
     /// falls just below `key`, or just above it when `through`. Both
     /// ends of a scan are this one search — an `Included` start and an
     /// `Excluded` end cut below their key, the other two above.
-    pub fn cut(&self, key: K, through: bool) -> (usize, usize) {
+    pub(crate) fn cut(&self, key: K, through: bool) -> (usize, usize) {
         let slot = self.lower_bound(key);
         if through {
             (
@@ -445,17 +445,17 @@ impl<K: Key, V> Segment<K, V> {
 
     /// Exact-match search in the page, honoring the error window.
     /// Returns the index into the page for a **live** slot.
-    pub fn search_data(&self, key: K, seg_error: u64) -> Option<usize> {
+    pub(crate) fn search_data(&self, key: K, seg_error: u64) -> Option<usize> {
         self.probe(key, seg_error).filter(|&i| self.is_live(i))
     }
 
     /// Exact-match search in the buffer.
-    pub fn search_buffer(&self, key: K) -> Option<usize> {
+    pub(crate) fn search_buffer(&self, key: K) -> Option<usize> {
         self.buffer.binary_search_by(|(k, _)| k.cmp(&key)).ok()
     }
 
     /// Point lookup across page and buffer.
-    pub fn get(&self, key: K, seg_error: u64) -> Option<&V> {
+    pub(crate) fn get(&self, key: K, seg_error: u64) -> Option<&V> {
         if let Some(i) = self.probe(key, seg_error) {
             // A page key is never duplicated in the buffer, so a dead
             // hit means the key is absent.
@@ -465,7 +465,7 @@ impl<K: Key, V> Segment<K, V> {
     }
 
     /// Mutable point lookup across page and buffer.
-    pub fn get_mut(&mut self, key: K, seg_error: u64) -> Option<&mut V> {
+    pub(crate) fn get_mut(&mut self, key: K, seg_error: u64) -> Option<&mut V> {
         if let Some(i) = self.probe(key, seg_error) {
             return self.is_live(i).then(move || &mut self.values[i]);
         }
@@ -480,7 +480,7 @@ impl<K: Key, V> Segment<K, V> {
     /// above the page's last key whose slot the existing model predicts
     /// within `seg_error` is pushed onto the page tail; any other new
     /// key goes to the sorted buffer. Returns the previous value if any.
-    pub fn insert(&mut self, key: K, value: V, seg_error: u64) -> Option<V> {
+    pub(crate) fn insert(&mut self, key: K, value: V, seg_error: u64) -> Option<V> {
         if let Some(i) = self.probe(key, seg_error) {
             if self.is_live(i) {
                 return Some(std::mem::replace(&mut self.values[i], value));
@@ -530,23 +530,17 @@ impl<K: Key, V> Segment<K, V> {
     /// Removes `key` from the segment. Buffer entries are moved out;
     /// page entries become O(1) tombstones (the key keeps its slot, so
     /// predictions stay exact). The dense value array keeps the slot
-    /// until the next re-segmentation, so *something* must stay behind:
-    /// `extract` pulls the value out of the tombstoned slot —
-    /// `|v| v.clone()` for `Clone` types, `mem::take` for `Default`
-    /// types, or a `mem::replace` with any placeholder — which makes
-    /// the operation work for **non-`Clone`** values. Buffer hits never
-    /// invoke it; the extracted slot is never read again.
-    pub fn remove_with(
-        &mut self,
-        key: K,
-        seg_error: u64,
-        extract: impl FnOnce(&mut V) -> V,
-    ) -> Option<V> {
+    /// until the next re-segmentation, so the value is cloned out of it;
+    /// the tombstoned slot is never read again.
+    pub(crate) fn remove(&mut self, key: K, seg_error: u64) -> Option<V>
+    where
+        V: Clone,
+    {
         if let Some(i) = self.search_buffer(key) {
             return Some(self.buffer.remove(i).1);
         }
         if let Some(i) = self.search_data(key, seg_error) {
-            let value = extract(&mut self.values[i]);
+            let value = self.values[i].clone();
             self.mark_dead(i);
             return Some(value);
         }
@@ -559,7 +553,7 @@ impl<K: Key, V> Segment<K, V> {
     /// moves runs, not entries: the live slots between two buffered
     /// keys, and between tombstones, are copied as slices. Tombstones
     /// are dropped here; a page with neither hands its arrays over.
-    pub fn into_merged_run(mut self) -> Run<K, V> {
+    pub(crate) fn into_merged_run(mut self) -> Run<K, V> {
         if self.buffer.is_empty() && self.removed == 0 {
             return (self.keys, self.values);
         }
@@ -596,7 +590,7 @@ impl<K: Key, V> Segment<K, V> {
     /// parallel and sorted, bitmap sized to the page, every live slot
     /// inside its own search window, buffer sorted and disjoint from
     /// the page.
-    pub fn check_invariants(&self, seg_error: u64, from: usize) -> Result<(), String> {
+    pub(crate) fn check_invariants(&self, seg_error: u64, from: usize) -> Result<(), String> {
         if self.keys.len() != self.values.len() {
             return Err("page keys/values length mismatch".into());
         }
@@ -637,7 +631,7 @@ impl<K: Key, V> Segment<K, V> {
     /// with `from` at the first slot touched. Compiles to nothing in
     /// release builds.
     #[inline]
-    pub fn assert_invariants(&self, seg_error: u64, from: usize) {
+    pub(crate) fn assert_invariants(&self, seg_error: u64, from: usize) {
         if cfg!(debug_assertions) {
             if let Err(why) = self.check_invariants(seg_error, from) {
                 panic!("segment anchored at {:?}: {why}", self.start_key);
@@ -646,7 +640,7 @@ impl<K: Key, V> Segment<K, V> {
     }
 
     /// Estimated heap bytes of the page + buffer payload.
-    pub fn payload_bytes(&self) -> usize {
+    pub(crate) fn payload_bytes(&self) -> usize {
         self.keys.len() * std::mem::size_of::<K>()
             + self.values.len() * std::mem::size_of::<V>()
             + self.dead.len() * std::mem::size_of::<u64>()
@@ -667,12 +661,6 @@ mod tests {
             0.0
         };
         Segment::from_run(keys[0], slope, keys.to_vec(), values)
-    }
-
-    /// `remove_with` cloning the value out, as the tree layer does for
-    /// `Clone` values.
-    fn remove(s: &mut Segment<u64, u64>, key: u64, seg_error: u64) -> Option<u64> {
-        s.remove_with(key, seg_error, |v| *v)
     }
 
     #[test]
@@ -753,7 +741,7 @@ mod tests {
                 assert_eq!(s.cut(probe, true).0, below + usize::from(slot.is_some()));
             }
             for &k in &dead {
-                let taken = s.remove_with(k, error, |v| v.clone());
+                let taken = s.remove(k, error);
                 assert_eq!(taken, (round == 0).then(|| value(k)), "{n} {k}");
             }
         }
@@ -851,13 +839,13 @@ mod tests {
     fn append_grows_the_tombstone_bitmap_and_resurrects_the_tail() {
         let keys: Vec<u64> = (0..64).collect();
         let mut s = seg(&keys);
-        assert_eq!(remove(&mut s, 63, 1), Some(630));
+        assert_eq!(s.remove(63, 1), Some(630));
         assert_eq!(s.dead_words().len(), 1);
         // Slot 64 opens a second bitmap word, live.
         assert_eq!(s.insert(64, 1, 1), None);
         assert_eq!(s.dead_words().len(), 2);
         assert_eq!(s.get(64, 1), Some(&1));
-        assert_eq!(remove(&mut s, 64, 1), Some(1));
+        assert_eq!(s.remove(64, 1), Some(1));
         assert_eq!(s.max_key(), Some(62));
         // Re-inserting a removed tail key reclaims its slot.
         assert_eq!(s.insert(64, 2, 1), None);
@@ -903,7 +891,7 @@ mod tests {
         // Remove a few early keys: tombstones keep every surviving key
         // at its slot, so even a ±1 window still finds them all.
         for k in 0..5u64 {
-            assert_eq!(remove(&mut s, k, 1), Some(k * 10));
+            assert_eq!(s.remove(k, 1), Some(k * 10));
             assert_eq!(s.get(k, 1), None, "key {k} dead");
         }
         assert_eq!(s.removed, 5);
@@ -916,7 +904,7 @@ mod tests {
     #[test]
     fn tombstone_resurrection_via_insert() {
         let mut s = seg(&[10, 20, 30]);
-        assert_eq!(remove(&mut s, 20, 2), Some(200));
+        assert_eq!(s.remove(20, 2), Some(200));
         assert_eq!(s.removed, 1);
         assert_eq!(s.len(), 2);
         // Re-inserting the key reclaims the page slot — no buffer entry.
@@ -927,49 +915,15 @@ mod tests {
     }
 
     #[test]
-    fn remove_with_extracts_non_clone_values() {
-        // A deliberately non-Clone value type: the caller's extraction
-        // is what leaves something behind in the tombstoned slot.
-        #[derive(Debug, Default, PartialEq)]
-        struct Token(u64);
-        let mut s: Segment<u64, Token> = Segment::from_run(
-            10,
-            1.0,
-            vec![10, 11, 12],
-            vec![Token(1), Token(2), Token(3)],
-        );
-        // Page hit: moved out via mem::take (V: Default).
-        assert_eq!(s.remove_with(11, 2, std::mem::take), Some(Token(2)));
-        assert_eq!(s.get(11, 2), None);
-        assert_eq!(s.removed, 1);
-        // Page hit: moved out via mem::replace with a placeholder.
-        assert_eq!(
-            s.remove_with(12, 2, |v| std::mem::replace(v, Token(u64::MAX))),
-            Some(Token(3))
-        );
-        // Buffer hit (a key inside the page's range is never appended):
-        // moved out directly, extraction never called.
-        s.insert(9, Token(5), 2);
-        assert_eq!(s.buffer.len(), 1);
-        assert_eq!(
-            s.remove_with(9, 2, |_| unreachable!("buffer removals never extract")),
-            Some(Token(5))
-        );
-        // Miss.
-        assert_eq!(s.remove_with(99, 2, std::mem::take), None);
-        assert_eq!(s.get(10, 2), Some(&Token(1)));
-    }
-
-    #[test]
     fn remove_from_buffer_does_not_tombstone() {
         let mut s = seg(&[10, 20]);
         s.insert(15, 1, 1);
-        assert_eq!(remove(&mut s, 15, 1), Some(1));
+        assert_eq!(s.remove(15, 1), Some(1));
         assert_eq!(s.removed, 0);
-        assert_eq!(remove(&mut s, 99, 1), None);
+        assert_eq!(s.remove(99, 1), None);
         // Double-remove of a page key: second call is a miss.
-        assert_eq!(remove(&mut s, 10, 1), Some(100));
-        assert_eq!(remove(&mut s, 10, 1), None);
+        assert_eq!(s.remove(10, 1), Some(100));
+        assert_eq!(s.remove(10, 1), None);
         assert_eq!(s.removed, 1);
     }
 
@@ -979,7 +933,7 @@ mod tests {
         s.insert(20, 2, 1);
         s.insert(5, 0, 1);
         s.insert(1000, 9, 1); // bends past ±1: buffered
-        remove(&mut s, 30, 1);
+        s.remove(30, 1);
         assert_eq!(s.buffer.len(), 3);
         let (keys, values) = s.into_merged_run();
         assert_eq!(keys, vec![5, 10, 20, 50, 1000]);
@@ -997,7 +951,7 @@ mod tests {
         let buffered = [5u64, 15, 595, 655, 1_005, 1_295, 1_296, 1_985, 2_050, 2_500];
         let mut s = seg(&page);
         for slot in dead {
-            assert_eq!(remove(&mut s, slot * 10, 1), Some(slot * 100));
+            assert_eq!(s.remove(slot * 10, 1), Some(slot * 100));
         }
         for key in buffered {
             assert_eq!(s.insert(key, key + 1, 0), None);
@@ -1027,8 +981,8 @@ mod tests {
         assert_eq!(s.max_key(), Some(500));
         // Tombstoned endpoints no longer count.
         let mut t = seg(&[10, 20, 30]);
-        remove(&mut t, 10, 2);
-        remove(&mut t, 30, 2);
+        t.remove(10, 2);
+        t.remove(30, 2);
         assert_eq!(t.min_key(), Some(20));
         assert_eq!(t.max_key(), Some(20));
     }

@@ -62,10 +62,10 @@ use crate::segment::Segment;
 /// First eight bytes of every snapshot. Version `02`: the persisted
 /// envelope is measured against the open-top prediction (clamped at 0
 /// only), which is what lets a page grow by in-place appends.
-pub const SNAPSHOT_MAGIC: [u8; 8] = *b"FITSNP02";
+pub(crate) const SNAPSHOT_MAGIC: [u8; 8] = *b"FITSNP02";
 
 /// Alignment of the header and of every section start.
-pub const SNAPSHOT_ALIGN: usize = 64;
+pub(crate) const SNAPSHOT_ALIGN: usize = 64;
 
 const HEADER_LEN: usize = 64;
 const SECTION_HEADER_LEN: usize = 16;
@@ -140,7 +140,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 pub enum SnapshotError {
     /// The input ended before the named structure was complete.
     Truncated(&'static str),
-    /// The first eight bytes are not [`SNAPSHOT_MAGIC`].
+    /// The first eight bytes are not the snapshot magic.
     BadMagic,
     /// A `FITSNP01` image: its error envelopes were measured under the
     /// old (page-clamped) prediction and cannot be trusted; rebuild the

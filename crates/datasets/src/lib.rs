@@ -20,8 +20,8 @@
 //!   paper's strongest, around 10⁴).
 //! * [`maps`] — longitudes of world features: clustered around
 //!   population centers but near-linear at small scales.
-//! * [`taxi_pickup_time`], [`taxi_drop_lat`], [`taxi_drop_lon`] — the
-//!   Table 1 attributes: rush-hour periodic timestamps and spatially
+//! * [`taxi_pickup_time`] and [`Dataset`]'s two taxi drop-off
+//!   coordinates — the Table 1 attributes: rush-hour periodic timestamps and spatially
 //!   clustered coordinates.
 //! * [`step`] — the synthetic worst case of Figure 9: a staircase whose
 //!   step size separates the "one segment per step" and "one segment
@@ -39,7 +39,8 @@ pub mod nonlinearity;
 mod spatial;
 
 pub use arrivals::{iot, taxi_pickup_time, weblogs};
-pub use spatial::{maps, taxi_drop_lat, taxi_drop_lon};
+pub use spatial::maps;
+use spatial::{taxi_drop_lat, taxi_drop_lon};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -44,22 +44,6 @@ pub fn non_linearity_ratio(keys: &[u64], error: u64) -> f64 {
     (s * (error as f64 + 1.0) / keys.len() as f64).min(1.0)
 }
 
-/// Sweeps the ratio over logarithmically spaced error scales — one row
-/// per scale, ready for the Figure 8 plot.
-#[must_use]
-pub fn sweep(keys: &[u64], scales: &[u64]) -> Vec<(u64, f64)> {
-    scales
-        .iter()
-        .map(|&e| (e, non_linearity_ratio(keys, e)))
-        .collect()
-}
-
-/// The default Figure 8 x-axis: powers of ten from 10¹ to 10⁹.
-#[must_use]
-pub fn default_scales() -> Vec<u64> {
-    (1..=9).map(|p| 10u64.pow(p)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,15 +77,13 @@ mod tests {
         let n = 200_000;
         let iot_keys = iot(n, 21);
         let maps_keys = maps(n, 21);
-        let scales: Vec<u64> = vec![100, 300, 1000];
-        let iot_peak = sweep(&iot_keys, &scales)
-            .into_iter()
-            .map(|(_, r)| r)
-            .fold(0.0, f64::max);
-        let maps_peak = sweep(&maps_keys, &scales)
-            .into_iter()
-            .map(|(_, r)| r)
-            .fold(0.0, f64::max);
+        let peak = |keys: &[u64]| {
+            [100, 300, 1000]
+                .map(|e| non_linearity_ratio(keys, e))
+                .into_iter()
+                .fold(0.0, f64::max)
+        };
+        let (iot_peak, maps_peak) = (peak(&iot_keys), peak(&maps_keys));
         assert!(
             iot_peak > 1.5 * maps_peak,
             "IoT peak {iot_peak:.3} not clearly above Maps peak {maps_peak:.3}"
@@ -112,12 +94,5 @@ mod tests {
     fn empty_input() {
         assert_eq!(non_linearity_ratio(&[], 10), 0.0);
         assert_eq!(segment_count(&[], 10), 0);
-    }
-
-    #[test]
-    fn default_scales_are_powers_of_ten() {
-        let s = default_scales();
-        assert_eq!(s[0], 10);
-        assert_eq!(s[8], 1_000_000_000);
     }
 }

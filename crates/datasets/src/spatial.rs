@@ -82,7 +82,7 @@ pub fn maps(n: usize, seed: u64) -> Vec<u64> {
 /// Taxi dropoff latitudes: tightly clustered around a city's latitude
 /// band (Table 1's `Taxi drop lat`).
 #[must_use]
-pub fn taxi_drop_lat(n: usize, seed: u64) -> Vec<u64> {
+pub(crate) fn taxi_drop_lat(n: usize, seed: u64) -> Vec<u64> {
     let degrees = mixture(n, seed.wrapping_add(0x1a7), 24, 0.015, 0.05, 40.55, 41.0);
     to_keys(degrees, 0.0)
 }
@@ -90,7 +90,7 @@ pub fn taxi_drop_lat(n: usize, seed: u64) -> Vec<u64> {
 /// Taxi dropoff longitudes: a different hotspot structure over the
 /// city's longitude band (Table 1's `Taxi drop lon`).
 #[must_use]
-pub fn taxi_drop_lon(n: usize, seed: u64) -> Vec<u64> {
+pub(crate) fn taxi_drop_lon(n: usize, seed: u64) -> Vec<u64> {
     let degrees = mixture(n, seed.wrapping_add(0x10a), 16, 0.02, 0.05, -74.1, -73.7);
     to_keys(degrees, 180.0)
 }

@@ -143,10 +143,8 @@ struct SamplerState<K> {
 ///
 /// let sampler: WriteSampler<u64> = WriteSampler::new(64, 256, 42);
 /// sampler.observe_all((0..10_000u64).rev()); // skewed arrival order is fine
-/// let median = sampler.median_in(None, None, 8).unwrap();
-/// // The reservoir decays toward recent writes, so the median sits in
-/// // the stream's value range (here, anywhere within 0..10_000).
-/// assert!(median < 10_000);
+/// // The reservoir holds at most its capacity, however long the stream.
+/// assert_eq!(sampler.len(), 64);
 /// ```
 pub struct WriteSampler<K> {
     capacity: usize,
@@ -231,7 +229,7 @@ impl<K: Key> WriteSampler<K> {
     /// fall in that span — the caller should fall back to a stored
     /// median rather than trust a thin sample.
     #[must_use]
-    pub fn median_in(&self, lo: Option<K>, hi: Option<K>, min_samples: usize) -> Option<K> {
+    pub(crate) fn median_in(&self, lo: Option<K>, hi: Option<K>, min_samples: usize) -> Option<K> {
         let state = self.state.lock();
         let mut in_span: Vec<K> = state
             .sample

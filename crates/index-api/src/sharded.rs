@@ -653,7 +653,7 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ShardedIndex<K, V, I> {
     /// (unbounded below), `upper` is `None` for the last shard. `None`
     /// altogether when `shard` does not exist.
     #[must_use]
-    pub fn shard_span(&self, shard: usize) -> Option<(Option<K>, Option<K>)> {
+    pub(crate) fn shard_span(&self, shard: usize) -> Option<(Option<K>, Option<K>)> {
         let table = self.table();
         if shard >= table.shards.len() {
             return None;
@@ -684,7 +684,7 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ShardedIndex<K, V, I> {
     ///
     /// [`split_shard`]: Self::split_shard
     #[must_use]
-    pub fn shard_median(&self, shard: usize) -> Option<K> {
+    pub(crate) fn shard_median(&self, shard: usize) -> Option<K> {
         let table = self.table();
         table.shards.get(shard)?.read_with(|s| {
             let n = s.len();
@@ -945,12 +945,6 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ShardedIndex<K, V, I> {
         for shard in &self.table().shards {
             shard.read_with(&mut f);
         }
-    }
-
-    /// Runs `f` with exclusive access to the shard that owns `key`,
-    /// revalidating against concurrent rebalances.
-    pub fn with_shard_write<R>(&self, key: &K, f: impl FnOnce(&mut I) -> R) -> R {
-        self.write_owner(key, f)
     }
 
     // Positional lock accessors (`with_shard_read_at`/`write_at`) were
@@ -1323,7 +1317,7 @@ mod tests {
         // A structure that declines the handoff refuses a valid move,
         // and nothing is copied behind its back.
         let (idx, applied) = load_probe(1_000, 2);
-        idx.with_shard_write(&0, |shard| shard.refuse = true);
+        idx.write_owner(&0, |shard| shard.refuse = true);
         let before = idx.range_collect(..);
         assert_eq!(idx.split_shard(0, 500), Err(RebalanceError::Refused));
         assert_eq!(idx.merge_with_next(0), Err(RebalanceError::Refused));
@@ -1646,7 +1640,7 @@ mod tests {
     #[test]
     fn insert_many_reporting_counts_a_refusing_shards_keys() {
         let (idx, _) = load_probe(1_500, 3);
-        idx.with_shard_write(&1_200, |shard| shard.refuse = true);
+        idx.write_owner(&1_200, |shard| shard.refuse = true);
         // Per shard: two new odd keys and one overwrite.
         let batch = vec![
             (1, 7),

@@ -1,12 +1,12 @@
 //! The unified sorted-index trait family.
 //!
 //! [`SortedIndex`] is the contract every index structure in the
-//! workspace implements — the FITing-Tree and its delta variant, the
-//! B+ tree substrate, and all three of the paper's baselines. The
-//! benchmark harness, the conformance suite, and the sharded concurrent
-//! front-end all drive this trait, reproducing the paper's fairness
-//! rule ("we keep the underlying tree implementation the same for all
-//! baselines", Section 7.1) at the type level.
+//! workspace implements — the FITing-Tree, the B+ tree substrate, all
+//! three of the paper's baselines, and the durable wrapper over any of
+//! them. The benchmark harness, the conformance suite, and the sharded
+//! concurrent front-end all drive this trait, reproducing the paper's
+//! fairness rule ("we keep the underlying tree implementation the same
+//! for all baselines", Section 7.1) at the type level.
 
 use crate::key::Key;
 use std::ops::{Bound, RangeBounds};
@@ -59,10 +59,11 @@ impl std::error::Error for Degraded {}
 ///   the paper's Section 6.2 convention (8-byte keys, slopes, and
 ///   pointers) and the quantity on the x-axis of Figure 6; a structure
 ///   that searches the raw data directly (binary search) reports 0.
-/// * **Ranges.** [`range`](Self::range) yields owned `(K, V)` pairs so
-///   that overlay structures (delta-main) can synthesize entries; the
-///   iterator type is an associated type so tree-backed structures can
-///   expose their native cursors without boxing.
+/// * **Ranges.** [`range`](Self::range) yields owned `(K, V)` pairs,
+///   one item type however a structure lays its entries out (the
+///   fixed-page baseline merges a page with its insert buffer as it
+///   goes); the iterator type is an associated type so tree-backed
+///   structures can expose their native cursors without boxing.
 /// * **Bulk paths.** Two provided methods exist to be overridden by a
 ///   structure that can do better than an entry at a time:
 ///   [`insert_many`](Self::insert_many) on the write side and

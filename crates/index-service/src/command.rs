@@ -113,7 +113,7 @@ impl<K: Send + 'static, V: Send + 'static> Command<K, V> {
 impl<K, V> Command<K, V> {
     /// Whether executing this command mutates the index.
     #[must_use]
-    pub fn is_write(&self) -> bool {
+    pub(crate) fn is_write(&self) -> bool {
         matches!(
             self,
             Command::Insert { .. } | Command::Remove { .. } | Command::InsertMany { .. }
@@ -123,7 +123,7 @@ impl<K, V> Command<K, V> {
     /// The command's shape as a dense [`CommandKind`] — the index the
     /// per-kind telemetry instruments key on.
     #[must_use]
-    pub fn command_kind(&self) -> CommandKind {
+    pub(crate) fn command_kind(&self) -> CommandKind {
         match self {
             Command::Get { .. } => CommandKind::Get,
             Command::Range { .. } => CommandKind::Range,

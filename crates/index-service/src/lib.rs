@@ -85,7 +85,6 @@ pub use client::Client;
 pub use command::Command;
 pub use queue::{BoundedQueue, Closed, TryPushError};
 pub use stats::{LaneHealth, LaneServiceStats, ServiceStats};
-pub use telemetry::CommandKind;
 // Re-exported so embedders can name what `metrics()` returns without
 // a separate fiting-telemetry import.
 pub use fiting_telemetry::MetricsSnapshot;
@@ -890,7 +889,7 @@ mod tests {
         // Every ticket has resolved, so the per-kind submission
         // counters account for exactly what the lanes processed.
         let snap = svc.metrics();
-        let submitted: u64 = CommandKind::ALL
+        let submitted: u64 = crate::telemetry::CommandKind::ALL
             .iter()
             .filter_map(|k| snap.counter(&format!("service.{}.submitted", k.as_str())))
             .sum();

@@ -22,7 +22,8 @@ use std::time::{Duration, Instant};
 #[derive(Debug, PartialEq, Eq)]
 pub struct Closed<T>(pub T);
 
-/// Why [`BoundedQueue::try_push`] refused an item.
+/// Why a non-blocking push ([`Client::try_submit`](crate::Client::try_submit))
+/// refused an item.
 #[derive(Debug, PartialEq, Eq)]
 pub enum TryPushError<T> {
     /// The queue is at capacity — backpressure. Retry or shed load.
@@ -98,7 +99,7 @@ impl<T> BoundedQueue<T> {
 
     /// Enqueues `item` without blocking; [`Busy`](TryPushError::Busy)
     /// when full.
-    pub fn try_push(&self, item: T) -> Result<(), TryPushError<T>> {
+    pub(crate) fn try_push(&self, item: T) -> Result<(), TryPushError<T>> {
         let mut state = self.lock();
         if state.closed {
             return Err(TryPushError::Closed(item));
@@ -168,7 +169,7 @@ impl<T> BoundedQueue<T> {
     /// fresh consumer is about to start; reopening with commands still
     /// queued would hand them to the new consumer out of order with
     /// the cancellations already reported.
-    pub fn reopen(&self) {
+    pub(crate) fn reopen(&self) {
         self.lock().closed = false;
     }
 

@@ -262,7 +262,7 @@ impl ServiceStats {
 
     /// Commands waiting across all lanes.
     #[must_use]
-    pub fn total_queued(&self) -> usize {
+    pub(crate) fn total_queued(&self) -> usize {
         self.lanes.iter().map(|s| s.queue_depth).sum()
     }
 

@@ -43,7 +43,7 @@ use std::time::Instant;
 /// A command's shape as a dense index — the key for per-kind
 /// instruments. Obtained via [`Command::command_kind`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CommandKind {
+pub(crate) enum CommandKind {
     /// Point lookup.
     Get,
     /// Range scan.
@@ -58,7 +58,7 @@ pub enum CommandKind {
 
 impl CommandKind {
     /// Every kind, in stable export order.
-    pub const ALL: [CommandKind; 5] = [
+    pub(crate) const ALL: [CommandKind; 5] = [
         CommandKind::Get,
         CommandKind::Range,
         CommandKind::Insert,
@@ -69,7 +69,7 @@ impl CommandKind {
     /// Stable lowercase name (the `{kind}` segment of exported metric
     /// names).
     #[must_use]
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             CommandKind::Get => "get",
             CommandKind::Range => "range",

@@ -16,9 +16,10 @@
 //!   [`degrade`](Completer::degrade) when a write is refused by a
 //!   read-only shard. A command dropped on the floor (worker panic,
 //!   queue teardown) therefore cancels rather than hangs its submitter.
-//! * [`Ticket::wait`] blocks until resolution; [`Ticket::try_take`]
-//!   never blocks. Shutdown drains every queued command, so waiting on
-//!   a submitted ticket never deadlocks against service teardown.
+//! * [`Ticket::wait`] blocks until resolution;
+//!   [`Ticket::wait_timeout`] gives up at a deadline. Shutdown drains
+//!   every queued command, so waiting on a submitted ticket never
+//!   deadlocks against service teardown.
 
 use fiting_sync::primitives::{Condvar, Mutex};
 use std::sync::Arc;
@@ -70,7 +71,7 @@ pub enum Outcome<T> {
 
 impl<T> Outcome<T> {
     /// Converts into the `Result` form [`Ticket::wait`] returns.
-    pub fn into_result(self) -> Result<T, CommandError> {
+    pub(crate) fn into_result(self) -> Result<T, CommandError> {
         match self {
             Outcome::Done(v) => Ok(v),
             Outcome::Canceled => Err(CommandError::Canceled),
@@ -117,14 +118,14 @@ pub fn ticket<T: Send + 'static>() -> (Ticket<T>, Completer<T>) {
     )
 }
 
-/// The submitter's half: blocks on ([`wait`](Self::wait)) or polls
-/// ([`try_take`](Self::try_take)) the command's result.
+/// The submitter's half: blocks on ([`wait`](Self::wait), or
+/// [`wait_timeout`](Self::wait_timeout) up to a deadline) the command's
+/// result.
 ///
 /// ```
 /// use fiting_index_service::ticket;
 ///
 /// let (t, c) = ticket::<u32>();
-/// assert!(!t.is_resolved());
 /// c.complete(7);
 /// assert_eq!(t.wait(), Ok(7));
 /// ```
@@ -135,27 +136,8 @@ pub struct Ticket<T> {
 impl<T> Ticket<T> {
     /// Whether the command has resolved (completed or canceled).
     #[must_use]
-    pub fn is_resolved(&self) -> bool {
+    pub(crate) fn is_resolved(&self) -> bool {
         !matches!(*self.shared.state.lock(), State::Pending)
-    }
-
-    /// Takes the result if the command has resolved; `None` while it is
-    /// still pending.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value was already taken by an earlier
-    /// `try_take`/`wait_timeout` call (a submitter-side logic error).
-    pub fn try_take(&mut self) -> Option<Result<T, CommandError>> {
-        let mut state = self.shared.state.lock();
-        match *state {
-            State::Pending => None,
-            State::Taken => panic!("ticket value already taken"),
-            State::Resolved(_) => match std::mem::replace(&mut *state, State::Taken) {
-                State::Resolved(outcome) => Some(outcome.into_result()),
-                _ => unreachable!(),
-            },
-        }
     }
 
     /// Blocks until the command resolves; `Err(Canceled)` if its
@@ -165,7 +147,7 @@ impl<T> Ticket<T> {
     /// # Panics
     ///
     /// Panics if the value was already taken via
-    /// [`try_take`](Self::try_take)/[`wait_timeout`](Self::wait_timeout).
+    /// [`wait_timeout`](Self::wait_timeout).
     pub fn wait(self) -> Result<T, CommandError> {
         let mut state = self.shared.state.lock();
         loop {
@@ -255,7 +237,7 @@ impl<T> Completer<T> {
     /// Resolves the ticket as [`Canceled`](CommandError::Canceled)
     /// (same as dropping, but explicit at call sites that decline a
     /// command on purpose).
-    pub fn cancel(self) {
+    pub(crate) fn cancel(self) {
         self.resolve(Outcome::Canceled);
     }
 
@@ -328,13 +310,12 @@ mod tests {
     }
 
     #[test]
-    fn try_take_polls_without_blocking() {
-        let (mut t, c) = ticket::<u32>();
-        assert_eq!(t.try_take(), None);
+    fn is_resolved_tracks_completion() {
+        let (t, c) = ticket::<u32>();
         assert!(!t.is_resolved());
         c.complete(5);
         assert!(t.is_resolved());
-        assert_eq!(t.try_take(), Some(Ok(5)));
+        assert_eq!(t.wait(), Ok(5));
     }
 
     #[test]
@@ -342,8 +323,8 @@ mod tests {
     fn double_take_panics() {
         let (mut t, c) = ticket::<u32>();
         c.complete(1);
-        assert_eq!(t.try_take(), Some(Ok(1)));
-        let _ = t.try_take();
+        assert_eq!(t.wait_timeout(Duration::ZERO), Some(Ok(1)));
+        let _ = t.wait_timeout(Duration::ZERO);
     }
 
     #[test]

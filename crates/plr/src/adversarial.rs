@@ -2,9 +2,8 @@
 //!
 //! The paper proves ShrinkingCone is *not competitive*: there are inputs
 //! on which the greedy produces `N + 2` segments while the optimum is 2,
-//! for arbitrarily large `N`. This module generates that input so tests
-//! and the Table 1 harness can exercise the worst case, not just
-//! well-behaved data.
+//! for arbitrarily large `N`. This module generates that input so the
+//! tests exercise the worst case, not just well-behaved data.
 //!
 //! Construction (for error threshold `E`):
 //!
@@ -32,13 +31,13 @@ use crate::point::Point;
 /// pattern repetitions.
 ///
 /// The returned points are sorted with consecutive positions, ready for
-/// [`crate::ShrinkingCone::segment`] or [`crate::optimal_segmentation`].
+/// [`crate::ShrinkingCone::segment`] or `optimal_segmentation`.
 ///
 /// # Panics
 ///
 /// Panics if `e < 2` (the construction needs a non-trivial error budget).
 #[must_use]
-pub fn adversarial_input(e: u64, n: usize) -> Vec<Point> {
+pub(crate) fn adversarial_input(e: u64, n: usize) -> Vec<Point> {
     assert!(e >= 2, "adversarial construction requires error >= 2");
     let ef = e as f64;
     let half = ef / 2.0;

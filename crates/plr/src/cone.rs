@@ -38,20 +38,14 @@ impl Cone {
 
     /// The origin key of the segment.
     #[must_use]
-    pub fn origin_key(&self) -> f64 {
+    pub(crate) fn origin_key(&self) -> f64 {
         self.origin_key
     }
 
     /// The origin position of the segment.
     #[must_use]
-    pub fn origin_pos(&self) -> u64 {
+    pub(crate) fn origin_pos(&self) -> u64 {
         self.origin_pos
-    }
-
-    /// Current slope bounds `(low, high)`.
-    #[must_use]
-    pub fn bounds(&self) -> (f64, f64) {
-        (self.low, self.high)
     }
 
     /// The paper's Algorithm 2 admission test: the point must lie
@@ -71,7 +65,7 @@ impl Cone {
     /// keys whose difference overflows) has no slope: the point is
     /// rejected, closing the segment, in both admission tests.
     #[must_use]
-    pub fn admits_endpoint(&self, key: f64, pos: u64, error: u64) -> bool {
+    pub(crate) fn admits_endpoint(&self, key: f64, pos: u64, error: u64) -> bool {
         debug_assert!(key >= self.origin_key, "keys must arrive in order");
         debug_assert!(pos >= self.origin_pos, "positions must increase");
         let dx = key - self.origin_key;
@@ -95,7 +89,7 @@ impl Cone {
     /// segment can ever cover the point, which is what makes the DP's
     /// early break sound.
     #[must_use]
-    pub fn admits_feasible(&self, key: f64, pos: u64, error: u64) -> bool {
+    pub(crate) fn admits_feasible(&self, key: f64, pos: u64, error: u64) -> bool {
         debug_assert!(key >= self.origin_key, "keys must arrive in order");
         debug_assert!(pos >= self.origin_pos, "positions must increase");
         let dx = key - self.origin_key;
@@ -117,7 +111,7 @@ impl Cone {
     /// Narrows the cone with `(key, pos)`'s slope band. Must only be
     /// called after [`admits_endpoint`](Self::admits_endpoint) or
     /// [`admits_feasible`](Self::admits_feasible) returned `true`.
-    pub fn update(&mut self, key: f64, pos: u64, error: u64) {
+    pub(crate) fn update(&mut self, key: f64, pos: u64, error: u64) {
         let dx = key - self.origin_key;
         if dx == 0.0 {
             return; // duplicate of the origin: no slope information
@@ -172,10 +166,10 @@ mod tests {
     fn cone_narrows_monotonically() {
         let mut c = Cone::new(0.0, 0);
         c.update(10.0, 10, 2);
-        let (l1, h1) = c.bounds();
+        let (l1, h1) = (c.low, c.high);
         assert!(l1 > 0.0 && h1.is_finite());
         c.update(20.0, 20, 2);
-        let (l2, h2) = c.bounds();
+        let (l2, h2) = (c.low, c.high);
         assert!(l2 >= l1 && h2 <= h1);
     }
 
@@ -228,7 +222,7 @@ mod tests {
         // bound: position 12 needs slope ≥ 1.1.
         assert!(c.admits_endpoint(10.0, 11, 1));
         c.update(10.0, 11, 1);
-        let (low, _) = c.bounds();
+        let (low, _) = (c.low, c.high);
         assert!(low >= 1.0);
     }
 
@@ -238,7 +232,7 @@ mod tests {
         c.update(10.0, 10, 1);
         c.update(20.0, 20, 1);
         let slope = c.final_slope(20.0, 20);
-        let (l, h) = c.bounds();
+        let (l, h) = (c.low, c.high);
         assert!(slope >= l && slope <= h);
         assert!((slope - 1.0).abs() < 1e-9);
     }

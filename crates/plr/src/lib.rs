@@ -17,16 +17,17 @@
 //!   Algorithm 2): O(n) time, O(1) state, one pass. The cone is the family
 //!   of feasible slopes for the current segment; each accepted point can
 //!   only narrow it.
-//! * [`optimal_segmentation`] — the dynamic program (paper Algorithm 1)
+//! * [`optimal_segment_count`] — the dynamic program (paper Algorithm 1)
 //!   that minimizes the number of segments. Our implementation keeps only
 //!   the running cone per candidate start (O(n) memory instead of the
 //!   paper's O(n²) matrix), which is what makes Table 1 reproducible on a
 //!   laptop.
 //! * [`validate`] — checkers asserting the E∞ guarantee over a produced
 //!   segmentation; used pervasively in tests and debug assertions.
-//! * [`adversarial`] — the Appendix A.3 construction on which
-//!   ShrinkingCone produces `N + 2` segments while the optimum is 2,
-//!   proving the greedy is not competitive.
+//!
+//! The Appendix A.3 construction on which ShrinkingCone produces
+//! `N + 2` segments while the optimum is 2 (the greedy is not
+//! competitive) is test input, in the `#[cfg(test)]` module `adversarial`.
 //!
 //! # Example
 //!
@@ -45,51 +46,17 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod adversarial;
+#[cfg(test)]
+mod adversarial;
 mod cone;
-pub mod optimal;
+mod optimal;
 mod point;
 mod segment;
 mod shrinking_cone;
 pub mod validate;
 
 pub use cone::Cone;
-pub use optimal::{
-    optimal_segment_count, optimal_segment_count_endpoint, optimal_segmentation,
-    optimal_segmentation_endpoint,
-};
+pub use optimal::{optimal_segment_count, optimal_segment_count_endpoint};
 pub use point::{points_from_sorted_keys, Point};
 pub use segment::LinearSegment;
 pub use shrinking_cone::ShrinkingCone;
-
-/// Upper bound on the number of segments ShrinkingCone may emit for a
-/// dataset (paper Section 3.4):
-/// `min(|keys| / 2, |D| / (error + 1))`, where `|keys|` counts distinct
-/// keys and `|D|` counts elements including duplicates.
-///
-/// The bound follows from Theorem 3.1: no input with fewer than 3 keys
-/// spanning at least `error + 2` locations forces a segment break.
-#[must_use]
-pub fn segment_count_bound(distinct_keys: usize, total_elements: usize, error: u64) -> usize {
-    let by_keys = distinct_keys.div_ceil(2);
-    let by_elems = total_elements.div_ceil(error as usize + 1);
-    by_keys.min(by_elems).max(1)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bound_is_never_zero() {
-        assert_eq!(segment_count_bound(1, 1, 10), 1);
-        assert_eq!(segment_count_bound(0, 0, 10), 1);
-    }
-
-    #[test]
-    fn bound_shrinks_with_error() {
-        let wide = segment_count_bound(1000, 1000, 100);
-        let tight = segment_count_bound(1000, 1000, 1);
-        assert!(wide < tight);
-    }
-}

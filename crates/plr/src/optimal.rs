@@ -13,6 +13,7 @@
 
 use crate::cone::Cone;
 use crate::point::Point;
+#[cfg(test)]
 use crate::segment::LinearSegment;
 
 /// Minimal number of maximal-error segments covering `points`.
@@ -24,7 +25,8 @@ pub fn optimal_segment_count(points: &[Point], error: u64) -> usize {
     dp(points, error).0.last().copied().unwrap_or(0)
 }
 
-/// Computes an optimal (minimum-cardinality) segmentation.
+/// Computes an optimal (minimum-cardinality) segmentation — the DP's
+/// boundaries materialized, which only the tests read.
 ///
 /// Ties are broken toward the longest feasible last segment, which tends
 /// to produce the same boundaries the paper's formulation yields.
@@ -33,8 +35,9 @@ pub fn optimal_segment_count(points: &[Point], error: u64) -> usize {
 ///
 /// Panics if `points` are not in non-decreasing key / increasing
 /// position order.
+#[cfg(test)]
 #[must_use]
-pub fn optimal_segmentation(points: &[Point], error: u64) -> Vec<LinearSegment> {
+pub(crate) fn optimal_segmentation(points: &[Point], error: u64) -> Vec<LinearSegment> {
     if points.is_empty() {
         return Vec::new();
     }
@@ -117,16 +120,17 @@ pub fn optimal_segment_count_endpoint(points: &[Point], error: u64) -> usize {
     dp_endpoint(points, error).0.last().copied().unwrap_or(0)
 }
 
-/// Materializes an optimal **endpoint-chord** segmentation (see
-/// [`optimal_segment_count_endpoint`] for the feasibility notion): each
-/// returned segment's slope is exactly the chord from its first to its
-/// last point.
+/// Materializes an optimal **endpoint-chord** segmentation for the
+/// tests (see [`optimal_segment_count_endpoint`] for the feasibility
+/// notion): each returned segment's slope is exactly the chord from
+/// its first to its last point.
 ///
 /// # Panics
 ///
 /// Panics if `points` are out of order.
+#[cfg(test)]
 #[must_use]
-pub fn optimal_segmentation_endpoint(points: &[Point], error: u64) -> Vec<LinearSegment> {
+pub(crate) fn optimal_segmentation_endpoint(points: &[Point], error: u64) -> Vec<LinearSegment> {
     if points.is_empty() {
         return Vec::new();
     }
@@ -230,6 +234,7 @@ fn dp_endpoint(points: &[Point], error: u64) -> (Vec<usize>, Vec<usize>) {
 }
 
 /// Fits one segment over a point range known to be feasible.
+#[cfg(test)]
 fn fit_segment(points: &[Point], error: u64) -> LinearSegment {
     let first = points[0];
     let last = points[points.len() - 1];
@@ -264,6 +269,26 @@ mod tests {
         let one = [Point::new(5.0, 0)];
         assert_eq!(optimal_segment_count(&one, 10), 1);
         assert_eq!(optimal_segmentation(&one, 10).len(), 1);
+    }
+
+    /// The DP's boundaries satisfy the E∞ bound on 128 seeded inputs:
+    /// 1 to 399 sorted keys below 1 000 000, error below 64.
+    #[test]
+    fn optimal_segmentation_satisfies_error_bound() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        for seed in 0..128 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut keys: Vec<u32> = (0..rng.gen_range(1..400))
+                .map(|_| rng.gen_range(0..1_000_000))
+                .collect();
+            keys.sort_unstable();
+            let keys: Vec<f64> = keys.into_iter().map(f64::from).collect();
+            let error = rng.gen_range(0..64);
+            let points = points_from_sorted_keys(&keys);
+            let segs = optimal_segmentation(&points, error);
+            validate_segmentation(&points, &segs, error)
+                .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        }
     }
 
     #[test]

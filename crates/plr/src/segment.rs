@@ -30,20 +30,6 @@ impl LinearSegment {
         self.start_pos as f64 + (key - self.start_key) * self.slope
     }
 
-    /// Predicted position clamped to the segment's covered slots.
-    #[must_use]
-    pub fn predict_clamped(&self, key: f64) -> u64 {
-        let p = self.predict(key);
-        if p <= self.start_pos as f64 {
-            self.start_pos
-        } else if p >= self.end_pos as f64 {
-            self.end_pos
-        } else {
-            // p is finite and within [start_pos, end_pos] here.
-            p as u64
-        }
-    }
-
     /// Number of positions (elements) covered.
     #[must_use]
     pub fn len(&self) -> u64 {
@@ -54,12 +40,6 @@ impl LinearSegment {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         false
-    }
-
-    /// Whether `key` falls inside this segment's key range.
-    #[must_use]
-    pub fn covers_key(&self, key: f64) -> bool {
-        key >= self.start_key && key <= self.end_key
     }
 }
 
@@ -85,25 +65,8 @@ mod tests {
     }
 
     #[test]
-    fn predict_clamped_stays_in_segment() {
-        let s = seg();
-        assert_eq!(s.predict_clamped(0.0), 50);
-        assert_eq!(s.predict_clamped(10_000.0), 149);
-        assert_eq!(s.predict_clamped(150.5), 100);
-    }
-
-    #[test]
     fn len_counts_inclusive_positions() {
         assert_eq!(seg().len(), 100);
         assert!(!seg().is_empty());
-    }
-
-    #[test]
-    fn covers_key_is_inclusive() {
-        let s = seg();
-        assert!(s.covers_key(100.0));
-        assert!(s.covers_key(200.0));
-        assert!(!s.covers_key(99.999));
-        assert!(!s.covers_key(200.001));
     }
 }

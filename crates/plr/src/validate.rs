@@ -7,7 +7,7 @@ use crate::segment::LinearSegment;
 
 /// Absolute slack allowed on top of the integer error budget to absorb
 /// `f64` interpolation rounding.
-pub const FLOAT_SLACK: f64 = 1e-6;
+pub(crate) const FLOAT_SLACK: f64 = 1e-6;
 
 /// Ways a segmentation can violate its contract.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,19 +61,9 @@ impl std::fmt::Display for ValidationError {
 
 impl std::error::Error for ValidationError {}
 
-/// Maximal absolute deviation of the segment's interpolation over the
-/// given points (the paper's Equation 2.1 error term, per segment).
-#[must_use]
-pub fn max_abs_deviation(points: &[Point], seg: &LinearSegment) -> f64 {
-    points
-        .iter()
-        .map(|p| (seg.predict(p.key) - p.pos as f64).abs())
-        .fold(0.0, f64::max)
-}
-
 /// Verifies that `segments` is an in-order, gap-free partition of
 /// `points` and that every point is predicted within `error` positions
-/// (plus [`FLOAT_SLACK`]).
+/// (plus a `1e-6` slack for `f64` rounding).
 pub fn validate_segmentation(
     points: &[Point],
     segments: &[LinearSegment],
@@ -217,14 +207,5 @@ mod tests {
         let points = points_from_sorted_keys(&[1.0]);
         assert!(validate_segmentation(&points, &[], 1).is_err());
         assert!(validate_segmentation(&[], &[ok_segment(&points)], 1).is_err());
-    }
-
-    #[test]
-    fn max_abs_deviation_measures_worst_point() {
-        let points = points_from_sorted_keys(&[0.0, 1.0, 2.0, 3.0]);
-        let mut seg = ok_segment(&points);
-        seg.slope = 2.0; // predicts 0,2,4,6 vs 0,1,2,3
-        let dev = max_abs_deviation(&points, &seg);
-        assert!((dev - 3.0).abs() < 1e-12);
     }
 }

@@ -7,8 +7,9 @@
 
 use fiting_plr::{
     optimal_segment_count, optimal_segment_count_endpoint, points_from_sorted_keys, Point,
+    ShrinkingCone,
 };
-use proptest::prelude::*;
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Direct ∃-line feasibility: some slope from the first point predicts
 /// every point within `error`.
@@ -71,43 +72,54 @@ fn brute_force(points: &[Point], error: u64, feasible: fn(&[Point], u64) -> bool
     t[n]
 }
 
-fn tiny_points() -> impl Strategy<Value = Vec<Point>> {
-    proptest::collection::vec((0u32..60, 0u32..1), 1..12).prop_map(|raw| {
-        let mut keys: Vec<u32> = raw.into_iter().map(|(k, _)| k).collect();
+/// 256 seeded cases, each 1 to 11 sorted keys below 60 (duplicates
+/// likely) at an error below 12; a failure names its seed.
+fn cases() -> impl Iterator<Item = (u64, Vec<Point>, u64)> {
+    (0..256).map(|seed| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut keys: Vec<u32> = (0..rng.gen_range(1..12))
+            .map(|_| rng.gen_range(0..60))
+            .collect();
         keys.sort_unstable();
-        keys.into_iter()
+        let points = keys
+            .into_iter()
             .enumerate()
             .map(|(i, k)| Point::new(f64::from(k), i as u64))
-            .collect()
+            .collect();
+        (seed, points, rng.gen_range(0..12))
     })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn anyline_dp_matches_brute_force(points in tiny_points(), error in 0u64..12) {
+#[test]
+fn anyline_dp_matches_brute_force() {
+    for (seed, points, error) in cases() {
         let dp = optimal_segment_count(&points, error);
         let bf = brute_force(&points, error, feasible_anyline);
-        prop_assert_eq!(dp, bf, "points {:?} error {}", points, error);
+        assert_eq!(dp, bf, "seed {seed}: points {points:?} error {error}");
     }
+}
 
-    #[test]
-    fn endpoint_dp_matches_brute_force(points in tiny_points(), error in 0u64..12) {
+#[test]
+fn endpoint_dp_matches_brute_force() {
+    for (seed, points, error) in cases() {
         let dp = optimal_segment_count_endpoint(&points, error);
         let bf = brute_force(&points, error, feasible_endpoint);
-        prop_assert_eq!(dp, bf, "points {:?} error {}", points, error);
+        assert_eq!(dp, bf, "seed {seed}: points {points:?} error {error}");
     }
+}
 
-    /// Ordering invariant on arbitrary tiny inputs:
-    /// any-line ≤ endpoint ≤ greedy.
-    #[test]
-    fn optimality_ordering(points in tiny_points(), error in 0u64..12) {
+/// Ordering invariant on arbitrary tiny inputs:
+/// any-line ≤ endpoint ≤ greedy.
+#[test]
+fn optimality_ordering() {
+    for (seed, points, error) in cases() {
         let anyline = optimal_segment_count(&points, error);
         let endpoint = optimal_segment_count_endpoint(&points, error);
-        let greedy = fiting_plr::ShrinkingCone::segment(&points, error).len();
-        prop_assert!(anyline <= endpoint);
-        prop_assert!(endpoint <= greedy);
+        let greedy = ShrinkingCone::segment(&points, error).len();
+        assert!(
+            anyline <= endpoint && endpoint <= greedy,
+            "seed {seed}: any-line {anyline}, endpoint {endpoint}, greedy {greedy}"
+        );
     }
 }
 

@@ -1,99 +1,111 @@
-//! Property-based tests for the segmentation algorithms: the paper's
-//! guarantees, stated as executable properties over arbitrary monotonic
-//! inputs.
+//! Property tests for the segmentation algorithms: the paper's
+//! guarantees, stated as executable properties over seeded random
+//! monotonic inputs. Each property runs 128 cases; a failure names its
+//! seed.
 
 use fiting_plr::{
-    optimal_segment_count, optimal_segmentation, points_from_sorted_keys, segment_count_bound,
-    validate::validate_segmentation, Point, ShrinkingCone,
+    optimal_segment_count, points_from_sorted_keys, validate::validate_segmentation, Point,
+    ShrinkingCone,
 };
-use proptest::prelude::*;
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
-/// Arbitrary sorted key sets, possibly with duplicates, over a wide
-/// dynamic range.
-fn sorted_keys() -> impl Strategy<Value = Vec<f64>> {
-    proptest::collection::vec(0u32..1_000_000, 1..400).prop_map(|mut v| {
-        v.sort_unstable();
-        v.into_iter().map(f64::from).collect()
-    })
+fn cases() -> impl Iterator<Item = (u64, StdRng)> {
+    (0..128).map(|seed| (seed, StdRng::seed_from_u64(seed)))
 }
 
-/// Strictly increasing keys (no duplicates).
-fn distinct_sorted_keys() -> impl Strategy<Value = Vec<f64>> {
-    proptest::collection::btree_set(0u32..1_000_000, 1..400)
-        .prop_map(|s| s.into_iter().map(f64::from).collect())
+/// 1 to 399 sorted keys below 1 000 000, possibly with duplicates.
+fn sorted_keys(rng: &mut StdRng) -> Vec<f64> {
+    let mut keys: Vec<u32> = (0..rng.gen_range(1..400))
+        .map(|_| rng.gen_range(0..1_000_000))
+        .collect();
+    keys.sort_unstable();
+    keys.into_iter().map(f64::from).collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+/// Paper Section 3.4's bound on ShrinkingCone's segment count:
+/// `min(|keys| / 2, |D| / (error + 1))`, where `|keys|` counts distinct
+/// keys and `|D|` counts elements including duplicates. It follows from
+/// Theorem 3.1: no input with fewer than 3 keys spanning at least
+/// `error + 2` locations forces a segment break.
+fn segment_count_bound(distinct_keys: usize, total_elements: usize, error: u64) -> usize {
+    let by_keys = distinct_keys.div_ceil(2);
+    let by_elems = total_elements.div_ceil(error as usize + 1);
+    by_keys.min(by_elems).max(1)
+}
 
-    /// The E∞ guarantee: every greedy segmentation satisfies the error
-    /// bound and partitions the input (paper Section 3.1).
-    #[test]
-    fn greedy_satisfies_error_bound(keys in sorted_keys(), error in 0u64..64) {
+/// The E∞ guarantee: every greedy segmentation satisfies the error
+/// bound and partitions the input (paper Section 3.1).
+#[test]
+fn greedy_satisfies_error_bound() {
+    for (seed, mut rng) in cases() {
+        let (keys, error) = (sorted_keys(&mut rng), rng.gen_range(0..64));
         let points = points_from_sorted_keys(&keys);
         let segs = ShrinkingCone::segment(&points, error);
-        validate_segmentation(&points, &segs, error).unwrap();
+        validate_segmentation(&points, &segs, error).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     }
+}
 
-    /// Same for the optimal DP.
-    #[test]
-    fn optimal_satisfies_error_bound(keys in sorted_keys(), error in 0u64..64) {
-        let points = points_from_sorted_keys(&keys);
-        let segs = optimal_segmentation(&points, error);
-        validate_segmentation(&points, &segs, error).unwrap();
-    }
-
-    /// Optimality sanity: the DP never uses more segments than the greedy.
-    #[test]
-    fn optimal_is_at_most_greedy(keys in sorted_keys(), error in 0u64..64) {
+/// Optimality sanity: the DP never uses more segments than the greedy.
+#[test]
+fn optimal_is_at_most_greedy() {
+    for (seed, mut rng) in cases() {
+        let (keys, error) = (sorted_keys(&mut rng), rng.gen_range(0..64));
         let points = points_from_sorted_keys(&keys);
         let greedy = ShrinkingCone::segment(&points, error).len();
         let optimal = optimal_segment_count(&points, error);
-        prop_assert!(optimal <= greedy);
-        prop_assert!(optimal >= 1);
-    }
-
-    /// Paper Section 3.4: ShrinkingCone emits at most
-    /// `min(|keys|/2, |D|/(error+1))` segments (distinct keys / total
-    /// elements).
-    #[test]
-    fn greedy_respects_count_bound(keys in sorted_keys(), error in 1u64..64) {
-        let points = points_from_sorted_keys(&keys);
-        let distinct = {
-            let mut d = keys.clone();
-            d.dedup();
-            d.len()
-        };
-        let segs = ShrinkingCone::segment(&points, error);
-        let bound = segment_count_bound(distinct, points.len(), error);
-        prop_assert!(
-            segs.len() <= bound,
-            "{} segments > bound {} (distinct {}, total {}, error {})",
-            segs.len(), bound, distinct, points.len(), error
+        assert!(
+            (1..=greedy).contains(&optimal),
+            "seed {seed}: optimal {optimal}, greedy {greedy}"
         );
     }
+}
 
-    /// Theorem 3.1 corollary: every *closed* greedy segment (all but the
-    /// final one) covers at least error + 1 locations.
-    #[test]
-    fn closed_greedy_segments_cover_error_plus_one(
-        keys in distinct_sorted_keys(),
-        error in 1u64..64,
-    ) {
+/// ShrinkingCone emits at most [`segment_count_bound`] segments.
+#[test]
+fn greedy_respects_count_bound() {
+    for (seed, mut rng) in cases() {
+        let (keys, error) = (sorted_keys(&mut rng), rng.gen_range(1..64));
+        let points = points_from_sorted_keys(&keys);
+        let mut distinct = keys.clone();
+        distinct.dedup();
+        let segs = ShrinkingCone::segment(&points, error);
+        let bound = segment_count_bound(distinct.len(), points.len(), error);
+        assert!(
+            segs.len() <= bound,
+            "seed {seed}: {} segments > bound {bound} (distinct {}, total {}, error {error})",
+            segs.len(),
+            distinct.len(),
+            points.len(),
+        );
+    }
+}
+
+/// Theorem 3.1 corollary: every *closed* greedy segment (all but the
+/// final one) covers at least error + 1 locations.
+#[test]
+fn closed_greedy_segments_cover_error_plus_one() {
+    for (seed, mut rng) in cases() {
+        let mut keys = sorted_keys(&mut rng);
+        keys.dedup();
+        let error = rng.gen_range(1..64);
         let points = points_from_sorted_keys(&keys);
         let segs = ShrinkingCone::segment(&points, error);
         for seg in &segs[..segs.len().saturating_sub(1)] {
-            prop_assert!(
+            assert!(
                 seg.len() > error,
-                "closed segment of {} locations < error+1 = {}",
-                seg.len(), error + 1
+                "seed {seed}: closed segment of {} locations < error+1 = {}",
+                seg.len(),
+                error + 1
             );
         }
     }
+}
 
-    /// Streaming and batch APIs agree.
-    #[test]
-    fn streaming_equals_batch(keys in sorted_keys(), error in 0u64..32) {
+/// Streaming and batch APIs agree.
+#[test]
+fn streaming_equals_batch() {
+    for (seed, mut rng) in cases() {
+        let (keys, error) = (sorted_keys(&mut rng), rng.gen_range(0..32));
         let points = points_from_sorted_keys(&keys);
         let batch = ShrinkingCone::segment(&points, error);
         let mut sc = ShrinkingCone::new(error);
@@ -102,23 +114,29 @@ proptest! {
             streamed.extend(sc.push(p));
         }
         streamed.extend(sc.finish());
-        prop_assert_eq!(batch, streamed);
+        assert_eq!(batch, streamed, "seed {seed}");
     }
+}
 
-    /// Doubling the error cannot increase the optimal segment count.
-    #[test]
-    fn optimal_count_monotone_in_error(keys in sorted_keys(), error in 1u64..32) {
+/// Doubling the error cannot increase the optimal segment count.
+#[test]
+fn optimal_count_monotone_in_error() {
+    for (seed, mut rng) in cases() {
+        let (keys, error) = (sorted_keys(&mut rng), rng.gen_range(1..32));
         let points = points_from_sorted_keys(&keys);
         let tight = optimal_segment_count(&points, error);
         let loose = optimal_segment_count(&points, error * 2);
-        prop_assert!(loose <= tight);
+        assert!(loose <= tight, "seed {seed}: {loose} > {tight}");
     }
+}
 
-    /// Every segment's predicted position, clamped, lands within error of
-    /// the true position for every covered point — the exact quantity the
-    /// index's local search depends on.
-    #[test]
-    fn clamped_prediction_within_error(keys in sorted_keys(), error in 0u64..32) {
+/// Every segment's predicted position, clamped to its slots, lands
+/// within error of the true position for every covered point — the
+/// exact quantity the index's local search depends on.
+#[test]
+fn clamped_prediction_within_error() {
+    for (seed, mut rng) in cases() {
+        let (keys, error) = (sorted_keys(&mut rng), rng.gen_range(0..32));
         let points = points_from_sorted_keys(&keys);
         let segs = ShrinkingCone::segment(&points, error);
         let mut si = 0;
@@ -126,11 +144,12 @@ proptest! {
             while p.pos > segs[si].end_pos {
                 si += 1;
             }
-            let pred = segs[si].predict_clamped(p.key);
-            let dev = pred.abs_diff(p.pos);
-            prop_assert!(
+            let seg = segs[si];
+            let slot = seg.predict(p.key).max(seg.start_pos as f64) as u64;
+            let dev = slot.min(seg.end_pos).abs_diff(p.pos);
+            assert!(
                 dev <= error + 1,
-                "clamped prediction off by {dev} > error+1 ({})",
+                "seed {seed}: clamped prediction off by {dev} > error+1 ({})",
                 error + 1
             );
         }

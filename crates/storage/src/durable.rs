@@ -204,7 +204,7 @@ impl StorageError {
     /// Unwraps back to the underlying [`std::io::Error`] (for callers
     /// on the plain-`io` API surface).
     #[must_use]
-    pub fn into_io(self) -> std::io::Error {
+    pub(crate) fn into_io(self) -> std::io::Error {
         std::io::Error::new(self.kind(), self.to_string())
     }
 }
@@ -630,7 +630,7 @@ impl<K: Key, V: Key, I: SortedIndex<K, V> + PageSnapshot> DurableIndex<K, V, I> 
 
     /// The fault that degraded this shard, if any.
     #[must_use]
-    pub fn degraded_reason(&self) -> Option<&str> {
+    pub(crate) fn degraded_reason(&self) -> Option<&str> {
         self.degraded.as_deref()
     }
 
@@ -660,7 +660,7 @@ impl<K: Key, V: Key, I: SortedIndex<K, V> + PageSnapshot> DurableIndex<K, V, I> 
     /// Everything [`open_shard`](Self::open_shard) can report; the
     /// existing in-memory state — buffered records included — is left
     /// untouched on failure.
-    pub fn reopen_in_place(&mut self) -> Result<ShardRecovery, OpenError> {
+    pub(crate) fn reopen_in_place(&mut self) -> Result<ShardRecovery, OpenError> {
         let _ = self.wal.commit();
         let (mut fresh, recovery) = Self::open_shard_in(&self.store, &self.dir.clone())?;
         for op in crate::wal::decode_records::<K, V>(&self.wal.take_buffer()) {

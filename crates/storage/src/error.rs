@@ -66,7 +66,7 @@ impl fmt::Display for IoOp {
 
 /// Whether repeating the failed call can help.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultClass {
+pub(crate) enum FaultClass {
     /// Repeat may succeed — absorbed by [`RetryPolicy`].
     Transient,
     /// Repeat cannot help — surfaces immediately, degrades the shard.
@@ -115,15 +115,9 @@ impl StorageError {
         &self.path
     }
 
-    /// Transient vs permanent classification.
-    #[must_use]
-    pub fn class(&self) -> FaultClass {
-        self.class
-    }
-
     /// Whether a retry may succeed.
     #[must_use]
-    pub fn is_transient(&self) -> bool {
+    pub(crate) fn is_transient(&self) -> bool {
         self.class == FaultClass::Transient
     }
 
@@ -156,7 +150,7 @@ impl std::error::Error for StorageError {
     }
 }
 
-/// Capped exponential backoff for [`FaultClass::Transient`] faults.
+/// Capped exponential backoff for transient faults.
 ///
 /// Each I/O call site gets a per-op budget of `attempts` tries; the
 /// delay doubles from `base_delay` up to `max_delay`, with a
@@ -215,12 +209,6 @@ impl RetryPolicy {
     #[must_use]
     pub fn immediate(attempts: u32) -> Self {
         RetryPolicy::new(attempts, Duration::ZERO, Duration::ZERO)
-    }
-
-    /// Total tries per operation (including the first).
-    #[must_use]
-    pub fn attempts(&self) -> u32 {
-        self.attempts
     }
 
     /// Runs `f`, retrying transient failures up to the attempt budget
@@ -299,7 +287,7 @@ mod tests {
         assert!(!err(io::ErrorKind::Other).is_transient());
         let e = err(io::ErrorKind::StorageFull);
         assert_eq!(e.op(), IoOp::Write);
-        assert_eq!(e.class(), FaultClass::Permanent);
+        assert_eq!(e.class, FaultClass::Permanent);
         assert!(e.to_string().contains("permanent write"));
         assert!(std::error::Error::source(&e).is_some());
     }

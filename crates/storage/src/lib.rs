@@ -8,15 +8,14 @@
 //! This crate adds the missing layer without touching the in-memory
 //! hot paths:
 //!
-//! * [`io`] — the [`StorageIo`] boundary every durable-path syscall
-//!   crosses: [`RealIo`] in production, [`FaultIo`] (a deterministic,
-//!   seeded fault harness) in the chaos battery.
-//! * [`error`] — the fault taxonomy: every failure is a
-//!   [`StorageError`] classified transient vs permanent
-//!   ([`FaultClass`]); a [`RetryPolicy`] absorbs transients with
-//!   capped, jittered exponential backoff before anyone upstream sees
-//!   them.
-//! * [`wal`] — the per-shard write-ahead log: per-record CRC32,
+//! * [`StorageIo`] — the boundary every durable-path syscall crosses:
+//!   [`RealIo`] in production, [`FaultIo`] (a deterministic, seeded
+//!   fault harness) in the chaos battery.
+//! * [`StorageError`] — the fault taxonomy: every failure is
+//!   classified transient vs permanent; a [`RetryPolicy`] absorbs
+//!   transients with capped, jittered exponential backoff before anyone
+//!   upstream sees them.
+//! * [`Wal`] — the per-shard write-ahead log: per-record CRC32,
 //!   group-commit batching, [`FsyncPolicy`] knobs, and a replay that
 //!   truncates at the first torn/corrupt record.
 //! * [`DurableIndex`] — wraps any [`SortedIndex`] structure that can
@@ -74,19 +73,19 @@
 #![forbid(unsafe_code)]
 
 mod durable;
-pub mod error;
-pub mod fault;
-pub mod io;
-pub mod wal;
+mod error;
+mod fault;
+mod io;
+mod wal;
 
 pub use durable::{
     open_sharded, DurableConfig, DurableIndex, OpenError, PageSnapshot, RecoveredStore,
     ShardRecovery, SkippedShard, StorageBuildError, StoreReport,
 };
-pub use error::{FaultClass, IoOp, RetryPolicy, StorageError};
+pub use error::{IoOp, RetryPolicy, StorageError};
 pub use fault::{FaultIo, FaultPlan, InjectKind};
 pub use io::{IoFile, RealIo, StorageIo};
-pub use wal::{decode_records, FsyncPolicy, Replay, ReplayOp, Wal, WalOp};
+pub use wal::{FsyncPolicy, Wal, WalOp};
 
 // Re-exported so durability consumers can checksum without depending
 // on the core crate directly.

@@ -52,7 +52,7 @@ use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 /// First eight bytes of every log file.
-pub const WAL_MAGIC: [u8; 8] = *b"FITWAL01";
+pub(crate) const WAL_MAGIC: [u8; 8] = *b"FITWAL01";
 
 const WAL_HEADER_LEN: usize = 16;
 const RECORD_HEADER_LEN: usize = 8;
@@ -92,7 +92,7 @@ pub enum WalOp<'a, K, V> {
 
 /// An owned mutation recovered from the log, replayed in order.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReplayOp<K, V> {
+pub(crate) enum ReplayOp<K, V> {
     /// Upsert of one pair.
     Insert(K, V),
     /// Removal of one key.
@@ -103,7 +103,7 @@ pub enum ReplayOp<K, V> {
 
 /// Outcome of scanning a log file ([`replay`]).
 #[derive(Debug)]
-pub struct Replay<K, V> {
+pub(crate) struct Replay<K, V> {
     /// The intact records, in append order.
     pub ops: Vec<ReplayOp<K, V>>,
     /// Byte offset of the first byte *not* covered by an intact
@@ -180,7 +180,7 @@ impl<K: Key, V: Key> Wal<K, V> {
         Ok(wal)
     }
 
-    /// Reopens an existing log for appending after [`replay`],
+    /// Reopens an existing log for appending after replay,
     /// truncating the torn/corrupt tail at `valid_len` first.
     ///
     /// # Errors
@@ -260,8 +260,9 @@ impl<K: Key, V: Key> Wal<K, V> {
 
     /// Whether records have been appended but not yet handed to the
     /// OS (a failed commit leaves such a suffix behind).
+    #[cfg(test)]
     #[must_use]
-    pub fn has_buffered(&self) -> bool {
+    pub(crate) fn has_buffered(&self) -> bool {
         self.flushed < self.buf.len()
     }
 
@@ -397,7 +398,7 @@ fn decode_payload<K: Key, V: Key>(payload: &[u8]) -> Option<ReplayOp<K, V>> {
 /// accepting the longest intact prefix and dropping a torn or corrupt
 /// tail silently.
 #[must_use]
-pub fn decode_records<K: Key, V: Key>(bytes: &[u8]) -> Vec<ReplayOp<K, V>> {
+pub(crate) fn decode_records<K: Key, V: Key>(bytes: &[u8]) -> Vec<ReplayOp<K, V>> {
     let mut ops = Vec::new();
     let mut pos = 0usize;
     while let Some((op, advance)) = decode_record_at::<K, V>(bytes, pos) {
@@ -436,7 +437,7 @@ fn decode_record_at<K: Key, V: Key>(bytes: &[u8], pos: usize) -> Option<(ReplayO
 /// (`InvalidData`). Header damage is an error rather than a truncation
 /// because every record after it would be suspect — recovery then
 /// falls back to the snapshot alone.
-pub fn replay<K: Key, V: Key>(
+pub(crate) fn replay<K: Key, V: Key>(
     io: &dyn StorageIo,
     path: &Path,
 ) -> Result<Replay<K, V>, StorageError> {

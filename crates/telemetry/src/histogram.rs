@@ -33,11 +33,11 @@ const SUBS: usize = 1 << SUB_BITS;
 /// Highest octave index (values of 2³⁶ ..= 2³⁷−1 ns land here).
 const TOP_OCTAVE: u32 = 36;
 /// Total bucket count: 128 exact + 30 octaves × 128 sub-buckets.
-pub const BUCKETS: usize = SUBS + (TOP_OCTAVE - SUB_BITS + 1) as usize * SUBS;
+pub(crate) const BUCKETS: usize = SUBS + (TOP_OCTAVE - SUB_BITS + 1) as usize * SUBS;
 /// Largest value (ns) the bucket layout resolves; larger records
 /// saturate into the final bucket (their exact value still reaches
 /// [`HistogramSnapshot::max`]).
-pub const MAX_TRACKABLE_NANOS: u64 = (1 << (TOP_OCTAVE + 1)) - 1;
+pub(crate) const MAX_TRACKABLE_NANOS: u64 = (1 << (TOP_OCTAVE + 1)) - 1;
 
 /// Bucket index for a value, O(1).
 #[inline]
@@ -197,7 +197,7 @@ impl HistogramSnapshot {
     }
 
     /// Largest recorded value in nanoseconds (exact, even past
-    /// [`MAX_TRACKABLE_NANOS`]); 0 when empty.
+    /// `MAX_TRACKABLE_NANOS`); 0 when empty.
     #[must_use]
     pub fn max(&self) -> u64 {
         self.max

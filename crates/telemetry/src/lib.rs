@@ -28,12 +28,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod counter;
-pub mod histogram;
+mod counter;
+mod histogram;
 pub mod json;
-pub mod snapshot;
+mod snapshot;
 
 pub use counter::{CachePadded, Counter};
-pub use histogram::{Histogram, HistogramSnapshot, BUCKETS, MAX_TRACKABLE_NANOS};
+pub use histogram::{Histogram, HistogramSnapshot};
 pub use json::Json;
 pub use snapshot::{Metric, MetricValue, MetricsSnapshot, Unit};
