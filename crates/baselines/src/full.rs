@@ -17,7 +17,7 @@ pub struct FullIndex<K: Key, V> {
     tree: BPlusTree<K, V>,
 }
 
-impl<K: Key, V> FullIndex<K, V> {
+impl<K: Key, V: Clone> FullIndex<K, V> {
     /// Builds from strictly increasing `(key, value)` pairs.
     #[must_use]
     pub fn bulk_load<I: IntoIterator<Item = (K, V)>>(pairs: I) -> Self {
@@ -33,20 +33,9 @@ impl<K: Key, V> FullIndex<K, V> {
             tree: BPlusTree::new(),
         }
     }
-
-    /// Removes a key.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
-        self.tree.remove(key)
-    }
-
-    /// Underlying tree statistics.
-    #[must_use]
-    pub fn stats(&self) -> fiting_btree::TreeStats {
-        self.tree.stats()
-    }
 }
 
-impl<K: Key, V> Default for FullIndex<K, V> {
+impl<K: Key, V: Clone> Default for FullIndex<K, V> {
     fn default() -> Self {
         Self::new()
     }

@@ -1,8 +1,9 @@
 //! Baseline index structures from the FITing-Tree paper's evaluation
-//! (Section 7.1): every system the paper compares against, built on the
-//! same B+ tree substrate as the FITing-Tree itself — the paper's
-//! fairness rule ("it is important that we keep the underlying tree
-//! implementation the same for all baselines").
+//! (Section 7.1): every system the paper compares against. The two
+//! tree-shaped ones share one B+ tree, `fiting-btree` (the paper's
+//! STX-tree role), per the paper's fairness rule ("it is important that
+//! we keep the underlying tree implementation the same for all
+//! baselines"). The FITing-Tree routes through its own flat directory.
 //!
 //! * [`FullIndex`] — a dense B+ tree: one leaf entry per key. The
 //!   latency gold standard and the memory hog (paper: "a full index can
@@ -15,7 +16,7 @@
 //!
 //! All baselines implement [`SortedIndex`] — the crate-neutral
 //! interface from `fiting-index-api` that the FITing-Tree and the B+
-//! tree substrate also implement, and that the
+//! tree also implement, and that the
 //! benchmark harness and conformance suite drive. (It replaces the
 //! `OrderedIndex` trait that used to live here: `SortedIndex` adds
 //! `remove`, an associated-type range iterator, bulk construction via

@@ -1,20 +1,31 @@
 //! One-pass bottom-up bulk loading.
 //!
-//! The FITing-Tree's bulk-load path (paper Section 3) segments the data in
-//! one pass and then loads the resulting `(start_key, segment)` pairs into
-//! its inner B+ tree. Building that tree bottom-up from sorted input is
-//! both faster than repeated inserts and yields densely packed nodes,
-//! which is what the paper's size accounting assumes (fill factor `f` in
-//! the Section 6.2 size model).
+//! Building the tree bottom-up from sorted input is both faster than
+//! repeated inserts and yields full nodes, which is what the paper's
+//! size accounting assumes (fill factor 1 in the Section 6.2 size model).
 
-use crate::node::{InternalNode, LeafNode, Node};
-use crate::tree::{BPlusTree, DEFAULT_ORDER, MIN_ORDER};
+use crate::node::{id, Inner, Leaf, MIN, ORDER};
+use crate::tree::BPlusTree;
 
-impl<K: Ord + Clone, V> BPlusTree<K, V> {
+/// Node sizes that pack `count` items into full nodes. When the last
+/// node would fall below minimum occupancy it takes items from the one
+/// before it, which stays at or above `MIN`.
+fn packed(count: usize) -> Vec<usize> {
+    let mut sizes = vec![ORDER; count / ORDER];
+    if !count.is_multiple_of(ORDER) {
+        sizes.push(count % ORDER);
+    }
+    if let [.., prev, last] = sizes.as_mut_slice() {
+        if *last < MIN {
+            *prev -= MIN - *last;
+            *last = MIN;
+        }
+    }
+    sizes
+}
+
+impl<K: Copy + Ord, V: Clone> BPlusTree<K, V> {
     /// Builds a tree from an iterator of **strictly increasing** keys.
-    ///
-    /// Equivalent to `bulk_load_with` at the default order and a 100%
-    /// fill factor.
     ///
     /// # Panics
     ///
@@ -24,157 +35,60 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
     where
         I: IntoIterator<Item = (K, V)>,
     {
-        Self::bulk_load_with(sorted, DEFAULT_ORDER, 1.0)
-    }
-
-    /// Builds a tree from sorted input with explicit `order` and leaf
-    /// `fill` factor in `(0, 1]`.
-    ///
-    /// A fill factor below 1.0 leaves headroom in each leaf so subsequent
-    /// inserts do not immediately split, mirroring how the paper's
-    /// baselines leave pages partially filled (Section 5).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `order < MIN_ORDER`, `fill` is not in `(0, 1]`, or keys
-    /// are not strictly increasing.
-    #[must_use]
-    pub(crate) fn bulk_load_with<I>(sorted: I, order: usize, fill: f64) -> Self
-    where
-        I: IntoIterator<Item = (K, V)>,
-    {
-        assert!(order >= MIN_ORDER, "order must be at least {MIN_ORDER}");
+        let sorted: Vec<(K, V)> = sorted.into_iter().collect();
         assert!(
-            (0.5..=1.0).contains(&fill),
-            "fill factor must be in [0.5, 1] so bulk-loaded nodes meet minimum occupancy"
+            sorted.windows(2).all(|w| w[0].0 < w[1].0),
+            "bulk_load requires strictly increasing keys"
         );
-        let per_leaf = ((order as f64 * fill) as usize).clamp(order / 2, order);
-
-        // Level 0: pack leaves.
-        let mut leaves: Vec<Box<Node<K, V>>> = Vec::new();
-        let mut keys: Vec<K> = Vec::with_capacity(per_leaf);
-        let mut values: Vec<V> = Vec::with_capacity(per_leaf);
-        let mut last_key: Option<K> = None;
-        let mut len = 0usize;
-        for (k, v) in sorted {
-            if let Some(prev) = &last_key {
-                assert!(prev < &k, "bulk_load requires strictly increasing keys");
+        let len = sorted.len();
+        let sizes = packed(len);
+        let mut leaves = Vec::with_capacity(sizes.len());
+        let mut pairs = sorted.into_iter();
+        for (i, &size) in sizes.iter().enumerate() {
+            let (key, value) = pairs.next().expect("sizes sum to len");
+            let mut leaf = Leaf::new(key, value);
+            for (key, value) in pairs.by_ref().take(size - 1) {
+                leaf.insert(leaf.len, key, value);
             }
-            last_key = Some(k.clone());
-            keys.push(k);
-            values.push(v);
-            len += 1;
-            if keys.len() == per_leaf {
-                leaves.push(Box::new(Node::Leaf(LeafNode {
-                    keys: std::mem::take(&mut keys),
-                    values: std::mem::take(&mut values),
-                })));
-                keys.reserve(per_leaf);
-                values.reserve(per_leaf);
-            }
-        }
-        if !keys.is_empty() {
-            leaves.push(Box::new(Node::Leaf(LeafNode { keys, values })));
-        }
-        if leaves.is_empty() {
-            return BPlusTree::with_order(order);
-        }
-        // Avoid an underfull trailing leaf (would break the occupancy
-        // invariant): rebalance the last two leaves if needed.
-        if leaves.len() >= 2 {
-            let min = order / 2;
-            let last_len = leaves.last().expect("non-empty").key_count();
-            if last_len < min {
-                let prev_len = leaves[leaves.len() - 2].key_count();
-                if prev_len + last_len <= order {
-                    // Too few entries to make two valid leaves: merge.
-                    let Node::Leaf(mut b) = *leaves.pop().expect("non-empty") else {
-                        unreachable!("level 0 holds leaves only")
-                    };
-                    let Node::Leaf(a) = leaves.last_mut().expect("non-empty").as_mut() else {
-                        unreachable!("level 0 holds leaves only")
-                    };
-                    a.keys.append(&mut b.keys);
-                    a.values.append(&mut b.values);
-                } else {
-                    // Steal from the previous leaf to reach occupancy.
-                    let prev = leaves.len() - 2;
-                    let (l, r) = leaves.split_at_mut(prev + 1);
-                    let (Node::Leaf(a), Node::Leaf(b)) = (l[prev].as_mut(), r[0].as_mut()) else {
-                        unreachable!("level 0 holds leaves only")
-                    };
-                    let need = min - last_len;
-                    let cut = a.keys.len() - need;
-                    let mut moved_k = a.keys.split_off(cut);
-                    let mut moved_v = a.values.split_off(cut);
-                    moved_k.append(&mut b.keys);
-                    moved_v.append(&mut b.values);
-                    b.keys = moved_k;
-                    b.values = moved_v;
-                }
-            }
+            leaf.next = (i + 1 < sizes.len()).then(|| id(i + 1));
+            leaves.push(leaf);
         }
 
-        // Upper levels: group `order` children per internal node.
-        let mut level = leaves;
+        // Upper levels: each node is its subtree's first key and id.
+        let mut level: Vec<(K, u32)> = leaves
+            .iter()
+            .enumerate()
+            .map(|(i, leaf)| (leaf.keys[0], id(i)))
+            .collect();
+        let mut inners = Vec::new();
+        let mut height = 0;
         while level.len() > 1 {
-            let mut next: Vec<Box<Node<K, V>>> = Vec::with_capacity(level.len() / 2 + 1);
-            let mut chunk: Vec<Box<Node<K, V>>> = Vec::with_capacity(order);
-            for child in level {
-                chunk.push(child);
-                if chunk.len() == order {
-                    next.push(Self::make_internal(std::mem::take(&mut chunk)));
-                }
-            }
-            if !chunk.is_empty() {
-                // Same trailing-underflow fix one level up: steal children
-                // from the previous node so the last one meets occupancy.
-                if chunk.len() < order / 2 && !next.is_empty() {
-                    let prev = next.pop().expect("checked non-empty");
-                    let Node::Internal(p) = *prev else {
-                        unreachable!("upper levels contain internal nodes only")
-                    };
-                    let mut children = p.children;
-                    let need = order / 2 - chunk.len();
-                    let cut = children.len() - need;
-                    let mut moved = children.split_off(cut);
-                    moved.append(&mut chunk);
-                    chunk = moved;
-                    next.push(Self::make_internal(children));
-                }
-                next.push(Self::make_internal(chunk));
+            let mut rest = level.as_slice();
+            let mut next = Vec::new();
+            for size in packed(level.len()) {
+                let (children, tail) = rest.split_at(size);
+                next.push((children[0].0, id(inners.len())));
+                inners.push(Inner::new(children));
+                rest = tail;
             }
             level = next;
+            height += 1;
         }
-        let root = level.pop().expect("at least one node");
-        BPlusTree { root, len, order }
-    }
-
-    /// Wraps `children` in an internal node, computing separators as the
-    /// minimum key of each child subtree after the first.
-    #[allow(clippy::vec_box)] // see InternalNode::children
-    fn make_internal(children: Vec<Box<Node<K, V>>>) -> Box<Node<K, V>> {
-        debug_assert!(!children.is_empty());
-        let keys = children
-            .iter()
-            .skip(1)
-            .map(|c| {
-                c.subtree_min()
-                    .expect("bulk-loaded child is non-empty")
-                    .clone()
-            })
-            .collect();
-        Box::new(Node::Internal(InternalNode { keys, children }))
+        BPlusTree::from_parts(inners, leaves, height, len)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::tree::{BPlusTree, MIN_ORDER};
+    use super::packed;
+    use crate::node::{MIN, ORDER};
+    use crate::tree::BPlusTree;
 
     #[test]
     fn bulk_load_roundtrip_various_sizes() {
-        for n in [0u64, 1, 2, 3, 4, 5, 15, 16, 17, 255, 256, 257, 4096, 10_000] {
+        for n in [
+            0u64, 1, 2, 3, 4, 5, 15, 16, 17, 24, 25, 255, 256, 257, 4096, 10_000,
+        ] {
             let t = BPlusTree::bulk_load((0..n).map(|k| (k, k * 3)));
             assert_eq!(t.len(), n as usize, "n={n}");
             t.check_invariants()
@@ -182,23 +96,18 @@ mod tests {
             for k in 0..n {
                 assert_eq!(t.get(&k), Some(&(k * 3)), "n={n} k={k}");
             }
-            let collected: Vec<u64> = t.iter().map(|(k, _)| *k).collect();
+            let collected: Vec<u64> = t.range(..).map(|(k, _)| *k).collect();
             assert_eq!(collected, (0..n).collect::<Vec<_>>());
         }
     }
 
     #[test]
-    fn bulk_load_small_orders_and_fills() {
-        for order in [MIN_ORDER, 8, 64] {
-            for fill in [0.5, 0.75, 1.0] {
-                let n = 1000u64;
-                let t = BPlusTree::bulk_load_with((0..n).map(|k| (k, k)), order, fill);
-                t.check_invariants()
-                    .unwrap_or_else(|e| panic!("order={order} fill={fill}: {e}"));
-                assert_eq!(t.len(), n as usize);
-                assert_eq!(t.get(&999), Some(&999));
-            }
-        }
+    fn packing_fills_nodes_and_fixes_the_trailing_one() {
+        assert_eq!(packed(0), Vec::<usize>::new());
+        assert_eq!(packed(3), vec![3]);
+        assert_eq!(packed(2 * ORDER), vec![ORDER, ORDER]);
+        assert_eq!(packed(ORDER + 1), vec![ORDER + 1 - MIN, MIN]);
+        assert_eq!(packed(ORDER + MIN), vec![ORDER, MIN]);
     }
 
     #[test]
@@ -225,30 +134,5 @@ mod tests {
     #[should_panic(expected = "strictly increasing")]
     fn bulk_load_rejects_duplicates() {
         let _ = BPlusTree::bulk_load([(1u64, 0u64), (1, 1)]);
-    }
-
-    #[test]
-    fn bulk_load_merges_tiny_trailing_leaf() {
-        // order 16, fill 0.5 -> 8 entries per leaf; 9 entries leaves a
-        // 1-entry trailing leaf that cannot steal without underfilling
-        // its neighbour, so the two merge.
-        let t = BPlusTree::bulk_load_with((0..9u64).map(|k| (k, k)), 16, 0.5);
-        t.check_invariants().unwrap();
-        assert_eq!(t.len(), 9);
-        assert_eq!(t.stats().leaf_nodes, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "fill factor")]
-    fn bulk_load_rejects_low_fill() {
-        let _ = BPlusTree::bulk_load_with((0..10u64).map(|k| (k, k)), 16, 0.25);
-    }
-
-    #[test]
-    fn bulk_load_fill_factor_changes_leaf_count() {
-        let n = 10_000u64;
-        let dense = BPlusTree::bulk_load_with((0..n).map(|k| (k, k)), 16, 1.0);
-        let sparse = BPlusTree::bulk_load_with((0..n).map(|k| (k, k)), 16, 0.5);
-        assert!(sparse.stats().leaf_nodes > dense.stats().leaf_nodes);
     }
 }

@@ -1,6 +1,6 @@
-//! [`SortedIndex`] implementation for the B+ tree, so the substrate
+//! [`SortedIndex`] implementation for the B+ tree, so the tree
 //! itself can be driven (and sharded) through the unified API like
-//! every structure built on top of it.
+//! the baselines built on it.
 
 use crate::tree::BPlusTree;
 use fiting_index_api::{clone_pair, BuildableIndex, Key, SortedIndex};
