@@ -106,7 +106,7 @@ impl<K: Key, V: Clone> BuildableIndex<K, V> for BinarySearchIndex<K, V> {
     type Config = ();
     type BuildError = Infallible;
 
-    fn build_sorted(_: &(), sorted: Vec<(K, V)>) -> Result<Self, Infallible> {
+    fn build_sorted(_: &(), sorted: impl IntoIterator<Item = (K, V)>) -> Result<Self, Infallible> {
         Ok(BinarySearchIndex::bulk_load(sorted))
     }
 }

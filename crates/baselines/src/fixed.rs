@@ -428,7 +428,10 @@ impl<K: Key, V: Clone> BuildableIndex<K, V> for FixedPageIndex<K, V> {
     type Config = usize;
     type BuildError = Infallible;
 
-    fn build_sorted(page_size: &usize, sorted: Vec<(K, V)>) -> Result<Self, Infallible> {
+    fn build_sorted(
+        page_size: &usize,
+        sorted: impl IntoIterator<Item = (K, V)>,
+    ) -> Result<Self, Infallible> {
         Ok(FixedPageIndex::bulk_load(*page_size, sorted))
     }
 }

@@ -51,7 +51,7 @@ impl<K: Key, V: Clone> BuildableIndex<K, V> for BPlusTree<K, V> {
     type Config = ();
     type BuildError = Infallible;
 
-    fn build_sorted(_: &(), sorted: Vec<(K, V)>) -> Result<Self, Infallible> {
+    fn build_sorted(_: &(), sorted: impl IntoIterator<Item = (K, V)>) -> Result<Self, Infallible> {
         Ok(BPlusTree::bulk_load(sorted))
     }
 }
@@ -63,7 +63,7 @@ mod tests {
     #[test]
     fn trait_and_inherent_methods_agree() {
         let mut tree: BPlusTree<u64, u64> =
-            BuildableIndex::build_sorted(&(), (0..1000u64).map(|k| (k * 2, k)).collect()).unwrap();
+            BuildableIndex::build_sorted(&(), (0..1000u64).map(|k| (k * 2, k))).unwrap();
         assert_eq!(SortedIndex::len(&tree), 1000);
         assert_eq!(SortedIndex::get(&tree, &500), Some(&250));
         assert_eq!(SortedIndex::size_bytes(&tree), tree.size_in_bytes());

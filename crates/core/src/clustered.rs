@@ -913,7 +913,7 @@ impl<K: Key, V: Clone> fiting_index_api::BuildableIndex<K, V> for FitingTree<K, 
 
     fn build_sorted(
         config: &Self::Config,
-        sorted: Vec<(K, V)>,
+        sorted: impl IntoIterator<Item = (K, V)>,
     ) -> Result<Self, crate::error::BuildError> {
         config.clone().bulk_load(sorted)
     }

@@ -210,57 +210,89 @@ impl std::error::Error for SnapshotError {}
 /// four decode to the one search; anything above is foreign.
 const MAX_RESERVED_BYTE: u8 = 3;
 
-fn pad_to(out: &mut Vec<u8>, align: usize) {
-    let rem = out.len() % align;
-    if rem != 0 {
-        out.resize(out.len() + (align - rem), 0);
+/// Bytes the encoder gathers before handing them to its sink. A
+/// section longer than this (a page of some 4 000 `u64` pairs or more)
+/// goes to the sink in one piece of its own.
+pub const SNAPSHOT_CHUNK: usize = 64 * 1024;
+
+/// A buffer of at most [`SNAPSHOT_CHUNK`] bytes in front of a sink;
+/// `len` counts every byte put.
+struct Out<F> {
+    buf: Vec<u8>,
+    sink: F,
+    len: usize,
+}
+
+impl<E, F: FnMut(&[u8]) -> Result<(), E>> Out<F> {
+    fn put(&mut self, bytes: &[u8]) -> Result<(), E> {
+        if self.buf.len() + bytes.len() > SNAPSHOT_CHUNK {
+            (self.sink)(&self.buf)?;
+            self.buf.clear();
+        }
+        self.len += bytes.len();
+        if bytes.len() > SNAPSHOT_CHUNK {
+            return (self.sink)(bytes);
+        }
+        self.buf.extend_from_slice(bytes);
+        Ok(())
+    }
+
+    /// Puts one `len | crc | payload` section, zero-padded to the next
+    /// 64-byte boundary.
+    fn section(&mut self, payload: &[u8]) -> Result<(), E> {
+        self.put(&(payload.len() as u64).to_le_bytes())?;
+        self.put(&crc32(payload).to_le_bytes())?;
+        self.put(&[0u8; 4])?;
+        self.put(payload)?;
+        self.put(&[0u8; SNAPSHOT_ALIGN][..self.len.next_multiple_of(SNAPSHOT_ALIGN) - self.len])
     }
 }
 
-/// Appends one `len | crc | payload` section, 64-byte aligned.
-fn push_section(out: &mut Vec<u8>, payload: &[u8]) {
-    debug_assert_eq!(out.len() % SNAPSHOT_ALIGN, 0);
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(&[0u8; 4]);
-    out.extend_from_slice(payload);
-    pad_to(out, SNAPSHOT_ALIGN);
-}
-
-/// Serializes `tree` into an owned snapshot image (see the module docs
-/// for the layout).
-#[must_use]
-pub fn encode_tree<K: Key, V: Key>(tree: &FitingTree<K, V>) -> Vec<u8> {
+/// Streams `tree`'s snapshot image (see the module docs for the
+/// layout) into `sink` one section at a time, through a buffer of
+/// [`SNAPSHOT_CHUNK`] bytes: the image is never in memory whole, only
+/// its largest section is. Returns the image's length.
+///
+/// # Errors
+///
+/// The first error `sink` returns; nothing is written after it.
+pub fn encode_tree_into<K: Key, V: Key, E>(
+    tree: &FitingTree<K, V>,
+    sink: impl FnMut(&[u8]) -> Result<(), E>,
+) -> Result<usize, E> {
     let entries: Vec<(K, usize)> = tree.dir.entries().collect();
-
-    let mut out = Vec::new();
-    out.extend_from_slice(&SNAPSHOT_MAGIC);
-    out.extend_from_slice(&(K::ENCODED_LEN as u16).to_le_bytes());
-    out.extend_from_slice(&(V::ENCODED_LEN as u16).to_le_bytes());
-    out.extend_from_slice(&[0u8; 4]);
-    out.extend_from_slice(&tree.error.to_le_bytes());
-    out.extend_from_slice(&tree.buffer_size.to_le_bytes());
-    out.extend_from_slice(&(tree.len as u64).to_le_bytes());
-    out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    pad_to(&mut out, SNAPSHOT_ALIGN);
-    debug_assert_eq!(out.len(), HEADER_LEN);
+    let mut payload = Vec::new();
+    payload.extend_from_slice(&SNAPSHOT_MAGIC);
+    payload.extend_from_slice(&(K::ENCODED_LEN as u16).to_le_bytes());
+    payload.extend_from_slice(&(V::ENCODED_LEN as u16).to_le_bytes());
+    payload.extend_from_slice(&[0u8; 4]);
+    payload.extend_from_slice(&tree.error.to_le_bytes());
+    payload.extend_from_slice(&tree.buffer_size.to_le_bytes());
+    payload.extend_from_slice(&(tree.len as u64).to_le_bytes());
+    payload.extend_from_slice(&(entries.len() as u64).to_le_bytes());
+    let crc = crc32(&payload);
+    payload.extend_from_slice(&crc.to_le_bytes());
+    payload.resize(HEADER_LEN, 0);
+    let mut out = Out {
+        buf: Vec::with_capacity(SNAPSHOT_CHUNK),
+        sink,
+        len: 0,
+    };
+    out.put(&payload)?;
 
     // Directory: anchors in key order, then compacted slot numbers.
-    let mut anchors = Vec::with_capacity(entries.len() * K::ENCODED_LEN);
+    payload.clear();
     for &(anchor, _) in &entries {
-        anchors.extend_from_slice(&anchor.to_le_bytes());
+        payload.extend_from_slice(&anchor.to_le_bytes());
     }
-    push_section(&mut out, &anchors);
-    let mut slots = Vec::with_capacity(entries.len() * 4);
+    out.section(&payload)?;
+    payload.clear();
     for i in 0..entries.len() as u32 {
-        slots.extend_from_slice(&i.to_le_bytes());
+        payload.extend_from_slice(&i.to_le_bytes());
     }
-    push_section(&mut out, &slots);
+    out.section(&payload)?;
 
     // One section per segment, in directory (key) order.
-    let mut payload = Vec::new();
     for &(_, slot) in &entries {
         let seg = tree.segments[slot]
             .as_ref()
@@ -287,9 +319,20 @@ pub fn encode_tree<K: Key, V: Key>(tree: &FitingTree<K, V>) -> Vec<u8> {
             payload.extend_from_slice(&k.to_le_bytes());
             payload.extend_from_slice(&v.to_le_bytes());
         }
-        push_section(&mut out, &payload);
+        out.section(&payload)?;
     }
-    out
+    (out.sink)(&out.buf)?;
+    Ok(out.len)
+}
+
+/// Serializes `tree` into an owned snapshot image: [`encode_tree_into`]
+/// with a `Vec` for its sink.
+#[must_use]
+pub fn encode_tree<K: Key, V: Key>(tree: &FitingTree<K, V>) -> Vec<u8> {
+    let mut image = Vec::new();
+    encode_tree_into(tree, |chunk| std::io::Write::write_all(&mut image, chunk))
+        .expect("a Vec takes every write");
+    image
 }
 
 /// Cursor over a byte slice with truncation-checked reads.
@@ -312,6 +355,17 @@ impl<'a> Reader<'a> {
 
     fn u64(&mut self, what: &'static str) -> Result<u64, SnapshotError> {
         Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
+    }
+
+    /// Reads a record count, refusing one whose `width`-byte records
+    /// could not fit in the rest of the input — so no multiply by it
+    /// can overflow.
+    fn count(&mut self, width: usize, what: &'static str) -> Result<usize, SnapshotError> {
+        let (count, left) = (self.u64(what)?, self.bytes.len() - self.pos);
+        match count.checked_mul(width as u64) {
+            Some(n) if n <= left as u64 => Ok(count as usize),
+            _ => Err(SnapshotError::Truncated(what)),
+        }
     }
 
     /// Skips to the next `align` boundary, requiring the skipped
@@ -398,8 +452,13 @@ pub fn decode_tree<K: Key, V: Key>(bytes: &[u8]) -> Result<FitingTree<K, V>, Sna
     let len = u64::from_le_bytes(header[32..40].try_into().unwrap());
     let len = usize::try_from(len).map_err(|_| SnapshotError::Truncated("entry count"))?;
     let seg_count = u64::from_le_bytes(header[40..48].try_into().unwrap());
-    let seg_count =
-        usize::try_from(seg_count).map_err(|_| SnapshotError::Truncated("segment count"))?;
+    // Each segment holds an anchor and a slot, so a count whose
+    // directory could not fit in the input is refused before anything
+    // multiplies it.
+    let seg_count = match seg_count.checked_mul(K::ENCODED_LEN as u64 + 4) {
+        Some(n) if n <= bytes.len() as u64 => seg_count as usize,
+        _ => return Err(SnapshotError::Truncated("segment count")),
+    };
 
     let mut tree =
         FitingTree::<K, V>::from_parts(error, buffer_size).map_err(SnapshotError::Config)?;
@@ -439,7 +498,8 @@ pub fn decode_tree<K: Key, V: Key>(bytes: &[u8]) -> Result<FitingTree<K, V>, Sna
     }
 
     // Segment sections, in directory order → compacted arena order.
-    let mut segments: Vec<Option<Segment<K, V>>> = Vec::with_capacity(seg_count);
+    let mut segments: Vec<Option<Segment<K, V>>> = Vec::with_capacity(anchors.len());
+    let mut live = 0;
     for (i, &anchor) in anchors.iter().enumerate() {
         let payload = r.section(3 + i)?;
         let mut s = Reader {
@@ -453,15 +513,10 @@ pub fn decode_tree<K: Key, V: Key>(bytes: &[u8]) -> Result<FitingTree<K, V>, Sna
             )));
         }
         let slope = f64::from_bits(s.u64("segment slope")?);
-        let page_len = s.u64("page length")?;
-        let page_len =
-            usize::try_from(page_len).map_err(|_| SnapshotError::Truncated("page length"))?;
-        let buf_len = s.u64("buffer length")?;
-        let buf_len =
-            usize::try_from(buf_len).map_err(|_| SnapshotError::Truncated("buffer length"))?;
-        let dead_words = s.u64("bitmap length")?;
-        let dead_words =
-            usize::try_from(dead_words).map_err(|_| SnapshotError::Truncated("bitmap length"))?;
+        let pair_width = K::ENCODED_LEN + V::ENCODED_LEN;
+        let page_len = s.count(pair_width, "page length")?;
+        let buf_len = s.count(pair_width, "buffer length")?;
+        let dead_words = s.count(8, "bitmap length")?;
         if dead_words != 0 && dead_words != page_len.div_ceil(64) {
             return Err(SnapshotError::Corrupt(format!(
                 "segment {i}: {dead_words} bitmap words for a {page_len}-slot page"
@@ -487,7 +542,11 @@ pub fn decode_tree<K: Key, V: Key>(bytes: &[u8]) -> Result<FitingTree<K, V>, Sna
             .chunks_exact(8)
             .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
             .collect();
-        let pair_width = K::ENCODED_LEN + V::ENCODED_LEN;
+        if page_len % 64 != 0 && dead.last().is_some_and(|&w| w >> (page_len % 64) != 0) {
+            return Err(SnapshotError::Corrupt(format!(
+                "segment {i} tombstones slots past its page"
+            )));
+        }
         let buffer: Vec<(K, V)> = s
             .take(buf_len * pair_width, "insert buffer")?
             .chunks_exact(pair_width)
@@ -509,14 +568,14 @@ pub fn decode_tree<K: Key, V: Key>(bytes: &[u8]) -> Result<FitingTree<K, V>, Sna
                 payload.len() - s.pos
             )));
         }
-        segments.push(Some(Segment::from_raw_parts(
-            start_key,
-            slope,
-            keys,
-            values,
-            dead,
-            buffer,
-            (under, over),
+        let segment =
+            Segment::from_raw_parts(start_key, slope, keys, values, dead, buffer, (under, over));
+        live += segment.len();
+        segments.push(Some(segment));
+    }
+    if live != len {
+        return Err(SnapshotError::Corrupt(format!(
+            "segments hold {live} live entries; the header counts {len}"
         )));
     }
 
@@ -547,6 +606,7 @@ pub fn decode_tree<K: Key, V: Key>(bytes: &[u8]) -> Result<FitingTree<K, V>, Sna
 mod tests {
     use super::*;
     use crate::builder::FitingTreeBuilder;
+    use std::convert::Infallible;
 
     fn sample_tree(n: u64) -> FitingTree<u64, u64> {
         let mut t = FitingTreeBuilder::new(64)
@@ -561,6 +621,221 @@ mod tests {
             t.remove(&(k * 33));
         }
         t
+    }
+
+    /// The whole-image encoder this module shipped before encoding
+    /// streamed, kept verbatim as the byte-for-byte reference.
+    fn whole_image<K: Key, V: Key>(tree: &FitingTree<K, V>) -> Vec<u8> {
+        let entries: Vec<(K, usize)> = tree.dir.entries().collect();
+        let mut out = Vec::new();
+        out.extend_from_slice(&SNAPSHOT_MAGIC);
+        out.extend_from_slice(&(K::ENCODED_LEN as u16).to_le_bytes());
+        out.extend_from_slice(&(V::ENCODED_LEN as u16).to_le_bytes());
+        out.extend_from_slice(&[0u8; 4]);
+        out.extend_from_slice(&tree.error.to_le_bytes());
+        out.extend_from_slice(&tree.buffer_size.to_le_bytes());
+        out.extend_from_slice(&(tree.len as u64).to_le_bytes());
+        out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
+        let crc = crc32(&out);
+        out.extend_from_slice(&crc.to_le_bytes());
+        pad_to(&mut out);
+        let mut anchors = Vec::new();
+        for &(anchor, _) in &entries {
+            anchors.extend_from_slice(&anchor.to_le_bytes());
+        }
+        push_section(&mut out, &anchors);
+        let mut slots = Vec::new();
+        for i in 0..entries.len() as u32 {
+            slots.extend_from_slice(&i.to_le_bytes());
+        }
+        push_section(&mut out, &slots);
+        let mut payload = Vec::new();
+        for &(_, slot) in &entries {
+            let seg = tree.segments[slot].as_ref().unwrap();
+            payload.clear();
+            payload.extend_from_slice(&seg.start_key.to_le_bytes());
+            payload.extend_from_slice(&seg.slope.to_bits().to_le_bytes());
+            payload.extend_from_slice(&(seg.keys.len() as u64).to_le_bytes());
+            payload.extend_from_slice(&(seg.buffer.len() as u64).to_le_bytes());
+            payload.extend_from_slice(&(seg.dead_words().len() as u64).to_le_bytes());
+            let (under, over) = seg.error_envelope();
+            payload.extend_from_slice(&under.to_le_bytes());
+            payload.extend_from_slice(&over.to_le_bytes());
+            for &k in &seg.keys {
+                payload.extend_from_slice(&k.to_le_bytes());
+            }
+            for &v in &seg.values {
+                payload.extend_from_slice(&v.to_le_bytes());
+            }
+            for &w in seg.dead_words() {
+                payload.extend_from_slice(&w.to_le_bytes());
+            }
+            for &(k, v) in &seg.buffer {
+                payload.extend_from_slice(&k.to_le_bytes());
+                payload.extend_from_slice(&v.to_le_bytes());
+            }
+            push_section(&mut out, &payload);
+        }
+        out
+    }
+
+    fn pad_to(out: &mut Vec<u8>) {
+        out.resize(out.len().next_multiple_of(SNAPSHOT_ALIGN), 0);
+    }
+
+    /// Appends one `len | crc | payload` section, 64-byte aligned.
+    fn push_section(out: &mut Vec<u8>, payload: &[u8]) {
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(&crc32(payload).to_le_bytes());
+        out.extend_from_slice(&[0u8; 4]);
+        out.extend_from_slice(payload);
+        pad_to(out);
+    }
+
+    /// The chunks `encode_tree_into` hands its sink.
+    fn chunks(tree: &FitingTree<u64, u64>) -> Vec<Vec<u8>> {
+        let mut chunks = Vec::new();
+        let len = encode_tree_into(tree, |chunk| {
+            chunks.push(chunk.to_vec());
+            Ok::<(), Infallible>(())
+        });
+        assert_eq!(len, Ok(chunks.iter().map(Vec::len).sum()));
+        chunks
+    }
+
+    #[test]
+    fn streamed_image_equals_the_whole_image_encoding() {
+        let mut dirty = sample_tree(5000);
+        let top = *dirty.last().unwrap().0;
+        for k in 1..=300u64 {
+            dirty.insert(top + k * 3, k); // tail appends
+        }
+        let empty: FitingTree<u64, u64> = FitingTreeBuilder::new(32).build_empty().unwrap();
+        // Many small sections, then one linear page whose section
+        // outgrows the buffer.
+        let keys = (0..20_000u64)
+            .map(|k| k * k / 32 + k)
+            .chain((0..40_000).map(|k| 20_000 * 20_000 + k * 3));
+        let large = FitingTreeBuilder::new(64)
+            .bulk_load(keys.map(|k| (k, k ^ 0x5A5A)))
+            .unwrap();
+        assert!(large.segment_count() > 10);
+        let widest = large.segments.iter().flatten().map(|s| s.keys.len());
+        assert!(widest.max().unwrap() * 16 > SNAPSHOT_CHUNK);
+
+        for (name, tree) in [("dirty", &dirty), ("empty", &empty), ("large", &large)] {
+            let chunks = chunks(tree);
+            assert_eq!(chunks.concat(), whole_image(tree), "{name}");
+            assert_eq!(encode_tree(tree), whole_image(tree), "{name}");
+        }
+        // Several full buffers, and the one page too long for a buffer
+        // in a piece of its own.
+        let chunks = chunks(&large);
+        let oversized = chunks.iter().filter(|c| c.len() > SNAPSHOT_CHUNK).count();
+        assert!(
+            chunks.len() >= 4 && oversized == 1,
+            "{} chunks",
+            chunks.len()
+        );
+    }
+
+    #[test]
+    fn a_failing_sink_stops_the_stream() {
+        let tree = sample_tree(40_000);
+        let mut calls = 0;
+        let got = encode_tree_into(&tree, |_| {
+            calls += 1;
+            if calls == 3 {
+                Err("disk full")
+            } else {
+                Ok(())
+            }
+        });
+        assert_eq!((got, calls), (Err("disk full"), 3));
+    }
+
+    /// A one-segment image with `seg_count` in its header and `payload`
+    /// as the segment's section, every checksum valid.
+    fn crafted(seg_count: u64, len: u64, anchors: &[u64], payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(&SNAPSHOT_MAGIC);
+        out.extend_from_slice(&8u16.to_le_bytes());
+        out.extend_from_slice(&8u16.to_le_bytes());
+        out.extend_from_slice(&[0u8; 4]);
+        out.extend_from_slice(&64u64.to_le_bytes());
+        out.extend_from_slice(&0u64.to_le_bytes());
+        out.extend_from_slice(&len.to_le_bytes());
+        out.extend_from_slice(&seg_count.to_le_bytes());
+        let crc = crc32(&out);
+        out.extend_from_slice(&crc.to_le_bytes());
+        pad_to(&mut out);
+        let a: Vec<u8> = anchors.iter().flat_map(|a| a.to_le_bytes()).collect();
+        push_section(&mut out, &a);
+        let slots: Vec<u8> = (0..anchors.len() as u32)
+            .flat_map(u32::to_le_bytes)
+            .collect();
+        push_section(&mut out, &slots);
+        push_section(&mut out, payload);
+        out
+    }
+
+    /// A segment section anchored at 0: `page_len`, `buf_len` and
+    /// `dead_words` as given, followed by `tail`.
+    fn segment(page_len: u64, buf_len: u64, dead_words: u64, tail: &[u64]) -> Vec<u8> {
+        [0, 0f64.to_bits(), page_len, buf_len, dead_words]
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .chain([0u8; 8]) // under, over
+            .chain(tail.iter().flat_map(|w| w.to_le_bytes()))
+            .collect()
+    }
+
+    #[test]
+    fn hostile_counts_get_typed_errors_not_panics() {
+        let decode = |image: &[u8]| decode_tree::<u64, u64>(image).unwrap_err();
+        // seg_count × 8 and × 4 wrap to the 3 anchors and slots present.
+        let seg_count = (1u64 << 62) + 3;
+        assert_eq!(
+            decode(&crafted(seg_count, 0, &[1, 2, 3], &[])),
+            SnapshotError::Truncated("segment count")
+        );
+        // page_len × 8 wraps to one key's (and one value's) width.
+        let page = segment((1 << 61) + 1, 0, 0, &[0, 0]);
+        assert_eq!(
+            decode(&crafted(1, 1, &[0], &page)),
+            SnapshotError::Truncated("page length")
+        );
+        // buf_len × 16 wraps to one pair's width.
+        let buffer = segment(0, (1 << 60) + 1, 0, &[0, 0]);
+        assert_eq!(
+            decode(&crafted(1, 1, &[0], &buffer)),
+            SnapshotError::Truncated("buffer length")
+        );
+        // dead_words × 8 wraps to one word's width; a bitmap that
+        // tombstones slots past the page.
+        let words = segment(1, 0, (1 << 61) + 1, &[0, 0, 0]);
+        assert_eq!(
+            decode(&crafted(1, 1, &[0], &words)),
+            SnapshotError::Truncated("bitmap length")
+        );
+        let past = segment(1, 0, 1, &[0, 0, 0b10]);
+        assert!(matches!(
+            decode(&crafted(1, 1, &[0], &past)),
+            SnapshotError::Corrupt(_)
+        ));
+        // The page holds one live entry; a header claiming two is
+        // refused in release builds too.
+        let one = segment(1, 0, 0, &[0, 0]);
+        assert_eq!(
+            decode_tree::<u64, u64>(&crafted(1, 1, &[0], &one))
+                .unwrap()
+                .len(),
+            1
+        );
+        assert!(matches!(
+            decode(&crafted(1, 2, &[0], &one)),
+            SnapshotError::Corrupt(_)
+        ));
     }
 
     #[test]

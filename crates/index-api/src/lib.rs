@@ -150,9 +150,13 @@ pub mod doctest_support {
         type Config = ();
         type BuildError = Infallible;
 
-        fn build_sorted(_: &(), sorted: Vec<(K, V)>) -> Result<Self, Infallible> {
-            debug_assert!(sorted.windows(2).all(|w| w[0].0 < w[1].0));
-            Ok(VecIndex { data: sorted })
+        fn build_sorted(
+            _: &(),
+            sorted: impl IntoIterator<Item = (K, V)>,
+        ) -> Result<Self, Infallible> {
+            let data: Vec<(K, V)> = sorted.into_iter().collect();
+            debug_assert!(data.windows(2).all(|w| w[0].0 < w[1].0));
+            Ok(VecIndex { data })
         }
     }
 }
@@ -164,7 +168,7 @@ mod trait_contract_tests {
     use std::ops::Bound;
 
     fn build(n: u64) -> VecIndex<u64, u64> {
-        BuildableIndex::build_sorted(&(), (0..n).map(|k| (k * 3, k)).collect()).unwrap()
+        BuildableIndex::build_sorted(&(), (0..n).map(|k| (k * 3, k))).unwrap()
     }
 
     #[test]

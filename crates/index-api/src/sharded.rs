@@ -354,19 +354,21 @@ impl<K: Key, V: Clone, I: BuildableIndex<K, V> + 'static> ShardedIndex<K, V, I> 
             }
         }
 
-        let mut shards = Vec::with_capacity(bounds.len() + 1);
-        let mut rest = sorted;
-        // Split back-to-front so each `split_off` is O(tail).
-        let mut tails: Vec<Vec<(K, V)>> = Vec::with_capacity(bounds.len());
-        for b in bounds.iter().rev() {
-            let at = rest.partition_point(|(k, _)| k < b);
-            tails.push(rest.split_off(at));
+        // Each shard is built from its span of the one input, front to
+        // back, so no span is ever copied out of it.
+        let ends: Vec<usize> = bounds
+            .iter()
+            .map(|b| sorted.partition_point(|(k, _)| k < b))
+            .chain([n])
+            .collect();
+        let mut pairs = sorted.into_iter();
+        let mut shards = Vec::with_capacity(ends.len());
+        let mut start = 0;
+        for end in ends {
+            let shard = I::build_sorted(config, pairs.by_ref().take(end - start))?;
+            shards.push(Arc::new(SeqRwLock::new(shard)));
+            start = end;
         }
-        shards.push(Arc::new(SeqRwLock::new(I::build_sorted(config, rest)?)));
-        for chunk in tails.into_iter().rev() {
-            shards.push(Arc::new(SeqRwLock::new(I::build_sorted(config, chunk)?)));
-        }
-        debug_assert_eq!(shards.len(), bounds.len() + 1);
         Ok(ShardedIndex::from_table(Table { bounds, shards }))
     }
 
@@ -1231,6 +1233,88 @@ mod tests {
         }
     }
 
+    /// Per build, in call order: the first key it was fed, the items it
+    /// consumed, and its input's `size_hint().0` on entry.
+    type Builds = Arc<Mutex<Vec<(Option<u64>, usize, usize)>>>;
+
+    /// A [`VecIndex`] whose builds record what they were fed.
+    #[derive(Debug)]
+    struct Counting(VecIndex<u64, u64>);
+
+    impl SortedIndex<u64, u64> for Counting {
+        type RangeIter<'a> = <VecIndex<u64, u64> as SortedIndex<u64, u64>>::RangeIter<'a>;
+
+        fn name(&self) -> &'static str {
+            "Counting"
+        }
+        fn get(&self, key: &u64) -> Option<&u64> {
+            self.0.get(key)
+        }
+        fn insert(&mut self, key: u64, value: u64) -> Option<u64> {
+            self.0.insert(key, value)
+        }
+        fn remove(&mut self, key: &u64) -> Option<u64> {
+            self.0.remove(key)
+        }
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+        fn size_bytes(&self) -> usize {
+            0
+        }
+        fn range<R: RangeBounds<u64>>(&self, range: R) -> Self::RangeIter<'_> {
+            self.0.range(range)
+        }
+    }
+
+    impl BuildableIndex<u64, u64> for Counting {
+        type Config = Builds;
+        type BuildError = std::convert::Infallible;
+
+        fn build_sorted(
+            builds: &Builds,
+            sorted: impl IntoIterator<Item = (u64, u64)>,
+        ) -> Result<Self, Self::BuildError> {
+            let sorted = sorted.into_iter();
+            let hint = sorted.size_hint().0;
+            let inner = VecIndex::build_sorted(&(), sorted)?;
+            let first = inner.range(..).next().map(|(k, _)| k);
+            builds.lock().push((first, inner.len(), hint));
+            Ok(Counting(inner))
+        }
+    }
+
+    #[test]
+    fn bulk_load_builds_each_shard_once_from_its_exact_span() {
+        for (n, shards) in [(10_000u64, 8), (7, 16), (0, 4)] {
+            let builds: Builds = Arc::new(Mutex::new(Vec::new()));
+            let idx: ShardedIndex<u64, u64, Counting> =
+                ShardedIndex::bulk_load(&builds, shards, (0..n).map(|k| (k * 2, k)).collect())
+                    .unwrap();
+            let builds = builds.lock();
+            let ctx = format!("n={n} shards={shards}");
+            // One pass: every pair consumed once, one build per shard.
+            assert_eq!(
+                builds.iter().map(|b| b.1).sum::<usize>(),
+                n as usize,
+                "{ctx}"
+            );
+            assert_eq!(builds.len(), idx.shard_count(), "{ctx}");
+            // In key order, each span starting at its boundary and
+            // holding exactly what routing sends its shard.
+            let firsts: Vec<Option<u64>> = builds.iter().map(|b| b.0).collect();
+            let mut want: Vec<Option<u64>> = vec![(n > 0).then_some(0)];
+            want.extend(idx.boundaries().into_iter().map(Some));
+            assert_eq!(firsts, want, "{ctx}");
+            let items: Vec<usize> = builds.iter().map(|b| b.1).collect();
+            assert_eq!(items, idx.shard_lens(), "{ctx}");
+            // Exact hints: a build sizes its storage once.
+            for &(first, items, hint) in builds.iter() {
+                assert_eq!(hint, items, "{ctx}: span at {first:?}");
+            }
+        }
+    }
+
     #[test]
     fn split_moves_upper_run_and_reroutes() {
         let idx = load(1_000, 2); // keys 0..2000 even; boundary at 1000
@@ -1504,7 +1588,7 @@ mod tests {
 
         fn build_sorted(
             applied: &Self::Config,
-            sorted: Vec<(u64, u64)>,
+            sorted: impl IntoIterator<Item = (u64, u64)>,
         ) -> Result<Self, Self::BuildError> {
             Ok(Probe {
                 inner: VecIndex::build_sorted(&(), sorted)?,

@@ -310,11 +310,16 @@ pub trait BuildableIndex<K: Key, V: Clone>: SortedIndex<K, V> + Sized {
     /// fail).
     type BuildError: std::fmt::Debug;
 
-    /// Builds from **strictly increasing** `(key, value)` pairs.
+    /// Builds from **strictly increasing** `(key, value)` pairs, in one
+    /// pass over `sorted`. A lower `size_hint` bound may be trusted as
+    /// the input's length to size storage up front.
     ///
     /// Implementations may panic or error on unsorted/duplicate input;
     /// callers are expected to sort + dedup first.
-    fn build_sorted(config: &Self::Config, sorted: Vec<(K, V)>) -> Result<Self, Self::BuildError>;
+    fn build_sorted(
+        config: &Self::Config,
+        sorted: impl IntoIterator<Item = (K, V)>,
+    ) -> Result<Self, Self::BuildError>;
 }
 
 /// Object-safe companion to [`SortedIndex`], blanket-implemented for

@@ -20,8 +20,7 @@ type Index = ShardedIndex<u64, u64, VecIndex<u64, u64>>;
 /// Two shards split at key 10, each key mapped to itself.
 fn two_shards(lower: &[u64], upper: &[u64]) -> Index {
     let shard = |keys: &[u64]| {
-        let pairs = keys.iter().map(|&k| (k, k)).collect();
-        let Ok(built) = VecIndex::build_sorted(&(), pairs);
+        let Ok(built) = VecIndex::build_sorted(&(), keys.iter().map(|&k| (k, k)));
         built
     };
     ShardedIndex::from_shards(vec![10], vec![shard(lower), shard(upper)])

@@ -1044,7 +1044,10 @@ mod tests {
         type Config = ();
         type BuildError = std::convert::Infallible;
 
-        fn build_sorted(config: &(), sorted: Vec<(u64, u64)>) -> Result<Self, Self::BuildError> {
+        fn build_sorted(
+            config: &(),
+            sorted: impl IntoIterator<Item = (u64, u64)>,
+        ) -> Result<Self, Self::BuildError> {
             Ok(PanicOnKey {
                 inner: VecIndex::build_sorted(config, sorted)?,
             })

@@ -12,7 +12,7 @@
 //! ```
 //!
 //! Snapshot and log share a **generation** number; a checkpoint writes
-//! generation `g+1` as temp snapshot → fresh `wal.(g+1)` → atomic
+//! generation `g+1` as fresh `wal.(g+1)` → temp snapshot → atomic
 //! rename → directory fsync (the commit point), then deletes
 //! generation `g` — so at every instant at least one complete
 //! (snapshot, log) pair is on disk, and a failure at *any* rotation
@@ -53,7 +53,7 @@ use crate::error::{IoOp, RetryPolicy, StorageError};
 use crate::io::{RealIo, StorageIo};
 use crate::wal::{replay, FsyncPolicy, ReplayOp, Wal, WalOp};
 use fiting_index_api::{BuildableIndex, Degraded, Key, ShardHealth, ShardedIndex, SortedIndex};
-use fiting_tree::snapshot::{decode_tree, encode_tree, SnapshotError};
+use fiting_tree::snapshot::{decode_tree, encode_tree_into, SnapshotError};
 use fiting_tree::FitingTree;
 use std::ops::{Bound, RangeBounds};
 use std::path::{Path, PathBuf};
@@ -64,8 +64,13 @@ use std::sync::Arc;
 /// itself from) the core snapshot page format — the bound
 /// [`DurableIndex`] places on its inner structure.
 pub trait PageSnapshot: Sized {
-    /// Serializes the full structure into an owned snapshot image.
-    fn snapshot_bytes(&self) -> Vec<u8>;
+    /// Streams the full structure's snapshot image into `sink`, in
+    /// order and a bounded chunk at a time, and returns its length.
+    ///
+    /// # Errors
+    ///
+    /// The first error `sink` returns; nothing is written after it.
+    fn stream_snapshot<E>(&self, sink: impl FnMut(&[u8]) -> Result<(), E>) -> Result<usize, E>;
 
     /// Restores a structure from a snapshot image.
     ///
@@ -76,8 +81,8 @@ pub trait PageSnapshot: Sized {
 }
 
 impl<K: Key, V: Key> PageSnapshot for FitingTree<K, V> {
-    fn snapshot_bytes(&self) -> Vec<u8> {
-        encode_tree(self)
+    fn stream_snapshot<E>(&self, sink: impl FnMut(&[u8]) -> Result<(), E>) -> Result<usize, E> {
+        encode_tree_into(self, sink)
     }
 
     fn restore_snapshot(bytes: &[u8]) -> Result<Self, SnapshotError> {
@@ -217,45 +222,50 @@ fn gen_file(dir: &Path, prefix: &str, generation: u64) -> PathBuf {
     dir.join(format!("{prefix}.{generation:06}"))
 }
 
-/// Writes `data` to `path` durably: create, write through (tolerating
-/// short writes), fdatasync. Used for the temp snapshot.
+/// Streams `image`'s snapshot to `path` durably: create, write each
+/// chunk through (tolerating short writes), fdatasync. Used for the
+/// temp snapshot. Returns the bytes written.
 fn write_file_durable(
     store: &Store,
     retries: &AtomicU64,
     path: &Path,
-    data: &[u8],
-) -> Result<(), StorageError> {
+    image: &impl PageSnapshot,
+) -> Result<usize, StorageError> {
     let mut f = store.run(retries, IoOp::Create, path, |io| io.create(path))?;
-    let mut done = 0;
-    while done < data.len() {
-        let n = store.retry.run(retries, || {
-            f.write(&data[done..])
-                .map_err(|e| StorageError::new(IoOp::Write, path, e))
-        })?;
-        done += n;
-    }
+    let len = image.stream_snapshot(|chunk| {
+        let mut done = 0;
+        while done < chunk.len() {
+            done += store.retry.run(retries, || {
+                f.write(&chunk[done..])
+                    .map_err(|e| StorageError::new(IoOp::Write, path, e))
+            })?;
+        }
+        Ok(())
+    })?;
     store.retry.run(retries, || {
         f.sync_data()
             .map_err(|e| StorageError::new(IoOp::Fsync, path, e))
-    })
+    })?;
+    Ok(len)
 }
 
-/// Publishes `data` as generation `generation`'s snapshot: temp file,
+/// Publishes `image` as generation `generation`'s snapshot: temp file,
 /// data fsync, atomic rename — the caller owes the directory fsync. On
 /// failure the temp file is cleaned up best-effort and nothing of the
-/// new generation is visible.
+/// new generation is visible. Returns the snapshot's length.
 fn write_snapshot(
     store: &Store,
     retries: &AtomicU64,
     dir: &Path,
     generation: u64,
-    data: &[u8],
-) -> Result<(), StorageError> {
+    image: &impl PageSnapshot,
+) -> Result<usize, StorageError> {
     let tmp = dir.join("snapshot.tmp");
     let publish = (|| {
-        write_file_durable(store, retries, &tmp, data)?;
+        let len = write_file_durable(store, retries, &tmp, image)?;
         let target = gen_file(dir, "snapshot", generation);
-        store.run(retries, IoOp::Rename, &tmp, |io| io.rename(&tmp, &target))
+        store.run(retries, IoOp::Rename, &tmp, |io| io.rename(&tmp, &target))?;
+        Ok(len)
     })();
     if publish.is_err() {
         let _ = store.io.remove_file(&tmp);
@@ -379,12 +389,11 @@ impl<K: Key, V: Key, I: SortedIndex<K, V> + PageSnapshot> DurableIndex<K, V, I> 
                 Arc::clone(&store.retry),
                 Arc::clone(&retries),
             )?;
-            let data = inner.snapshot_bytes();
-            write_snapshot(&store, &retries, &dir, 0, &data)?;
+            let len = write_snapshot(&store, &retries, &dir, 0, &inner)?;
             let unsynced = store
                 .run(&retries, IoOp::SyncDir, &dir, |io| io.sync_dir(&dir))
                 .err();
-            Ok((dir, data.len(), wal, unsynced))
+            Ok((dir, len, wal, unsynced))
         })();
         let (dir, disk_bytes, wal, unsynced) = match prep {
             Ok(parts) => parts,
@@ -526,7 +535,7 @@ impl<K: Key, V: Key, I: SortedIndex<K, V> + PageSnapshot> DurableIndex<K, V, I> 
         Err(OpenError::NoValidSnapshot(dir.to_path_buf()))
     }
 
-    /// Rotates to generation `g+1`: temp snapshot → fresh log → atomic
+    /// Rotates to generation `g+1`: fresh log → temp snapshot → atomic
     /// rename → directory fsync (the commit point) → old generation
     /// deleted. Any failure rolls the new generation back and leaves
     /// generation `g` fully intact and still active.
@@ -539,38 +548,24 @@ impl<K: Key, V: Key, I: SortedIndex<K, V> + PageSnapshot> DurableIndex<K, V, I> 
     /// op acknowledged into `wal.g` after this point would be lost.
     fn checkpoint_now(&mut self) -> Result<(), StorageError> {
         let next = self.generation + 1;
-        let data = self.inner.snapshot_bytes();
-        let tmp = self.dir.join("snapshot.tmp");
         let snap_next = gen_file(&self.dir, "snapshot", next);
         let wal_next = gen_file(&self.dir, "wal", next);
         let store = Arc::clone(&self.store);
         let retries = Arc::clone(&self.retries);
+        let unlog = |_: &StorageError| {
+            let _ = store.io.remove_file(&wal_next);
+        };
 
-        if let Err(e) = write_file_durable(&store, &retries, &tmp, &data) {
-            let _ = store.io.remove_file(&tmp);
-            return Err(e);
-        }
-        let wal = match Wal::create(
+        let wal = Wal::create(
             store.io.as_ref(),
             &wal_next,
             store.fsync,
             Arc::clone(&store.retry),
             Arc::clone(&retries),
-        ) {
-            Ok(w) => w,
-            Err(e) => {
-                let _ = store.io.remove_file(&tmp);
-                let _ = store.io.remove_file(&wal_next);
-                return Err(e);
-            }
-        };
-        if let Err(e) = store.run(&retries, IoOp::Rename, &tmp, |io| {
-            io.rename(&tmp, &snap_next)
-        }) {
-            let _ = store.io.remove_file(&tmp);
-            let _ = store.io.remove_file(&wal_next);
-            return Err(e);
-        }
+        )
+        .inspect_err(unlog)?;
+        let len =
+            write_snapshot(&store, &retries, &self.dir, next, &self.inner).inspect_err(unlog)?;
         if let Err(e) = store.run(&retries, IoOp::SyncDir, &self.dir, |io| {
             io.sync_dir(&self.dir)
         }) {
@@ -593,7 +588,7 @@ impl<K: Key, V: Key, I: SortedIndex<K, V> + PageSnapshot> DurableIndex<K, V, I> 
             .remove_file(&gen_file(&self.dir, "wal", self.generation));
         self.generation = next;
         self.wal = wal;
-        self.disk_bytes = data.len();
+        self.disk_bytes = len;
         Ok(())
     }
 
@@ -1081,7 +1076,10 @@ impl<K: Key, V: Key, I: BuildableIndex<K, V> + PageSnapshot> BuildableIndex<K, V
     type Config = DurableConfig<I::Config>;
     type BuildError = StorageBuildError<I::BuildError>;
 
-    fn build_sorted(config: &Self::Config, sorted: Vec<(K, V)>) -> Result<Self, Self::BuildError> {
+    fn build_sorted(
+        config: &Self::Config,
+        sorted: impl IntoIterator<Item = (K, V)>,
+    ) -> Result<Self, Self::BuildError> {
         let inner = I::build_sorted(&config.inner, sorted).map_err(StorageBuildError::Build)?;
         DurableIndex::create(inner, Arc::clone(&config.store))
             .map_err(|(e, _)| StorageBuildError::Io(e))

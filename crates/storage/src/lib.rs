@@ -54,7 +54,7 @@
 //!
 //! // Build a durable shard, mutate it, group-commit.
 //! let mut index: DurableIndex<u64, u64> =
-//!     DurableIndex::build_sorted(&config, (0..1000u64).map(|k| (k * 2, k)).collect()).unwrap();
+//!     DurableIndex::build_sorted(&config, (0..1000u64).map(|k| (k * 2, k))).unwrap();
 //! index.insert(1001, 7);
 //! index.remove(&0);
 //! index.try_sync().expect("the log reaches the disk"); // durable up to here
@@ -132,7 +132,7 @@ mod tests {
         let root = temp_root("reopen");
         let cfg = config(&root);
         let mut idx: Durable =
-            DurableIndex::build_sorted(&cfg, (0..5000u64).map(|k| (k * 2, k)).collect()).unwrap();
+            DurableIndex::build_sorted(&cfg, (0..5000u64).map(|k| (k * 2, k))).unwrap();
         assert_eq!(idx.name(), "Durable");
         assert!(idx.disk_bytes() > 0);
         assert_eq!(idx.wal_bytes(), 0);
@@ -158,7 +158,7 @@ mod tests {
         let root = temp_root("ckpt");
         let cfg = config(&root);
         let mut idx: Durable =
-            DurableIndex::build_sorted(&cfg, (0..1000u64).map(|k| (k, k)).collect()).unwrap();
+            DurableIndex::build_sorted(&cfg, (0..1000u64).map(|k| (k, k))).unwrap();
         idx.insert(5000, 5);
         assert!(idx.wal_bytes() > 0);
         assert_eq!(idx.generation(), 0);
@@ -184,7 +184,7 @@ mod tests {
         let root = temp_root("fallback");
         let cfg = config(&root);
         let mut idx: Durable =
-            DurableIndex::build_sorted(&cfg, (0..500u64).map(|k| (k, k)).collect()).unwrap();
+            DurableIndex::build_sorted(&cfg, (0..500u64).map(|k| (k, k))).unwrap();
         idx.insert(9000, 9);
         idx.try_sync().expect("the log reaches the disk");
         let dir = idx.shard_dir().to_path_buf();
@@ -205,7 +205,7 @@ mod tests {
         let io = FaultIo::quiet();
         let cfg = fault_config(&root, &io);
         let mut idx: Durable =
-            DurableIndex::build_sorted(&cfg, (0..100u64).map(|k| (k, k)).collect()).unwrap();
+            DurableIndex::build_sorted(&cfg, (0..100u64).map(|k| (k, k))).unwrap();
         // Acknowledged but never committed: lives only in the buffer.
         assert_eq!(idx.try_insert(7777, 70), Ok(None));
         assert_eq!(idx.try_remove(&0), Ok(Some(0)));
@@ -372,7 +372,7 @@ mod tests {
         let io = FaultIo::quiet();
         let cfg = fault_config(&root, &io);
         let mut idx: Durable =
-            DurableIndex::build_sorted(&cfg, (0..100u64).map(|k| (k, k)).collect()).unwrap();
+            DurableIndex::build_sorted(&cfg, (0..100u64).map(|k| (k, k))).unwrap();
 
         idx.try_insert(500, 5).unwrap();
         // Kill the log permanently-for-now: the sync must degrade.
@@ -426,7 +426,7 @@ mod tests {
         let io = FaultIo::quiet();
         let cfg = fault_config(&root, &io);
         let mut idx: Durable =
-            DurableIndex::build_sorted(&cfg, (0..200u64).map(|k| (k, k)).collect()).unwrap();
+            DurableIndex::build_sorted(&cfg, (0..200u64).map(|k| (k, k))).unwrap();
         idx.try_insert(900, 9).unwrap();
         idx.try_sync().unwrap();
         let dir = idx.shard_dir().to_path_buf();
@@ -459,7 +459,7 @@ mod tests {
         let io = FaultIo::quiet();
         let cfg = fault_config(&root, &io);
         let mut idx: Durable =
-            DurableIndex::build_sorted(&cfg, (0..50u64).map(|k| (k, k)).collect()).unwrap();
+            DurableIndex::build_sorted(&cfg, (0..50u64).map(|k| (k, k))).unwrap();
         io.fail_nth(IoOp::Write, "wal.000000", 1, InjectKind::Transient, false);
         io.fail_nth(IoOp::Fsync, "wal.000000", 1, InjectKind::Transient, false);
         idx.try_insert(77, 7).unwrap();
@@ -474,7 +474,7 @@ mod tests {
         let root = temp_root("reload");
         let cfg = config(&root);
         let mut idx: Durable =
-            DurableIndex::build_sorted(&cfg, (0..300u64).map(|k| (k, k)).collect()).unwrap();
+            DurableIndex::build_sorted(&cfg, (0..300u64).map(|k| (k, k))).unwrap();
         idx.try_insert(800, 8).unwrap();
         // Not synced: reopen_in_place must flush the buffered record
         // before discarding memory, so the acknowledged write survives.
@@ -524,8 +524,7 @@ mod tests {
         // still holds everything.
         let tail_cfg = config(&root);
         let tail: Durable =
-            DurableIndex::build_sorted(&tail_cfg, (600..1000u64).map(|k| (k, k + 1)).collect())
-                .unwrap();
+            DurableIndex::build_sorted(&tail_cfg, (600..1000u64).map(|k| (k, k + 1))).unwrap();
         drop(tail);
         let (back, report) = open_sharded::<u64, u64, FitingTree<u64, u64>>(&cfg).unwrap();
         assert_eq!(back.len(), 1000);
@@ -542,5 +541,55 @@ mod tests {
             400
         );
         std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_snapshot_write_failing_mid_stream_keeps_the_last_generation() {
+        use fiting_index_api::Degraded;
+        use fiting_tree::snapshot::SNAPSHOT_CHUNK;
+        // 50 000 pairs over heavy-tailed gaps make pages of a few
+        // hundred keys, which stream as a dozen chunks; fail the k-th.
+        let pairs = || {
+            let mut key = 0;
+            (0..50_000u64).map(move |k| {
+                key += 1u64 << (k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 59);
+                (key, k)
+            })
+        };
+        let no_temp = |dir: &std::path::Path| !dir.join("snapshot.tmp").exists();
+        for k in [1, 2, 7] {
+            let root = temp_root("stream-fault");
+            let io = FaultIo::quiet();
+            let cfg = fault_config(&root, &io);
+
+            // A shard's birth surfaces the failure and leaves nothing
+            // that reopens.
+            io.fail_nth(IoOp::Write, "snapshot.tmp", k, InjectKind::Eio, false);
+            let Err(StorageBuildError::Io(e)) = Durable::build_sorted(&cfg, pairs()) else {
+                panic!("create must fail on chunk {k}");
+            };
+            assert_eq!(e.op(), IoOp::Write);
+            let stillborn = root.join("shard-000000");
+            assert!(no_temp(&stillborn));
+            assert!(Durable::open_shard(&cfg, &stillborn).is_err());
+
+            // A checkpoint does too, and generation 0 still opens with
+            // its log.
+            let mut idx = Durable::build_sorted(&cfg, pairs()).unwrap();
+            assert!(idx.disk_bytes() > 8 * SNAPSHOT_CHUNK);
+            idx.insert(0, 1);
+            idx.try_sync().expect("the log reaches the disk");
+            io.fail_nth(IoOp::Write, "snapshot.tmp", k, InjectKind::Eio, false);
+            assert_eq!(idx.try_checkpoint(), Err(Degraded));
+            assert_eq!(idx.generation(), 0);
+            let dir = idx.shard_dir().to_path_buf();
+            assert!(no_temp(&dir));
+            drop(idx);
+            let (back, info) = Durable::open_shard(&cfg, &dir).unwrap();
+            assert_eq!((info.generation, info.replayed), (0, 1));
+            assert_eq!(back.len(), 50_001);
+            assert_eq!(back.get(&0), Some(&1));
+            std::fs::remove_dir_all(&root).unwrap();
+        }
     }
 }

@@ -271,7 +271,7 @@ fn rotation_step_storm(root: &Path, step: usize, op: IoOp, pattern: &str, best_e
     )
     .unwrap();
     let mut idx: Durable =
-        BuildableIndex::build_sorted(&cfg, (0..128u64).map(|k| (k * 3, k)).collect()).unwrap();
+        BuildableIndex::build_sorted(&cfg, (0..128u64).map(|k| (k * 3, k))).unwrap();
     assert_eq!(idx.try_insert(7, 70), Ok(None));
     assert_eq!(idx.try_sync(), Ok(true));
 
@@ -339,11 +339,11 @@ fn battery_b_enospc_at_every_rotation_step() {
     // Every I/O the rotation performs, in order; the last two are the
     // best-effort old-generation GC.
     let steps: Vec<(IoOp, &str, bool)> = vec![
+        (IoOp::Create, "wal.000001", false),
+        (IoOp::Fsync, "wal.000001", false),
         (IoOp::Create, "snapshot.tmp", false),
         (IoOp::Write, "snapshot.tmp", false),
         (IoOp::Fsync, "snapshot.tmp", false),
-        (IoOp::Create, "wal.000001", false),
-        (IoOp::Fsync, "wal.000001", false),
         (IoOp::Rename, "snapshot.tmp", false),
         (IoOp::SyncDir, "shard-", false),
         (IoOp::RemoveFile, "snapshot.000000", true),
@@ -460,7 +460,7 @@ impl BuildableIndex<u64, u64> for PanicOn {
 
     fn build_sorted(
         config: &Self::Config,
-        sorted: Vec<(u64, u64)>,
+        sorted: impl IntoIterator<Item = (u64, u64)>,
     ) -> Result<Self, Self::BuildError> {
         Durable::build_sorted(config, sorted).map(PanicOn)
     }

@@ -10,7 +10,10 @@
 //!   is discarded, the prefix before it survives;
 //! * **flip one byte** at positions swept across the whole file — the
 //!   per-record CRC (or the header check) must catch it and recovery
-//!   must land on the prefix before the damaged record.
+//!   must land on the prefix before the damaged record;
+//! * **tear a checkpoint** between and inside the chunks its snapshot
+//!   streams as — the torn next generation, left as the temp file or
+//!   published, must be refused in favour of the previous one.
 //!
 //! After every injected crash the recovered index is compared entry-
 //! for-entry against a `BTreeMap` oracle holding the state after the
@@ -22,6 +25,7 @@
 //! well over 1 000 injected crash points).
 
 use fiting::storage::{DurableConfig, DurableIndex, FsyncPolicy};
+use fiting::tree::snapshot::encode_tree_into;
 use fiting::tree::{FitingTree, FitingTreeBuilder};
 use fiting::SortedIndex;
 use std::collections::BTreeMap;
@@ -248,11 +252,84 @@ fn crash_battery_is_prefix_consistent_against_oracle() {
         pos += 1 + (rng.next() % 4) as usize;
     }
 
+    // 4. A checkpoint torn between and inside its streamed chunks.
+    let torn = torn_checkpoints(&cfg, &scratch, &mut rng);
+    points += torn;
+
     assert!(
         points >= 1_000,
         "battery covered only {points} crash points (< 1000)"
     );
+    println!("crash points: {points}, {torn} of them torn checkpoints");
     std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// A shard large enough that its snapshot streams as several chunks
+/// logs a few ops; its next generation's snapshot is then planted as
+/// every prefix the encoder could have left on disk: cut at each chunk
+/// boundary and inside each chunk, left behind as `snapshot.tmp` (the
+/// crash hit the stream) or published torn as `snapshot.000001`.
+/// Recovery must refuse it and land on generation 0 plus its whole
+/// log. Returns the number of crash points.
+fn torn_checkpoints(
+    cfg: &DurableConfig<FitingTreeBuilder>,
+    scratch: &Path,
+    rng: &mut Lcg,
+) -> usize {
+    // Heavy-tailed gaps make pages of a few hundred keys.
+    let mut key = 0;
+    let base: Vec<(u64, u64)> = (0..30_000u64)
+        .map(|k| {
+            key += 1u64 << (k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 59);
+            (key, k)
+        })
+        .collect();
+    let mut idx: Durable = fiting::BuildableIndex::build_sorted(cfg, base.clone()).unwrap();
+    let ops = gen_ops(20, rng);
+    let mut oracle: BTreeMap<u64, u64> = base.into_iter().collect();
+    for op in &ops {
+        op.apply_index(&mut idx);
+        op.apply_oracle(&mut oracle);
+    }
+    idx.try_sync().expect("the log reaches the disk");
+    let dir = idx.shard_dir().to_path_buf();
+    let snapshot = std::fs::read(dir.join("snapshot.000000")).unwrap();
+    let wal = std::fs::read(dir.join("wal.000000")).unwrap();
+    let (mut image, mut ends) = (Vec::new(), Vec::new());
+    let Ok(_) = encode_tree_into(idx.inner(), |chunk| {
+        image.extend_from_slice(chunk);
+        ends.push(image.len());
+        Ok::<(), std::convert::Infallible>(())
+    });
+    drop(idx);
+    assert!(ends.len() >= 4, "{} chunks", ends.len());
+
+    let mut points = 0;
+    let mut start = 0;
+    for &end in &ends {
+        for cut in [start + 1, (start + end) / 2, end] {
+            for (name, published) in [("snapshot.tmp", false), ("snapshot.000001", true)] {
+                if published && cut == image.len() {
+                    continue; // whole and published: a finished checkpoint
+                }
+                std::fs::write(scratch.join(name), &image[..cut]).unwrap();
+                recover_and_check(
+                    scratch,
+                    cfg,
+                    &snapshot,
+                    &wal,
+                    &oracle,
+                    ops.len(),
+                    false,
+                    &format!("{name} torn at byte {cut} of {}", image.len()),
+                );
+                std::fs::remove_file(scratch.join(name)).unwrap();
+                points += 1;
+            }
+        }
+        start = end;
+    }
+    points
 }
 
 /// The same invariant end to end through the service layer: a durable
@@ -304,7 +381,7 @@ fn missing_wal_recovers_snapshot_only() {
     let _ = std::fs::remove_dir_all(&root);
     let cfg = DurableConfig::new(&root, FsyncPolicy::Off, FitingTreeBuilder::new(64)).unwrap();
     let mut idx: Durable =
-        fiting::BuildableIndex::build_sorted(&cfg, (0..100u64).map(|k| (k, k)).collect()).unwrap();
+        fiting::BuildableIndex::build_sorted(&cfg, (0..100u64).map(|k| (k, k))).unwrap();
     idx.insert(777, 7);
     idx.try_sync().expect("the log reaches the disk");
     let dir: PathBuf = idx.shard_dir().to_path_buf();
