@@ -174,8 +174,9 @@ impl<K: Key, V> Segment<K, V> {
     /// Reassembles a segment from its persisted parts — the snapshot
     /// decoder's constructor. `removed` is recounted from the bitmap
     /// (a cheap popcount); the error envelope `(under, over)` is taken
-    /// as persisted — it sits under the section checksum, and debug
-    /// builds re-measure it to catch codec bugs.
+    /// as persisted — it sits under the section checksum. Debug builds
+    /// re-measure it to catch codec bugs and return `None` when the
+    /// page disagrees.
     ///
     /// `dead` must be either empty or exactly
     /// `keys.len().div_ceil(64)` words; `buffer` must be sorted by key.
@@ -187,11 +188,11 @@ impl<K: Key, V> Segment<K, V> {
         dead: Vec<u64>,
         buffer: Vec<(K, V)>,
         envelope: (u32, u32),
-    ) -> Self {
+    ) -> Option<Self> {
         debug_assert!(dead.is_empty() || dead.len() == keys.len().div_ceil(64));
         debug_assert!(buffer.windows(2).all(|w| w[0].0 <= w[1].0));
         let removed: u64 = dead.iter().map(|w| u64::from(w.count_ones())).sum();
-        let seg = Segment {
+        let mut seg = Segment {
             start_key,
             start_key_f: start_key.to_f64(),
             slope,
@@ -204,17 +205,9 @@ impl<K: Key, V> Segment<K, V> {
             over: envelope.1,
         };
         if cfg!(debug_assertions) {
-            let mut check = seg;
-            check.measure_error_bounds();
-            assert_eq!(
-                (check.under, check.over),
-                envelope,
-                "persisted error envelope disagrees with the page"
-            );
-            check
-        } else {
-            seg
+            seg.measure_error_bounds();
         }
+        (seg.error_envelope() == envelope).then_some(seg)
     }
 
     /// Whether page slot `i` holds a live (non-tombstoned) entry.

@@ -405,6 +405,21 @@ fn read_key<K: Key>(r: &mut Reader<'_>, what: &'static str) -> Result<K, Snapsho
     Ok(K::from_le_bytes(r.take(K::ENCODED_LEN, what)?))
 }
 
+/// Decodes an array of fixed-width keys or values, refusing one that
+/// projects to NaN: no writer produces those bits (`OrderedF64::new`
+/// refuses NaN), and the total order would file one past `+∞`, where
+/// no sortedness check notices it.
+fn records<T: Key>(bytes: &[u8], what: &str) -> Result<Vec<T>, SnapshotError> {
+    let items: Vec<T> = bytes
+        .chunks_exact(T::ENCODED_LEN)
+        .map(T::from_le_bytes)
+        .collect();
+    if items.iter().any(|t| t.to_f64().is_nan()) {
+        return Err(SnapshotError::Corrupt(format!("{what} holds a NaN")));
+    }
+    Ok(items)
+}
+
 /// Decodes a snapshot image back into a [`FitingTree`], verifying the
 /// header checksum, every section checksum, and finally the tree's own
 /// structural invariants.
@@ -471,10 +486,7 @@ pub fn decode_tree<K: Key, V: Key>(bytes: &[u8]) -> Result<FitingTree<K, V>, Sna
             anchors_payload.len()
         )));
     }
-    let anchors: Vec<K> = anchors_payload
-        .chunks_exact(K::ENCODED_LEN)
-        .map(K::from_le_bytes)
-        .collect();
+    let anchors: Vec<K> = records(anchors_payload, "directory")?;
     if !anchors.windows(2).all(|w| w[0] < w[1]) {
         return Err(SnapshotError::Corrupt(
             "directory anchors not strictly increasing".into(),
@@ -524,19 +536,11 @@ pub fn decode_tree<K: Key, V: Key>(bytes: &[u8]) -> Result<FitingTree<K, V>, Sna
         }
         let under = u32::from_le_bytes(s.take(4, "error envelope")?.try_into().unwrap());
         let over = u32::from_le_bytes(s.take(4, "error envelope")?.try_into().unwrap());
-        let keys: Vec<K> = s
-            .take(page_len * K::ENCODED_LEN, "page keys")?
-            .chunks_exact(K::ENCODED_LEN)
-            .map(K::from_le_bytes)
-            .collect();
+        let keys: Vec<K> = records(s.take(page_len * K::ENCODED_LEN, "page keys")?, "page")?;
         if !keys.windows(2).all(|w| w[0] < w[1]) {
             return Err(SnapshotError::Corrupt(format!("segment {i} page unsorted")));
         }
-        let values: Vec<V> = s
-            .take(page_len * V::ENCODED_LEN, "page values")?
-            .chunks_exact(V::ENCODED_LEN)
-            .map(V::from_le_bytes)
-            .collect();
+        let values: Vec<V> = records(s.take(page_len * V::ENCODED_LEN, "page values")?, "page")?;
         let dead: Vec<u64> = s
             .take(dead_words * 8, "tombstone bitmap")?
             .chunks_exact(8)
@@ -562,6 +566,14 @@ pub fn decode_tree<K: Key, V: Key>(bytes: &[u8]) -> Result<FitingTree<K, V>, Sna
                 "segment {i} buffer unsorted"
             )));
         }
+        if buffer
+            .iter()
+            .any(|(k, v)| k.to_f64().is_nan() || v.to_f64().is_nan())
+        {
+            return Err(SnapshotError::Corrupt(format!(
+                "segment {i} buffer holds a NaN"
+            )));
+        }
         if s.pos != payload.len() {
             return Err(SnapshotError::Corrupt(format!(
                 "segment {i} section has {} trailing bytes",
@@ -569,7 +581,12 @@ pub fn decode_tree<K: Key, V: Key>(bytes: &[u8]) -> Result<FitingTree<K, V>, Sna
             )));
         }
         let segment =
-            Segment::from_raw_parts(start_key, slope, keys, values, dead, buffer, (under, over));
+            Segment::from_raw_parts(start_key, slope, keys, values, dead, buffer, (under, over))
+                .ok_or_else(|| {
+                    SnapshotError::Corrupt(format!(
+                        "segment {i}: stored error envelope disagrees with its page"
+                    ))
+                })?;
         live += segment.len();
         segments.push(Some(segment));
     }
@@ -606,6 +623,7 @@ pub fn decode_tree<K: Key, V: Key>(bytes: &[u8]) -> Result<FitingTree<K, V>, Sna
 mod tests {
     use super::*;
     use crate::builder::FitingTreeBuilder;
+    use crate::key::OrderedF64;
     use std::convert::Infallible;
 
     fn sample_tree(n: u64) -> FitingTree<u64, u64> {
@@ -836,6 +854,61 @@ mod tests {
             decode(&crafted(1, 2, &[0], &one)),
             SnapshotError::Corrupt(_)
         ));
+        // A checksummed envelope its page disagrees with (key 5 sits a
+        // slot past a flat model's prediction; the stored `over` is 0):
+        // debug builds re-measure and refuse, release builds trust it.
+        let bent = crafted(1, 2, &[0], &segment(2, 0, 0, &[0, 5, 0, 0]));
+        if cfg!(debug_assertions) {
+            assert!(matches!(decode(&bent), SnapshotError::Corrupt(_)));
+        } else {
+            assert_eq!(decode_tree::<u64, u64>(&bent).unwrap().len(), 2);
+        }
+    }
+
+    #[test]
+    fn a_key_or_value_projecting_to_nan_is_corrupt() {
+        // Bits no writer produces: `OrderedF64::new` refuses NaN, and
+        // the ordered image maps these back to one.
+        let nan = u64::MAX;
+        assert!(OrderedF64::from_le_bytes(&nan.to_le_bytes()).get().is_nan());
+        // The ordered image of 1.0 (a non-negative value's sign bit
+        // flipped).
+        let one = 1f64.to_bits() ^ (1 << 63);
+        // A segment section anchored at `start` instead of 0.
+        let at = |start: u64, page_len, buf_len, tail: &[u64]| {
+            let mut payload = segment(page_len, buf_len, 0, tail);
+            payload[..8].copy_from_slice(&start.to_le_bytes());
+            payload
+        };
+        let f64_keys = |image: &[u8]| decode_tree::<OrderedF64, u64>(image).map(|t| t.len());
+        let f64_values = |image: &[u8]| decode_tree::<u64, OrderedF64>(image).map(|t| t.len());
+        // The well-formed images these are cut from decode.
+        assert_eq!(
+            f64_keys(&crafted(1, 1, &[one], &at(one, 1, 0, &[one, 0]))),
+            Ok(1)
+        );
+        assert_eq!(
+            f64_values(&crafted(1, 1, &[0], &segment(1, 0, 0, &[0, one]))),
+            Ok(1)
+        );
+        for image in [
+            // the directory anchor (and the start key it must equal),
+            crafted(1, 1, &[nan], &at(nan, 1, 0, &[nan, 0])),
+            // a page key sorted past a valid start key,
+            crafted(1, 2, &[one], &at(one, 2, 0, &[one, nan, 0, 0])),
+            // a buffered key.
+            crafted(1, 2, &[one], &at(one, 1, 1, &[one, 0, nan, 0])),
+        ] {
+            assert!(matches!(f64_keys(&image), Err(SnapshotError::Corrupt(_))));
+        }
+        for image in [
+            // a page value,
+            crafted(1, 1, &[0], &segment(1, 0, 0, &[0, nan])),
+            // a buffered value.
+            crafted(1, 2, &[0], &segment(1, 1, 0, &[0, one, 5, nan])),
+        ] {
+            assert!(matches!(f64_values(&image), Err(SnapshotError::Corrupt(_))));
+        }
     }
 
     #[test]

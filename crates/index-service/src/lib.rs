@@ -169,30 +169,6 @@ impl Default for DurabilityConfig {
     }
 }
 
-/// Tuning for the lane supervisor
-/// ([`IndexService::start_supervised`]): how often it probes for
-/// poisoned lanes and how many times it will resurrect any one lane
-/// before giving up on it.
-#[derive(Debug, Clone, Copy)]
-pub struct SupervisorConfig {
-    /// How often the supervisor scans lane health.
-    pub interval: Duration,
-    /// Resurrections allowed per lane. Once a lane has been restarted
-    /// this many times it stays [`LaneHealth::Poisoned`] (submissions
-    /// fail fast) — the crash loop evidently is not transient. `0`
-    /// disables resurrection entirely.
-    pub max_lane_restarts: u64,
-}
-
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        SupervisorConfig {
-            interval: Duration::from_millis(20),
-            max_lane_restarts: 8,
-        }
-    }
-}
-
 /// Everything clients and workers share: the index, the frozen lane
 /// router, the per-lane queues and counters, and the (optional)
 /// rebalancing hooks.
@@ -209,10 +185,13 @@ pub(crate) struct ServiceShared<K: Key, V: Clone, I: SortedIndex<K, V> + 'static
     /// Per-kind latency histograms and submission counters; recording
     /// is a single relaxed atomic, shared by clients and workers.
     pub(crate) telemetry: Arc<ServiceTelemetry>,
-    /// Per-lane health words (see [`LaneHealth`]); written by the
-    /// workers (Poisoned) and the supervisor (Recovering/Healthy),
-    /// read by stats snapshots.
+    /// Per-lane health words (see [`LaneHealth`]); each written only
+    /// by its lane's worker, read by stats snapshots.
     pub(crate) lane_state: Vec<LaneState>,
+    /// Resurrections each lane's worker may perform after a caught
+    /// panic; 0 unless started with
+    /// [`start_supervised`](IndexService::start_supervised).
+    pub(crate) max_lane_restarts: u64,
     /// Failed checkpoint rotations observed by the checkpoint
     /// coordinator — surfaced through [`ServiceStats`], where before
     /// this counter the coordinator silently dropped the error.
@@ -263,21 +242,20 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ServiceShared<K, V, I> {
 
 /// A running command-pipeline service: one bounded queue plus one
 /// worker thread per lane (lanes mirror the wrapped [`ShardedIndex`]'s
-/// shards at start time), optionally plus a rebalance coordinator.
+/// shards at start time), plus at most one timer thread (the rebalance
+/// coordinator or the checkpointer).
 ///
 /// Dropping the service shuts it down (close → drain → join); prefer
 /// the explicit [`shutdown`](Self::shutdown), which also returns the
 /// index.
 pub struct IndexService<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> {
     shared: Arc<ServiceShared<K, V, I>>,
-    /// One slot per lane; the supervisor takes a dead worker's handle
-    /// to join it and stores the respawned one, so shutdown always
-    /// joins the *current* generation of every lane's worker.
-    workers: Arc<Mutex<Vec<Option<JoinHandle<()>>>>>,
-    /// The timer threads (rebalance coordinator, checkpointer, lane
-    /// supervisor — whichever this service was started with), in spawn
-    /// order; all share `coordinator_stop`.
-    coordinators: Vec<JoinHandle<()>>,
+    /// One per lane, for the service's lifetime: a worker recovers its
+    /// lane itself, so shutdown joins the threads spawned at start.
+    workers: Vec<JoinHandle<()>>,
+    /// The timer thread (rebalance coordinator or checkpointer), if
+    /// this service was started with one.
+    coordinator: Option<JoinHandle<()>>,
     coordinator_stop: Arc<(Mutex<bool>, Condvar)>,
 }
 
@@ -292,7 +270,7 @@ where
     /// rebalancing.
     #[must_use]
     pub fn start(index: ShardedIndex<K, V, I>, config: ServiceConfig) -> Self {
-        Self::launch(index, config, None, None, None)
+        Self::launch(index, config, None, None, None, 0)
     }
 
     /// Starts the service with durability hooks: workers group-commit
@@ -313,43 +291,42 @@ where
         config: ServiceConfig,
         durability: DurabilityConfig,
     ) -> Self {
-        let mut service = Self::launch(index, config, None, None, Some(durability));
-        service.spawn_checkpointer();
-        service
+        Self::start_supervised(index, config, durability, 0)
     }
 
-    /// Starts a durable service *with a lane supervisor*: a thread
-    /// that probes lane health every
-    /// [`interval`](SupervisorConfig::interval) and resurrects
-    /// poisoned lanes — the shard is rebuilt from its newest snapshot
+    /// Starts a durable service whose lanes heal themselves: a worker
+    /// that catches a panic poisons its lane (see [`LaneHealth`]) and
+    /// then, up to `max_lane_restarts` times per lane, resurrects it on
+    /// the same thread — the shard is rebuilt from its newest snapshot
     /// plus WAL replay ([`SortedIndex::reload`]), the lane's queue is
-    /// reopened, and a fresh worker thread takes over. Acknowledged
-    /// writes survive (they were WAL-committed before their tickets
-    /// resolved); commands canceled by the poisoning were reported as
-    /// [`Canceled`] and stay that way.
+    /// reopened, and the worker resumes draining it. A lane out of
+    /// budget stays [`LaneHealth::Poisoned`] (submissions fail fast):
+    /// the crash loop evidently is not transient. `0` disables
+    /// resurrection, which is [`start_durable`](Self::start_durable).
+    /// Acknowledged writes survive (they were WAL-committed before
+    /// their tickets resolved); commands canceled by the poisoning were
+    /// reported as [`Canceled`] and stay that way.
     ///
     /// A supervised service runs without a rebalancer on purpose: the
     /// lane ↔ shard mapping stays 1:1 for the service's lifetime,
-    /// which is what lets the supervisor reload exactly the poisoned
-    /// lane's shard by position.
+    /// which is what lets a worker reload exactly its own lane's shard
+    /// by position.
     #[must_use]
     pub fn start_supervised(
         index: ShardedIndex<K, V, I>,
         config: ServiceConfig,
         durability: DurabilityConfig,
-        supervisor: SupervisorConfig,
+        max_lane_restarts: u64,
     ) -> Self {
-        let mut service = Self::launch(index, config, None, None, Some(durability));
+        let mut service = Self::launch(
+            index,
+            config,
+            None,
+            None,
+            Some(durability),
+            max_lane_restarts,
+        );
         service.spawn_checkpointer();
-        let SupervisorConfig {
-            interval,
-            max_lane_restarts: max_restarts,
-        } = supervisor;
-        let shared = Arc::clone(&service.shared);
-        let workers = Arc::clone(&service.workers);
-        service.spawn_ticker("index-service-supervisor", interval, move || {
-            supervise_pass(&shared, &workers, max_restarts);
-        });
         service
     }
 
@@ -403,7 +380,7 @@ where
     ) -> Self {
         let sampler = rebalancer.sampler();
         let counters = rebalancer.counters();
-        let mut service = Self::launch(index, config, Some(sampler), Some(counters), None);
+        let mut service = Self::launch(index, config, Some(sampler), Some(counters), None, 0);
         let index = service.shared.index.clone();
         let mut rebalancer = rebalancer;
         service.spawn_ticker("index-service-rebalance", interval, move || {
@@ -418,6 +395,7 @@ where
         sampler: Option<Arc<fiting_index_api::WriteSampler<K>>>,
         rebalance: Option<Arc<RebalanceCounters>>,
         durability: Option<DurabilityConfig>,
+        max_lane_restarts: u64,
     ) -> Self {
         let router = index.boundaries();
         let lanes = router.len() + 1;
@@ -429,6 +407,7 @@ where
             lane_state: (0..lanes).map(|_| LaneState::default()).collect(),
             telemetry: Arc::new(ServiceTelemetry::new()),
             checkpoint_failures: AtomicU64::new(0),
+            max_lane_restarts,
             index,
             router,
             config,
@@ -437,12 +416,18 @@ where
             durability,
         });
         let workers = (0..lanes)
-            .map(|lane| Some(spawn_worker(lane, Arc::clone(&shared))))
+            .map(|lane| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("index-service-{lane}"))
+                    .spawn(move || worker::run(lane, &shared))
+                    .expect("spawn index-service worker")
+            })
             .collect();
         IndexService {
             shared,
-            workers: Arc::new(Mutex::new(workers)),
-            coordinators: Vec::new(),
+            workers,
+            coordinator: None,
             coordinator_stop: Arc::new((Mutex::new(false), Condvar::new())),
         }
     }
@@ -499,10 +484,11 @@ where
 }
 
 impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> IndexService<K, V, I> {
-    /// Spawns a timer thread named `name` that runs `body` every
-    /// `interval` until [`stop`](Self::stop) raises the shared stop
-    /// flag (checked under its mutex before and after every wait, so a
-    /// stop raised mid-`body` is seen without sleeping a full interval).
+    /// Spawns the service's one timer thread, named `name`, that runs
+    /// `body` every `interval` until [`stop`](Self::stop) raises the
+    /// shared stop flag (checked under its mutex before and after every
+    /// wait, so a stop raised mid-`body` is seen without sleeping a full
+    /// interval).
     fn spawn_ticker(
         &mut self,
         name: &str,
@@ -527,33 +513,31 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> IndexService<K, V, I> {
                 }
             })
             .expect("spawn index-service timer thread");
-        self.coordinators.push(handle);
+        let previous = self.coordinator.replace(handle);
+        debug_assert!(previous.is_none(), "a service runs one timer thread");
     }
 
     fn stop(&mut self) {
-        // Timer threads first, so the layout stops moving while queues
-        // drain — and, critically, so the supervisor cannot reopen a
-        // queue or respawn a worker after we close and join below:
-        // joining it means any in-flight resurrection has finished (its
-        // respawned worker handle is in `workers`) before the
-        // close-and-join sweep starts.
+        // The timer first, so the layout stops moving while queues
+        // drain.
         {
             let (lock, cvar) = &*self.coordinator_stop;
             *lock.lock() = true;
             cvar.notify_all();
         }
-        for coordinator in self.coordinators.drain(..) {
+        if let Some(coordinator) = self.coordinator.take() {
             let _ = coordinator.join();
         }
+        // Sealed, not just closed: a worker recovering its lane right
+        // now is refused the reopen, drains and exits, so every join
+        // below returns.
         for queue in &self.shared.queues {
-            queue.close();
+            queue.seal();
         }
-        for worker in self.workers.lock().iter_mut() {
+        for worker in self.workers.drain(..) {
             // A panicked worker already canceled its in-flight tickets
             // (completers resolve on drop); nothing more to salvage.
-            if let Some(worker) = worker.take() {
-                let _ = worker.join();
-            }
+            let _ = worker.join();
         }
         // Final group commit: a durable service leaves no accepted
         // write sitting in an unsynced WAL buffer after clean shutdown.
@@ -566,82 +550,6 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> IndexService<K, V, I> {
 impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> Drop for IndexService<K, V, I> {
     fn drop(&mut self) {
         self.stop();
-    }
-}
-
-fn spawn_worker<K, V, I>(lane: usize, shared: Arc<ServiceShared<K, V, I>>) -> JoinHandle<()>
-where
-    K: Key + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
-    I: SortedIndex<K, V> + Send + Sync + 'static,
-{
-    std::thread::Builder::new()
-        .name(format!("index-service-{lane}"))
-        .spawn(move || worker::run(lane, &shared))
-        .expect("spawn index-service worker")
-}
-
-/// One supervisor sweep: resurrect every poisoned lane that still has
-/// restart budget.
-///
-/// Ordering is what makes this safe: the old worker is **joined**
-/// before anything else, so its poison-path teardown (close queue,
-/// drain-and-cancel everything queued) has fully finished before the
-/// queue is reopened — no canceled command can race a resurrected
-/// consumer. The shard reload happens while the queue is still closed,
-/// so the fresh worker's first batch runs against the rebuilt shard.
-fn supervise_pass<K, V, I>(
-    shared: &Arc<ServiceShared<K, V, I>>,
-    workers: &Mutex<Vec<Option<JoinHandle<()>>>>,
-    max_restarts: u64,
-) where
-    K: Key + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
-    I: SortedIndex<K, V> + Send + Sync + 'static,
-{
-    for lane in 0..shared.queues.len() {
-        let state = &shared.lane_state[lane];
-        if state.get() != LaneHealth::Poisoned {
-            continue;
-        }
-        // ordering: Relaxed — the supervisor is the only writer of
-        // restarts, so its own read-modify-write sequence is ordered
-        // by program order; snapshots only observe.
-        let restarts = shared.counters[lane].restarts.load(AtomicOrdering::Relaxed);
-        if restarts >= max_restarts {
-            // Crash-looping lane: leave it Poisoned so submissions
-            // keep failing fast instead of bouncing forever.
-            continue;
-        }
-        if !state.transition(LaneHealth::Poisoned, LaneHealth::Recovering) {
-            continue;
-        }
-        // Join the dead worker first: its poison path may still be
-        // draining the closed queue, and reopening mid-drain would
-        // feed it (and cancel) freshly accepted commands.
-        if let Some(dead) = workers.lock()[lane].take() {
-            let _ = dead.join();
-        }
-        // Rebuild the lane's shard from its newest snapshot + WAL
-        // replay, discarding whatever partially-applied batch the
-        // panic left in memory. Supervised services run without a
-        // rebalancer, so lane index == shard index. Volatile shards
-        // report `false` (nothing to reload) and simply keep serving
-        // their in-memory state.
-        let _ = shared.index.reload_shard(lane);
-        shared.queues[lane].reopen();
-        let fresh = spawn_worker(lane, Arc::clone(shared));
-        workers.lock()[lane] = Some(fresh);
-        // ordering: Relaxed — advisory stats counter.
-        shared.counters[lane]
-            .restarts
-            .fetch_add(1, AtomicOrdering::Relaxed);
-        // CAS, not a blind set: the freshly spawned worker may already
-        // have hit another poison pill and re-flipped the lane to
-        // Poisoned — stomping that with Healthy would strand a closed
-        // queue behind a healthy-looking lane forever. On CAS failure
-        // the lane stays Poisoned and the next pass resurrects again.
-        state.transition(LaneHealth::Recovering, LaneHealth::Healthy);
     }
 }
 
@@ -1006,9 +914,12 @@ mod tests {
     }
 
     /// Fault injection for the worker's panic-containment path: a
-    /// [`VecIndex`] that panics when asked to insert [`BOOM_KEY`].
+    /// [`VecIndex`] that panics when asked to insert [`BOOM_KEY`], and
+    /// whose `reload` can be held: it meets the barrier on entry and
+    /// again to leave.
     struct PanicOnKey {
         inner: VecIndex<u64, u64>,
+        reload_gate: Option<Arc<std::sync::Barrier>>,
     }
 
     const BOOM_KEY: u64 = u64::MAX;
@@ -1038,6 +949,13 @@ mod tests {
         fn range<R: std::ops::RangeBounds<u64>>(&self, range: R) -> Self::RangeIter<'_> {
             self.inner.range(range)
         }
+        fn reload(&mut self) -> bool {
+            if let Some(gate) = &self.reload_gate {
+                gate.wait();
+                gate.wait();
+            }
+            false
+        }
     }
 
     impl BuildableIndex<u64, u64> for PanicOnKey {
@@ -1050,6 +968,7 @@ mod tests {
         ) -> Result<Self, Self::BuildError> {
             Ok(PanicOnKey {
                 inner: VecIndex::build_sorted(config, sorted)?,
+                reload_gate: None,
             })
         }
     }
@@ -1105,7 +1024,7 @@ mod tests {
     #[test]
     fn supervisor_resurrects_poisoned_lane() {
         // BOOM_KEY routes to lane 1 of 2. After the panic poisons the
-        // lane, the supervisor must rebuild it and serve fresh writes
+        // lane, its worker must rebuild it and serve fresh writes
         // through it again — the acceptance-criteria round trip.
         let index: ShardedIndex<u64, u64, PanicOnKey> =
             ShardedIndex::bulk_load(&(), 2, (0..100u64).map(|k| (k, k)).collect()).unwrap();
@@ -1116,10 +1035,7 @@ mod tests {
                 checkpoint_interval: Duration::from_millis(5),
                 ..DurabilityConfig::default()
             },
-            SupervisorConfig {
-                interval: Duration::from_millis(2),
-                max_lane_restarts: 4,
-            },
+            4,
         );
         let client = svc.client();
 
@@ -1171,24 +1087,21 @@ mod tests {
 
     #[test]
     fn supervisor_respects_restart_budget() {
-        // max_lane_restarts == 0: the supervisor must leave the
-        // poisoned lane alone, so it behaves like the unsupervised
-        // service — submissions fail fast forever.
+        // max_lane_restarts == 0: the worker must leave its poisoned
+        // lane alone, so it behaves like the unsupervised service —
+        // submissions fail fast forever.
         let index: ShardedIndex<u64, u64, PanicOnKey> =
             ShardedIndex::bulk_load(&(), 1, (0..10u64).map(|k| (k, k)).collect()).unwrap();
         let svc = IndexService::start_supervised(
             index,
             ServiceConfig::default(),
             DurabilityConfig::default(),
-            SupervisorConfig {
-                interval: Duration::from_millis(1),
-                max_lane_restarts: 0,
-            },
+            0,
         );
         let client = svc.client();
         assert_eq!(client.insert(BOOM_KEY, 0).wait(), Err(Canceled));
         await_panics(&svc, 0, 1);
-        // Give the supervisor several beats to (wrongly) act.
+        // Give a (wrong) resurrection time to happen.
         thread::sleep(Duration::from_millis(20));
         let lane = svc.stats().lanes[0];
         assert_eq!(lane.health, LaneHealth::Poisoned);
@@ -1196,6 +1109,86 @@ mod tests {
         assert!(client.is_closed());
         assert_eq!(client.get(0).wait(), Err(Canceled));
         let _ = svc.shutdown();
+    }
+
+    #[test]
+    fn a_lane_heals_with_no_timer_due() {
+        // The checkpoint timer is an hour away and nothing else ticks:
+        // the panicking worker resurrects its own lane.
+        let index: ShardedIndex<u64, u64, PanicOnKey> =
+            ShardedIndex::bulk_load(&(), 1, (0..10u64).map(|k| (k, k)).collect()).unwrap();
+        let svc = IndexService::start_supervised(
+            index,
+            ServiceConfig::default(),
+            DurabilityConfig {
+                checkpoint_interval: Duration::from_secs(3_600),
+                ..DurabilityConfig::default()
+            },
+            1,
+        );
+        let client = svc.client();
+        assert_eq!(client.insert(BOOM_KEY, 0).wait(), Err(Canceled));
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while svc.stats().lanes[0].health != LaneHealth::Healthy
+            || svc.stats().lanes[0].restarts < 1
+        {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "lane never healed: {:?}",
+                svc.stats().lanes
+            );
+            thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(client.insert(20, 2).wait(), Ok(None));
+        // The budget of one is spent: a second panic leaves it down.
+        assert_eq!(client.insert(BOOM_KEY, 0).wait(), Err(Canceled));
+        await_panics(&svc, 0, 2);
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while svc.stats().lanes[0].health != LaneHealth::Poisoned {
+            assert!(std::time::Instant::now() < deadline, "lane not poisoned");
+            thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(svc.stats().lanes[0].restarts, 1);
+        assert_eq!(client.get(20).wait(), Err(Canceled));
+        assert_eq!(svc.shutdown().get(&20), Some(2));
+    }
+
+    #[test]
+    fn shutdown_during_a_lane_recovery_returns() {
+        // The worker is held inside its shard reload while shutdown
+        // seals the queue; released, it must be refused the reopen and
+        // exit rather than block the join in `pop_batch` forever.
+        let gate = Arc::new(std::sync::Barrier::new(2));
+        let shard = PanicOnKey {
+            inner: VecIndex::build_sorted(&(), (0..10u64).map(|k| (k, k))).unwrap(),
+            reload_gate: Some(Arc::clone(&gate)),
+        };
+        let svc = IndexService::start_supervised(
+            ShardedIndex::from_shards(Vec::new(), vec![shard]),
+            ServiceConfig::default(),
+            DurabilityConfig::default(),
+            1,
+        );
+        assert_eq!(svc.client().insert(BOOM_KEY, 0).wait(), Err(Canceled));
+        // The worker is now inside the reload, under the shard's write
+        // lock (so no `stats()` here: it would wait for that lock).
+        gate.wait();
+        let shared = Arc::clone(&svc.shared);
+        let (done, stopped) = std::sync::mpsc::channel();
+        let stopper = thread::spawn(move || done.send(svc.shutdown().len()).unwrap());
+        // Release the reload only once shutdown has sealed the queue:
+        // the order in which a reopen would strand the worker.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !shared.queues[0].is_sealed() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "shutdown never sealed"
+            );
+            thread::yield_now();
+        }
+        gate.wait();
+        assert_eq!(stopped.recv_timeout(Duration::from_secs(10)), Ok(10));
+        stopper.join().unwrap();
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //! Closing ([`close`](BoundedQueue::close)) is one-way: producers are
 //! refused from that point, but the consumer keeps draining what was
 //! already accepted — an accepted command is never dropped, which is
-//! what lets shutdown resolve every in-flight ticket.
+//! what lets shutdown resolve every in-flight ticket. Inside the crate
+//! a lane recovering from a caught panic reopens its own closed queue,
+//! unless shutdown has sealed it: both decisions are made under the
+//! queue's mutex, so a reopen can never slip in after the seal.
 
 use fiting_sync::primitives::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
@@ -44,6 +47,8 @@ impl<T> TryPushError<T> {
 struct State<T> {
     items: VecDeque<T>,
     closed: bool,
+    /// Closed for good: [`reopen`](BoundedQueue::reopen) refuses.
+    sealed: bool,
 }
 
 /// A blocking, bounded MPSC queue: many submitters, one shard worker.
@@ -69,6 +74,7 @@ impl<T> BoundedQueue<T> {
             state: Mutex::new(State {
                 items: VecDeque::new(),
                 closed: false,
+                sealed: false,
             }),
             capacity,
             not_empty: Condvar::new(),
@@ -161,16 +167,37 @@ impl<T> BoundedQueue<T> {
         self.not_full.notify_all();
     }
 
-    /// Reopens a closed queue so producers are accepted again — the
-    /// supervisor's lane-resurrection hook. A no-op on an open queue.
+    /// Closes the queue for good — shutdown's close: a later
+    /// [`reopen`](Self::reopen) is refused.
+    pub(crate) fn seal(&self) {
+        self.lock().sealed = true;
+        self.close();
+    }
+
+    /// Reopens a closed queue so producers are accepted again — a
+    /// recovering lane's hook, run by the lane's own worker. A no-op on
+    /// an open queue. Returns `false`, leaving the queue closed, once
+    /// [`seal`](Self::seal) has run: the check and the reopen share one
+    /// critical section, so shutdown's seal is ordered entirely before
+    /// or entirely after it and never strands a worker in `pop_batch`.
     ///
     /// Only meaningful once the closed queue has been fully drained
-    /// (a poisoned lane's teardown canceled everything it held) and a
-    /// fresh consumer is about to start; reopening with commands still
-    /// queued would hand them to the new consumer out of order with
-    /// the cancellations already reported.
-    pub(crate) fn reopen(&self) {
-        self.lock().closed = false;
+    /// (a poisoned lane's teardown canceled everything it held) and
+    /// its consumer is about to resume; reopening with commands still
+    /// queued would hand them to the consumer out of order with the
+    /// cancellations already reported.
+    pub(crate) fn reopen(&self) -> bool {
+        let mut state = self.lock();
+        if !state.sealed {
+            state.closed = false;
+        }
+        !state.sealed
+    }
+
+    /// Whether [`seal`](Self::seal) has run.
+    #[cfg(test)]
+    pub(crate) fn is_sealed(&self) -> bool {
+        self.lock().sealed
     }
 
     /// Items currently queued (a racy snapshot — for stats).
@@ -198,7 +225,10 @@ impl<T> BoundedQueue<T> {
     }
 }
 
+// `tests/models.rs` compiles this file into its model-checker target
+// too; these tests spawn real threads and stay out of it.
 #[cfg(test)]
+#[cfg(not(fiting_model))]
 mod tests {
     use super::*;
     use std::sync::Arc;
@@ -297,10 +327,22 @@ mod tests {
         q.close();
         assert_eq!(q.pop_batch(16, Duration::ZERO), vec![1]);
         assert_eq!(q.push(2), Err(Closed(2)));
-        q.reopen();
+        assert!(q.reopen());
         assert!(!q.is_closed());
         q.push(3).unwrap();
         assert_eq!(q.pop_batch(16, Duration::ZERO), vec![3]);
+    }
+
+    #[test]
+    fn a_sealed_queue_refuses_to_reopen() {
+        let q = BoundedQueue::new(4);
+        q.push(1).unwrap();
+        q.seal();
+        assert_eq!(q.push(2), Err(Closed(2)));
+        assert_eq!(q.pop_batch(16, Duration::ZERO), vec![1]);
+        assert!(!q.reopen());
+        assert!(q.is_closed());
+        assert_eq!(q.pop_batch(16, Duration::ZERO), Vec::<i32>::new());
     }
 
     #[test]

@@ -24,19 +24,22 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 ///
 /// ```text
 /// Healthy -> Poisoned           (worker panic; queue closed)
-/// Poisoned -> Recovering        (supervisor resurrecting the lane)
+/// Poisoned -> Recovering        (the worker resurrecting its lane)
 /// Recovering -> Healthy         (shard reloaded, queue reopened)
 /// ```
+///
+/// The lane's own worker makes every transition, so each lane's
+/// health has one writer.
 ///
 /// "Writes may be refused" is not a lane state: a shard owns its
 /// [`ShardHealth`] under its write lock, and
 /// [`ServiceStats::is_degraded`] reads it there.
 ///
-/// Without a supervisor (plain [`IndexService::start`]) `Poisoned` is
-/// terminal for the process lifetime, exactly as in the pre-supervisor
-/// design.
+/// Without a restart budget (any constructor but
+/// [`IndexService::start_supervised`], or a lane whose budget is
+/// spent) `Poisoned` is terminal for the process lifetime.
 ///
-/// [`IndexService::start`]: crate::IndexService::start
+/// [`IndexService::start_supervised`]: crate::IndexService::start_supervised
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LaneHealth {
     /// Serving normally.
@@ -45,8 +48,8 @@ pub enum LaneHealth {
     /// The worker caught a panic: the queue is closed and everything
     /// queued was canceled.
     Poisoned,
-    /// A supervisor is rebuilding the lane's shard and restarting its
-    /// worker.
+    /// The lane's worker is reloading its shard and about to reopen
+    /// its queue.
     Recovering,
 }
 
@@ -68,16 +71,15 @@ impl LaneHealth {
     }
 }
 
-/// One lane's live health word (an atomic [`LaneHealth`] the worker,
-/// supervisor, and stats snapshots all share).
+/// One lane's live health word (an atomic [`LaneHealth`] its worker
+/// writes and stats snapshots read).
 #[derive(Debug, Default)]
 pub(crate) struct LaneState(AtomicU8);
 
 impl LaneState {
-    // Lane health is an advisory signal — the queue mutex
-    // (close/reopen) is what submitters actually synchronize on, and
-    // the supervisor re-checks under its own joins — so Relaxed
-    // suffices for every access on this impl block.
+    // Lane health is an advisory signal with one writer — the queue
+    // mutex (close/reopen) is what submitters actually synchronize on
+    // — so Relaxed suffices for every access on this impl block.
     pub(crate) fn get(&self) -> LaneHealth {
         // ordering: Relaxed load — see the note on this impl block.
         LaneHealth::from_u8(self.0.load(Ordering::Relaxed))
@@ -86,21 +88,6 @@ impl LaneState {
     pub(crate) fn set(&self, health: LaneHealth) {
         // ordering: Relaxed store — see the note on this impl block.
         self.0.store(health.as_u8(), Ordering::Relaxed);
-    }
-
-    /// Transitions `from -> to` only if the state is still `from`, so
-    /// the supervisor's `Recovering -> Healthy` can never stomp a
-    /// `Poisoned` mark a respawned worker has already set again.
-    pub(crate) fn transition(&self, from: LaneHealth, to: LaneHealth) -> bool {
-        // ordering: Relaxed CAS — see the note on this impl block.
-        self.0
-            .compare_exchange(
-                from.as_u8(),
-                to.as_u8(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            )
-            .is_ok()
     }
 }
 
@@ -125,10 +112,10 @@ pub(crate) struct WorkerCounters {
     pub coalesced_writes: AtomicU64,
     /// Panics caught by the lane's worker. A nonzero value means the
     /// lane has been poisoned: its queue is closed and its remaining
-    /// commands were canceled (a supervisor, when attached, resurrects
-    /// it — see `restarts`).
+    /// commands were canceled (under supervision the worker then
+    /// resurrects it — see `restarts`).
     pub panics: AtomicU64,
-    /// Times a supervisor resurrected this lane after a poisoning.
+    /// Times the lane's worker resurrected it after a poisoning.
     pub restarts: AtomicU64,
     /// Write commands refused with `CommandError::Degraded` because
     /// their shard was in degraded read-only mode.
@@ -172,13 +159,12 @@ pub struct LaneServiceStats {
     pub read_runs: u64,
     /// Writes applied through a coalesced batch path.
     pub coalesced_writes: u64,
-    /// Worker panics caught on this lane; without a supervisor,
+    /// Worker panics caught on this lane; without a restart budget,
     /// nonzero means the lane is poisoned (queue closed, queued
     /// commands canceled).
     pub panics: u64,
-    /// Supervisor resurrections of this lane (each one rebuilt the
-    /// shard from snapshot + WAL, reopened the queue, and restarted
-    /// the worker).
+    /// Resurrections of this lane by its own worker (each one rebuilt
+    /// the shard from snapshot + WAL and reopened the queue).
     pub restarts: u64,
     /// Writes refused by a degraded read-only shard on this lane.
     pub degraded_writes: u64,
@@ -375,23 +361,17 @@ mod tests {
     }
 
     #[test]
-    fn lane_state_transitions_guard_ownership() {
+    fn lane_state_round_trips_every_health() {
         let state = LaneState::default();
         assert_eq!(state.get(), LaneHealth::Healthy);
-        assert!(!state.transition(LaneHealth::Poisoned, LaneHealth::Recovering));
-        state.set(LaneHealth::Poisoned);
-        assert!(state.transition(LaneHealth::Poisoned, LaneHealth::Recovering));
-        // A respawned worker re-poisons mid-resurrection: the
-        // supervisor's Recovering->Healthy must not clear Poisoned.
-        state.set(LaneHealth::Poisoned);
-        assert!(!state.transition(LaneHealth::Recovering, LaneHealth::Healthy));
-        assert_eq!(state.get(), LaneHealth::Poisoned);
         for h in [
-            LaneHealth::Healthy,
             LaneHealth::Poisoned,
             LaneHealth::Recovering,
+            LaneHealth::Healthy,
         ] {
             assert_eq!(LaneHealth::from_u8(h.as_u8()), h);
+            state.set(h);
+            assert_eq!(state.get(), h);
         }
     }
 

@@ -320,7 +320,7 @@ pub(crate) fn stats_metrics(stats: &ServiceStats) -> Vec<Metric> {
         Metric::counter(
             "service.restarts",
             Unit::Count,
-            "supervisor lane resurrections",
+            "lane resurrections by their own workers",
             lane_sum(|l| l.restarts),
         ),
         Metric::counter(

@@ -51,9 +51,13 @@
 //! — proceed normally. The shard the panic escaped from may hold a
 //! partially applied batch (the locks themselves do not poison), which
 //! is exactly the weaker guarantee the canceled tickets report. Under
-//! [`start_supervised`](crate::IndexService::start_supervised) a
-//! poisoned lane is later resurrected: shard reloaded from snapshot +
-//! WAL, queue reopened, worker respawned.
+//! [`start_supervised`](crate::IndexService::start_supervised) the
+//! same worker then resurrects its lane while it has restart budget
+//! left: it reloads the shard from snapshot + WAL, reopens its own
+//! queue and goes back to draining it. No other thread is involved, so
+//! the steps run in order with nothing to join or respawn; the one
+//! race left, shutdown sealing the queue mid-recovery, is settled under
+//! the queue's mutex ([`BoundedQueue::reopen`](crate::BoundedQueue)).
 //!
 //! # Degraded shards
 //!
@@ -144,7 +148,10 @@ where
             std::panic::catch_unwind(AssertUnwindSafe(|| execute_batch(lane, shared, batch)));
         if outcome.is_err() {
             poison_lane(lane, shared);
-            return;
+            if !resurrect_lane(lane, shared) {
+                return;
+            }
+            continue;
         }
         if had_writes && sync_batches {
             // Group commit: one flush(+fsync per the store's policy)
@@ -173,8 +180,7 @@ fn poison_lane<K: Key, V: Clone, I: SortedIndex<K, V> + 'static>(
     // ordering: Relaxed — the panic count is advisory stats; the
     // queue.close() below (a mutex) is what submitters synchronize on.
     shared.counters[lane].panics.fetch_add(1, Ordering::Relaxed);
-    // Unconditional store: the supervisor is the only thing that moves
-    // a lane out of `Poisoned`.
+    // Unconditional store: this worker is the lane's only health writer.
     shared.lane_state[lane].set(LaneHealth::Poisoned);
     queue.close();
     // Drain whatever was queued and drop it: dropping a command drops
@@ -187,6 +193,36 @@ fn poison_lane<K: Key, V: Clone, I: SortedIndex<K, V> + 'static>(
             return;
         }
     }
+}
+
+/// Brings a poisoned lane back on its own worker, if the restart
+/// budget allows: reload the shard from snapshot + WAL replay while
+/// the queue is still closed (discarding whatever partial batch the
+/// panic left in memory), reopen the queue, count the restart. Returns
+/// `false` — the worker then exits — with no budget left, or when
+/// shutdown sealed the queue first. Lanes run 1:1 with shards under
+/// supervision (no rebalancer), so the lane index is the shard index;
+/// a volatile shard has nothing to reload and keeps its state.
+fn resurrect_lane<K: Key, V: Clone, I: SortedIndex<K, V> + 'static>(
+    lane: usize,
+    shared: &ServiceShared<K, V, I>,
+) -> bool {
+    let (counters, state) = (&shared.counters[lane], &shared.lane_state[lane]);
+    // ordering: Relaxed — this worker is the only writer of its lane's
+    // restarts, so program order orders its own read and increment;
+    // stats snapshots only observe.
+    if counters.restarts.load(Ordering::Relaxed) >= shared.max_lane_restarts {
+        // Crash-looping lane: it stays Poisoned, submissions fail fast.
+        return false;
+    }
+    state.set(LaneHealth::Recovering);
+    let _ = shared.index.reload_shard(lane);
+    if !shared.queues[lane].reopen() {
+        return false;
+    }
+    counters.restarts.fetch_add(1, Ordering::Relaxed);
+    state.set(LaneHealth::Healthy);
+    true
 }
 
 /// Executes one drained batch. Write commands refused by degraded

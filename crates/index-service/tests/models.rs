@@ -14,6 +14,13 @@ use shuttle::{model, thread};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// The library's own `queue.rs`, compiled into this target as well: a
+/// recovering lane's `reopen` and shutdown's `seal` are crate-private,
+/// and this reaches the shipped code without widening the public API.
+#[path = "../src/queue.rs"]
+#[allow(dead_code)]
+mod queue;
+
 /// Submit / drain / close race on a queue of capacity 1. Under every
 /// interleaving an accepted (`Ok`) push is drained exactly once, in
 /// the producer's order, and a refused push never surfaces — no loss,
@@ -107,6 +114,55 @@ fn ticket_complete_vs_wait_timeout() {
                     );
                 }
             }
+        }
+    });
+}
+
+/// A lane recovering from a caught panic races shutdown on its queue.
+/// The lane's worker runs its teardown (close, then drain and cancel
+/// everything queued) and its resurrection (reopen, then resume
+/// draining), `stop` seals the queue and joins the worker, and a
+/// submitter pushes throughout. Under every interleaving the queue
+/// ends closed, the worker's next drain comes back empty — so the join
+/// returns — and every ticket resolves, executed or canceled.
+#[test]
+fn lane_recovery_vs_shutdown_seal() {
+    model::battery("lane recovery vs shutdown seal", || {
+        let q = Arc::new(queue::BoundedQueue::new(1));
+        let (q_sub, q_lane) = (Arc::clone(&q), Arc::clone(&q));
+        let submitter = thread::spawn(move || {
+            [1u32, 2].map(|v| {
+                let (ticket, done) = ticket::<u32>();
+                // A refused push drops the completer: Canceled.
+                let _ = q_sub.push((v, done));
+                ticket
+            })
+        });
+        let worker = thread::spawn(move || {
+            q_lane.close();
+            while !q_lane.pop_batch(usize::MAX, Duration::ZERO).is_empty() {}
+            if !q_lane.reopen() {
+                return;
+            }
+            loop {
+                let batch = q_lane.pop_batch(4, Duration::ZERO);
+                if batch.is_empty() {
+                    return;
+                }
+                for (v, done) in batch {
+                    done.complete(v);
+                }
+            }
+        });
+        q.seal();
+        worker.join().unwrap();
+        assert!(q.is_closed(), "a sealed queue was reopened");
+        assert!(q.pop_batch(4, Duration::ZERO).is_empty());
+        for mut ticket in submitter.join().unwrap() {
+            assert!(
+                ticket.wait_timeout(Duration::ZERO).is_some(),
+                "a ticket was left unresolved"
+            );
         }
     });
 }

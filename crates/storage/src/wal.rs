@@ -362,32 +362,33 @@ fn encode_payload<K: Key, V: Key>(op: &WalOp<'_, K, V>) -> Vec<u8> {
     }
 }
 
+/// Decodes one key or value, refusing bits whose projection is NaN:
+/// no writer produces them (`OrderedF64::new` refuses NaN), so a record
+/// carrying them is rejected however its checksum reads.
+fn field<T: Key>(bytes: &[u8]) -> Option<T> {
+    let item = T::from_le_bytes(bytes);
+    (!item.to_f64().is_nan()).then_some(item)
+}
+
 fn decode_payload<K: Key, V: Key>(payload: &[u8]) -> Option<ReplayOp<K, V>> {
     let pair = K::ENCODED_LEN + V::ENCODED_LEN;
+    let split = |c: &[u8]| Some((field(&c[..K::ENCODED_LEN])?, field(&c[K::ENCODED_LEN..])?));
     match payload.first()? {
-        1 if payload.len() == 1 + pair => Some(ReplayOp::Insert(
-            K::from_le_bytes(&payload[1..1 + K::ENCODED_LEN]),
-            V::from_le_bytes(&payload[1 + K::ENCODED_LEN..]),
-        )),
-        2 if payload.len() == 1 + K::ENCODED_LEN => {
-            Some(ReplayOp::Remove(K::from_le_bytes(&payload[1..])))
+        1 if payload.len() == 1 + pair => {
+            let (key, value) = split(&payload[1..])?;
+            Some(ReplayOp::Insert(key, value))
         }
+        2 if payload.len() == 1 + K::ENCODED_LEN => Some(ReplayOp::Remove(field(&payload[1..])?)),
         3 if payload.len() >= 5 => {
             let count = u32::from_le_bytes(payload[1..5].try_into().ok()?) as usize;
             let body = &payload[5..];
             if body.len() != count * pair {
                 return None;
             }
-            Some(ReplayOp::InsertMany(
-                body.chunks_exact(pair)
-                    .map(|c| {
-                        (
-                            K::from_le_bytes(&c[..K::ENCODED_LEN]),
-                            V::from_le_bytes(&c[K::ENCODED_LEN..]),
-                        )
-                    })
-                    .collect(),
-            ))
+            body.chunks_exact(pair)
+                .map(split)
+                .collect::<Option<_>>()
+                .map(ReplayOp::InsertMany)
         }
         _ => None,
     }
@@ -428,7 +429,7 @@ fn decode_record_at<K: Key, V: Key>(bytes: &[u8], pos: usize) -> Option<(ReplayO
 /// A record is rejected — stopping the scan there, marking the replay
 /// `truncated` — when its header is short, its payload is short, its
 /// checksum mismatches, or its payload does not decode to a known op
-/// shape.
+/// shape (a key or value projecting to NaN included).
 ///
 /// # Errors
 ///
@@ -633,6 +634,36 @@ mod tests {
             vec![ReplayOp::Insert(1, 10)]
         );
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_record_projecting_to_nan_stops_replay() {
+        type F = fiting_index_api::OrderedF64;
+        let f = |v: f64| F::new(v).unwrap();
+        let record = |payload: &[u8]| {
+            let len = (payload.len() as u32).to_le_bytes();
+            [&len[..], &crc32(payload).to_le_bytes(), payload].concat()
+        };
+        let good = record(&encode_payload::<F, F>(&WalOp::Insert(f(1.0), f(2.0))));
+        // The ordered image of a NaN: no writer produces it.
+        let (nan, one) = (u64::MAX.to_le_bytes(), f(1.0).to_le_bytes());
+        let path = tmp("nan");
+        for bad in [
+            [&[1][..], &nan, &one].concat(),
+            [&[1][..], &one, &nan].concat(),
+            [&[2][..], &nan].concat(),
+            [&[3][..], &2u32.to_le_bytes(), &one, &one, &one, &nan].concat(),
+        ] {
+            let stream = [&good[..], &record(&bad), &good].concat();
+            let kept = vec![ReplayOp::Insert(f(1.0), f(2.0))];
+            assert_eq!(decode_records::<F, F>(&stream), kept);
+            std::fs::write(&path, [&header_bytes::<F, F>()[..], &stream].concat()).unwrap();
+            let replayed = replay::<F, F>(&RealIo, &path).unwrap();
+            assert!(replayed.truncated);
+            assert_eq!(replayed.ops, kept);
+            assert_eq!(replayed.valid_len, (WAL_HEADER_LEN + good.len()) as u64);
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub use fiting_index_api::{
 };
 pub use fiting_index_service::{
     Canceled, Client, Command, CommandError, Completer, DurabilityConfig, IndexService, LaneHealth,
-    ServiceConfig, ServiceStats, SupervisorConfig, Ticket,
+    ServiceConfig, ServiceStats, Ticket,
 };
 pub use fiting_storage::{
     open_sharded, DurableConfig, DurableIndex, FaultIo, FaultPlan, FsyncPolicy, InjectKind, RealIo,

@@ -25,9 +25,9 @@
 //!   lane). Tickets resolving `Ok` form the oracle; `Canceled` point
 //!   writes must NOT be applied (they were never executed);
 //!   `Degraded`/`Canceled` cross-shard batches are the only uncertain
-//!   keys. After the storm the harness disarms, waits for the
-//!   supervisor + checkpoint coordinator to heal every lane and
-//!   shard, round-trips a fresh probe write per lane, shuts down, and
+//!   keys. After the storm the harness disarms, waits for the lane
+//!   workers (which resurrect their own lanes) and the checkpoint
+//!   coordinator to heal every lane and shard, round-trips a fresh probe write per lane, shuts down, and
 //!   reopens the store from disk — the recovered state must match the
 //!   oracle on every certain key.
 //!
@@ -55,7 +55,7 @@ use fiting::storage::{
 use fiting::tree::{FitingTree, FitingTreeBuilder};
 use fiting::{
     open_sharded, BuildableIndex, Degraded, DurabilityConfig, IndexService, LaneHealth,
-    ServiceConfig, ShardHealth, ShardedIndex, SortedIndex, SupervisorConfig,
+    ServiceConfig, ShardHealth, ShardedIndex, SortedIndex,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::RangeBounds;
@@ -509,10 +509,7 @@ fn service_storm(root: &Path, seed: u64, io: &FaultIo) -> Result<(u64, u64), Str
             checkpoint_interval: Duration::from_millis(3),
             checkpoint_wal_bytes: 4 << 10,
         },
-        SupervisorConfig {
-            interval: Duration::from_millis(1),
-            max_lane_restarts: 1_000,
-        },
+        1_000,
     );
     let client = svc.client();
 
@@ -610,10 +607,10 @@ fn service_storm(root: &Path, seed: u64, io: &FaultIo) -> Result<(u64, u64), Str
         }
     }
 
-    // Quiesce: no more faults; the supervisor resurrects poisoned
-    // lanes and the checkpoint coordinator heals degraded shards. No
-    // write is submitted while waiting: health is read from the shards
-    // that own it, so a healed service reads healed by itself.
+    // Quiesce: no more faults; poisoned lanes' workers resurrect them
+    // and the checkpoint coordinator heals degraded shards. No write is
+    // submitted while waiting: health is read from the shards that own
+    // it, so a healed service reads healed by itself.
     io.disarm();
     let deadline = Instant::now() + Duration::from_secs(20);
     loop {
@@ -739,10 +736,7 @@ fn forced_checkpoint_failure(root: &Path, io: &FaultIo) -> Result<(), String> {
             checkpoint_interval: Duration::from_millis(1),
             checkpoint_wal_bytes: 0,
         },
-        SupervisorConfig {
-            interval: Duration::from_millis(1),
-            max_lane_restarts: 10,
-        },
+        10,
     );
     let client = svc.client();
     io.fail_nth(IoOp::Create, "snapshot.tmp", 1, InjectKind::Enospc, false);
