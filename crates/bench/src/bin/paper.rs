@@ -156,10 +156,16 @@ const FIGURES: &[Figure] = &[
         title: "Fig. 10 — cost model vs measurement (Weblogs, c measured on this machine)",
         header: &["error", "est ns", "measured ns", "est size", "actual size"],
         measure: fig10,
-        claims: &[Claim {
-            says: "estimated latency >= measured latency at every e",
-            holds: fig10_estimate_bounds_latency,
-        }],
+        claims: &[
+            Claim {
+                says: "estimated latency >= measured latency at every e",
+                holds: fig10_estimate_bounds_latency,
+            },
+            Claim {
+                says: "estimated size = actual size at every e",
+                holds: fig10_size_estimate_is_exact,
+            },
+        ],
     },
     Figure {
         id: "fig11",
@@ -497,13 +503,11 @@ fn fig10(s: Scale) -> Vec<Row> {
         .into_iter()
         .map(|e| {
             let tree = fiting(FitingTreeBuilder::new(e), &pairs);
-            // Learned at the tree's own segmentation error: exact here.
-            let segments = segment_model.segments_at(e);
             vec![
                 Int(e),
-                Ns(cost.lookup_latency_ns(e, e / 2, segments)),
+                Ns(cost.lookup_latency_ns(&segment_model, e)),
                 Ns(time_per_op(&probes, |p| tree.get(&p).copied())),
-                Bytes(cost.index_size_bytes(segments) as usize),
+                Bytes(cost.index_size_bytes(&segment_model, e) as usize),
                 Bytes(tree.index_size_bytes()),
             ]
         })
@@ -512,6 +516,12 @@ fn fig10(s: Scale) -> Vec<Row> {
 
 fn fig10_estimate_bounds_latency(rows: &[Row]) -> bool {
     rows.iter().all(|r| r[1].num() >= r[2].num())
+}
+
+/// The model is learned at the tree's own segmentation error, so at a
+/// sampled e it prices the tree's segment count, and its size, exactly.
+fn fig10_size_estimate_is_exact(rows: &[Row]) -> bool {
+    rows.iter().all(|r| r[3] == r[4])
 }
 
 /// e = page = 100 is the paper's optimum for this dataset.
@@ -699,12 +709,25 @@ mod tests {
     }
 
     #[test]
-    fn fig10_claim() {
-        let row = |estimate, measured| vec![Int(16), Ns(estimate), Ns(measured)];
+    fn fig10_claims() {
+        let row = |estimate, measured, est_size, size| {
+            vec![
+                Int(16),
+                Ns(estimate),
+                Ns(measured),
+                Bytes(est_size),
+                Bytes(size),
+            ]
+        };
         accepts_then_rejects(
             fig10_estimate_bounds_latency,
-            &[row(1000.0, 100.0), row(60.0, 60.0)],
-            &[row(1000.0, 100.0), row(100.0, 101.0)],
+            &[row(1000.0, 100.0, 0, 0), row(60.0, 60.0, 0, 0)],
+            &[row(1000.0, 100.0, 0, 0), row(100.0, 101.0, 0, 0)],
+        );
+        accepts_then_rejects(
+            fig10_size_estimate_is_exact,
+            &[row(0.0, 0.0, 36, 36), row(0.0, 0.0, 72, 72)],
+            &[row(0.0, 0.0, 36, 36), row(0.0, 0.0, 72, 36)],
         );
     }
 

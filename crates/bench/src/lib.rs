@@ -77,7 +77,7 @@ pub fn throughput_mops<T>(items: &[u64], f: impl FnMut(u64) -> T) -> f64 {
 /// a dependent pointer chase over a buffer far larger than L3.
 #[must_use]
 pub fn measure_cache_miss_ns() -> f64 {
-    const SLOTS: usize = 1 << 23; // 64 MB of u64 slots
+    const SLOTS: usize = 1 << 23; // 32 MB of u32 slots
     const HOPS: usize = 2_000_000;
     let mut rng = StdRng::seed_from_u64(7);
     // Random cyclic permutation (Sattolo) for a dependent chase.

@@ -17,7 +17,6 @@ use crate::key::Key;
 use crate::range::RangeIter;
 use crate::segment::{Run, Segment};
 use crate::stats::{FitingTreeStats, LookupTrace};
-use crate::SEGMENT_METADATA_BYTES;
 use fiting_plr::{Cone, Point, ShrinkingCone};
 use std::ops::RangeBounds;
 use std::time::Instant;
@@ -341,12 +340,12 @@ impl<K: Key, V> FitingTree<K, V> {
     }
 
     /// Index structure size in bytes, following the paper's accounting:
-    /// the flat directory arrays + 24 B of segment metadata (start key,
-    /// slope, page pointer) per segment. The table data itself is *not* index overhead (it
-    /// exists regardless).
+    /// each segment's directory entry (anchor key + `u32` slot) + 24 B of
+    /// segment metadata (start key, slope, page pointer). The table data
+    /// itself is *not* index overhead (it exists regardless).
     #[must_use]
     pub fn index_size_bytes(&self) -> usize {
-        self.dir.size_bytes() + self.segment_count() * SEGMENT_METADATA_BYTES
+        self.segment_count() * crate::segment_bytes(std::mem::size_of::<K>())
     }
 
     /// Full statistics snapshot; walks the directory and arena.

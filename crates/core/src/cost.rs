@@ -1,25 +1,29 @@
 //! The paper's cost model (Section 6): pick an error threshold from a
-//! latency SLA or a storage budget.
+//! lookup-latency requirement or a storage budget.
 //!
-//! Both models are deliberately simple; the paper validates them as
-//! upper bounds (Figure 10). The `paper` bench's Fig. 10 holds the
-//! latency estimate to that at every error. For keys of at most 12 B
-//! (`u64` among them) the size estimate is one too: it charges at least
-//! 40 B a segment (one 16 B tree level plus 24 B of metadata), where
-//! the flat directory costs `size_of::<K>()` + 4 B a segment on top of
-//! the same 24 B — so at the segment count the tree really has, the
-//! estimate never falls below `FitingTree::index_size_bytes`. Wider
-//! keys (`u128`, `SecondaryIndex`'s 16 B `DupKey<u64>`) can exceed it
-//! on a tree of few segments.
+//! Both estimates price the structure that ships: a flat directory —
+//! one anchor key and one `u32` arena slot a segment, in two parallel
+//! arrays — over variable-sized pages whose lookup requests its key and
+//! value windows before it searches them (`segment.rs`, "Miss budget").
+//! The paper's terms for a B+ tree directory (fanout, fill factor, one
+//! miss a level) price a tree this crate does not build.
 //!
-//! * Latency (Section 6.1):
-//!   `latency(e) = c · (log_b(S_e) + log2(e) + log2(bu))` — a cache miss
-//!   per touched tree level, per binary-search step in the `±e` window,
-//!   and per binary-search step in the buffer.
-//! * Size (Section 6.2):
-//!   `size(e) = f · S_e · log_b(S_e) · 16 B + S_e · 24 B` — the paper's
-//!   tree term (8-byte keys + pointers per entry per level) plus segment
-//!   metadata.
+//! * Size (Section 6.2): `size(e) = S_e · (|K| + 4 B + 24 B)` — the
+//!   directory entry plus the paper's segment metadata, the bytes a
+//!   segment costs in `FitingTree::index_size_bytes`. At a sampled `e`,
+//!   `S_e` is the built tree's segment count, so the estimate is that
+//!   tree's size exactly, for every key type.
+//! * Latency (Section 6.1), with `w = 2(e − e/2 + 1) + 1` the widest
+//!   window a page searches:
+//!   `latency(e) = s · (log2 S_e + log2 w) + c · (1 + ⌈log2(w · |K| / 1 KiB)⌉⁺)`.
+//!   The directory search and the in-window search are compare steps on
+//!   cache-resident lines, `s` each (`STEP_NS`). The key window and
+//!   the value window arrive in one DRAM round trip `c`. A window longer
+//!   than the 16-line (1 KiB) request budget is not requested, and each
+//!   doubling past the budget costs one more dependent miss. The
+//!   paper's buffer term is not charged: a hit on the page returns
+//!   before the buffer is read, so a buffered key costs one search more
+//!   than the estimate.
 //!
 //! `S_e`, the number of segments at error `e`, is data-dependent; the
 //! paper suggests learning it per dataset. [`SegmentCountModel::learn`]
@@ -29,6 +33,7 @@
 //! buffer takes the rest), so that is where each sample is segmented.
 
 use crate::key::Key;
+use crate::segment::{CACHE_LINE, REQUEST_LINES};
 use fiting_plr::{Point, ShrinkingCone};
 
 /// Learned mapping from error threshold to segment count for one dataset.
@@ -36,6 +41,8 @@ use fiting_plr::{Point, ShrinkingCone};
 pub struct SegmentCountModel {
     /// `(error, segments)` samples, sorted by error.
     samples: Vec<(u64, usize)>,
+    /// `size_of` the key type the samples were learned from.
+    key_bytes: usize,
 }
 
 impl SegmentCountModel {
@@ -60,23 +67,22 @@ impl SegmentCountModel {
             .into_iter()
             .map(|e| {
                 let mut sc = ShrinkingCone::new(e - e / 2);
-                let mut count = 0usize;
-                for (pos, k) in keys.iter().enumerate() {
-                    if sc.push(Point::new(k.to_f64(), pos as u64)).is_some() {
-                        count += 1;
-                    }
-                }
-                if sc.finish().is_some() {
-                    count += 1;
-                }
-                (e, count)
+                let points = keys
+                    .iter()
+                    .zip(0u64..)
+                    .map(|(k, pos)| Point::new(k.to_f64(), pos));
+                let closed = points.filter_map(|p| sc.push(p)).count();
+                (e, closed + usize::from(sc.finish().is_some()))
             })
             .collect();
-        SegmentCountModel { samples }
+        SegmentCountModel {
+            samples,
+            key_bytes: std::mem::size_of::<K>(),
+        }
     }
 
-    /// Builds a model from explicit `(error, segments)` samples (e.g.
-    /// replayed from a previous run).
+    /// Builds a model of `u64` keys from explicit `(error, segments)`
+    /// samples.
     ///
     /// # Panics
     ///
@@ -87,7 +93,10 @@ impl SegmentCountModel {
         assert!(!samples.is_empty(), "need at least one sample");
         samples.sort_unstable_by_key(|&(e, _)| e);
         samples.dedup_by_key(|&mut (e, _)| e);
-        SegmentCountModel { samples }
+        SegmentCountModel {
+            samples,
+            key_bytes: std::mem::size_of::<u64>(),
+        }
     }
 
     /// The candidate errors the model was learned at.
@@ -121,11 +130,13 @@ impl SegmentCountModel {
     }
 }
 
-/// Directory tree fanout `b` of the Section 6 formulas.
-const FANOUT: f64 = 16.0;
-
-/// Tree fill factor `f` in the size model.
-const FILL_FACTOR: f64 = 1.0;
+/// One compare-and-select step of a search on cache-resident lines
+/// (`s`). Set by `paper --fig fig10 --n 100000`, seeds 42–46, on a
+/// 2-vCPU Xeon VM: there the whole tree is cache-resident, and the
+/// measured lookup divided by the steps the model charges was
+/// 4.0–9.3 ns (median 5.8). Rounding the worst up keeps the estimate a
+/// bound.
+const STEP_NS: f64 = 10.0;
 
 /// The hardware constant of the Section 6 formulas.
 #[derive(Debug, Clone, Copy)]
@@ -145,29 +156,28 @@ impl Default for CostModel {
 }
 
 impl CostModel {
-    /// Estimated lookup latency (ns) at error `e` with the given buffer
-    /// capacity and segment count (paper Equation 6.1.1).
+    /// Estimated lookup latency (ns) at total error `error` on the
+    /// dataset `model` was learned from (paper Equation 6.1.1, priced
+    /// for the flat directory; see the module docs).
     #[must_use]
-    pub fn lookup_latency_ns(&self, error: u64, buffer_size: u64, segments: f64) -> f64 {
-        let tree = segments.max(2.0).ln() / FANOUT.ln();
-        let window = (error.max(2) as f64).log2();
-        let buffer = (buffer_size.max(2) as f64).log2();
-        self.cache_miss_ns * (tree.max(1.0) + window + buffer)
+    pub fn lookup_latency_ns(&self, model: &SegmentCountModel, error: u64) -> f64 {
+        let window = 2.0 * (error - error / 2 + 1) as f64 + 1.0;
+        let steps = model.segments_at(error).max(1.0).log2() + window.log2();
+        let budget = (REQUEST_LINES * CACHE_LINE) as f64;
+        let doublings = (window * model.key_bytes as f64 / budget).log2().ceil();
+        STEP_NS * steps + self.cache_miss_ns * (1.0 + doublings.max(0.0))
     }
 
-    /// Estimated index size in bytes at a given segment count (paper
-    /// Equation 6.2.1): tree term + 24 B segment metadata.
+    /// Estimated index size in bytes at total error `error` (paper
+    /// Equation 6.2.1): `S_e` segments at the bytes each costs the tree.
     #[must_use]
-    pub fn index_size_bytes(&self, segments: f64) -> f64 {
-        let s = segments.max(1.0);
-        let levels = (s.ln() / FANOUT.ln()).max(1.0);
-        FILL_FACTOR * s * levels * 16.0 + s * 24.0
+    pub fn index_size_bytes(&self, model: &SegmentCountModel, error: u64) -> f64 {
+        model.segments_at(error) * crate::segment_bytes(model.key_bytes) as f64
     }
 
     /// Smallest-index error meeting a lookup-latency requirement (paper
     /// Equation 6.1.2): among candidate errors whose estimated latency is
     /// within `latency_req_ns`, the one minimizing estimated size.
-    /// Buffers follow the paper's `e / 2` convention.
     ///
     /// Returns `None` if no candidate meets the requirement.
     #[must_use]
@@ -179,11 +189,10 @@ impl CostModel {
         model
             .errors()
             .into_iter()
-            .filter(|&e| self.lookup_latency_ns(e, e / 2, model.segments_at(e)) <= latency_req_ns)
+            .filter(|&e| self.lookup_latency_ns(model, e) <= latency_req_ns)
             .min_by(|&a, &b| {
-                let sa = self.index_size_bytes(model.segments_at(a));
-                let sb = self.index_size_bytes(model.segments_at(b));
-                sa.total_cmp(&sb)
+                self.index_size_bytes(model, a)
+                    .total_cmp(&self.index_size_bytes(model, b))
             })
     }
 
@@ -201,11 +210,10 @@ impl CostModel {
         model
             .errors()
             .into_iter()
-            .filter(|&e| self.index_size_bytes(model.segments_at(e)) <= size_budget_bytes)
+            .filter(|&e| self.index_size_bytes(model, e) <= size_budget_bytes)
             .min_by(|&a, &b| {
-                let la = self.lookup_latency_ns(a, a / 2, model.segments_at(a));
-                let lb = self.lookup_latency_ns(b, b / 2, model.segments_at(b));
-                la.total_cmp(&lb)
+                self.lookup_latency_ns(model, a)
+                    .total_cmp(&self.lookup_latency_ns(model, b))
             })
     }
 }
@@ -216,6 +224,10 @@ mod tests {
 
     fn curvy_keys(n: u64) -> Vec<u64> {
         (0..n).map(|k| k * k / 16).collect()
+    }
+
+    fn weblogs_100k() -> Vec<u64> {
+        fiting_datasets::Dataset::Weblogs.generate(100_000, 42)
     }
 
     #[test]
@@ -233,26 +245,55 @@ mod tests {
         }
     }
 
-    /// At a sampled error the model prices the tree that error builds:
-    /// its segment count exactly, and a size no smaller than the tree's.
+    /// Learns `keys` and builds the tree at every sampled error: the
+    /// model prices that tree's segment count and size exactly.
+    fn assert_size_estimate_is_exact<K: Key>(keys: &[K]) {
+        let errors = [16, 64, 256, 1024, 4096, 16_384];
+        let model = SegmentCountModel::learn(keys, &errors);
+        let cm = CostModel::default();
+        for e in errors {
+            let pairs = keys.iter().map(|&k| (k, ()));
+            let tree = crate::FitingTreeBuilder::new(e).bulk_load(pairs).unwrap();
+            assert_eq!(model.segments_at(e), tree.segment_count() as f64, "e = {e}");
+            let actual = tree.index_size_bytes() as f64;
+            assert_eq!(cm.index_size_bytes(&model, e), actual, "e = {e}");
+        }
+    }
+
     #[test]
-    fn size_estimate_bounds_the_built_tree_at_every_sampled_error() {
-        let weblogs = fiting_datasets::Dataset::Weblogs.generate(100_000, 42);
+    fn size_estimate_is_the_built_tree_at_every_sampled_error() {
+        let weblogs = weblogs_100k();
         let mut curvy = curvy_keys(50_000);
         curvy.dedup();
-        let errors = [16, 64, 256, 1024, 4096, 16_384];
-        let cm = CostModel::default();
-        for keys in [weblogs, curvy] {
-            let model = SegmentCountModel::learn(&keys, &errors);
-            for e in errors {
-                let pairs = keys.iter().map(|&k| (k, ()));
-                let tree = crate::FitingTreeBuilder::new(e).bulk_load(pairs).unwrap();
-                let segments = model.segments_at(e);
-                assert_eq!(segments, tree.segment_count() as f64, "e = {e}");
-                let (estimate, actual) = (cm.index_size_bytes(segments), tree.index_size_bytes());
-                assert!(estimate >= actual as f64, "e = {e}: {estimate} < {actual}");
-            }
+        for keys in [&weblogs, &curvy] {
+            assert_size_estimate_is_exact(keys);
+            let wide: Vec<u128> = keys.iter().map(|&k| u128::from(k) << 40).collect();
+            assert_size_estimate_is_exact(&wide);
         }
+    }
+
+    /// The abstract's example requirement, 500 ns, is feasible on
+    /// Weblogs at the paper's default `c`.
+    #[test]
+    fn a_500ns_requirement_is_feasible_on_weblogs() {
+        let model = SegmentCountModel::learn(&weblogs_100k(), &[16, 64, 256, 1024, 4096]);
+        let cm = CostModel::default();
+        let e = cm.pick_error_for_latency(&model, 500.0).expect("feasible");
+        assert!(cm.lookup_latency_ns(&model, e) <= 500.0);
+    }
+
+    /// A budget just above the real e = 64 index admits e = 64, so the
+    /// pick is priced no slower than it.
+    #[test]
+    fn a_budget_just_above_an_index_buys_its_latency() {
+        let keys = weblogs_100k();
+        let model = SegmentCountModel::learn(&keys, &[16, 32, 64, 128, 256, 1024]);
+        let pairs = keys.iter().map(|&k| (k, ()));
+        let tree = crate::FitingTreeBuilder::new(64).bulk_load(pairs).unwrap();
+        let cm = CostModel::default();
+        let budget = 1.05 * tree.index_size_bytes() as f64;
+        let e = cm.pick_error_for_size(&model, budget).expect("e = 64 fits");
+        assert!(cm.lookup_latency_ns(&model, e) <= cm.lookup_latency_ns(&model, 64));
     }
 
     #[test]
@@ -270,32 +311,42 @@ mod tests {
     #[test]
     fn latency_grows_with_error_and_shrinks_with_fewer_segments() {
         let cm = CostModel::default();
-        let small_e = cm.lookup_latency_ns(16, 8, 1000.0);
-        let big_e = cm.lookup_latency_ns(1024, 512, 1000.0);
+        let few = SegmentCountModel::from_samples(vec![(16, 1000), (1024, 1000)]);
+        let (small_e, big_e) = (
+            cm.lookup_latency_ns(&few, 16),
+            cm.lookup_latency_ns(&few, 1024),
+        );
         assert!(big_e > small_e);
-        let many_segs = cm.lookup_latency_ns(16, 8, 1_000_000.0);
-        assert!(many_segs > small_e);
+        let many = SegmentCountModel::from_samples(vec![(16, 1_000_000)]);
+        assert!(cm.lookup_latency_ns(&many, 16) > small_e);
     }
 
     #[test]
     fn default_estimates_are_pinned() {
         let cm = CostModel::default();
+        let model = SegmentCountModel::from_samples(vec![(64, 1000), (256, 100)]);
+        // 10 · (log2 1000 + log2 67) + 100: a window of 536 B is requested.
         assert_eq!(
-            cm.lookup_latency_ns(64, 32, 1000.0).to_bits(),
-            0x4095_1494_13e3_5171 // 1349.1446071165522
+            cm.lookup_latency_ns(&model, 64).to_bits(),
+            0x4070_4519_899c_47f2 // 260.3187347511986
         );
+        // 10 · (log2 100 + log2 259) + 100 · 3: 2 072 B is past 1 KiB by
+        // two doublings, rounded up.
         assert_eq!(
-            cm.index_size_bytes(1000.0).to_bits(),
-            0x40ef_2ee4_6370_9736 // 63863.13713864835
+            cm.lookup_latency_ns(&model, 256).to_bits(),
+            0x407b_e9b4_d126_b405 // 446.6066447746128
         );
+        // 1 000 segments of 8 + 4 + 24 B.
+        assert_eq!(cm.index_size_bytes(&model, 64), 36_000.0);
     }
 
     #[test]
     fn size_grows_with_segments() {
         let cm = CostModel::default();
-        assert!(cm.index_size_bytes(1_000.0) < cm.index_size_bytes(100_000.0));
-        // One segment: metadata + one tree level.
-        assert!(cm.index_size_bytes(1.0) >= 24.0);
+        let model = SegmentCountModel::from_samples(vec![(16, 100_000), (1024, 1)]);
+        assert!(cm.index_size_bytes(&model, 1024) < cm.index_size_bytes(&model, 16));
+        // One segment: its directory entry and metadata.
+        assert_eq!(cm.index_size_bytes(&model, 1024), 36.0);
     }
 
     #[test]
@@ -318,13 +369,11 @@ mod tests {
         keys.dedup();
         let model = SegmentCountModel::learn(&keys, &[8, 32, 128, 512, 2048]);
         let cm = CostModel::default();
-        // Huge budget: everything fits, pick the lowest-latency = smallest
-        // error (fewer window probes beat fewer tree levels here).
+        // Huge budget: everything fits, pick the lowest-latency error.
         let e = cm.pick_error_for_size(&model, 1e12).unwrap();
-        let lat_e = cm.lookup_latency_ns(e, e / 2, model.segments_at(e));
+        let lat_e = cm.lookup_latency_ns(&model, e);
         for cand in model.errors() {
-            let lat_c = cm.lookup_latency_ns(cand, cand / 2, model.segments_at(cand));
-            assert!(lat_e <= lat_c + 1e-9);
+            assert!(lat_e <= cm.lookup_latency_ns(&model, cand) + 1e-9);
         }
         // Tiny budget: nothing fits.
         assert_eq!(cm.pick_error_for_size(&model, 10.0), None);
@@ -335,10 +384,10 @@ mod tests {
         let model = SegmentCountModel::from_samples(vec![(10, 100_000), (100, 1_000), (1000, 10)]);
         let cm = CostModel::default();
         if let Some(e) = cm.pick_error_for_latency(&model, 2_000.0) {
-            assert!(cm.lookup_latency_ns(e, e / 2, model.segments_at(e)) <= 2_000.0);
+            assert!(cm.lookup_latency_ns(&model, e) <= 2_000.0);
         }
         if let Some(e) = cm.pick_error_for_size(&model, 100_000.0) {
-            assert!(cm.index_size_bytes(model.segments_at(e)) <= 100_000.0);
+            assert!(cm.index_size_bytes(&model, e) <= 100_000.0);
         }
     }
 }

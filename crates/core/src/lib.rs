@@ -101,6 +101,11 @@ pub use range::RangeIter;
 pub use secondary::{RowId, SecondaryIndex};
 pub use stats::{FitingTreeStats, LookupTrace};
 
-/// Bytes of metadata the paper charges per segment in its size model
-/// (Section 6.2): start key + slope + page pointer, 8 bytes each.
-pub(crate) const SEGMENT_METADATA_BYTES: usize = 24;
+/// Index bytes one segment costs for keys of `key_bytes`: its
+/// directory anchor and `u32` arena slot, plus the 24 B of metadata the
+/// paper charges in its size model (Section 6.2: start key + slope +
+/// page pointer, 8 B each). Both `FitingTree::index_size_bytes` and the
+/// cost model's size estimate are this times a segment count.
+pub(crate) const fn segment_bytes(key_bytes: usize) -> usize {
+    key_bytes + std::mem::size_of::<u32>() + 24
+}

@@ -213,7 +213,7 @@ impl<K: Key> SecondaryIndex<K> {
         self.inner.segment_count()
     }
 
-    /// Index overhead in bytes (directory tree + segment metadata).
+    /// Index overhead in bytes (flat directory + segment metadata).
     ///
     /// Note the paper's caveat: the sorted key-pages level itself is
     /// overhead *every* secondary index pays (a dense B+ tree pays it in

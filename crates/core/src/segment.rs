@@ -54,14 +54,14 @@ use crate::key::Key;
 use fiting_index_api::prefetch_read;
 
 /// Bytes one prefetch hint covers.
-const CACHE_LINE: usize = 64;
+pub(crate) const CACHE_LINE: usize = 64;
 
 /// The most cache lines a search requests of one array (128 `u64`
 /// keys). A longer window is searched the same way and misses on
 /// demand: the search touches `log2` of its lines, and the budget caps
 /// what one lookup may pull into the cache for the single line a hit
 /// lands on.
-const REQUEST_LINES: usize = 16;
+pub(crate) const REQUEST_LINES: usize = 16;
 
 /// Slots from one hint to the next over `run` — a line's worth, or one
 /// slot for a `T` wider than a line — or `None` when nothing is

@@ -59,13 +59,11 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-mod padded;
 mod prefetch;
 pub mod primitives;
 mod seqlock;
 mod snapshot;
 
-pub use padded::CachePadded;
 pub use prefetch::prefetch_read;
 pub use seqlock::{SeqRwLock, SeqWriteGuard};
 pub use snapshot::{SnapshotStats, Snapshots};

@@ -34,7 +34,6 @@
 //! `SeqCst` announce / check handshake, the yielding drain and the
 //! `Release` exits included — under the deterministic scheduler.
 
-use crate::padded::CachePadded;
 use crate::primitives::{
     spin_loop, thread_index, yield_now, AtomicU64, Mutex, MutexGuard, Ordering,
 };
@@ -46,6 +45,14 @@ use std::ops::{Deref, DerefMut};
 /// parallelism (a slot's counter admits any number of simultaneous
 /// readers).
 const READER_SLOTS: usize = 8;
+
+/// A word aligned (and therefore padded) to 128 bytes, so the sequence
+/// word and each presence slot sit alone — 128 rather than 64 because
+/// the common x86 spatial prefetcher pulls lines in pairs. False
+/// sharing between readers would re-create exactly the contended-line
+/// traffic the lock exists to remove.
+#[repr(align(128))]
+struct Padded(AtomicU64);
 
 /// A reader-writer lock whose readers are wait-free against each other
 /// and never spin against writers — see the module docs for the
@@ -66,9 +73,9 @@ const READER_SLOTS: usize = 8;
 /// ```
 pub struct SeqRwLock<T> {
     /// Even = no writer inside; odd = a writer is mutating.
-    seq: CachePadded<AtomicU64>,
+    seq: Padded,
     /// Reader presence counters (see [`READER_SLOTS`]).
-    slots: [CachePadded<AtomicU64>; READER_SLOTS],
+    slots: [Padded; READER_SLOTS],
     /// Serializes writers against each other and carries the reader
     /// slow path. Held for a writer's entire critical section.
     writer: Mutex<()>,
@@ -93,8 +100,8 @@ impl<T> SeqRwLock<T> {
     /// Creates the lock holding `value`.
     pub fn new(value: T) -> Self {
         SeqRwLock {
-            seq: CachePadded::new(AtomicU64::new(0)),
-            slots: std::array::from_fn(|_| CachePadded::new(AtomicU64::new(0))),
+            seq: Padded(AtomicU64::new(0)),
+            slots: std::array::from_fn(|_| Padded(AtomicU64::new(0))),
             writer: Mutex::new(()),
             contended_reads: AtomicU64::new(0),
             data: UnsafeCell::new(value),
@@ -106,7 +113,7 @@ impl<T> SeqRwLock<T> {
     /// on the writer mutex (counted in
     /// [`contended_reads`](Self::contended_reads)).
     pub fn read_with<R>(&self, f: impl FnOnce(&T) -> R) -> R {
-        let slot = &self.slots[thread_index() % READER_SLOTS];
+        let slot = &self.slots[thread_index() % READER_SLOTS].0;
         // ordering: SeqCst announce — the reader half of the Dekker
         // handshake with `write`'s SeqCst bump + slot scan: either the
         // writer observes this increment and drains, or the load below
@@ -115,7 +122,7 @@ impl<T> SeqRwLock<T> {
         // ordering: SeqCst — the second half of the handshake above; an
         // even word also Acquire-pairs with the previous write guard's
         // Release exit bump, making its mutations visible.
-        if self.seq.load(Ordering::SeqCst) & 1 == 0 {
+        if self.seq.0.load(Ordering::SeqCst) & 1 == 0 {
             let _exit = SlotGuard { slot };
             // safety: we announced our presence *before* observing an
             // even sequence word. A writer makes the word odd (SeqCst)
@@ -150,8 +157,8 @@ impl<T> SeqRwLock<T> {
         let writer = self.writer.lock();
         // ordering: SeqCst bump to odd — the writer half of the Dekker
         // handshake with `read_with`'s announce + check (see there).
-        self.seq.fetch_add(1, Ordering::SeqCst);
-        for slot in &self.slots {
+        self.seq.0.fetch_add(1, Ordering::SeqCst);
+        for Padded(slot) in &self.slots {
             let mut spins = 0u32;
             // ordering: SeqCst scan pairs with the readers' SeqCst
             // announce and Release departure: reading 0 means every
@@ -245,7 +252,7 @@ impl<T> Drop for SeqWriteGuard<'_, T> {
         // ordering: Release bump back to even publishes every mutation
         // before the word readers Acquire-check; the writer mutex
         // releases after this, in the field-drop order of the guard.
-        self.lock.seq.fetch_add(1, Ordering::Release);
+        self.lock.seq.0.fetch_add(1, Ordering::Release);
     }
 }
 
@@ -255,6 +262,16 @@ mod tests {
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
     use std::thread;
+
+    #[test]
+    fn sequence_word_and_slots_sit_on_their_own_lines() {
+        assert_eq!(std::mem::align_of::<Padded>(), 128);
+        assert!(std::mem::size_of::<[Padded; 2]>() >= 256);
+        let lock = SeqRwLock::new(0u8);
+        let addr = |word: &Padded| std::ptr::from_ref(word) as usize;
+        assert!(addr(&lock.slots[0]).abs_diff(addr(&lock.seq)) >= 128);
+        assert_eq!(addr(&lock.slots[1]) - addr(&lock.slots[0]), 128);
+    }
 
     #[test]
     fn read_write_round_trip() {

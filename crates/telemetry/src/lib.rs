@@ -2,9 +2,9 @@
 //!
 //! Three pieces, all std-only and lock-free on the recording path:
 //!
-//! * [`Counter`] — monotonic event counts behind a cache-padded
-//!   relaxed atomic ([`CachePadded`] keeps unrelated instruments off
-//!   each other's cache lines).
+//! * [`Counter`] — monotonic event counts behind a relaxed atomic,
+//!   aligned to 128 bytes so unrelated instruments stay off each
+//!   other's cache lines.
 //! * [`Histogram`] — a log-bucketed HDR-style latency histogram:
 //!   fixed 3968-bucket layout (1 ns exact below 128 ns, 128 linear
 //!   sub-buckets per power-of-two octave up to ~137 s), O(1) wait-free
@@ -33,7 +33,7 @@ mod histogram;
 pub mod json;
 mod snapshot;
 
-pub use counter::{CachePadded, Counter};
+pub use counter::Counter;
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use json::Json;
 pub use snapshot::{Metric, MetricValue, MetricsSnapshot, Unit};

@@ -1,6 +1,6 @@
 //! Weblog analytics under a storage budget — the paper's DBA story
-//! (Section 6): "I have 1 MB of memory for this index and a 2 µs lookup
-//! SLA; configure it for me."
+//! (Section 6): "I have 64 KB of memory for this index and a 500 ns
+//! lookup latency requirement; configure it for me."
 //!
 //! Shows: learning the per-dataset segment-count model, both cost-model
 //! selectors, and the resulting index compared against a dense B+ tree.
@@ -47,19 +47,19 @@ fn main() {
         None => println!("\nbudget 64 KB: infeasible for this dataset"),
     }
 
-    // Scenario 2: lookup SLA of 1500 ns.
-    match cost.pick_error_for_latency(&model, 1_500.0) {
+    // Scenario 2: the abstract's lookup latency requirement of 500 ns.
+    match cost.pick_error_for_latency(&model, 500.0) {
         Some(e) => {
             let tree = FitingTreeBuilder::new(e)
                 .bulk_load(pairs.iter().copied())
                 .unwrap();
-            let est = cost.lookup_latency_ns(e, e / 2, model.segments_at(e));
+            let est = cost.lookup_latency_ns(&model, e);
             println!(
-                "SLA 1500 ns -> error {e}: estimated {est:.0} ns, index {} bytes",
+                "SLA 500 ns -> error {e}: estimated {est:.0} ns, index {} bytes",
                 tree.index_size_bytes()
             );
         }
-        None => println!("SLA 1500 ns: no candidate error meets it"),
+        None => println!("SLA 500 ns: no candidate error meets it"),
     }
 
     // The comparison the paper leads with: same data, dense index.
