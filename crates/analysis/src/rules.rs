@@ -468,8 +468,9 @@ fn rule_hot_path_panic(
 /// locally; `forbid` cannot.
 ///
 /// The one vetted exception is `crates/sync/`, the workspace's single
-/// audited `unsafe` boundary (the seqlock's shared reads and the
-/// prefetch intrinsic cannot be expressed in safe Rust). Its crate
+/// audited `unsafe` boundary (the seqlock's shared reads, the
+/// prefetch intrinsic and the `madvise` call cannot be expressed in
+/// safe Rust). Its crate
 /// root must instead carry `#![deny(unsafe_op_in_unsafe_fn)]`, and
 /// every `unsafe` site there is held to the `unsafe-safety-comment`
 /// rule.
@@ -1047,14 +1048,22 @@ fn bump(&self) {
         let f = check_file("crates/x/src/lib.rs", bad, &[]);
         assert!(!rules_of(&f).contains(&"unsafe-safety-comment"), "{f:?}");
 
-        // The crate's second site, `prefetch_read`, as it ships — and
-        // with its `// safety:` line taken out.
-        let shipped = include_str!("../../sync/src/prefetch.rs");
-        let f = check_file("crates/sync/src/prefetch.rs", shipped, &[]);
+        // The crate's second and third sites, `prefetch_read` and
+        // `advise_huge_pages`, as they ship — and with either one's
+        // `// safety:` line taken out.
+        let shipped = include_str!("../../sync/src/hint.rs");
+        let f = check_file("crates/sync/src/hint.rs", shipped, &[]);
         assert!(!rules_of(&f).contains(&"unsafe-safety-comment"), "{f:?}");
-        let stripped = shipped.replacen("// safety:", "//", 1);
-        let f = check_file("crates/sync/src/prefetch.rs", &stripped, &[]);
-        assert!(rules_of(&f).contains(&"unsafe-safety-comment"), "{f:?}");
+        let sites: Vec<usize> = shipped
+            .match_indices("// safety:")
+            .map(|(at, _)| at)
+            .collect();
+        assert_eq!(sites.len(), 2);
+        for at in sites {
+            let stripped = format!("{}//{}", &shipped[..at], &shipped[at + 10..]);
+            let f = check_file("crates/sync/src/hint.rs", &stripped, &[]);
+            assert!(rules_of(&f).contains(&"unsafe-safety-comment"), "{f:?}");
+        }
     }
 
     #[test]

@@ -15,8 +15,9 @@ use crate::directory::FlatDirectory;
 use crate::error::{AbsorbError, BuildError};
 use crate::key::Key;
 use crate::range::RangeIter;
-use crate::segment::{Run, Segment};
+use crate::segment::{Column, Page, Run, Segment};
 use crate::stats::{FitingTreeStats, LookupTrace};
+use fiting_index_api::advise_huge_pages;
 use fiting_plr::{Cone, Point, ShrinkingCone};
 use std::ops::RangeBounds;
 use std::time::Instant;
@@ -94,29 +95,38 @@ impl<K: Key, V> FitingTree<K, V> {
     }
 
     /// Bulk loads strictly increasing `(key, value)` pairs (paper
-    /// Section 3): one segmentation pass, then one dense directory
-    /// build over the segment anchors.
+    /// Section 3): one segmentation pass that writes the pairs into one
+    /// column — sized from the input's `size_hint` and advised onto huge
+    /// pages before the first write — and cuts it into pages, then one
+    /// dense directory build over the segment anchors.
     pub(crate) fn bulk_load_sorted<I>(self, iter: I) -> Result<Self, BuildError>
     where
         I: IntoIterator<Item = (K, V)>,
     {
         let iter = iter.into_iter();
-        let mut carver = Carver::new(self.seg_error, iter.size_hint().0);
+        let expected = iter.size_hint().0;
+        let (mut keys, mut values) = (Vec::with_capacity(expected), Vec::with_capacity(expected));
+        advise_huge_pages(keys.spare_capacity_mut());
+        advise_huge_pages(values.spare_capacity_mut());
+        let mut carver = Carver::new(self.seg_error);
         let mut prev: Option<K> = None;
         for (i, (k, v)) in iter.enumerate() {
             if prev.is_some_and(|prev| prev >= k) {
                 return Err(BuildError::UnsortedInput { at: i });
             }
             prev = Some(k);
-            carver.push(k, v);
+            carver.push(k, i);
+            keys.push(k);
+            values.push(v);
         }
-        Ok(self.load(carver))
+        Ok(self.load(carver.finish((keys, values))))
     }
 
     /// Fills an empty tree with the pages of one carved run.
-    fn load(mut self, carver: Carver<K, V>) -> Self {
+    fn load(mut self, pages: impl ExactSizeIterator<Item = Segment<K, V>>) -> Self {
         debug_assert!(self.segments.is_empty());
-        let entries = self.install(carver.finish());
+        self.segments.reserve_exact(pages.len());
+        let entries = self.install(pages);
         if !entries.is_empty() {
             self.dir.rebuild(entries);
         }
@@ -125,14 +135,16 @@ impl<K: Key, V> FitingTree<K, V> {
 
     /// Installs a run's pages in the arena (counting their entries into
     /// `len`) and returns their directory entries in key order.
-    fn install(&mut self, pages: Vec<Segment<K, V>>) -> Vec<(K, u32)> {
-        debug_assert!(self.segments.len() + pages.len() <= u32::MAX as usize);
+    fn install(&mut self, pages: impl IntoIterator<Item = Segment<K, V>>) -> Vec<(K, u32)> {
         pages
             .into_iter()
             .map(|piece| {
                 piece.assert_invariants(self.seg_error, 0);
                 self.len += piece.len();
-                (piece.start_key, self.alloc_slot(piece) as u32)
+                let anchor = piece.start_key;
+                let slot = self.alloc_slot(piece);
+                debug_assert!(slot <= u32::MAX as usize);
+                (anchor, slot as u32)
             })
             .collect()
     }
@@ -216,8 +228,13 @@ impl<K: Key, V> FitingTree<K, V> {
             .get(*key, self.seg_error)
     }
 
-    /// Mutable point lookup.
-    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+    /// Mutable point lookup. A page hit first moves the page to a
+    /// column of its own, unless it owns one (see
+    /// [`insert`](Self::insert)).
+    pub fn get_mut(&mut self, key: &K) -> Option<&mut V>
+    where
+        V: Clone,
+    {
         let slot = self.locate(key)?;
         self.segments[slot]
             .as_mut()
@@ -266,7 +283,15 @@ impl<K: Key, V> FitingTree<K, V> {
     /// re-segmentation makes hold at most 64 full buffers, so the next
     /// overflow among them rewrites at most 64 entries per insert it
     /// absorbed, not a page of whatever size appends or bulk load left.
-    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
+    ///
+    /// Pages are windows of columns that bulk load, re-segmentation and
+    /// [`Clone`] share, so a write to a page is copy-on-write: in place
+    /// only when the page owns its whole column, and otherwise into a
+    /// column of the page's own. The `V: Clone` bound makes that copy.
+    pub fn insert(&mut self, key: K, value: V) -> Option<V>
+    where
+        V: Clone,
+    {
         let Some(slot) = self.locate(&key) else {
             // Empty index: open the first segment.
             let slot = self.alloc_slot(Segment::from_run(key, 0.0, vec![key], vec![value]));
@@ -277,13 +302,13 @@ impl<K: Key, V> FitingTree<K, V> {
         let seg = self.segments[slot]
             .as_mut()
             .expect("directory points at live segment");
-        let page_len = seg.keys.len();
+        let page_len = seg.keys().len();
         let old = seg.insert(key, value, self.seg_error);
         if old.is_some() {
             return old;
         }
         self.len += 1;
-        if seg.keys.len() > page_len {
+        if seg.keys().len() > page_len {
             self.in_place_appends += 1;
         } else if seg.buffer.len() > self.buffer_size as usize {
             self.resegment(slot);
@@ -321,7 +346,7 @@ impl<K: Key, V> FitingTree<K, V> {
             self.free.push(slot);
             let pos = self.dir_pos_of(anchor);
             self.splice_directory(pos..pos + 1, &[]);
-        } else if seg.removed > (self.seg_error / 2).max(seg.keys.len() as u64 / 4) {
+        } else if seg.removed > (self.seg_error / 2).max(seg.keys().len() as u64 / 4) {
             self.resegment(slot);
         }
         Some(removed)
@@ -446,7 +471,10 @@ impl<K: Key, V> FitingTree<K, V> {
     /// under its endpoint line before the cone is asked ([`refit`]).
     /// Either way the splice replaces the old anchor, which the first
     /// segment's buffer may have undercut.
-    fn resegment(&mut self, slot: usize) {
+    fn resegment(&mut self, slot: usize)
+    where
+        V: Clone,
+    {
         let seg = self.take_for_recarve(slot);
         let pos = self.dir_pos_of(seg.start_key);
         let run = seg.into_merged_run();
@@ -474,7 +502,10 @@ impl<K: Key, V> FitingTree<K, V> {
     ///
     /// Degenerate cuts work: `at` below every key moves the whole tree,
     /// `at` above every key returns an empty tree.
-    pub fn split_off(&mut self, at: &K) -> FitingTree<K, V> {
+    pub fn split_off(&mut self, at: &K) -> FitingTree<K, V>
+    where
+        V: Clone,
+    {
         let mut right = self.empty_like();
         if self.dir.is_empty() {
             return right;
@@ -563,7 +594,10 @@ impl<K: Key, V> FitingTree<K, V> {
     ///   `self`'s maximum (the runs cannot be concatenated).
     ///
     /// Either error leaves both trees untouched.
-    pub fn absorb(&mut self, other: &mut FitingTree<K, V>) -> Result<usize, AbsorbError> {
+    pub fn absorb(&mut self, other: &mut FitingTree<K, V>) -> Result<usize, AbsorbError>
+    where
+        V: Clone,
+    {
         if self.error != other.error || self.buffer_size != other.buffer_size {
             return Err(AbsorbError::ConfigMismatch);
         }
@@ -685,7 +719,7 @@ impl<K: Key, V> FitingTree<K, V> {
                 ));
             }
             seg.check_invariants(self.seg_error, 0)?;
-            let dead = (0..seg.keys.len()).filter(|&i| !seg.is_live(i)).count();
+            let dead = (0..seg.keys().len()).filter(|&i| !seg.is_live(i)).count();
             if seg.removed as usize != dead {
                 return Err("tombstone count diverged from bitmap".into());
             }
@@ -704,7 +738,7 @@ impl<K: Key, V> FitingTree<K, V> {
                     ));
                 }
             }
-            for (i, k) in seg.keys.iter().enumerate() {
+            for (i, k) in seg.keys().iter().enumerate() {
                 if !seg.is_live(i) {
                     continue; // tombstoned slot: invisible to lookups
                 }
@@ -746,91 +780,92 @@ impl<K: Key, V> FitingTree<K, V> {
 /// anyway) fits the segmentation budget: correct by measurement, the
 /// guarantee the search window relies on. The run comes back when it
 /// does not.
-fn refit<K: Key, V>(seg_error: u64, (keys, values): Run<K, V>) -> Result<Segment<K, V>, Run<K, V>> {
+fn refit<K: Key, V: Clone>(
+    seg_error: u64,
+    (keys, values): Run<K, V>,
+) -> Result<Segment<K, V>, Run<K, V>> {
     let (first, last) = (keys[0].to_f64(), keys[keys.len() - 1].to_f64());
     let slope = Cone::new(first, 0).final_slope(last, keys.len() as u64 - 1);
-    let page = Carver::page(slope, keys, values);
+    let page = Segment::from_run(keys[0], slope, keys, values);
     let (under, over) = page.error_envelope();
     if u64::from(under.max(over)) <= seg_error {
         Ok(page)
     } else {
-        Err((page.keys, page.values))
+        Err(page.into_merged_run())
     }
 }
 
 /// Carves a sorted run in `pieces` stretches of equal length (to within
 /// one entry), each through a cone of its own, which may cut it further.
-fn carve<K: Key, V>(
-    seg_error: u64,
-    (keys, values): Run<K, V>,
-    pieces: usize,
-) -> Vec<Segment<K, V>> {
-    let n = keys.len();
-    let mut run = keys.into_iter().zip(values);
-    let mut pages = Vec::with_capacity(pieces);
+/// Each page then owns a column — the run's own arrays when the run is
+/// one page — so that re-segmenting one page later frees its slots
+/// instead of leaving them pinned by the pages cut beside it.
+fn carve<K: Key, V: Clone>(seg_error: u64, run: Run<K, V>, pieces: usize) -> Vec<Segment<K, V>> {
+    let n = run.0.len();
+    let mut carver = Carver::new(seg_error);
     for piece in 0..pieces {
-        let len = (piece + 1) * n / pieces - piece * n / pieces;
-        let mut carver = Carver::new(seg_error, len);
-        (run.by_ref().take(len)).for_each(|(k, v)| carver.push(k, v));
-        pages.extend(carver.finish());
+        if piece > 0 {
+            carver.cut();
+        }
+        for slot in piece * n / pieces..(piece + 1) * n / pieces {
+            carver.push(run.0[slot], slot);
+        }
     }
+    let mut pages: Vec<Segment<K, V>> = carver.finish(run).collect();
+    pages.iter_mut().for_each(Segment::detach);
     pages
 }
 
-/// Carves a sorted run, fed one entry at a time, into per-segment SoA
-/// pages: ShrinkingCone and the page arrays advance together, so the
-/// run is written exactly once, straight into the arrays the pages
-/// adopt. The one segmentation pass shared by bulk load,
-/// re-segmentation, and the boundary-segment split.
-struct Carver<K, V> {
+/// Cuts a sorted run, fed one key at a time, into the pages of one
+/// column: ShrinkingCone decides where each page ends, and the run's
+/// arrays become the column every page is a window of. The one
+/// segmentation pass shared by bulk load, re-segmentation, and the
+/// boundary-segment split.
+struct Carver {
     cone: ShrinkingCone,
-    /// Entries pushed so far (the cone wants increasing positions).
-    pos: u64,
-    /// The page being filled: the run's tail since the last cut.
-    keys: Vec<K>,
-    values: Vec<V>,
-    pages: Vec<Segment<K, V>>,
+    /// The pages cut so far, as their first slot and slope.
+    pages: Vec<(usize, f64)>,
 }
 
-impl<K: Key, V> Carver<K, V> {
-    /// `expected` sizes the first page's arrays for the whole run: the
-    /// cone keeps nearly every re-carved run in one piece, which then
-    /// never reallocates. A later page starts at the size of the one
-    /// before it.
-    fn new(seg_error: u64, expected: usize) -> Self {
+impl Carver {
+    fn new(seg_error: u64) -> Self {
         Carver {
             cone: ShrinkingCone::new(seg_error),
-            pos: 0,
-            keys: Vec::with_capacity(expected),
-            values: Vec::with_capacity(expected),
             pages: Vec::new(),
         }
     }
 
-    fn push(&mut self, key: K, value: V) {
-        if let Some(done) = self.cone.push(Point::new(key.to_f64(), self.pos)) {
-            let n = self.keys.len();
-            let keys = std::mem::replace(&mut self.keys, Vec::with_capacity(n));
-            let values = std::mem::replace(&mut self.values, Vec::with_capacity(n));
-            self.pages.push(Self::page(done.slope, keys, values));
+    /// Feeds the key at `slot` of the run (slots count up from 0).
+    fn push<K: Key>(&mut self, key: K, slot: usize) {
+        if let Some(done) = self.cone.push(Point::new(key.to_f64(), slot as u64)) {
+            self.pages.push((done.start_pos as usize, done.slope));
         }
-        self.pos += 1;
-        self.keys.push(key);
-        self.values.push(value);
     }
 
-    fn page(slope: f64, mut keys: Vec<K>, mut values: Vec<V>) -> Segment<K, V> {
-        keys.shrink_to_fit();
-        values.shrink_to_fit();
-        Segment::from_run(keys[0], slope, keys, values)
+    /// Ends the page being cut after the last key fed, as if the cone
+    /// had refused the next one.
+    fn cut(&mut self) {
+        let next = ShrinkingCone::new(self.cone.error());
+        let cone = std::mem::replace(&mut self.cone, next);
+        self.pages.extend(
+            cone.finish()
+                .map(|done| (done.start_pos as usize, done.slope)),
+        );
     }
 
-    fn finish(self) -> Vec<Segment<K, V>> {
-        let mut pages = self.pages;
-        if let Some(last) = self.cone.finish() {
-            pages.push(Self::page(last.slope, self.keys, self.values));
-        }
-        pages
+    /// The pages over `run`, whose keys were fed in order, each a window
+    /// of the one column `run` becomes.
+    fn finish<K: Key, V>(mut self, run: Run<K, V>) -> impl ExactSizeIterator<Item = Segment<K, V>> {
+        self.cut();
+        let n = run.0.len();
+        let column = Column::shared(run);
+        let pages = self.pages;
+        (0..pages.len()).map(move |i| {
+            let (start, slope) = pages[i];
+            let end = pages.get(i + 1).map_or(n, |&(next, _)| next);
+            let page = Page::new(&column, start, end - start);
+            Segment::from_page(page.keys()[0], slope, page)
+        })
     }
 }
 
@@ -1181,6 +1216,121 @@ mod tests {
         t.check_invariants().unwrap();
     }
 
+    /// Forty blocks of 500 keys three apart, 100 000 apart: one page a
+    /// block, all cut from the one column bulk load writes.
+    fn blocks() -> FitingTree<u64, u64> {
+        let keys = (0..40u64).flat_map(|b| (0..500).map(move |j| b * 100_000 + j * 3));
+        FitingTreeBuilder::new(64)
+            .bulk_load(keys.map(|k| (k, k / 3)))
+            .unwrap()
+    }
+
+    /// Every page by anchor: whether it shares `column`'s column, and
+    /// its live entries, page then buffer.
+    fn pages_of(
+        t: &FitingTree<u64, u64>,
+        column: &Segment<u64, u64>,
+    ) -> std::collections::BTreeMap<u64, (bool, Vec<(u64, u64)>)> {
+        (t.dir.entries())
+            .map(|(anchor, slot)| {
+                let seg = t.segments[slot].as_ref().unwrap();
+                let live = (0..seg.keys().len()).filter(|&i| seg.is_live(i));
+                let page = live.map(|i| (seg.keys()[i], seg.values()[i]));
+                let entries = page.chain(seg.buffer.iter().copied()).collect();
+                (anchor, (seg.shares_column(column), entries))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_bulk_load_cuts_every_page_from_one_column() {
+        let t = blocks();
+        assert_eq!(t.segment_count(), 40);
+        let first = t.segments[t.dir.slot_at(0)].as_ref().unwrap();
+        assert!(t
+            .segments
+            .iter()
+            .flatten()
+            .all(|seg| seg.shares_column(first)));
+        t.check_invariants().unwrap();
+    }
+
+    /// Runs `write` on `blocks()` beside a model, with a clone taken
+    /// first. Only pages in block `block` may leave the column, and at
+    /// least one does; every other page is the window it was, holding
+    /// what it held; the clone reads as loaded, from the column alone.
+    fn assert_copy_on_write(
+        block: u64,
+        write: impl FnOnce(&mut FitingTree<u64, u64>, &mut std::collections::BTreeMap<u64, u64>),
+    ) {
+        let mut t = blocks();
+        let frozen = t.clone();
+        let column = frozen.segments[frozen.dir.slot_at(0)].as_ref().unwrap();
+        let loaded = pages_of(&frozen, column);
+        let mut model: std::collections::BTreeMap<u64, u64> =
+            t.iter().map(|(k, v)| (*k, *v)).collect();
+        write(&mut t, &mut model);
+        t.check_invariants().unwrap();
+        assert!(t.iter().map(|(k, v)| (*k, *v)).eq(model));
+        let mut copied = 0;
+        for (anchor, (shared, entries)) in pages_of(&t, column) {
+            if anchor / 100_000 == block && !shared {
+                copied += 1;
+            } else {
+                assert!(shared, "page {anchor} left the column");
+                assert_eq!(Some(&entries), loaded.get(&anchor).map(|p| &p.1));
+            }
+        }
+        assert!(copied > 0, "no page of block {block} was written");
+        frozen.check_invariants().unwrap();
+        assert_eq!(pages_of(&frozen, column), loaded);
+    }
+
+    #[test]
+    fn a_write_to_a_shared_column_copies_only_its_own_page() {
+        let last = |block: u64| block * 100_000 + 499 * 3;
+        // Tail appends: at the column's end, and in the middle of it.
+        for block in [39, 3] {
+            assert_copy_on_write(block, |t, model| {
+                let appends = t.stats().in_place_appends;
+                for k in 1..=3 {
+                    assert_eq!(t.insert(last(block) + 3 * k, k), None);
+                    model.insert(last(block) + 3 * k, k);
+                }
+                assert_eq!(t.stats().in_place_appends, appends + 3);
+            });
+        }
+        // A value replacement, and a tombstone resurrected.
+        assert_copy_on_write(5, |t, model| {
+            assert_eq!(t.insert(500_030, 1), Some(166_676));
+            model.insert(500_030, 1);
+            assert_eq!(t.remove(&500_060), model.remove(&500_060));
+            assert_eq!(t.insert(500_060, 2), None);
+            model.insert(500_060, 2);
+        });
+        // `get_mut`.
+        assert_copy_on_write(6, |t, model| {
+            *t.get_mut(&600_300).unwrap() = 3;
+            model.insert(600_300, 3);
+        });
+        // A buffer overflow that re-segments.
+        assert_copy_on_write(7, |t, model| {
+            for j in 0..=t.buffer_size() {
+                t.insert(700_001 + 3 * j, j);
+                model.insert(700_001 + 3 * j, j);
+            }
+            assert_eq!(t.stats().resegmentations, 1);
+        });
+        // A split inside a page and the absorb that undoes it: whole
+        // pages move both ways without leaving the column.
+        assert_copy_on_write(12, |t, _| {
+            let mut right = t.split_off(&1_200_750);
+            assert_eq!(right.segment_count(), 28);
+            right.check_invariants().unwrap();
+            t.absorb(&mut right).unwrap();
+        });
+    }
+
     #[test]
     fn remove_roundtrip_and_window_widening() {
         let mut t = build(2_000, 16);
@@ -1210,7 +1360,7 @@ mod tests {
         let s = t.stats();
         assert!(s.resegmented_entries < 200_000, "{}", s.resegmented_entries);
         for seg in t.segments.iter().flatten() {
-            assert!(seg.removed as usize <= (seg.keys.len() / 4).max(8));
+            assert!(seg.removed as usize <= (seg.keys().len() / 4).max(8));
         }
         assert_eq!(t.len(), 70_000);
         for k in 0..100_000u64 {
@@ -1548,8 +1698,13 @@ mod tests {
             assert_eq!(run, held + t.len() - len, "pages {first}.. are not the run");
             assert_eq!(t.resegmented_entries - before.1, run as u64);
             let cap = t.page_cap();
-            for page in &pages {
-                assert!(page.keys.len() <= cap, "{} > cap {cap}", page.keys.len());
+            for (i, page) in pages.iter().enumerate() {
+                assert!(pages[..i].iter().all(|left| !left.shares_column(page)));
+                assert!(
+                    page.keys().len() <= cap,
+                    "{} > cap {cap}",
+                    page.keys().len()
+                );
                 assert!(page.buffer.is_empty() && page.removed == 0);
                 let (under, over) = page.error_envelope();
                 assert!(u64::from(under.max(over)) <= t.seg_error, "{under} {over}");
@@ -1557,7 +1712,7 @@ mod tests {
             }
             if pages.len() == run.div_ceil(cap) {
                 // No cut of the cone's own: equal pages.
-                let lens = pages.iter().map(|page| page.keys.len());
+                let lens = pages.iter().map(|page| page.keys().len());
                 assert!(lens.clone().max().unwrap() - lens.min().unwrap() <= 1);
             }
             // The whole tree, at a stride a 300 k-key page can afford.
@@ -1581,8 +1736,8 @@ mod tests {
         config: &FitingTreeBuilder,
         value: fn(u64) -> V,
     ) {
-        let start = |keys: std::ops::Range<u64>| {
-            let load = |made| keys.clone().map(move |k| (k * 10, value(made)));
+        let start = |keys: Vec<u64>| {
+            let load = |made| keys.iter().map(move |&k| (k, value(made)));
             Storm {
                 tree: config.clone().bulk_load(load(0)).unwrap(),
                 oracle: load(0).collect(),
@@ -1591,6 +1746,7 @@ mod tests {
                 overflows: 0,
             }
         };
+        let tens = |keys: std::ops::Range<u64>| keys.map(|k| k * 10).collect();
         let mut next = 0x9E37_79B9_7F4A_7C15u64;
         let mut random = move |below: u64| {
             next ^= next << 13;
@@ -1601,7 +1757,7 @@ mod tests {
 
         // The giant page: a 300 k-key tail appended in place, then
         // back-fills uniform over its first tenth.
-        let mut s = start(0..1_000);
+        let mut s = start(tens(0..1_000));
         for k in 1_000..300_000 {
             s.insert(k * 10);
         }
@@ -1615,7 +1771,7 @@ mod tests {
 
         // A page a quarter tombstoned (one short of shedding them on
         // its own), back-filled: the runs between dead slots are short.
-        let mut s = start(0..4_000);
+        let mut s = start(tens(0..4_000));
         for k in (0..4_000).step_by(4) {
             s.remove(k * 10);
         }
@@ -1628,7 +1784,7 @@ mod tests {
 
         // The first segment, undercut: every key below the anchor is
         // buffered there, so each overflow moves the anchor down.
-        let mut s = start(100_000..100_500);
+        let mut s = start(tens(100_000..100_500));
         for k in (0..1_200).rev() {
             let overflows = s.overflows;
             s.insert(k * 700 + random(700));
@@ -1640,7 +1796,7 @@ mod tests {
         s.agree();
 
         // A one-slot page under a growing buffer, from an empty tree.
-        let mut s = start(0..0);
+        let mut s = start(tens(0..0));
         s.insert(5_000_000);
         for k in (0..600).rev() {
             s.insert(k * 13);
@@ -1651,7 +1807,7 @@ mod tests {
         // Duplicates: a buffered key replaced, a tombstoned slot
         // resurrected, a removed buffered key re-buffered — none grows
         // a buffer twice, and the overflows between them stay exact.
-        let mut s = start(0..2_000);
+        let mut s = start(tens(0..2_000));
         for round in 0..400.max(4 * s.tree.buffer_size + 4) {
             let page_key = random(2_000) * 10;
             let odd = random(20_000) | 1;
@@ -1668,6 +1824,33 @@ mod tests {
         }
         assert!(s.overflows > 2);
         s.agree();
+
+        // Many pages cut from one column, and a clone that holds it too:
+        // every page write copies its page first, and the clone never
+        // sees one.
+        let blocks = (0..40u64).flat_map(|b| (0..500).map(move |j| b * 100_000 + j * 3));
+        let mut s = start(blocks.clone().collect());
+        assert!(s.tree.segment_count() >= 40);
+        let frozen = s.tree.clone();
+        for round in 0..6_000u64 {
+            // Writes in the first five blocks, a third of them on a key
+            // the load made.
+            let (block, at) = (random(5) * 100_000, random(1_800));
+            let key = block + at;
+            match round % 4 {
+                0 | 1 => s.insert(key),
+                2 => s.remove(block + at - at % 3),
+                _ => {
+                    let hit = s.tree.get_mut(&key).map(|v| *v = value(round));
+                    assert_eq!(hit, s.oracle.get_mut(&key).map(|v| *v = value(round)));
+                }
+            }
+        }
+        assert!(s.overflows > 2, "{} overflows", s.overflows);
+        s.agree();
+        frozen.check_invariants().unwrap();
+        assert!(frozen.iter().map(|(k, _)| *k).eq(blocks));
+        assert!(frozen.iter().all(|(_, v)| *v == value(0)));
     }
 
     #[test]

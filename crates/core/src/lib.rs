@@ -27,7 +27,10 @@
 //! `slots[i]` + segment header → {key window ∥ value window}. The
 //! model bounds the slot before a page byte is read, so the window's
 //! value lines are requested together with its key lines and a lookup
-//! pays one DRAM round trip per page, not two (`segment.rs`).
+//! pays one DRAM round trip per page, not two (`segment.rs`). A page is
+//! a window of a column; bulk load writes one column for the whole tree
+//! on 2 MiB pages where the kernel grants them, so the two windows'
+//! translations hit the TLB instead of costing a page walk each.
 //!
 //! The tunable error `e` trades index size against lookup latency: the
 //! paper shows (and our benches reproduce) index-size reductions of

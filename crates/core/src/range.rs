@@ -114,7 +114,7 @@ impl<'a, K: Key, V> RangeIter<'a, K, V> {
                 self.next_pos = dir.len();
                 seg.cut(e, through)
             }
-            None => (seg.keys.len(), seg.buffer.len()),
+            None => (seg.keys().len(), seg.buffer.len()),
         };
         // Inverted bounds cut the end before the start: an empty scan.
         self.seg = Some(seg);
@@ -126,7 +126,7 @@ impl<'a, K: Key, V> RangeIter<'a, K, V> {
     /// The page slot where the first buffered key interrupts the page.
     fn page_stop(&self, seg: &Segment<K, V>) -> usize {
         match self.buf.first() {
-            Some((bk, _)) => self.di + seg.keys[self.di..self.de].partition_point(|k| k < bk),
+            Some((bk, _)) => self.di + seg.keys()[self.di..self.de].partition_point(|k| k < bk),
             None => self.de,
         }
     }
@@ -140,7 +140,7 @@ impl<'a, K: Key, V> RangeIter<'a, K, V> {
             let (from, to) = seg.live_run(self.di, self.stop);
             self.di = to;
             if from < to {
-                return Some((&seg.keys[from..to], &seg.values[from..to]));
+                return Some((&seg.keys()[from..to], &seg.values()[from..to]));
             }
         }
         let ((k, v), rest) = self.buf.split_first()?;
@@ -444,7 +444,7 @@ mod tests {
             let seg = t.segments[t.dir.locate(1_000_395).unwrap()]
                 .as_ref()
                 .unwrap();
-            (seg.keys.len(), seg.live_len(), seg.buffer.len())
+            (seg.keys().len(), seg.live_len(), seg.buffer.len())
         };
         for key in run(1_000_000, 34) {
             assert!(t.remove(&key).is_some());

@@ -19,29 +19,45 @@
 //! where not, and capped at 64 buffers either way
 //! (`FitingTree::resegment`).
 //!
-//! # Page layout (SoA)
+//! # Page layout (SoA windows of a column)
 //!
-//! The page is stored **structure-of-arrays**: `keys: Vec<K>` parallel
-//! to `values: Vec<V>`. The bounded window search only ever touches the
-//! dense key array — every cache line it pulls is full of keys, not
-//! half value payload — and is the paper's Section 4.1.2 search, a
-//! binary search of the window (`Segment::search`, one for every
-//! caller and every width); the value array is read exactly once, on a
-//! confirmed hit, and range scans stream exactly `size_of::<V>()`
-//! bytes per entry.
+//! A page is a **window** `start..start + len` of a [`Column`]: one
+//! `keys: Vec<K>` parallel to one `values: Vec<V>`, shared by every
+//! page bulk load carves: it writes the whole tree into one column, on
+//! huge pages where the kernel grants them. A re-segmentation's pages
+//! each own a column — its run's arrays, when it makes one page — so
+//! the next re-segmentation of one page frees that page's slots. The
+//! bounded window search only ever touches the dense key array — every
+//! cache line it pulls is full of keys, not half value payload — and
+//! is the paper's Section 4.1.2 search, a binary search of the window
+//! (`Segment::search`, one for every caller and every width); the
+//! value array is read exactly once, on a confirmed hit, and range
+//! scans stream exactly `size_of::<V>()` bytes per entry.
+//!
+//! Writes are copy-on-write. A page writes in place only when it owns
+//! its whole column — no other page or cloned tree holds it, and the
+//! window is all of it — so a tail append lands at the column's end;
+//! any other write first copies the page into a column of its own.
 //!
 //! # Miss budget of a point lookup
 //!
-//! directory search → `slots[i]` + this header → {key window ∥ value
-//! window}. The model bounds the slot to `[lo, hi]` before a page byte
-//! is read, so every cache line of `keys[lo..=hi]` and of
-//! `values[lo..=hi]` is requested up front, each array while its window
-//! is at most `REQUEST_LINES` lines long. One DRAM round trip per
-//! page — and the search that follows is `log2(window)` dependent
+//! directory search → `slots[i]` + this header → the column header
+//! (one line every page of the column shares, so it stays cached) →
+//! {key window ∥ value window}. The model bounds the slot to `[lo, hi]`
+//! before a page byte is read, so every cache line of `keys[lo..=hi]`
+//! and of `values[lo..=hi]` is requested up front, each array while its
+//! window is at most `REQUEST_LINES` lines long. One DRAM round trip
+//! per page — and the search that follows is `log2(window)` dependent
 //! compare-and-select steps on lines already in flight, few enough
 //! that the out-of-order core starts the *next* lookup's directory
 //! search while this one's lines are still on their way (a scan of the
 //! window is hundreds of waiting µops, and nothing starts behind it).
+//! Each window's address translation is a page walk when it misses the
+//! TLB. On 4 KiB pages a uniform lookup pays one for its key window and
+//! one for its value window, because a 128 MB tree spans ≈ 32 K of
+//! them. A bulk-loaded column advised onto 2 MiB pages spans ≈ 64,
+//! which the TLB holds, so where the kernel grants huge pages the two
+//! walks are gone.
 //!
 //! Removals are **tombstones** in a lazily-allocated bitmap: O(1), and
 //! they leave every surviving key at its original slot, so
@@ -52,6 +68,7 @@
 
 use crate::key::Key;
 use fiting_index_api::prefetch_read;
+use std::sync::Arc;
 
 /// Bytes one prefetch hint covers.
 pub(crate) const CACHE_LINE: usize = 64;
@@ -92,6 +109,100 @@ fn saturate_u32(deviation: usize) -> u32 {
 /// A sorted run as the parallel arrays a page adopts: keys ∥ values.
 pub(crate) type Run<K, V> = (Vec<K>, Vec<V>);
 
+/// The parallel key ∥ value arrays one or more pages are windows of.
+#[derive(Debug, Clone)]
+pub(crate) struct Column<K, V> {
+    keys: Vec<K>,
+    values: Vec<V>,
+}
+
+impl<K, V> Column<K, V> {
+    /// A column of the run `keys` ∥ `values`, ready to be shared.
+    pub(crate) fn shared((keys, values): Run<K, V>) -> Arc<Self> {
+        debug_assert_eq!(keys.len(), values.len());
+        Arc::new(Column { keys, values })
+    }
+}
+
+/// A page: the window `start..start + len` of a shared [`Column`].
+#[derive(Debug, Clone)]
+pub(crate) struct Page<K, V> {
+    column: Arc<Column<K, V>>,
+    start: usize,
+    len: usize,
+}
+
+impl<K: Copy, V> Page<K, V> {
+    /// The window `start..start + len` of `column`.
+    pub(crate) fn new(column: &Arc<Column<K, V>>, start: usize, len: usize) -> Self {
+        debug_assert!(start + len <= column.keys.len());
+        Page {
+            column: Arc::clone(column),
+            start,
+            len,
+        }
+    }
+
+    /// A page that is the whole of a column of its own.
+    fn owned(keys: Vec<K>, values: Vec<V>) -> Self {
+        let len = keys.len();
+        Page::new(&Column::shared((keys, values)), 0, len)
+    }
+
+    /// The window's keys.
+    #[inline]
+    pub(crate) fn keys(&self) -> &[K] {
+        &self.column.keys[self.start..self.start + self.len]
+    }
+
+    /// The window's values, parallel to its keys.
+    #[inline]
+    pub(crate) fn values(&self) -> &[V] {
+        &self.column.values[self.start..self.start + self.len]
+    }
+
+    /// Whether the window is all of its column.
+    fn is_whole(&self) -> bool {
+        self.start == 0 && self.len == self.column.keys.len()
+    }
+}
+
+impl<K: Copy, V: Clone> Page<K, V> {
+    /// The page's column, to write: in place when the page owns its
+    /// whole column; otherwise the page first moves to a copy of its
+    /// window that it does own.
+    fn column_mut(&mut self) -> &mut Column<K, V> {
+        if !self.is_whole() {
+            *self = Page::owned(self.keys().to_vec(), self.values().to_vec());
+        }
+        Arc::make_mut(&mut self.column)
+    }
+
+    fn values_mut(&mut self) -> &mut [V] {
+        &mut self.column_mut().values
+    }
+
+    /// Appends `key` ∥ `value` at the column's end.
+    fn push(&mut self, key: K, value: V) {
+        let column = self.column_mut();
+        column.keys.push(key);
+        column.values.push(value);
+        self.len += 1;
+    }
+
+    /// The window as a run: the column's own arrays, moved out, when
+    /// the page owns the whole of it; a copy otherwise.
+    fn into_run(mut self) -> Run<K, V> {
+        if self.is_whole() {
+            match Arc::try_unwrap(self.column) {
+                Ok(column) => return (column.keys, column.values),
+                Err(shared) => self.column = shared,
+            }
+        }
+        (self.keys().to_vec(), self.values().to_vec())
+    }
+}
+
 /// One variable-sized page of the clustered index.
 #[derive(Debug, Clone)]
 pub(crate) struct Segment<K, V> {
@@ -104,11 +215,11 @@ pub(crate) struct Segment<K, V> {
     start_key_f: f64,
     /// Fitted slope (positions per key unit), from the segmentation cone.
     pub slope: f64,
-    /// The sorted page keys (dense; tombstoned slots keep their key).
-    pub keys: Vec<K>,
-    /// Values parallel to `keys`, dense — liveness lives in the `dead`
-    /// bitmap so scans stream exactly `size_of::<V>()` bytes per entry.
-    pub values: Vec<V>,
+    /// The sorted page keys ∥ values, a window of a shared column
+    /// (dense; tombstoned slots keep their key and value — liveness
+    /// lives in the `dead` bitmap, so scans stream exactly
+    /// `size_of::<V>()` bytes per entry).
+    page: Page<K, V>,
     /// Tombstone bitmap (one bit per page slot), allocated lazily on
     /// the first page removal; empty means every slot is live, so
     /// segments that never see a delete pay one predictable branch and
@@ -137,16 +248,19 @@ pub(crate) struct Segment<K, V> {
 
 impl<K: Key, V> Segment<K, V> {
     /// A segment whose page adopts the sorted parallel arrays `keys` ∥
-    /// `values` as they are (no copy); one pass measures the envelope.
+    /// `values` as a column of its own (no copy).
     pub(crate) fn from_run(start_key: K, slope: f64, keys: Vec<K>, values: Vec<V>) -> Self {
-        debug_assert!(keys.windows(2).all(|w| w[0] < w[1]));
-        debug_assert_eq!(keys.len(), values.len());
+        Self::from_page(start_key, slope, Page::owned(keys, values))
+    }
+
+    /// A segment over `page`; one pass measures the envelope.
+    pub(crate) fn from_page(start_key: K, slope: f64, page: Page<K, V>) -> Self {
+        debug_assert!(page.keys().windows(2).all(|w| w[0] < w[1]));
         let mut seg = Segment {
             start_key,
             start_key_f: start_key.to_f64(),
             slope,
-            keys,
-            values,
+            page,
             dead: Vec::new(),
             buffer: Vec::new(),
             removed: 0,
@@ -196,8 +310,7 @@ impl<K: Key, V> Segment<K, V> {
             start_key,
             start_key_f: start_key.to_f64(),
             slope,
-            keys,
-            values,
+            page: Page::owned(keys, values),
             dead,
             buffer,
             removed,
@@ -208,6 +321,18 @@ impl<K: Key, V> Segment<K, V> {
             seg.measure_error_bounds();
         }
         (seg.error_envelope() == envelope).then_some(seg)
+    }
+
+    /// The sorted page keys, tombstoned slots included.
+    #[inline]
+    pub(crate) fn keys(&self) -> &[K] {
+        self.page.keys()
+    }
+
+    /// The page values, parallel to [`keys`](Self::keys).
+    #[inline]
+    pub(crate) fn values(&self) -> &[V] {
+        self.page.values()
     }
 
     /// Whether page slot `i` holds a live (non-tombstoned) entry.
@@ -248,7 +373,7 @@ impl<K: Key, V> Segment<K, V> {
         if self.dead.is_empty() || from >= to {
             return 0;
         }
-        if (from, to) == (0, self.keys.len()) {
+        if (from, to) == (0, self.page.len) {
             return self.removed as usize;
         }
         let ones = |word: u64| word.count_ones() as usize;
@@ -266,7 +391,7 @@ impl<K: Key, V> Segment<K, V> {
     /// Tombstones page slot `i`, allocating the bitmap on first use.
     fn mark_dead(&mut self, i: usize) {
         if self.dead.is_empty() {
-            self.dead = vec![0u64; self.keys.len().div_ceil(64)];
+            self.dead = vec![0u64; self.page.len.div_ceil(64)];
         }
         debug_assert!(self.is_live(i));
         self.dead[i >> 6] |= 1 << (i & 63);
@@ -285,7 +410,7 @@ impl<K: Key, V> Segment<K, V> {
     /// with the configured budget. O(page) with pure arithmetic.
     fn measure_error_bounds(&mut self) {
         let (mut under, mut over) = (0usize, 0usize);
-        for (i, &k) in self.keys.iter().enumerate() {
+        for (i, &k) in self.keys().iter().enumerate() {
             let pred = self.predict(k);
             under = under.max(pred.saturating_sub(i));
             over = over.max(i.saturating_sub(pred));
@@ -296,7 +421,7 @@ impl<K: Key, V> Segment<K, V> {
 
     /// Live page entries (tombstones excluded).
     pub(crate) fn live_len(&self) -> usize {
-        self.keys.len() - self.removed as usize
+        self.page.len - self.removed as usize
     }
 
     /// Live entries in page + buffer.
@@ -306,17 +431,17 @@ impl<K: Key, V> Segment<K, V> {
 
     /// First live page entry.
     fn first_live(&self) -> Option<(&K, &V)> {
-        (0..self.keys.len())
+        (0..self.page.len)
             .find(|&i| self.is_live(i))
-            .map(|i| (&self.keys[i], &self.values[i]))
+            .map(|i| (&self.keys()[i], &self.values()[i]))
     }
 
     /// Last live page entry.
     pub(crate) fn last_live(&self) -> Option<(&K, &V)> {
-        (0..self.keys.len())
+        (0..self.page.len)
             .rev()
             .find(|&i| self.is_live(i))
-            .map(|i| (&self.keys[i], &self.values[i]))
+            .map(|i| (&self.keys()[i], &self.values()[i]))
     }
 
     /// Smallest key stored anywhere in this segment.
@@ -368,7 +493,7 @@ impl<K: Key, V> Segment<K, V> {
         let budget = seg_error as usize + 1;
         let hi = pred
             .saturating_add(budget.min(self.over as usize))
-            .min(self.keys.len() - 1);
+            .min(self.page.len - 1);
         // A prediction past the page leaves a one-slot window at the
         // tail, which the exact-match compare then rejects.
         let lo = pred.saturating_sub(budget.min(self.under as usize)).min(hi);
@@ -382,7 +507,7 @@ impl<K: Key, V> Segment<K, V> {
     /// paper's range query (point lookup, then scan) does.
     pub(crate) fn lower_bound(&self, key: K) -> usize {
         let pred = self.predict(key);
-        let n = self.keys.len();
+        let n = self.page.len;
         let hi = pred
             .saturating_add(self.over as usize)
             .saturating_add(1)
@@ -400,7 +525,7 @@ impl<K: Key, V> Segment<K, V> {
         let slot = self.lower_bound(key);
         if through {
             (
-                slot + usize::from(self.keys.get(slot) == Some(&key)),
+                slot + usize::from(self.keys().get(slot) == Some(&key)),
                 self.buffer.partition_point(|(k, _)| *k <= key),
             )
         } else {
@@ -415,9 +540,9 @@ impl<K: Key, V> Segment<K, V> {
     /// second, serialized miss.
     #[inline]
     fn search(&self, lo: usize, hi: usize, key: K) -> usize {
-        let window = &self.keys[lo..hi];
+        let window = &self.keys()[lo..hi];
         request_lines(window);
-        request_lines(&self.values[lo..hi]);
+        request_lines(&self.values()[lo..hi]);
         lo + window.partition_point(|&k| k < key)
     }
 
@@ -428,12 +553,12 @@ impl<K: Key, V> Segment<K, V> {
     /// the raw slot to resurrect tombstones).
     #[inline]
     fn probe(&self, key: K, seg_error: u64) -> Option<usize> {
-        if self.keys.is_empty() {
+        if self.page.len == 0 {
             return None;
         }
         let (lo, hi) = self.window(key, seg_error);
         let idx = self.search(lo, hi + 1, key);
-        (idx <= hi && self.keys[idx] == key).then_some(idx)
+        (idx <= hi && self.keys()[idx] == key).then_some(idx)
     }
 
     /// Exact-match search in the page, honoring the error window.
@@ -452,15 +577,25 @@ impl<K: Key, V> Segment<K, V> {
         if let Some(i) = self.probe(key, seg_error) {
             // A page key is never duplicated in the buffer, so a dead
             // hit means the key is absent.
-            return self.is_live(i).then(|| &self.values[i]);
+            return self.is_live(i).then(|| &self.values()[i]);
         }
         self.search_buffer(key).map(|i| &self.buffer[i].1)
     }
+}
 
-    /// Mutable point lookup across page and buffer.
+/// The writes: a page write goes through the copy-on-write column, and
+/// a tombstoned value is cloned out.
+impl<K: Key, V: Clone> Segment<K, V> {
+    /// Moves the page to a column of its own, unless it owns one.
+    pub(crate) fn detach(&mut self) {
+        self.page.column_mut();
+    }
+
+    /// Mutable point lookup across page and buffer; a page hit moves
+    /// the page to a column of its own first, unless it owns one.
     pub(crate) fn get_mut(&mut self, key: K, seg_error: u64) -> Option<&mut V> {
         if let Some(i) = self.probe(key, seg_error) {
-            return self.is_live(i).then(move || &mut self.values[i]);
+            return self.is_live(i).then(move || &mut self.page.values_mut()[i]);
         }
         if let Some(i) = self.search_buffer(key) {
             return Some(&mut self.buffer[i].1);
@@ -473,14 +608,15 @@ impl<K: Key, V> Segment<K, V> {
     /// above the page's last key whose slot the existing model predicts
     /// within `seg_error` is pushed onto the page tail; any other new
     /// key goes to the sorted buffer. Returns the previous value if any.
+    /// A write to the page goes through its copy-on-write column.
     pub(crate) fn insert(&mut self, key: K, value: V, seg_error: u64) -> Option<V> {
         if let Some(i) = self.probe(key, seg_error) {
             if self.is_live(i) {
-                return Some(std::mem::replace(&mut self.values[i], value));
+                return Some(std::mem::replace(&mut self.page.values_mut()[i], value));
             }
             // Resurrect the tombstoned slot in place: the key was
             // logically absent, so there is no previous value.
-            self.values[i] = value;
+            self.page.values_mut()[i] = value;
             self.mark_live(i);
             return None;
         }
@@ -501,20 +637,19 @@ impl<K: Key, V> Segment<K, V> {
     /// budget and nothing already on the page moves or is re-measured.
     /// `value` is only consumed on admission.
     fn push_tail(&mut self, key: K, value: V, seg_error: u64) -> Result<(), V> {
-        if self.keys.last().is_none_or(|&last| key <= last) {
+        if self.keys().last().is_none_or(|&last| key <= last) {
             return Err(value);
         }
-        let slot = self.keys.len();
+        let slot = self.page.len;
         let pred = self.predict(key);
         if slot.abs_diff(pred) as u64 > seg_error {
             return Err(value);
         }
         self.under = self.under.max(saturate_u32(pred.saturating_sub(slot)));
         self.over = self.over.max(saturate_u32(slot.saturating_sub(pred)));
-        self.keys.push(key);
-        self.values.push(value);
+        self.page.push(key, value);
         if !self.dead.is_empty() {
-            self.dead.resize(self.keys.len().div_ceil(64), 0);
+            self.dead.resize(self.page.len.div_ceil(64), 0);
         }
         self.assert_invariants(seg_error, slot);
         Ok(())
@@ -525,15 +660,12 @@ impl<K: Key, V> Segment<K, V> {
     /// predictions stay exact). The dense value array keeps the slot
     /// until the next re-segmentation, so the value is cloned out of it;
     /// the tombstoned slot is never read again.
-    pub(crate) fn remove(&mut self, key: K, seg_error: u64) -> Option<V>
-    where
-        V: Clone,
-    {
+    pub(crate) fn remove(&mut self, key: K, seg_error: u64) -> Option<V> {
         if let Some(i) = self.search_buffer(key) {
             return Some(self.buffer.remove(i).1);
         }
         if let Some(i) = self.search_data(key, seg_error) {
-            let value = self.values[i].clone();
+            let value = self.values()[i].clone();
             self.mark_dead(i);
             return Some(value);
         }
@@ -543,60 +675,68 @@ impl<K: Key, V> Segment<K, V> {
     /// The live page entries merged with the buffer — one sorted run, as
     /// the parallel arrays a new page adopts — consuming the segment
     /// (the first step of the paper's Algorithm 4 split). The merge
-    /// moves runs, not entries: the live slots between two buffered
+    /// copies runs, not entries: the live slots between two buffered
     /// keys, and between tombstones, are copied as slices. Tombstones
-    /// are dropped here; a page with neither hands its arrays over.
+    /// are dropped here; a page with neither hands its column over
+    /// when it owns the whole of it.
     pub(crate) fn into_merged_run(mut self) -> Run<K, V> {
         if self.buffer.is_empty() && self.removed == 0 {
-            return (self.keys, self.values);
+            return self.page.into_run();
         }
-        let mut keys = Vec::with_capacity(self.len());
-        let mut values = Vec::with_capacity(self.len());
-        // Searched while the page still holds its values: the search
-        // requests their lines.
-        let stops: Vec<usize> = (self.buffer.iter())
-            .map(|&(key, _)| self.lower_bound(key))
-            .collect();
-        let mut page_values = std::mem::take(&mut self.values).into_iter();
-        let mut buffer = std::mem::take(&mut self.buffer).into_iter().zip(stops);
+        let len = self.len();
+        let mut run = (Vec::with_capacity(len), Vec::with_capacity(len));
         let mut from = 0;
-        loop {
+        for (key, value) in std::mem::take(&mut self.buffer) {
             // The page slots below the next buffered key, then that key.
-            let next = buffer.next();
-            let to = next.as_ref().map_or(self.keys.len(), |&(_, stop)| stop);
-            while from < to {
-                let (start, end) = self.live_run(from, to);
-                page_values.by_ref().take(start - from).for_each(drop);
-                keys.extend_from_slice(&self.keys[start..end]);
-                values.extend(page_values.by_ref().take(end - start));
-                from = end;
-            }
-            let Some(((key, value), _)) = next else {
-                return (keys, values);
-            };
-            keys.push(key);
-            values.push(value);
+            let stop = self.lower_bound(key);
+            self.extend_live(from, stop, &mut run);
+            run.0.push(key);
+            run.1.push(value);
+            from = stop;
         }
+        self.extend_live(from, self.page.len, &mut run);
+        run
     }
 
-    /// Verifies the segment from page slot `from` on: page arrays
-    /// parallel and sorted, bitmap sized to the page, every live slot
-    /// inside its own search window, buffer sorted and disjoint from
-    /// the page.
-    pub(crate) fn check_invariants(&self, seg_error: u64, from: usize) -> Result<(), String> {
-        if self.keys.len() != self.values.len() {
-            return Err("page keys/values length mismatch".into());
+    /// Appends the live page entries of slots `from..to` to `run`, one
+    /// slice per stretch between tombstones.
+    fn extend_live(&self, mut from: usize, to: usize, run: &mut Run<K, V>) {
+        while from < to {
+            let (start, end) = self.live_run(from, to);
+            run.0.extend_from_slice(&self.keys()[start..end]);
+            run.1.extend_from_slice(&self.values()[start..end]);
+            from = end;
         }
-        if !self.dead.is_empty() && self.dead.len() != self.keys.len().div_ceil(64) {
+    }
+}
+
+impl<K: Key, V> Segment<K, V> {
+    /// Verifies the segment from page slot `from` on: column arrays
+    /// parallel, the page window inside its column and sorted, bitmap
+    /// sized to the page, every live slot inside its own search window,
+    /// buffer sorted and disjoint from the page.
+    pub(crate) fn check_invariants(&self, seg_error: u64, from: usize) -> Result<(), String> {
+        let Page { column, start, len } = &self.page;
+        if column.keys.len() != column.values.len() {
+            return Err("column keys/values length mismatch".into());
+        }
+        if start + len > column.keys.len() {
             return Err(format!(
-                "bitmap holds {} words for a {}-slot page",
-                self.dead.len(),
-                self.keys.len()
+                "window {start}..{} lies outside its {}-slot column",
+                start + len,
+                column.keys.len()
             ));
         }
-        for i in from..self.keys.len() {
-            let k = self.keys[i];
-            if i > 0 && self.keys[i - 1] >= k {
+        if !self.dead.is_empty() && self.dead.len() != len.div_ceil(64) {
+            return Err(format!(
+                "bitmap holds {} words for a {len}-slot page",
+                self.dead.len(),
+            ));
+        }
+        let keys = self.keys();
+        for i in from..keys.len() {
+            let k = keys[i];
+            if i > 0 && keys[i - 1] >= k {
                 return Err(format!("segment page unsorted at slot {i}"));
             }
             let (lo, hi) = self.window(k, seg_error);
@@ -612,7 +752,7 @@ impl<K: Key, V> Segment<K, V> {
         match self
             .buffer
             .iter()
-            .find(|(k, _)| self.keys.binary_search(k).is_ok())
+            .find(|(k, _)| keys.binary_search(k).is_ok())
         {
             Some((k, _)) => Err(format!("{k:?} is both buffered and on the page")),
             None => Ok(()),
@@ -632,10 +772,15 @@ impl<K: Key, V> Segment<K, V> {
         }
     }
 
+    /// Whether `self`'s page and `other`'s are windows of one column.
+    #[cfg(test)]
+    pub(crate) fn shares_column(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.page.column, &other.page.column)
+    }
+
     /// Estimated heap bytes of the page + buffer payload.
     pub(crate) fn payload_bytes(&self) -> usize {
-        self.keys.len() * std::mem::size_of::<K>()
-            + self.values.len() * std::mem::size_of::<V>()
+        self.page.len * (std::mem::size_of::<K>() + std::mem::size_of::<V>())
             + self.dead.len() * std::mem::size_of::<u64>()
             + self.buffer.len() * std::mem::size_of::<(K, V)>()
     }
@@ -770,7 +915,7 @@ mod tests {
             }
         }
         let (lo, hi) = s.window(curved[1_000], 500);
-        assert!(hint_stride(&s.keys[lo..=hi]).is_none());
+        assert!(hint_stride(&s.keys()[lo..=hi]).is_none());
     }
 
     #[test]
@@ -810,14 +955,14 @@ mod tests {
         for k in 100..200u64 {
             assert_eq!(s.insert(k * 10, k, 2), None);
         }
-        assert_eq!((s.keys.len(), s.buffer.len()), (200, 0));
+        assert_eq!((s.keys().len(), s.buffer.len()), (200, 0));
         assert_eq!(s.error_envelope(), (0, 0));
         // Off the line by more than ±2 slots: buffered; by less: admitted,
         // and the envelope records the one new deviation.
         assert_eq!(s.insert(2_100, 7, 2), None);
-        assert_eq!((s.keys.len(), s.buffer.len()), (200, 1));
+        assert_eq!((s.keys().len(), s.buffer.len()), (200, 1));
         assert_eq!(s.insert(2_018, 8, 2), None);
-        assert_eq!((s.keys.len(), s.buffer.len()), (201, 1));
+        assert_eq!((s.keys().len(), s.buffer.len()), (201, 1));
         assert_eq!(s.error_envelope(), (2, 0));
         // A duplicate of an appended key replaces; every older key is
         // still found through its unchanged window.
@@ -842,7 +987,7 @@ mod tests {
         assert_eq!(s.max_key(), Some(62));
         // Re-inserting a removed tail key reclaims its slot.
         assert_eq!(s.insert(64, 2, 1), None);
-        assert_eq!((s.keys.len(), s.buffer.len(), s.removed), (65, 0, 1));
+        assert_eq!((s.keys().len(), s.buffer.len(), s.removed), (65, 0, 1));
     }
 
     #[test]
@@ -854,12 +999,12 @@ mod tests {
         for k in 0..40u64 {
             s.insert(keys[299] + 1 + k * 40, k, 64);
         }
-        assert!(s.keys.len() > 300);
-        let top = *s.keys.last().unwrap() + 500;
+        assert!(s.keys().len() > 300);
+        let top = *s.keys().last().unwrap() + 500;
         for key in (0..top).step_by(3) {
             assert_eq!(
                 s.lower_bound(key),
-                s.keys.partition_point(|&k| k < key),
+                s.keys().partition_point(|&k| k < key),
                 "key {key}"
             );
         }
@@ -959,10 +1104,88 @@ mod tests {
         want.sort_unstable();
         let (keys, values) = s.into_merged_run();
         assert_eq!(keys.into_iter().zip(values).collect::<Vec<_>>(), want);
-        // Nothing to merge: the page's own arrays are the run.
-        let (keys, values) = seg(&page).into_merged_run();
-        assert_eq!((keys.len(), values.len()), (200, 200));
+        // Nothing to merge: the page's own arrays are the run, moved.
+        let s = seg(&page);
+        let at = (s.keys().as_ptr(), s.values().as_ptr());
+        let (keys, values) = s.into_merged_run();
+        assert_eq!((keys.as_ptr(), values.as_ptr()), at);
         assert_eq!(keys, page);
+    }
+
+    /// Two pages cut from one 200-slot column, `key = 10 × slot`.
+    fn two_windows() -> [Segment<u64, u64>; 2] {
+        let keys: Vec<u64> = (0..200).map(|i| i * 10).collect();
+        let values = keys.iter().map(|&k| k + 1).collect();
+        let column = Column::shared((keys, values));
+        [0, 100].map(|start| {
+            let page = Page::new(&column, start, 100);
+            Segment::from_page(page.keys()[0], 0.1, page)
+        })
+    }
+
+    #[test]
+    fn a_write_to_a_shared_window_goes_to_a_copy_of_it() {
+        let [mut a, b] = two_windows();
+        let untouched = |b: &Segment<u64, u64>| {
+            assert!(b.keys().iter().copied().eq((100..200).map(|i| i * 10)));
+            assert!(b
+                .values()
+                .iter()
+                .copied()
+                .eq((100..200).map(|i| i * 10 + 1)));
+        };
+        // Reads and tombstones leave the column shared.
+        assert_eq!(a.get(500, 1), Some(&501));
+        assert_eq!(a.remove(500, 1), Some(501));
+        assert!(a.shares_column(&b));
+        // A value replacement copies the window first; the copy is all
+        // of its column, so the next write goes in place.
+        assert_eq!(a.insert(20, 7, 1), Some(21));
+        assert!(!a.shares_column(&b));
+        let at = a.values().as_ptr();
+        *a.get_mut(30, 1).unwrap() = 8;
+        assert_eq!(a.insert(500, 9, 1), None); // resurrected
+        assert_eq!(a.values().as_ptr(), at);
+        assert_eq!(
+            (a.get(20, 1), a.get(30, 1), a.get(500, 1)),
+            (Some(&7), Some(&8), Some(&9))
+        );
+        untouched(&b);
+
+        // A tail append to a window that ends mid-column: copied.
+        let [mut a, b] = two_windows();
+        assert_eq!(a.insert(1_000, 3, 1), None);
+        assert_eq!((a.keys().len(), a.buffer.len()), (101, 0));
+        assert!(!a.shares_column(&b));
+        a.check_invariants(1, 0).unwrap();
+        untouched(&b);
+        // At the column's end, but not all of it: copied.
+        let [a, mut b] = two_windows();
+        assert_eq!(b.insert(2_000, 4, 1), None);
+        assert_eq!(b.keys().len(), 101);
+        assert!(!a.shares_column(&b));
+        assert!(a.keys().iter().copied().eq((0..100).map(|i| i * 10)));
+
+        // A shared window's run is a copy; the column stays whole.
+        let [a, b] = two_windows();
+        let (keys, values) = b.into_merged_run();
+        assert!(keys.iter().copied().eq((100..200).map(|i| i * 10)));
+        assert_eq!(values[0], 1_001);
+        assert!(a.values().iter().copied().eq((0..100).map(|i| i * 10 + 1)));
+        a.check_invariants(1, 0).unwrap();
+        // The last page left on a column is still only a window of it.
+        let (keys, values) = a.into_merged_run();
+        assert!(keys.iter().copied().eq((0..100).map(|i| i * 10)));
+        assert_eq!(values.len(), 100);
+    }
+
+    #[test]
+    fn a_window_outside_its_column_is_reported() {
+        let [a, mut stray] = two_windows();
+        assert!(a.shares_column(&stray));
+        stray.page.start = 150;
+        let why = stray.check_invariants(1, 0).unwrap_err();
+        assert!(why.contains("outside its 200-slot column"), "{why}");
     }
 
     #[test]

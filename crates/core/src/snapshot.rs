@@ -300,16 +300,16 @@ pub fn encode_tree_into<K: Key, V: Key, E>(
         payload.clear();
         payload.extend_from_slice(&seg.start_key.to_le_bytes());
         payload.extend_from_slice(&seg.slope.to_bits().to_le_bytes());
-        payload.extend_from_slice(&(seg.keys.len() as u64).to_le_bytes());
+        payload.extend_from_slice(&(seg.keys().len() as u64).to_le_bytes());
         payload.extend_from_slice(&(seg.buffer.len() as u64).to_le_bytes());
         payload.extend_from_slice(&(seg.dead_words().len() as u64).to_le_bytes());
         let (under, over) = seg.error_envelope();
         payload.extend_from_slice(&under.to_le_bytes());
         payload.extend_from_slice(&over.to_le_bytes());
-        for &k in &seg.keys {
+        for &k in seg.keys() {
             payload.extend_from_slice(&k.to_le_bytes());
         }
-        for &v in &seg.values {
+        for &v in seg.values() {
             payload.extend_from_slice(&v.to_le_bytes());
         }
         for &w in seg.dead_words() {
@@ -673,16 +673,16 @@ mod tests {
             payload.clear();
             payload.extend_from_slice(&seg.start_key.to_le_bytes());
             payload.extend_from_slice(&seg.slope.to_bits().to_le_bytes());
-            payload.extend_from_slice(&(seg.keys.len() as u64).to_le_bytes());
+            payload.extend_from_slice(&(seg.keys().len() as u64).to_le_bytes());
             payload.extend_from_slice(&(seg.buffer.len() as u64).to_le_bytes());
             payload.extend_from_slice(&(seg.dead_words().len() as u64).to_le_bytes());
             let (under, over) = seg.error_envelope();
             payload.extend_from_slice(&under.to_le_bytes());
             payload.extend_from_slice(&over.to_le_bytes());
-            for &k in &seg.keys {
+            for &k in seg.keys() {
                 payload.extend_from_slice(&k.to_le_bytes());
             }
-            for &v in &seg.values {
+            for &v in seg.values() {
                 payload.extend_from_slice(&v.to_le_bytes());
             }
             for &w in seg.dead_words() {
@@ -738,7 +738,7 @@ mod tests {
             .bulk_load(keys.map(|k| (k, k ^ 0x5A5A)))
             .unwrap();
         assert!(large.segment_count() > 10);
-        let widest = large.segments.iter().flatten().map(|s| s.keys.len());
+        let widest = large.segments.iter().flatten().map(|s| s.keys().len());
         assert!(widest.max().unwrap() * 16 > SNAPSHOT_CHUNK);
 
         for (name, tree) in [("dirty", &dirty), ("empty", &empty), ("large", &large)] {

@@ -47,10 +47,11 @@ pub mod rebalance;
 mod sharded;
 mod sorted;
 
-/// The cache-line read hint from `fiting-sync` (the one crate that may
-/// hold `unsafe`), re-exported so index structures built on this API
-/// reach it without a manifest edge of their own.
-pub use fiting_sync::prefetch_read;
+/// The cache-line read hint and the huge-page advice from `fiting-sync`
+/// (the one crate that may hold `unsafe`), re-exported so index
+/// structures built on this API reach them without a manifest edge of
+/// their own.
+pub use fiting_sync::{advise_huge_pages, prefetch_read};
 pub use key::{Key, KeyBytes, OrderedF64};
 pub use rebalance::{
     RebalanceCounters, RebalanceOutcome, RebalancePolicy, RebalanceStats, Rebalancer, WriteSampler,

@@ -2,7 +2,7 @@
 //! FITing-Tree reproduction workspace.
 //!
 //! Two primitives built for one protocol (the sharded front-end in
-//! `fiting-index-api`), one hint for the page lookup under it, and the
+//! `fiting-index-api`), two hints for the page lookup under it, and the
 //! seam all of it is built on ([`primitives`], described last):
 //!
 //! * [`Snapshots`] — a versioned snapshot publisher. A writer
@@ -21,18 +21,24 @@
 //!   every read completes in bounded steps and never observes a torn
 //!   value. Shared reads of an in-place-mutated value cannot be
 //!   expressed in safe Rust: this is the first of the workspace's
-//!   **two audited `unsafe` sites**.
+//!   **three audited `unsafe` sites**.
 //! * [`prefetch_read`] — a safe wrapper over the x86-64 `prefetcht0`
 //!   hint (a no-op elsewhere), the second site: the intrinsic takes a
 //!   raw pointer, the wrapper a reference. `fiting-tree` reaches it
 //!   through `fiting-index-api`'s re-export to request a lookup's value
 //!   window together with its key window.
+//! * [`advise_huge_pages`] — `madvise(MADV_HUGEPAGE)` over the 2 MiB-
+//!   aligned interior of a `Vec`'s spare capacity on Linux (a no-op
+//!   elsewhere), the third site: the call takes a raw address, the
+//!   wrapper a slice the caller owns. `fiting-tree` calls it, through
+//!   the same re-export, before it writes a bulk-loaded column, so a
+//!   uniform lookup finds the column's translations in the TLB.
 //!
 //! # Audit rules for `unsafe` in this crate
 //!
 //! Every other crate in the workspace carries
 //! `#![forbid(unsafe_code)]`, enforced by the `fiting-check`
-//! `forbid-unsafe` rule. This crate holds both sites and is held to a
+//! `forbid-unsafe` rule. This crate holds all three sites and is held to a
 //! stricter local bar (also machine-checked by `fiting-check`):
 //!
 //! 1. `#![deny(unsafe_op_in_unsafe_fn)]` — no implicit unsafe scopes.
@@ -59,11 +65,11 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-mod prefetch;
+mod hint;
 pub mod primitives;
 mod seqlock;
 mod snapshot;
 
-pub use prefetch::prefetch_read;
+pub use hint::{advise_huge_pages, prefetch_read};
 pub use seqlock::{SeqRwLock, SeqWriteGuard};
 pub use snapshot::{SnapshotStats, Snapshots};
