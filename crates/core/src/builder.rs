@@ -47,6 +47,22 @@ impl FitingTreeBuilder {
     }
 
     /// Bulk loads strictly increasing `(key, value)` pairs.
+    ///
+    /// One sequential pass copies the pairs into the tree's column.
+    /// ShrinkingCone then cuts it into pages on
+    /// [`available_parallelism`](std::thread::available_parallelism)
+    /// threads, one chunk of at least 65 536 keys each; a shorter input
+    /// stays on the calling thread. The chunks are stitched back into
+    /// the sequential cut, bit for bit, so the pages do not depend on
+    /// the thread count. Input that never resyncs across a chunk
+    /// boundary (perfectly linear keys, one page over everything) is
+    /// cut again on the calling thread, about one sequential pass more.
+    ///
+    /// # Errors
+    ///
+    /// [`BuildError::UnsortedInput`] names the first slot whose key is
+    /// not strictly above the one before it;
+    /// [`BuildError::BufferConsumesError`] rejects the configuration.
     pub fn bulk_load<K: Key, V, I>(self, iter: I) -> Result<FitingTree<K, V>, BuildError>
     where
         I: IntoIterator<Item = (K, V)>,

@@ -11,6 +11,7 @@
 //! pages and directory spans between trees without re-segmentation.
 
 use crate::builder::FitingTreeBuilder;
+use crate::cut::{chunks_for, cut, cut_pieces, PageCut};
 use crate::directory::FlatDirectory;
 use crate::error::{AbsorbError, BuildError};
 use crate::key::Key;
@@ -18,7 +19,7 @@ use crate::range::RangeIter;
 use crate::segment::{Column, Page, Run, Segment};
 use crate::stats::{FitingTreeStats, LookupTrace};
 use fiting_index_api::advise_huge_pages;
-use fiting_plr::{Cone, Point, ShrinkingCone};
+use fiting_plr::Cone;
 use std::ops::RangeBounds;
 use std::time::Instant;
 
@@ -95,31 +96,28 @@ impl<K: Key, V> FitingTree<K, V> {
     }
 
     /// Bulk loads strictly increasing `(key, value)` pairs (paper
-    /// Section 3): one segmentation pass that writes the pairs into one
-    /// column — sized from the input's `size_hint` and advised onto huge
-    /// pages before the first write — and cuts it into pages, then one
-    /// dense directory build over the segment anchors.
+    /// Section 3). One sequential pass copies the pairs into one column,
+    /// sized from the input's `size_hint` and advised onto huge pages
+    /// before the first write. ShrinkingCone then cuts the column into
+    /// pages on every core, one chunk of at least
+    /// [`MIN_KEYS_PER_THREAD`](crate::cut::MIN_KEYS_PER_THREAD) keys a
+    /// thread, and the chunks are stitched back into the sequential cut
+    /// bit for bit ([`cut`]); a run that never resyncs is cut again on
+    /// this thread. One dense directory build over the segment anchors
+    /// ends the load.
     pub(crate) fn bulk_load_sorted<I>(self, iter: I) -> Result<Self, BuildError>
     where
         I: IntoIterator<Item = (K, V)>,
     {
         let iter = iter.into_iter();
         let expected = iter.size_hint().0;
-        let (mut keys, mut values) = (Vec::with_capacity(expected), Vec::with_capacity(expected));
-        advise_huge_pages(keys.spare_capacity_mut());
-        advise_huge_pages(values.spare_capacity_mut());
-        let mut carver = Carver::new(self.seg_error);
-        let mut prev: Option<K> = None;
-        for (i, (k, v)) in iter.enumerate() {
-            if prev.is_some_and(|prev| prev >= k) {
-                return Err(BuildError::UnsortedInput { at: i });
-            }
-            prev = Some(k);
-            carver.push(k, i);
-            keys.push(k);
-            values.push(v);
-        }
-        Ok(self.load(carver.finish((keys, values))))
+        let mut run: Run<K, V> = (Vec::with_capacity(expected), Vec::with_capacity(expected));
+        advise_huge_pages(run.0.spare_capacity_mut());
+        advise_huge_pages(run.1.spare_capacity_mut());
+        run.extend(iter);
+        let cuts = cut(self.seg_error, &run.0, chunks_for(run.0.len()))
+            .map_err(|at| BuildError::UnsortedInput { at })?;
+        Ok(self.load(paginate(run, cuts)))
     }
 
     /// Fills an empty tree with the pages of one carved run.
@@ -801,72 +799,23 @@ fn refit<K: Key, V: Clone>(
 /// one page — so that re-segmenting one page later frees its slots
 /// instead of leaving them pinned by the pages cut beside it.
 fn carve<K: Key, V: Clone>(seg_error: u64, run: Run<K, V>, pieces: usize) -> Vec<Segment<K, V>> {
-    let n = run.0.len();
-    let mut carver = Carver::new(seg_error);
-    for piece in 0..pieces {
-        if piece > 0 {
-            carver.cut();
-        }
-        for slot in piece * n / pieces..(piece + 1) * n / pieces {
-            carver.push(run.0[slot], slot);
-        }
-    }
-    let mut pages: Vec<Segment<K, V>> = carver.finish(run).collect();
+    let cuts = cut_pieces(seg_error, &run.0, pieces).expect("a merged run is sorted");
+    let mut pages: Vec<Segment<K, V>> = paginate(run, cuts).collect();
     pages.iter_mut().for_each(Segment::detach);
     pages
 }
 
-/// Cuts a sorted run, fed one key at a time, into the pages of one
-/// column: ShrinkingCone decides where each page ends, and the run's
-/// arrays become the column every page is a window of. The one
-/// segmentation pass shared by bulk load, re-segmentation, and the
-/// boundary-segment split.
-struct Carver {
-    cone: ShrinkingCone,
-    /// The pages cut so far, as their first slot and slope.
-    pages: Vec<(usize, f64)>,
-}
-
-impl Carver {
-    fn new(seg_error: u64) -> Self {
-        Carver {
-            cone: ShrinkingCone::new(seg_error),
-            pages: Vec::new(),
-        }
-    }
-
-    /// Feeds the key at `slot` of the run (slots count up from 0).
-    fn push<K: Key>(&mut self, key: K, slot: usize) {
-        if let Some(done) = self.cone.push(Point::new(key.to_f64(), slot as u64)) {
-            self.pages.push((done.start_pos as usize, done.slope));
-        }
-    }
-
-    /// Ends the page being cut after the last key fed, as if the cone
-    /// had refused the next one.
-    fn cut(&mut self) {
-        let next = ShrinkingCone::new(self.cone.error());
-        let cone = std::mem::replace(&mut self.cone, next);
-        self.pages.extend(
-            cone.finish()
-                .map(|done| (done.start_pos as usize, done.slope)),
-        );
-    }
-
-    /// The pages over `run`, whose keys were fed in order, each a window
-    /// of the one column `run` becomes.
-    fn finish<K: Key, V>(mut self, run: Run<K, V>) -> impl ExactSizeIterator<Item = Segment<K, V>> {
-        self.cut();
-        let n = run.0.len();
-        let column = Column::shared(run);
-        let pages = self.pages;
-        (0..pages.len()).map(move |i| {
-            let (start, slope) = pages[i];
-            let end = pages.get(i + 1).map_or(n, |&(next, _)| next);
-            let page = Page::new(&column, start, end - start);
-            Segment::from_page(page.keys()[0], slope, page)
-        })
-    }
+/// The pages `cuts` marks out of `run`, each a window of the one column
+/// `run` becomes.
+fn paginate<K: Key, V>(
+    run: Run<K, V>,
+    cuts: Vec<PageCut>,
+) -> impl ExactSizeIterator<Item = Segment<K, V>> {
+    let column = Column::shared(run);
+    cuts.into_iter().map(move |cut| {
+        let page = Page::new(&column, cut.slots.start, cut.slots.len());
+        Segment::from_cut(cut.slope, page, cut.envelope)
+    })
 }
 
 impl<K: Key, V: std::fmt::Debug> std::fmt::Debug for FitingTree<K, V> {
@@ -990,6 +939,13 @@ mod tests {
             .bulk_load([(3, 0), (2, 0)])
             .unwrap_err();
         assert!(matches!(err, BuildError::UnsortedInput { at: 1 }));
+        // Long enough to be cut on every core: the slot is still the
+        // first one out of order, wherever its chunk starts.
+        let keys = (0..200_000u64).map(|k| if k == 150_000 { 0 } else { k * 3 });
+        let err = FitingTree::<u64, u64>::builder(16)
+            .bulk_load(keys.map(|k| (k, k)))
+            .unwrap_err();
+        assert!(matches!(err, BuildError::UnsortedInput { at: 150_000 }));
     }
 
     #[test]

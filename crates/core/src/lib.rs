@@ -86,6 +86,7 @@
 mod builder;
 mod clustered;
 pub mod cost;
+mod cut;
 mod directory;
 mod error;
 mod key;

@@ -246,6 +246,14 @@ impl<K: Key> SecondaryIndex<K> {
 mod tests {
     use super::*;
 
+    /// Compile check: the composite key meets `Key`'s thread bounds.
+    #[test]
+    fn composite_keys_are_send_and_sync() {
+        fn key<K: Key>() {}
+        key::<DupKey<u64>>();
+        key::<DupKey<crate::key::OrderedF64>>();
+    }
+
     /// Maps-like data: heavy duplication.
     fn dup_pairs(n: u64, dups: u64) -> Vec<(u64, RowId)> {
         (0..n)

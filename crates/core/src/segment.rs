@@ -106,6 +106,32 @@ fn saturate_u32(deviation: usize) -> u32 {
     u32::try_from(deviation).unwrap_or(u32::MAX)
 }
 
+/// The slot the line through `(start, 0)` with `slope` predicts for a
+/// key projected to `key`: [`Segment::predict`]'s arithmetic, for a
+/// page that is not a segment yet.
+#[inline]
+fn predict_slot(key: f64, start: f64, slope: f64) -> usize {
+    // `+ 0.5` then truncate rounds half up without the libm call
+    // `f64::round` costs on baseline x86-64 (this runs once per page
+    // key in the envelope pass). The cast saturates: negative
+    // predictions land on slot 0 (keys are NaN-free by the Key
+    // contract), huge ones on `usize::MAX`.
+    ((key - start) * slope + 0.5) as usize
+}
+
+/// The prediction-error envelope `(under, over)` of the page `keys`
+/// under the line from `start` with `slope` (see
+/// [`Segment::under`](field@Segment::under)). O(page), pure arithmetic.
+pub(crate) fn measure_envelope<K: Key>(keys: &[K], start: f64, slope: f64) -> (u32, u32) {
+    let (mut under, mut over) = (0usize, 0usize);
+    for (i, &k) in keys.iter().enumerate() {
+        let pred = predict_slot(k.to_f64(), start, slope);
+        under = under.max(pred.saturating_sub(i));
+        over = over.max(i.saturating_sub(pred));
+    }
+    (saturate_u32(under), saturate_u32(over))
+}
+
 /// A sorted run as the parallel arrays a page adopts: keys ∥ values.
 pub(crate) type Run<K, V> = (Vec<K>, Vec<V>);
 
@@ -256,19 +282,58 @@ impl<K: Key, V> Segment<K, V> {
     /// A segment over `page`; one pass measures the envelope.
     pub(crate) fn from_page(start_key: K, slope: f64, page: Page<K, V>) -> Self {
         debug_assert!(page.keys().windows(2).all(|w| w[0] < w[1]));
-        let mut seg = Segment {
+        let start = start_key.to_f64();
+        let envelope = measure_envelope(page.keys(), start, slope);
+        Self::assemble(start_key, slope, page, Vec::new(), Vec::new(), envelope)
+    }
+
+    /// A segment over `page`, anchored at its first key, whose envelope
+    /// the cut measured as it closed the page. Debug builds measure it
+    /// again.
+    pub(crate) fn from_cut(slope: f64, page: Page<K, V>, envelope: (u32, u32)) -> Self {
+        let seg = Self::assemble(
+            page.keys()[0],
+            slope,
+            page,
+            Vec::new(),
+            Vec::new(),
+            envelope,
+        );
+        debug_assert_eq!(
+            seg.measured_envelope(),
+            envelope,
+            "cut at {:?}",
+            seg.start_key
+        );
+        seg
+    }
+
+    /// A segment of the given parts, taking `envelope` on trust.
+    fn assemble(
+        start_key: K,
+        slope: f64,
+        page: Page<K, V>,
+        dead: Vec<u64>,
+        buffer: Vec<(K, V)>,
+        (under, over): (u32, u32),
+    ) -> Self {
+        let removed: u64 = dead.iter().map(|w| u64::from(w.count_ones())).sum();
+        Segment {
             start_key,
             start_key_f: start_key.to_f64(),
             slope,
             page,
-            dead: Vec::new(),
-            buffer: Vec::new(),
-            removed: 0,
-            under: 0,
-            over: 0,
-        };
-        seg.measure_error_bounds();
-        seg
+            dead,
+            buffer,
+            removed,
+            under,
+            over,
+        }
+    }
+
+    /// The envelope of the page as it stands, measured afresh.
+    fn measured_envelope(&self) -> (u32, u32) {
+        measure_envelope(self.keys(), self.start_key_f, self.slope)
     }
 
     /// The tombstone bitmap words (empty when no slot was ever
@@ -305,22 +370,9 @@ impl<K: Key, V> Segment<K, V> {
     ) -> Option<Self> {
         debug_assert!(dead.is_empty() || dead.len() == keys.len().div_ceil(64));
         debug_assert!(buffer.windows(2).all(|w| w[0].0 <= w[1].0));
-        let removed: u64 = dead.iter().map(|w| u64::from(w.count_ones())).sum();
-        let mut seg = Segment {
-            start_key,
-            start_key_f: start_key.to_f64(),
-            slope,
-            page: Page::owned(keys, values),
-            dead,
-            buffer,
-            removed,
-            under: envelope.0,
-            over: envelope.1,
-        };
-        if cfg!(debug_assertions) {
-            seg.measure_error_bounds();
-        }
-        (seg.error_envelope() == envelope).then_some(seg)
+        let page = Page::owned(keys, values);
+        let seg = Self::assemble(start_key, slope, page, dead, buffer, envelope);
+        (!cfg!(debug_assertions) || seg.measured_envelope() == envelope).then_some(seg)
     }
 
     /// The sorted page keys, tombstoned slots included.
@@ -405,20 +457,6 @@ impl<K: Key, V> Segment<K, V> {
         self.removed -= 1;
     }
 
-    /// One build-time pass measuring the page's actual prediction error
-    /// envelope (`under`/`over`), which the window search intersects
-    /// with the configured budget. O(page) with pure arithmetic.
-    fn measure_error_bounds(&mut self) {
-        let (mut under, mut over) = (0usize, 0usize);
-        for (i, &k) in self.keys().iter().enumerate() {
-            let pred = self.predict(k);
-            under = under.max(pred.saturating_sub(i));
-            over = over.max(i.saturating_sub(pred));
-        }
-        self.under = saturate_u32(under);
-        self.over = saturate_u32(over);
-    }
-
     /// Live page entries (tombstones excluded).
     pub(crate) fn live_len(&self) -> usize {
         self.page.len - self.removed as usize
@@ -473,12 +511,7 @@ impl<K: Key, V> Segment<K, V> {
     /// absorbs `f64` evaluation error in `(key − start) × slope`.
     #[inline]
     pub(crate) fn predict(&self, key: K) -> usize {
-        // `+ 0.5` then truncate rounds half up without the libm call
-        // `f64::round` costs on baseline x86-64 (this runs once per page
-        // key in the envelope pass). The cast saturates: negative
-        // predictions land on slot 0 (keys are NaN-free by the Key
-        // contract), huge ones on `usize::MAX`.
-        ((key.to_f64() - self.start_key_f) * self.slope + 0.5) as usize
+        predict_slot(key.to_f64(), self.start_key_f, self.slope)
     }
 
     /// The bounded search window `(lo, hi)` (inclusive) for `key` on a

@@ -18,7 +18,10 @@ use std::fmt::Debug;
 /// to *predict* a position and always verifies with exact `Ord`
 /// comparisons, so lossy projection costs accuracy (a wider effective
 /// error), never correctness.
-pub trait Key: Copy + Ord + Debug + 'static {
+///
+/// Keys are `Send + Sync` so that a bulk load can cut one shared key
+/// column on several threads at once.
+pub trait Key: Copy + Ord + Debug + Send + Sync + 'static {
     /// Width in bytes of the fixed little-endian encoding written by
     /// [`to_le_bytes`](Self::to_le_bytes). At most
     /// [`KeyBytes::MAX_LEN`]; every value of the type encodes to
@@ -232,6 +235,15 @@ impl TryFrom<f64> for OrderedF64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Compile check: the shipped key types meet the thread bounds.
+    #[test]
+    fn shipped_keys_are_send_and_sync() {
+        fn key<K: Key>() {}
+        key::<OrderedF64>();
+        key::<u128>();
+        key::<i64>();
+    }
 
     #[test]
     fn integer_projection_is_monotone() {
