@@ -16,9 +16,8 @@ use crate::directory::FlatDirectory;
 use crate::error::{AbsorbError, BuildError};
 use crate::key::Key;
 use crate::range::RangeIter;
-use crate::segment::{Column, Page, Run, Segment};
+use crate::segment::{advised, Column, Page, Run, Segment};
 use crate::stats::{FitingTreeStats, LookupTrace};
-use fiting_index_api::advise_huge_pages;
 use fiting_plr::Cone;
 use std::ops::RangeBounds;
 use std::time::Instant;
@@ -111,9 +110,7 @@ impl<K: Key, V> FitingTree<K, V> {
     {
         let iter = iter.into_iter();
         let expected = iter.size_hint().0;
-        let mut run: Run<K, V> = (Vec::with_capacity(expected), Vec::with_capacity(expected));
-        advise_huge_pages(run.0.spare_capacity_mut());
-        advise_huge_pages(run.1.spare_capacity_mut());
+        let mut run: Run<K, V> = (advised(expected), advised(expected));
         run.extend(iter);
         let cuts = cut(self.seg_error, &run.0, chunks_for(run.0.len()))
             .map_err(|at| BuildError::UnsortedInput { at })?;
@@ -121,7 +118,7 @@ impl<K: Key, V> FitingTree<K, V> {
     }
 
     /// Fills an empty tree with the pages of one carved run.
-    fn load(mut self, pages: impl ExactSizeIterator<Item = Segment<K, V>>) -> Self {
+    pub(crate) fn load(mut self, pages: impl ExactSizeIterator<Item = Segment<K, V>>) -> Self {
         debug_assert!(self.segments.is_empty());
         self.segments.reserve_exact(pages.len());
         let entries = self.install(pages);
@@ -807,7 +804,7 @@ fn carve<K: Key, V: Clone>(seg_error: u64, run: Run<K, V>, pieces: usize) -> Vec
 
 /// The pages `cuts` marks out of `run`, each a window of the one column
 /// `run` becomes.
-fn paginate<K: Key, V>(
+pub(crate) fn paginate<K: Key, V>(
     run: Run<K, V>,
     cuts: Vec<PageCut>,
 ) -> impl ExactSizeIterator<Item = Segment<K, V>> {

@@ -67,7 +67,7 @@
 //! accumulate dead slots forever.
 
 use crate::key::Key;
-use fiting_index_api::prefetch_read;
+use fiting_index_api::{advise_huge_pages, prefetch_read};
 use std::sync::Arc;
 
 /// Bytes one prefetch hint covers.
@@ -130,6 +130,15 @@ pub(crate) fn measure_envelope<K: Key>(keys: &[K], start: f64, slope: f64) -> (u
         over = over.max(i.saturating_sub(pred));
     }
     (saturate_u32(under), saturate_u32(over))
+}
+
+/// An empty array with room for `capacity` items, advised onto huge
+/// pages before its first write: how bulk load and the snapshot
+/// decoder start a column.
+pub(crate) fn advised<T>(capacity: usize) -> Vec<T> {
+    let mut items = Vec::with_capacity(capacity);
+    advise_huge_pages(items.spare_capacity_mut());
+    items
 }
 
 /// A sorted run as the parallel arrays a page adopts: keys ∥ values.
@@ -284,21 +293,14 @@ impl<K: Key, V> Segment<K, V> {
         debug_assert!(page.keys().windows(2).all(|w| w[0] < w[1]));
         let start = start_key.to_f64();
         let envelope = measure_envelope(page.keys(), start, slope);
-        Self::assemble(start_key, slope, page, Vec::new(), Vec::new(), envelope)
+        Self::assemble(start_key, slope, page, envelope)
     }
 
     /// A segment over `page`, anchored at its first key, whose envelope
     /// the cut measured as it closed the page. Debug builds measure it
     /// again.
     pub(crate) fn from_cut(slope: f64, page: Page<K, V>, envelope: (u32, u32)) -> Self {
-        let seg = Self::assemble(
-            page.keys()[0],
-            slope,
-            page,
-            Vec::new(),
-            Vec::new(),
-            envelope,
-        );
+        let seg = Self::assemble(page.keys()[0], slope, page, envelope);
         debug_assert_eq!(
             seg.measured_envelope(),
             envelope,
@@ -308,24 +310,17 @@ impl<K: Key, V> Segment<K, V> {
         seg
     }
 
-    /// A segment of the given parts, taking `envelope` on trust.
-    fn assemble(
-        start_key: K,
-        slope: f64,
-        page: Page<K, V>,
-        dead: Vec<u64>,
-        buffer: Vec<(K, V)>,
-        (under, over): (u32, u32),
-    ) -> Self {
-        let removed: u64 = dead.iter().map(|w| u64::from(w.count_ones())).sum();
+    /// A segment of the given parts, taking `envelope` on trust; no slot
+    /// is dead and nothing is buffered.
+    fn assemble(start_key: K, slope: f64, page: Page<K, V>, (under, over): (u32, u32)) -> Self {
         Segment {
             start_key,
             start_key_f: start_key.to_f64(),
             slope,
             page,
-            dead,
-            buffer,
-            removed,
+            dead: Vec::new(),
+            buffer: Vec::new(),
+            removed: 0,
             under,
             over,
         }
@@ -350,29 +345,18 @@ impl<K: Key, V> Segment<K, V> {
         (self.under, self.over)
     }
 
-    /// Reassembles a segment from its persisted parts — the snapshot
-    /// decoder's constructor. `removed` is recounted from the bitmap
-    /// (a cheap popcount); the error envelope `(under, over)` is taken
-    /// as persisted — it sits under the section checksum. Debug builds
-    /// re-measure it to catch codec bugs and return `None` when the
-    /// page disagrees.
+    /// The segment with the tombstone bitmap `dead` and the insert
+    /// buffer `buffer` it was persisted with: the snapshot decoder adds
+    /// them to a page it cut as bulk load does. `removed` is recounted
+    /// from the bitmap (a popcount).
     ///
-    /// `dead` must be either empty or exactly
-    /// `keys.len().div_ceil(64)` words; `buffer` must be sorted by key.
-    pub(crate) fn from_raw_parts(
-        start_key: K,
-        slope: f64,
-        keys: Vec<K>,
-        values: Vec<V>,
-        dead: Vec<u64>,
-        buffer: Vec<(K, V)>,
-        envelope: (u32, u32),
-    ) -> Option<Self> {
-        debug_assert!(dead.is_empty() || dead.len() == keys.len().div_ceil(64));
-        debug_assert!(buffer.windows(2).all(|w| w[0].0 <= w[1].0));
-        let page = Page::owned(keys, values);
-        let seg = Self::assemble(start_key, slope, page, dead, buffer, envelope);
-        (!cfg!(debug_assertions) || seg.measured_envelope() == envelope).then_some(seg)
+    /// `dead` must be either empty or exactly `page len.div_ceil(64)`
+    /// words; `buffer` must be sorted by key.
+    pub(crate) fn with_sparse(mut self, dead: Vec<u64>, buffer: Vec<(K, V)>) -> Self {
+        self.removed = dead.iter().map(|w| u64::from(w.count_ones())).sum();
+        self.dead = dead;
+        self.buffer = buffer;
+        self
     }
 
     /// The sorted page keys, tombstoned slots included.
@@ -745,9 +729,10 @@ impl<K: Key, V: Clone> Segment<K, V> {
 
 impl<K: Key, V> Segment<K, V> {
     /// Verifies the segment from page slot `from` on: column arrays
-    /// parallel, the page window inside its column and sorted, bitmap
-    /// sized to the page, every live slot inside its own search window,
-    /// buffer sorted and disjoint from the page.
+    /// parallel, the page window inside its column, anchored at its
+    /// first key and sorted, bitmap sized to the page, every live slot
+    /// inside its own search window, buffer sorted and disjoint from the
+    /// page.
     pub(crate) fn check_invariants(&self, seg_error: u64, from: usize) -> Result<(), String> {
         let Page { column, start, len } = &self.page;
         if column.keys.len() != column.values.len() {
@@ -767,6 +752,12 @@ impl<K: Key, V> Segment<K, V> {
             ));
         }
         let keys = self.keys();
+        if keys.first() != Some(&self.start_key) {
+            return Err(format!(
+                "page does not start at its anchor {:?}",
+                self.start_key
+            ));
+        }
         for i in from..keys.len() {
             let k = keys[i];
             if i > 0 && keys[i - 1] >= k {
@@ -1219,6 +1210,11 @@ mod tests {
         stray.page.start = 150;
         let why = stray.check_invariants(1, 0).unwrap_err();
         assert!(why.contains("outside its 200-slot column"), "{why}");
+        // A page anchored anywhere but at its first key.
+        let [mut adrift, _] = two_windows();
+        adrift.start_key = 5;
+        let why = adrift.check_invariants(1, 0).unwrap_err();
+        assert!(why.contains("does not start at its anchor"), "{why}");
     }
 
     #[test]

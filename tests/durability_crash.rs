@@ -12,7 +12,8 @@
 //!   per-record CRC (or the header check) must catch it and recovery
 //!   must land on the prefix before the damaged record;
 //! * **tear a checkpoint** between and inside the chunks its snapshot
-//!   streams as — the torn next generation, left as the temp file or
+//!   streams as, inside its key column and its value column among
+//!   them — the torn next generation, left as the temp file or
 //!   published, must be refused in favour of the previous one.
 //!
 //! After every injected crash the recovered index is compared entry-
@@ -303,11 +304,25 @@ fn torn_checkpoints(
     });
     drop(idx);
     assert!(ends.len() >= 4, "{} chunks", ends.len());
+    // The image's four sections (page table, key column, value column,
+    // sparse), each `len | payload | crc` from a 64-byte boundary.
+    let mut payloads = Vec::new();
+    let mut at = 64;
+    for _ in 0..4 {
+        let len = u64::from_le_bytes(image[at..at + 8].try_into().unwrap()) as usize;
+        payloads.push(at + 8..at + 8 + len);
+        at = (at + 12 + len).next_multiple_of(64);
+    }
+    assert_eq!(at, image.len());
 
     let mut points = 0;
+    let mut in_columns = [0; 2];
     let mut start = 0;
     for &end in &ends {
         for cut in [start + 1, (start + end) / 2, end] {
+            for (tears, column) in in_columns.iter_mut().zip(&payloads[1..3]) {
+                *tears += usize::from(column.contains(&cut));
+            }
             for (name, published) in [("snapshot.tmp", false), ("snapshot.000001", true)] {
                 if published && cut == image.len() {
                     continue; // whole and published: a finished checkpoint
@@ -329,6 +344,10 @@ fn torn_checkpoints(
         }
         start = end;
     }
+    assert!(
+        in_columns.iter().all(|&tears| tears > 0),
+        "tears inside the key and value columns: {in_columns:?}"
+    );
     points
 }
 
