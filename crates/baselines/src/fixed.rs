@@ -428,7 +428,7 @@ impl<K: Key, V: Clone> BuildableIndex<K, V> for FixedPageIndex<K, V> {
     type Config = usize;
     type BuildError = Infallible;
 
-    fn build_sorted(
+    fn build_from(
         page_size: &usize,
         sorted: impl IntoIterator<Item = (K, V)>,
     ) -> Result<Self, Infallible> {

@@ -84,7 +84,7 @@ impl<K: Key, V: Clone> BuildableIndex<K, V> for FullIndex<K, V> {
     type Config = ();
     type BuildError = Infallible;
 
-    fn build_sorted(_: &(), sorted: impl IntoIterator<Item = (K, V)>) -> Result<Self, Infallible> {
+    fn build_from(_: &(), sorted: impl IntoIterator<Item = (K, V)>) -> Result<Self, Infallible> {
         Ok(FullIndex::bulk_load(sorted))
     }
 }

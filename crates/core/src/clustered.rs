@@ -18,9 +18,14 @@ use crate::key::Key;
 use crate::range::RangeIter;
 use crate::segment::{advised, Column, Page, Run, Segment};
 use crate::stats::{FitingTreeStats, LookupTrace};
+use fiting_index_api::GiveBack;
 use fiting_plr::Cone;
 use std::ops::RangeBounds;
 use std::time::Instant;
+
+/// How many bytes of a caller's input an owned bulk load copies between
+/// two give-backs: the most the build holds of both copies at once.
+const STEP: usize = 2 << 20;
 
 /// A clustered FITing-Tree index mapping unique keys to values.
 ///
@@ -97,13 +102,7 @@ impl<K: Key, V> FitingTree<K, V> {
     /// Bulk loads strictly increasing `(key, value)` pairs (paper
     /// Section 3). One sequential pass copies the pairs into one column,
     /// sized from the input's `size_hint` and advised onto huge pages
-    /// before the first write. ShrinkingCone then cuts the column into
-    /// pages on every core, one chunk of at least
-    /// [`MIN_KEYS_PER_THREAD`](crate::cut::MIN_KEYS_PER_THREAD) keys a
-    /// thread, and the chunks are stitched back into the sequential cut
-    /// bit for bit ([`cut`]); a run that never resyncs is cut again on
-    /// this thread. One dense directory build over the segment anchors
-    /// ends the load.
+    /// before the first write; then [`cut_and_load`](Self::cut_and_load).
     pub(crate) fn bulk_load_sorted<I>(self, iter: I) -> Result<Self, BuildError>
     where
         I: IntoIterator<Item = (K, V)>,
@@ -112,6 +111,34 @@ impl<K: Key, V> FitingTree<K, V> {
         let expected = iter.size_hint().0;
         let mut run: Run<K, V> = (advised(expected), advised(expected));
         run.extend(iter);
+        self.cut_and_load(run)
+    }
+
+    /// [`bulk_load_sorted`](Self::bulk_load_sorted) from the caller's
+    /// own `Vec`, copied into the column [`STEP`] bytes of input at a
+    /// time. After each step the input's consumed pages go back to the
+    /// kernel, so the load holds one copy of the data plus one step,
+    /// not two copies. Builds the same tree from the same pairs.
+    pub(crate) fn bulk_load_owned(self, sorted: Vec<(K, V)>) -> Result<Self, BuildError> {
+        let step = (STEP / std::mem::size_of::<(K, V)>().max(1)).max(1);
+        let mut run: Run<K, V> = (advised(sorted.len()), advised(sorted.len()));
+        let mut input = GiveBack::new(sorted);
+        while !input.is_empty() {
+            run.extend(input.next_run(step));
+            input.give_back();
+        }
+        drop(input);
+        self.cut_and_load(run)
+    }
+
+    /// The tail both bulk loads share. ShrinkingCone cuts the column
+    /// into pages on every core, one chunk of at least
+    /// [`MIN_KEYS_PER_THREAD`](crate::cut::MIN_KEYS_PER_THREAD) keys a
+    /// thread, and the chunks are stitched back into the sequential cut
+    /// bit for bit ([`cut`]); a run that never resyncs is cut again on
+    /// this thread. One dense directory build over the segment anchors
+    /// ends the load.
+    fn cut_and_load(self, run: Run<K, V>) -> Result<Self, BuildError> {
         let cuts = cut(self.seg_error, &run.0, chunks_for(run.0.len()))
             .map_err(|at| BuildError::UnsortedInput { at })?;
         Ok(self.load(paginate(run, cuts)))
@@ -891,11 +918,20 @@ impl<K: Key, V: Clone> fiting_index_api::BuildableIndex<K, V> for FitingTree<K, 
     type Config = crate::builder::FitingTreeBuilder;
     type BuildError = crate::error::BuildError;
 
-    fn build_sorted(
+    fn build_from(
         config: &Self::Config,
         sorted: impl IntoIterator<Item = (K, V)>,
     ) -> Result<Self, crate::error::BuildError> {
         config.clone().bulk_load(sorted)
+    }
+
+    /// Gives the `Vec`'s memory back as it copies it: the build peaks at
+    /// one copy of the data plus one 2 MiB step.
+    fn build_sorted(
+        config: &Self::Config,
+        sorted: Vec<(K, V)>,
+    ) -> Result<Self, crate::error::BuildError> {
+        config.clone().build_empty()?.bulk_load_owned(sorted)
     }
 }
 
@@ -943,6 +979,54 @@ mod tests {
             .bulk_load(keys.map(|k| (k, k)))
             .unwrap_err();
         assert!(matches!(err, BuildError::UnsortedInput { at: 150_000 }));
+    }
+
+    /// Every page of `t` in key order: start key, length, slope bits
+    /// and error envelope.
+    fn page_shapes(t: &FitingTree<u64, u64>) -> Vec<(u64, usize, u64, (u32, u32))> {
+        t.dir
+            .entries()
+            .map(|(_, slot)| {
+                let page = t.segments[slot].as_ref().expect("a live slot");
+                let slope = page.slope.to_bits();
+                (page.start_key, page.len(), slope, page.error_envelope())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn owned_and_streamed_loads_build_one_tree() {
+        use fiting_index_api::BuildableIndex;
+        let config = FitingTreeBuilder::new(16);
+        // Two cut chunks on a multi-core machine, and a last step that
+        // is one pair long.
+        let n = 2 * crate::cut::MIN_KEYS_PER_THREAD as u64 + 1;
+        assert_ne!(n as usize % (STEP / 16), 0);
+        let curvy: Vec<(u64, u64)> = (0..n).map(|k| (k * k / 1024 + 3 * k, k)).collect();
+        let owned = FitingTree::build_sorted(&config, curvy.clone()).unwrap();
+        let streamed = FitingTree::build_from(&config, curvy.iter().copied()).unwrap();
+        owned.check_invariants().unwrap();
+        assert!(page_shapes(&owned).len() > 1);
+        assert_eq!(page_shapes(&owned), page_shapes(&streamed));
+        assert!(owned
+            .iter()
+            .map(|(&k, &v)| (k, v))
+            .eq(curvy.iter().copied()));
+
+        let mut unsorted = curvy;
+        unsorted[100_000].0 = 0;
+        let owned = FitingTree::build_sorted(&config, unsorted.clone()).unwrap_err();
+        let streamed = FitingTree::build_from(&config, unsorted).unwrap_err();
+        assert!(matches!(owned, BuildError::UnsortedInput { at: 100_000 }));
+        assert!(matches!(
+            streamed,
+            BuildError::UnsortedInput { at: 100_000 }
+        ));
+
+        let owned = FitingTree::<u64, u64>::build_sorted(&config, Vec::new()).unwrap();
+        let streamed = FitingTree::<u64, u64>::build_from(&config, []).unwrap();
+        assert!(owned.is_empty() && streamed.is_empty());
+        assert_eq!(page_shapes(&owned), page_shapes(&streamed));
     }
 
     #[test]

@@ -71,6 +71,7 @@ impl KeyBytes {
     ///
     /// Panics when `bytes.len() > Self::MAX_LEN`.
     #[must_use]
+    #[inline]
     pub fn new(bytes: &[u8]) -> Self {
         assert!(bytes.len() <= Self::MAX_LEN, "key encoding too wide");
         let mut buf = [0u8; Self::MAX_LEN];
@@ -83,12 +84,14 @@ impl KeyBytes {
 
     /// The encoded bytes.
     #[must_use]
+    #[inline]
     pub fn as_slice(&self) -> &[u8] {
         &self.buf[..self.len as usize]
     }
 }
 
 impl AsRef<[u8]> for KeyBytes {
+    #[inline]
     fn as_ref(&self) -> &[u8] {
         self.as_slice()
     }
@@ -97,6 +100,7 @@ impl AsRef<[u8]> for KeyBytes {
 impl std::ops::Deref for KeyBytes {
     type Target = [u8];
 
+    #[inline]
     fn deref(&self) -> &[u8] {
         self.as_slice()
     }

@@ -18,7 +18,9 @@
 //!   slopes, pointers — never the table data).
 //! * [`BuildableIndex`] — one-pass bulk load from sorted input, with a
 //!   structure-specific `Config` so generic drivers can construct any
-//!   implementation.
+//!   implementation: streamed from an iterator
+//!   ([`build_from`](BuildableIndex::build_from)), or from the caller's
+//!   own `Vec` ([`build_sorted`](BuildableIndex::build_sorted)).
 //! * [`DynSortedIndex`] — the object-safe companion
 //!   (blanket-implemented) that benchmark harnesses drive as
 //!   `&mut dyn DynSortedIndex<K, V>`.
@@ -47,11 +49,11 @@ pub mod rebalance;
 mod sharded;
 mod sorted;
 
-/// The cache-line read hint and the huge-page advice from `fiting-sync`
-/// (the one crate that may hold `unsafe`), re-exported so index
-/// structures built on this API reach them without a manifest edge of
-/// their own.
-pub use fiting_sync::{advise_huge_pages, prefetch_read};
+/// The cache-line read hint, the huge-page advice and the consumed-input
+/// give-back from `fiting-sync` (the one crate that may hold `unsafe`),
+/// re-exported so index structures built on this API reach them without
+/// a manifest edge of their own.
+pub use fiting_sync::{advise_huge_pages, prefetch_read, GiveBack};
 pub use key::{Key, KeyBytes, OrderedF64};
 pub use rebalance::{
     RebalanceCounters, RebalanceOutcome, RebalancePolicy, RebalanceStats, Rebalancer, WriteSampler,
@@ -151,7 +153,7 @@ pub mod doctest_support {
         type Config = ();
         type BuildError = Infallible;
 
-        fn build_sorted(
+        fn build_from(
             _: &(),
             sorted: impl IntoIterator<Item = (K, V)>,
         ) -> Result<Self, Infallible> {
@@ -169,7 +171,7 @@ mod trait_contract_tests {
     use std::ops::Bound;
 
     fn build(n: u64) -> VecIndex<u64, u64> {
-        BuildableIndex::build_sorted(&(), (0..n).map(|k| (k * 3, k))).unwrap()
+        BuildableIndex::build_from(&(), (0..n).map(|k| (k * 3, k))).unwrap()
     }
 
     #[test]

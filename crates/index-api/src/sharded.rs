@@ -81,7 +81,7 @@
 use crate::key::Key;
 use crate::sorted::{BuildableIndex, ShardHealth, SortedIndex};
 use fiting_sync::primitives::Mutex;
-use fiting_sync::{SeqRwLock, Snapshots};
+use fiting_sync::{GiveBack, SeqRwLock, Snapshots};
 use std::ops::{Bound, RangeBounds};
 use std::sync::Arc;
 
@@ -355,17 +355,19 @@ impl<K: Key, V: Clone, I: BuildableIndex<K, V> + 'static> ShardedIndex<K, V, I> 
         }
 
         // Each shard is built from its span of the one input, front to
-        // back, so no span is ever copied out of it.
+        // back, so no span is ever copied out of it, and the span goes
+        // back to the kernel once its shard is built.
         let ends: Vec<usize> = bounds
             .iter()
             .map(|b| sorted.partition_point(|(k, _)| k < b))
             .chain([n])
             .collect();
-        let mut pairs = sorted.into_iter();
+        let mut pairs = GiveBack::new(sorted);
         let mut shards = Vec::with_capacity(ends.len());
         let mut start = 0;
         for end in ends {
-            let shard = I::build_sorted(config, pairs.by_ref().take(end - start))?;
+            let shard = I::build_from(config, pairs.next_run(end - start))?;
+            pairs.give_back();
             shards.push(Arc::new(SeqRwLock::new(shard)));
             start = end;
         }
@@ -1271,13 +1273,13 @@ mod tests {
         type Config = Builds;
         type BuildError = std::convert::Infallible;
 
-        fn build_sorted(
+        fn build_from(
             builds: &Builds,
             sorted: impl IntoIterator<Item = (u64, u64)>,
         ) -> Result<Self, Self::BuildError> {
             let sorted = sorted.into_iter();
             let hint = sorted.size_hint().0;
-            let inner = VecIndex::build_sorted(&(), sorted)?;
+            let inner = VecIndex::build_from(&(), sorted)?;
             let first = inner.range(..).next().map(|(k, _)| k);
             builds.lock().push((first, inner.len(), hint));
             Ok(Counting(inner))
@@ -1586,12 +1588,12 @@ mod tests {
         type Config = Arc<AtomicUsize>;
         type BuildError = std::convert::Infallible;
 
-        fn build_sorted(
+        fn build_from(
             applied: &Self::Config,
             sorted: impl IntoIterator<Item = (u64, u64)>,
         ) -> Result<Self, Self::BuildError> {
             Ok(Probe {
-                inner: VecIndex::build_sorted(&(), sorted)?,
+                inner: VecIndex::build_from(&(), sorted)?,
                 applied: Arc::clone(applied),
                 refuse: false,
             })

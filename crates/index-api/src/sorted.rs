@@ -301,6 +301,13 @@ pub trait SortedIndex<K: Key, V: Clone> {
 /// input — the paper's Section 3 bulk load, abstracted so generic
 /// drivers (and [`ShardedIndex`](crate::ShardedIndex)) can build any
 /// structure.
+///
+/// An implementation writes [`build_from`](Self::build_from), the
+/// streaming build. A caller that owns its input as a `Vec` calls
+/// [`build_sorted`](Self::build_sorted) instead: by default it streams
+/// the `Vec` through `build_from`, and a structure that copies its
+/// input (the FITing-Tree) overrides it to hand the `Vec`'s memory back
+/// as it reads it, so the build never holds two copies of the data.
 pub trait BuildableIndex<K: Key, V: Clone>: SortedIndex<K, V> + Sized {
     /// Structure-specific build parameters (error budget, page size,
     /// tree order, …). `Clone` so one config can build many shards.
@@ -316,10 +323,18 @@ pub trait BuildableIndex<K: Key, V: Clone>: SortedIndex<K, V> + Sized {
     ///
     /// Implementations may panic or error on unsorted/duplicate input;
     /// callers are expected to sort + dedup first.
-    fn build_sorted(
+    fn build_from(
         config: &Self::Config,
         sorted: impl IntoIterator<Item = (K, V)>,
     ) -> Result<Self, Self::BuildError>;
+
+    /// Builds from the caller's `Vec` of **strictly increasing** pairs,
+    /// which the build consumes. Builds what
+    /// [`build_from`](Self::build_from) builds from the same pairs, and
+    /// reports the same errors.
+    fn build_sorted(config: &Self::Config, sorted: Vec<(K, V)>) -> Result<Self, Self::BuildError> {
+        Self::build_from(config, sorted)
+    }
 }
 
 /// Object-safe companion to [`SortedIndex`], blanket-implemented for

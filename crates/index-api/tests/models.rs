@@ -20,7 +20,7 @@ type Index = ShardedIndex<u64, u64, VecIndex<u64, u64>>;
 /// Two shards split at key 10, each key mapped to itself.
 fn two_shards(lower: &[u64], upper: &[u64]) -> Index {
     let shard = |keys: &[u64]| {
-        let Ok(built) = VecIndex::build_sorted(&(), keys.iter().map(|&k| (k, k)));
+        let Ok(built) = VecIndex::build_from(&(), keys.iter().map(|&k| (k, k)));
         built
     };
     ShardedIndex::from_shards(vec![10], vec![shard(lower), shard(upper)])

@@ -962,12 +962,12 @@ mod tests {
         type Config = ();
         type BuildError = std::convert::Infallible;
 
-        fn build_sorted(
+        fn build_from(
             config: &(),
             sorted: impl IntoIterator<Item = (u64, u64)>,
         ) -> Result<Self, Self::BuildError> {
             Ok(PanicOnKey {
-                inner: VecIndex::build_sorted(config, sorted)?,
+                inner: VecIndex::build_from(config, sorted)?,
                 reload_gate: None,
             })
         }
@@ -1160,7 +1160,7 @@ mod tests {
         // exit rather than block the join in `pop_batch` forever.
         let gate = Arc::new(std::sync::Barrier::new(2));
         let shard = PanicOnKey {
-            inner: VecIndex::build_sorted(&(), (0..10u64).map(|k| (k, k))).unwrap(),
+            inner: VecIndex::build_from(&(), (0..10u64).map(|k| (k, k))).unwrap(),
             reload_gate: Some(Arc::clone(&gate)),
         };
         let svc = IndexService::start_supervised(

@@ -1076,10 +1076,18 @@ impl<K: Key, V: Key, I: BuildableIndex<K, V> + PageSnapshot> BuildableIndex<K, V
     type Config = DurableConfig<I::Config>;
     type BuildError = StorageBuildError<I::BuildError>;
 
-    fn build_sorted(
+    fn build_from(
         config: &Self::Config,
         sorted: impl IntoIterator<Item = (K, V)>,
     ) -> Result<Self, Self::BuildError> {
+        let inner = I::build_from(&config.inner, sorted).map_err(StorageBuildError::Build)?;
+        DurableIndex::create(inner, Arc::clone(&config.store))
+            .map_err(|(e, _)| StorageBuildError::Io(e))
+    }
+
+    /// Hands the `Vec` on to the inner structure's own `build_sorted`,
+    /// so a durable build peaks where the inner one does.
+    fn build_sorted(config: &Self::Config, sorted: Vec<(K, V)>) -> Result<Self, Self::BuildError> {
         let inner = I::build_sorted(&config.inner, sorted).map_err(StorageBuildError::Build)?;
         DurableIndex::create(inner, Arc::clone(&config.store))
             .map_err(|(e, _)| StorageBuildError::Io(e))

@@ -54,7 +54,7 @@
 //!
 //! // Build a durable shard, mutate it, group-commit.
 //! let mut index: DurableIndex<u64, u64> =
-//!     DurableIndex::build_sorted(&config, (0..1000u64).map(|k| (k * 2, k))).unwrap();
+//!     DurableIndex::build_from(&config, (0..1000u64).map(|k| (k * 2, k))).unwrap();
 //! index.insert(1001, 7);
 //! index.remove(&0);
 //! index.try_sync().expect("the log reaches the disk"); // durable up to here
@@ -132,7 +132,7 @@ mod tests {
         let root = temp_root("reopen");
         let cfg = config(&root);
         let mut idx: Durable =
-            DurableIndex::build_sorted(&cfg, (0..5000u64).map(|k| (k * 2, k))).unwrap();
+            DurableIndex::build_from(&cfg, (0..5000u64).map(|k| (k * 2, k))).unwrap();
         assert_eq!(idx.name(), "Durable");
         assert!(idx.disk_bytes() > 0);
         assert_eq!(idx.wal_bytes(), 0);
@@ -158,7 +158,7 @@ mod tests {
         let root = temp_root("ckpt");
         let cfg = config(&root);
         let mut idx: Durable =
-            DurableIndex::build_sorted(&cfg, (0..1000u64).map(|k| (k, k))).unwrap();
+            DurableIndex::build_from(&cfg, (0..1000u64).map(|k| (k, k))).unwrap();
         idx.insert(5000, 5);
         assert!(idx.wal_bytes() > 0);
         assert_eq!(idx.generation(), 0);
@@ -183,8 +183,7 @@ mod tests {
     fn corrupt_newest_snapshot_falls_back_to_older_generation() {
         let root = temp_root("fallback");
         let cfg = config(&root);
-        let mut idx: Durable =
-            DurableIndex::build_sorted(&cfg, (0..500u64).map(|k| (k, k))).unwrap();
+        let mut idx: Durable = DurableIndex::build_from(&cfg, (0..500u64).map(|k| (k, k))).unwrap();
         idx.insert(9000, 9);
         idx.try_sync().expect("the log reaches the disk");
         let dir = idx.shard_dir().to_path_buf();
@@ -204,8 +203,7 @@ mod tests {
         let root = temp_root("carry");
         let io = FaultIo::quiet();
         let cfg = fault_config(&root, &io);
-        let mut idx: Durable =
-            DurableIndex::build_sorted(&cfg, (0..100u64).map(|k| (k, k))).unwrap();
+        let mut idx: Durable = DurableIndex::build_from(&cfg, (0..100u64).map(|k| (k, k))).unwrap();
         // Acknowledged but never committed: lives only in the buffer.
         assert_eq!(idx.try_insert(7777, 70), Ok(None));
         assert_eq!(idx.try_remove(&0), Ok(Some(0)));
@@ -371,8 +369,7 @@ mod tests {
         let root = temp_root("degrade-heal");
         let io = FaultIo::quiet();
         let cfg = fault_config(&root, &io);
-        let mut idx: Durable =
-            DurableIndex::build_sorted(&cfg, (0..100u64).map(|k| (k, k))).unwrap();
+        let mut idx: Durable = DurableIndex::build_from(&cfg, (0..100u64).map(|k| (k, k))).unwrap();
 
         idx.try_insert(500, 5).unwrap();
         // Kill the log permanently-for-now: the sync must degrade.
@@ -425,8 +422,7 @@ mod tests {
         let root = temp_root("ckpt-rollback");
         let io = FaultIo::quiet();
         let cfg = fault_config(&root, &io);
-        let mut idx: Durable =
-            DurableIndex::build_sorted(&cfg, (0..200u64).map(|k| (k, k))).unwrap();
+        let mut idx: Durable = DurableIndex::build_from(&cfg, (0..200u64).map(|k| (k, k))).unwrap();
         idx.try_insert(900, 9).unwrap();
         idx.try_sync().unwrap();
         let dir = idx.shard_dir().to_path_buf();
@@ -458,8 +454,7 @@ mod tests {
         let root = temp_root("transient");
         let io = FaultIo::quiet();
         let cfg = fault_config(&root, &io);
-        let mut idx: Durable =
-            DurableIndex::build_sorted(&cfg, (0..50u64).map(|k| (k, k))).unwrap();
+        let mut idx: Durable = DurableIndex::build_from(&cfg, (0..50u64).map(|k| (k, k))).unwrap();
         io.fail_nth(IoOp::Write, "wal.000000", 1, InjectKind::Transient, false);
         io.fail_nth(IoOp::Fsync, "wal.000000", 1, InjectKind::Transient, false);
         idx.try_insert(77, 7).unwrap();
@@ -473,8 +468,7 @@ mod tests {
     fn reopen_in_place_rebuilds_from_disk() {
         let root = temp_root("reload");
         let cfg = config(&root);
-        let mut idx: Durable =
-            DurableIndex::build_sorted(&cfg, (0..300u64).map(|k| (k, k))).unwrap();
+        let mut idx: Durable = DurableIndex::build_from(&cfg, (0..300u64).map(|k| (k, k))).unwrap();
         idx.try_insert(800, 8).unwrap();
         // Not synced: reopen_in_place must flush the buffered record
         // before discarding memory, so the acknowledged write survives.
@@ -524,7 +518,7 @@ mod tests {
         // still holds everything.
         let tail_cfg = config(&root);
         let tail: Durable =
-            DurableIndex::build_sorted(&tail_cfg, (600..1000u64).map(|k| (k, k + 1))).unwrap();
+            DurableIndex::build_from(&tail_cfg, (600..1000u64).map(|k| (k, k + 1))).unwrap();
         drop(tail);
         let (back, report) = open_sharded::<u64, u64, FitingTree<u64, u64>>(&cfg).unwrap();
         assert_eq!(back.len(), 1000);
@@ -565,7 +559,7 @@ mod tests {
             // A shard's birth surfaces the failure and leaves nothing
             // that reopens.
             io.fail_nth(IoOp::Write, "snapshot.tmp", k, InjectKind::Eio, false);
-            let Err(StorageBuildError::Io(e)) = Durable::build_sorted(&cfg, pairs()) else {
+            let Err(StorageBuildError::Io(e)) = Durable::build_from(&cfg, pairs()) else {
                 panic!("create must fail on chunk {k}");
             };
             assert_eq!(e.op(), IoOp::Write);
@@ -575,7 +569,7 @@ mod tests {
 
             // A checkpoint does too, and generation 0 still opens with
             // its log.
-            let mut idx = Durable::build_sorted(&cfg, pairs()).unwrap();
+            let mut idx = Durable::build_from(&cfg, pairs()).unwrap();
             assert!(idx.disk_bytes() > 8 * SNAPSHOT_CHUNK);
             idx.insert(0, 1);
             idx.try_sync().expect("the log reaches the disk");

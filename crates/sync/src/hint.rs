@@ -28,12 +28,12 @@ pub fn prefetch_read<T>(value: &T) {
 }
 
 /// The huge-page size the advice is aligned to.
-#[cfg(any(target_os = "linux", test))]
+#[cfg(any(all(target_os = "linux", not(miri)), test))]
 const HUGE_PAGE: usize = 2 << 20;
 
 /// The 2 MiB-aligned interior of `spare` as `(offset, len)` in bytes,
 /// or `None` when it holds no whole huge page.
-#[cfg(any(target_os = "linux", test))]
+#[cfg(any(all(target_os = "linux", not(miri)), test))]
 fn huge_interior<T>(spare: &[MaybeUninit<T>]) -> Option<(usize, usize)> {
     let start = spare.as_ptr() as usize;
     let end = start + std::mem::size_of_val(spare);
@@ -50,9 +50,9 @@ fn huge_interior<T>(spare: &[MaybeUninit<T>]) -> Option<(usize, usize)> {
 /// changes what a load observes, and its result is ignored. Linux
 /// issues `madvise(MADV_HUGEPAGE)`, which applies where the kernel runs
 /// transparent huge pages in `madvise` or `always` mode; every other
-/// target compiles this to nothing.
+/// target, and Miri, compiles this to nothing.
 pub fn advise_huge_pages<T>(spare: &[MaybeUninit<T>]) {
-    #[cfg(target_os = "linux")]
+    #[cfg(all(target_os = "linux", not(miri)))]
     if let Some((offset, len)) = huge_interior(spare) {
         const MADV_HUGEPAGE: std::ffi::c_int = 14;
         extern "C" {
@@ -72,7 +72,7 @@ pub fn advise_huge_pages<T>(spare: &[MaybeUninit<T>]) {
         // kernel without transparent huge pages) changes nothing.
         unsafe { madvise(addr.cast_mut().cast(), len, MADV_HUGEPAGE) };
     }
-    #[cfg(not(target_os = "linux"))]
+    #[cfg(not(all(target_os = "linux", not(miri))))]
     let _ = spare;
 }
 
@@ -128,7 +128,7 @@ mod tests {
 
     /// The mapping of `/proc/self/smaps` holding `addr`, as its
     /// `THPeligible` flag.
-    #[cfg(target_os = "linux")]
+    #[cfg(all(target_os = "linux", not(miri)))]
     fn thp_eligible(addr: usize) -> Option<bool> {
         let smaps = std::fs::read_to_string("/proc/self/smaps").expect("smaps is readable");
         let mut inside = false;
@@ -146,7 +146,7 @@ mod tests {
         None
     }
 
-    #[cfg(target_os = "linux")]
+    #[cfg(all(target_os = "linux", not(miri)))]
     #[test]
     fn advised_spare_capacity_is_eligible_for_huge_pages_unless_thp_is_off() {
         let mode = std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled")

@@ -2,8 +2,9 @@
 //! FITing-Tree reproduction workspace.
 //!
 //! Two primitives built for one protocol (the sharded front-end in
-//! `fiting-index-api`), two hints for the page lookup under it, and the
-//! seam all of it is built on ([`primitives`], described last):
+//! `fiting-index-api`), two hints for the page lookup under it, one
+//! give-back for the bulk load that builds it, and the seam all of it
+//! is built on ([`primitives`], described last):
 //!
 //! * [`Snapshots`] — a versioned snapshot publisher. A writer
 //!   publishes a new immutable snapshot with one pointer swap under a
@@ -21,7 +22,7 @@
 //!   every read completes in bounded steps and never observes a torn
 //!   value. Shared reads of an in-place-mutated value cannot be
 //!   expressed in safe Rust: this is the first of the workspace's
-//!   **three audited `unsafe` sites**.
+//!   **four audited `unsafe` sites**.
 //! * [`prefetch_read`] — a safe wrapper over the x86-64 `prefetcht0`
 //!   hint (a no-op elsewhere), the second site: the intrinsic takes a
 //!   raw pointer, the wrapper a reference. `fiting-tree` reaches it
@@ -33,12 +34,20 @@
 //!   wrapper a slice the caller owns. `fiting-tree` calls it, through
 //!   the same re-export, before it writes a bulk-loaded column, so a
 //!   uniform lookup finds the column's translations in the TLB.
+//! * [`GiveBack`] — an owned `Vec` read front to back in runs, whose
+//!   consumed whole 4 KiB pages go back to the kernel with
+//!   `madvise(MADV_DONTNEED)` on Linux x86-64 (a no-op elsewhere), the
+//!   fourth site: the call takes a raw address and drops what is there,
+//!   the type owns the buffer and hands out only the iterator runs that
+//!   consume it, so it alone knows which pages hold nothing live.
+//!   `fiting-tree` reads a caller's bulk-load input through it, so a
+//!   build holds one copy of the data, not two.
 //!
 //! # Audit rules for `unsafe` in this crate
 //!
 //! Every other crate in the workspace carries
 //! `#![forbid(unsafe_code)]`, enforced by the `fiting-check`
-//! `forbid-unsafe` rule. This crate holds all three sites and is held to a
+//! `forbid-unsafe` rule. This crate holds all four sites and is held to a
 //! stricter local bar (also machine-checked by `fiting-check`):
 //!
 //! 1. `#![deny(unsafe_op_in_unsafe_fn)]` — no implicit unsafe scopes.
@@ -65,11 +74,13 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
+mod give;
 mod hint;
 pub mod primitives;
 mod seqlock;
 mod snapshot;
 
+pub use give::GiveBack;
 pub use hint::{advise_huge_pages, prefetch_read};
 pub use seqlock::{SeqRwLock, SeqWriteGuard};
 pub use snapshot::{SnapshotStats, Snapshots};

@@ -271,7 +271,7 @@ fn rotation_step_storm(root: &Path, step: usize, op: IoOp, pattern: &str, best_e
     )
     .unwrap();
     let mut idx: Durable =
-        BuildableIndex::build_sorted(&cfg, (0..128u64).map(|k| (k * 3, k))).unwrap();
+        BuildableIndex::build_from(&cfg, (0..128u64).map(|k| (k * 3, k))).unwrap();
     assert_eq!(idx.try_insert(7, 70), Ok(None));
     assert_eq!(idx.try_sync(), Ok(true));
 
@@ -458,11 +458,11 @@ impl BuildableIndex<u64, u64> for PanicOn {
     type Config = <Durable as BuildableIndex<u64, u64>>::Config;
     type BuildError = <Durable as BuildableIndex<u64, u64>>::BuildError;
 
-    fn build_sorted(
+    fn build_from(
         config: &Self::Config,
         sorted: impl IntoIterator<Item = (u64, u64)>,
     ) -> Result<Self, Self::BuildError> {
-        Durable::build_sorted(config, sorted).map(PanicOn)
+        Durable::build_from(config, sorted).map(PanicOn)
     }
 }
 

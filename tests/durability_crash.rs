@@ -400,7 +400,7 @@ fn missing_wal_recovers_snapshot_only() {
     let _ = std::fs::remove_dir_all(&root);
     let cfg = DurableConfig::new(&root, FsyncPolicy::Off, FitingTreeBuilder::new(64)).unwrap();
     let mut idx: Durable =
-        fiting::BuildableIndex::build_sorted(&cfg, (0..100u64).map(|k| (k, k))).unwrap();
+        fiting::BuildableIndex::build_from(&cfg, (0..100u64).map(|k| (k, k))).unwrap();
     idx.insert(777, 7);
     idx.try_sync().expect("the log reaches the disk");
     let dir: PathBuf = idx.shard_dir().to_path_buf();

@@ -285,7 +285,7 @@ fn refuses_moves<I: BuildableIndex<u64, u64> + 'static>(name: &str, config: &I::
 #[test]
 fn mixed_config_shards_refuse_to_merge() {
     let build = |error, keys: std::ops::Range<u64>| {
-        FitingTree::build_sorted(&FitingTreeBuilder::new(error), keys.map(|k| (k, k))).unwrap()
+        FitingTree::build_from(&FitingTreeBuilder::new(error), keys.map(|k| (k, k))).unwrap()
     };
     let index = ShardedIndex::from_shards(
         vec![1_000],
