@@ -203,8 +203,8 @@ fn members(root: &Path) -> std::io::Result<Vec<(String, String)>> {
 
 /// One row per package of the workspace at `root`, in manifest order:
 /// its name, its production lines under `src/` (a `#[cfg(test)]`
-/// module's file counts none), and for each of the
-/// ten product crates its public [`Surface`].
+/// module's file counts none), and for each product crate that
+/// `PRODUCT_CRATES` lists its public [`Surface`].
 ///
 /// # Errors
 ///
@@ -329,6 +329,20 @@ mod tests {
             core.is_some_and(|s| s.items > s.unnamed.len()),
             "the core crate has named items"
         );
+    }
+
+    /// A deleted or renamed crate left in `PRODUCT_CRATES` would be
+    /// skipped without a word, so each entry must be a member.
+    #[test]
+    fn every_product_crate_is_a_workspace_member() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let members = members(&root).unwrap();
+        for krate in PRODUCT_CRATES {
+            assert!(
+                members.iter().any(|(name, _)| name == krate),
+                "{krate} is not a member of the workspace"
+            );
+        }
     }
 
     #[test]

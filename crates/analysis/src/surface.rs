@@ -25,14 +25,13 @@ use std::collections::{HashMap, HashSet};
 
 /// The crates whose `pub` items `--lines` counts: the product, not the
 /// facade, the bench and checker tools, or the compat stand-ins.
-pub(crate) const PRODUCT_CRATES: [&str; 10] = [
+pub(crate) const PRODUCT_CRATES: [&str; 9] = [
     "fiting-index-api",
     "fiting-index-service",
     "fiting-plr",
     "fiting-btree",
     "fiting-tree",
     "fiting-storage",
-    "fiting-baselines",
     "fiting-datasets",
     "fiting-sync",
     "fiting-telemetry",

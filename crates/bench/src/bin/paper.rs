@@ -19,13 +19,13 @@
 
 #![forbid(unsafe_code)]
 
-use fiting_baselines::FixedPageIndex;
 use fiting_bench::driver::Structure::{self, Binary, Fiting, Fixed, Full};
 use fiting_bench::driver::{insert_mops, lookup_ns};
 use fiting_bench::{
     dedup_pairs, enumerate_pairs, fmt_bytes, measure_cache_miss_ns, print_table, sample_probes,
     throughput_mops, time_per_op,
 };
+use fiting_btree::FixedPageIndex;
 use fiting_datasets::{nonlinearity::non_linearity_ratio, step, Dataset};
 use fiting_plr::{optimal_segment_count, optimal_segment_count_endpoint, Point, ShrinkingCone};
 use fiting_tree::cost::{CostModel, SegmentCountModel};

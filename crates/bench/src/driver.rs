@@ -8,8 +8,8 @@
 //! special-case a structure.
 
 use crate::{throughput_mops, time_per_op};
-use fiting_baselines::{BinarySearchIndex, FixedPageIndex, FullIndex};
-use fiting_index_api::DynSortedIndex;
+use fiting_btree::{BPlusTree, FixedPageIndex};
+use fiting_index_api::{BinarySearchIndex, DynSortedIndex};
 use fiting_tree::FitingTreeBuilder;
 
 /// A boxed index over the standard `u64 -> u64` bench schema.
@@ -51,7 +51,7 @@ impl Structure {
                     .expect("bench data is strictly increasing"),
             ),
             Structure::Fixed(page_size) => Box::new(FixedPageIndex::bulk_load(page_size, pairs)),
-            Structure::Full => Box::new(FullIndex::bulk_load(pairs)),
+            Structure::Full => Box::new(BPlusTree::bulk_load(pairs)),
             Structure::Binary => Box::new(BinarySearchIndex::bulk_load(pairs)),
         }
     }

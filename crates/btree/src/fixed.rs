@@ -12,9 +12,8 @@
 //! page + buffer merge and split into two half-full pages ("as usual,
 //! once the buffer is full, the page is split into two pages").
 
-use fiting_btree::BPlusTree;
-use fiting_index_api::{BuildableIndex, SortedIndex};
-use fiting_tree::Key;
+use crate::{BPlusTree, Range};
+use fiting_index_api::{BuildableIndex, Key, SortedIndex};
 use std::convert::Infallible;
 use std::ops::{Bound, RangeBounds};
 
@@ -246,7 +245,7 @@ impl<K: Key, V> FixedPageIndex<K, V> {
 /// of the lower bound, merging each page's data and buffer on the fly.
 pub struct FixedPageRange<'a, K: Key, V> {
     pages: &'a [Option<Page<K, V>>],
-    walk: fiting_btree::Range<'a, K, usize>,
+    walk: Range<'a, K, usize>,
     current: Option<PageCursor<'a, K, V>>,
     lo: Bound<K>,
     hi: Bound<K>,

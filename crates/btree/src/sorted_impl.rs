@@ -1,6 +1,6 @@
 //! [`SortedIndex`] implementation for the B+ tree, so the tree
-//! itself can be driven (and sharded) through the unified API like
-//! the baselines built on it.
+//! itself can be driven (and sharded) through the unified API: it *is*
+//! the paper's Full (dense) baseline.
 
 use crate::tree::BPlusTree;
 use fiting_index_api::{clone_pair, BuildableIndex, Key, SortedIndex};

@@ -117,7 +117,7 @@ impl<K: Copy + Ord, V> BPlusTree<K, V> {
     /// the page that covers an arbitrary probe key is exactly a floor
     /// search.
     #[must_use]
-    pub fn floor(&self, key: &K) -> Option<(&K, &V)> {
+    pub(crate) fn floor(&self, key: &K) -> Option<(&K, &V)> {
         let mut id = self.root as usize;
         // The nearest subtree left of the path, and its height: every key
         // in it is <= key.
@@ -167,7 +167,7 @@ impl<K: Copy + Ord, V> BPlusTree<K, V> {
     /// in a leaf, one separator and one 8-byte child pointer in an
     /// internal node.
     #[must_use]
-    pub fn size_in_bytes(&self) -> usize {
+    pub(crate) fn size_in_bytes(&self) -> usize {
         let leaves = self.leaves.len() - self.free_leaves.len();
         let inners = self.inners.len() - self.free_inners.len();
         // Every node but the root is some internal node's child.
@@ -566,11 +566,15 @@ mod tests {
         assert_eq!((t.height, t.first()), (0, None));
     }
 
+    /// A dense tree's size is linear in its keys: one key and value per
+    /// entry plus a node overhead under 4 bytes an entry, at every size.
     #[test]
     fn size_counts_one_key_and_value_per_entry() {
-        let t = BPlusTree::bulk_load((0..10_000u64).map(|k| (k, k)));
-        let bytes = t.size_in_bytes();
-        assert!(bytes > 10_000 * 16 && bytes < 10_000 * 20, "{bytes}");
+        for n in [1_000u64, 10_000, 100_000] {
+            let bytes = BPlusTree::bulk_load((0..n).map(|k| (k, k))).size_in_bytes();
+            let n = n as usize;
+            assert!(bytes > n * 16 && bytes < n * 20, "n={n}: {bytes}");
+        }
     }
 
     /// Seeded model test against `BTreeMap`. 4 000 keys at ORDER 16 make

@@ -1,9 +1,8 @@
-//! The binary-search baseline: no index at all.
+//! The binary-search baseline: no index at all, one sorted array.
 
-use fiting_index_api::{BuildableIndex, SortedIndex};
-use fiting_tree::Key;
+use crate::{BuildableIndex, Key, SortedIndex};
 use std::convert::Infallible;
-use std::ops::RangeBounds;
+use std::ops::{Bound, RangeBounds};
 
 /// Plain binary search over one sorted array.
 ///
@@ -11,6 +10,10 @@ use std::ops::RangeBounds;
 /// equal to the data size": zero index bytes, `log2(n)` cache misses per
 /// lookup, O(n) inserts. Both the Figure 6 size/latency curves and the
 /// Figure 11 scalability comparison use it as the no-index anchor.
+///
+/// It is also the concrete index this crate's own tests and doctests
+/// run [`ShardedIndex`](crate::ShardedIndex) over, so it implements the
+/// segment-run hooks: a split or merge moves the array's tail.
 #[derive(Debug, Clone)]
 pub struct BinarySearchIndex<K, V> {
     data: Vec<(K, V)>,
@@ -32,25 +35,33 @@ impl<K: Key, V> BinarySearchIndex<K, V> {
         BinarySearchIndex { data }
     }
 
-    /// An empty array.
-    #[must_use]
-    pub fn new() -> Self {
-        BinarySearchIndex { data: Vec::new() }
+    fn search(&self, key: &K) -> Result<usize, usize> {
+        self.data.binary_search_by(|(k, _)| k.cmp(key))
     }
 
-    /// Removes a key (O(n) shift, like insert).
-    pub fn remove(&mut self, key: &K) -> Option<V> {
-        match self.data.binary_search_by(|(k, _)| k.cmp(key)) {
-            Ok(i) => Some(self.data.remove(i).1),
-            Err(_) => None,
-        }
+    /// The subslice of the array that `range` covers; inverted bounds
+    /// give an empty slice rather than a panic.
+    fn slice<R: RangeBounds<K>>(&self, range: R) -> &[(K, V)] {
+        let start = self
+            .data
+            .partition_point(|(k, _)| match range.start_bound() {
+                Bound::Included(lo) => k < lo,
+                Bound::Excluded(lo) => k <= lo,
+                Bound::Unbounded => false,
+            });
+        let end = self.data.partition_point(|(k, _)| match range.end_bound() {
+            Bound::Included(hi) => k <= hi,
+            Bound::Excluded(hi) => k < hi,
+            Bound::Unbounded => true,
+        });
+        &self.data[start..end.max(start)]
     }
 }
 
-impl<K: Key, V> Default for BinarySearchIndex<K, V> {
-    fn default() -> Self {
-        Self::new()
-    }
+/// Maps a borrowed entry to an owned pair, as a plain `fn` pointer so
+/// the range iterator's type stays nameable.
+fn clone_entry<K: Copy, V: Clone>(entry: &(K, V)) -> (K, V) {
+    (entry.0, entry.1.clone())
 }
 
 impl<K: Key, V: Clone> SortedIndex<K, V> for BinarySearchIndex<K, V> {
@@ -66,14 +77,11 @@ impl<K: Key, V: Clone> SortedIndex<K, V> for BinarySearchIndex<K, V> {
     }
 
     fn get(&self, key: &K) -> Option<&V> {
-        self.data
-            .binary_search_by(|(k, _)| k.cmp(key))
-            .ok()
-            .map(|i| &self.data[i].1)
+        self.search(key).ok().map(|i| &self.data[i].1)
     }
 
     fn insert(&mut self, key: K, value: V) -> Option<V> {
-        match self.data.binary_search_by(|(k, _)| k.cmp(&key)) {
+        match self.search(&key) {
             Ok(i) => Some(std::mem::replace(&mut self.data[i].1, value)),
             Err(i) => {
                 self.data.insert(i, (key, value));
@@ -83,7 +91,7 @@ impl<K: Key, V: Clone> SortedIndex<K, V> for BinarySearchIndex<K, V> {
     }
 
     fn remove(&mut self, key: &K) -> Option<V> {
-        BinarySearchIndex::remove(self, key)
+        self.search(key).ok().map(|i| self.data.remove(i).1)
     }
 
     fn len(&self) -> usize {
@@ -96,9 +104,27 @@ impl<K: Key, V: Clone> SortedIndex<K, V> for BinarySearchIndex<K, V> {
     }
 
     fn range<R: RangeBounds<K>>(&self, range: R) -> Self::RangeIter<'_> {
-        fiting_index_api::sorted_slice_range(&self.data, range)
+        self.slice(range)
             .iter()
-            .map(fiting_index_api::clone_entry as fn(&(K, V)) -> (K, V))
+            .map(clone_entry as fn(&(K, V)) -> (K, V))
+    }
+
+    fn split_off_tail(&mut self, at: &K) -> Option<Self> {
+        let cut = self.data.partition_point(|(k, _)| k < at);
+        Some(BinarySearchIndex {
+            data: self.data.split_off(cut),
+        })
+    }
+
+    fn absorb_tail(&mut self, other: &mut Self) -> bool {
+        let disjoint = match (self.data.last(), other.data.first()) {
+            (Some(last), Some(first)) => last.0 < first.0,
+            _ => true,
+        };
+        if disjoint {
+            self.data.append(&mut other.data);
+        }
+        disjoint
     }
 }
 

@@ -34,21 +34,26 @@
 //!   observed occupancy: a decaying [`WriteSampler`] of the write
 //!   stream, a [`RebalancePolicy`] with hysteresis, and the
 //!   [`Rebalancer`] stepper a coordinator thread runs on a timer.
+//! * [`BinarySearchIndex`] — the paper's binary-search baseline: one
+//!   sorted array, zero index bytes. It is also the concrete index this
+//!   crate's own tests and doctests shard.
 //!
-//! Implementations live with their structures: `fiting_tree::FitingTree`,
-//! `fiting_btree::BPlusTree`, and the three baselines in
-//! `fiting_baselines`. The shared conformance suite in the
-//! facade crate's `tests/sorted_index_conformance.rs` holds them all to
-//! this contract.
+//! The other implementations live with their structures:
+//! `fiting_tree::FitingTree`, and `fiting_btree::BPlusTree` (the Full
+//! baseline) with `fiting_btree::FixedPageIndex`. The shared
+//! conformance suite in the facade crate's
+//! `tests/sorted_index_conformance.rs` holds them all to this contract.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod binary;
 mod key;
 pub mod rebalance;
 mod sharded;
 mod sorted;
 
+pub use binary::BinarySearchIndex;
 /// The cache-line read hint, the huge-page advice and the consumed-input
 /// give-back from `fiting-sync` (the one crate that may hold `unsafe`),
 /// re-exported so index structures built on this API reach them without
@@ -59,118 +64,14 @@ pub use rebalance::{
     RebalanceCounters, RebalanceOutcome, RebalancePolicy, RebalanceStats, Rebalancer, WriteSampler,
 };
 pub use sharded::{RebalanceError, RoutingStats, ShardStats, ShardedIndex, SHARD_METADATA_BYTES};
-pub use sorted::{
-    clone_entry, clone_pair, sorted_slice_range, BuildableIndex, Degraded, DynSortedIndex,
-    ShardHealth, SortedIndex,
-};
-
-/// A deliberately naive [`SortedIndex`] over one sorted `Vec`, used by
-/// this crate's tests and doctests (the real structures live downstream
-/// and cannot be imported here). Also handy as a reference
-/// implementation when writing a new backend.
-pub mod doctest_support {
-    use super::{BuildableIndex, Key, SortedIndex};
-    use std::convert::Infallible;
-    use std::ops::RangeBounds;
-
-    /// Sorted-vec index: binary-search gets, O(n) inserts, zero index
-    /// metadata (it *is* the data).
-    #[derive(Debug, Clone, Default)]
-    pub struct VecIndex<K, V> {
-        data: Vec<(K, V)>,
-    }
-
-    impl<K: Key, V: Clone> SortedIndex<K, V> for VecIndex<K, V> {
-        type RangeIter<'a>
-            = std::iter::Map<std::slice::Iter<'a, (K, V)>, fn(&'a (K, V)) -> (K, V)>
-        where
-            Self: 'a,
-            K: 'a,
-            V: 'a;
-
-        fn name(&self) -> &'static str {
-            "VecIndex"
-        }
-
-        fn get(&self, key: &K) -> Option<&V> {
-            self.data
-                .binary_search_by(|(k, _)| k.cmp(key))
-                .ok()
-                .map(|i| &self.data[i].1)
-        }
-
-        fn insert(&mut self, key: K, value: V) -> Option<V> {
-            match self.data.binary_search_by(|(k, _)| k.cmp(&key)) {
-                Ok(i) => Some(std::mem::replace(&mut self.data[i].1, value)),
-                Err(i) => {
-                    self.data.insert(i, (key, value));
-                    None
-                }
-            }
-        }
-
-        fn remove(&mut self, key: &K) -> Option<V> {
-            match self.data.binary_search_by(|(k, _)| k.cmp(key)) {
-                Ok(i) => Some(self.data.remove(i).1),
-                Err(_) => None,
-            }
-        }
-
-        fn len(&self) -> usize {
-            self.data.len()
-        }
-
-        fn size_bytes(&self) -> usize {
-            0
-        }
-
-        fn range<R: RangeBounds<K>>(&self, range: R) -> Self::RangeIter<'_> {
-            crate::sorted_slice_range(&self.data, range)
-                .iter()
-                .map(crate::clone_entry as fn(&(K, V)) -> (K, V))
-        }
-
-        fn split_off_tail(&mut self, at: &K) -> Option<Self> {
-            let cut = self.data.partition_point(|(k, _)| k < at);
-            Some(VecIndex {
-                data: self.data.split_off(cut),
-            })
-        }
-
-        fn absorb_tail(&mut self, other: &mut Self) -> bool {
-            let disjoint = match (self.data.last(), other.data.first()) {
-                (Some(last), Some(first)) => last.0 < first.0,
-                _ => true,
-            };
-            if disjoint {
-                self.data.append(&mut other.data);
-            }
-            disjoint
-        }
-    }
-
-    impl<K: Key, V: Clone> BuildableIndex<K, V> for VecIndex<K, V> {
-        type Config = ();
-        type BuildError = Infallible;
-
-        fn build_from(
-            _: &(),
-            sorted: impl IntoIterator<Item = (K, V)>,
-        ) -> Result<Self, Infallible> {
-            let data: Vec<(K, V)> = sorted.into_iter().collect();
-            debug_assert!(data.windows(2).all(|w| w[0].0 < w[1].0));
-            Ok(VecIndex { data })
-        }
-    }
-}
+pub use sorted::{clone_pair, BuildableIndex, Degraded, DynSortedIndex, ShardHealth, SortedIndex};
 
 #[cfg(test)]
 mod trait_contract_tests {
-    use super::doctest_support::VecIndex;
     use super::*;
     use std::ops::Bound;
 
-    fn build(n: u64) -> VecIndex<u64, u64> {
+    fn build(n: u64) -> BinarySearchIndex<u64, u64> {
         BuildableIndex::build_from(&(), (0..n).map(|k| (k * 3, k))).unwrap()
     }
 
@@ -192,7 +93,7 @@ mod trait_contract_tests {
             assert_eq!(dynamic.dyn_insert(4, 44), None);
             assert_eq!(dynamic.dyn_remove(&4), Some(44));
             assert_eq!(dynamic.dyn_size_bytes(), 0);
-            assert_eq!(dynamic.dyn_name(), "VecIndex");
+            assert_eq!(dynamic.dyn_name(), "Binary");
             let mut seen = Vec::new();
             dynamic.for_each_in_range(Bound::Included(&3), Bound::Excluded(&9), &mut |k, v| {
                 seen.push((k, v));

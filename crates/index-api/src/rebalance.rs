@@ -38,12 +38,11 @@
 //! coordinator can run it on a timer and stay comprehensible.
 //!
 //! ```
-//! use fiting_index_api::doctest_support::VecIndex;
-//! use fiting_index_api::{RebalanceOutcome, RebalancePolicy, Rebalancer, ShardedIndex};
+//! use fiting_index_api::{BinarySearchIndex, RebalanceOutcome, RebalancePolicy, Rebalancer, ShardedIndex};
 //!
 //! // Bulk-load 4 balanced shards, then append a hot tail.
 //! let pairs: Vec<(u64, u64)> = (0..4_000).map(|k| (k, k)).collect();
-//! let index: ShardedIndex<u64, u64, VecIndex<u64, u64>> =
+//! let index: ShardedIndex<u64, u64, BinarySearchIndex<u64, u64>> =
 //!     ShardedIndex::bulk_load(&(), 4, pairs).unwrap();
 //!
 //! let policy = RebalancePolicy {
@@ -489,9 +488,9 @@ impl<K: Key> Rebalancer<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::doctest_support::VecIndex;
+    use crate::BinarySearchIndex;
 
-    type Idx = ShardedIndex<u64, u64, VecIndex<u64, u64>>;
+    type Idx = ShardedIndex<u64, u64, BinarySearchIndex<u64, u64>>;
     type Reb = Rebalancer<u64>;
 
     fn load(n: u64, shards: usize) -> Idx {

@@ -252,12 +252,11 @@ struct Inner<K, I> {
 /// steady-state read path (see the module docs for the protocol).
 ///
 /// ```
-/// use fiting_index_api::{ShardedIndex, SortedIndex};
-/// # use fiting_index_api::doctest_support::VecIndex;
+/// use fiting_index_api::{BinarySearchIndex, ShardedIndex, SortedIndex};
 /// use std::thread;
 ///
 /// let pairs: Vec<(u64, u64)> = (0..10_000).map(|k| (k * 2, k)).collect();
-/// let index: ShardedIndex<u64, u64, VecIndex<u64, u64>> =
+/// let index: ShardedIndex<u64, u64, BinarySearchIndex<u64, u64>> =
 ///     ShardedIndex::bulk_load(&(), 4, pairs).unwrap();
 /// assert_eq!(index.shard_count(), 4);
 ///
@@ -273,11 +272,10 @@ struct Inner<K, I> {
 /// without invalidating concurrent readers:
 ///
 /// ```
-/// use fiting_index_api::ShardedIndex;
-/// # use fiting_index_api::doctest_support::VecIndex;
+/// use fiting_index_api::{BinarySearchIndex, ShardedIndex};
 ///
 /// let pairs: Vec<(u64, u64)> = (0..1_000).map(|k| (k, k)).collect();
-/// let index: ShardedIndex<u64, u64, VecIndex<u64, u64>> =
+/// let index: ShardedIndex<u64, u64, BinarySearchIndex<u64, u64>> =
 ///     ShardedIndex::bulk_load(&(), 2, pairs).unwrap();
 ///
 /// // Shard 1 owns [500, ∞); split it at 750.
@@ -1093,13 +1091,13 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ShardedIndex<K, V, I> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::doctest_support::VecIndex;
     use crate::sorted::Degraded;
+    use crate::BinarySearchIndex;
     use std::cell::RefCell;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::thread;
 
-    fn load(n: u64, shards: usize) -> ShardedIndex<u64, u64, VecIndex<u64, u64>> {
+    fn load(n: u64, shards: usize) -> ShardedIndex<u64, u64, BinarySearchIndex<u64, u64>> {
         ShardedIndex::bulk_load(&(), shards, (0..n).map(|k| (k * 2, k)).collect()).unwrap()
     }
 
@@ -1128,7 +1126,7 @@ mod tests {
         assert_eq!(idx.shard_count(), 1);
         assert_eq!(idx.len(), 100);
 
-        let empty: ShardedIndex<u64, u64, VecIndex<u64, u64>> =
+        let empty: ShardedIndex<u64, u64, BinarySearchIndex<u64, u64>> =
             ShardedIndex::bulk_load(&(), 4, Vec::new()).unwrap();
         assert_eq!(empty.shard_count(), 1, "no boundary candidates");
         assert!(empty.is_empty());
@@ -1138,7 +1136,7 @@ mod tests {
 
         // `From` wraps an already-built structure as one shard with
         // the full API.
-        let built = VecIndex::build_sorted(&(), vec![(1u64, 1u64), (3, 3)]).unwrap();
+        let built = BinarySearchIndex::build_sorted(&(), vec![(1u64, 1u64), (3, 3)]).unwrap();
         let wrapped = ShardedIndex::from(built);
         assert_eq!(wrapped.shard_count(), 1);
         assert_eq!(wrapped.insert(2, 2), None);
@@ -1226,7 +1224,7 @@ mod tests {
         // All keys equal quantiles: duplicate boundary candidates must
         // collapse rather than produce empty shards out of order.
         let pairs: Vec<(u64, u64)> = (0..4).map(|k| (k, k)).collect();
-        let idx: ShardedIndex<u64, u64, VecIndex<u64, u64>> =
+        let idx: ShardedIndex<u64, u64, BinarySearchIndex<u64, u64>> =
             ShardedIndex::bulk_load(&(), 16, pairs).unwrap();
         assert!(idx.shard_count() <= 4);
         assert_eq!(idx.len(), 4);
@@ -1239,12 +1237,12 @@ mod tests {
     /// consumed, and its input's `size_hint().0` on entry.
     type Builds = Arc<Mutex<Vec<(Option<u64>, usize, usize)>>>;
 
-    /// A [`VecIndex`] whose builds record what they were fed.
+    /// A [`BinarySearchIndex`] whose builds record what they were fed.
     #[derive(Debug)]
-    struct Counting(VecIndex<u64, u64>);
+    struct Counting(BinarySearchIndex<u64, u64>);
 
     impl SortedIndex<u64, u64> for Counting {
-        type RangeIter<'a> = <VecIndex<u64, u64> as SortedIndex<u64, u64>>::RangeIter<'a>;
+        type RangeIter<'a> = <BinarySearchIndex<u64, u64> as SortedIndex<u64, u64>>::RangeIter<'a>;
 
         fn name(&self) -> &'static str {
             "Counting"
@@ -1279,7 +1277,7 @@ mod tests {
         ) -> Result<Self, Self::BuildError> {
             let sorted = sorted.into_iter();
             let hint = sorted.size_hint().0;
-            let inner = VecIndex::build_from(&(), sorted)?;
+            let inner = BinarySearchIndex::build_from(&(), sorted)?;
             let first = inner.range(..).next().map(|(k, _)| k);
             builds.lock().push((first, inner.len(), hint));
             Ok(Counting(inner))
@@ -1509,7 +1507,7 @@ mod tests {
         }
     }
 
-    /// [`VecIndex`] plus what the grouped-kernel tests need to observe:
+    /// [`BinarySearchIndex`] plus what the grouped-kernel tests need to observe:
     /// a shared count of items handed to the batch entry points, a
     /// refusal switch (batches and run handoffs alike), and a one-shot
     /// thread-local hook run inside the first batch apply — i.e. while
@@ -1518,7 +1516,7 @@ mod tests {
     /// a storm does.
     #[derive(Debug)]
     struct Probe {
-        inner: VecIndex<u64, u64>,
+        inner: BinarySearchIndex<u64, u64>,
         applied: Arc<AtomicUsize>,
         refuse: bool,
     }
@@ -1535,7 +1533,7 @@ mod tests {
     }
 
     impl SortedIndex<u64, u64> for Probe {
-        type RangeIter<'a> = <VecIndex<u64, u64> as SortedIndex<u64, u64>>::RangeIter<'a>;
+        type RangeIter<'a> = <BinarySearchIndex<u64, u64> as SortedIndex<u64, u64>>::RangeIter<'a>;
 
         fn name(&self) -> &'static str {
             "Probe"
@@ -1593,7 +1591,7 @@ mod tests {
             sorted: impl IntoIterator<Item = (u64, u64)>,
         ) -> Result<Self, Self::BuildError> {
             Ok(Probe {
-                inner: VecIndex::build_from(&(), sorted)?,
+                inner: BinarySearchIndex::build_from(&(), sorted)?,
                 applied: Arc::clone(applied),
                 refuse: false,
             })
@@ -1761,7 +1759,7 @@ mod tests {
         let m = idx.shard_median(1).unwrap();
         assert!(m > 1_000 && m < 1_998);
         // A single-entry shard has no usable median.
-        let tiny: ShardedIndex<u64, u64, VecIndex<u64, u64>> =
+        let tiny: ShardedIndex<u64, u64, BinarySearchIndex<u64, u64>> =
             ShardedIndex::bulk_load(&(), 1, vec![(1, 1)]).unwrap();
         assert_eq!(tiny.shard_median(0), None);
     }

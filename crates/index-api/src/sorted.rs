@@ -1,9 +1,9 @@
 //! The unified sorted-index trait family.
 //!
 //! [`SortedIndex`] is the contract every index structure in the
-//! workspace implements — the FITing-Tree, the B+ tree substrate, all
-//! three of the paper's baselines, and the durable wrapper over any of
-//! them. The benchmark harness, the conformance suite, and the sharded
+//! workspace implements — the FITing-Tree, the B+ tree (itself the
+//! paper's Full baseline), the fixed-page and binary-search baselines,
+//! and the durable wrapper over any of them. The benchmark harness, the conformance suite, and the sharded
 //! concurrent front-end all drive this trait, reproducing the paper's
 //! fairness rule ("we keep the underlying tree implementation the same
 //! for all baselines", Section 7.1) at the type level.
@@ -429,28 +429,4 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V>> DynSortedIndex<K, V> for I {
 /// nameable.
 pub fn clone_pair<'a, K: Copy, V: Clone>((k, v): (&'a K, &'a V)) -> (K, V) {
     (*k, v.clone())
-}
-
-/// Maps a borrowed slice entry `&(K, V)` to an owned pair — the `fn`
-/// pointer companion to [`clone_pair`] for slice-backed structures.
-pub fn clone_entry<K: Copy, V: Clone>(entry: &(K, V)) -> (K, V) {
-    (entry.0, entry.1.clone())
-}
-
-/// The subslice of a slice sorted by key that `range` covers — the
-/// shared [`SortedIndex::range`] kernel for slice-backed structures
-/// (binary search baseline, reference `VecIndex`).
-pub fn sorted_slice_range<K: Ord, V, R: RangeBounds<K>>(data: &[(K, V)], range: R) -> &[(K, V)] {
-    let start = data.partition_point(|(k, _)| match range.start_bound() {
-        Bound::Included(lo) => k < lo,
-        Bound::Excluded(lo) => k <= lo,
-        Bound::Unbounded => false,
-    });
-    let end = data.partition_point(|(k, _)| match range.end_bound() {
-        Bound::Included(hi) => k <= hi,
-        Bound::Excluded(hi) => k < hi,
-        Bound::Unbounded => true,
-    });
-    // Inverted bounds produce an empty slice rather than a panic.
-    &data[start..end.max(start)]
 }

@@ -11,16 +11,15 @@
 //! of `sharded.rs` run through these models by hand.
 #![cfg(fiting_model)]
 
-use fiting_index_api::doctest_support::VecIndex;
-use fiting_index_api::{BuildableIndex, ShardedIndex};
+use fiting_index_api::{BinarySearchIndex, BuildableIndex, ShardedIndex};
 use shuttle::{model, thread};
 
-type Index = ShardedIndex<u64, u64, VecIndex<u64, u64>>;
+type Index = ShardedIndex<u64, u64, BinarySearchIndex<u64, u64>>;
 
 /// Two shards split at key 10, each key mapped to itself.
 fn two_shards(lower: &[u64], upper: &[u64]) -> Index {
     let shard = |keys: &[u64]| {
-        let Ok(built) = VecIndex::build_from(&(), keys.iter().map(|&k| (k, k)));
+        let Ok(built) = BinarySearchIndex::build_from(&(), keys.iter().map(|&k| (k, k)));
         built
     };
     ShardedIndex::from_shards(vec![10], vec![shard(lower), shard(upper)])

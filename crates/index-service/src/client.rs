@@ -177,7 +177,7 @@ where
     /// count once every lane's sub-batch has been applied.
     ///
     /// If shutdown interrupts the fan-out, the ticket resolves
-    /// [`Canceled`](crate::Canceled) — some sub-batches may still have
+    /// [`Canceled`](crate::CommandError::Canceled) — some sub-batches may still have
     /// been applied (at-most-once *reporting*, like any RPC cut off
     /// mid-flight).
     #[must_use]

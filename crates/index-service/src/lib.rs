@@ -46,12 +46,11 @@
 //! # End to end
 //!
 //! ```
-//! use fiting_index_api::doctest_support::VecIndex;
-//! use fiting_index_api::ShardedIndex;
+//! use fiting_index_api::{BinarySearchIndex, ShardedIndex};
 //! use fiting_index_service::{IndexService, ServiceConfig};
 //!
 //! let pairs: Vec<(u64, u64)> = (0..1_000).map(|k| (k * 2, k)).collect();
-//! let index: ShardedIndex<u64, u64, VecIndex<u64, u64>> =
+//! let index: ShardedIndex<u64, u64, BinarySearchIndex<u64, u64>> =
 //!     ShardedIndex::bulk_load(&(), 4, pairs).unwrap();
 //!
 //! let service = IndexService::start(index, ServiceConfig::default());
@@ -88,10 +87,6 @@ pub use stats::{LaneHealth, LaneServiceStats, ServiceStats};
 // Re-exported so embedders can name what `metrics()` returns without
 // a separate fiting-telemetry import.
 pub use fiting_telemetry::MetricsSnapshot;
-// `Canceled` is re-exported as a bare name (it is a `CommandError`
-// variant) so pre-taxonomy call sites — `Err(Canceled)` — still read
-// and pattern-match unchanged.
-pub use ticket::CommandError::Canceled;
 pub use ticket::{ticket, CommandError, Completer, Outcome, Ticket};
 
 // Re-exported so service users can configure rebalancing without a
@@ -305,7 +300,7 @@ where
     /// resurrection, which is [`start_durable`](Self::start_durable).
     /// Acknowledged writes survive (they were WAL-committed before
     /// their tickets resolved); commands canceled by the poisoning were
-    /// reported as [`Canceled`] and stay that way.
+    /// reported as [`CommandError::Canceled`] and stay that way.
     ///
     /// A supervised service runs without a rebalancer on purpose: the
     /// lane ↔ shard mapping stays 1:1 for the service's lifetime,
@@ -556,11 +551,10 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> Drop for IndexService<K, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fiting_index_api::doctest_support::VecIndex;
-    use fiting_index_api::{BuildableIndex, RebalanceOutcome};
+    use fiting_index_api::{BinarySearchIndex, BuildableIndex, RebalanceOutcome};
     use std::thread;
 
-    type Svc = IndexService<u64, u64, VecIndex<u64, u64>>;
+    type Svc = IndexService<u64, u64, BinarySearchIndex<u64, u64>>;
 
     fn start(n: u64, shards: usize, config: ServiceConfig) -> Svc {
         let index =
@@ -589,11 +583,11 @@ mod tests {
 
     #[test]
     fn durable_hooks_are_noops_on_volatile_shards() {
-        // VecIndex leaves the SortedIndex durability defaults in place
+        // BinarySearchIndex leaves the SortedIndex durability defaults in place
         // (try_sync/try_checkpoint do nothing), so a durable service
         // over it must behave exactly like a volatile one — hooks fire,
         // nothing breaks, shutdown is clean.
-        let index: ShardedIndex<u64, u64, VecIndex<u64, u64>> =
+        let index: ShardedIndex<u64, u64, BinarySearchIndex<u64, u64>> =
             ShardedIndex::bulk_load(&(), 4, (0..1_000u64).map(|k| (k * 2, k)).collect()).unwrap();
         let durability = DurabilityConfig {
             sync_each_batch: true,
@@ -657,11 +651,14 @@ mod tests {
         assert_eq!(index.len(), 1_200);
         // Post-shutdown submissions come back canceled, not hung.
         assert!(client.is_closed());
-        assert_eq!(client.get(0).wait(), Err(Canceled));
-        assert_eq!(client.insert_many(vec![(1, 1)]).wait(), Err(Canceled));
+        assert_eq!(client.get(0).wait(), Err(CommandError::Canceled));
+        assert_eq!(
+            client.insert_many(vec![(1, 1)]).wait(),
+            Err(CommandError::Canceled)
+        );
         let (cmd, t) = Command::get(0);
         assert!(client.submit(cmd).is_err());
-        assert_eq!(t.wait(), Err(Canceled));
+        assert_eq!(t.wait(), Err(CommandError::Canceled));
     }
 
     #[test]
@@ -758,10 +755,13 @@ mod tests {
         let svc = IndexService::start(index, ServiceConfig::default());
         let client = svc.client();
         assert_eq!(client.insert(20, 1).wait(), Ok(None));
-        assert_eq!(client.insert(BOOM_KEY, 0).wait(), Err(Canceled));
+        assert_eq!(
+            client.insert(BOOM_KEY, 0).wait(),
+            Err(CommandError::Canceled)
+        );
         let behind: Vec<_> = (0..20u64).map(|k| client.insert(30 + k, k)).collect();
         for t in behind {
-            assert_eq!(t.wait(), Err(Canceled));
+            assert_eq!(t.wait(), Err(CommandError::Canceled));
         }
         await_panics(&svc, 0, 1);
         let snap = svc.metrics();
@@ -856,7 +856,7 @@ mod tests {
 
     #[test]
     fn rebalancing_service_splits_hot_shard_under_load() {
-        let index: fiting_index_api::ShardedIndex<u64, u64, VecIndex<u64, u64>> =
+        let index: fiting_index_api::ShardedIndex<u64, u64, BinarySearchIndex<u64, u64>> =
             ShardedIndex::bulk_load(&(), 4, (0..4_000u64).map(|k| (k, k)).collect()).unwrap();
         let rebalancer = Rebalancer::new(RebalancePolicy {
             trigger_steps: 1,
@@ -914,18 +914,18 @@ mod tests {
     }
 
     /// Fault injection for the worker's panic-containment path: a
-    /// [`VecIndex`] that panics when asked to insert [`BOOM_KEY`], and
+    /// [`BinarySearchIndex`] that panics when asked to insert [`BOOM_KEY`], and
     /// whose `reload` can be held: it meets the barrier on entry and
     /// again to leave.
     struct PanicOnKey {
-        inner: VecIndex<u64, u64>,
+        inner: BinarySearchIndex<u64, u64>,
         reload_gate: Option<Arc<std::sync::Barrier>>,
     }
 
     const BOOM_KEY: u64 = u64::MAX;
 
     impl SortedIndex<u64, u64> for PanicOnKey {
-        type RangeIter<'a> = <VecIndex<u64, u64> as SortedIndex<u64, u64>>::RangeIter<'a>;
+        type RangeIter<'a> = <BinarySearchIndex<u64, u64> as SortedIndex<u64, u64>>::RangeIter<'a>;
 
         fn name(&self) -> &'static str {
             "panic-on-key"
@@ -967,7 +967,7 @@ mod tests {
             sorted: impl IntoIterator<Item = (u64, u64)>,
         ) -> Result<Self, Self::BuildError> {
             Ok(PanicOnKey {
-                inner: VecIndex::build_from(config, sorted)?,
+                inner: BinarySearchIndex::build_from(config, sorted)?,
                 reload_gate: None,
             })
         }
@@ -1001,9 +1001,13 @@ mod tests {
         // these waits hanging forever on a dead worker.
         let boom = client.insert(BOOM_KEY, 0);
         let behind: Vec<_> = (0..50u64).map(|k| client.insert(300 + k, k)).collect();
-        assert_eq!(boom.wait(), Err(Canceled));
+        assert_eq!(boom.wait(), Err(CommandError::Canceled));
         for t in behind {
-            assert_eq!(t.wait(), Err(Canceled), "queued ticket must not hang");
+            assert_eq!(
+                t.wait(),
+                Err(CommandError::Canceled),
+                "queued ticket must not hang"
+            );
         }
         await_panics(&svc, 0, 1);
 
@@ -1012,8 +1016,8 @@ mod tests {
         assert!(client.is_closed());
         let (cmd, t) = Command::insert(1u64, 1u64);
         assert!(client.submit(cmd).is_err());
-        assert_eq!(t.wait(), Err(Canceled));
-        assert_eq!(client.get(0).wait(), Err(Canceled));
+        assert_eq!(t.wait(), Err(CommandError::Canceled));
+        assert_eq!(client.get(0).wait(), Err(CommandError::Canceled));
 
         // Shutdown still joins cleanly and hands the index back; the
         // pre-panic write survived.
@@ -1039,7 +1043,10 @@ mod tests {
         );
         let client = svc.client();
 
-        assert_eq!(client.insert(BOOM_KEY, 0).wait(), Err(Canceled));
+        assert_eq!(
+            client.insert(BOOM_KEY, 0).wait(),
+            Err(CommandError::Canceled)
+        );
         await_panics(&svc, 1, 1);
 
         // Wait for the resurrection: restart counted, health Healthy.
@@ -1068,7 +1075,10 @@ mod tests {
         assert_eq!(svc.stats().lanes[0].panics, 0);
 
         // A second panic on the same lane resurrects again.
-        assert_eq!(client.insert(BOOM_KEY, 0).wait(), Err(Canceled));
+        assert_eq!(
+            client.insert(BOOM_KEY, 0).wait(),
+            Err(CommandError::Canceled)
+        );
         await_panics(&svc, 1, 2);
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         while svc.stats().lanes[1].restarts < 2 {
@@ -1099,7 +1109,10 @@ mod tests {
             0,
         );
         let client = svc.client();
-        assert_eq!(client.insert(BOOM_KEY, 0).wait(), Err(Canceled));
+        assert_eq!(
+            client.insert(BOOM_KEY, 0).wait(),
+            Err(CommandError::Canceled)
+        );
         await_panics(&svc, 0, 1);
         // Give a (wrong) resurrection time to happen.
         thread::sleep(Duration::from_millis(20));
@@ -1107,7 +1120,7 @@ mod tests {
         assert_eq!(lane.health, LaneHealth::Poisoned);
         assert_eq!(lane.restarts, 0);
         assert!(client.is_closed());
-        assert_eq!(client.get(0).wait(), Err(Canceled));
+        assert_eq!(client.get(0).wait(), Err(CommandError::Canceled));
         let _ = svc.shutdown();
     }
 
@@ -1127,7 +1140,10 @@ mod tests {
             1,
         );
         let client = svc.client();
-        assert_eq!(client.insert(BOOM_KEY, 0).wait(), Err(Canceled));
+        assert_eq!(
+            client.insert(BOOM_KEY, 0).wait(),
+            Err(CommandError::Canceled)
+        );
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         while svc.stats().lanes[0].health != LaneHealth::Healthy
             || svc.stats().lanes[0].restarts < 1
@@ -1141,7 +1157,10 @@ mod tests {
         }
         assert_eq!(client.insert(20, 2).wait(), Ok(None));
         // The budget of one is spent: a second panic leaves it down.
-        assert_eq!(client.insert(BOOM_KEY, 0).wait(), Err(Canceled));
+        assert_eq!(
+            client.insert(BOOM_KEY, 0).wait(),
+            Err(CommandError::Canceled)
+        );
         await_panics(&svc, 0, 2);
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         while svc.stats().lanes[0].health != LaneHealth::Poisoned {
@@ -1149,7 +1168,7 @@ mod tests {
             thread::sleep(Duration::from_millis(1));
         }
         assert_eq!(svc.stats().lanes[0].restarts, 1);
-        assert_eq!(client.get(20).wait(), Err(Canceled));
+        assert_eq!(client.get(20).wait(), Err(CommandError::Canceled));
         assert_eq!(svc.shutdown().get(&20), Some(2));
     }
 
@@ -1160,7 +1179,7 @@ mod tests {
         // exit rather than block the join in `pop_batch` forever.
         let gate = Arc::new(std::sync::Barrier::new(2));
         let shard = PanicOnKey {
-            inner: VecIndex::build_from(&(), (0..10u64).map(|k| (k, k))).unwrap(),
+            inner: BinarySearchIndex::build_from(&(), (0..10u64).map(|k| (k, k))).unwrap(),
             reload_gate: Some(Arc::clone(&gate)),
         };
         let svc = IndexService::start_supervised(
@@ -1169,7 +1188,10 @@ mod tests {
             DurabilityConfig::default(),
             1,
         );
-        assert_eq!(svc.client().insert(BOOM_KEY, 0).wait(), Err(Canceled));
+        assert_eq!(
+            svc.client().insert(BOOM_KEY, 0).wait(),
+            Err(CommandError::Canceled)
+        );
         // The worker is now inside the reload, under the shard's write
         // lock (so no `stats()` here: it would wait for that lock).
         gate.wait();
@@ -1200,7 +1222,10 @@ mod tests {
         assert_eq!(client.lane_count(), 2);
 
         // BOOM_KEY is u64::MAX, so it routes to the last lane.
-        assert_eq!(client.insert(BOOM_KEY, 0).wait(), Err(Canceled));
+        assert_eq!(
+            client.insert(BOOM_KEY, 0).wait(),
+            Err(CommandError::Canceled)
+        );
         await_panics(&svc, 1, 1);
         assert_eq!(svc.stats().lanes[0].panics, 0);
 
@@ -1208,7 +1233,7 @@ mod tests {
         assert_eq!(client.insert(10, 99).wait(), Ok(Some(10)));
         assert_eq!(client.get(10).wait(), Ok(Some(99)));
         // ...while the poisoned lane cancels instead of hanging.
-        assert_eq!(client.get(90).wait(), Err(Canceled));
+        assert_eq!(client.get(90).wait(), Err(CommandError::Canceled));
 
         let index = svc.shutdown();
         assert_eq!(index.get(&10), Some(99));

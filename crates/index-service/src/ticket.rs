@@ -26,10 +26,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Why a command resolved without a value.
-///
-/// The `Canceled` variant is re-exported at the crate root, so
-/// `Err(Canceled)` continues to read (and pattern-match) exactly as it
-/// did when cancellation was the only failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommandError {
     /// The command's completer was dropped before completing: the
@@ -140,7 +136,7 @@ impl<T> Ticket<T> {
         !matches!(*self.shared.state.lock(), State::Pending)
     }
 
-    /// Blocks until the command resolves; `Err(Canceled)` if its
+    /// Blocks until the command resolves; `Err(CommandError::Canceled)` if its
     /// completer was dropped without completing, `Err(Degraded)` if a
     /// degraded read-only shard refused the write.
     ///

@@ -357,15 +357,14 @@ fn execute_batch<K: Key, V: Clone, I: SortedIndex<K, V> + 'static>(
 mod tests {
     use super::*;
     use crate::{IndexService, ServiceConfig};
-    use fiting_index_api::doctest_support::VecIndex;
-    use fiting_index_api::ShardedIndex;
+    use fiting_index_api::{BinarySearchIndex, ShardedIndex};
 
     #[test]
     fn a_get_after_an_insert_in_one_batch_observes_it() {
         // One hand-built batch through `execute_batch` (the lane's own
         // worker idles on its empty queue), so "one drained batch" is a
         // fact rather than a timing hope.
-        let index: ShardedIndex<u64, u64, VecIndex<u64, u64>> =
+        let index: ShardedIndex<u64, u64, BinarySearchIndex<u64, u64>> =
             ShardedIndex::bulk_load(&(), 2, (0..100u64).map(|k| (k * 2, k)).collect()).unwrap();
         let svc = IndexService::start(index, ServiceConfig::default());
         let (miss, miss_ticket) = Command::get(7);

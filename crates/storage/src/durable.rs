@@ -214,6 +214,35 @@ impl StorageError {
     }
 }
 
+/// Applies one logged op to `inner` the way the write path applied it,
+/// first appending it to `relog` when the record is carried into a
+/// fresh log ([`DurableIndex::reopen_in_place`]).
+fn apply<K: Key, V: Key>(
+    inner: &mut impl SortedIndex<K, V>,
+    op: ReplayOp<K, V>,
+    mut relog: Option<&mut Wal<K, V>>,
+) {
+    let mut log = |op: &WalOp<'_, K, V>| {
+        if let Some(wal) = relog.as_deref_mut() {
+            wal.append(op);
+        }
+    };
+    match op {
+        ReplayOp::Insert(k, v) => {
+            log(&WalOp::Insert(k, v));
+            inner.insert(k, v);
+        }
+        ReplayOp::Remove(k) => {
+            log(&WalOp::Remove(k));
+            inner.remove(&k);
+        }
+        ReplayOp::InsertMany(batch) => {
+            log(&WalOp::InsertMany(&batch));
+            inner.insert_many(batch);
+        }
+    }
+}
+
 fn parse_shard_id(name: &str) -> Option<u64> {
     name.strip_prefix("shard-")?.parse().ok()
 }
@@ -463,17 +492,7 @@ impl<K: Key, V: Key, I: SortedIndex<K, V> + PageSnapshot> DurableIndex<K, V, I> 
                 Ok(rep) => {
                     let n = rep.ops.len();
                     for op in rep.ops {
-                        match op {
-                            ReplayOp::Insert(k, v) => {
-                                inner.insert(k, v);
-                            }
-                            ReplayOp::Remove(k) => {
-                                inner.remove(&k);
-                            }
-                            ReplayOp::InsertMany(batch) => {
-                                inner.insert_many(batch);
-                            }
-                        }
+                        apply(&mut inner, op, None);
                     }
                     (
                         Wal::open_append(
@@ -659,20 +678,7 @@ impl<K: Key, V: Key, I: SortedIndex<K, V> + PageSnapshot> DurableIndex<K, V, I> 
         let _ = self.wal.commit();
         let (mut fresh, recovery) = Self::open_shard_in(&self.store, &self.dir.clone())?;
         for op in crate::wal::decode_records::<K, V>(&self.wal.take_buffer()) {
-            match op {
-                ReplayOp::Insert(k, v) => {
-                    fresh.wal.append(&WalOp::Insert(k, v));
-                    fresh.inner.insert(k, v);
-                }
-                ReplayOp::Remove(k) => {
-                    fresh.wal.append(&WalOp::Remove(k));
-                    fresh.inner.remove(&k);
-                }
-                ReplayOp::InsertMany(batch) => {
-                    fresh.wal.append(&WalOp::InsertMany(&batch));
-                    fresh.inner.insert_many(batch);
-                }
-            }
+            apply(&mut fresh.inner, op, Some(&mut fresh.wal));
         }
         // Push the carried suffix toward the disk right away; if this
         // fails too it simply stays buffered in the fresh handle.

@@ -7,10 +7,11 @@
 //!
 //! Run: `cargo run --release --example weblog_analytics`
 
-use fiting::baselines::{FullIndex, SortedIndex};
+use fiting::btree::BPlusTree;
 use fiting::datasets;
 use fiting::tree::cost::{CostModel, SegmentCountModel};
 use fiting::tree::FitingTreeBuilder;
+use fiting::SortedIndex;
 
 fn main() {
     let keys = datasets::weblogs(2_000_000, 11);
@@ -63,7 +64,7 @@ fn main() {
     }
 
     // The comparison the paper leads with: same data, dense index.
-    let full = FullIndex::bulk_load(pairs.iter().copied());
+    let full = BPlusTree::bulk_load(pairs.iter().copied());
     let fiting = FitingTreeBuilder::new(256)
         .bulk_load(pairs.iter().copied())
         .unwrap();

@@ -4,8 +4,9 @@
 //! cross-crate integration tests have a single dependency:
 //!
 //! * [`index_api`] — the crate-neutral `SortedIndex` / `BuildableIndex`
-//!   / `DynSortedIndex` trait family every structure implements, plus
-//!   the sharded concurrent front-end `ShardedIndex`.
+//!   / `DynSortedIndex` trait family every structure implements, the
+//!   sharded concurrent front-end `ShardedIndex`, and the paper's
+//!   binary-search baseline `BinarySearchIndex` (one sorted array).
 //! * [`service`] — the command-pipeline service layer over
 //!   `ShardedIndex`: typed commands, bounded per-shard queues,
 //!   batching/coalescing workers, ticket completions, backpressure.
@@ -26,12 +27,11 @@
 //!   insert path, cost model). This is the paper's contribution.
 //! * [`plr`] — bounded-error piecewise-linear segmentation
 //!   (ShrinkingCone and the optimal DP).
-//! * [`btree`] — a standalone in-memory B+ tree, kept purely as a
-//!   benchmark baseline (the FITing-Tree no longer uses it: its flat
-//!   directory is spliced in place on mutation).
-//! * [`baselines`] — full (dense) index, fixed-size-page index, and
-//!   binary search, benchmarked against the FITing-Tree throughout the
-//!   paper's evaluation.
+//! * [`btree`] — a standalone in-memory B+ tree and the two tree-shaped
+//!   baselines over it: `BPlusTree` itself is the paper's full (dense)
+//!   index, and `FixedPageIndex` is its fixed-size-page sparse index.
+//!   The FITing-Tree does not use it: its flat directory is spliced in
+//!   place on mutation.
 //! * [`datasets`] — seeded synthetic generators standing in for the
 //!   paper's Weblogs / IoT / Maps / Taxi traces, plus the non-linearity
 //!   metric of Figure 8.
@@ -42,7 +42,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub use fiting_baselines as baselines;
 pub use fiting_btree as btree;
 pub use fiting_datasets as datasets;
 pub use fiting_index_api as index_api;
@@ -58,7 +57,7 @@ pub use fiting_index_api::{
     ShardedIndex, SortedIndex,
 };
 pub use fiting_index_service::{
-    Canceled, Client, Command, CommandError, Completer, DurabilityConfig, IndexService, LaneHealth,
+    Client, Command, CommandError, Completer, DurabilityConfig, IndexService, LaneHealth,
     ServiceConfig, ServiceStats, Ticket,
 };
 pub use fiting_storage::{

@@ -2,8 +2,9 @@
 //! → cost model, exercised together the way the benchmark harness and a
 //! downstream user would.
 
-use fiting::baselines::{BinarySearchIndex, FixedPageIndex, FullIndex};
+use fiting::btree::{BPlusTree, FixedPageIndex};
 use fiting::datasets::Dataset;
+use fiting::index_api::BinarySearchIndex;
 use fiting::plr::{validate::validate_segmentation, Point, ShrinkingCone};
 use fiting::tree::cost::{CostModel, SegmentCountModel};
 use fiting::tree::{FitingTreeBuilder, SecondaryIndex};
@@ -52,7 +53,7 @@ fn all_index_structures_answer_identically() {
     let mut fiting = FitingTreeBuilder::new(64)
         .bulk_load(pairs.iter().copied())
         .unwrap();
-    let mut full = FullIndex::bulk_load(pairs.iter().copied());
+    let mut full = BPlusTree::bulk_load(pairs.iter().copied());
     let mut fixed = FixedPageIndex::bulk_load(64, pairs.iter().copied());
     let mut binary = BinarySearchIndex::bulk_load(pairs.iter().copied());
 
@@ -142,7 +143,7 @@ fn paper_headline_size_claim_holds() {
         let fiting = FitingTreeBuilder::new(256)
             .bulk_load(pairs.iter().copied())
             .unwrap();
-        let full = FullIndex::bulk_load(pairs.iter().copied());
+        let full = BPlusTree::bulk_load(pairs.iter().copied());
         let ratio = full.dyn_size_bytes() as f64 / fiting.index_size_bytes().max(1) as f64;
         assert!(
             ratio > 50.0,

@@ -6,8 +6,8 @@
 //! `SortedIndex` via `ShardedIndex` routing; this suite is that claim
 //! as an executable contract.
 
-use fiting::baselines::{BinarySearchIndex, FixedPageIndex, FullIndex};
-use fiting::btree::BPlusTree;
+use fiting::btree::{BPlusTree, FixedPageIndex};
+use fiting::index_api::BinarySearchIndex;
 use fiting::service::{Command, IndexService, ServiceConfig, TryPushError};
 use fiting::tree::{FitingTree, FitingTreeBuilder};
 use fiting::{BuildableIndex, ShardedIndex};
@@ -109,11 +109,6 @@ fn service_over_fiting_tree() {
 #[test]
 fn service_over_bplus_tree() {
     service_battery::<BPlusTree<u64, u64>>("B+ tree", &());
-}
-
-#[test]
-fn service_over_full_index() {
-    service_battery::<FullIndex<u64, u64>>("Full", &());
 }
 
 #[test]

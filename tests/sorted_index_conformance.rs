@@ -11,9 +11,10 @@
 //! a structure without the segment-run hooks is *refused* a split or a
 //! merge — nothing is copied on its behalf.
 
-use fiting::baselines::{BinarySearchIndex, FixedPageIndex, FullIndex};
-use fiting::btree::BPlusTree;
-use fiting::index_api::{RebalanceError, RebalanceOutcome, RebalancePolicy, Rebalancer};
+use fiting::btree::{BPlusTree, FixedPageIndex};
+use fiting::index_api::{
+    BinarySearchIndex, RebalanceError, RebalanceOutcome, RebalancePolicy, Rebalancer,
+};
 use fiting::tree::{FitingTree, FitingTreeBuilder};
 use fiting::{BuildableIndex, DynSortedIndex, ShardedIndex, SortedIndex};
 use std::collections::BTreeMap;
@@ -319,12 +320,6 @@ fn bplus_tree_conforms() {
 }
 
 #[test]
-fn full_index_conforms() {
-    battery("Full", |pairs| FullIndex::build_sorted(&(), pairs).unwrap());
-    refuses_moves::<FullIndex<u64, u64>>("Full", &());
-}
-
-#[test]
 fn fixed_page_index_conforms() {
     battery("Fixed(page=64)", |pairs| {
         FixedPageIndex::build_sorted(&64, pairs).unwrap()
@@ -341,20 +336,15 @@ fn binary_search_index_conforms() {
     battery("Binary", |pairs| {
         BinarySearchIndex::build_sorted(&(), pairs).unwrap()
     });
-    refuses_moves::<BinarySearchIndex<u64, u64>>("Binary", &());
 }
 
-/// The collect hook's remaining two rows: the reference `VecIndex`
-/// (the provided default) and `DurableIndex`, which forwards the hook
-/// to the structure it wraps as it forwards `range`.
+/// The collect hook's remaining row: `DurableIndex`, which forwards the
+/// hook to the structure it wraps as it forwards `range`. (The battery
+/// runs it on every other structure; `BinarySearchIndex` keeps the
+/// provided default.)
 #[test]
-fn collect_hook_conforms_for_vec_index_and_durable_index() {
-    use fiting::index_api::doctest_support::VecIndex;
+fn collect_hook_conforms_for_durable_index() {
     use fiting::storage::{DurableConfig, DurableIndex, FsyncPolicy};
-
-    collect_hook_appends_what_range_yields("VecIndex", &|pairs| {
-        VecIndex::build_sorted(&(), pairs).unwrap()
-    });
 
     let root = std::env::temp_dir().join(format!("fiting-conformance-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
@@ -365,13 +355,58 @@ fn collect_hook_conforms_for_vec_index_and_durable_index() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// The paper's four structures driven through the object-safe
+/// interface the benchmark harness uses, `&mut dyn DynSortedIndex`:
+/// point reads and writes, `dyn_range_count` and `for_each_in_range`
+/// give the same answers on each.
+#[test]
+fn all_implementations_agree_through_dyn() {
+    fn drive(name: &str, index: &mut dyn DynSortedIndex<u64, u64>) {
+        assert_eq!(index.dyn_len(), 1000, "{name}");
+        for k in (0..1000u64).step_by(13) {
+            assert_eq!(index.dyn_get(&(k * 2)), Some(k), "{name}");
+            assert_eq!(index.dyn_get(&(k * 2 + 1)), None, "{name}");
+        }
+        assert_eq!(index.dyn_insert(5, 555), None, "{name}");
+        assert_eq!(index.dyn_get(&5), Some(555), "{name}");
+        assert_eq!(index.dyn_len(), 1001, "{name}");
+        // Evens 0..=20 plus key 5.
+        assert_eq!(
+            index.dyn_range_count(Bound::Included(&0), Bound::Included(&20)),
+            12,
+            "{name}"
+        );
+        let mut collected = Vec::new();
+        index.for_each_in_range(Bound::Included(&0), Bound::Included(&8), &mut |k, v| {
+            collected.push((k, v));
+        });
+        assert_eq!(
+            collected,
+            vec![(0, 0), (2, 1), (4, 2), (5, 555), (6, 3), (8, 4)],
+            "{name}"
+        );
+        assert_eq!(index.dyn_remove(&5), Some(555), "{name}");
+        assert_eq!(index.dyn_len(), 1000, "{name}");
+    }
+
+    let pairs: Vec<(u64, u64)> = (0..1000u64).map(|k| (k * 2, k)).collect();
+    let mut fiting = FitingTreeBuilder::new(32).bulk_load(pairs.clone()).unwrap();
+    let mut full = BPlusTree::bulk_load(pairs.clone());
+    let mut fixed = FixedPageIndex::bulk_load(64, pairs.clone());
+    let mut binary = BinarySearchIndex::bulk_load(pairs);
+    drive("FITing-Tree", &mut fiting);
+    drive("Full", &mut full);
+    drive("Fixed", &mut fixed);
+    drive("Binary", &mut binary);
+}
+
 /// The size-accounting contract across structures, on the same data:
 /// dense > fixed-page > FITing-Tree > binary (= 0), and the sharded
 /// front-end adds only routing metadata on top of its shards.
 #[test]
 fn size_accounting_contract() {
     let pairs: Vec<(u64, u64)> = (0..100_000u64).map(|k| (k, k)).collect();
-    let full = FullIndex::build_sorted(&(), pairs.clone()).unwrap();
+    let full = BPlusTree::build_sorted(&(), pairs.clone()).unwrap();
     let fixed = FixedPageIndex::build_sorted(&128, pairs.clone()).unwrap();
     let fiting = FitingTree::build_sorted(&FitingTreeBuilder::new(64), pairs.clone()).unwrap();
     let binary = BinarySearchIndex::build_sorted(&(), pairs.clone()).unwrap();
