@@ -81,8 +81,8 @@ const PAGE_METADATA_BYTES: usize = 16;
 
 impl<K: Key, V> FixedPageIndex<K, V> {
     /// Builds from strictly increasing pairs with the given page
-    /// capacity. Buffer capacity follows the paper's convention of half
-    /// the page size.
+    /// capacity, cutting pages straight from the input. Buffer capacity
+    /// follows the paper's convention of half the page size.
     ///
     /// # Panics
     ///
@@ -90,39 +90,32 @@ impl<K: Key, V> FixedPageIndex<K, V> {
     #[must_use]
     pub fn bulk_load<I: IntoIterator<Item = (K, V)>>(page_size: usize, pairs: I) -> Self {
         assert!(page_size >= 2, "page size must be at least 2");
-        let data: Vec<(K, V)> = pairs.into_iter().collect();
-        assert!(
-            data.windows(2).all(|w| w[0].0 < w[1].0),
-            "bulk_load requires strictly increasing keys"
-        );
-        let len = data.len();
-        let mut pages: Vec<Option<Page<K, V>>> = Vec::new();
-        let mut entries: Vec<(K, usize)> = Vec::new();
-        let mut chunk: Vec<(K, V)> = Vec::with_capacity(page_size);
-        for pair in data {
-            chunk.push(pair);
-            if chunk.len() == page_size {
-                let page = Page {
-                    data: std::mem::take(&mut chunk),
-                    buffer: Vec::new(),
-                };
-                entries.push((page.first_key(), pages.len()));
-                pages.push(Some(page));
-            }
-        }
-        if !chunk.is_empty() {
-            let page = Page {
-                data: chunk,
-                buffer: Vec::new(),
+        let mut pairs = pairs.into_iter();
+        let mut prev: Option<K> = None;
+        let (mut pages, mut entries, mut len) = (Vec::new(), Vec::new(), 0);
+        loop {
+            let mut data = Vec::with_capacity(page_size);
+            data.extend(pairs.by_ref().take(page_size).inspect(|&(key, _)| {
+                assert!(
+                    prev.is_none_or(|prev| prev < key),
+                    "bulk_load requires strictly increasing keys"
+                );
+                prev = Some(key);
+            }));
+            let Some(&(first, _)) = data.first() else {
+                break;
             };
-            entries.push((page.first_key(), pages.len()));
-            pages.push(Some(page));
+            len += data.len();
+            entries.push((first, pages.len()));
+            pages.push(Some(Page {
+                data,
+                buffer: Vec::new(),
+            }));
         }
-        let tree = BPlusTree::bulk_load(entries);
         FixedPageIndex {
             page_size,
             buffer_size: (page_size / 2).max(1),
-            tree,
+            tree: BPlusTree::bulk_load(entries),
             pages,
             free: Vec::new(),
             len,
@@ -141,11 +134,14 @@ impl<K: Key, V> FixedPageIndex<K, V> {
         self.page_size
     }
 
-    fn locate(&self, key: &K) -> Option<usize> {
+    /// The page responsible for `key` — the floor page, or the first
+    /// page for keys below every registered key — as the first key it
+    /// is registered under and its slot.
+    fn locate(&self, key: &K) -> Option<(K, usize)> {
         self.tree
             .floor(key)
             .or_else(|| self.tree.first())
-            .map(|(_, &slot)| slot)
+            .map(|(&first, &slot)| (first, slot))
     }
 
     /// Instrumented lookup for the Figure 13 breakdown: value plus
@@ -157,7 +153,7 @@ impl<K: Key, V> FixedPageIndex<K, V> {
         let slot = self.locate(key);
         let tree_nanos = t0.elapsed().as_nanos() as u64;
         let t1 = std::time::Instant::now();
-        let value = slot.and_then(|s| {
+        let value = slot.and_then(|(_, s)| {
             self.pages[s]
                 .as_ref()
                 .expect("directory points at live page")
@@ -175,46 +171,6 @@ impl<K: Key, V> FixedPageIndex<K, V> {
             self.pages.push(Some(page));
             self.pages.len() - 1
         }
-    }
-
-    /// Removes a key. Empty pages leave the directory; a removed first
-    /// key re-registers the page under its new first key.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
-        let slot = self.locate(key)?;
-        let registered = *self.tree.floor(key).or_else(|| self.tree.first())?.0;
-        let (removed, new_first) = {
-            let page = self.pages[slot]
-                .as_mut()
-                .expect("directory points at live page");
-            let removed = if let Ok(i) = page.data.binary_search_by(|(k, _)| k.cmp(key)) {
-                page.data.remove(i).1
-            } else {
-                match page.buffer.binary_search_by(|(k, _)| k.cmp(key)) {
-                    Ok(i) => page.buffer.remove(i).1,
-                    Err(_) => return None,
-                }
-            };
-            let new_first = if page.data.is_empty() && page.buffer.is_empty() {
-                None
-            } else {
-                Some(page.first_key())
-            };
-            (removed, new_first)
-        };
-        self.len -= 1;
-        match new_first {
-            None => {
-                self.pages[slot] = None;
-                self.free.push(slot);
-                self.tree.remove(&registered);
-            }
-            Some(first) if first != registered => {
-                self.tree.remove(&registered);
-                self.tree.insert(first, slot);
-            }
-            Some(_) => {}
-        }
-        Some(removed)
     }
 
     /// Splits a page whose buffer overflowed: merge, halve, reinsert.
@@ -340,7 +296,7 @@ impl<K: Key, V: Clone> SortedIndex<K, V> for FixedPageIndex<K, V> {
     }
 
     fn get(&self, key: &K) -> Option<&V> {
-        let slot = self.locate(key)?;
+        let (_, slot) = self.locate(key)?;
         self.pages[slot]
             .as_ref()
             .expect("directory points at live page")
@@ -348,7 +304,7 @@ impl<K: Key, V: Clone> SortedIndex<K, V> for FixedPageIndex<K, V> {
     }
 
     fn insert(&mut self, key: K, value: V) -> Option<V> {
-        let Some(slot) = self.locate(&key) else {
+        let Some((registered, slot)) = self.locate(&key) else {
             let page = Page {
                 data: vec![(key, value)],
                 buffer: Vec::new(),
@@ -358,12 +314,6 @@ impl<K: Key, V: Clone> SortedIndex<K, V> for FixedPageIndex<K, V> {
             self.len += 1;
             return None;
         };
-        let registered = *self
-            .tree
-            .floor(&key)
-            .or_else(|| self.tree.first())
-            .expect("non-empty directory")
-            .0;
         let page = self.pages[slot]
             .as_mut()
             .expect("directory points at live page");
@@ -382,8 +332,43 @@ impl<K: Key, V: Clone> SortedIndex<K, V> for FixedPageIndex<K, V> {
         None
     }
 
+    /// Removes a key. Empty pages leave the directory; a removed first
+    /// key re-registers the page under its new first key.
     fn remove(&mut self, key: &K) -> Option<V> {
-        FixedPageIndex::remove(self, key)
+        let (registered, slot) = self.locate(key)?;
+        let (removed, new_first) = {
+            let page = self.pages[slot]
+                .as_mut()
+                .expect("directory points at live page");
+            let removed = if let Ok(i) = page.data.binary_search_by(|(k, _)| k.cmp(key)) {
+                page.data.remove(i).1
+            } else {
+                match page.buffer.binary_search_by(|(k, _)| k.cmp(key)) {
+                    Ok(i) => page.buffer.remove(i).1,
+                    Err(_) => return None,
+                }
+            };
+            let new_first = if page.data.is_empty() && page.buffer.is_empty() {
+                None
+            } else {
+                Some(page.first_key())
+            };
+            (removed, new_first)
+        };
+        self.len -= 1;
+        match new_first {
+            None => {
+                self.pages[slot] = None;
+                self.free.push(slot);
+                self.tree.remove(&registered);
+            }
+            Some(first) if first != registered => {
+                self.tree.remove(&registered);
+                self.tree.insert(first, slot);
+            }
+            Some(_) => {}
+        }
+        Some(removed)
     }
 
     fn len(&self) -> usize {
@@ -448,6 +433,19 @@ mod tests {
             assert_eq!(idx.get(&(k * 2)), Some(&k));
             assert_eq!(idx.get(&(k * 2 + 1)), None);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly increasing")]
+    fn bulk_load_rejects_unsorted_input() {
+        let _ = FixedPageIndex::bulk_load(4, [(1u64, 0u64), (3, 0), (2, 0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly increasing")]
+    fn bulk_load_rejects_a_duplicate_key() {
+        // The repeat is the first key of the second page.
+        let _ = FixedPageIndex::bulk_load(4, [0u64, 1, 2, 3, 3, 4].map(|k| (k, k)));
     }
 
     #[test]

@@ -2,13 +2,14 @@
 //! attribute, segments owned by one dense flat directory.
 //!
 //! The paper stores segments under a conventional B+ tree; here the
-//! [`FlatDirectory`] — two dense SoA arrays of anchor keys and arena
-//! slots — is the *single* directory structure: lookups search it
-//! branchlessly and structural mutations patch it in place with an
-//! incremental [`FlatDirectory::splice`] of the affected window
-//! (O(moved segments + tail shift), one `memmove`).
-//! Whole-run handoffs ([`FitingTree::split_off`] / `absorb`) move SoA
-//! pages and directory spans between trees without re-segmentation.
+//! [`FlatDirectory`] — one dense array of anchor keys — is the *single*
+//! directory structure, and the segments sit beside it in directory
+//! order, boxed: lookups search the anchors branchlessly and read the
+//! segment at the position found, and structural mutations patch the affected
+//! window of both arrays in place (O(moved segments + tail shift), one
+//! `memmove` each). Whole-run handoffs ([`FitingTree::split_off`] /
+//! `absorb`) move runs of segments between trees without
+//! re-segmentation.
 
 use crate::builder::FitingTreeBuilder;
 use crate::cut::{chunks_for, cut, cut_pieces, PageCut};
@@ -20,8 +21,9 @@ use crate::segment::{advised, Column, Page, Run, Segment};
 use crate::stats::{FitingTreeStats, LookupTrace};
 use fiting_index_api::GiveBack;
 use fiting_plr::Cone;
-use std::ops::RangeBounds;
+use std::ops::{Range, RangeBounds};
 use std::time::Instant;
+use std::vec::Splice;
 
 /// How many bytes of a caller's input an owned bulk load copies between
 /// two give-backs: the most the build holds of both copies at once.
@@ -40,20 +42,23 @@ pub struct FitingTree<K: Key, V> {
     pub(crate) buffer_size: u64,
     /// Segmentation budget: `error − buffer_size` (paper Section 5).
     pub(crate) seg_error: u64,
-    /// The segment directory — anchor keys and arena slots in two dense
-    /// SoA arrays. The **only** directory structure: lookups search it
-    /// with an interpolation-seeded branchless bounded search, and
-    /// structural mutations (segment split/merge/insert/remove) patch
-    /// the affected window in place with [`FlatDirectory::splice`].
+    /// The segment directory — the anchor keys in one dense array. The
+    /// **only** directory structure: lookups search it with an
+    /// interpolation-seeded branchless bounded search.
     pub(crate) dir: FlatDirectory<K>,
-    /// Segment arena; slots are recycled through `free`.
-    pub(crate) segments: Vec<Option<Segment<K, V>>>,
-    pub(crate) free: Vec<usize>,
+    /// The segments in directory order: `segments[i]` is anchored at
+    /// the directory's `i`-th anchor, so the position a search returns
+    /// indexes the segment. Each is boxed, so a splice that changes the
+    /// segment count shifts one pointer a tail segment, not the whole
+    /// header. After [`load`](Self::load), only
+    /// [`splice_directory`](Self::splice_directory) writes the two
+    /// arrays.
+    pub(crate) segments: Vec<Box<Segment<K, V>>>,
     pub(crate) len: usize,
     /// Cumulative directory splice operations (structural mutations
     /// applied incrementally since construction).
     pub(crate) splices: u64,
-    /// Cumulative `(anchor, slot)` entries written by those splices.
+    /// Cumulative segments written by those splices.
     pub(crate) splice_entries: u64,
     /// Cumulative new keys pushed onto a page tail without buffering.
     pub(crate) in_place_appends: u64,
@@ -82,7 +87,6 @@ impl<K: Key, V> FitingTree<K, V> {
             seg_error: error - buffer_size,
             dir: FlatDirectory::new(),
             segments: Vec::new(),
-            free: Vec::new(),
             len: 0,
             splices: 0,
             splice_entries: 0,
@@ -144,50 +148,43 @@ impl<K: Key, V> FitingTree<K, V> {
         Ok(self.load(paginate(run, cuts)))
     }
 
-    /// Fills an empty tree with the pages of one carved run.
+    /// Fills an empty tree with the pages of one carved run, collected
+    /// straight into an exactly sized segment array. A load is
+    /// construction, not a mutation: it counts no splice.
     pub(crate) fn load(mut self, pages: impl ExactSizeIterator<Item = Segment<K, V>>) -> Self {
         debug_assert!(self.segments.is_empty());
-        self.segments.reserve_exact(pages.len());
-        let entries = self.install(pages);
-        if !entries.is_empty() {
-            self.dir.rebuild(entries);
-        }
+        self.segments = pages
+            .inspect(|page| page.assert_invariants(self.seg_error, 0))
+            .map(Box::new)
+            .collect();
+        self.len = self.segments.iter().map(|page| page.len()).sum();
+        self.dir
+            .splice(0..0, self.segments.iter().map(|page| page.start_key));
         self
     }
 
-    /// Installs a run's pages in the arena (counting their entries into
-    /// `len`) and returns their directory entries in key order.
-    fn install(&mut self, pages: impl IntoIterator<Item = Segment<K, V>>) -> Vec<(K, u32)> {
-        pages
-            .into_iter()
-            .map(|piece| {
-                piece.assert_invariants(self.seg_error, 0);
-                self.len += piece.len();
-                let anchor = piece.start_key;
-                let slot = self.alloc_slot(piece);
-                debug_assert!(slot <= u32::MAX as usize);
-                (anchor, slot as u32)
-            })
-            .collect()
-    }
-
-    /// Applies one incremental directory mutation: replaces the
-    /// directory window `range` with `entries`, shifting only the tail
-    /// — O(entries + shift). Counts toward the splice statistics.
-    fn splice_directory(&mut self, range: std::ops::Range<usize>, entries: &[(K, u32)]) {
+    /// Replaces the segments at directory positions `range` with
+    /// `pages`, in key order: after [`load`](Self::load), the one
+    /// writer of the anchors and the segments, whose tails shift
+    /// together — O(pages + tail shift). The entries of `pages` join
+    /// `len` and those of the replaced segments leave it. Counts toward
+    /// the splice statistics. The splice lands when the returned
+    /// iterator drops; it yields the replaced segments to a caller that
+    /// keeps them.
+    fn splice_directory(
+        &mut self,
+        range: Range<usize>,
+        pages: Vec<Box<Segment<K, V>>>,
+    ) -> Splice<'_, std::vec::IntoIter<Box<Segment<K, V>>>> {
         self.splices += 1;
-        self.splice_entries += entries.len() as u64;
-        self.dir.splice(range, entries);
-    }
-
-    /// Directory position of the segment anchored exactly at `anchor`.
-    fn dir_pos_of(&self, anchor: K) -> usize {
-        let pos = self
-            .dir
-            .floor_index(anchor)
-            .expect("anchor lookup on non-empty directory");
-        debug_assert_eq!(self.dir.anchor_at(pos), anchor);
-        pos
+        self.splice_entries += pages.len() as u64;
+        let entries = |segments: &[Box<Segment<K, V>>]| -> usize {
+            segments.iter().map(|page| page.len()).sum()
+        };
+        self.len = self.len + entries(&pages) - entries(&self.segments[range.clone()]);
+        self.dir
+            .splice(range.clone(), pages.iter().map(|page| page.start_key));
+        self.segments.splice(range, pages)
     }
 
     /// Number of key/value pairs in the index.
@@ -224,30 +221,16 @@ impl<K: Key, V> FitingTree<K, V> {
     /// Number of segments (= entries of the flat directory).
     #[must_use]
     pub fn segment_count(&self) -> usize {
-        self.dir.len()
+        self.segments.len()
     }
 
-    /// Locates the arena slot of the segment responsible for `key`:
-    /// the floor segment, falling back to the first segment for keys
-    /// below every anchor.
-    ///
-    /// This is the read hot path: it searches the flat SoA directory
-    /// (interpolation seed → gallop → branchless binary), the only
-    /// directory there is.
-    #[inline]
-    fn locate(&self, key: &K) -> Option<usize> {
-        self.dir.locate(*key)
-    }
-
-    /// Point lookup (paper Algorithm 3): flat-directory search,
+    /// Point lookup (paper Algorithm 3): flat-directory search (the
+    /// floor segment, or the first one for keys below every anchor),
     /// interpolation, bounded local search, buffer check.
     #[must_use]
     pub fn get(&self, key: &K) -> Option<&V> {
-        let slot = self.locate(key)?;
-        self.segments[slot]
-            .as_ref()
-            .expect("directory points at live segment")
-            .get(*key, self.seg_error)
+        let pos = self.dir.floor_index(*key)?;
+        self.segments[pos].get(*key, self.seg_error)
     }
 
     /// Mutable point lookup. A page hit first moves the page to a
@@ -257,11 +240,8 @@ impl<K: Key, V> FitingTree<K, V> {
     where
         V: Clone,
     {
-        let slot = self.locate(key)?;
-        self.segments[slot]
-            .as_mut()
-            .expect("directory points at live segment")
-            .get_mut(*key, self.seg_error)
+        let pos = self.dir.floor_index(*key)?;
+        self.segments[pos].get_mut(*key, self.seg_error)
     }
 
     /// Whether `key` is present.
@@ -276,15 +256,10 @@ impl<K: Key, V> FitingTree<K, V> {
     #[must_use]
     pub fn get_traced(&self, key: &K) -> (Option<&V>, LookupTrace) {
         let t0 = Instant::now();
-        let located = self.locate(key);
+        let located = self.dir.floor_index(*key);
         let tree_nanos = t0.elapsed().as_nanos() as u64;
         let t1 = Instant::now();
-        let value = located.and_then(|s| {
-            self.segments[s]
-                .as_ref()
-                .expect("directory points at live segment")
-                .get(*key, self.seg_error)
-        });
+        let value = located.and_then(|pos| self.segments[pos].get(*key, self.seg_error));
         let segment_nanos = t1.elapsed().as_nanos() as u64;
         (
             value,
@@ -314,16 +289,13 @@ impl<K: Key, V> FitingTree<K, V> {
     where
         V: Clone,
     {
-        let Some(slot) = self.locate(&key) else {
+        let Some(pos) = self.dir.floor_index(key) else {
             // Empty index: open the first segment.
-            let slot = self.alloc_slot(Segment::from_run(key, 0.0, vec![key], vec![value]));
-            self.splice_directory(0..0, &[(key, slot as u32)]);
-            self.len += 1;
+            let first = Segment::from_run(key, 0.0, vec![key], vec![value]);
+            self.splice_directory(0..0, vec![Box::new(first)]);
             return None;
         };
-        let seg = self.segments[slot]
-            .as_mut()
-            .expect("directory points at live segment");
+        let seg = &mut self.segments[pos];
         let page_len = seg.keys().len();
         let old = seg.insert(key, value, self.seg_error);
         if old.is_some() {
@@ -333,7 +305,7 @@ impl<K: Key, V> FitingTree<K, V> {
         if seg.keys().len() > page_len {
             self.in_place_appends += 1;
         } else if seg.buffer.len() > self.buffer_size as usize {
-            self.resegment(slot);
+            self.resegment(pos);
         }
         None
     }
@@ -354,22 +326,16 @@ impl<K: Key, V> FitingTree<K, V> {
     where
         V: Clone,
     {
-        let slot = self.locate(key)?;
-        let seg = self.segments[slot]
-            .as_mut()
-            .expect("directory points at live segment");
+        let pos = self.dir.floor_index(*key)?;
+        let seg = &mut self.segments[pos];
         let removed = seg.remove(*key, self.seg_error)?;
         self.len -= 1;
         if seg.len() == 0 {
             // Drop the empty segment entirely (keep at least none: an
             // empty index has an empty directory).
-            let anchor = seg.start_key;
-            self.segments[slot] = None;
-            self.free.push(slot);
-            let pos = self.dir_pos_of(anchor);
-            self.splice_directory(pos..pos + 1, &[]);
+            self.splice_directory(pos..pos + 1, Vec::new());
         } else if seg.removed > (self.seg_error / 2).max(seg.keys().len() as u64 / 4) {
-            self.resegment(slot);
+            self.resegment(pos);
         }
         Some(removed)
     }
@@ -387,25 +353,24 @@ impl<K: Key, V> FitingTree<K, V> {
     }
 
     /// Index structure size in bytes, following the paper's accounting:
-    /// each segment's directory entry (anchor key + `u32` slot) + 24 B of
-    /// segment metadata (start key, slope, page pointer). The table data
-    /// itself is *not* index overhead (it exists regardless).
+    /// each segment's start key (its directory anchor), slope and page
+    /// pointer, and the directory's pointer to it. The table data itself
+    /// is *not* index overhead (it exists regardless).
     #[must_use]
     pub fn index_size_bytes(&self) -> usize {
         self.segment_count() * crate::segment_bytes(std::mem::size_of::<K>())
     }
 
-    /// Full statistics snapshot; walks the directory and arena.
+    /// Full statistics snapshot; walks the segments.
     #[must_use]
     pub fn stats(&self) -> FitingTreeStats {
         let mut buffered = 0usize;
         let mut data_bytes = 0usize;
-        let mut live = 0usize;
-        for seg in self.segments.iter().flatten() {
+        for seg in &self.segments {
             buffered += seg.buffer.len();
             data_bytes += seg.payload_bytes();
-            live += 1;
         }
+        let live = self.segments.len();
         FitingTreeStats {
             len: self.len,
             segment_count: live,
@@ -448,12 +413,9 @@ impl<K: Key, V> FitingTree<K, V> {
     /// Last (largest-key) entry.
     #[must_use]
     pub fn last(&self) -> Option<(&K, &V)> {
-        // The last directory entry owns the largest anchor; its page and
-        // buffer maxima compete for the global maximum.
-        let slot = self.dir.last_slot()?;
-        let seg = self.segments[slot]
-            .as_ref()
-            .expect("directory points at live segment");
+        // The last segment owns the largest anchor; its page and buffer
+        // maxima compete for the global maximum.
+        let seg = self.segments.last()?;
         match (seg.last_live(), seg.buffer.last()) {
             (Some((dk, dv)), Some((bk, bv))) => Some(if dk > bk { (dk, dv) } else { (bk, bv) }),
             (Some((dk, dv)), None) => Some((dk, dv)),
@@ -462,17 +424,19 @@ impl<K: Key, V> FitingTree<K, V> {
         }
     }
 
-    /// Takes the segment in `slot` out of the arena (and its entries
-    /// out of `len`) to be merged and re-carved.
-    fn take_for_recarve(&mut self, slot: usize) -> Segment<K, V> {
-        let seg = self.segments[slot]
-            .take()
-            .expect("directory points at live segment");
-        self.free.push(slot);
+    /// Takes the entries of the segment at `pos` out (and out of `len`)
+    /// as one merged run, to be re-carved. The emptied segment holds
+    /// the position until the splice that replaces it, so the tail
+    /// shifts once, in that splice.
+    fn take_for_recarve(&mut self, pos: usize) -> Run<K, V>
+    where
+        V: Clone,
+    {
+        let seg = &mut self.segments[pos];
         self.len -= seg.len();
         self.resegmentations += 1;
         self.resegmented_entries += seg.len() as u64;
-        seg
+        seg.take_merged_run()
     }
 
     /// The most entries a page made by re-segmentation holds: 64 full
@@ -493,22 +457,22 @@ impl<K: Key, V> FitingTree<K, V> {
     /// under its endpoint line before the cone is asked ([`refit`]).
     /// Either way the splice replaces the old anchor, which the first
     /// segment's buffer may have undercut.
-    fn resegment(&mut self, slot: usize)
+    fn resegment(&mut self, pos: usize)
     where
         V: Clone,
     {
-        let seg = self.take_for_recarve(slot);
-        let pos = self.dir_pos_of(seg.start_key);
-        let run = seg.into_merged_run();
+        let run = self.take_for_recarve(pos);
         let pieces = run.0.len().div_ceil(self.page_cap());
         let fitted = if pieces == 1 {
             refit(self.seg_error, run)
         } else {
             Err(run)
         };
-        let pages = fitted.map_or_else(|run| carve(self.seg_error, run, pieces), |page| vec![page]);
-        let entries = self.install(pages);
-        self.splice_directory(pos..pos + 1, &entries);
+        let pages = fitted.map_or_else(
+            |run| carve(self.seg_error, run, pieces),
+            |page| vec![Box::new(page)],
+        );
+        self.splice_directory(pos..pos + 1, pages);
     }
 
     /// Splits the tree at `at`: every entry with key `>= at` moves into
@@ -529,70 +493,33 @@ impl<K: Key, V> FitingTree<K, V> {
         V: Clone,
     {
         let mut right = self.empty_like();
-        if self.dir.is_empty() {
+        let Some(p) = self.dir.floor_index(*at) else {
             return right;
-        }
-        let p = self
-            .dir
-            .floor_index(*at)
-            .expect("directory is non-empty here");
-        // Whole segments strictly after the boundary position move
-        // as-is: their directory span is split off in one O(moved) cut.
-        let tail = self.dir.split_off(p + 1);
-        self.splices += 1;
-        self.splice_entries += tail.len() as u64;
-
+        };
         // The boundary segment may straddle `at`; only then is it
         // merged and re-segmented into a left and a right side (the
         // only re-segmentation a split ever pays). A cut at or below
         // its minimum key hands it off whole instead — fitted slope
         // and measured envelope intact.
-        let bslot = self.dir.slot_at(p);
-        let (straddles, moves_whole) = {
-            let seg = self.segments[bslot]
-                .as_ref()
-                .expect("directory points at live segment");
-            let covers = seg.max_key().is_some_and(|m| m >= *at);
-            let whole = covers && seg.min_key().is_some_and(|m| m >= *at);
-            (covers && !whole, whole)
-        };
-        let mut right_entries: Vec<(K, u32)> = Vec::new();
-        if moves_whole {
-            let seg = self.segments[bslot]
-                .take()
-                .expect("directory points at live segment");
-            self.free.push(bslot);
-            self.len -= seg.len();
-            right.len += seg.len();
-            let anchor = seg.start_key;
-            let slot = right.alloc_slot(seg);
-            right_entries.push((anchor, slot as u32));
-            self.splice_directory(p..p + 1, &[]);
-        }
-        if straddles {
-            let (mut keys, mut values) = self.take_for_recarve(bslot).into_merged_run();
+        let seg = &self.segments[p];
+        let covers = seg.max_key().is_some_and(|m| m >= *at);
+        let whole = covers && seg.min_key().is_some_and(|m| m >= *at);
+        // Whole segments after the boundary move as-is: one O(moved)
+        // cut of both arrays, no page touched.
+        let from = if whole { p } else { p + 1 };
+        let tail: Vec<_> = self
+            .splice_directory(from..self.segments.len(), Vec::new())
+            .collect();
+        let mut pages = Vec::new();
+        if covers && !whole {
+            let (mut keys, mut values) = self.take_for_recarve(p);
             let cut = keys.partition_point(|k| k < at);
             let upper = (keys.split_off(cut), values.split_off(cut));
-            let left_entries = self.install(carve(self.seg_error, (keys, values), 1));
-            self.splice_directory(p..p + 1, &left_entries);
-            right_entries = right.install(carve(self.seg_error, upper, 1));
+            self.splice_directory(p..p + 1, carve(self.seg_error, (keys, values), 1));
+            pages = carve(self.seg_error, upper, 1);
         }
-
-        // Hand the tail segments over wholesale: arena moves only, no
-        // page is touched.
-        for (anchor, old_slot) in tail.entries() {
-            let seg = self.segments[old_slot]
-                .take()
-                .expect("directory points at live segment");
-            self.free.push(old_slot);
-            self.len -= seg.len();
-            right.len += seg.len();
-            let new_slot = right.alloc_slot(seg);
-            right_entries.push((anchor, new_slot as u32));
-        }
-        right.splices += 1;
-        right.splice_entries += right_entries.len() as u64;
-        right.dir.rebuild(right_entries);
+        pages.extend(tail);
+        right.splice_directory(0..0, pages);
         right
     }
 
@@ -600,10 +527,9 @@ impl<K: Key, V> FitingTree<K, V> {
     /// strictly greater than every key in `self` — leaving `other`
     /// empty. The symmetric counterpart of
     /// [`split_off`](Self::split_off): `other`'s segments (pages,
-    /// buffers, fitted slopes and measured error envelopes intact) move
-    /// into `self`'s arena and their directory span is appended with
-    /// one splice — **O(moved segments)**, no re-segmentation and no
-    /// per-entry copying.
+    /// buffers, fitted slopes and measured error envelopes intact) are
+    /// appended to `self`'s with one splice — **O(moved segments)**, no
+    /// re-segmentation and no per-entry copying.
     ///
     /// Returns the number of entries moved.
     ///
@@ -638,102 +564,54 @@ impl<K: Key, V> FitingTree<K, V> {
             // below its anchor; after the append those keys would route
             // to `self`'s last segment instead. Drain them here and
             // re-insert through the normal path after the handoff.
-            let first_slot = other.dir.slot_at(0);
-            let seg = other.segments[first_slot]
-                .as_mut()
-                .expect("directory points at live segment");
-            let below = seg.buffer.partition_point(|(k, _)| *k < seg.start_key);
-            reinserts.extend(seg.buffer.drain(..below));
-            seg.assert_invariants(other.seg_error, 0);
+            let first = &mut other.segments[0];
+            let below = first.buffer.partition_point(|(k, _)| *k < first.start_key);
+            reinserts.extend(first.buffer.drain(..below));
+            first.assert_invariants(other.seg_error, 0);
+            other.len -= below;
         }
-
-        let mut entries: Vec<(K, u32)> = Vec::with_capacity(other.dir.len());
-        for (anchor, old_slot) in other.dir.entries() {
-            let seg = other.segments[old_slot]
-                .take()
-                .expect("directory points at live segment");
-            if seg.len() == 0 {
-                // The drain above emptied it; nothing left to move.
-                continue;
-            }
-            let new_slot = self.alloc_slot(seg);
-            entries.push((anchor, new_slot as u32));
-        }
-        let n = self.dir.len();
-        self.len += moved - reinserts.len();
-        self.splice_directory(n..n, &entries);
-
-        // Reset `other` to a clean empty tree (its config survives).
-        other.dir.rebuild(std::iter::empty());
-        other.segments.clear();
-        other.free.clear();
-        other.len = 0;
-
+        // `other` keeps its config and is left a clean empty tree.
+        let mut pages: Vec<_> = other
+            .splice_directory(0..other.segments.len(), Vec::new())
+            .collect();
+        // The drain above may have emptied the first segment.
+        pages.retain(|seg| seg.len() > 0);
+        let n = self.segments.len();
+        self.splice_directory(n..n, pages);
         for (k, v) in reinserts {
             self.insert(k, v);
         }
         Ok(moved)
     }
 
-    fn alloc_slot(&mut self, seg: Segment<K, V>) -> usize {
-        if let Some(slot) = self.free.pop() {
-            self.segments[slot] = Some(seg);
-            slot
-        } else {
-            self.segments.push(Some(seg));
-            self.segments.len() - 1
-        }
-    }
-
     /// Verifies structural invariants; used by tests.
     ///
     /// Coherence is checked **directly between the flat directory and
-    /// the segment run**. Checks: directory anchors
-    /// are strictly ascending and point at live arena segments
-    /// registered under their anchor; every live arena segment is
-    /// referenced exactly once (and free-list slots are dead); every
-    /// segment is well formed on its own (sorted page and buffer,
-    /// disjoint, bitmap sized, live slots inside their windows); every
-    /// live page key is found by a windowed lookup (the error
-    /// guarantee) *and* located to its segment by the directory; `len`
-    /// consistency; segments are disjoint and ordered.
+    /// the segment run**. Checks: one anchor per segment; directory
+    /// anchors are strictly ascending and each is its segment's start
+    /// key; every segment is well formed on its own (sorted page and
+    /// buffer, disjoint, bitmap sized, live slots inside their
+    /// windows); every live page key is found by a windowed lookup (the
+    /// error guarantee) *and* located to its segment by the directory;
+    /// `len` consistency; segments are disjoint and ordered.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let live_slots = self.segments.iter().filter(|s| s.is_some()).count();
-        if live_slots != self.dir.len() {
+        if self.segments.len() != self.dir.len() {
             return Err(format!(
-                "directory has {} entries but the arena holds {live_slots} live segments",
-                self.dir.len()
+                "directory has {} anchors for {} segments",
+                self.dir.len(),
+                self.segments.len()
             ));
         }
-        for &slot in &self.free {
-            if self
-                .segments
-                .get(slot)
-                .is_none_or(std::option::Option::is_some)
-            {
+        let mut counted = 0usize;
+        let mut prev_max: Option<K> = None;
+        for (pos, seg) in self.segments.iter().enumerate() {
+            let anchor = self.dir.anchor_at(pos);
+            if pos > 0 && self.dir.anchor_at(pos - 1) >= anchor {
                 return Err(format!(
-                    "free-list names slot {slot}, which is live or out of range"
+                    "directory anchors not strictly ascending: {:?} then {anchor:?}",
+                    self.dir.anchor_at(pos - 1)
                 ));
             }
-        }
-        let mut counted = 0usize;
-        let mut prev_anchor: Option<K> = None;
-        let mut prev_max: Option<K> = None;
-        let mut first = true;
-        for (anchor, slot) in self.dir.entries() {
-            if let Some(prev) = prev_anchor {
-                if prev >= anchor {
-                    return Err(format!(
-                        "directory anchors not strictly ascending: {prev:?} then {anchor:?}"
-                    ));
-                }
-            }
-            prev_anchor = Some(anchor);
-            let seg = self
-                .segments
-                .get(slot)
-                .and_then(|s| s.as_ref())
-                .ok_or_else(|| format!("directory entry {anchor:?} points at dead slot {slot}"))?;
             if seg.start_key != anchor {
                 return Err(format!(
                     "segment anchored at {anchor:?} believes its start is {:?}",
@@ -754,7 +632,7 @@ impl<K: Key, V> FitingTree<K, V> {
             }
             if let (Some(min), Some(prev)) = (seg.min_key(), prev_max) {
                 // Only the first segment may hold keys below its anchor.
-                if !first && min <= prev {
+                if pos > 0 && min <= prev {
                     return Err(format!(
                         "segment overlap: min {min:?} <= previous max {prev:?}"
                     ));
@@ -769,14 +647,14 @@ impl<K: Key, V> FitingTree<K, V> {
                         "error guarantee violated: page key {k:?} not found within window"
                     ));
                 }
-                if self.dir.locate(*k) != Some(slot) {
+                if self.dir.floor_index(*k) != Some(pos) {
                     return Err(format!(
                         "flat directory routes live key {k:?} away from its segment"
                     ));
                 }
             }
             for (k, _) in &seg.buffer {
-                if self.dir.locate(*k) != Some(slot) {
+                if self.dir.floor_index(*k) != Some(pos) {
                     return Err(format!(
                         "flat directory routes buffered key {k:?} away from its segment"
                     ));
@@ -784,7 +662,6 @@ impl<K: Key, V> FitingTree<K, V> {
             }
             counted += seg.len();
             prev_max = seg.max_key().or(prev_max);
-            first = false;
         }
         if counted != self.len {
             return Err(format!(
@@ -808,12 +685,13 @@ fn refit<K: Key, V: Clone>(
 ) -> Result<Segment<K, V>, Run<K, V>> {
     let (first, last) = (keys[0].to_f64(), keys[keys.len() - 1].to_f64());
     let slope = Cone::new(first, 0).final_slope(last, keys.len() as u64 - 1);
-    let page = Segment::from_run(keys[0], slope, keys, values);
+    let mut page = Segment::from_run(keys[0], slope, keys, values);
     let (under, over) = page.error_envelope();
     if u64::from(under.max(over)) <= seg_error {
+        page.assert_invariants(seg_error, 0);
         Ok(page)
     } else {
-        Err(page.into_merged_run())
+        Err(page.take_merged_run())
     }
 }
 
@@ -822,10 +700,17 @@ fn refit<K: Key, V: Clone>(
 /// Each page then owns a column — the run's own arrays when the run is
 /// one page — so that re-segmenting one page later frees its slots
 /// instead of leaving them pinned by the pages cut beside it.
-fn carve<K: Key, V: Clone>(seg_error: u64, run: Run<K, V>, pieces: usize) -> Vec<Segment<K, V>> {
+fn carve<K: Key, V: Clone>(
+    seg_error: u64,
+    run: Run<K, V>,
+    pieces: usize,
+) -> Vec<Box<Segment<K, V>>> {
     let cuts = cut_pieces(seg_error, &run.0, pieces).expect("a merged run is sorted");
-    let mut pages: Vec<Segment<K, V>> = paginate(run, cuts).collect();
-    pages.iter_mut().for_each(Segment::detach);
+    let mut pages: Vec<_> = paginate(run, cuts).map(Box::new).collect();
+    for page in &mut pages {
+        page.detach();
+        page.assert_invariants(seg_error, 0);
+    }
     pages
 }
 
@@ -984,10 +869,9 @@ mod tests {
     /// Every page of `t` in key order: start key, length, slope bits
     /// and error envelope.
     fn page_shapes(t: &FitingTree<u64, u64>) -> Vec<(u64, usize, u64, (u32, u32))> {
-        t.dir
-            .entries()
-            .map(|(_, slot)| {
-                let page = t.segments[slot].as_ref().expect("a live slot");
+        t.segments
+            .iter()
+            .map(|page| {
                 let slope = page.slope.to_bits();
                 (page.start_key, page.len(), slope, page.error_envelope())
             })
@@ -1268,13 +1152,12 @@ mod tests {
         t: &FitingTree<u64, u64>,
         column: &Segment<u64, u64>,
     ) -> std::collections::BTreeMap<u64, (bool, Vec<(u64, u64)>)> {
-        (t.dir.entries())
-            .map(|(anchor, slot)| {
-                let seg = t.segments[slot].as_ref().unwrap();
+        (t.segments.iter())
+            .map(|seg| {
                 let live = (0..seg.keys().len()).filter(|&i| seg.is_live(i));
                 let page = live.map(|i| (seg.keys()[i], seg.values()[i]));
                 let entries = page.chain(seg.buffer.iter().copied()).collect();
-                (anchor, (seg.shares_column(column), entries))
+                (seg.start_key, (seg.shares_column(column), entries))
             })
             .collect()
     }
@@ -1283,12 +1166,8 @@ mod tests {
     fn a_bulk_load_cuts_every_page_from_one_column() {
         let t = blocks();
         assert_eq!(t.segment_count(), 40);
-        let first = t.segments[t.dir.slot_at(0)].as_ref().unwrap();
-        assert!(t
-            .segments
-            .iter()
-            .flatten()
-            .all(|seg| seg.shares_column(first)));
+        let first = &t.segments[0];
+        assert!(t.segments.iter().all(|seg| seg.shares_column(first)));
         t.check_invariants().unwrap();
     }
 
@@ -1302,7 +1181,7 @@ mod tests {
     ) {
         let mut t = blocks();
         let frozen = t.clone();
-        let column = frozen.segments[frozen.dir.slot_at(0)].as_ref().unwrap();
+        let column = &frozen.segments[0];
         let loaded = pages_of(&frozen, column);
         let mut model: std::collections::BTreeMap<u64, u64> =
             t.iter().map(|(k, v)| (*k, *v)).collect();
@@ -1396,7 +1275,7 @@ mod tests {
         // re-carve leaves capped pages, which shed separately.
         let s = t.stats();
         assert!(s.resegmented_entries < 200_000, "{}", s.resegmented_entries);
-        for seg in t.segments.iter().flatten() {
+        for seg in &t.segments {
             assert!(seg.removed as usize <= (seg.keys().len() / 4).max(8));
         }
         assert_eq!(t.len(), 70_000);
@@ -1532,7 +1411,7 @@ mod tests {
         let before = t.segment_count();
         assert!(before > 10);
         // Pick a mid-directory anchor as the cut.
-        let anchor = t.dir.entries().nth(before / 2).map(|(a, _)| a).unwrap();
+        let anchor = t.dir.anchor_at(before / 2);
         let mut left = t.clone();
         let right = left.split_off(&anchor);
         assert_eq!(
@@ -1709,8 +1588,8 @@ mod tests {
         /// Runs `op` on `key`; if it re-segmented the covering segment,
         /// checks the pages that made against the run that went in.
         fn watched(&mut self, key: u64, op: impl FnOnce(&mut Self)) {
-            let covering = self.tree.locate(&key).map(|slot| {
-                let seg = self.tree.segments[slot].as_ref().unwrap();
+            let covering = self.tree.dir.floor_index(key).map(|pos| {
+                let seg = &self.tree.segments[pos];
                 let span = (seg.min_key().unwrap(), seg.max_key().unwrap());
                 (seg.len(), span.0.min(key), span.1.max(key))
             });
@@ -1726,9 +1605,7 @@ mod tests {
             assert_eq!(t.resegmentations, before.0 + 1);
             let (held, min, max) = covering.expect("only a segment re-segments");
             let first = t.dir.floor_index(min).unwrap_or(0);
-            let pages: Vec<&Segment<u64, V>> = (first..=t.dir.floor_index(max).unwrap())
-                .map(|pos| t.segments[t.dir.slot_at(pos)].as_ref().unwrap())
-                .collect();
+            let pages = &t.segments[first..=t.dir.floor_index(max).unwrap()];
             // The run is what the segment held once the operation had
             // added or taken its one entry, counted entry for entry.
             let run: usize = pages.iter().map(|page| page.len()).sum();

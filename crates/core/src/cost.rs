@@ -2,15 +2,17 @@
 //! lookup-latency requirement or a storage budget.
 //!
 //! Both estimates price the structure that ships: a flat directory —
-//! one anchor key and one `u32` arena slot a segment, in two parallel
-//! arrays — over variable-sized pages whose lookup requests its key and
-//! value windows before it searches them (`segment.rs`, "Miss budget").
+//! one anchor key and one segment pointer a segment, in two dense
+//! arrays — over variable-sized
+//! pages whose lookup requests its key and value windows before it
+//! searches them (`segment.rs`, "Miss budget").
 //! The paper's terms for a B+ tree directory (fanout, fill factor, one
 //! miss a level) price a tree this crate does not build.
 //!
-//! * Size (Section 6.2): `size(e) = S_e · (|K| + 4 B + 24 B)` — the
-//!   directory entry plus the paper's segment metadata, the bytes a
-//!   segment costs in `FitingTree::index_size_bytes`. At a sampled `e`,
+//! * Size (Section 6.2): `size(e) = S_e · (|K| + 24 B)` — the start
+//!   key (the directory anchor), the slope, the page pointer and the
+//!   directory's pointer to the segment, the bytes a segment costs in
+//!   `FitingTree::index_size_bytes`. At a sampled `e`,
 //!   `S_e` is the built tree's segment count, so the estimate is that
 //!   tree's size exactly, for every key type.
 //! * Latency (Section 6.1), with `w = 2(e − e/2 + 1) + 1` the widest
@@ -336,8 +338,8 @@ mod tests {
             cm.lookup_latency_ns(&model, 256).to_bits(),
             0x407b_e9b4_d126_b405 // 446.6066447746128
         );
-        // 1 000 segments of 8 + 4 + 24 B.
-        assert_eq!(cm.index_size_bytes(&model, 64), 36_000.0);
+        // 1 000 segments of 8 + 24 B.
+        assert_eq!(cm.index_size_bytes(&model, 64), 32_000.0);
     }
 
     #[test]
@@ -345,8 +347,8 @@ mod tests {
         let cm = CostModel::default();
         let model = SegmentCountModel::from_samples(vec![(16, 100_000), (1024, 1)]);
         assert!(cm.index_size_bytes(&model, 1024) < cm.index_size_bytes(&model, 16));
-        // One segment: its directory entry and metadata.
-        assert_eq!(cm.index_size_bytes(&model, 1024), 36.0);
+        // One segment: its directory anchor and metadata.
+        assert_eq!(cm.index_size_bytes(&model, 1024), 32.0);
     }
 
     #[test]

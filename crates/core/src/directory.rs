@@ -7,9 +7,8 @@
 //! *in-segment* search always worked that way, but every lookup still
 //! began with a pointer-based tree descent to find the covering
 //! segment. [`FlatDirectory`] removes that: segment anchors live in one
-//! dense, SoA pair of arrays (`anchors: Vec<K>`, `slots: Vec<u32>`),
-//! immutable between structural rebuilds, and the floor segment is
-//! located by an **interpolation-seeded, branchless bounded search**:
+//! dense array (`anchors: Vec<K>`), and the floor segment is located by
+//! an **interpolation-seeded, branchless bounded search**:
 //!
 //! 1. interpolate a guess position from the anchor-key span (the same
 //!    trick the segments use internally),
@@ -20,20 +19,19 @@
 //!    (a conditional move in the compiled loop, no data-dependent
 //!    branch).
 //!
-//! This is the first step of a lookup's miss budget (directory →
-//! `slots[i]` + segment header → {key window ∥ value window}, see
+//! The position found indexes the tree's segments directly: they are
+//! kept in directory order, `segments[i]` anchored at `anchors[i]`,
+//! each behind a pointer so that a splice shifts 8 B a segment. This is
+//! the first step of a lookup's miss budget (directory →
+//! `segments[i]` + segment header → {key window ∥ value window}, see
 //! `segment.rs`): about 1 MB per 8 M keys, so it is served from cache
 //! while the pages are not.
 //!
-//! Since the mutation-side B+ tree was retired, this flat form is the
-//! **only** segment directory: structural mutations (segment
-//! split/merge/insert/remove) patch the affected window of the
-//! `anchors`/`slots` arrays in place with [`FlatDirectory::splice`] —
-//! O(moved segments + tail shift), one `memmove` instead of the old
-//! O(S) re-mirror of a pointer-based tree — and whole-run handoffs
-//! ([`FlatDirectory::split_off`]) move directory spans without touching
-//! the entries inside them. `FitingTree::check_invariants` verifies the
-//! directory directly against the segment run.
+//! Structural mutations (segment split/merge/insert/remove, whole-run
+//! handoffs) patch the affected window of `anchors` and of the segments
+//! together, through the tree's one splice — O(moved segments + tail
+//! shift), one `memmove` each. `FitingTree::check_invariants` verifies
+//! the directory directly against the segment run.
 
 use crate::key::Key;
 
@@ -41,13 +39,12 @@ use crate::key::Key;
 /// kernel over one or two cache lines is already minimal.
 const SEED_MIN_ANCHORS: usize = 64;
 
-/// Dense, immutable-between-rebuilds segment directory (SoA layout).
+/// Dense segment directory: the anchors, and the seed state of the
+/// search over them.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FlatDirectory<K> {
     /// Segment anchor keys, ascending.
     anchors: Vec<K>,
-    /// Arena slot of the segment anchored at `anchors[i]`.
-    slots: Vec<u32>,
     /// Projection of `anchors[0]`, cached for the interpolation seed.
     min_f: f64,
     /// `(len − 1) / (max_f − min_f)`; `0.0` disables seeding (too few
@@ -60,7 +57,6 @@ impl<K: Key> FlatDirectory<K> {
     pub(crate) fn new() -> Self {
         FlatDirectory {
             anchors: Vec::new(),
-            slots: Vec::new(),
             min_f: 0.0,
             inv_span: 0.0,
         }
@@ -71,28 +67,16 @@ impl<K: Key> FlatDirectory<K> {
         self.anchors.len()
     }
 
-    /// Whether the directory is empty.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.anchors.is_empty()
-    }
-
-    /// Rebuilds from `(anchor, slot)` entries in ascending anchor order
-    /// — one dense pass, used by bulk load (where the whole run changes
-    /// anyway). Incremental mutations use [`splice`](Self::splice).
-    pub(crate) fn rebuild<I: IntoIterator<Item = (K, u32)>>(&mut self, entries: I) {
-        self.anchors.clear();
-        self.slots.clear();
-        for (anchor, slot) in entries {
-            self.anchors.push(anchor);
-            self.slots.push(slot);
-        }
-        self.reseed();
-    }
-
-    /// Recomputes the interpolation-seed state from the current anchor
-    /// run. O(1): only the endpoints are read. Every structural
-    /// mutation funnels through here.
-    fn reseed(&mut self) {
+    /// Replaces the window `range` with `anchors`, shifting the tail —
+    /// O(`anchors` + tail shift), one `memmove`. The resulting run must
+    /// remain strictly ascending (debug-asserted). The seed state is
+    /// recomputed from the endpoints, O(1).
+    pub(crate) fn splice(
+        &mut self,
+        range: std::ops::Range<usize>,
+        anchors: impl IntoIterator<Item = K>,
+    ) {
+        self.anchors.splice(range, anchors);
         debug_assert!(self.anchors.windows(2).all(|w| w[0] < w[1]));
         let n = self.anchors.len();
         self.min_f = 0.0;
@@ -105,36 +89,6 @@ impl<K: Key> FlatDirectory<K> {
                 self.inv_span = (n - 1) as f64 / span;
             }
         }
-    }
-
-    /// Replaces the directory window `range` with `entries`, shifting
-    /// the tail — the incremental mutation primitive. Cost is
-    /// O(`entries.len()` + tail shift): one `memmove` of the dense
-    /// arrays instead of the retired O(S) tree re-mirror. The resulting
-    /// anchor run must remain strictly ascending (debug-asserted).
-    pub(crate) fn splice(&mut self, range: std::ops::Range<usize>, entries: &[(K, u32)]) {
-        self.anchors
-            .splice(range.clone(), entries.iter().map(|&(a, _)| a));
-        self.slots.splice(range, entries.iter().map(|&(_, s)| s));
-        self.reseed();
-    }
-
-    /// Splits the directory at position `pos`: entries `[pos, len)`
-    /// move into the returned directory, `[0, pos)` stay. Both sides
-    /// reseed. O(moved entries) — the whole-run handoff primitive
-    /// behind `FitingTree::split_off`.
-    pub(crate) fn split_off(&mut self, pos: usize) -> FlatDirectory<K> {
-        let anchors = self.anchors.split_off(pos);
-        let slots = self.slots.split_off(pos);
-        self.reseed();
-        let mut upper = FlatDirectory {
-            anchors,
-            slots,
-            min_f: 0.0,
-            inv_span: 0.0,
-        };
-        upper.reseed();
-        upper
     }
 
     /// Directory position of the segment responsible for `key`: the
@@ -151,43 +105,15 @@ impl<K: Key> FlatDirectory<K> {
         Some(base + branchless_floor(&self.anchors[base..base + size], &key))
     }
 
-    /// Arena slot of the segment responsible for `key`.
-    #[inline]
-    pub(crate) fn locate(&self, key: K) -> Option<usize> {
-        self.floor_index(key).map(|i| self.slots[i] as usize)
-    }
-
-    /// Arena slot at directory position `i` (for ordered walks).
-    #[inline]
-    pub(crate) fn slot_at(&self, i: usize) -> usize {
-        self.slots[i] as usize
-    }
-
-    /// Anchor key at directory position `i` — O(1), used by the tree's
-    /// debug assertions so they don't reintroduce per-mutation O(S)
-    /// walks in debug builds.
+    /// Anchor key at directory position `i`.
     #[inline]
     pub(crate) fn anchor_at(&self, i: usize) -> K {
         self.anchors[i]
     }
 
-    /// Slot of the last (largest-anchor) segment.
-    pub(crate) fn last_slot(&self) -> Option<usize> {
-        self.slots.last().map(|&s| s as usize)
-    }
-
-    /// Heap bytes of the two directory arrays.
+    /// Heap bytes of the anchor array.
     pub(crate) fn size_bytes(&self) -> usize {
         self.anchors.len() * std::mem::size_of::<K>()
-            + self.slots.len() * std::mem::size_of::<u32>()
-    }
-
-    /// Ordered `(anchor, slot)` view, for invariant checks.
-    pub(crate) fn entries(&self) -> impl Iterator<Item = (K, usize)> + '_ {
-        self.anchors
-            .iter()
-            .zip(&self.slots)
-            .map(|(&a, &s)| (a, s as usize))
     }
 
     /// Interpolation-seeded bracket `[base, base + size)` guaranteed to
@@ -275,16 +201,15 @@ mod tests {
 
     fn dir(anchors: &[u64]) -> FlatDirectory<u64> {
         let mut d = FlatDirectory::new();
-        d.rebuild(anchors.iter().enumerate().map(|(i, &a)| (a, i as u32)));
+        d.splice(0..0, anchors.iter().copied());
         d
     }
 
     #[test]
     fn empty_directory_locates_nothing() {
         let d: FlatDirectory<u64> = FlatDirectory::new();
-        assert_eq!(d.locate(5), None);
-        assert_eq!(d.last_slot(), None);
-        assert!(d.is_empty());
+        assert_eq!(d.floor_index(5), None);
+        assert_eq!(d.len(), 0);
     }
 
     #[test]
@@ -322,55 +247,31 @@ mod tests {
         // Identical projections (span 0) must fall back to the unseeded
         // bracket instead of dividing by zero.
         let anchors: Vec<u64> = (0..100).collect();
-        let mut d = FlatDirectory::new();
-        d.rebuild(anchors.iter().map(|&a| (a, a as u32)));
+        let mut d = dir(&anchors);
         assert!(d.inv_span != 0.0);
-        // A rebuild with a single anchor resets the seed state.
-        d.rebuild([(7u64, 3u32)]);
+        // A splice down to a single anchor resets the seed state.
+        d.splice(0..100, [7u64]);
         assert_eq!(d.inv_span, 0.0);
-        assert_eq!(d.locate(100), Some(3));
-        assert_eq!(d.locate(0), Some(3));
-    }
-
-    #[test]
-    fn slots_follow_arena_not_position() {
-        let mut d = FlatDirectory::new();
-        d.rebuild([(10u64, 5u32), (20, 0), (30, 9)]);
-        assert_eq!(d.locate(25), Some(0));
-        assert_eq!(d.locate(9), Some(5)); // first-segment fallback
-        assert_eq!(d.last_slot(), Some(9));
-        assert_eq!(d.slot_at(2), 9);
-        assert_eq!(
-            d.entries().collect::<Vec<_>>(),
-            vec![(10, 5), (20, 0), (30, 9)]
-        );
+        assert_eq!(d.floor_index(100), Some(0));
+        assert_eq!(d.floor_index(0), Some(0)); // first-segment fallback
     }
 
     #[test]
     fn splice_insert_remove_replace_match_rebuild() {
         let mut d = dir(&[10, 20, 30, 40]);
         // Insert in the middle.
-        d.splice(2..2, &[(25, 7)]);
-        assert_eq!(
-            d.entries().collect::<Vec<_>>(),
-            vec![(10, 0), (20, 1), (25, 7), (30, 2), (40, 3)]
-        );
+        d.splice(2..2, [25]);
+        assert_eq!(d.anchors, [10, 20, 25, 30, 40]);
         // Replace one entry with two.
-        d.splice(1..2, &[(18, 8), (22, 9)]);
-        assert_eq!(
-            d.entries().collect::<Vec<_>>(),
-            vec![(10, 0), (18, 8), (22, 9), (25, 7), (30, 2), (40, 3)]
-        );
+        d.splice(1..2, [18, 22]);
+        assert_eq!(d.anchors, [10, 18, 22, 25, 30, 40]);
         // Remove a window.
-        d.splice(1..4, &[]);
-        assert_eq!(
-            d.entries().collect::<Vec<_>>(),
-            vec![(10, 0), (30, 2), (40, 3)]
-        );
+        d.splice(1..4, []);
+        assert_eq!(d.anchors, [10, 30, 40]);
         // Append splice.
         let n = d.len();
-        d.splice(n..n, &[(50, 4)]);
-        assert_eq!(d.last_slot(), Some(4));
+        d.splice(n..n, [50]);
+        assert_eq!(d.anchor_at(3), 50);
         for key in [0u64, 10, 29, 30, 45, 50, 99] {
             let want = [10u64, 30, 40, 50]
                 .iter()
@@ -393,13 +294,10 @@ mod tests {
             state
         };
         for case in 0..60u64 {
-            // Model: a sorted set of (anchor, slot) entries.
+            // Model: a sorted set of anchors.
             let start_n = (rng() % 200) as usize;
-            let mut model: Vec<(u64, u32)> = (0..start_n as u64)
-                .map(|i| (i * 1_000 + 500, rng() as u32))
-                .collect();
-            let mut d = FlatDirectory::new();
-            d.rebuild(model.iter().copied());
+            let mut model: Vec<u64> = (0..start_n as u64).map(|i| i * 1_000 + 500).collect();
+            let mut d = dir(&model);
             for _step in 0..40 {
                 let lo = if model.is_empty() {
                     0
@@ -408,83 +306,70 @@ mod tests {
                 };
                 let hi = (lo + (rng() as usize) % 4).min(model.len());
                 // Replacement anchors strictly inside the hole's key gap.
-                let gap_lo = if lo == 0 { 0 } else { model[lo - 1].0 + 1 };
+                let gap_lo = if lo == 0 { 0 } else { model[lo - 1] + 1 };
                 let gap_hi = if hi == model.len() {
                     gap_lo + 1_000_000
                 } else {
-                    model[hi].0
+                    model[hi]
                 };
                 let room = gap_hi.saturating_sub(gap_lo);
                 let count = (rng() % 4).min(room) as usize;
-                let repl: Vec<(u64, u32)> = (0..count as u64)
-                    .map(|i| {
-                        (
-                            gap_lo + i * (room / count.max(1) as u64).max(1),
-                            rng() as u32,
-                        )
-                    })
+                let repl: Vec<u64> = (0..count as u64)
+                    .map(|i| gap_lo + i * (room / count.max(1) as u64).max(1))
                     .collect();
                 // Skip degenerate replacements that would collide.
-                if repl.windows(2).any(|w| w[0].0 >= w[1].0)
-                    || repl.last().is_some_and(|&(a, _)| a >= gap_hi)
+                if repl.windows(2).any(|w| w[0] >= w[1])
+                    || repl.last().is_some_and(|&a| a >= gap_hi)
                 {
                     continue;
                 }
                 model.splice(lo..hi, repl.iter().copied());
-                d.splice(lo..hi, &repl);
+                d.splice(lo..hi, repl);
 
-                // Oracle: a from-scratch rebuild of the same entries.
-                let mut oracle = FlatDirectory::new();
-                oracle.rebuild(model.iter().copied());
+                // Oracle: a from-scratch build of the same anchors.
+                let oracle = dir(&model);
+                assert_eq!(d.anchors, oracle.anchors, "case {case} anchors diverged");
                 assert_eq!(
-                    d.entries().collect::<Vec<_>>(),
-                    oracle.entries().collect::<Vec<_>>(),
-                    "case {case} entries diverged"
+                    (d.min_f.to_bits(), d.inv_span.to_bits()),
+                    (oracle.min_f.to_bits(), oracle.inv_span.to_bits()),
+                    "case {case} seed diverged"
                 );
-                // Every floor query agrees with both the oracle and a
-                // linear scan of the model.
-                let mut probes: Vec<u64> = model.iter().map(|&(a, _)| a).collect();
-                probes.extend(model.iter().map(|&(a, _)| a.saturating_sub(1)));
-                probes.extend(model.iter().map(|&(a, _)| a + 1));
+                // Every floor query agrees with a linear scan of the model.
+                let mut probes: Vec<u64> = model.clone();
+                probes.extend(model.iter().map(|a| a.saturating_sub(1)));
+                probes.extend(model.iter().map(|a| a + 1));
                 probes.push(0);
                 probes.push(u64::MAX);
                 for key in probes {
-                    let want = model.iter().rposition(|&(a, _)| a <= key).unwrap_or(0);
+                    let want = model.iter().rposition(|&a| a <= key).unwrap_or(0);
                     let want = (!model.is_empty()).then_some(want);
                     assert_eq!(d.floor_index(key), want, "case {case} key {key}");
-                    assert_eq!(oracle.floor_index(key), want, "case {case} oracle {key}");
                 }
             }
         }
     }
 
     #[test]
-    fn split_off_partitions_and_reseeds() {
+    fn cutting_off_a_tail_reseeds() {
         let anchors: Vec<u64> = (0..300u64).map(|i| i * 17 + 3).collect();
         let mut d = dir(&anchors);
-        let upper = {
-            let mut d = d.clone();
-            let u = d.split_off(120);
-            assert_eq!(d.len(), 120);
-            assert_eq!(u.len(), 180);
-            // Both sides answer floor queries as if rebuilt fresh.
-            for key in (0..6_000u64).step_by(7) {
-                let want = anchors[..120].iter().rposition(|&a| a <= key).unwrap_or(0);
-                assert_eq!(d.floor_index(key), Some(want), "lower {key}");
-                let want = anchors[120..].iter().rposition(|&a| a <= key).unwrap_or(0);
-                assert_eq!(u.floor_index(key), Some(want), "upper {key}");
-            }
-            u
-        };
-        // Degenerate splits.
-        let all = d.split_off(0);
-        assert!(d.is_empty());
-        assert_eq!(all.len(), 300);
-        let mut d2 = all;
-        let none = d2.split_off(300);
-        assert!(none.is_empty());
-        assert_eq!(d2.len(), 300);
-        drop(upper);
+        d.splice(120..300, []);
+        assert_eq!(d.len(), 120);
+        // Answers floor queries as if built fresh from what is left.
+        for key in (0..6_000u64).step_by(7) {
+            let want = anchors[..120].iter().rposition(|&a| a <= key).unwrap_or(0);
+            assert_eq!(d.floor_index(key), Some(want), "key {key}");
+        }
+        assert_eq!(
+            d.inv_span.to_bits(),
+            dir(&anchors[..120]).inv_span.to_bits()
+        );
+        // Degenerate cuts.
+        d.splice(120..120, []);
+        assert_eq!(d.len(), 120);
+        d.splice(0..120, []);
+        assert_eq!(d.len(), 0);
+        assert_eq!(d.floor_index(0), None);
     }
 
     #[test]

@@ -7,11 +7,12 @@
 //! A FITing-Tree indexes a sorted attribute by approximating the key →
 //! position function with variable-sized *linear segments* instead of
 //! indexing every key. Each segment stores only its start key, slope,
-//! and a pointer to the underlying page. The **flat SoA directory** of
-//! anchor keys is the *only* directory structure: lookups locate their
+//! and a pointer to the underlying page. The **flat directory** — one
+//! dense array of anchor keys, with a pointer to each segment beside it
+//! in the same order — is the *only* directory structure: lookups locate their
 //! segment there (interpolation-seeded, branchless bounded search — no
 //! pointer chasing), and structural mutations splice the affected
-//! window of the same arrays in place (there is no B+ tree directory;
+//! window of both arrays in place (there is no B+ tree directory;
 //! `crates/btree` is a benchmark baseline only). A lookup therefore
 //! costs
 //!
@@ -24,7 +25,7 @@
 //! ```
 //!
 //! In cache misses rather than comparisons: directory search →
-//! `slots[i]` + segment header → {key window ∥ value window}. The
+//! `segments[i]` + segment header → {key window ∥ value window}. The
 //! model bounds the slot before a page byte is read, so the window's
 //! value lines are requested together with its key lines and a lookup
 //! pays one DRAM round trip per page, not two (`segment.rs`). A page is
@@ -50,12 +51,12 @@
 //!   → fastest index).
 //!
 //! Every structure here implements the crate-neutral
-//! [`SortedIndex`] trait from `fiting-index-api` (re-exported below),
-//! the interface the benchmark harness and the conformance suite
-//! drive — and the one the layers above plug into: for shared,
-//! multi-threaded use (an extension; the paper's evaluation is
-//! single-threaded per core) wrap [`FitingTree`] shards in
-//! [`ShardedIndex`]`<K, V, FitingTree<K, V>>`, and put
+//! [`fiting_index_api::SortedIndex`] trait, the interface the benchmark
+//! harness and the conformance suite drive — and the one the layers
+//! above plug into: for shared, multi-threaded use (an extension; the
+//! paper's evaluation is single-threaded per core) wrap [`FitingTree`]
+//! shards in [`fiting_index_api::ShardedIndex`]`<K, V, FitingTree<K, V>>`,
+//! and put
 //! `fiting_index_service::IndexService` over that for a batching,
 //! backpressured command pipeline. Neither is a dependency of this
 //! crate.
@@ -99,17 +100,20 @@ mod stats;
 pub use builder::FitingTreeBuilder;
 pub use clustered::FitingTree;
 pub use error::{AbsorbError, BuildError};
-pub use fiting_index_api::{BuildableIndex, DynSortedIndex, ShardedIndex, SortedIndex};
 pub use key::{Key, OrderedF64};
 pub use range::RangeIter;
 pub use secondary::{RowId, SecondaryIndex};
 pub use stats::{FitingTreeStats, LookupTrace};
 
-/// Index bytes one segment costs for keys of `key_bytes`: its
-/// directory anchor and `u32` arena slot, plus the 24 B of metadata the
-/// paper charges in its size model (Section 6.2: start key + slope +
-/// page pointer, 8 B each). Both `FitingTree::index_size_bytes` and the
-/// cost model's size estimate are this times a segment count.
+/// Index bytes one segment costs for keys of `key_bytes`: the fields
+/// the paper charges in its size model (Section 6.2: start key, slope
+/// and page pointer) and the pointer that reaches them. The start key is
+/// the directory anchor, `key_bytes`; the slope, the page pointer and
+/// the directory's pointer to the boxed segment are 8 B each. The
+/// segment's own copy of its start key is a lookup cache, like its
+/// `f64` projection, and is not charged. Both
+/// `FitingTree::index_size_bytes` and the cost model's size estimate
+/// are this times a segment count.
 pub(crate) const fn segment_bytes(key_bytes: usize) -> usize {
-    key_bytes + std::mem::size_of::<u32>() + 24
+    key_bytes + 24
 }

@@ -3,7 +3,7 @@
 //! A range query locates the segment covering the range start through
 //! the **flat segment directory** (the same interpolation-seeded
 //! branchless search the point path uses — no B+ tree descent), then
-//! sweeps segments in key order by walking the dense directory arrays.
+//! sweeps the segments in key order — they are kept in directory order.
 //!
 //! Within a segment the page and the insert buffer are two sorted
 //! runs, and the scan is **one run cursor** over them. Opening a
@@ -99,9 +99,7 @@ impl<'a, K: Key, V> RangeIter<'a, K, V> {
             self.seg = None;
             return;
         }
-        let seg = self.tree.segments[dir.slot_at(self.next_pos)]
-            .as_ref()
-            .expect("directory points at live segment");
+        let seg = &self.tree.segments[self.next_pos];
         self.next_pos += 1;
         let (di, bi) = start.map_or((0, 0), |(s, through)| seg.cut(s, through));
         // The directory routes every key of this segment below the next
@@ -408,8 +406,8 @@ mod tests {
         // wrong: a segment anchor (the compare's own operand) and the key
         // below it, a tombstoned key, a buffered key — each `Included`
         // and `Excluded`, each also as the start.
-        let anchors: Vec<u64> = t.dir.entries().map(|(anchor, _)| anchor).collect();
-        let buffered = t.segments.iter().flatten().flat_map(|seg| &seg.buffer);
+        let anchors: Vec<u64> = t.segments.iter().map(|seg| seg.start_key).collect();
+        let buffered = t.segments.iter().flat_map(|seg| &seg.buffer);
         let buffered: Vec<u64> = buffered.map(|&(k, _)| k).collect();
         assert!(anchors.len() > 20 && buffered.len() > 50 && doomed.len() > 400);
         let ends: Vec<u64> = (anchors.iter())
@@ -441,9 +439,7 @@ mod tests {
         // 34 removes re-carve the middle page twice, down to six slots —
         // few enough to all die without another re-carve.
         let middle = |t: &FitingTree<u64, V>| {
-            let seg = t.segments[t.dir.locate(1_000_395).unwrap()]
-                .as_ref()
-                .unwrap();
+            let seg = &t.segments[t.dir.floor_index(1_000_395).unwrap()];
             (seg.keys().len(), seg.live_len(), seg.buffer.len())
         };
         for key in run(1_000_000, 34) {

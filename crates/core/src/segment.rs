@@ -11,7 +11,7 @@
 //! predicts within `seg_error` is pushed onto the page tail in O(1)
 //! (the paper's in-place insert strategy, for the case that shifts
 //! nothing); every other new key goes to the buffer. A full buffer (or
-//! tombstone pressure) ends the segment: [`Segment::into_merged_run`]
+//! tombstone pressure) ends the segment: [`Segment::take_merged_run`]
 //! hands page ⨝ buffer over as one sorted run — moved by runs of live
 //! slots, not entry by entry — and the tree makes the next page or
 //! pages from it, re-fitted under the run's endpoint line where the
@@ -41,7 +41,7 @@
 //!
 //! # Miss budget of a point lookup
 //!
-//! directory search → `slots[i]` + this header → the column header
+//! directory search → `segments[i]` + this header → the column header
 //! (one line every page of the column shares, so it stays cached) →
 //! {key window ∥ value window}. The model bounds the slot to `[lo, hi]`
 //! before a page byte is read, so every cache line of `keys[lo..=hi]`
@@ -225,16 +225,20 @@ impl<K: Copy, V: Clone> Page<K, V> {
         self.len += 1;
     }
 
-    /// The window as a run: the column's own arrays, moved out, when
-    /// the page owns the whole of it; a copy otherwise.
-    fn into_run(mut self) -> Run<K, V> {
-        if self.is_whole() {
-            match Arc::try_unwrap(self.column) {
-                Ok(column) => return (column.keys, column.values),
-                Err(shared) => self.column = shared,
-            }
-        }
-        (self.keys().to_vec(), self.values().to_vec())
+    /// Takes the window out as a run, leaving the page empty: the
+    /// column's own arrays, moved out, when the page owns the whole of
+    /// it; a copy otherwise.
+    fn take_run(&mut self) -> Run<K, V> {
+        let whole = self.is_whole();
+        let run = match Arc::get_mut(&mut self.column) {
+            Some(column) if whole => (
+                std::mem::take(&mut column.keys),
+                std::mem::take(&mut column.values),
+            ),
+            _ => (self.keys().to_vec(), self.values().to_vec()),
+        };
+        (self.start, self.len) = (0, 0);
+        run
     }
 }
 
@@ -689,29 +693,35 @@ impl<K: Key, V: Clone> Segment<K, V> {
         None
     }
 
-    /// The live page entries merged with the buffer — one sorted run, as
-    /// the parallel arrays a new page adopts — consuming the segment
-    /// (the first step of the paper's Algorithm 4 split). The merge
-    /// copies runs, not entries: the live slots between two buffered
-    /// keys, and between tombstones, are copied as slices. Tombstones
-    /// are dropped here; a page with neither hands its column over
-    /// when it owns the whole of it.
-    pub(crate) fn into_merged_run(mut self) -> Run<K, V> {
-        if self.buffer.is_empty() && self.removed == 0 {
-            return self.page.into_run();
-        }
-        let len = self.len();
-        let mut run = (Vec::with_capacity(len), Vec::with_capacity(len));
-        let mut from = 0;
-        for (key, value) in std::mem::take(&mut self.buffer) {
-            // The page slots below the next buffered key, then that key.
-            let stop = self.lower_bound(key);
-            self.extend_live(from, stop, &mut run);
-            run.0.push(key);
-            run.1.push(value);
-            from = stop;
-        }
-        self.extend_live(from, self.page.len, &mut run);
+    /// Takes the live page entries merged with the buffer out — one
+    /// sorted run, as the parallel arrays a new page adopts — leaving
+    /// the segment empty (the first step of the paper's Algorithm 4
+    /// split). The merge copies runs, not entries: the live slots
+    /// between two buffered keys, and between tombstones, are copied as
+    /// slices. Tombstones are dropped here; a page with neither hands
+    /// its column over when it owns the whole of it.
+    pub(crate) fn take_merged_run(&mut self) -> Run<K, V> {
+        let buffer = std::mem::take(&mut self.buffer);
+        let run = if buffer.is_empty() && self.removed == 0 {
+            self.page.take_run()
+        } else {
+            let len = self.len() + buffer.len();
+            let mut run = (Vec::with_capacity(len), Vec::with_capacity(len));
+            let mut from = 0;
+            for (key, value) in buffer {
+                // The page slots below the next buffered key, then that key.
+                let stop = self.lower_bound(key);
+                self.extend_live(from, stop, &mut run);
+                run.0.push(key);
+                run.1.push(value);
+                from = stop;
+            }
+            self.extend_live(from, self.page.len, &mut run);
+            run
+        };
+        self.page.len = 0;
+        self.dead.clear();
+        self.removed = 0;
         run
     }
 
@@ -1097,7 +1107,7 @@ mod tests {
         s.insert(1000, 9, 1); // bends past ±1: buffered
         s.remove(30, 1);
         assert_eq!(s.buffer.len(), 3);
-        let (keys, values) = s.into_merged_run();
+        let (keys, values) = s.take_merged_run();
         assert_eq!(keys, vec![5, 10, 20, 50, 1000]);
         assert_eq!(values, vec![0, 100, 2, 500, 9]);
     }
@@ -1126,12 +1136,12 @@ mod tests {
             .chain(buffered.map(|k| (k, k + 1)))
             .collect();
         want.sort_unstable();
-        let (keys, values) = s.into_merged_run();
+        let (keys, values) = s.take_merged_run();
         assert_eq!(keys.into_iter().zip(values).collect::<Vec<_>>(), want);
         // Nothing to merge: the page's own arrays are the run, moved.
-        let s = seg(&page);
+        let mut s = seg(&page);
         let at = (s.keys().as_ptr(), s.values().as_ptr());
-        let (keys, values) = s.into_merged_run();
+        let (keys, values) = s.take_merged_run();
         assert_eq!((keys.as_ptr(), values.as_ptr()), at);
         assert_eq!(keys, page);
     }
@@ -1191,14 +1201,14 @@ mod tests {
         assert!(a.keys().iter().copied().eq((0..100).map(|i| i * 10)));
 
         // A shared window's run is a copy; the column stays whole.
-        let [a, b] = two_windows();
-        let (keys, values) = b.into_merged_run();
+        let [mut a, mut b] = two_windows();
+        let (keys, values) = b.take_merged_run();
         assert!(keys.iter().copied().eq((100..200).map(|i| i * 10)));
         assert_eq!(values[0], 1_001);
         assert!(a.values().iter().copied().eq((0..100).map(|i| i * 10 + 1)));
         a.check_invariants(1, 0).unwrap();
         // The last page left on a column is still only a window of it.
-        let (keys, values) = a.into_merged_run();
+        let (keys, values) = a.take_merged_run();
         assert!(keys.iter().copied().eq((0..100).map(|i| i * 10)));
         assert_eq!(values.len(), 100);
     }

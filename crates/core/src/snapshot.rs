@@ -283,15 +283,7 @@ pub fn encode_tree_into<K: Key, V: Key, E>(
     tree: &FitingTree<K, V>,
     sink: impl FnMut(&[u8]) -> Result<(), E>,
 ) -> Result<usize, E> {
-    let pages: Vec<_> = tree
-        .dir
-        .entries()
-        .map(|(_, slot)| {
-            tree.segments[slot]
-                .as_ref()
-                .expect("directory entries name live arena slots")
-        })
-        .collect();
+    let pages = &tree.segments;
     let slots: usize = pages.iter().map(|seg| seg.keys().len()).sum();
     let pair = K::ENCODED_LEN + V::ENCODED_LEN;
     let sparse: usize = pages
@@ -710,11 +702,7 @@ mod tests {
     /// The image, each section gathered whole first: the byte-for-byte
     /// reference for the streaming encoder.
     fn whole_image<K: Key, V: Key>(tree: &FitingTree<K, V>) -> Vec<u8> {
-        let pages: Vec<_> = tree
-            .dir
-            .entries()
-            .map(|(_, slot)| tree.segments[slot].as_ref().unwrap())
-            .collect();
+        let pages = &tree.segments;
         let counts = [
             tree.error,
             tree.buffer_size,
@@ -779,7 +767,7 @@ mod tests {
             .bulk_load(keys.map(|k| (k, k ^ 0x5A5A)))
             .unwrap();
         assert!(large.segment_count() > 10);
-        let widest = large.segments.iter().flatten().map(|s| s.keys().len());
+        let widest = large.segments.iter().map(|s| s.keys().len());
         assert!(widest.max().unwrap() * 8 > SNAPSHOT_CHUNK);
 
         for (name, tree) in [("dirty", &dirty), ("empty", &empty), ("large", &large)] {
@@ -1012,7 +1000,7 @@ mod tests {
         );
         assert_eq!(back.len(), tree.len());
         assert!(back.range(..).eq(tree.range(..)));
-        let mut pages = back.segments.iter().flatten();
+        let mut pages = back.segments.iter();
         if let Some(first) = pages.next() {
             assert!(pages.all(|page| page.shares_column(first)));
         }

@@ -7,7 +7,7 @@ pub struct FitingTreeStats {
     pub len: usize,
     /// Live segments (variable-sized pages).
     pub segment_count: usize,
-    /// Bytes of the flat segment directory (anchor + slot arrays) —
+    /// Bytes of the flat segment directory (the anchor array) —
     /// since the mutation-side B+ tree was retired, the *only*
     /// directory structure, searched by lookups and spliced by
     /// structural mutations.
@@ -28,8 +28,8 @@ pub struct FitingTreeStats {
     /// (a 1 → 1 replace that shifts no tail), so splices ÷ inserts
     /// keeps counting re-segmentation *events* however cheap each is.
     pub directory_splices: u64,
-    /// Cumulative `(anchor, slot)` entries written by those splices
-    /// (the "moved segments" side of the O(moved + shift) splice cost).
+    /// Cumulative segments written by those splices (the "moved
+    /// segments" side of the O(moved + shift) splice cost).
     pub directory_splice_entries: u64,
     /// Cumulative new keys pushed onto a page tail in place (the
     /// paper's in-place insert strategy) instead of being buffered.

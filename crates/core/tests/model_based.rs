@@ -20,7 +20,8 @@ fn keys(rng: &mut StdRng, max: usize, modulo: u32) -> Vec<u32> {
 
 /// Bulk loads `keys`, then runs fewer than `max_ops` operations on keys
 /// below 4096 — inserts, removes, gets and ranges in the ratio
-/// 4 : 2 : 2 : 1 — checking each answer against a `BTreeMap`.
+/// 4 : 2 : 2 : 1 — checking each answer against a `BTreeMap`, and the
+/// tree's structural invariants every 64th operation and at the end.
 fn run_against_model(
     seed: u64,
     rng: &mut StdRng,
@@ -39,7 +40,7 @@ fn run_against_model(
     let mut tree = builder.bulk_load(pairs.clone()).unwrap();
     let mut model: BTreeMap<u32, u32> = pairs.into_iter().collect();
 
-    for _ in 0..rng.gen_range(0..max_ops) {
+    for op in 0..rng.gen_range(0..max_ops) {
         let k = rng.gen_range(0..4096);
         match rng.gen_range(0..9) {
             0..=3 => {
@@ -58,6 +59,10 @@ fn run_against_model(
             }
         }
         assert_eq!(tree.len(), model.len(), "seed {seed}");
+        if op % 64 == 63 {
+            tree.check_invariants()
+                .unwrap_or_else(|e| panic!("seed {seed}, op {op}: {e}"));
+        }
     }
     tree.check_invariants()
         .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
