@@ -403,10 +403,11 @@ fn rule_ordering_justification(path: &str, cf: &CleanFile) -> Vec<Finding> {
 
 /// Modules where a panic either strands queued tickets (worker thread)
 /// or poisons a shard lock under reader traffic (sharded hot path).
-const HOT_PATH_MODULES: [&str; 4] = [
+const HOT_PATH_MODULES: [&str; 5] = [
     "index-service/src/worker.rs",
     "index-service/src/queue.rs",
     "index-service/src/client.rs",
+    "index-service/src/telemetry.rs",
     "index-api/src/sharded.rs",
 ];
 
@@ -644,14 +645,17 @@ fn rule_storage_io_unwrap(path: &str, cf: &CleanFile) -> Vec<Finding> {
 /// acquisitions; a `.read()` guard creeping back into these modules
 /// silently re-introduces reader/writer blocking that no functional
 /// test would catch.
-const READER_HOT_PATH_MODULES: [&str; 2] =
-    ["index-api/src/sharded.rs", "index-service/src/worker.rs"];
+const READER_HOT_PATH_MODULES: [&str; 3] = [
+    "index-api/src/sharded.rs",
+    "index-service/src/worker.rs",
+    "index-service/src/telemetry.rs",
+];
 
 /// Whole crates on the wait-free read path. The telemetry crate's
-/// recording surface (`Counter::add`, `Histogram::record`, the armed
-/// completers) is called *from* the reader/worker hot paths, so the
-/// same no-read-guard discipline applies to every module in it —
-/// readout may lock, recording may not.
+/// recording surface (`Counter::add`, `Histogram::record`) is called
+/// *from* the reader/worker hot paths, so the same no-read-guard
+/// discipline applies to every module in it — readout may lock,
+/// recording may not.
 const READER_HOT_PATH_CRATES: [&str; 1] = ["crates/telemetry/src/"];
 
 /// No `RwLock`-style `.read()` guard acquisition in reader hot-path
@@ -940,6 +944,12 @@ fn bump(&self) {
         let f = check_file("crates/index-service/src/worker.rs", bad, &allow);
         assert!(!rules_of(&f).contains(&"hot-path-panic"), "{f:?}");
 
+        // The service's recording sites are covered too: `submit` and
+        // the worker call into them on every command.
+        let unwrap = "fn note(&self) {\n    self.slot().unwrap();\n}\n";
+        let f = check_file("crates/index-service/src/telemetry.rs", unwrap, &[]);
+        assert!(rules_of(&f).contains(&"hot-path-panic"), "{f:?}");
+
         // Outside the hot-path module list the rule does not apply.
         let f = check_file("crates/index-service/src/stats.rs", bad, &[]);
         assert!(!rules_of(&f).contains(&"hot-path-panic"), "{f:?}");
@@ -990,6 +1000,8 @@ fn bump(&self) {
         let f = check_file("crates/index-api/src/sharded.rs", bad, &[]);
         assert!(rules_of(&f).contains(&"reader-wait-free"), "{f:?}");
         let f = check_file("crates/index-service/src/worker.rs", bad, &[]);
+        assert!(rules_of(&f).contains(&"reader-wait-free"), "{f:?}");
+        let f = check_file("crates/index-service/src/telemetry.rs", bad, &[]);
         assert!(rules_of(&f).contains(&"reader-wait-free"), "{f:?}");
 
         // The wait-free closure form is the fixed shape.

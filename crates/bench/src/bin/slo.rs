@@ -54,9 +54,7 @@
 
 use fiting_bench::{env_usize, print_table};
 use fiting_index_api::ShardedIndex;
-use fiting_index_service::{
-    Command, Completer, IndexService, Outcome, ServiceConfig, TryPushError,
-};
+use fiting_index_service::{Command, Completer, IndexService, ServiceConfig, TryPushError};
 use fiting_telemetry::json::Json;
 use fiting_telemetry::Histogram;
 use fiting_tree::{FitingTree, FitingTreeBuilder};
@@ -245,8 +243,8 @@ fn open_loop(cfg: &Config, rate: f64, secs: f64) -> RatePoint {
                     // time at ticket resolution; a shed or canceled
                     // request still counts as resolved so the drain
                     // wait below terminates.
-                    let done = Completer::from_fn(move |outcome: Outcome<Option<u64>>| {
-                        if matches!(outcome, Outcome::Done(_)) {
+                    let done = Completer::<Option<u64>>::from_fn(move |result| {
+                        if result.is_ok() {
                             hist.record_duration(base.elapsed().saturating_sub(intended));
                             // ordering: Relaxed — monotonic progress
                             // counters read only after the generators

@@ -2,7 +2,7 @@
 
 use crate::clustered::FitingTree;
 use crate::error::BuildError;
-use crate::key::Key;
+use fiting_index_api::Key;
 
 /// Configures and constructs a [`FitingTree`].
 ///

@@ -15,11 +15,10 @@ use crate::builder::FitingTreeBuilder;
 use crate::cut::{chunks_for, cut, cut_pieces, PageCut};
 use crate::directory::FlatDirectory;
 use crate::error::{AbsorbError, BuildError};
-use crate::key::Key;
 use crate::range::RangeIter;
 use crate::segment::{advised, Column, Page, Run, Segment};
 use crate::stats::{FitingTreeStats, LookupTrace};
-use fiting_index_api::GiveBack;
+use fiting_index_api::{GiveBack, Key};
 use fiting_plr::Cone;
 use std::ops::{Range, RangeBounds};
 use std::time::Instant;

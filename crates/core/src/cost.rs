@@ -34,8 +34,8 @@
 //! log-log space. A tree of total error `e` segments at `e − e/2` (the
 //! buffer takes the rest), so that is where each sample is segmented.
 
-use crate::key::Key;
 use crate::segment::{CACHE_LINE, REQUEST_LINES};
+use fiting_index_api::Key;
 use fiting_plr::{Point, ShrinkingCone};
 
 /// Learned mapping from error threshold to segment count for one dataset.

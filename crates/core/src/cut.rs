@@ -20,8 +20,8 @@
 //!   linear keys, one page over everything) is cut again on the calling
 //!   thread, which costs about one sequential pass.
 
-use crate::key::Key;
 use crate::segment::measure_envelope;
+use fiting_index_api::Key;
 use fiting_plr::{Point, ShrinkingCone};
 use std::num::NonZeroUsize;
 use std::ops::Range;

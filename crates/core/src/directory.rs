@@ -33,7 +33,7 @@
 //! shift), one `memmove` each. `FitingTree::check_invariants` verifies
 //! the directory directly against the segment run.
 
-use crate::key::Key;
+use fiting_index_api::Key;
 
 /// Anchors below this count skip interpolation seeding: the floor
 /// kernel over one or two cache lines is already minimal.

@@ -90,7 +90,6 @@ pub mod cost;
 mod cut;
 mod directory;
 mod error;
-mod key;
 mod range;
 mod secondary;
 mod segment;
@@ -100,7 +99,7 @@ mod stats;
 pub use builder::FitingTreeBuilder;
 pub use clustered::FitingTree;
 pub use error::{AbsorbError, BuildError};
-pub use key::{Key, OrderedF64};
+pub use fiting_index_api::{Key, OrderedF64};
 pub use range::RangeIter;
 pub use secondary::{RowId, SecondaryIndex};
 pub use stats::{FitingTreeStats, LookupTrace};

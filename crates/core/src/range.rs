@@ -24,9 +24,9 @@
 //! reserves once per segment opened and copies each run as a slice.
 
 use crate::clustered::FitingTree;
-use crate::key::Key;
 use crate::segment::Segment;
 use fiting_index_api::clone_pair;
+use fiting_index_api::Key;
 use std::iter::Zip;
 use std::ops::Bound;
 use std::ops::RangeBounds;

@@ -17,8 +17,8 @@
 use crate::builder::FitingTreeBuilder;
 use crate::clustered::FitingTree;
 use crate::error::BuildError;
-use crate::key::Key;
 use crate::stats::FitingTreeStats;
+use fiting_index_api::Key;
 use std::ops::Bound;
 use std::ops::RangeBounds;
 
@@ -251,7 +251,7 @@ mod tests {
     fn composite_keys_are_send_and_sync() {
         fn key<K: Key>() {}
         key::<DupKey<u64>>();
-        key::<DupKey<crate::key::OrderedF64>>();
+        key::<DupKey<fiting_index_api::OrderedF64>>();
     }
 
     /// Maps-like data: heavy duplication.

@@ -66,7 +66,7 @@
 //! `removed` count still drives re-segmentation so pages don't
 //! accumulate dead slots forever.
 
-use crate::key::Key;
+use fiting_index_api::Key;
 use fiting_index_api::{advise_huge_pages, prefetch_read};
 use std::sync::Arc;
 

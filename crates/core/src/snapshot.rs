@@ -60,8 +60,8 @@
 use crate::clustered::{paginate, FitingTree};
 use crate::cut::{chunks_for, PageCut};
 use crate::error::BuildError;
-use crate::key::Key;
 use crate::segment::{advised, measure_envelope, Run};
+use fiting_index_api::Key;
 use std::thread;
 
 /// First eight bytes of every snapshot. Version `03`: a page table and
@@ -639,7 +639,7 @@ mod tests {
     use super::*;
     use crate::builder::FitingTreeBuilder;
     use crate::cut::MIN_KEYS_PER_THREAD;
-    use crate::key::OrderedF64;
+    use fiting_index_api::OrderedF64;
     use std::convert::Infallible;
 
     fn sample_tree(n: u64) -> FitingTree<u64, u64> {

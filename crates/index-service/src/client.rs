@@ -46,7 +46,7 @@
 use crate::command::Command;
 use crate::queue::{Closed, TryPushError};
 use crate::telemetry::Timed;
-use crate::ticket::{ticket, Completer, Outcome, Ticket};
+use crate::ticket::{ticket, CommandError, Completer, Ticket};
 use crate::ServiceShared;
 use fiting_index_api::{Key, SortedIndex};
 use fiting_sync::primitives::Mutex;
@@ -202,7 +202,7 @@ where
             let agg = Arc::clone(&agg);
             let cmd = Command::InsertMany {
                 batch: group,
-                done: Completer::from_fn(move |o| agg.resolve_one(o)),
+                done: Completer::from_fn(move |result| agg.resolve_one(result)),
             };
             // `route` sends a single-lane batch to `lane`; a Closed
             // rejection drops the sub-completer, canceling the
@@ -222,13 +222,14 @@ where
     }
 
     /// Whether the service has shut down (all further submissions
-    /// fail).
+    /// fail): every lane's queue is closed. A single poisoned lane
+    /// refuses only the commands routed to it.
     #[must_use]
     pub fn is_closed(&self) -> bool {
         self.shared
             .queues
-            .first()
-            .is_none_or(super::queue::BoundedQueue::is_closed)
+            .iter()
+            .all(super::queue::BoundedQueue::is_closed)
     }
 }
 
@@ -263,13 +264,13 @@ impl Aggregate {
         }
     }
 
-    fn resolve_one(&self, outcome: Outcome<usize>) {
+    fn resolve_one(&self, result: Result<usize, CommandError>) {
         let mut state = self.state.lock();
         state.pending -= 1;
-        match outcome {
-            Outcome::Done(n) => state.fresh += n,
-            Outcome::Canceled => state.canceled = true,
-            Outcome::Degraded => state.degraded = true,
+        match result {
+            Ok(n) => state.fresh += n,
+            Err(CommandError::Canceled) => state.canceled = true,
+            Err(CommandError::Degraded) => state.degraded = true,
         }
         if state.pending == 0 {
             let done = state.done.take().expect("aggregate resolves once");

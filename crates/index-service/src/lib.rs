@@ -87,7 +87,7 @@ pub use stats::{LaneHealth, LaneServiceStats, ServiceStats};
 // Re-exported so embedders can name what `metrics()` returns without
 // a separate fiting-telemetry import.
 pub use fiting_telemetry::MetricsSnapshot;
-pub use ticket::{ticket, CommandError, Completer, Outcome, Ticket};
+pub use ticket::{ticket, CommandError, Completer, Ticket};
 
 // Re-exported so service users can configure rebalancing without a
 // separate fiting-index-api import.
@@ -173,13 +173,14 @@ pub(crate) struct ServiceShared<K: Key, V: Clone, I: SortedIndex<K, V> + 'static
     /// service start, frozen so key → lane (and therefore per-key
     /// ordering) is stable while shard boundaries move underneath.
     pub(crate) router: Vec<K>,
-    /// Queue payloads carry their acceptance stamp so the worker can
-    /// measure queue wait and arm end-to-end recording at drain time.
+    /// Queue payloads carry their acceptance stamp, from which the
+    /// worker measures queue wait at drain and end-to-end latency at
+    /// ticket resolution.
     pub(crate) queues: Vec<BoundedQueue<Timed<Command<K, V>>>>,
     pub(crate) counters: Vec<WorkerCounters>,
     /// Per-kind latency histograms and submission counters; recording
     /// is a single relaxed atomic, shared by clients and workers.
-    pub(crate) telemetry: Arc<ServiceTelemetry>,
+    pub(crate) telemetry: ServiceTelemetry,
     /// Per-lane health words (see [`LaneHealth`]); each written only
     /// by its lane's worker, read by stats snapshots.
     pub(crate) lane_state: Vec<LaneState>,
@@ -400,7 +401,7 @@ where
                 .collect(),
             counters: (0..lanes).map(|_| WorkerCounters::default()).collect(),
             lane_state: (0..lanes).map(|_| LaneState::default()).collect(),
-            telemetry: Arc::new(ServiceTelemetry::new()),
+            telemetry: ServiceTelemetry::new(),
             checkpoint_failures: AtomicU64::new(0),
             max_lane_restarts,
             index,
@@ -743,6 +744,62 @@ mod tests {
             .and_then(fiting_telemetry::Json::as_f64)
             .is_some());
         let _ = svc.shutdown();
+    }
+
+    #[test]
+    fn every_kind_records_end_to_end_before_its_ticket_resolves() {
+        // Two lanes, so the `insert_many` below fans out into one
+        // sub-batch per lane, each its own command and sample.
+        let svc = start(1_000, 2, ServiceConfig::default());
+        let client = svc.client();
+        let e2e = |kind: &str| {
+            let name = format!("service.{kind}.end_to_end");
+            svc.metrics()
+                .histogram(&name)
+                .map(fiting_telemetry::HistogramSnapshot::count)
+        };
+        for round in 1..=20u64 {
+            // Read straight after each `wait()`: a sample recorded
+            // after the ticket resolved would be missing here.
+            assert_eq!(client.get(10).wait(), Ok(Some(5)));
+            assert_eq!(e2e("get"), Some(round));
+            assert_eq!(client.range(10..=14).wait().map(|v| v.len()), Ok(3));
+            assert_eq!(e2e("range"), Some(round));
+            assert_eq!(client.insert(11, round).wait(), Ok(None));
+            assert_eq!(e2e("insert"), Some(round));
+            assert_eq!(client.remove(11).wait(), Ok(Some(round)));
+            assert_eq!(e2e("remove"), Some(round));
+            let fresh = client.insert_many(vec![(1, round), (1_999, round)]);
+            assert_eq!(fresh.wait(), Ok(if round == 1 { 2 } else { 0 }));
+            assert_eq!(e2e("insert_many"), Some(2 * round));
+        }
+        // The same order without a race to win: a sink reads the
+        // count at the instant the worker resolves the ticket.
+        let shared = Arc::clone(&svc.shared);
+        let (seen_tx, seen) = std::sync::mpsc::channel();
+        let done = Completer::from_fn(move |result: Result<Option<u64>, CommandError>| {
+            let get = telemetry::CommandKind::Get;
+            let count = shared.telemetry.end_to_end(get).snapshot().count();
+            let _ = seen_tx.send((result, count));
+        });
+        client.submit(Command::Get { key: 10, done }).unwrap();
+        assert_eq!(seen.recv(), Ok((Ok(Some(5)), 21)));
+        let _ = svc.shutdown();
+    }
+
+    #[test]
+    fn is_closed_needs_every_lane_closed() {
+        let svc = start(100, 2, ServiceConfig::default());
+        let client = svc.client();
+        assert_eq!(client.lane_count(), 2);
+        // Lane 0 refuses from here on (as a poisoned lane does), while
+        // lane 1 still serves: the service is not closed.
+        svc.shared.queues[0].close();
+        assert!(!client.is_closed());
+        assert_eq!(client.get(0).wait(), Err(CommandError::Canceled));
+        assert_eq!(client.insert(199, 1).wait(), Ok(None));
+        let _ = svc.shutdown();
+        assert!(client.is_closed());
     }
 
     #[test]

@@ -9,17 +9,19 @@
 //! * **queue wait** — submission accepted → drained by the lane
 //!   worker. The submitter's hot path only stamps an [`Instant`] into
 //!   the queue payload ([`Timed`]); the measurement happens drain-side.
-//! * **execute** — one sample per *run*, the worker's coalescing
-//!   granularity: a maximal run of like commands executes as one
-//!   grouped index call, so per-command execute time is not separable.
-//!   The sample is attributed to the run's first command's kind (a
-//!   mixed `Insert`/`Remove` run lands under whichever came first).
+//! * **execute** — one sample per *run*, the worker's execution
+//!   granularity: a maximal run of point writes executes as one
+//!   grouped index call, so per-command execute time is not separable
+//!   there, and the sample is attributed to the run's first command's
+//!   kind (a mixed `Insert`/`Remove` run lands under whichever came
+//!   first). Every `Get`, `Range` and `InsertMany` is a run of its own.
 //! * **end-to-end** — submission accepted → ticket resolved, recorded
-//!   by a completer wrapper the worker installs at drain time from the
-//!   [`Timed`] stamp. Canceled outcomes are **not** recorded: a
-//!   canceled command's wall time measures teardown (shutdown, lane
-//!   poisoning), not service latency — cancellations surface through
-//!   the `service.panics` counter and the ticket error instead.
+//!   by the worker from the [`Timed`] stamp just before it resolves
+//!   the ticket. Canceled commands are **not** recorded: their
+//!   completers are dropped, never resolved by the worker, and their
+//!   wall time measures teardown (shutdown, lane poisoning), not
+//!   service latency — cancellations surface through the
+//!   `service.panics` counter and the ticket error instead.
 //!
 //! Submission counters ride along: accepted submissions and
 //! backpressure rejections
@@ -33,11 +35,8 @@
 //! metric catalog — name, type, unit, what a bad value looks like —
 //! lives in `docs/OBSERVABILITY.md`.
 
-use crate::command::Command;
 use crate::stats::ServiceStats;
-use crate::ticket::{Completer, Outcome};
 use fiting_telemetry::{Counter, Histogram, Metric, Unit};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// A command's shape as a dense index — the key for per-kind
@@ -166,7 +165,7 @@ impl ServiceTelemetry {
             ));
             out.push(Metric::histogram(
                 &format!("service.{k}.execute"),
-                "grouped index call, one sample per coalesced run",
+                "index call, one sample per coalesced write run or other command",
                 self.execute(kind).snapshot(),
             ));
             out.push(Metric::counter(
@@ -184,71 +183,6 @@ impl ServiceTelemetry {
         }
         out
     }
-}
-
-/// Records `timed`'s queue wait (against the drain-wide `now` stamp)
-/// and arms its completer to record end-to-end latency at resolution —
-/// the worker calls this once per drained command. The completer
-/// wrapper skips canceled outcomes (teardown, not latency) and
-/// forwards the resolution through [`Completer::resolve`] unchanged.
-pub(crate) fn observe_dequeue<K, V>(
-    telemetry: &Arc<ServiceTelemetry>,
-    timed: Timed<Command<K, V>>,
-    now: Instant,
-) -> Command<K, V>
-where
-    K: Send + 'static,
-    V: Send + 'static,
-{
-    let Timed { item, accepted } = timed;
-    let kind = item.command_kind();
-    telemetry
-        .queue_wait(kind)
-        .record_duration(now.saturating_duration_since(accepted));
-    match item {
-        Command::Get { key, done } => Command::Get {
-            key,
-            done: armed(telemetry, kind, accepted, done),
-        },
-        Command::Range { lo, hi, done } => Command::Range {
-            lo,
-            hi,
-            done: armed(telemetry, kind, accepted, done),
-        },
-        Command::Insert { key, value, done } => Command::Insert {
-            key,
-            value,
-            done: armed(telemetry, kind, accepted, done),
-        },
-        Command::Remove { key, done } => Command::Remove {
-            key,
-            done: armed(telemetry, kind, accepted, done),
-        },
-        Command::InsertMany { batch, done } => Command::InsertMany {
-            batch,
-            done: armed(telemetry, kind, accepted, done),
-        },
-    }
-}
-
-/// Wraps `done` so resolving it also records end-to-end latency from
-/// `accepted` — except for canceled outcomes, which pass through
-/// unrecorded.
-fn armed<T: Send + 'static>(
-    telemetry: &Arc<ServiceTelemetry>,
-    kind: CommandKind,
-    accepted: Instant,
-    done: Completer<T>,
-) -> Completer<T> {
-    let telemetry = Arc::clone(telemetry);
-    Completer::from_fn(move |outcome| {
-        if !matches!(outcome, Outcome::Canceled) {
-            telemetry
-                .end_to_end(kind)
-                .record_duration(accepted.elapsed());
-        }
-        done.resolve(outcome);
-    })
 }
 
 /// Translates a [`ServiceStats`] snapshot into typed metrics — the
@@ -302,7 +236,7 @@ pub(crate) fn stats_metrics(stats: &ServiceStats) -> Vec<Metric> {
         Metric::counter(
             "service.read_runs",
             Unit::Count,
-            "shard read sections entered for point reads (one per get)",
+            "point reads executed (one per get)",
             lane_sum(|l| l.read_runs),
         ),
         Metric::counter(
@@ -470,27 +404,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn armed_completer_records_except_on_cancel() {
-        let tel = Arc::new(ServiceTelemetry::new());
-        let (cmd, t) = Command::<u64, u64>::get(1);
-        let cmd = observe_dequeue(&tel, Timed::new(cmd), Instant::now());
-        let Command::Get { done, .. } = cmd else {
-            panic!("shape preserved");
-        };
-        done.complete(Some(9));
-        assert_eq!(t.wait(), Ok(Some(9)));
-        assert_eq!(tel.end_to_end(CommandKind::Get).snapshot().count(), 1);
-        assert_eq!(tel.queue_wait(CommandKind::Get).snapshot().count(), 1);
-
-        // A canceled command records queue wait but not end-to-end.
-        let (cmd, t) = Command::<u64, u64>::get(2);
-        let cmd = observe_dequeue(&tel, Timed::new(cmd), Instant::now());
-        drop(cmd);
-        assert!(t.wait().is_err());
-        assert_eq!(tel.end_to_end(CommandKind::Get).snapshot().count(), 1);
-        assert_eq!(tel.queue_wait(CommandKind::Get).snapshot().count(), 2);
     }
 }

@@ -53,32 +53,9 @@ impl std::fmt::Display for CommandError {
 
 impl std::error::Error for CommandError {}
 
-/// How a command resolved: with a value, canceled, or refused by a
-/// degraded shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Outcome<T> {
-    /// The command executed and produced `T`.
-    Done(T),
-    /// The command was dropped before executing.
-    Canceled,
-    /// The command was a write refused by a degraded read-only shard.
-    Degraded,
-}
-
-impl<T> Outcome<T> {
-    /// Converts into the `Result` form [`Ticket::wait`] returns.
-    pub(crate) fn into_result(self) -> Result<T, CommandError> {
-        match self {
-            Outcome::Done(v) => Ok(v),
-            Outcome::Canceled => Err(CommandError::Canceled),
-            Outcome::Degraded => Err(CommandError::Degraded),
-        }
-    }
-}
-
 enum State<T> {
     Pending,
-    Resolved(Outcome<T>),
+    Resolved(Result<T, CommandError>),
     Taken,
 }
 
@@ -88,13 +65,13 @@ struct Shared<T> {
 }
 
 impl<T> Shared<T> {
-    fn fulfill(&self, outcome: Outcome<T>) {
+    fn fulfill(&self, result: Result<T, CommandError>) {
         let mut state = self.state.lock();
         debug_assert!(
             matches!(*state, State::Pending),
             "a Completer resolves exactly once"
         );
-        *state = State::Resolved(outcome);
+        *state = State::Resolved(result);
         drop(state);
         self.resolved.notify_all();
     }
@@ -110,7 +87,7 @@ pub fn ticket<T: Send + 'static>() -> (Ticket<T>, Completer<T>) {
     let sink = Arc::clone(&shared);
     (
         Ticket { shared },
-        Completer::from_fn(move |outcome| sink.fulfill(outcome)),
+        Completer::from_fn(move |result| sink.fulfill(result)),
     )
 }
 
@@ -151,7 +128,7 @@ impl<T> Ticket<T> {
                 State::Pending => self.shared.resolved.wait(&mut state),
                 State::Taken => panic!("ticket value already taken"),
                 State::Resolved(_) => match std::mem::replace(&mut *state, State::Taken) {
-                    State::Resolved(outcome) => return outcome.into_result(),
+                    State::Resolved(result) => return result,
                     _ => unreachable!(),
                 },
             }
@@ -177,7 +154,7 @@ impl<T> Ticket<T> {
                 }
                 State::Taken => panic!("ticket value already taken"),
                 State::Resolved(_) => match std::mem::replace(&mut *state, State::Taken) {
-                    State::Resolved(outcome) => return Some(outcome.into_result()),
+                    State::Resolved(result) => return Some(result),
                     _ => unreachable!(),
                 },
             }
@@ -193,7 +170,7 @@ impl<T> std::fmt::Debug for Ticket<T> {
     }
 }
 
-type Sink<T> = Box<dyn FnOnce(Outcome<T>) + Send>;
+type Sink<T> = Box<dyn FnOnce(Result<T, CommandError>) + Send>;
 
 /// The pipeline's half: resolves the paired [`Ticket`] exactly once.
 ///
@@ -207,48 +184,47 @@ pub struct Completer<T> {
 
 impl<T> Completer<T> {
     /// Wraps an arbitrary one-shot sink. The sink is invoked exactly
-    /// once — with [`Outcome::Canceled`] if the completer is dropped
-    /// unresolved.
-    pub fn from_fn(sink: impl FnOnce(Outcome<T>) + Send + 'static) -> Self {
+    /// once — with `Err(`[`CommandError::Canceled`]`)` if the completer
+    /// is dropped unresolved.
+    pub fn from_fn(sink: impl FnOnce(Result<T, CommandError>) + Send + 'static) -> Self {
         Completer {
             sink: Some(Box::new(sink)),
         }
     }
 
-    /// Resolves the ticket with an already-shaped [`Outcome`] — the
-    /// forwarding primitive for completer *wrappers* (telemetry's
-    /// latency recorder, the client's `insert_many` fan-in) that pass
-    /// a resolution through unchanged.
-    pub fn resolve(mut self, outcome: Outcome<T>) {
+    /// Resolves the ticket with an already-shaped result — what the
+    /// worker and the client's `insert_many` fan-in hand on when the
+    /// value or the refusal is computed before the ticket resolves.
+    pub fn resolve(mut self, result: Result<T, CommandError>) {
         if let Some(sink) = self.sink.take() {
-            sink(outcome);
+            sink(result);
         }
     }
 
     /// Resolves the ticket with `value`.
     pub fn complete(self, value: T) {
-        self.resolve(Outcome::Done(value));
+        self.resolve(Ok(value));
     }
 
     /// Resolves the ticket as [`Canceled`](CommandError::Canceled)
     /// (same as dropping, but explicit at call sites that decline a
     /// command on purpose).
     pub(crate) fn cancel(self) {
-        self.resolve(Outcome::Canceled);
+        self.resolve(Err(CommandError::Canceled));
     }
 
     /// Resolves the ticket as [`Degraded`](CommandError::Degraded):
     /// the write was refused fast by a read-only shard, not lost in
     /// flight.
     pub fn degrade(self) {
-        self.resolve(Outcome::Degraded);
+        self.resolve(Err(CommandError::Degraded));
     }
 }
 
 impl<T> Drop for Completer<T> {
     fn drop(&mut self) {
         if let Some(sink) = self.sink.take() {
-            sink(Outcome::Canceled);
+            sink(Err(CommandError::Canceled));
         }
     }
 }
@@ -337,7 +313,7 @@ mod tests {
         let hits = Arc::new(AtomicU32::new(0));
         let sink = Arc::clone(&hits);
         let c = Completer::from_fn(move |o| {
-            if let Outcome::Done(v) = o {
+            if let Ok(v) = o {
                 sink.fetch_add(v, Ordering::SeqCst);
             }
         });

@@ -6,15 +6,16 @@
 //! guarantee (lane routing is frozen at service start, so a key's
 //! commands always share a lane even while the rebalancer moves shard
 //! boundaries underneath). Within one drained batch the worker groups
-//! maximal runs of like commands:
+//! maximal runs of point writes and executes everything else one
+//! command at a time:
 //!
 //! * a run of point writes (`Insert`/`Remove`) executes through
 //!   [`ShardedIndex::with_write_groups`] — **one** write-lock
 //!   acquisition per involved shard instead of one per op;
-//! * a run of point reads (`Get`) is answered one
-//!   [`ShardedIndex::get`] at a time — the read path is wait-free, so
-//!   there is no lock to amortize; the run only shares one `execute`
-//!   latency sample;
+//! * a `Get` is answered by one [`ShardedIndex::get`] — the read path
+//!   is wait-free, so there is no lock to amortize and reads are not
+//!   grouped; like a `Range`, each is its own run with its own
+//!   `execute` sample;
 //! * `InsertMany` goes through a single
 //!   [`ShardedIndex::insert_many_reporting`] call (cross-shard capable,
 //!   one lock per destination shard);
@@ -24,7 +25,9 @@
 //!
 //! All four paths revalidate against the routing table after entering
 //! each shard, so a concurrent split/merge re-routes rather than
-//! strands a command. Inserted keys are fed to the rebalancer's
+//! strands a command. Every ticket resolves through one helper that
+//! first records the command's end-to-end latency from its acceptance
+//! stamp. Inserted keys are fed to the rebalancer's
 //! [`WriteSampler`](fiting_index_api::WriteSampler) (when attached) so
 //! split boundaries track the live write distribution.
 //!
@@ -83,31 +86,61 @@
 
 use crate::command::Command;
 use crate::stats::LaneHealth;
-use crate::telemetry;
-use crate::ticket::Completer;
+use crate::telemetry::{CommandKind, ServiceTelemetry, Timed};
+use crate::ticket::{CommandError, Completer};
 use crate::ServiceShared;
-use fiting_index_api::{Key, SortedIndex};
+use fiting_index_api::{Degraded, Key, SortedIndex};
 use std::panic::AssertUnwindSafe;
 // ordering: worker counters are monotonic statistics — nothing reads
 // them to synchronize, so Relaxed is sufficient everywhere here.
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
-/// One point write travelling through a grouped run: what to do to the
-/// key, and the completer to resolve with the previous value.
-enum PointWrite<V> {
-    Put(V, Completer<Option<V>>),
-    Del(Completer<Option<V>>),
+/// One point write travelling through a grouped run: the new value
+/// (`None` removes the key), the completer to resolve with the
+/// previous value, and the command's acceptance stamp.
+struct PointWrite<V> {
+    put: Option<V>,
+    done: Completer<Option<V>>,
+    accepted: Instant,
 }
 
 /// Reshapes a point-write command for a grouped run; `None` for any
 /// other command shape (the callers only feed it point writes).
-fn as_point_write<K: Key, V: Clone>(cmd: Command<K, V>) -> Option<(K, PointWrite<V>)> {
-    match cmd {
-        Command::Insert { key, value, done } => Some((key, PointWrite::Put(value, done))),
-        Command::Remove { key, done } => Some((key, PointWrite::Del(done))),
-        _ => None,
-    }
+fn as_point_write<K, V>(timed: Timed<Command<K, V>>) -> Option<(K, PointWrite<V>)> {
+    let Timed { item, accepted } = timed;
+    let (key, put, done) = match item {
+        Command::Insert { key, value, done } => (key, Some(value), done),
+        Command::Remove { key, done } => (key, None, done),
+        _ => return None,
+    };
+    Some((
+        key,
+        PointWrite {
+            put,
+            done,
+            accepted,
+        },
+    ))
+}
+
+/// Resolves one command's ticket — the worker's only way to do so.
+/// The `service.{kind}.end_to_end` sample is recorded from the
+/// command's acceptance stamp *before* the ticket resolves, so it has
+/// landed by the time the submitter's `wait` returns. A completer
+/// dropped unresolved (a caught panic's unwind, lane teardown) never
+/// comes through here: a canceled command records nothing.
+fn resolve<T>(
+    telemetry: &ServiceTelemetry,
+    kind: CommandKind,
+    accepted: Instant,
+    done: Completer<T>,
+    result: Result<T, CommandError>,
+) {
+    telemetry
+        .end_to_end(kind)
+        .record_duration(accepted.elapsed());
+    done.resolve(result);
 }
 
 /// The body of lane `lane`'s worker thread.
@@ -130,22 +163,24 @@ where
             return;
         }
         // One timestamp for the whole drain: each command's queue wait
-        // is measured here (drain side), and its completer is armed to
-        // record end-to-end latency when the ticket resolves — the
-        // submitter's hot path only stamps.
+        // is measured here, drain side — the submitter's hot path only
+        // stamps.
         let now = Instant::now();
-        let batch: Vec<Command<K, V>> = drained
-            .into_iter()
-            .map(|timed| telemetry::observe_dequeue(&shared.telemetry, timed, now))
-            .collect();
-        shared.counters[lane].note_batch(batch.len());
-        let had_writes = batch.iter().any(Command::is_write);
+        let mut had_writes = false;
+        for timed in &drained {
+            had_writes |= timed.item.is_write();
+            shared
+                .telemetry
+                .queue_wait(timed.item.command_kind())
+                .record_duration(now.saturating_duration_since(timed.accepted));
+        }
+        shared.counters[lane].note_batch(drained.len());
         // Contain panics from the index structure (or a completer
         // sink): the unwind cancels the batch's unresolved tickets as
         // it drops them, and the lane is then poisoned below instead
         // of silently stranding its queue.
         let outcome =
-            std::panic::catch_unwind(AssertUnwindSafe(|| execute_batch(lane, shared, batch)));
+            std::panic::catch_unwind(AssertUnwindSafe(|| execute_batch(lane, shared, drained)));
         if outcome.is_err() {
             poison_lane(lane, shared);
             if !resurrect_lane(lane, shared) {
@@ -231,22 +266,31 @@ fn resurrect_lane<K: Key, V: Clone, I: SortedIndex<K, V> + 'static>(
 fn execute_batch<K: Key, V: Clone, I: SortedIndex<K, V> + 'static>(
     lane: usize,
     shared: &ServiceShared<K, V, I>,
-    batch: Vec<Command<K, V>>,
+    batch: Vec<Timed<Command<K, V>>>,
 ) {
     let counters = &shared.counters[lane];
+    let telemetry = &shared.telemetry;
     // ordering: Relaxed on every counter update in this function —
     // monotonic stats, read only by racy snapshots; ticket completion
     // (a mutex) orders the results themselves.
     let mut cmds = batch.into_iter().peekable();
-    while let Some(cmd) = cmds.next() {
-        // Execute time is recorded per *run* (the coalescing
-        // granularity — one grouped index call), attributed to the
+    while let Some(Timed { item, accepted }) = cmds.next() {
+        // Execute time is recorded per *run* — one index call, or one
+        // grouped call for a run of point writes, attributed to the
         // run's first command's kind.
-        let kind = cmd.command_kind();
+        let kind = item.command_kind();
         let run_started = Instant::now();
-        match cmd {
+        match item {
             Command::Range { lo, hi, done } => {
-                done.complete(shared.index.range_collect((lo, hi)));
+                let pairs = shared.index.range_collect((lo, hi));
+                resolve(telemetry, kind, accepted, done, Ok(pairs));
+            }
+            Command::Get { key, done } => {
+                // Straight off the wait-free read path: a steady-state
+                // `get` takes no lock, so there is nothing to amortize
+                // over a run of them.
+                counters.read_runs.fetch_add(1, Ordering::Relaxed);
+                resolve(telemetry, kind, accepted, done, Ok(shared.index.get(&key)));
             }
             Command::InsertMany { batch, done } => {
                 counters
@@ -257,8 +301,8 @@ fn execute_batch<K: Key, V: Clone, I: SortedIndex<K, V> + 'static>(
                     sampler.observe_all(batch.iter().map(|&(k, _)| k));
                 }
                 let (fresh, declined) = shared.index.insert_many_reporting(batch);
-                if declined == 0 {
-                    done.complete(fresh);
+                let result = if declined == 0 {
+                    Ok(fresh)
                 } else {
                     // Part of the batch hit a degraded shard. Report
                     // the refusal loudly; keys routed to healthy
@@ -267,32 +311,21 @@ fn execute_batch<K: Key, V: Clone, I: SortedIndex<K, V> + 'static>(
                     counters
                         .degraded_writes
                         .fetch_add(declined as u64, Ordering::Relaxed);
-                    done.degrade();
-                }
-            }
-            Command::Get { key, done } => {
-                // Maximal run of point reads, each answered straight
-                // off the wait-free read path (nothing to amortize: a
-                // steady-state `get` takes no lock); the run shares
-                // one `execute` sample.
-                done.complete(shared.index.get(&key));
-                let mut reads = 1u64;
-                while let Some(Command::Get { key, done }) =
-                    cmds.next_if(|next| matches!(next, Command::Get { .. }))
-                {
-                    done.complete(shared.index.get(&key));
-                    reads += 1;
-                }
-                counters.read_runs.fetch_add(reads, Ordering::Relaxed);
+                    Err(CommandError::Degraded)
+                };
+                resolve(telemetry, kind, accepted, done, result);
             }
             first @ (Command::Insert { .. } | Command::Remove { .. }) => {
                 // Maximal run of point writes: apply them all — in
                 // submission order per key, which grouping preserves —
                 // with one write-lock acquisition per involved shard.
                 let mut run: Vec<(K, PointWrite<V>)> = Vec::new();
-                run.extend(as_point_write(first));
+                run.extend(as_point_write(Timed {
+                    item: first,
+                    accepted,
+                }));
                 while matches!(
-                    cmds.peek(),
+                    cmds.peek().map(|next| &next.item),
                     Some(Command::Insert { .. } | Command::Remove { .. })
                 ) {
                     let Some(write) = cmds.next().and_then(as_point_write) else {
@@ -304,33 +337,26 @@ fn execute_batch<K: Key, V: Clone, I: SortedIndex<K, V> + 'static>(
                 if let Some(sampler) = &shared.sampler {
                     sampler.observe_all(
                         run.iter()
-                            .filter_map(|(k, w)| matches!(w, PointWrite::Put(..)).then_some(*k)),
+                            .filter_map(|(k, w)| w.put.is_some().then_some(*k)),
                     );
                 }
                 let mut declined = 0u64;
-                let locks = shared
-                    .index
-                    .with_write_groups(run, |idx, key, write| match write {
-                        // Fallible writes: a degraded read-only shard
-                        // refuses fast with a typed error instead of
-                        // panicking the worker; the ticket resolves
-                        // `Err(Degraded)` so the submitter knows the
-                        // write was declined, not lost.
-                        PointWrite::Put(value, done) => match idx.try_insert(key, value) {
-                            Ok(prev) => done.complete(prev),
-                            Err(fiting_index_api::Degraded) => {
-                                declined += 1;
-                                done.degrade();
-                            }
-                        },
-                        PointWrite::Del(done) => match idx.try_remove(&key) {
-                            Ok(prev) => done.complete(prev),
-                            Err(fiting_index_api::Degraded) => {
-                                declined += 1;
-                                done.degrade();
-                            }
-                        },
+                let locks = shared.index.with_write_groups(run, |idx, key, write| {
+                    // Fallible writes: a degraded read-only shard
+                    // refuses fast with a typed error instead of
+                    // panicking the worker; the ticket resolves
+                    // `Err(Degraded)` so the submitter knows the write
+                    // was declined, not lost.
+                    let (kind, applied) = match write.put {
+                        Some(value) => (CommandKind::Insert, idx.try_insert(key, value)),
+                        None => (CommandKind::Remove, idx.try_remove(&key)),
+                    };
+                    let result = applied.map_err(|Degraded| {
+                        declined += 1;
+                        CommandError::Degraded
                     });
+                    resolve(telemetry, kind, write.accepted, write.done, result);
+                });
                 counters
                     .write_runs
                     .fetch_add(locks as u64, Ordering::Relaxed);
@@ -346,8 +372,7 @@ fn execute_batch<K: Key, V: Clone, I: SortedIndex<K, V> + 'static>(
                 }
             }
         }
-        shared
-            .telemetry
+        telemetry
             .execute(kind)
             .record_duration(run_started.elapsed());
     }
@@ -373,7 +398,8 @@ mod tests {
         let (other, other_ticket) = Command::get(150);
         let (del, del_ticket) = Command::remove(7);
         let (gone, gone_ticket) = Command::get(7);
-        execute_batch(0, &svc.shared, vec![miss, put, hit, other, del, gone]);
+        let batch = [miss, put, hit, other, del, gone].map(Timed::new);
+        execute_batch(0, &svc.shared, batch.into());
         // Per-lane order: each read sees exactly the writes before it.
         assert_eq!(miss_ticket.wait(), Ok(None));
         assert_eq!(put_ticket.wait(), Ok(None));
@@ -381,13 +407,13 @@ mod tests {
         assert_eq!(other_ticket.wait(), Ok(Some(75)), "cross-shard read");
         assert_eq!(del_ticket.wait(), Ok(Some(70)));
         assert_eq!(gone_ticket.wait(), Ok(None));
-        // One read section per executed `Get`, one execute sample per
-        // run (get, insert, get+get, remove, get).
+        // One read section and one execute sample per executed `Get`;
+        // each point write here is a run of one.
         let lane = &svc.stats().lanes[0];
         assert_eq!(lane.read_runs, 4);
         assert_eq!(lane.write_runs, 2);
         let samples = |kind| svc.shared.telemetry.execute(kind).snapshot().count();
-        assert_eq!(samples(telemetry::CommandKind::Get), 3);
+        assert_eq!(samples(CommandKind::Get), 4);
         let _ = svc.shutdown();
     }
 }
