@@ -21,6 +21,7 @@ use crate::stats::{FitingTreeStats, LookupTrace};
 use fiting_index_api::{GiveBack, Key};
 use fiting_plr::Cone;
 use std::ops::{Range, RangeBounds};
+use std::sync::Arc;
 use std::time::Instant;
 use std::vec::Splice;
 
@@ -114,15 +115,22 @@ impl<K: Key, V> FitingTree<K, V> {
         let expected = iter.size_hint().0;
         let mut run: Run<K, V> = (advised(expected), advised(expected));
         run.extend(iter);
-        self.cut_and_load(run)
+        let len = run.0.len();
+        self.cut_and_load(run, &[len]).map(only)
     }
 
     /// [`bulk_load_sorted`](Self::bulk_load_sorted) from the caller's
     /// own `Vec`, copied into the column [`STEP`] bytes of input at a
-    /// time. After each step the input's consumed pages go back to the
-    /// kernel, so the load holds one copy of the data plus one step,
-    /// not two copies. Builds the same tree from the same pairs.
-    pub(crate) fn bulk_load_owned(self, sorted: Vec<(K, V)>) -> Result<Self, BuildError> {
+    /// time, and one tree per span of it (as
+    /// [`build_spans`](fiting_index_api::BuildableIndex::build_spans)
+    /// marks them by `ends`). After each step the input's consumed
+    /// pages go back to the kernel, so the load holds one copy of the
+    /// data plus one step, not two copies, however many spans it cuts.
+    pub(crate) fn bulk_load_owned(
+        self,
+        sorted: Vec<(K, V)>,
+        ends: &[usize],
+    ) -> Result<Vec<Self>, BuildError> {
         let step = (STEP / std::mem::size_of::<(K, V)>().max(1)).max(1);
         let mut run: Run<K, V> = (advised(sorted.len()), advised(sorted.len()));
         let mut input = GiveBack::new(sorted);
@@ -131,20 +139,37 @@ impl<K: Key, V> FitingTree<K, V> {
             input.give_back();
         }
         drop(input);
-        self.cut_and_load(run)
+        self.cut_and_load(run, ends)
     }
 
-    /// The tail both bulk loads share. ShrinkingCone cuts the column
-    /// into pages on every core, one chunk of at least
-    /// [`MIN_KEYS_PER_THREAD`](crate::cut::MIN_KEYS_PER_THREAD) keys a
-    /// thread, and the chunks are stitched back into the sequential cut
-    /// bit for bit ([`cut`]); a run that never resyncs is cut again on
-    /// this thread. One dense directory build over the segment anchors
-    /// ends the load.
-    fn cut_and_load(self, run: Run<K, V>) -> Result<Self, BuildError> {
-        let cuts = cut(self.seg_error, &run.0, chunks_for(run.0.len()))
-            .map_err(|at| BuildError::UnsortedInput { at })?;
-        Ok(self.load(paginate(run, cuts)))
+    /// The tail both bulk loads share: one tree per span of `run` that
+    /// `ends` marks, each span cut on its own, so a span end is a page
+    /// end and each tree is the one its span alone would load.
+    /// ShrinkingCone cuts a span into pages on every core, one chunk of
+    /// at least [`MIN_KEYS_PER_THREAD`](crate::cut::MIN_KEYS_PER_THREAD)
+    /// keys a thread, and the chunks are stitched back into the
+    /// sequential cut bit for bit ([`cut`]); a span that never resyncs
+    /// is cut again on this thread. Every tree's pages are windows of
+    /// the one column `run` becomes, and one dense directory build over
+    /// its segment anchors ends each tree's load. An unsorted slot is
+    /// named from the start of `run`, a span's first key checked
+    /// against the key before it too.
+    fn cut_and_load(self, run: Run<K, V>, ends: &[usize]) -> Result<Vec<Self>, BuildError> {
+        let column = Column::shared(run);
+        let keys = column.keys();
+        let mut trees = Vec::with_capacity(ends.len());
+        let mut start = 0;
+        for &end in ends {
+            let unsorted = |at| BuildError::UnsortedInput { at: start + at };
+            if start > 0 && start < end && keys[start - 1] >= keys[start] {
+                return Err(unsorted(0));
+            }
+            let cuts = cut(self.seg_error, &keys[start..end], chunks_for(end - start))
+                .map_err(unsorted)?;
+            trees.push(self.empty_like().load(paginate(&column, start, cuts)));
+            start = end;
+        }
+        Ok(trees)
     }
 
     /// Fills an empty tree with the pages of one carved run, collected
@@ -705,7 +730,9 @@ fn carve<K: Key, V: Clone>(
     pieces: usize,
 ) -> Vec<Box<Segment<K, V>>> {
     let cuts = cut_pieces(seg_error, &run.0, pieces).expect("a merged run is sorted");
-    let mut pages: Vec<_> = paginate(run, cuts).map(Box::new).collect();
+    let mut pages: Vec<_> = paginate(&Column::shared(run), 0, cuts)
+        .map(Box::new)
+        .collect();
     for page in &mut pages {
         page.detach();
         page.assert_invariants(seg_error, 0);
@@ -713,17 +740,24 @@ fn carve<K: Key, V: Clone>(
     pages
 }
 
-/// The pages `cuts` marks out of `run`, each a window of the one column
-/// `run` becomes.
+/// The pages `cuts` marks out of `column` from slot `from` on, each a
+/// window of it.
 pub(crate) fn paginate<K: Key, V>(
-    run: Run<K, V>,
+    column: &Arc<Column<K, V>>,
+    from: usize,
     cuts: Vec<PageCut>,
 ) -> impl ExactSizeIterator<Item = Segment<K, V>> {
-    let column = Column::shared(run);
+    let column = Arc::clone(column);
     cuts.into_iter().map(move |cut| {
-        let page = Page::new(&column, cut.slots.start, cut.slots.len());
+        let page = Page::new(&column, from + cut.slots.start, cut.slots.len());
         Segment::from_cut(cut.slope, page, cut.envelope)
     })
+}
+
+/// The one tree a one-span load built.
+fn only<K: Key, V>(mut trees: Vec<FitingTree<K, V>>) -> FitingTree<K, V> {
+    debug_assert_eq!(trees.len(), 1);
+    trees.pop().expect("one span loads one tree")
 }
 
 impl<K: Key, V: std::fmt::Debug> std::fmt::Debug for FitingTree<K, V> {
@@ -809,13 +843,34 @@ impl<K: Key, V: Clone> fiting_index_api::BuildableIndex<K, V> for FitingTree<K, 
         config.clone().bulk_load(sorted)
     }
 
-    /// Gives the `Vec`'s memory back as it copies it: the build peaks at
-    /// one copy of the data plus one 2 MiB step.
+    /// The one-span [`build_spans`](fiting_index_api::BuildableIndex::build_spans).
     fn build_sorted(
         config: &Self::Config,
         sorted: Vec<(K, V)>,
     ) -> Result<Self, crate::error::BuildError> {
-        config.clone().build_empty()?.bulk_load_owned(sorted)
+        let len = sorted.len();
+        Self::build_spans(config, sorted, &[len]).map(only)
+    }
+
+    /// Copies the whole input once into one column, giving the `Vec`'s
+    /// memory back as it copies it (the build peaks at one copy of the
+    /// data plus one 2 MiB step), and cuts each span's tree out of that
+    /// column. A span end is a page end, so each tree's pages are the
+    /// ones `build_sorted` of its span makes; they stay windows of the
+    /// one column, which is freed once every page has left it.
+    /// [`BuildError::UnsortedInput`](crate::error::BuildError::UnsortedInput)
+    /// names the slot in `sorted`, not in the span.
+    fn build_spans(
+        config: &Self::Config,
+        sorted: Vec<(K, V)>,
+        ends: &[usize],
+    ) -> Result<Vec<Self>, crate::error::BuildError> {
+        assert_eq!(
+            ends.last(),
+            Some(&sorted.len()),
+            "the spans cover the input"
+        );
+        config.clone().build_empty()?.bulk_load_owned(sorted, ends)
     }
 }
 

@@ -94,6 +94,8 @@ mod range;
 mod secondary;
 mod segment;
 pub mod snapshot;
+#[cfg(test)]
+mod spans_differential;
 mod stats;
 
 pub use builder::FitingTreeBuilder;

@@ -157,6 +157,11 @@ impl<K, V> Column<K, V> {
         debug_assert_eq!(keys.len(), values.len());
         Arc::new(Column { keys, values })
     }
+
+    /// The column's keys.
+    pub(crate) fn keys(&self) -> &[K] {
+        &self.keys
+    }
 }
 
 /// A page: the window `start..start + len` of a shared [`Column`].

@@ -60,7 +60,7 @@
 use crate::clustered::{paginate, FitingTree};
 use crate::cut::{chunks_for, PageCut};
 use crate::error::BuildError;
-use crate::segment::{advised, measure_envelope, Run};
+use crate::segment::{advised, measure_envelope, Column, Run};
 use fiting_index_api::Key;
 use std::thread;
 
@@ -620,7 +620,7 @@ pub fn decode_tree<K: Key, V: Key>(bytes: &[u8]) -> Result<FitingTree<K, V>, Sna
         return Err(SnapshotError::Corrupt(why));
     }
 
-    let pages = paginate((keys, values), cuts)
+    let pages = paginate(&Column::shared((keys, values)), 0, cuts)
         .zip(parts)
         .map(|(seg, (dead, buffer))| seg.with_sparse(dead, buffer));
     let tree = tree.load(pages);

@@ -81,7 +81,7 @@
 use crate::key::Key;
 use crate::sorted::{BuildableIndex, ShardHealth, SortedIndex};
 use fiting_sync::primitives::Mutex;
-use fiting_sync::{GiveBack, SeqRwLock, Snapshots};
+use fiting_sync::{SeqRwLock, Snapshots};
 use std::ops::{Bound, RangeBounds};
 use std::sync::Arc;
 
@@ -316,7 +316,8 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> From<I> for ShardedIndex<
 impl<K: Key, V: Clone, I: BuildableIndex<K, V> + 'static> ShardedIndex<K, V, I> {
     /// Bulk loads `sorted` (strictly increasing keys) into at most
     /// `shard_count` shards, choosing boundaries from evenly spaced
-    /// sample positions in the data.
+    /// sample positions in the data. The shards are built from their
+    /// spans of `sorted` by [`BuildableIndex::build_spans`].
     ///
     /// Fewer shards are built when the data has fewer distinct boundary
     /// candidates than requested (e.g. an empty load builds one shard).
@@ -352,23 +353,15 @@ impl<K: Key, V: Clone, I: BuildableIndex<K, V> + 'static> ShardedIndex<K, V, I> 
             }
         }
 
-        // Each shard is built from its span of the one input, front to
-        // back, so no span is ever copied out of it, and the span goes
-        // back to the kernel once its shard is built.
         let ends: Vec<usize> = bounds
             .iter()
             .map(|b| sorted.partition_point(|(k, _)| k < b))
             .chain([n])
             .collect();
-        let mut pairs = GiveBack::new(sorted);
-        let mut shards = Vec::with_capacity(ends.len());
-        let mut start = 0;
-        for end in ends {
-            let shard = I::build_from(config, pairs.next_run(end - start))?;
-            pairs.give_back();
-            shards.push(Arc::new(SeqRwLock::new(shard)));
-            start = end;
-        }
+        let shards = I::build_spans(config, sorted, &ends)?
+            .into_iter()
+            .map(|shard| Arc::new(SeqRwLock::new(shard)))
+            .collect();
         Ok(ShardedIndex::from_table(Table { bounds, shards }))
     }
 

@@ -9,6 +9,7 @@
 //! for all baselines", Section 7.1) at the type level.
 
 use crate::key::Key;
+use fiting_sync::GiveBack;
 use std::ops::{Bound, RangeBounds};
 
 /// Health of one index structure as its storage layer sees it.
@@ -308,6 +309,8 @@ pub trait SortedIndex<K: Key, V: Clone> {
 /// the `Vec` through `build_from`, and a structure that copies its
 /// input (the FITing-Tree) overrides it to hand the `Vec`'s memory back
 /// as it reads it, so the build never holds two copies of the data.
+/// [`build_spans`](Self::build_spans) does the same for one structure
+/// per span of the `Vec`, the shards of a sharded bulk load.
 pub trait BuildableIndex<K: Key, V: Clone>: SortedIndex<K, V> + Sized {
     /// Structure-specific build parameters (error budget, page size,
     /// tree order, …). `Clone` so one config can build many shards.
@@ -334,6 +337,45 @@ pub trait BuildableIndex<K: Key, V: Clone>: SortedIndex<K, V> + Sized {
     /// reports the same errors.
     fn build_sorted(config: &Self::Config, sorted: Vec<(K, V)>) -> Result<Self, Self::BuildError> {
         Self::build_from(config, sorted)
+    }
+
+    /// Builds one structure per span of the caller's `Vec` of **strictly
+    /// increasing** pairs, which the build consumes: span `i` is
+    /// `sorted[ends[i - 1]..ends[i]]` (the first starts at 0), so `ends`
+    /// is non-decreasing and ends at `sorted.len()`. Each structure is
+    /// what [`build_sorted`](Self::build_sorted) builds from its span.
+    ///
+    /// The default builds the spans front to back, each through
+    /// [`build_from`](Self::build_from), and gives each span's memory
+    /// back once its structure is built. It passes the structure's own
+    /// error through unchanged, so a slot it names counts from the
+    /// start of the failing span. A structure that copies its input
+    /// (the FITing-Tree) overrides it to copy the whole input once and
+    /// cut every structure out of that one copy; its slots count from
+    /// the start of `sorted`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `ends` is empty or does not end at `sorted.len()`.
+    fn build_spans(
+        config: &Self::Config,
+        sorted: Vec<(K, V)>,
+        ends: &[usize],
+    ) -> Result<Vec<Self>, Self::BuildError> {
+        assert_eq!(
+            ends.last(),
+            Some(&sorted.len()),
+            "the spans cover the input"
+        );
+        let mut pairs = GiveBack::new(sorted);
+        let mut built = Vec::with_capacity(ends.len());
+        let mut start = 0;
+        for &end in ends {
+            built.push(Self::build_from(config, pairs.next_run(end - start))?);
+            pairs.give_back();
+            start = end;
+        }
+        Ok(built)
     }
 }
 

@@ -1098,4 +1098,22 @@ impl<K: Key, V: Key, I: BuildableIndex<K, V> + PageSnapshot> BuildableIndex<K, V
         DurableIndex::create(inner, Arc::clone(&config.store))
             .map_err(|(e, _)| StorageBuildError::Io(e))
     }
+
+    /// Hands the `Vec` on to the inner structure's own `build_spans`,
+    /// then makes each shard it built durable, as
+    /// [`build_sorted`](BuildableIndex::build_sorted) does one.
+    fn build_spans(
+        config: &Self::Config,
+        sorted: Vec<(K, V)>,
+        ends: &[usize],
+    ) -> Result<Vec<Self>, Self::BuildError> {
+        I::build_spans(&config.inner, sorted, ends)
+            .map_err(StorageBuildError::Build)?
+            .into_iter()
+            .map(|inner| {
+                DurableIndex::create(inner, Arc::clone(&config.store))
+                    .map_err(|(e, _)| StorageBuildError::Io(e))
+            })
+            .collect()
+    }
 }
