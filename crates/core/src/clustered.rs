@@ -116,7 +116,8 @@ impl<K: Key, V> FitingTree<K, V> {
         let mut run: Run<K, V> = (advised(expected), advised(expected));
         run.extend(iter);
         let len = run.0.len();
-        self.cut_and_load(run, &[len]).map(only)
+        let mut trees = self.cut_and_load(run, &[len])?;
+        Ok(trees.pop().expect("one span loads one tree"))
     }
 
     /// [`bulk_load_sorted`](Self::bulk_load_sorted) from the caller's
@@ -754,12 +755,6 @@ pub(crate) fn paginate<K: Key, V>(
     })
 }
 
-/// The one tree a one-span load built.
-fn only<K: Key, V>(mut trees: Vec<FitingTree<K, V>>) -> FitingTree<K, V> {
-    debug_assert_eq!(trees.len(), 1);
-    trees.pop().expect("one span loads one tree")
-}
-
 impl<K: Key, V: std::fmt::Debug> std::fmt::Debug for FitingTree<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FitingTree")
@@ -841,15 +836,6 @@ impl<K: Key, V: Clone> fiting_index_api::BuildableIndex<K, V> for FitingTree<K, 
         sorted: impl IntoIterator<Item = (K, V)>,
     ) -> Result<Self, crate::error::BuildError> {
         config.clone().bulk_load(sorted)
-    }
-
-    /// The one-span [`build_spans`](fiting_index_api::BuildableIndex::build_spans).
-    fn build_sorted(
-        config: &Self::Config,
-        sorted: Vec<(K, V)>,
-    ) -> Result<Self, crate::error::BuildError> {
-        let len = sorted.len();
-        Self::build_spans(config, sorted, &[len]).map(only)
     }
 
     /// Copies the whole input once into one column, giving the `Vec`'s

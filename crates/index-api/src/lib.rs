@@ -32,8 +32,8 @@
 //!   [`merge_with_next`](ShardedIndex::merge_with_next) boundary moves.
 //! * [`rebalance`] — the policy layer that drives those moves from
 //!   observed occupancy: a decaying [`WriteSampler`] of the write
-//!   stream, a [`RebalancePolicy`] with hysteresis, and the
-//!   [`Rebalancer`] stepper a coordinator thread runs on a timer.
+//!   stream and the [`Rebalancer`] stepper, with hysteresis, that a
+//!   coordinator thread runs on a timer.
 //! * [`BinarySearchIndex`] — the paper's binary-search baseline: one
 //!   sorted array, zero index bytes. It is also the concrete index this
 //!   crate's own tests and doctests shard.
@@ -61,7 +61,7 @@ pub use binary::BinarySearchIndex;
 pub use fiting_sync::{advise_huge_pages, prefetch_read, GiveBack};
 pub use key::{Key, KeyBytes, OrderedF64};
 pub use rebalance::{
-    RebalanceCounters, RebalanceOutcome, RebalancePolicy, RebalanceStats, Rebalancer, WriteSampler,
+    RebalanceCounters, RebalanceOutcome, RebalanceStats, Rebalancer, WriteSampler,
 };
 pub use sharded::{RebalanceError, RoutingStats, ShardStats, ShardedIndex, SHARD_METADATA_BYTES};
 pub use sorted::{clone_pair, BuildableIndex, Degraded, DynSortedIndex, ShardHealth, SortedIndex};

@@ -22,13 +22,15 @@
 //!   distribution; periodically halving the effective population makes
 //!   it track the *live* distribution, which is what a split boundary
 //!   should follow.
-//! * [`RebalancePolicy`] says when to act: split when the fullest
-//!   shard's occupancy exceeds `split_imbalance ×` the mean for
-//!   `trigger_steps` consecutive observations (hysteresis), merge when
-//!   an adjacent pair is colder than 0.4 × the mean, and
-//!   wait `cooldown_steps` after every action so one burst cannot
-//!   thrash the layout.
-//! * [`Rebalancer`] owns both and exposes one
+//! * The policy is a handful of constants in this file: split when the
+//!   fullest shard holds more than `SPLIT_IMBALANCE` × the mean
+//!   entries for `TRIGGER_STEPS` consecutive observations
+//!   (hysteresis), merge when an adjacent pair together holds under
+//!   `MERGE_FRACTION` × the mean, and sit out `COOLDOWN_STEPS`
+//!   steps after every action so one burst cannot thrash the layout.
+//!   The paper's one tunable is the error bound; the rebalancer adds
+//!   none.
+//! * [`Rebalancer`] owns the sampler and exposes one
 //!   [`step`](Rebalancer::step): snapshot occupancy, decide, act. The
 //!   split boundary is the median of the sampled writes inside the hot
 //!   shard's span, falling back to the shard's own stored median when
@@ -38,19 +40,13 @@
 //! coordinator can run it on a timer and stay comprehensible.
 //!
 //! ```
-//! use fiting_index_api::{BinarySearchIndex, RebalanceOutcome, RebalancePolicy, Rebalancer, ShardedIndex};
+//! use fiting_index_api::{BinarySearchIndex, RebalanceOutcome, Rebalancer, ShardedIndex};
 //!
 //! // Bulk-load 4 balanced shards, then append a hot tail.
 //! let pairs: Vec<(u64, u64)> = (0..4_000).map(|k| (k, k)).collect();
 //! let index: ShardedIndex<u64, u64, BinarySearchIndex<u64, u64>> =
 //!     ShardedIndex::bulk_load(&(), 4, pairs).unwrap();
-//!
-//! let policy = RebalancePolicy {
-//!     trigger_steps: 1,
-//!     cooldown_steps: 0,
-//!     ..RebalancePolicy::default()
-//! };
-//! let mut rebalancer: Rebalancer<u64> = Rebalancer::new(policy);
+//! let mut rebalancer: Rebalancer<u64> = Rebalancer::new();
 //!
 //! let sampler = rebalancer.sampler();
 //! for k in 4_000..8_000u64 {
@@ -58,7 +54,9 @@
 //!     sampler.observe(k); // …and the sampler watches it happen
 //! }
 //!
-//! // One step: the hot shard splits at the sampled write median.
+//! // The first step sees the hot shard; the second, still seeing it,
+//! // splits it at the sampled write median.
+//! assert_eq!(rebalancer.step(&index), RebalanceOutcome::Watching);
 //! assert!(matches!(rebalancer.step(&index), RebalanceOutcome::Split { .. }));
 //! assert_eq!(index.shard_count(), 5);
 //! assert_eq!(rebalancer.stats().splits, 1);
@@ -73,52 +71,6 @@ use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// When and how aggressively to move shard boundaries.
-///
-/// The defaults favor stability: act only on a sustained 1.5× hot
-/// shard, then hold off for two steps. Benchmarks and tests tighten
-/// `trigger_steps`/`cooldown_steps` to make rebalances prompt.
-#[derive(Debug, Clone)]
-pub struct RebalancePolicy {
-    /// Split when the fullest shard's entries exceed this multiple of
-    /// the mean (`max/mean`, the same ratio `ServiceStats::imbalance`
-    /// reports). Must be > 1.
-    pub split_imbalance: f64,
-    /// Never split a shard holding fewer entries than this — tiny
-    /// shards are cheap to search and expensive to fragment.
-    pub min_split_entries: usize,
-    /// Lower bound on the shard count; merges stop here.
-    pub min_shards: usize,
-    /// Upper bound on the shard count; splits stop here.
-    pub max_shards: usize,
-    /// Consecutive over-threshold observations required before a split
-    /// fires — one hysteresis knob (a single spiky snapshot does not
-    /// move boundaries).
-    pub trigger_steps: u32,
-    /// Steps to sit out after any split or merge — the other
-    /// hysteresis knob (layout changes get time to settle before the
-    /// next decision).
-    pub cooldown_steps: u32,
-    /// Minimum sampled keys inside the hot shard's span for the sample
-    /// median to be trusted as a split boundary; below this the shard's
-    /// own stored median is used instead.
-    pub min_reservoir_samples: usize,
-}
-
-impl Default for RebalancePolicy {
-    fn default() -> Self {
-        RebalancePolicy {
-            split_imbalance: 1.5,
-            min_split_entries: 512,
-            min_shards: 1,
-            max_shards: 64,
-            trigger_steps: 2,
-            cooldown_steps: 2,
-            min_reservoir_samples: 16,
-        }
-    }
-}
-
 struct SamplerState<K> {
     sample: Vec<K>,
     /// Effective number of observations the reservoir represents;
@@ -128,86 +80,79 @@ struct SamplerState<K> {
     rng: StdRng,
 }
 
+impl<K> SamplerState<K> {
+    /// Records one written key (classic reservoir sampling over the
+    /// decayed effective population).
+    fn observe(&mut self, key: K) {
+        self.weight += 1;
+        self.since_decay += 1;
+        if self.sample.len() < RESERVOIR_CAPACITY {
+            self.sample.push(key);
+        } else {
+            // Replace with probability capacity/weight — uniform over
+            // the (decayed) population, per Algorithm R.
+            let j = self.rng.gen_range(0..self.weight as usize);
+            if j < RESERVOIR_CAPACITY {
+                self.sample[j] = key;
+            }
+        }
+        if self.since_decay >= DECAY_EVERY {
+            self.since_decay = 0;
+            // Halving the effective population doubles every future
+            // key's replacement probability: exponential decay of the
+            // old sample's retention.
+            self.weight = (self.weight / 2).max(self.sample.len() as u64);
+        }
+    }
+}
+
 /// A thread-safe, exponentially decaying reservoir sample of a key
 /// stream — the source of split boundaries that track where writes
 /// are landing *now* rather than where data sat at load time.
 ///
+/// It holds at most 1 024 keys and halves its effective population
+/// every 8 192 observations, so the writes of the last few decay
+/// periods outweigh everything older.
 /// [`observe`](Self::observe) is one short mutex hold (a handful of
 /// arithmetic ops and at most one slot write), cheap enough to call
 /// per applied write; batch paths can use
 /// [`observe_all`](Self::observe_all) to take the lock once.
 ///
 /// ```
-/// use fiting_index_api::WriteSampler;
+/// use fiting_index_api::Rebalancer;
 ///
-/// let sampler: WriteSampler<u64> = WriteSampler::new(64, 256, 42);
+/// let sampler = Rebalancer::<u64>::new().sampler();
 /// sampler.observe_all((0..10_000u64).rev()); // skewed arrival order is fine
 /// // The reservoir holds at most its capacity, however long the stream.
-/// assert_eq!(sampler.len(), 64);
+/// assert_eq!(sampler.len(), 1_024);
 /// ```
 pub struct WriteSampler<K> {
-    capacity: usize,
-    decay_every: u64,
     state: Mutex<SamplerState<K>>,
 }
 
 impl<K: Key> WriteSampler<K> {
-    /// A sampler holding at most `capacity` keys, halving its
-    /// effective population every `decay_every` observations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0` or `decay_every == 0`.
-    #[must_use]
-    pub fn new(capacity: usize, decay_every: u64, seed: u64) -> Self {
-        assert!(capacity > 0, "reservoir needs capacity");
-        assert!(decay_every > 0, "decay interval must be positive");
+    /// An empty sampler.
+    pub(crate) fn new() -> Self {
         WriteSampler {
-            capacity,
-            decay_every,
             state: Mutex::new(SamplerState {
-                sample: Vec::with_capacity(capacity),
+                sample: Vec::with_capacity(RESERVOIR_CAPACITY),
                 weight: 0,
                 since_decay: 0,
-                rng: StdRng::seed_from_u64(seed),
+                rng: StdRng::seed_from_u64(SAMPLER_SEED),
             }),
         }
     }
 
-    /// Records one written key (classic reservoir sampling over the
-    /// decayed effective population).
+    /// Records one written key.
     pub fn observe(&self, key: K) {
-        let mut state = self.state.lock();
-        self.observe_locked(&mut state, key);
+        self.state.lock().observe(key);
     }
 
     /// Records a batch of written keys under one lock acquisition.
     pub fn observe_all<It: IntoIterator<Item = K>>(&self, keys: It) {
         let mut state = self.state.lock();
         for key in keys {
-            self.observe_locked(&mut state, key);
-        }
-    }
-
-    fn observe_locked(&self, state: &mut SamplerState<K>, key: K) {
-        state.weight += 1;
-        state.since_decay += 1;
-        if state.sample.len() < self.capacity {
-            state.sample.push(key);
-        } else {
-            // Replace with probability capacity/weight — uniform over
-            // the (decayed) population, per Algorithm R.
-            let j = state.rng.gen_range(0..state.weight as usize);
-            if j < self.capacity {
-                state.sample[j] = key;
-            }
-        }
-        if state.since_decay >= self.decay_every {
-            state.since_decay = 0;
-            // Halving the effective population doubles every future
-            // key's replacement probability: exponential decay of the
-            // old sample's retention.
-            state.weight = (state.weight / 2).max(state.sample.len() as u64);
+            state.observe(key);
         }
     }
 
@@ -296,7 +241,7 @@ pub enum RebalanceOutcome {
     /// A recent split/merge is still cooling down; no action taken.
     Cooldown,
     /// Imbalance is over threshold but has not persisted for
-    /// `trigger_steps` observations yet (hysteresis), or no usable
+    /// `TRIGGER_STEPS` observations yet (hysteresis), or no usable
     /// split boundary exists yet.
     Watching,
     /// Split the hot shard, moving `moved` entries into a new right
@@ -316,26 +261,43 @@ pub enum RebalanceOutcome {
     },
 }
 
-/// Drives online rebalancing of a [`ShardedIndex`]: owns the policy
-/// and the write sampler, and turns occupancy snapshots into
-/// split/merge calls — one action per [`step`](Self::step) at most.
+/// Drives online rebalancing of a [`ShardedIndex`]: owns the write
+/// sampler and turns occupancy snapshots into split/merge calls — one
+/// action per [`step`](Self::step) at most.
 ///
 /// The service layer runs `step` from a coordinator thread on a timer
 /// (`IndexService::start_rebalancing` in `fiting-index-service`);
 /// embedders without the service can call it from any maintenance
 /// loop. See the [module docs](self) for a worked example.
 pub struct Rebalancer<K: Key> {
-    policy: RebalancePolicy,
     sampler: Arc<WriteSampler<K>>,
     counters: Arc<RebalanceCounters>,
     hot_streak: u32,
     cooldown: u32,
 }
 
+/// Split when the fullest shard's entries exceed this multiple of the
+/// mean (`max/mean`, the ratio `ServiceStats::imbalance` reports).
+const SPLIT_IMBALANCE: f64 = 1.5;
+/// Never split a shard holding fewer entries than this — tiny shards
+/// are cheap to search and expensive to fragment.
+const MIN_SPLIT_ENTRIES: usize = 512;
+/// Upper bound on the shard count; splits stop here.
+const MAX_SHARDS: usize = 64;
+/// Consecutive over-threshold observations before a split fires, so a
+/// single spiky snapshot does not move boundaries.
+const TRIGGER_STEPS: u32 = 2;
+/// Steps to sit out after any split or merge, so a layout change gets
+/// time to settle before the next decision.
+const COOLDOWN_STEPS: u32 = 2;
+/// Sampled keys needed inside the hot shard's span for their median to
+/// be trusted as a split boundary; below this the shard's own stored
+/// median is used instead.
+const MIN_RESERVOIR_SAMPLES: usize = 16;
 /// Merge an adjacent pair whose *combined* entries fall below this
-/// fraction of the mean shard occupancy. Well under any sensible
-/// `split_imbalance`, so a merge cannot immediately re-trigger a split
-/// (hysteresis between the two actions).
+/// fraction of the mean shard occupancy. Well under
+/// [`SPLIT_IMBALANCE`], so a merge cannot immediately re-trigger a
+/// split (hysteresis between the two actions).
 const MERGE_FRACTION: f64 = 0.4;
 /// Capacity of the decaying reservoir sample of written keys.
 const RESERVOIR_CAPACITY: usize = 1_024;
@@ -345,18 +307,18 @@ const DECAY_EVERY: u64 = 8_192;
 /// Seed for the reservoir's replacement choices (runs are repeatable).
 const SAMPLER_SEED: u64 = 0x5EED;
 
+impl<K: Key> Default for Rebalancer<K> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl<K: Key> Rebalancer<K> {
-    /// A rebalancer that decides according to `policy`.
+    /// A rebalancer with an empty sampler and zeroed counters.
     #[must_use]
-    pub fn new(policy: RebalancePolicy) -> Self {
-        let sampler = Arc::new(WriteSampler::new(
-            RESERVOIR_CAPACITY,
-            DECAY_EVERY,
-            SAMPLER_SEED,
-        ));
+    pub fn new() -> Self {
         Rebalancer {
-            policy,
-            sampler,
+            sampler: Arc::new(WriteSampler::new()),
             counters: Arc::new(RebalanceCounters::default()),
             hot_streak: 0,
             cooldown: 0,
@@ -382,12 +344,6 @@ impl<K: Key> Rebalancer<K> {
     #[must_use]
     pub fn stats(&self) -> RebalanceStats {
         self.counters.snapshot()
-    }
-
-    /// The policy this rebalancer decides by.
-    #[must_use]
-    pub fn policy(&self) -> &RebalancePolicy {
-        &self.policy
     }
 
     /// One policy evaluation: snapshot shard occupancy, then perform at
@@ -424,12 +380,9 @@ impl<K: Key> Rebalancer<K> {
             .expect("non-empty lens");
         let imbalance = hot_len as f64 / mean;
 
-        if lens.len() < self.policy.max_shards
-            && imbalance > self.policy.split_imbalance
-            && hot_len >= self.policy.min_split_entries
-        {
+        if lens.len() < MAX_SHARDS && imbalance > SPLIT_IMBALANCE && hot_len >= MIN_SPLIT_ENTRIES {
             self.hot_streak += 1;
-            if self.hot_streak < self.policy.trigger_steps {
+            if self.hot_streak < TRIGGER_STEPS {
                 return RebalanceOutcome::Watching;
             }
             let Some((lo, hi)) = index.shard_span(hot) else {
@@ -437,7 +390,7 @@ impl<K: Key> Rebalancer<K> {
             };
             let at = self
                 .sampler
-                .median_in(lo, hi, self.policy.min_reservoir_samples)
+                .median_in(lo, hi, MIN_RESERVOIR_SAMPLES)
                 .or_else(|| index.shard_median(hot));
             let Some(at) = at else {
                 return RebalanceOutcome::Watching;
@@ -449,7 +402,7 @@ impl<K: Key> Rebalancer<K> {
                         .moved_keys
                         .fetch_add(moved as u64, Ordering::Relaxed);
                     self.hot_streak = 0;
-                    self.cooldown = self.policy.cooldown_steps;
+                    self.cooldown = COOLDOWN_STEPS;
                     RebalanceOutcome::Split { shard: hot, moved }
                 }
                 // A refused split (the sampled median landed on the
@@ -463,20 +416,20 @@ impl<K: Key> Rebalancer<K> {
         }
         self.hot_streak = 0;
 
-        if lens.len() > self.policy.min_shards.max(1) {
-            let (cold, pair_sum) = lens
-                .windows(2)
-                .enumerate()
-                .map(|(i, w)| (i, w[0] + w[1]))
-                .min_by_key(|&(_, sum)| sum)
-                .expect("at least two shards");
+        // A single shard has no adjacent pair to merge.
+        let coldest = lens
+            .windows(2)
+            .enumerate()
+            .map(|(i, w)| (i, w[0] + w[1]))
+            .min_by_key(|&(_, sum)| sum);
+        if let Some((cold, pair_sum)) = coldest {
             if (pair_sum as f64) <= mean * MERGE_FRACTION {
                 if let Ok(moved) = index.merge_with_next(cold) {
                     self.counters.merges.fetch_add(1, Ordering::Relaxed);
                     self.counters
                         .moved_keys
                         .fetch_add(moved as u64, Ordering::Relaxed);
-                    self.cooldown = self.policy.cooldown_steps;
+                    self.cooldown = COOLDOWN_STEPS;
                     return RebalanceOutcome::Merge { shard: cold, moved };
                 }
             }
@@ -497,21 +450,23 @@ mod tests {
         ShardedIndex::bulk_load(&(), shards, (0..n).map(|k| (k, k)).collect()).unwrap()
     }
 
-    fn prompt_policy() -> RebalancePolicy {
-        RebalancePolicy {
-            trigger_steps: 1,
-            cooldown_steps: 0,
-            min_split_entries: 64,
-            ..RebalancePolicy::default()
+    /// Steps `reb` until a split may fire: each step before the
+    /// `TRIGGER_STEPS`-th must only be watching. Returns the last step.
+    fn step_through_trigger(reb: &mut Reb, idx: &Idx) -> RebalanceOutcome {
+        for _ in 1..TRIGGER_STEPS {
+            assert_eq!(reb.step(idx), RebalanceOutcome::Watching);
         }
+        reb.step(idx)
     }
 
     #[test]
     fn sampler_tracks_recent_distribution() {
-        let s: WriteSampler<u64> = WriteSampler::new(128, 512, 7);
-        // Old regime: keys near 0. New regime: keys near 1e6.
-        s.observe_all(0..4_096u64);
-        s.observe_all((0..4_096u64).map(|k| 1_000_000 + k));
+        let s: WriteSampler<u64> = WriteSampler::new();
+        // Old regime: keys near 0, four decay periods long. New
+        // regime: keys near 1e6, half as long, so a reservoir without
+        // decay would still hold about two old keys for every new one.
+        s.observe_all(0..4 * DECAY_EVERY);
+        s.observe_all((0..2 * DECAY_EVERY).map(|k| 1_000_000 + k));
         let median = s.median_in(None, None, 8).unwrap();
         // After decays, the reservoir leans to the recent regime.
         assert!(median >= 1_000_000, "median {median} stuck in old regime");
@@ -525,7 +480,7 @@ mod tests {
 
     #[test]
     fn sampler_thin_spans_yield_none() {
-        let s: WriteSampler<u64> = WriteSampler::new(16, 64, 1);
+        let s: WriteSampler<u64> = WriteSampler::new();
         assert!(s.is_empty());
         assert_eq!(s.median_in(None, None, 1), None);
         s.observe(5);
@@ -537,14 +492,14 @@ mod tests {
     #[test]
     fn step_splits_hot_shard_at_sampled_median() {
         let idx = load(4_000, 4);
-        let mut reb: Reb = Rebalancer::new(prompt_policy());
+        let mut reb: Reb = Rebalancer::new();
         let sampler = reb.sampler();
         // Append-skew: everything lands on the last shard.
         for k in 4_000..8_000u64 {
             idx.insert(k, k);
             sampler.observe(k);
         }
-        let outcome = reb.step(&idx);
+        let outcome = step_through_trigger(&mut reb, &idx);
         let RebalanceOutcome::Split { shard, moved } = outcome else {
             panic!("expected split, got {outcome:?}");
         };
@@ -568,9 +523,9 @@ mod tests {
         for k in 1_000..4_000u64 {
             idx.insert(k, k); // hot, but nothing observed by the sampler
         }
-        let mut reb: Reb = Rebalancer::new(prompt_policy());
+        let mut reb: Reb = Rebalancer::new();
         assert!(matches!(
-            reb.step(&idx),
+            step_through_trigger(&mut reb, &idx),
             RebalanceOutcome::Split { shard: 1, .. }
         ));
         assert_eq!(idx.shard_count(), 3);
@@ -582,21 +537,19 @@ mod tests {
         for k in 1_000..4_000u64 {
             idx.insert(k, k);
         }
-        let policy = RebalancePolicy {
-            trigger_steps: 3,
-            cooldown_steps: 2,
-            min_split_entries: 64,
-            ..RebalancePolicy::default()
-        };
-        let mut reb: Reb = Rebalancer::new(policy);
-        // Two watching steps before the trigger fires on the third.
-        assert_eq!(reb.step(&idx), RebalanceOutcome::Watching);
-        assert_eq!(reb.step(&idx), RebalanceOutcome::Watching);
-        assert!(matches!(reb.step(&idx), RebalanceOutcome::Split { .. }));
-        // Then the cooldown absorbs the next two steps.
-        assert_eq!(reb.step(&idx), RebalanceOutcome::Cooldown);
-        assert_eq!(reb.step(&idx), RebalanceOutcome::Cooldown);
-        assert_eq!(reb.stats().steps, 5);
+        let mut reb: Reb = Rebalancer::new();
+        // Watching steps before the trigger fires on the last one.
+        const { assert!(TRIGGER_STEPS > 1, "a split waits for a second look") };
+        assert!(matches!(
+            step_through_trigger(&mut reb, &idx),
+            RebalanceOutcome::Split { .. }
+        ));
+        // Then the cooldown absorbs the next steps.
+        const { assert!(COOLDOWN_STEPS > 0) };
+        for _ in 0..COOLDOWN_STEPS {
+            assert_eq!(reb.step(&idx), RebalanceOutcome::Cooldown);
+        }
+        assert_eq!(reb.stats().steps, u64::from(TRIGGER_STEPS + COOLDOWN_STEPS));
     }
 
     #[test]
@@ -608,7 +561,7 @@ mod tests {
         for k in 2_502..3_498u64 {
             idx.remove(&k);
         }
-        let mut reb: Reb = Rebalancer::new(prompt_policy());
+        let mut reb: Reb = Rebalancer::new();
         let outcome = reb.step(&idx);
         let RebalanceOutcome::Merge { shard, moved } = outcome else {
             panic!("expected merge, got {outcome:?}");
@@ -623,30 +576,29 @@ mod tests {
 
     #[test]
     fn quiet_index_stays_idle_and_respects_bounds() {
-        let idx = load(4_000, 4);
-        let mut reb: Reb = Rebalancer::new(RebalancePolicy {
-            min_shards: 4,
-            max_shards: 4,
-            trigger_steps: 1,
-            cooldown_steps: 0,
-            ..RebalancePolicy::default()
-        });
+        let shards = MAX_SHARDS as u64;
+        let idx = load(shards * 500, MAX_SHARDS);
+        assert_eq!(idx.shard_count(), MAX_SHARDS);
+        let mut reb: Reb = Rebalancer::new();
         // Balanced: idle.
         assert_eq!(reb.step(&idx), RebalanceOutcome::Idle);
-        // Hot, but max_shards forbids splitting.
-        for k in 4_000..8_000u64 {
+        // Hot, but MAX_SHARDS forbids splitting.
+        for k in shards * 500..shards * 1_000 {
             idx.insert(k, k);
         }
-        assert_eq!(reb.step(&idx), RebalanceOutcome::Idle);
-        assert_eq!(idx.shard_count(), 4);
-        // Cold pair, but min_shards forbids merging.
-        for k in 1_002..2_998u64 {
-            idx.remove(&k);
+        for _ in 0..TRIGGER_STEPS {
+            assert_eq!(reb.step(&idx), RebalanceOutcome::Idle);
         }
-        assert_eq!(reb.step(&idx), RebalanceOutcome::Idle);
-        assert_eq!(idx.shard_count(), 4);
+        assert_eq!(idx.shard_count(), MAX_SHARDS);
+        // Cold, but a lone shard has no neighbour to merge with.
+        let lone = load(4_000, 1);
+        for k in 2..3_998u64 {
+            lone.remove(&k);
+        }
+        assert_eq!(reb.step(&lone), RebalanceOutcome::Idle);
+        assert_eq!(lone.shard_count(), 1);
         let empty: Idx = ShardedIndex::bulk_load(&(), 1, Vec::new()).unwrap();
-        let mut reb2: Reb = Rebalancer::new(prompt_policy());
+        let mut reb2: Reb = Rebalancer::new();
         assert_eq!(reb2.step(&empty), RebalanceOutcome::Idle);
     }
 }

@@ -303,16 +303,6 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V>> Clone for ShardedIndex<K, V, I> {
     }
 }
 
-/// Wraps an already-built index as a single-shard front-end.
-impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> From<I> for ShardedIndex<K, V, I> {
-    fn from(index: I) -> Self {
-        ShardedIndex::from_table(Table {
-            bounds: Vec::new(),
-            shards: vec![Arc::new(SeqRwLock::new(index))],
-        })
-    }
-}
-
 impl<K: Key, V: Clone, I: BuildableIndex<K, V> + 'static> ShardedIndex<K, V, I> {
     /// Bulk loads `sorted` (strictly increasing keys) into at most
     /// `shard_count` shards, choosing boundaries from evenly spaced
@@ -1127,10 +1117,10 @@ mod tests {
         assert_eq!(empty.get(&5), Some(5));
         assert_eq!(empty.range_collect(..).len(), 1);
 
-        // `From` wraps an already-built structure as one shard with
-        // the full API.
+        // `from_shards` wraps an already-built structure as one shard
+        // with the full API.
         let built = BinarySearchIndex::build_sorted(&(), vec![(1u64, 1u64), (3, 3)]).unwrap();
-        let wrapped = ShardedIndex::from(built);
+        let wrapped = ShardedIndex::from_shards(Vec::new(), vec![built]);
         assert_eq!(wrapped.shard_count(), 1);
         assert_eq!(wrapped.insert(2, 2), None);
         assert_eq!(wrapped.range_collect(2..), vec![(2, 2), (3, 3)]);

@@ -305,12 +305,13 @@ pub trait SortedIndex<K: Key, V: Clone> {
 ///
 /// An implementation writes [`build_from`](Self::build_from), the
 /// streaming build. A caller that owns its input as a `Vec` calls
-/// [`build_sorted`](Self::build_sorted) instead: by default it streams
-/// the `Vec` through `build_from`, and a structure that copies its
-/// input (the FITing-Tree) overrides it to hand the `Vec`'s memory back
-/// as it reads it, so the build never holds two copies of the data.
-/// [`build_spans`](Self::build_spans) does the same for one structure
-/// per span of the `Vec`, the shards of a sharded bulk load.
+/// [`build_spans`](Self::build_spans) instead, for one structure per
+/// span of the `Vec` (the shards of a sharded bulk load), or
+/// [`build_sorted`](Self::build_sorted), its one-span case. By default
+/// the spans stream through `build_from`; a structure that copies its
+/// input (the FITing-Tree) overrides `build_spans` to hand the `Vec`'s
+/// memory back as it reads it, so the build never holds two copies of
+/// the data.
 pub trait BuildableIndex<K: Key, V: Clone>: SortedIndex<K, V> + Sized {
     /// Structure-specific build parameters (error budget, page size,
     /// tree order, …). `Clone` so one config can build many shards.
@@ -332,21 +333,26 @@ pub trait BuildableIndex<K: Key, V: Clone>: SortedIndex<K, V> + Sized {
     ) -> Result<Self, Self::BuildError>;
 
     /// Builds from the caller's `Vec` of **strictly increasing** pairs,
-    /// which the build consumes. Builds what
+    /// which the build consumes: the one-span
+    /// [`build_spans`](Self::build_spans). Builds what
     /// [`build_from`](Self::build_from) builds from the same pairs, and
     /// reports the same errors.
     fn build_sorted(config: &Self::Config, sorted: Vec<(K, V)>) -> Result<Self, Self::BuildError> {
-        Self::build_from(config, sorted)
+        let len = sorted.len();
+        let mut built = Self::build_spans(config, sorted, &[len])?;
+        Ok(built.pop().expect("one span builds one structure"))
     }
 
     /// Builds one structure per span of the caller's `Vec` of **strictly
     /// increasing** pairs, which the build consumes: span `i` is
     /// `sorted[ends[i - 1]..ends[i]]` (the first starts at 0), so `ends`
     /// is non-decreasing and ends at `sorted.len()`. Each structure is
-    /// what [`build_sorted`](Self::build_sorted) builds from its span.
+    /// what [`build_from`](Self::build_from) builds from its span.
     ///
-    /// The default builds the spans front to back, each through
-    /// [`build_from`](Self::build_from), and gives each span's memory
+    /// The default hands a lone span's `Vec` itself to
+    /// [`build_from`](Self::build_from), which an array-backed structure
+    /// keeps in place with no copy. Several spans it builds front to
+    /// back, each through `build_from`, and gives each span's memory
     /// back once its structure is built. It passes the structure's own
     /// error through unchanged, so a slot it names counts from the
     /// start of the failing span. A structure that copies its input
@@ -367,6 +373,9 @@ pub trait BuildableIndex<K: Key, V: Clone>: SortedIndex<K, V> + Sized {
             Some(&sorted.len()),
             "the spans cover the input"
         );
+        if let [_] = ends {
+            return Ok(vec![Self::build_from(config, sorted)?]);
+        }
         let mut pairs = GiveBack::new(sorted);
         let mut built = Vec::with_capacity(ends.len());
         let mut start = 0;

@@ -89,9 +89,9 @@ pub use stats::{LaneHealth, LaneServiceStats, ServiceStats};
 pub use fiting_telemetry::MetricsSnapshot;
 pub use ticket::{ticket, CommandError, Completer, Ticket};
 
-// Re-exported so service users can configure rebalancing without a
+// Re-exported so service users can start rebalancing without a
 // separate fiting-index-api import.
-pub use fiting_index_api::{RebalancePolicy, RebalanceStats, Rebalancer, WriteSampler};
+pub use fiting_index_api::{RebalanceStats, Rebalancer, WriteSampler};
 
 use fiting_index_api::{Key, RebalanceCounters, ShardedIndex, SortedIndex};
 use fiting_sync::primitives::{Condvar, Mutex};
@@ -102,29 +102,19 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 use telemetry::{ServiceTelemetry, Timed};
 
-/// Tuning for one [`IndexService`].
-#[derive(Debug, Clone)]
+/// Sizing for one [`IndexService`].
+#[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
     /// Per-lane queue bound — the backpressure threshold. Submitters
     /// block (or get [`TryPushError::Busy`]) once a lane has this many
     /// commands in flight.
     pub queue_capacity: usize,
-    /// Most commands one queue drain may return; caps worker
-    /// lock-hold time per batch.
-    pub max_batch: usize,
-    /// How long a worker lingers after its first command to let a
-    /// batch accumulate. Zero (the default) drains whatever is
-    /// present — under load, batches form by themselves; a small
-    /// window trades latency for larger batches on light traffic.
-    pub batch_window: Duration,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             queue_capacity: 1_024,
-            max_batch: 256,
-            batch_window: Duration::ZERO,
         }
     }
 }
@@ -192,7 +182,6 @@ pub(crate) struct ServiceShared<K: Key, V: Clone, I: SortedIndex<K, V> + 'static
     /// coordinator — surfaced through [`ServiceStats`], where before
     /// this counter the coordinator silently dropped the error.
     pub(crate) checkpoint_failures: AtomicU64,
-    pub(crate) config: ServiceConfig,
     /// Write-stream sampler feeding the rebalancer's split boundaries;
     /// `None` when the service runs without rebalancing.
     pub(crate) sampler: Option<Arc<fiting_index_api::WriteSampler<K>>>,
@@ -406,7 +395,6 @@ where
             max_lane_restarts,
             index,
             router,
-            config,
             sampler,
             rebalance,
             durability,
@@ -668,14 +656,7 @@ mod tests {
         // arrange deterministically; instead saturate a tiny queue and
         // accept either success or Busy — but require that Busy hands
         // the command back intact.
-        let svc = start(
-            100,
-            1,
-            ServiceConfig {
-                queue_capacity: 1,
-                ..ServiceConfig::default()
-            },
-        );
+        let svc = start(100, 1, ServiceConfig { queue_capacity: 1 });
         let client = svc.client();
         let mut busy = 0;
         for k in 0..1_000u64 {
@@ -888,40 +869,10 @@ mod tests {
     }
 
     #[test]
-    fn batch_window_accumulates_light_traffic() {
-        let svc = start(
-            1_000,
-            1,
-            ServiceConfig {
-                batch_window: Duration::from_millis(30),
-                ..ServiceConfig::default()
-            },
-        );
-        let client = svc.client();
-        // Two quick submissions should usually land in one drained
-        // batch thanks to the window; assert only on correctness (the
-        // timing claim is probabilistic) plus the stats invariant.
-        let a = client.insert(1, 1);
-        let b = client.insert(3, 3);
-        a.wait().unwrap();
-        b.wait().unwrap();
-        let stats = svc.stats();
-        assert_eq!(stats.total_processed(), 2);
-        assert!(stats.lanes[0].batches <= 2);
-        let _ = svc.shutdown();
-    }
-
-    #[test]
     fn rebalancing_service_splits_hot_shard_under_load() {
         let index: fiting_index_api::ShardedIndex<u64, u64, BinarySearchIndex<u64, u64>> =
             ShardedIndex::bulk_load(&(), 4, (0..4_000u64).map(|k| (k, k)).collect()).unwrap();
-        let rebalancer = Rebalancer::new(RebalancePolicy {
-            trigger_steps: 1,
-            cooldown_steps: 0,
-            min_split_entries: 256,
-            min_reservoir_samples: 8,
-            ..RebalancePolicy::default()
-        });
+        let rebalancer = Rebalancer::new();
         let svc = IndexService::start_rebalancing(
             index,
             ServiceConfig::default(),

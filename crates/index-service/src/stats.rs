@@ -265,7 +265,7 @@ impl ServiceStats {
 
     /// Ratio of the fullest shard's entries to the mean — 1.0 is
     /// perfectly balanced; the trigger metric rebalancing acts on
-    /// (compare against `RebalancePolicy::split_imbalance`).
+    /// (a rebalancer splits above 1.5, its `SPLIT_IMBALANCE`).
     #[must_use]
     pub fn imbalance(&self) -> f64 {
         let lens: Vec<usize> = self.shards.iter().map(|s| s.entries).collect();

@@ -96,6 +96,11 @@ use std::panic::AssertUnwindSafe;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
+/// Most commands one queue drain returns, capping how long one batch
+/// holds its shards' write locks. A drain takes whatever is queued
+/// without lingering: under load, batches form by themselves.
+const MAX_BATCH: usize = 256;
+
 /// One point write travelling through a grouped run: the new value
 /// (`None` removes the key), the completer to resolve with the
 /// previous value, and the command's acceptance stamp.
@@ -156,7 +161,7 @@ where
         .as_ref()
         .is_some_and(|d| d.sync_each_batch);
     loop {
-        let drained = queue.pop_batch(shared.config.max_batch, shared.config.batch_window);
+        let drained = queue.pop_batch(MAX_BATCH, Duration::ZERO);
         if drained.is_empty() {
             // Closed and fully drained: every accepted command has
             // been executed and completed.

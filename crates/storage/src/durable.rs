@@ -1091,17 +1091,9 @@ impl<K: Key, V: Key, I: BuildableIndex<K, V> + PageSnapshot> BuildableIndex<K, V
             .map_err(|(e, _)| StorageBuildError::Io(e))
     }
 
-    /// Hands the `Vec` on to the inner structure's own `build_sorted`,
-    /// so a durable build peaks where the inner one does.
-    fn build_sorted(config: &Self::Config, sorted: Vec<(K, V)>) -> Result<Self, Self::BuildError> {
-        let inner = I::build_sorted(&config.inner, sorted).map_err(StorageBuildError::Build)?;
-        DurableIndex::create(inner, Arc::clone(&config.store))
-            .map_err(|(e, _)| StorageBuildError::Io(e))
-    }
-
     /// Hands the `Vec` on to the inner structure's own `build_spans`,
-    /// then makes each shard it built durable, as
-    /// [`build_sorted`](BuildableIndex::build_sorted) does one.
+    /// so a durable build peaks where the inner one does, then makes
+    /// each structure it built durable.
     fn build_spans(
         config: &Self::Config,
         sorted: Vec<(K, V)>,

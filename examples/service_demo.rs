@@ -35,14 +35,12 @@ fn main() {
     .unwrap();
     let last = *history.last().unwrap();
 
-    // One queue + one worker per shard; a 200µs batch window lets
-    // light traffic still form coalesced batches.
+    // One queue + one worker per shard; a worker drains whatever has
+    // queued since its last batch, so pipelined traffic coalesces.
     let service = IndexService::start(
         index,
         ServiceConfig {
             queue_capacity: 512,
-            batch_window: Duration::from_micros(200),
-            ..ServiceConfig::default()
         },
     );
 

@@ -499,11 +499,7 @@ fn service_storm(root: &Path, seed: u64, io: &FaultIo) -> Result<(u64, u64), Str
         .map_err(|e| format!("clean-io bulk load failed: {e:?}"))?;
     let svc = IndexService::start_supervised(
         index,
-        ServiceConfig {
-            queue_capacity: 64,
-            max_batch: 16,
-            batch_window: Duration::from_micros(200),
-        },
+        ServiceConfig { queue_capacity: 64 },
         DurabilityConfig {
             sync_each_batch: true,
             checkpoint_interval: Duration::from_millis(3),
@@ -723,11 +719,7 @@ fn forced_checkpoint_failure(root: &Path, io: &FaultIo) -> Result<(), String> {
         ShardedIndex::bulk_load(&cfg, 2, base).map_err(|e| format!("bulk load failed: {e:?}"))?;
     let svc = IndexService::start_supervised(
         index,
-        ServiceConfig {
-            queue_capacity: 64,
-            max_batch: 16,
-            batch_window: Duration::from_micros(200),
-        },
+        ServiceConfig { queue_capacity: 64 },
         DurabilityConfig {
             sync_each_batch: true,
             // Threshold 0: every coordinator pass checkpoints every

@@ -111,7 +111,6 @@ fn mixed_stress_matches_models_and_drains_on_shutdown() {
         ServiceConfig {
             // Small queues so backpressure actually engages mid-test.
             queue_capacity: 128,
-            ..ServiceConfig::default()
         },
     );
 

@@ -12,9 +12,7 @@
 //! merge — nothing is copied on its behalf.
 
 use fiting::btree::{BPlusTree, FixedPageIndex};
-use fiting::index_api::{
-    BinarySearchIndex, RebalanceError, RebalanceOutcome, RebalancePolicy, Rebalancer,
-};
+use fiting::index_api::{BinarySearchIndex, RebalanceError, RebalanceOutcome, Rebalancer};
 use fiting::tree::{FitingTree, FitingTreeBuilder};
 use fiting::{BuildableIndex, DynSortedIndex, ShardedIndex, SortedIndex};
 use std::collections::BTreeMap;
@@ -253,12 +251,7 @@ fn refuses_moves<I: BuildableIndex<u64, u64> + 'static>(name: &str, config: &I::
     };
     refused(&index, &index.range_collect(..), "balanced");
 
-    let mut rebalancer = Rebalancer::new(RebalancePolicy {
-        trigger_steps: 1,
-        cooldown_steps: 0,
-        min_split_entries: 64,
-        ..RebalancePolicy::default()
-    });
+    let mut rebalancer = Rebalancer::new();
     // Shards 5 and 6 hollowed out: the policy asks for their merge.
     for k in 2_502..3_498u64 {
         index.remove(&k);
@@ -352,6 +345,58 @@ fn collect_hook_conforms_for_durable_index() {
     collect_hook_appends_what_range_yields("Durable", &|pairs| {
         DurableIndex::<u64, u64, FitingTree<u64, u64>>::build_sorted(&cfg, pairs).unwrap()
     });
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// `build_sorted(v)`, the one-span `build_spans(v, &[v.len()])`, builds
+/// what the streaming `build_from(v)` builds, for every structure: the
+/// same contents and the same index bytes, and for the FITing-Tree,
+/// whose `build_spans` copies the `Vec` its own way, the same snapshot
+/// image, page for page.
+fn vec_build_agrees<I: BuildableIndex<u64, u64>>(
+    name: &str,
+    config: &I::Config,
+    encode: impl Fn(&I) -> Vec<u8>,
+) {
+    // A bend in the middle, so the learned structures cut several
+    // segments, and an empty input.
+    let curvy: Vec<(u64, u64)> = (0..20_000u64)
+        .map(|k| (k * 3 + (k * k) / 40_000, k))
+        .collect();
+    for pairs in [curvy, Vec::new()] {
+        let ctx = format!("{name}, {} pairs", pairs.len());
+        let sorted = I::build_sorted(config, pairs.clone()).unwrap();
+        let streamed = I::build_from(config, pairs.iter().copied()).unwrap();
+        assert_eq!(sorted.range(..).collect::<Vec<_>>(), pairs, "{ctx}");
+        assert_eq!(streamed.range(..).collect::<Vec<_>>(), pairs, "{ctx}");
+        assert_eq!(sorted.len(), streamed.len(), "{ctx}");
+        assert_eq!(sorted.size_bytes(), streamed.size_bytes(), "{ctx}");
+        assert_eq!(encode(&sorted), encode(&streamed), "{ctx}");
+    }
+}
+
+#[test]
+fn build_sorted_builds_what_build_from_builds() {
+    use fiting::storage::{DurableConfig, DurableIndex, FsyncPolicy};
+    use fiting::tree::snapshot::encode_tree;
+
+    fn no_image<T>(_: &T) -> Vec<u8> {
+        Vec::new()
+    }
+    vec_build_agrees::<FitingTree<u64, u64>>("FITing-Tree", &FitingTreeBuilder::new(32), |t| {
+        encode_tree(t)
+    });
+    vec_build_agrees::<FitingTree<u64, u64>>("FITing-Tree(e=4)", &FitingTreeBuilder::new(4), |t| {
+        encode_tree(t)
+    });
+    vec_build_agrees::<BPlusTree<u64, u64>>("B+ tree", &(), no_image);
+    vec_build_agrees::<FixedPageIndex<u64, u64>>("Fixed(page=64)", &64, no_image);
+    vec_build_agrees::<BinarySearchIndex<u64, u64>>("Binary", &(), no_image);
+
+    let root = std::env::temp_dir().join(format!("fiting-vec-build-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let cfg = DurableConfig::new(&root, FsyncPolicy::Off, FitingTreeBuilder::new(32)).unwrap();
+    vec_build_agrees::<DurableIndex<u64, u64, FitingTree<u64, u64>>>("Durable", &cfg, no_image);
     let _ = std::fs::remove_dir_all(&root);
 }
 
