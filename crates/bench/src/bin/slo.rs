@@ -43,9 +43,9 @@
 //!   scale — tens of microseconds — so only a real pathology trips
 //!   this on a noisy runner). Does not rewrite the results file.
 //!
-//! Env knobs: `FITING_N` (preloaded rows), `FITING_SHARDS`,
-//! `FITING_SLO_SECS` (seconds per rate point), `FITING_SLO_GENS`
-//! (generator threads).
+//! Env knobs: `FITING_N` (preloaded rows) and `FITING_SLO_SECS`
+//! (seconds per rate point). The fixture has [`SHARDS`] shards, and
+//! one generator thread runs per available core, up to 4.
 //!
 //! [`Client::try_submit`]: fiting_index_service::Client::try_submit
 //! [`IndexService::metrics`]: fiting_index_service::IndexService::metrics
@@ -67,6 +67,10 @@ use std::time::{Duration, Instant};
 /// use.
 const WRITE_EVERY: u64 = 10;
 
+/// Shards of the preloaded fixture; the service runs one lane per
+/// shard.
+const SHARDS: usize = 4;
+
 /// Unique odd key for global op number `j`, spread uniformly over the
 /// loaded (even-key) range so writes hit every lane.
 fn write_key(j: u64, key_span: u64) -> u64 {
@@ -79,15 +83,14 @@ fn read_key(j: u64, key_span: u64) -> u64 {
     (j.wrapping_mul(0xd1b5_4a32_d192_ed03) % key_span) * 2
 }
 
-fn load(n: usize, shards: usize) -> ShardedIndex<u64, u64, FitingTree<u64, u64>> {
+fn load(n: usize) -> ShardedIndex<u64, u64, FitingTree<u64, u64>> {
     let pairs: Vec<(u64, u64)> = (0..n as u64).map(|k| (k * 2, k)).collect();
-    ShardedIndex::bulk_load(&FitingTreeBuilder::new(128), shards, pairs)
+    ShardedIndex::bulk_load(&FitingTreeBuilder::new(128), SHARDS, pairs)
         .expect("bench data is strictly increasing")
 }
 
 struct Config {
     n: usize,
-    shards: usize,
     /// Open-loop generator threads (each owns a stride of the arrival
     /// schedule).
     gens: usize,
@@ -158,7 +161,7 @@ impl RatePoint {
 /// sweep's rate axis; it is an *estimate*, deliberately re-measured on
 /// every machine rather than recorded.
 fn closed_loop_calibration(cfg: &Config) -> f64 {
-    let service = IndexService::start(load(cfg.n, cfg.shards), ServiceConfig::default());
+    let service = IndexService::start(load(cfg.n), ServiceConfig::default());
     let span = cfg.n as u64;
     let ops = cfg.calib_ops;
     let start = Instant::now();
@@ -212,7 +215,7 @@ fn wait_until(base: Instant, intended: Duration) {
 /// time — so generator lag and queue wait both land in the recorded
 /// latency (no coordinated omission).
 fn open_loop(cfg: &Config, rate: f64, secs: f64) -> RatePoint {
-    let service = IndexService::start(load(cfg.n, cfg.shards), ServiceConfig::default());
+    let service = IndexService::start(load(cfg.n), ServiceConfig::default());
     let span = cfg.n as u64;
     let total = (rate * secs) as u64;
     let ns_per_op = 1e9 / rate;
@@ -348,7 +351,7 @@ fn sweep_doc(cfg: &Config, calibrated: f64, points: &[RatePoint]) -> Json {
             ),
         )
         .with("n", Json::Num(cfg.n as f64))
-        .with("shards", Json::Num(cfg.shards as f64))
+        .with("shards", Json::Num(SHARDS as f64))
         .with("generators", Json::Num(cfg.gens as f64))
         .with("secs_per_rate", Json::Num(cfg.secs))
         .with("write_every", Json::Num(WRITE_EVERY as f64))
@@ -549,16 +552,12 @@ fn main() {
 
     // One generator per available core up to 4 — more would starve
     // the lane workers on small machines and measure the starvation.
-    let gens = env_usize(
-        "FITING_SLO_GENS",
-        std::thread::available_parallelism()
-            .map_or(1, usize::from)
-            .min(4),
-    );
+    let gens = std::thread::available_parallelism()
+        .map_or(1, usize::from)
+        .min(4);
     let cfg = if smoke {
         Config {
             n: env_usize("FITING_N", 200_000),
-            shards: env_usize("FITING_SHARDS", 4),
             gens,
             secs: 1.0,
             calib_threads: 2,
@@ -567,7 +566,6 @@ fn main() {
     } else {
         Config {
             n: env_usize("FITING_N", 1_000_000),
-            shards: env_usize("FITING_SHARDS", 4),
             gens,
             secs: env_usize("FITING_SLO_SECS", 2) as f64,
             calib_threads: 4,
@@ -578,7 +576,7 @@ fn main() {
     println!(
         "# slo — open-loop tail-latency sweep, {} rows, {} shards, {} generators{}",
         cfg.n,
-        cfg.shards,
+        SHARDS,
         cfg.gens,
         if smoke { " (smoke)" } else { "" }
     );

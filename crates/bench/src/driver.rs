@@ -1,11 +1,11 @@
-//! Generic benchmark drivers over the unified [`DynSortedIndex`]
-//! interface.
+//! Benchmark drivers over the object-safe [`DynSortedIndex`].
 //!
 //! The `paper` bin names *which* structures to measure as
-//! [`Structure`]s and drives every one of them through the same
-//! object-safe trait, which is the paper's fairness rule (Section 7.1)
-//! enforced by construction: the measurement loop literally cannot
-//! special-case a structure.
+//! [`Structure`]s, builds each as a [`DynIndex`], and times its point
+//! gets ([`lookup_ns`]) and inserts ([`insert_mops`]) and reads its
+//! index bytes through the same three trait calls. That is the paper's
+//! fairness rule (Section 7.1) enforced by construction: the
+//! measurement loop cannot special-case a structure.
 
 use crate::{throughput_mops, time_per_op};
 use fiting_btree::{BPlusTree, FixedPageIndex};
@@ -83,14 +83,16 @@ mod tests {
         for structure in structures {
             let label = structure.label();
             let mut index = structure.build(&pairs);
-            assert_eq!(index.dyn_len(), 5_000, "{}", label);
+            assert_eq!(index.dyn_get(&9_998), Some(4_999), "{}", label);
             assert_eq!(index.dyn_get(&20), Some(10), "{}", label);
             assert_eq!(index.dyn_get(&21), None, "{}", label);
             let ns = lookup_ns(&index, &probes);
             assert!(ns >= 0.0);
             let inserted = insert_mops(&mut index, &[1, 3, 5]);
             assert!(inserted > 0.0);
-            assert_eq!(index.dyn_len(), 5_003, "{}", label);
+            for k in [1, 3, 5] {
+                assert_eq!(index.dyn_get(&k), Some(k), "{}", label);
+            }
         }
     }
 

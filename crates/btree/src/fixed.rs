@@ -291,10 +291,6 @@ impl<K: Key, V: Clone> SortedIndex<K, V> for FixedPageIndex<K, V> {
         K: 'a,
         V: 'a;
 
-    fn name(&self) -> &'static str {
-        "Fixed"
-    }
-
     fn get(&self, key: &K) -> Option<&V> {
         let (_, slot) = self.locate(key)?;
         self.pages[slot]
@@ -485,7 +481,7 @@ mod tests {
     #[test]
     fn range_scan_spans_pages() {
         let idx = FixedPageIndex::bulk_load(8, (0..1000u64).map(|k| (k, k)));
-        assert_eq!(idx.range_count(100..=299), 200);
+        assert_eq!(idx.range(100..=299).count(), 200);
         let keys: Vec<u64> = idx.range(37..=42).map(|(k, _)| k).collect();
         assert_eq!(keys, vec![37, 38, 39, 40, 41, 42]);
         // Buffered inserts interleave with page data in scans.

@@ -15,10 +15,6 @@ impl<K: Key, V: Clone> SortedIndex<K, V> for BPlusTree<K, V> {
         K: 'a,
         V: 'a;
 
-    fn name(&self) -> &'static str {
-        "B+ tree"
-    }
-
     fn get(&self, key: &K) -> Option<&V> {
         BPlusTree::get(self, key)
     }

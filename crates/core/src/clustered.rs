@@ -258,23 +258,6 @@ impl<K: Key, V> FitingTree<K, V> {
         self.segments[pos].get(*key, self.seg_error)
     }
 
-    /// Mutable point lookup. A page hit first moves the page to a
-    /// column of its own, unless it owns one (see
-    /// [`insert`](Self::insert)).
-    pub fn get_mut(&mut self, key: &K) -> Option<&mut V>
-    where
-        V: Clone,
-    {
-        let pos = self.dir.floor_index(*key)?;
-        self.segments[pos].get_mut(*key, self.seg_error)
-    }
-
-    /// Whether `key` is present.
-    #[must_use]
-    pub fn contains_key(&self, key: &K) -> bool {
-        self.get(key).is_some()
-    }
-
     /// Instrumented lookup for the Figure 13 breakdown: returns the value
     /// and the time spent in each of the two phases (segment location
     /// vs in-segment search). Same routing as [`get`](Self::get).
@@ -773,10 +756,6 @@ impl<K: Key, V: Clone> fiting_index_api::SortedIndex<K, V> for FitingTree<K, V> 
         K: 'a,
         V: 'a;
 
-    fn name(&self) -> &'static str {
-        "FITing-Tree"
-    }
-
     fn get(&self, key: &K) -> Option<&V> {
         FitingTree::get(self, key)
     }
@@ -805,11 +784,6 @@ impl<K: Key, V: Clone> fiting_index_api::SortedIndex<K, V> for FitingTree<K, V> 
     /// pointer [`range`](Self::range) maps each entry with.
     fn range_into<R: std::ops::RangeBounds<K>>(&self, range: R, out: &mut Vec<(K, V)>) {
         FitingTree::range(self, range).collect_into(out);
-    }
-
-    /// Arithmetic per segment: no value is cloned, or read.
-    fn range_count<R: std::ops::RangeBounds<K>>(&self, range: R) -> usize {
-        FitingTree::range(self, range).count()
     }
 
     /// Native run handoff: `ShardedIndex::split_shard` over FITing-Tree
@@ -1264,9 +1238,9 @@ mod tests {
             assert_eq!(t.insert(500_060, 2), None);
             model.insert(500_060, 2);
         });
-        // `get_mut`.
+        // A value replacement alone.
         assert_copy_on_write(6, |t, model| {
-            *t.get_mut(&600_300).unwrap() = 3;
+            assert_eq!(t.insert(600_300, 3), Some(200_100));
             model.insert(600_300, 3);
         });
         // A buffer overflow that re-segments.
@@ -1338,14 +1312,6 @@ mod tests {
         t.insert(1, 1);
         assert_eq!(t.get(&1), Some(&1));
         t.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn get_mut_updates_in_place() {
-        let mut t = build(100, 8);
-        *t.get_mut(&7).unwrap() = 12345;
-        assert_eq!(t.get(&7), Some(&12345));
-        assert!(t.get_mut(&8).is_none());
     }
 
     #[test]
@@ -1794,10 +1760,8 @@ mod tests {
             match round % 4 {
                 0 | 1 => s.insert(key),
                 2 => s.remove(block + at - at % 3),
-                _ => {
-                    let hit = s.tree.get_mut(&key).map(|v| *v = value(round));
-                    assert_eq!(hit, s.oracle.get_mut(&key).map(|v| *v = value(round)));
-                }
+                _ if s.oracle.contains_key(&key) => s.insert(key),
+                _ => assert_eq!(s.tree.get(&key), None),
             }
         }
         assert!(s.overflows > 2, "{} overflows", s.overflows);

@@ -289,7 +289,7 @@ mod tests {
         t.range_into(bounds, &mut out);
         assert_eq!(out[out.len() - want.len()..], *want, "{bounds:?} by hook");
         assert_eq!(out.len(), want.len() + want.len().min(1), "{bounds:?} kept");
-        assert_eq!(t.range_count(bounds), want.len());
+        assert_eq!(t.range(bounds).count(), want.len());
         assert_eq!(SortedIndex::range(t, bounds).count(), want.len());
     }
 

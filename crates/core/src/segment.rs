@@ -617,18 +617,6 @@ impl<K: Key, V: Clone> Segment<K, V> {
         self.page.column_mut();
     }
 
-    /// Mutable point lookup across page and buffer; a page hit moves
-    /// the page to a column of its own first, unless it owns one.
-    pub(crate) fn get_mut(&mut self, key: K, seg_error: u64) -> Option<&mut V> {
-        if let Some(i) = self.probe(key, seg_error) {
-            return self.is_live(i).then(move || &mut self.page.values_mut()[i]);
-        }
-        if let Some(i) = self.search_buffer(key) {
-            return Some(&mut self.buffer[i].1);
-        }
-        None
-    }
-
     /// Inserts into the segment: replaces in place if the key exists
     /// (page or buffer, resurrecting a tombstoned page slot). A new key
     /// above the page's last key whose slot the existing model predicts
@@ -1182,7 +1170,7 @@ mod tests {
         assert_eq!(a.insert(20, 7, 1), Some(21));
         assert!(!a.shares_column(&b));
         let at = a.values().as_ptr();
-        *a.get_mut(30, 1).unwrap() = 8;
+        assert_eq!(a.insert(30, 8, 1), Some(31));
         assert_eq!(a.insert(500, 9, 1), None); // resurrected
         assert_eq!(a.values().as_ptr(), at);
         assert_eq!(

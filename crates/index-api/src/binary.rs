@@ -72,10 +72,6 @@ impl<K: Key, V: Clone> SortedIndex<K, V> for BinarySearchIndex<K, V> {
         K: 'a,
         V: 'a;
 
-    fn name(&self) -> &'static str {
-        "Binary"
-    }
-
     fn get(&self, key: &K) -> Option<&V> {
         self.search(key).ok().map(|i| &self.data[i].1)
     }

@@ -911,17 +911,6 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ShardedIndex<K, V, I> {
         shards + table.shards.len() * SHARD_METADATA_BYTES
     }
 
-    /// Display name, derived from the shard structure's name.
-    #[must_use]
-    pub fn name(&self) -> String {
-        let table = self.table();
-        format!(
-            "Sharded<{}>x{}",
-            table.shards[0].read_with(SortedIndex::name),
-            table.shards.len()
-        )
-    }
-
     /// Runs `f` on every shard in key order inside its read section
     /// (for stats and invariant checks). Iterates one routing-table
     /// snapshot; a concurrent rebalance can move entries between
@@ -1199,7 +1188,6 @@ mod tests {
         let mut shard_total = 0;
         idx.for_each_shard(|s| shard_total += s.size_bytes());
         assert_eq!(idx.size_bytes(), shard_total + 4 * SHARD_METADATA_BYTES);
-        assert!(idx.name().starts_with("Sharded<"));
     }
 
     #[test]
@@ -1227,9 +1215,6 @@ mod tests {
     impl SortedIndex<u64, u64> for Counting {
         type RangeIter<'a> = <BinarySearchIndex<u64, u64> as SortedIndex<u64, u64>>::RangeIter<'a>;
 
-        fn name(&self) -> &'static str {
-            "Counting"
-        }
         fn get(&self, key: &u64) -> Option<&u64> {
             self.0.get(key)
         }
@@ -1518,9 +1503,6 @@ mod tests {
     impl SortedIndex<u64, u64> for Probe {
         type RangeIter<'a> = <BinarySearchIndex<u64, u64> as SortedIndex<u64, u64>>::RangeIter<'a>;
 
-        fn name(&self) -> &'static str {
-            "Probe"
-        }
         fn get(&self, key: &u64) -> Option<&u64> {
             self.inner.get(key)
         }

@@ -10,7 +10,7 @@
 
 use crate::key::Key;
 use fiting_sync::GiveBack;
-use std::ops::{Bound, RangeBounds};
+use std::ops::RangeBounds;
 
 /// Health of one index structure as its storage layer sees it.
 ///
@@ -79,9 +79,6 @@ pub trait SortedIndex<K: Key, V: Clone> {
         K: 'a,
         V: 'a;
 
-    /// Display name for benchmark tables.
-    fn name(&self) -> &'static str;
-
     /// Point lookup.
     fn get(&self, key: &K) -> Option<&V>;
 
@@ -124,11 +121,6 @@ pub trait SortedIndex<K: Key, V: Clone> {
         let mut out = Vec::new();
         self.range_into(range, &mut out);
         out
-    }
-
-    /// Number of entries in `range`.
-    fn range_count<R: RangeBounds<K>>(&self, range: R) -> usize {
-        self.range(range).count()
     }
 
     /// Batched upsert; returns the number of keys that were new (not
@@ -393,58 +385,21 @@ pub trait BuildableIndex<K: Key, V: Clone>: SortedIndex<K, V> + Sized {
 /// through `&mut dyn DynSortedIndex<K, V>` without monomorphizing per
 /// type.
 ///
-/// Method names carry a `dyn_` prefix (and range scans become the
-/// internal-iteration [`for_each_in_range`](Self::for_each_in_range))
-/// so that importing both traits never makes method resolution
-/// ambiguous.
+/// It carries the three calls the benchmark driver makes. Method names
+/// carry a `dyn_` prefix so that importing both traits never makes
+/// method resolution ambiguous.
 pub trait DynSortedIndex<K: Key, V: Clone> {
-    /// Display name for benchmark tables.
-    fn dyn_name(&self) -> &'static str;
-
     /// Point lookup, cloning the value out.
     fn dyn_get(&self, key: &K) -> Option<V>;
 
     /// Upsert; returns the previous value for an existing key.
     fn dyn_insert(&mut self, key: K, value: V) -> Option<V>;
 
-    /// Removes a key; returns its value if it was present.
-    fn dyn_remove(&mut self, key: &K) -> Option<V>;
-
-    /// Number of entries.
-    fn dyn_len(&self) -> usize;
-
     /// Bytes of index structure (Section 6.2 accounting).
     fn dyn_size_bytes(&self) -> usize;
-
-    /// Calls `f` for every entry in `[lo, hi]` key order.
-    fn for_each_in_range(&self, lo: Bound<&K>, hi: Bound<&K>, f: &mut dyn FnMut(K, V));
-
-    /// Whether the index holds no entries.
-    fn dyn_is_empty(&self) -> bool {
-        self.dyn_len() == 0
-    }
-
-    /// Number of entries in `[lo, hi]`.
-    fn dyn_range_count(&self, lo: Bound<&K>, hi: Bound<&K>) -> usize {
-        let mut n = 0;
-        self.for_each_in_range(lo, hi, &mut |_, _| n += 1);
-        n
-    }
-
-    /// Batched upsert through the trait object; returns the number of
-    /// keys that were new.
-    ///
-    /// Forwards to [`SortedIndex::insert_many`], so structure overrides
-    /// apply behind `dyn` too. Lets the bench driver batch through
-    /// heterogeneous indexes.
-    fn insert_many_dyn(&mut self, batch: Vec<(K, V)>) -> usize;
 }
 
 impl<K: Key, V: Clone, I: SortedIndex<K, V>> DynSortedIndex<K, V> for I {
-    fn dyn_name(&self) -> &'static str {
-        self.name()
-    }
-
     fn dyn_get(&self, key: &K) -> Option<V> {
         self.get(key).cloned()
     }
@@ -453,24 +408,8 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V>> DynSortedIndex<K, V> for I {
         self.insert(key, value)
     }
 
-    fn dyn_remove(&mut self, key: &K) -> Option<V> {
-        self.remove(key)
-    }
-
-    fn dyn_len(&self) -> usize {
-        self.len()
-    }
-
     fn dyn_size_bytes(&self) -> usize {
         self.size_bytes()
-    }
-
-    fn for_each_in_range(&self, lo: Bound<&K>, hi: Bound<&K>, f: &mut dyn FnMut(K, V)) {
-        self.range((lo, hi)).for_each(|(k, v)| f(k, v));
-    }
-
-    fn insert_many_dyn(&mut self, batch: Vec<(K, V)>) -> usize {
-        self.insert_many(batch)
     }
 }
 

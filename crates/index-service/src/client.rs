@@ -213,14 +213,6 @@ where
         t
     }
 
-    /// Number of lanes (queue/worker pairs) behind this client — fixed
-    /// at service start, even as the index's shard count changes under
-    /// rebalancing.
-    #[must_use]
-    pub fn lane_count(&self) -> usize {
-        self.shared.queues.len()
-    }
-
     /// Whether the service has shut down (all further submissions
     /// fail): every lane's queue is closed. A single poisoned lane
     /// refuses only the commands routed to it.

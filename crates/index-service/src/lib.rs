@@ -772,7 +772,7 @@ mod tests {
     fn is_closed_needs_every_lane_closed() {
         let svc = start(100, 2, ServiceConfig::default());
         let client = svc.client();
-        assert_eq!(client.lane_count(), 2);
+        assert_eq!(svc.stats().lanes.len(), 2);
         // Lane 0 refuses from here on (as a poisoned lane does), while
         // lane 1 still serves: the service is not closed.
         svc.shared.queues[0].close();
@@ -935,9 +935,6 @@ mod tests {
     impl SortedIndex<u64, u64> for PanicOnKey {
         type RangeIter<'a> = <BinarySearchIndex<u64, u64> as SortedIndex<u64, u64>>::RangeIter<'a>;
 
-        fn name(&self) -> &'static str {
-            "panic-on-key"
-        }
         fn get(&self, key: &u64) -> Option<&u64> {
             self.inner.get(key)
         }
@@ -1227,7 +1224,7 @@ mod tests {
             ShardedIndex::bulk_load(&(), 2, (0..100u64).map(|k| (k, k)).collect()).unwrap();
         let svc = IndexService::start(index, ServiceConfig::default());
         let client = svc.client();
-        assert_eq!(client.lane_count(), 2);
+        assert_eq!(svc.stats().lanes.len(), 2);
 
         // BOOM_KEY is u64::MAX, so it routes to the last lane.
         assert_eq!(

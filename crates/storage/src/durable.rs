@@ -856,10 +856,6 @@ impl<K: Key, V: Key, I: SortedIndex<K, V> + PageSnapshot> SortedIndex<K, V>
         K: 'a,
         V: 'a;
 
-    fn name(&self) -> &'static str {
-        "Durable"
-    }
-
     fn get(&self, key: &K) -> Option<&V> {
         self.inner.get(key)
     }
@@ -898,10 +894,6 @@ impl<K: Key, V: Key, I: SortedIndex<K, V> + PageSnapshot> SortedIndex<K, V>
 
     fn range_into<R: RangeBounds<K>>(&self, range: R, out: &mut Vec<(K, V)>) {
         self.inner.range_into(range, out);
-    }
-
-    fn range_count<R: RangeBounds<K>>(&self, range: R) -> usize {
-        self.inner.range_count(range)
     }
 
     fn insert_many(&mut self, batch: Vec<(K, V)>) -> usize {

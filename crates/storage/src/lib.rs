@@ -133,7 +133,6 @@ mod tests {
         let cfg = config(&root);
         let mut idx: Durable =
             DurableIndex::build_from(&cfg, (0..5000u64).map(|k| (k * 2, k))).unwrap();
-        assert_eq!(idx.name(), "Durable");
         assert!(idx.disk_bytes() > 0);
         assert_eq!(idx.wal_bytes(), 0);
 

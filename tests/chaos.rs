@@ -375,10 +375,6 @@ struct PanicOn(Durable);
 impl SortedIndex<u64, u64> for PanicOn {
     type RangeIter<'a> = <Durable as SortedIndex<u64, u64>>::RangeIter<'a>;
 
-    fn name(&self) -> &'static str {
-        "PanicOn"
-    }
-
     fn get(&self, key: &u64) -> Option<&u64> {
         self.0.get(key)
     }

@@ -328,7 +328,7 @@ fn scan_agrees<K: Key, V: Clone + PartialEq + Debug>(
         *want,
         "{ctx}: by the collect hook"
     );
-    assert_eq!(t.range_count(bounds), want.len(), "{ctx}: range_count");
+    assert_eq!(t.range(bounds).count(), want.len(), "{ctx}: range count");
 }
 
 fn lifecycle_at<K: Key, V: Clone + PartialEq + Debug>(

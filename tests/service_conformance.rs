@@ -22,7 +22,7 @@ where
         ShardedIndex::bulk_load(config, 4, pairs).expect("bulk load");
     let service = IndexService::start(index, ServiceConfig::default());
     let client = service.client();
-    assert_eq!(client.lane_count(), 4, "{name}");
+    assert_eq!(service.stats().lanes.len(), 4, "{name}");
 
     // Typed round trips.
     assert_eq!(client.get(100).wait(), Ok(Some(50)), "{name}: get hit");

@@ -31,7 +31,7 @@ fn battery<I: SortedIndex<u64, u64>>(name: &str, build: impl Fn(Vec<(u64, u64)>)
 
 /// `range_into` — the provided default and every override — appends
 /// exactly what `range` yields, after whatever `out` already held, and
-/// `range_collect` / `range_count` agree with it.
+/// `range_collect` and the scan's count agree with it.
 fn collect_hook_appends_what_range_yields<I: SortedIndex<u64, u64>>(
     name: &str,
     build: &impl Fn(Vec<(u64, u64)>) -> I,
@@ -59,7 +59,7 @@ fn collect_hook_appends_what_range_yields<I: SortedIndex<u64, u64>>(
         assert_eq!(out[..1], held[..], "{name}: hook kept {lo:?}..{hi:?}");
         assert_eq!(out[1..], want[..], "{name}: hook {lo:?}..{hi:?}");
         assert_eq!(idx.range_collect((lo, hi)), want, "{name}: collect");
-        assert_eq!(idx.range_count((lo, hi)), want.len(), "{name}: count");
+        assert_eq!(idx.range((lo, hi)).count(), want.len(), "{name}: count");
     }
 }
 
@@ -90,21 +90,6 @@ fn batched_inserts_match_model<I: SortedIndex<u64, u64>>(
     assert_eq!(idx.get(&4), Some(&90), "{name}: overwrite applied");
     assert_eq!(idx.len(), model.len(), "{name}: len after insert_many");
 
-    // Same contract through the trait object.
-    let dyn_idx: &mut dyn DynSortedIndex<u64, u64> = &mut idx;
-    let batch = vec![(5, 50), (9, 9), (3, 30)];
-    let mut fresh_model = 0;
-    for &(k, v) in &batch {
-        if model.insert(k, v).is_none() {
-            fresh_model += 1;
-        }
-    }
-    assert_eq!(
-        dyn_idx.insert_many_dyn(batch),
-        fresh_model,
-        "{name}: insert_many_dyn fresh count"
-    );
-    assert_eq!(dyn_idx.dyn_len(), model.len(), "{name}");
     let want: Vec<(u64, u64)> = model.into_iter().collect();
     assert_eq!(
         idx.range_collect(..),
@@ -188,7 +173,7 @@ fn boundary_crossing_ranges<I: SortedIndex<u64, u64>>(
         let want: Vec<(u64, u64)> = model.range((lo, hi)).map(|(&k, &v)| (k, v)).collect();
         assert_eq!(got, want, "{name}: range {lo:?}..{hi:?}");
         assert_eq!(
-            idx.range_count((lo, hi)),
+            idx.range((lo, hi)).count(),
             want.len(),
             "{name}: count {lo:?}..{hi:?}"
         );
@@ -400,49 +385,51 @@ fn build_sorted_builds_what_build_from_builds() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// The paper's four structures driven through the object-safe
-/// interface the benchmark harness uses, `&mut dyn DynSortedIndex`:
-/// point reads and writes, `dyn_range_count` and `for_each_in_range`
-/// give the same answers on each.
+/// Every structure driven through the object-safe interface the
+/// benchmark harness uses, `&mut dyn DynSortedIndex`: point reads,
+/// writes and the size accounting answer as the static calls do.
 #[test]
 fn all_implementations_agree_through_dyn() {
-    fn drive(name: &str, index: &mut dyn DynSortedIndex<u64, u64>) {
-        assert_eq!(index.dyn_len(), 1000, "{name}");
+    fn drive<I: SortedIndex<u64, u64>>(name: &str, index: &mut I) {
+        let size = index.size_bytes();
+        let dynamic: &mut dyn DynSortedIndex<u64, u64> = index;
+        assert_eq!(dynamic.dyn_size_bytes(), size, "{name}");
         for k in (0..1000u64).step_by(13) {
-            assert_eq!(index.dyn_get(&(k * 2)), Some(k), "{name}");
-            assert_eq!(index.dyn_get(&(k * 2 + 1)), None, "{name}");
+            assert_eq!(dynamic.dyn_get(&(k * 2)), Some(k), "{name}");
+            assert_eq!(dynamic.dyn_get(&(k * 2 + 1)), None, "{name}");
         }
-        assert_eq!(index.dyn_insert(5, 555), None, "{name}");
-        assert_eq!(index.dyn_get(&5), Some(555), "{name}");
-        assert_eq!(index.dyn_len(), 1001, "{name}");
-        // Evens 0..=20 plus key 5.
+        assert_eq!(dynamic.dyn_insert(5, 555), None, "{name}");
+        assert_eq!(dynamic.dyn_insert(8, 888), Some(4), "{name}");
+        assert_eq!(dynamic.dyn_get(&5), Some(555), "{name}");
+        assert_eq!(index.len(), 1001, "{name}");
         assert_eq!(
-            index.dyn_range_count(Bound::Included(&0), Bound::Included(&20)),
-            12,
+            index.range_collect(0..=8),
+            vec![(0, 0), (2, 1), (4, 2), (5, 555), (6, 3), (8, 888)],
             "{name}"
         );
-        let mut collected = Vec::new();
-        index.for_each_in_range(Bound::Included(&0), Bound::Included(&8), &mut |k, v| {
-            collected.push((k, v));
-        });
-        assert_eq!(
-            collected,
-            vec![(0, 0), (2, 1), (4, 2), (5, 555), (6, 3), (8, 4)],
-            "{name}"
-        );
-        assert_eq!(index.dyn_remove(&5), Some(555), "{name}");
-        assert_eq!(index.dyn_len(), 1000, "{name}");
+        assert_eq!(index.get(&5), Some(&555), "{name}");
+        let dynamic: &dyn DynSortedIndex<u64, u64> = index;
+        assert_eq!(dynamic.dyn_size_bytes(), index.size_bytes(), "{name}");
     }
 
+    use fiting::storage::{DurableConfig, DurableIndex, FsyncPolicy};
     let pairs: Vec<(u64, u64)> = (0..1000u64).map(|k| (k * 2, k)).collect();
     let mut fiting = FitingTreeBuilder::new(32).bulk_load(pairs.clone()).unwrap();
     let mut full = BPlusTree::bulk_load(pairs.clone());
     let mut fixed = FixedPageIndex::bulk_load(64, pairs.clone());
-    let mut binary = BinarySearchIndex::bulk_load(pairs);
+    let mut binary = BinarySearchIndex::bulk_load(pairs.clone());
     drive("FITing-Tree", &mut fiting);
     drive("Full", &mut full);
     drive("Fixed", &mut fixed);
     drive("Binary", &mut binary);
+    let root = std::env::temp_dir().join(format!("fiting-dyn-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let cfg = DurableConfig::new(&root, FsyncPolicy::Off, FitingTreeBuilder::new(32)).unwrap();
+    let mut durable =
+        DurableIndex::<u64, u64, FitingTree<u64, u64>>::build_sorted(&cfg, pairs).unwrap();
+    drive("Durable", &mut durable);
+    drop(durable);
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// The size-accounting contract across structures, on the same data:
