@@ -28,7 +28,7 @@
 //! * [`ShardedIndex`] — a range-partitioned concurrent front-end with a
 //!   wait-free read path: boundaries sampled at bulk load, an
 //!   versioned routing snapshot (`Arc`-reclaimed), one seqlock per shard,
-//!   cross-shard `range_collect`, batched `insert_many`, and online
+//!   cross-shard `range_collect`, grouped writes, and online
 //!   [`split_shard`](ShardedIndex::split_shard) /
 //!   [`merge_with_next`](ShardedIndex::merge_with_next) boundary moves.
 //! * [`rebalance`] — the policy layer that drives those moves from

@@ -42,15 +42,13 @@
 //!   the operation re-fetches the current table and accepts if it
 //!   still routes the key to the locked shard (shard identity by
 //!   `Arc` pointer); otherwise it retries against the new layout.
-//! * **One way in for batches.** [`insert_many`],
-//!   [`insert_many_reporting`] and [`with_write_groups`] are thin
-//!   wrappers over one private kernel that buckets items by owning
-//!   shard, takes each involved shard's write lock once, revalidates
-//!   every item against the table current *inside* the lock, and
-//!   re-buckets whatever a concurrent rebalance re-routed.
+//! * **One way in for batches.** [`with_write_groups`] buckets items
+//!   by owning shard, takes each involved shard's write lock once,
+//!   revalidates every item against the table current *inside* the
+//!   lock, and re-buckets whatever a concurrent rebalance re-routed.
 //! * **Lock order.** Multi-shard operations ([`range_collect`],
-//!   [`insert_many`], [`len`]) visit shards in ascending index order
-//!   and hold at most one shard lock (or read section) at a time; a
+//!   [`with_write_groups`], [`len`]) visit shards in ascending index
+//!   order and hold at most one shard lock (or read section) at a time; a
 //!   rebalance holds at most two (adjacent, ascending) and is
 //!   serialized against other rebalances by a dedicated mutex — so no
 //!   lock cycle exists. The cost is cross-shard snapshot consistency:
@@ -71,8 +69,6 @@
 //! state by counter deltas.
 //!
 //! [`range_collect`]: ShardedIndex::range_collect
-//! [`insert_many`]: ShardedIndex::insert_many
-//! [`insert_many_reporting`]: ShardedIndex::insert_many_reporting
 //! [`with_write_groups`]: ShardedIndex::with_write_groups
 //! [`len`]: ShardedIndex::len
 //! [`split_shard`]: ShardedIndex::split_shard
@@ -701,20 +697,20 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ShardedIndex<K, V, I> {
 
     /// The one grouped-write loop: buckets `items` by owning shard,
     /// takes each involved shard's write lock **once** per pass (in
-    /// ascending shard order, one lock at a time), and hands `apply`
-    /// the items that shard still owns under the table current *inside*
+    /// ascending shard order, one lock at a time), and applies `f` to
+    /// each item that shard still owns under the table current *inside*
     /// the lock (see `Table::owns`). Items a concurrent rebalance
     /// re-routed between bucketing and locking are re-bucketed against
-    /// the new layout on the next pass — so every item reaches `apply`
-    /// exactly once, with the shard that owns its key at that moment,
-    /// and a key's items keep their submitted order (bucketing is
-    /// stable and a key's items always share a bucket).
+    /// the new layout on the next pass — so `f` runs exactly once per
+    /// item, with the shard that owns its key at that moment, and a
+    /// key's items keep their submitted order (bucketing is stable and
+    /// a key's items always share a bucket).
     ///
     /// Returns the number of write-lock acquisitions taken.
-    fn write_groups<T>(
+    pub fn with_write_groups<T>(
         &self,
         items: Vec<(K, T)>,
-        mut apply: impl FnMut(&mut I, Vec<(K, T)>),
+        mut f: impl FnMut(&mut I, K, T),
     ) -> usize {
         let mut pending = items;
         let mut locks = 0;
@@ -732,79 +728,16 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ShardedIndex<K, V, I> {
                 let mut guard = shard.write();
                 locks += 1;
                 let cur = self.table();
-                let mut owned = Vec::with_capacity(group.len());
                 for (k, t) in group {
                     if cur.owns(cur.shard_for(&k), shard) {
-                        owned.push((k, t));
+                        f(&mut guard, k, t);
                     } else {
                         pending.push((k, t));
                     }
                 }
-                if !owned.is_empty() {
-                    apply(&mut guard, owned);
-                }
             }
         }
         locks
-    }
-
-    /// Batched insert: groups the batch by destination shard, then
-    /// takes each destination's write lock **once** and applies that
-    /// group through [`SortedIndex::insert_many`] — for `b` keys
-    /// across `s` shards, `min(b, s)` lock acquisitions instead of `b`,
-    /// plus whatever batch amortization the shard structure's own
-    /// `insert_many` provides. Keys whose boundary a concurrent
-    /// rebalance moves mid-batch are transparently re-grouped and
-    /// retried, so none are lost or misplaced.
-    ///
-    /// Returns the number of keys that were new (not overwrites).
-    pub fn insert_many<It: IntoIterator<Item = (K, V)>>(&self, batch: It) -> usize {
-        let mut fresh = 0;
-        self.write_groups(batch.into_iter().collect(), |shard, owned| {
-            fresh += shard.insert_many(owned);
-        });
-        fresh
-    }
-
-    /// Refusal-aware counterpart of
-    /// [`insert_many`](Self::insert_many): applies each shard's group
-    /// through [`SortedIndex::try_insert_many`] and returns `(fresh,
-    /// refused)` — `refused` counts keys whose owning shard is
-    /// degraded and did **not** apply them. Groups for healthy shards
-    /// still apply even when another shard refuses, so one dying shard
-    /// does not block writes routed elsewhere.
-    pub fn insert_many_reporting<It: IntoIterator<Item = (K, V)>>(
-        &self,
-        batch: It,
-    ) -> (usize, usize) {
-        let mut fresh = 0;
-        let mut refused = 0;
-        self.write_groups(batch.into_iter().collect(), |shard, owned| {
-            let n = owned.len();
-            match shard.try_insert_many(owned) {
-                Ok(f) => fresh += f,
-                Err(_) => refused += n,
-            }
-        });
-        (fresh, refused)
-    }
-
-    /// Applies `f` to every `(key, payload)` item under the owning
-    /// shard's write lock, one acquisition per involved shard per pass,
-    /// revalidating against concurrent rebalances: `f` runs exactly
-    /// once per item, always against the shard that owns the key at
-    /// that moment, and a key's items keep their submitted order.
-    /// Returns the number of write-lock acquisitions taken.
-    pub fn with_write_groups<T>(
-        &self,
-        items: Vec<(K, T)>,
-        mut f: impl FnMut(&mut I, K, T),
-    ) -> usize {
-        self.write_groups(items, |shard, owned| {
-            for (k, t) in owned {
-                f(shard, k, t);
-            }
-        })
     }
 
     /// Collects a cross-shard range scan, visiting each overlapping
@@ -1073,6 +1006,19 @@ mod tests {
         ShardedIndex::bulk_load(&(), shards, (0..n).map(|k| (k * 2, k)).collect()).unwrap()
     }
 
+    /// Upserts `items` through the grouped kernel; returns how many
+    /// keys were new.
+    fn upsert_groups<I: SortedIndex<u64, u64> + 'static>(
+        idx: &ShardedIndex<u64, u64, I>,
+        items: Vec<(u64, u64)>,
+    ) -> usize {
+        let mut fresh = 0;
+        idx.with_write_groups(items, |shard, k, v| {
+            fresh += usize::from(shard.insert(k, v).is_none());
+        });
+        fresh
+    }
+
     /// Position of the fullest shard — where the storm tests split.
     fn hottest_shard<I: SortedIndex<u64, u64> + 'static>(idx: &ShardedIndex<u64, u64, I>) -> usize {
         let lens = idx.shard_lens();
@@ -1158,12 +1104,12 @@ mod tests {
     }
 
     #[test]
-    fn insert_many_groups_by_shard() {
+    fn write_groups_group_by_shard() {
         let idx = load(1_000, 4);
-        let fresh = idx.insert_many((0..500u64).map(|k| (k * 4 + 1, k)));
+        let fresh = upsert_groups(&idx, (0..500u64).map(|k| (k * 4 + 1, k)).collect());
         assert_eq!(fresh, 500);
         // Overwrites are not fresh: 1 and 5 already exist, 2_001 is new.
-        let fresh = idx.insert_many(vec![(1, 9), (5, 9), (2_001, 9)]);
+        let fresh = upsert_groups(&idx, vec![(1, 9), (5, 9), (2_001, 9)]);
         assert_eq!(fresh, 1);
         assert_eq!(idx.len(), 1_501);
         assert_eq!(idx.get(&1), Some(9));
@@ -1376,7 +1322,7 @@ mod tests {
         assert_eq!(idx.boundaries(), vec![1_000]);
         assert_eq!(idx.shard_lens(), vec![500, 500]);
         assert_eq!(idx.range_collect(..), before);
-        assert_eq!(applied.load(Ordering::Relaxed), 0, "no insert_many copy");
+        assert_eq!(applied.load(Ordering::Relaxed), 0, "nothing copied");
     }
 
     #[test]
@@ -1507,6 +1453,8 @@ mod tests {
             self.inner.get(key)
         }
         fn insert(&mut self, key: u64, value: u64) -> Option<u64> {
+            run_mid_pass_hook();
+            self.applied.fetch_add(1, Ordering::Relaxed);
             self.inner.insert(key, value)
         }
         fn remove(&mut self, key: &u64) -> Option<u64> {
@@ -1521,16 +1469,11 @@ mod tests {
         fn range<R: RangeBounds<u64>>(&self, range: R) -> Self::RangeIter<'_> {
             self.inner.range(range)
         }
-        fn insert_many(&mut self, batch: Vec<(u64, u64)>) -> usize {
-            run_mid_pass_hook();
-            self.applied.fetch_add(batch.len(), Ordering::Relaxed);
-            self.inner.insert_many(batch)
-        }
-        fn try_insert_many(&mut self, batch: Vec<(u64, u64)>) -> Result<usize, Degraded> {
+        fn try_insert(&mut self, key: u64, value: u64) -> Result<Option<u64>, Degraded> {
             if self.refuse {
                 return Err(Degraded);
             }
-            Ok(self.insert_many(batch))
+            Ok(self.insert(key, value))
         }
         fn split_off_tail(&mut self, at: &u64) -> Option<Self> {
             if self.refuse {
@@ -1571,27 +1514,6 @@ mod tests {
         (idx, applied)
     }
 
-    /// The three public forms of the grouped kernel, each applying
-    /// `items` as upserts and counting what it applied in `applied`.
-    type Wrapper = fn(&ShardedIndex<u64, u64, Probe>, Vec<(u64, u64)>, &AtomicUsize);
-
-    const WRAPPERS: [(&str, Wrapper); 3] = [
-        ("insert_many", |idx, items, _| {
-            idx.insert_many(items);
-        }),
-        ("insert_many_reporting", |idx, items, _| {
-            let (_, refused) = idx.insert_many_reporting(items);
-            assert_eq!(refused, 0);
-        }),
-        ("with_write_groups", |idx, items, applied| {
-            idx.with_write_groups(items, |shard, k, v| {
-                run_mid_pass_hook();
-                applied.fetch_add(1, Ordering::Relaxed);
-                shard.insert(k, v);
-            });
-        }),
-    ];
-
     /// Every shard holds only keys inside the span routing gives it.
     fn assert_every_key_in_its_owner(idx: &ShardedIndex<u64, u64, Probe>) {
         let mut sid = 0;
@@ -1607,55 +1529,51 @@ mod tests {
 
     #[test]
     fn grouped_kernel_rebuckets_items_a_mid_pass_rebalance_moved() {
-        for (name, wrapper) in WRAPPERS {
-            // Shards [0, 1000) [1000, 2000) [2000, ∞); odd keys across
-            // all three.
-            let (idx, applied) = load_probe(1_500, 3);
-            assert_eq!(idx.boundaries(), vec![1_000, 2_000], "{name}");
-            let items: Vec<(u64, u64)> = (0..300u64).map(|i| (i * 10 + 1, i)).collect();
-            // While the kernel holds shard 0 (first group, ascending
-            // order): split shard 1 at 1500, then merge the old shard 2
-            // into the new upper half. The already-bucketed shard-1
-            // group now owns only its keys below 1500, and the shard-2
-            // group's shard is retired outright.
-            let rebalancer = idx.clone();
-            MID_PASS.with(|h| {
-                *h.borrow_mut() = Some(Box::new(move || {
-                    rebalancer.split_shard(1, 1_500).unwrap();
-                    rebalancer.merge_with_next(2).unwrap();
-                }));
-            });
-            wrapper(&idx, items.clone(), &applied);
-            assert!(MID_PASS.with(|h| h.borrow().is_none()), "{name}: hook ran");
-            assert_eq!(idx.boundaries(), vec![1_000, 1_500], "{name}");
-            assert_eq!(applied.load(Ordering::Relaxed), 300, "{name}: once each");
-            assert_eq!(idx.len(), 1_800, "{name}");
-            for (k, v) in items {
-                assert_eq!(idx.get(&k), Some(v), "{name}: lost {k}");
-            }
-            assert_every_key_in_its_owner(&idx);
+        // Shards [0, 1000) [1000, 2000) [2000, ∞); odd keys across all
+        // three.
+        let (idx, applied) = load_probe(1_500, 3);
+        assert_eq!(idx.boundaries(), vec![1_000, 2_000]);
+        let items: Vec<(u64, u64)> = (0..300u64).map(|i| (i * 10 + 1, i)).collect();
+        // While the kernel holds shard 0 (first group, ascending order):
+        // split shard 1 at 1500, then merge the old shard 2 into the new
+        // upper half. The already-bucketed shard-1 group now owns only
+        // its keys below 1500, and the shard-2 group's shard is retired
+        // outright.
+        let rebalancer = idx.clone();
+        MID_PASS.with(|h| {
+            *h.borrow_mut() = Some(Box::new(move || {
+                rebalancer.split_shard(1, 1_500).unwrap();
+                rebalancer.merge_with_next(2).unwrap();
+            }));
+        });
+        assert_eq!(upsert_groups(&idx, items.clone()), 300);
+        assert!(MID_PASS.with(|h| h.borrow().is_none()), "hook ran");
+        assert_eq!(idx.boundaries(), vec![1_000, 1_500]);
+        assert_eq!(applied.load(Ordering::Relaxed), 300, "once each");
+        assert_eq!(idx.len(), 1_800);
+        for (k, v) in items {
+            assert_eq!(idx.get(&k), Some(v), "lost {k}");
         }
+        assert_every_key_in_its_owner(&idx);
     }
 
     #[test]
     fn grouped_kernel_survives_a_split_merge_storm() {
-        // One writer thread per wrapper pushes disjoint odd keys in
-        // batches that span every shard while this thread splits and
-        // merges; the barrier starts the storm with the writers.
+        // Three writer threads push disjoint odd keys in batches that
+        // span every shard while this thread splits and merges; the
+        // barrier starts the storm with the writers.
         let (idx, applied) = load_probe(4_000, 2);
-        let start = Arc::new(std::sync::Barrier::new(WRAPPERS.len() + 1));
-        let writers: Vec<_> = WRAPPERS
-            .into_iter()
-            .enumerate()
-            .map(|(t, (_, wrapper))| {
-                let (idx, applied, start) = (idx.clone(), Arc::clone(&applied), Arc::clone(&start));
+        let start = Arc::new(std::sync::Barrier::new(4));
+        let writers: Vec<_> = (0..3u64)
+            .map(|t| {
+                let (idx, start) = (idx.clone(), Arc::clone(&start));
                 thread::spawn(move || {
                     start.wait();
                     for batch in 0..20u64 {
                         let items = (0..50u64)
-                            .map(|i| ((i * 60 + batch * 3 + t as u64) * 2 + 1, i))
+                            .map(|i| ((i * 60 + batch * 3 + t) * 2 + 1, i))
                             .collect();
-                        wrapper(&idx, items, &applied);
+                        assert_eq!(upsert_groups(&idx, items), 50);
                     }
                 })
             })
@@ -1687,7 +1605,7 @@ mod tests {
     }
 
     #[test]
-    fn insert_many_reporting_counts_a_refusing_shards_keys() {
+    fn write_groups_skip_only_a_refusing_shards_keys() {
         let (idx, _) = load_probe(1_500, 3);
         idx.write_owner(&1_200, |shard| shard.refuse = true);
         // Per shard: two new odd keys and one overwrite.
@@ -1702,7 +1620,12 @@ mod tests {
             (2_203, 7),
             (2_204, 7),
         ];
-        assert_eq!(idx.insert_many_reporting(batch), (4, 3));
+        let (mut fresh, mut refused) = (0, 0);
+        idx.with_write_groups(batch, |shard, k, v| match shard.try_insert(k, v) {
+            Ok(old) => fresh += usize::from(old.is_none()),
+            Err(Degraded) => refused += 1,
+        });
+        assert_eq!((fresh, refused), (4, 3));
         // The refusing shard applied nothing; the healthy ones all of
         // theirs.
         assert_eq!(idx.shard_lens(), vec![502, 500, 502]);

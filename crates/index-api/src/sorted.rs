@@ -65,11 +65,10 @@ impl std::error::Error for Degraded {}
 ///   fixed-page baseline merges a page with its insert buffer as it
 ///   goes); the iterator type is an associated type so tree-backed
 ///   structures can expose their native cursors without boxing.
-/// * **Bulk paths.** Two provided methods exist to be overridden by a
-///   structure that can do better than an entry at a time:
-///   [`insert_many`](Self::insert_many) on the write side and
-///   [`range_into`](Self::range_into) on the scan side (the
-///   FITing-Tree copies whole page runs through it).
+/// * **Bulk scans.** The provided [`range_into`](Self::range_into)
+///   exists to be overridden by a structure that can do better than an
+///   entry at a time (the FITing-Tree copies whole page runs through
+///   it). Writes are point writes; a batch is a run of them.
 pub trait SortedIndex<K: Key, V: Clone> {
     /// Iterator returned by [`range`](Self::range), in increasing key
     /// order.
@@ -121,26 +120,6 @@ pub trait SortedIndex<K: Key, V: Clone> {
         let mut out = Vec::new();
         self.range_into(range, &mut out);
         out
-    }
-
-    /// Batched upsert; returns the number of keys that were new (not
-    /// overwrites).
-    ///
-    /// The default stable-sorts the batch by key — so duplicate keys
-    /// keep their submission order and the last write wins — then
-    /// inserts sequentially, which already helps structures whose
-    /// insert path has locality (segment buffers, tree leaves).
-    /// Implementations with a cheaper bulk path (delta buffers, leaf
-    /// merge) may override.
-    fn insert_many(&mut self, mut batch: Vec<(K, V)>) -> usize {
-        batch.sort_by_key(|&(k, _)| k);
-        let mut fresh = 0;
-        for (k, v) in batch {
-            if self.insert(k, v).is_none() {
-                fresh += 1;
-            }
-        }
-        fresh
     }
 
     /// Splits off every entry with key `>= *at` into a new instance of
@@ -224,17 +203,6 @@ pub trait SortedIndex<K: Key, V: Clone> {
     /// [`Degraded`] when the removal was refused (and not applied).
     fn try_remove(&mut self, key: &K) -> Result<Option<V>, Degraded> {
         Ok(self.remove(key))
-    }
-
-    /// Panic-free batched upsert; see [`try_insert`](Self::try_insert).
-    /// Refusal is all-or-nothing: on `Err` no entry of the batch was
-    /// applied.
-    ///
-    /// # Errors
-    ///
-    /// [`Degraded`] when the batch was refused (and not applied).
-    fn try_insert_many(&mut self, batch: Vec<(K, V)>) -> Result<usize, Degraded> {
-        Ok(self.insert_many(batch))
     }
 
     /// Group commit: flushes and (policy permitting) fsyncs any

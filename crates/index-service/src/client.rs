@@ -13,11 +13,12 @@
 //!   `try_submit` hands the command back as
 //!   [`Busy`](TryPushError::Busy) so the caller can shed load.
 //! * The typed methods ([`get`](Client::get), [`insert`](Client::insert),
-//!   [`remove`](Client::remove), [`range`](Client::range),
-//!   [`insert_many`](Client::insert_many)) build the command, submit
-//!   it, and return its [`Ticket`]. If the service is already shut
-//!   down the ticket comes back pre-canceled rather than erroring —
-//!   one code path for callers either way.
+//!   [`remove`](Client::remove), [`range`](Client::range)) build the
+//!   command, submit it, and return its [`Ticket`]. If the service is
+//!   already shut down the ticket comes back pre-canceled rather than
+//!   erroring — one code path for callers either way.
+//!   [`insert_many`](Client::insert_many) submits one `Insert` per
+//!   pair and fans their results into one ticket.
 //!
 //! # Ordering
 //!
@@ -25,23 +26,13 @@
 //! operations on a single key from a single submitter are applied in
 //! program order and a `get` observes every earlier write to that key
 //! (the frozen lane table makes key → lane stable for the service's
-//! lifetime). Across lanes there is no global order, and two command
-//! shapes span lanes:
-//!
-//! * A `Range` is routed by its **lower bound**; shards past the first
-//!   are read directly at execution time, bypassing other lanes'
-//!   queues. A pipelined scan therefore observes the submitter's
-//!   earlier writes only for keys owned by the lower bound's lane —
-//!   writes still queued on later lanes may be missed. Wait on the
-//!   write tickets first when a scan must see them.
-//! * A raw `Command::InsertMany` whose batch spans lanes is routed by
-//!   its *first* key and executed as one cross-shard call — keys
-//!   living on other lanes bypass those lanes' queues and may race
-//!   queued commands for the same keys.
-//!   [`insert_many`](Client::insert_many) instead splits the batch per
-//!   lane and fans completion back into one ticket, preserving the
-//!   per-key ordering guarantee; prefer it unless the batch is known
-//!   to be lane-local.
+//! lifetime). Across lanes there is no global order, and one command
+//! shape spans lanes: a `Range` is routed by its **lower bound**;
+//! shards past the first are read directly at execution time,
+//! bypassing other lanes' queues. A pipelined scan therefore observes
+//! the submitter's earlier writes only for keys owned by the lower
+//! bound's lane — writes still queued on later lanes may be missed.
+//! Wait on the write tickets first when a scan must see them.
 
 use crate::command::Command;
 use crate::queue::{Closed, TryPushError};
@@ -90,9 +81,6 @@ where
                 Bound::Included(k) | Bound::Excluded(k) => self.shared.lane_of(k),
                 Bound::Unbounded => 0,
             },
-            Command::InsertMany { batch, .. } => {
-                batch.first().map_or(0, |(k, _)| self.shared.lane_of(k))
-            }
         }
     }
 
@@ -171,44 +159,35 @@ where
         t
     }
 
-    /// Submits a batched upsert, split per destination lane so every
-    /// key goes through its owning lane's queue (full per-key
-    /// ordering). The single ticket resolves with the total fresh-key
-    /// count once every lane's sub-batch has been applied.
+    /// Submits a batched upsert as one `Insert` per pair, in batch
+    /// order, so every key goes through its owning lane's queue (full
+    /// per-key ordering; duplicate keys resolve last-write-wins) and
+    /// the lane workers coalesce the inserts like any other run of
+    /// point writes. The single ticket resolves with the number of keys
+    /// that were new once every insert has resolved.
     ///
     /// If shutdown interrupts the fan-out, the ticket resolves
-    /// [`Canceled`](crate::CommandError::Canceled) — some sub-batches may still have
-    /// been applied (at-most-once *reporting*, like any RPC cut off
-    /// mid-flight).
+    /// [`Canceled`](crate::CommandError::Canceled) — some inserts may
+    /// still have been applied (at-most-once *reporting*, like any RPC
+    /// cut off mid-flight). If a degraded shard refused any insert it
+    /// resolves [`Degraded`](crate::CommandError::Degraded), and the
+    /// inserts routed to healthy shards were applied.
     #[must_use]
     pub fn insert_many(&self, batch: Vec<(K, V)>) -> Ticket<usize> {
         let (t, done) = ticket();
-        let lanes = self.shared.queues.len();
-        let mut groups: Vec<Vec<(K, V)>> = (0..lanes).map(|_| Vec::new()).collect();
-        for (k, v) in batch {
-            groups[self.shared.lane_of(&k)].push((k, v));
-        }
-        let groups: Vec<(usize, Vec<(K, V)>)> = groups
-            .into_iter()
-            .enumerate()
-            .filter(|(_, g)| !g.is_empty())
-            .collect();
-        if groups.is_empty() {
+        if batch.is_empty() {
             done.complete(0);
             return t;
         }
-        let agg = Arc::new(Aggregate::new(groups.len(), done));
-        for (lane, group) in groups {
+        let agg = Arc::new(Aggregate::new(batch.len(), done));
+        for (key, value) in batch {
             let agg = Arc::clone(&agg);
-            let cmd = Command::InsertMany {
-                batch: group,
-                done: Completer::from_fn(move |result| agg.resolve_one(result)),
-            };
-            // `route` sends a single-lane batch to `lane`; a Closed
-            // rejection drops the sub-completer, canceling the
-            // aggregate.
-            debug_assert_eq!(self.route(&cmd), lane);
-            let _ = self.submit(cmd);
+            let done = Completer::from_fn(move |result: Result<Option<V>, CommandError>| {
+                agg.resolve_one(result.map(|old| usize::from(old.is_none())));
+            });
+            // A Closed rejection drops the command and with it the
+            // sub-completer, canceling the aggregate.
+            let _ = self.submit(Command::Insert { key, value, done });
         }
         t
     }
@@ -225,12 +204,12 @@ where
     }
 }
 
-/// Fans `n` per-shard sub-completions back into one `usize` ticket,
-/// summing fresh counts. Once all `n` have resolved: any canceled
-/// sub-completion cancels the whole ticket (unknown application);
-/// otherwise any degraded refusal resolves it `Err(Degraded)` (the
-/// refused sub-batch was declined, the others applied); otherwise it
-/// completes with the summed fresh count.
+/// Fans `n` insert completions back into one `usize` ticket, summing
+/// fresh counts. Once all `n` have resolved: any canceled insert
+/// cancels the whole ticket (unknown application); otherwise any
+/// degraded refusal resolves it `Err(Degraded)` (the refused inserts
+/// were declined, the others applied); otherwise it completes with the
+/// summed fresh count.
 struct Aggregate {
     state: Mutex<AggregateState>,
 }

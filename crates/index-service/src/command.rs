@@ -16,10 +16,8 @@ use std::ops::{Bound, RangeBounds};
 ///
 /// Routing (done by [`Client::submit`](crate::Client::submit)):
 /// point commands go to the shard owning their key; `Range` goes to the
-/// shard owning its lower bound (shard 0 when unbounded); `InsertMany`
-/// goes to the shard owning its first key, and is executed through the
-/// cross-shard [`ShardedIndex::insert_many`](fiting_index_api::ShardedIndex::insert_many)
-/// — see the ordering notes on [`Client`](crate::Client).
+/// shard owning its lower bound (shard 0 when unbounded) — see the
+/// ordering notes on [`Client`](crate::Client).
 pub enum Command<K, V> {
     /// Point lookup; resolves with the value, cloned out.
     Get {
@@ -52,14 +50,6 @@ pub enum Command<K, V> {
         key: K,
         /// Resolves with the removed value, if any.
         done: Completer<Option<V>>,
-    },
-    /// Batched upsert; resolves with the number of keys that were new.
-    InsertMany {
-        /// The `(key, value)` pairs to upsert (any order; duplicate
-        /// keys resolve last-write-wins).
-        batch: Vec<(K, V)>,
-        /// Resolves with the fresh-key count.
-        done: Completer<usize>,
     },
 }
 
@@ -101,23 +91,13 @@ impl<K: Send + 'static, V: Send + 'static> Command<K, V> {
         let (t, done) = ticket();
         (Command::Remove { key, done }, t)
     }
-
-    /// Builds a batched-upsert command and its result ticket.
-    #[must_use]
-    pub fn insert_many(batch: Vec<(K, V)>) -> (Self, Ticket<usize>) {
-        let (t, done) = ticket();
-        (Command::InsertMany { batch, done }, t)
-    }
 }
 
 impl<K, V> Command<K, V> {
     /// Whether executing this command mutates the index.
     #[must_use]
     pub(crate) fn is_write(&self) -> bool {
-        matches!(
-            self,
-            Command::Insert { .. } | Command::Remove { .. } | Command::InsertMany { .. }
-        )
+        matches!(self, Command::Insert { .. } | Command::Remove { .. })
     }
 
     /// The command's shape as a dense [`CommandKind`] — the index the
@@ -129,7 +109,6 @@ impl<K, V> Command<K, V> {
             Command::Range { .. } => CommandKind::Range,
             Command::Insert { .. } => CommandKind::Insert,
             Command::Remove { .. } => CommandKind::Remove,
-            Command::InsertMany { .. } => CommandKind::InsertMany,
         }
     }
 }
@@ -145,10 +124,6 @@ impl<K: std::fmt::Debug, V> std::fmt::Debug for Command<K, V> {
                 .finish(),
             Command::Insert { key, .. } => f.debug_struct("Insert").field("key", key).finish(),
             Command::Remove { key, .. } => f.debug_struct("Remove").field("key", key).finish(),
-            Command::InsertMany { batch, .. } => f
-                .debug_struct("InsertMany")
-                .field("len", &batch.len())
-                .finish(),
         }
     }
 }
@@ -173,8 +148,6 @@ mod tests {
         assert_eq!(cmd.command_kind().as_str(), "range");
         assert!(format!("{cmd:?}").contains("lo"));
 
-        let (cmd, _t) = Command::insert_many(vec![(1u64, 1u64), (2, 2)]);
-        assert_eq!(format!("{cmd:?}"), "InsertMany { len: 2 }");
         assert_eq!(
             Command::<u64, u64>::remove(9).0.command_kind().as_str(),
             "remove"

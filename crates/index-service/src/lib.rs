@@ -6,18 +6,18 @@
 //! # Why a pipeline
 //!
 //! Delta-buffered learned indexes amortize best when writes arrive in
-//! batches, and `ShardedIndex` already has a batched `insert_many` —
-//! but no caller-facing API *produced* batches. Here, callers hold a
-//! cheap [`Client`] handle and submit typed [`Command`]s into bounded
-//! per-lane queues (a **lane** is one queue + one worker thread; lane
-//! routing is a boundary snapshot frozen at service start); each lane's
-//! worker drains its queue and manufactures the batches automatically:
+//! batches, and `ShardedIndex::with_write_groups` applies a batch under
+//! one write lock per shard — but no caller-facing API *produced*
+//! batches. Here, callers hold a cheap [`Client`] handle and submit
+//! typed [`Command`]s into bounded per-lane queues (a **lane** is one
+//! queue + one worker thread; lane routing is a boundary snapshot
+//! frozen at service start); each lane's worker drains its queue and
+//! manufactures the batches automatically:
 //!
 //! * runs of point writes apply under **one** write-lock acquisition
 //!   per involved shard,
 //! * point reads are answered one by one straight off the index's
 //!   wait-free read path (there is no read lock to amortize),
-//! * `InsertMany` flows through a single `insert_many` call,
 //! * each command resolves an executor-free Condvar [`Ticket`] the submitter
 //!   holds (executor-agnostic: a future `tokio` front-end wraps
 //!   [`Completer::from_fn`] around a oneshot sender instead of
@@ -132,7 +132,7 @@ impl Default for ServiceConfig {
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
     /// Group-commit every shard's WAL after each drained batch that
-    /// contained a write ([`ShardedIndex::sync_all`]). This is the
+    /// contained a write ([`ShardedIndex::try_sync_all`]). This is the
     /// service's commit point: by the time a write batch's tickets
     /// resolve *and* the next batch has been synced, those writes are
     /// as durable as the store's fsync policy allows.
@@ -609,6 +609,48 @@ mod tests {
     }
 
     #[test]
+    fn insert_many_takes_one_lock_per_shard_per_drain() {
+        // Two lanes over four shards: each lane's keys span two shards.
+        let index: ShardedIndex<u64, u64, BinarySearchIndex<u64, u64>> =
+            ShardedIndex::bulk_load(&(), 2, (0..4_000u64).map(|k| (k * 2, k)).collect()).unwrap();
+        let shards = index.clone();
+        let svc = IndexService::start(index, ServiceConfig::default());
+        shards.split_shard(1, 6_000).unwrap();
+        shards.split_shard(0, 2_000).unwrap();
+        assert_eq!((svc.stats().lanes.len(), shards.shard_count()), (2, 4));
+        let client = svc.client();
+        let submitted = || svc.metrics().counter("service.insert.submitted");
+        let before = submitted().unwrap_or(0);
+        // Stall each lane's worker inside a `Get`'s completion until the
+        // whole batch has queued behind it, so the worker must drain
+        // the inserts as runs.
+        let gate = Arc::new(std::sync::Barrier::new(3));
+        for key in [0, 7_998] {
+            let gate = Arc::clone(&gate);
+            let done = Completer::from_fn(move |_: Result<Option<u64>, CommandError>| {
+                gate.wait();
+            });
+            client.submit(Command::Get { key, done }).unwrap();
+        }
+        // 1 000 writes to 800 fresh odd keys; the last 200 rewrite the
+        // first 200 keys.
+        let batch: Vec<(u64, u64)> = (0..1_000u64).map(|i| ((i % 800) * 10 + 1, i)).collect();
+        let fresh = client.insert_many(batch);
+        gate.wait();
+        assert_eq!(fresh.wait(), Ok(800));
+        for j in 0..800u64 {
+            let last = if j < 200 { j + 800 } else { j };
+            assert_eq!(shards.get(&(j * 10 + 1)), Some(last), "key {}", j * 10 + 1);
+        }
+        assert_eq!(submitted(), Some(before + 1_000));
+        for lane in svc.stats().lanes {
+            assert!(lane.write_runs <= lane.batches * 2, "{lane:?}");
+            assert!(lane.coalesced_writes > 0, "{lane:?}");
+        }
+        let _ = svc.shutdown();
+    }
+
+    #[test]
     fn submission_order_per_key_is_observed() {
         let svc = start(100, 4, ServiceConfig::default());
         let client = svc.client();
@@ -729,8 +771,8 @@ mod tests {
 
     #[test]
     fn every_kind_records_end_to_end_before_its_ticket_resolves() {
-        // Two lanes, so the `insert_many` below fans out into one
-        // sub-batch per lane, each its own command and sample.
+        // The `insert_many` below submits one `Insert` per pair, each
+        // its own command and sample.
         let svc = start(1_000, 2, ServiceConfig::default());
         let client = svc.client();
         let e2e = |kind: &str| {
@@ -747,12 +789,12 @@ mod tests {
             assert_eq!(client.range(10..=14).wait().map(|v| v.len()), Ok(3));
             assert_eq!(e2e("range"), Some(round));
             assert_eq!(client.insert(11, round).wait(), Ok(None));
-            assert_eq!(e2e("insert"), Some(round));
+            assert_eq!(e2e("insert"), Some(3 * round - 2));
             assert_eq!(client.remove(11).wait(), Ok(Some(round)));
             assert_eq!(e2e("remove"), Some(round));
             let fresh = client.insert_many(vec![(1, round), (1_999, round)]);
             assert_eq!(fresh.wait(), Ok(if round == 1 { 2 } else { 0 }));
-            assert_eq!(e2e("insert_many"), Some(2 * round));
+            assert_eq!(e2e("insert"), Some(3 * round));
         }
         // The same order without a race to win: a sink reads the
         // count at the instant the worker resolves the ticket.

@@ -101,14 +101,13 @@ pub(crate) struct WorkerCounters {
     pub batches: AtomicU64,
     /// Largest single drain seen.
     pub largest_batch: AtomicU64,
-    /// Write-lock acquisitions taken for coalesced point-write runs,
-    /// plus one per `InsertMany` command (whose cross-shard call may
-    /// take one lock per destination shard internally).
+    /// Write-lock acquisitions taken for coalesced point-write runs
+    /// (one per involved shard per run).
     pub write_runs: AtomicU64,
     /// Shard read sections entered for point reads — one per `Get`.
     pub read_runs: AtomicU64,
-    /// Individual `Insert`/`InsertMany` pairs applied through a
-    /// coalesced batch path instead of one-lock-per-op.
+    /// Point writes (`Insert`/`Remove`) applied in a run of more than
+    /// one, under one lock per shard instead of one per op.
     pub coalesced_writes: AtomicU64,
     /// Panics caught by the lane's worker. A nonzero value means the
     /// lane has been poisoned: its queue is closed and its remaining
@@ -151,13 +150,13 @@ pub struct LaneServiceStats {
     pub batches: u64,
     /// Largest single drain.
     pub largest_batch: u64,
-    /// Write-lock acquisitions for coalesced point-write runs, plus
-    /// one per `InsertMany` command.
+    /// Write-lock acquisitions for coalesced point-write runs (one
+    /// per involved shard per run).
     pub write_runs: u64,
     /// Shard read sections entered for point reads (one per executed
     /// `Get`; reads take no lock, so runs of `Get`s are not grouped).
     pub read_runs: u64,
-    /// Writes applied through a coalesced batch path.
+    /// Point writes applied in a run of more than one.
     pub coalesced_writes: u64,
     /// Worker panics caught on this lane; without a restart budget,
     /// nonzero means the lane is poisoned (queue closed, queued

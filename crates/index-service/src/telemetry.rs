@@ -14,7 +14,7 @@
 //!   grouped index call, so per-command execute time is not separable
 //!   there, and the sample is attributed to the run's first command's
 //!   kind (a mixed `Insert`/`Remove` run lands under whichever came
-//!   first). Every `Get`, `Range` and `InsertMany` is a run of its own.
+//!   first). Every `Get` and `Range` is a run of its own.
 //! * **end-to-end** — submission accepted → ticket resolved, recorded
 //!   by the worker from the [`Timed`] stamp just before it resolves
 //!   the ticket. Canceled commands are **not** recorded: their
@@ -51,18 +51,15 @@ pub(crate) enum CommandKind {
     Insert,
     /// Point delete.
     Remove,
-    /// Batched upsert.
-    InsertMany,
 }
 
 impl CommandKind {
     /// Every kind, in stable export order.
-    pub(crate) const ALL: [CommandKind; 5] = [
+    pub(crate) const ALL: [CommandKind; 4] = [
         CommandKind::Get,
         CommandKind::Range,
         CommandKind::Insert,
         CommandKind::Remove,
-        CommandKind::InsertMany,
     ];
 
     /// Stable lowercase name (the `{kind}` segment of exported metric
@@ -74,7 +71,6 @@ impl CommandKind {
             CommandKind::Range => "range",
             CommandKind::Insert => "insert",
             CommandKind::Remove => "remove",
-            CommandKind::InsertMany => "insert_many",
         }
     }
 
@@ -103,11 +99,11 @@ impl<T> Timed<T> {
 /// service. Shared by every client and worker; every recording path is
 /// a single relaxed atomic operation.
 pub(crate) struct ServiceTelemetry {
-    end_to_end: [Histogram; 5],
-    queue_wait: [Histogram; 5],
-    execute: [Histogram; 5],
-    accepted: [Counter; 5],
-    busy: [Counter; 5],
+    end_to_end: [Histogram; CommandKind::ALL.len()],
+    queue_wait: [Histogram; CommandKind::ALL.len()],
+    execute: [Histogram; CommandKind::ALL.len()],
+    accepted: [Counter; CommandKind::ALL.len()],
+    busy: [Counter; CommandKind::ALL.len()],
 }
 
 impl ServiceTelemetry {
@@ -375,10 +371,7 @@ mod tests {
             assert_eq!(kind.index(), i);
         }
         let names: Vec<&str> = CommandKind::ALL.iter().map(|k| k.as_str()).collect();
-        assert_eq!(
-            names,
-            vec!["get", "range", "insert", "remove", "insert_many"]
-        );
+        assert_eq!(names, vec!["get", "range", "insert", "remove"]);
     }
 
     #[test]

@@ -16,14 +16,12 @@
 //!   [`degrade`](Completer::degrade) when a write is refused by a
 //!   read-only shard. A command dropped on the floor (worker panic,
 //!   queue teardown) therefore cancels rather than hangs its submitter.
-//! * [`Ticket::wait`] blocks until resolution;
-//!   [`Ticket::wait_timeout`] gives up at a deadline. Shutdown drains
-//!   every queued command, so waiting on a submitted ticket never
-//!   deadlocks against service teardown.
+//! * [`Ticket::wait`] blocks until resolution. Shutdown drains every
+//!   queued command, so waiting on a submitted ticket never deadlocks
+//!   against service teardown.
 
 use fiting_sync::primitives::{Condvar, Mutex};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Why a command resolved without a value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,8 +33,9 @@ pub enum CommandError {
     /// The command was a write refused fast by a shard in degraded
     /// read-only mode (permanent storage failure; see
     /// `fiting_index_api::ShardHealth`). The command was **not**
-    /// applied — except `insert_many`, whose cross-shard batch may
-    /// have landed on healthy shards before a degraded one refused.
+    /// applied — except `insert_many`, which resolves `Degraded` when
+    /// any of its keys was refused: part of the batch may have been
+    /// applied.
     Degraded,
 }
 
@@ -53,25 +52,17 @@ impl std::fmt::Display for CommandError {
 
 impl std::error::Error for CommandError {}
 
-enum State<T> {
-    Pending,
-    Resolved(Result<T, CommandError>),
-    Taken,
-}
-
 struct Shared<T> {
-    state: Mutex<State<T>>,
+    /// `None` until the completer resolves.
+    state: Mutex<Option<Result<T, CommandError>>>,
     resolved: Condvar,
 }
 
 impl<T> Shared<T> {
     fn fulfill(&self, result: Result<T, CommandError>) {
         let mut state = self.state.lock();
-        debug_assert!(
-            matches!(*state, State::Pending),
-            "a Completer resolves exactly once"
-        );
-        *state = State::Resolved(result);
+        debug_assert!(state.is_none(), "a Completer resolves exactly once");
+        *state = Some(result);
         drop(state);
         self.resolved.notify_all();
     }
@@ -81,7 +72,7 @@ impl<T> Shared<T> {
 #[must_use]
 pub fn ticket<T: Send + 'static>() -> (Ticket<T>, Completer<T>) {
     let shared = Arc::new(Shared {
-        state: Mutex::new(State::Pending),
+        state: Mutex::new(None),
         resolved: Condvar::new(),
     });
     let sink = Arc::clone(&shared);
@@ -91,8 +82,7 @@ pub fn ticket<T: Send + 'static>() -> (Ticket<T>, Completer<T>) {
     )
 }
 
-/// The submitter's half: blocks on ([`wait`](Self::wait), or
-/// [`wait_timeout`](Self::wait_timeout) up to a deadline) the command's
+/// The submitter's half: [`wait`](Self::wait) blocks on the command's
 /// result.
 ///
 /// ```
@@ -110,54 +100,19 @@ impl<T> Ticket<T> {
     /// Whether the command has resolved (completed or canceled).
     #[must_use]
     pub(crate) fn is_resolved(&self) -> bool {
-        !matches!(*self.shared.state.lock(), State::Pending)
+        self.shared.state.lock().is_some()
     }
 
     /// Blocks until the command resolves; `Err(CommandError::Canceled)` if its
     /// completer was dropped without completing, `Err(Degraded)` if a
     /// degraded read-only shard refused the write.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value was already taken via
-    /// [`wait_timeout`](Self::wait_timeout).
     pub fn wait(self) -> Result<T, CommandError> {
         let mut state = self.shared.state.lock();
         loop {
-            match *state {
-                State::Pending => self.shared.resolved.wait(&mut state),
-                State::Taken => panic!("ticket value already taken"),
-                State::Resolved(_) => match std::mem::replace(&mut *state, State::Taken) {
-                    State::Resolved(result) => return result,
-                    _ => unreachable!(),
-                },
+            if let Some(result) = (*state).take() {
+                return result;
             }
-        }
-    }
-
-    /// Blocks up to `timeout` for resolution; `None` on timeout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value was already taken.
-    pub fn wait_timeout(&mut self, timeout: Duration) -> Option<Result<T, CommandError>> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut state = self.shared.state.lock();
-        loop {
-            match *state {
-                State::Pending => {
-                    let now = std::time::Instant::now();
-                    if now >= deadline {
-                        return None;
-                    }
-                    let _ = self.shared.resolved.wait_for(&mut state, deadline - now);
-                }
-                State::Taken => panic!("ticket value already taken"),
-                State::Resolved(_) => match std::mem::replace(&mut *state, State::Taken) {
-                    State::Resolved(result) => return Some(result),
-                    _ => unreachable!(),
-                },
-            }
+            self.shared.resolved.wait(&mut state);
         }
     }
 }
@@ -176,7 +131,7 @@ type Sink<T> = Box<dyn FnOnce(Result<T, CommandError>) + Send>;
 ///
 /// Internally a boxed one-shot sink rather than a hard-wired ticket
 /// reference, so completions can also fan into an aggregate (the
-/// client's cross-shard `insert_many` sums per-shard fresh counts) or,
+/// client's `insert_many` counts fresh keys across its inserts) or,
 /// later, an async channel.
 pub struct Completer<T> {
     sink: Option<Sink<T>>,
@@ -193,8 +148,8 @@ impl<T> Completer<T> {
     }
 
     /// Resolves the ticket with an already-shaped result — what the
-    /// worker and the client's `insert_many` fan-in hand on when the
-    /// value or the refusal is computed before the ticket resolves.
+    /// worker hands on when the value or the refusal is computed
+    /// before the ticket resolves.
     pub fn resolve(mut self, result: Result<T, CommandError>) {
         if let Some(sink) = self.sink.take() {
             sink(result);
@@ -288,23 +243,6 @@ mod tests {
         c.complete(5);
         assert!(t.is_resolved());
         assert_eq!(t.wait(), Ok(5));
-    }
-
-    #[test]
-    #[should_panic(expected = "already taken")]
-    fn double_take_panics() {
-        let (mut t, c) = ticket::<u32>();
-        c.complete(1);
-        assert_eq!(t.wait_timeout(Duration::ZERO), Some(Ok(1)));
-        let _ = t.wait_timeout(Duration::ZERO);
-    }
-
-    #[test]
-    fn wait_timeout_times_out_then_succeeds() {
-        let (mut t, c) = ticket::<u32>();
-        assert_eq!(t.wait_timeout(Duration::from_millis(10)), None);
-        c.complete(9);
-        assert_eq!(t.wait_timeout(Duration::from_millis(10)), Some(Ok(9)));
     }
 
     #[test]

@@ -16,14 +16,11 @@
 //!   is wait-free, so there is no lock to amortize and reads are not
 //!   grouped; like a `Range`, each is its own run with its own
 //!   `execute` sample;
-//! * `InsertMany` goes through a single
-//!   [`ShardedIndex::insert_many_reporting`] call (cross-shard capable,
-//!   one lock per destination shard);
 //! * `Range` executes through [`ShardedIndex::range_collect`], which
 //!   walks the live routing table shard by shard, one read section at
 //!   a time.
 //!
-//! All four paths revalidate against the routing table after entering
+//! All three paths revalidate against the routing table after entering
 //! each shard, so a concurrent split/merge re-routes rather than
 //! strands a command. Every ticket resolves through one helper that
 //! first records the command's end-to-end latency from its acceptance
@@ -65,8 +62,7 @@
 //! # Degraded shards
 //!
 //! Writes execute through the fallible [`SortedIndex::try_insert`] /
-//! [`try_remove`](SortedIndex::try_remove) /
-//! [`ShardedIndex::insert_many_reporting`] paths: a shard in degraded
+//! [`try_remove`](SortedIndex::try_remove) paths: a shard in degraded
 //! read-only mode (permanent storage failure) refuses fast and the
 //! ticket resolves `Err(`[`CommandError::Degraded`]`)` — the write was
 //! declined, not lost — while reads keep serving. Refusals and failed
@@ -80,7 +76,6 @@
 //!
 //! [`Ticket::wait`]: crate::Ticket::wait
 //! [`ShardedIndex::get`]: fiting_index_api::ShardedIndex::get
-//! [`ShardedIndex::insert_many_reporting`]: fiting_index_api::ShardedIndex::insert_many_reporting
 //! [`ShardedIndex::range_collect`]: fiting_index_api::ShardedIndex::range_collect
 //! [`ShardedIndex::with_write_groups`]: fiting_index_api::ShardedIndex::with_write_groups
 
@@ -296,29 +291,6 @@ fn execute_batch<K: Key, V: Clone, I: SortedIndex<K, V> + 'static>(
                 // over a run of them.
                 counters.read_runs.fetch_add(1, Ordering::Relaxed);
                 resolve(telemetry, kind, accepted, done, Ok(shared.index.get(&key)));
-            }
-            Command::InsertMany { batch, done } => {
-                counters
-                    .coalesced_writes
-                    .fetch_add(batch.len() as u64, Ordering::Relaxed);
-                counters.write_runs.fetch_add(1, Ordering::Relaxed);
-                if let Some(sampler) = &shared.sampler {
-                    sampler.observe_all(batch.iter().map(|&(k, _)| k));
-                }
-                let (fresh, declined) = shared.index.insert_many_reporting(batch);
-                let result = if declined == 0 {
-                    Ok(fresh)
-                } else {
-                    // Part of the batch hit a degraded shard. Report
-                    // the refusal loudly; keys routed to healthy
-                    // shards were still applied (documented on
-                    // `CommandError::Degraded`).
-                    counters
-                        .degraded_writes
-                        .fetch_add(declined as u64, Ordering::Relaxed);
-                    Err(CommandError::Degraded)
-                };
-                resolve(telemetry, kind, accepted, done, result);
             }
             first @ (Command::Insert { .. } | Command::Remove { .. }) => {
                 // Maximal run of point writes: apply them all — in

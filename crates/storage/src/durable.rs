@@ -51,7 +51,7 @@
 
 use crate::error::{IoOp, RetryPolicy, StorageError};
 use crate::io::{RealIo, StorageIo};
-use crate::wal::{replay, FsyncPolicy, ReplayOp, Wal, WalOp};
+use crate::wal::{replay, FsyncPolicy, Wal, WalOp};
 use fiting_index_api::{BuildableIndex, Degraded, Key, ShardHealth, ShardedIndex, SortedIndex};
 use fiting_tree::snapshot::{decode_tree, encode_tree_into, SnapshotError};
 use fiting_tree::FitingTree;
@@ -219,26 +219,18 @@ impl StorageError {
 /// fresh log ([`DurableIndex::reopen_in_place`]).
 fn apply<K: Key, V: Key>(
     inner: &mut impl SortedIndex<K, V>,
-    op: ReplayOp<K, V>,
-    mut relog: Option<&mut Wal<K, V>>,
+    op: WalOp<K, V>,
+    relog: Option<&mut Wal<K, V>>,
 ) {
-    let mut log = |op: &WalOp<'_, K, V>| {
-        if let Some(wal) = relog.as_deref_mut() {
-            wal.append(op);
-        }
-    };
+    if let Some(wal) = relog {
+        wal.append(&op);
+    }
     match op {
-        ReplayOp::Insert(k, v) => {
-            log(&WalOp::Insert(k, v));
+        WalOp::Insert(k, v) => {
             inner.insert(k, v);
         }
-        ReplayOp::Remove(k) => {
-            log(&WalOp::Remove(k));
+        WalOp::Remove(k) => {
             inner.remove(&k);
-        }
-        ReplayOp::InsertMany(batch) => {
-            log(&WalOp::InsertMany(&batch));
-            inner.insert_many(batch);
         }
     }
 }
@@ -896,16 +888,6 @@ impl<K: Key, V: Key, I: SortedIndex<K, V> + PageSnapshot> SortedIndex<K, V>
         self.inner.range_into(range, out);
     }
 
-    fn insert_many(&mut self, batch: Vec<(K, V)>) -> usize {
-        match self.try_insert_many(batch) {
-            Ok(fresh) => fresh,
-            Err(Degraded) => panic!(
-                "write refused: shard degraded ({}); use try_insert_many and check health()",
-                self.degraded_reason().unwrap_or("unknown")
-            ),
-        }
-    }
-
     fn try_insert(&mut self, key: K, value: V) -> Result<Option<V>, Degraded> {
         if self.degraded.is_some() {
             return Err(Degraded);
@@ -920,14 +902,6 @@ impl<K: Key, V: Key, I: SortedIndex<K, V> + PageSnapshot> SortedIndex<K, V>
         }
         self.wal.append(&WalOp::Remove(*key));
         Ok(self.inner.remove(key))
-    }
-
-    fn try_insert_many(&mut self, batch: Vec<(K, V)>) -> Result<usize, Degraded> {
-        if self.degraded.is_some() {
-            return Err(Degraded);
-        }
-        self.wal.append(&WalOp::InsertMany(&batch));
-        Ok(self.inner.insert_many(batch))
     }
 
     fn split_off_tail(&mut self, at: &K) -> Option<Self> {
@@ -948,8 +922,9 @@ impl<K: Key, V: Key, I: SortedIndex<K, V> + PageSnapshot> SortedIndex<K, V>
                 // no decodable snapshot, so reopen skips it.
                 if !self.inner.absorb_tail(&mut right_inner) {
                     let all: (Bound<K>, Bound<K>) = (Bound::Unbounded, Bound::Unbounded);
-                    let pairs: Vec<(K, V)> = right_inner.range(all).collect();
-                    self.inner.insert_many(pairs);
+                    for (k, v) in right_inner.range(all) {
+                        self.inner.insert(k, v);
+                    }
                 }
                 self.degrade(&e);
                 return None;

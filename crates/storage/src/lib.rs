@@ -138,7 +138,8 @@ mod tests {
 
         idx.insert(9999, 1);
         idx.remove(&0);
-        idx.insert_many(vec![(11111, 2), (11113, 3)]);
+        idx.insert(11111, 2);
+        idx.insert(11113, 3);
         assert!(idx.wal_bytes() > 0);
         assert!(idx.try_sync().expect("the log reaches the disk"));
         let dir = idx.shard_dir().to_path_buf();
@@ -146,9 +147,54 @@ mod tests {
         drop(idx);
 
         let (back, info) = Durable::open_shard(&cfg, &dir).unwrap();
-        assert_eq!(info.replayed, 3);
+        assert_eq!(info.replayed, 4);
         assert!(!info.wal_truncated);
         assert_eq!(back.range(..).collect::<Vec<_>>(), expect);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_log_holding_a_retired_insert_many_record_reopens_truncated() {
+        let root = temp_root("op3");
+        let cfg = config(&root);
+        let mut idx: Durable =
+            DurableIndex::build_from(&cfg, (0..100u64).map(|k| (k * 2, k))).unwrap();
+        idx.insert(1, 1);
+        assert!(idx.try_sync().expect("the log reaches the disk"));
+        let dir = idx.shard_dir().to_path_buf();
+        drop(idx);
+
+        // Append what earlier versions logged for a batched insert
+        // (op 3: [3][count u32][key value]×count), then one insert.
+        let record = |payload: &[u8]| {
+            let len = (payload.len() as u32).to_le_bytes();
+            let crc = crc32(payload).to_le_bytes();
+            [&len[..], &crc, payload].concat()
+        };
+        let mut op3 = vec![3];
+        op3.extend_from_slice(&1u32.to_le_bytes());
+        for x in [3u64, 3] {
+            op3.extend_from_slice(&x.to_le_bytes());
+        }
+        let insert = [&[1][..], &5u64.to_le_bytes(), &5u64.to_le_bytes()].concat();
+        let wal = dir.join("wal.000000");
+        let mut bytes = std::fs::read(&wal).unwrap();
+        let logged = bytes.len() as u64;
+        bytes.extend([record(&op3), record(&insert)].concat());
+        std::fs::write(&wal, bytes).unwrap();
+
+        // Replay keeps the records before op 3 and cuts the log there.
+        let replayed = wal::replay::<u64, u64>(&RealIo, &wal).unwrap();
+        assert_eq!(replayed.ops, vec![WalOp::Insert(1, 1)]);
+        assert!(replayed.truncated);
+        assert_eq!(replayed.valid_len, logged);
+        let (back, info) = Durable::open_shard(&cfg, &dir).unwrap();
+        assert_eq!(info.replayed, 1);
+        assert!(info.wal_truncated);
+        assert_eq!(back.get(&1), Some(&1));
+        assert_eq!(back.get(&3), None);
+        assert_eq!(back.get(&5), None);
+        assert_eq!(back.len(), 101);
         std::fs::remove_dir_all(&root).unwrap();
     }
 
@@ -381,7 +427,6 @@ mod tests {
         // Writes refuse fast and typed; reads keep serving.
         assert!(idx.try_insert(501, 5).is_err());
         assert!(idx.try_remove(&0).is_err());
-        assert!(idx.try_insert_many(vec![(502, 5)]).is_err());
         assert_eq!(idx.get(&500), Some(&5));
         assert_eq!(idx.get(&50), Some(&50));
 

@@ -29,18 +29,19 @@
 //!   4..8    CRC32 of the payload
 //!   8..     payload
 //! payload
-//!   op 1: insert      [1][key][value]
-//!   op 2: remove      [2][key]
-//!   op 3: insert_many [3][count u32][key value]×count
+//!   op 1: insert [1][key][value]
+//!   op 2: remove [2][key]
 //! ```
 //!
 //! All integers little-endian; keys and values use the fixed-width
-//! [`Key::to_le_bytes`] codecs, so every record's length is determined
-//! by its first five bytes. Replay ([`replay`]) accepts the longest
-//! prefix of intact records and reports the byte offset where it
-//! stopped; the opener truncates the file there, which is what makes a
-//! torn tail write indistinguishable from a clean shutdown one record
-//! earlier — the recovery invariant the crash-injection suite checks.
+//! [`Key::to_le_bytes`] codecs, so every payload's length is fixed by
+//! its op byte. Op 3 (a batched insert, written by earlier versions)
+//! is retired: replay treats it like any undecodable record. Replay
+//! ([`replay`]) accepts the longest prefix of intact records and
+//! reports the byte offset where it stopped; the opener truncates the
+//! file there, which is what makes a torn tail write
+//! indistinguishable from a clean shutdown one record earlier — the
+//! recovery invariant the crash-injection suite checks.
 
 use crate::error::{IoOp, RetryPolicy, StorageError};
 use crate::io::{IoFile, StorageIo};
@@ -79,33 +80,21 @@ pub enum FsyncPolicy {
     Off,
 }
 
-/// One logged mutation, borrowed from the write path.
-#[derive(Debug)]
-pub enum WalOp<'a, K, V> {
+/// One logged mutation: what the write path appends, and what replay
+/// hands back in append order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WalOp<K, V> {
     /// Upsert of one pair.
     Insert(K, V),
     /// Removal of one key.
     Remove(K),
-    /// One batched upsert, logged as a single record.
-    InsertMany(&'a [(K, V)]),
-}
-
-/// An owned mutation recovered from the log, replayed in order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum ReplayOp<K, V> {
-    /// Upsert of one pair.
-    Insert(K, V),
-    /// Removal of one key.
-    Remove(K),
-    /// One batched upsert.
-    InsertMany(Vec<(K, V)>),
 }
 
 /// Outcome of scanning a log file ([`replay`]).
 #[derive(Debug)]
 pub(crate) struct Replay<K, V> {
     /// The intact records, in append order.
-    pub ops: Vec<ReplayOp<K, V>>,
+    pub ops: Vec<WalOp<K, V>>,
     /// Byte offset of the first byte *not* covered by an intact
     /// record — where the opener truncates.
     pub valid_len: u64,
@@ -221,7 +210,7 @@ impl<K: Key, V: Key> Wal<K, V> {
     /// durable — not even handed to the OS — until the next
     /// [`commit`](Self::commit), which is where any I/O fault
     /// surfaces.
-    pub fn append(&mut self, op: &WalOp<'_, K, V>) {
+    pub fn append(&mut self, op: &WalOp<K, V>) {
         let payload = encode_payload(op);
         self.buf
             .extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -334,7 +323,7 @@ fn header_bytes<K: Key, V: Key>() -> [u8; WAL_HEADER_LEN] {
     h
 }
 
-fn encode_payload<K: Key, V: Key>(op: &WalOp<'_, K, V>) -> Vec<u8> {
+fn encode_payload<K: Key, V: Key>(op: &WalOp<K, V>) -> Vec<u8> {
     match op {
         WalOp::Insert(k, v) => {
             let mut p = Vec::with_capacity(1 + K::ENCODED_LEN + V::ENCODED_LEN);
@@ -349,16 +338,6 @@ fn encode_payload<K: Key, V: Key>(op: &WalOp<'_, K, V>) -> Vec<u8> {
             p.extend_from_slice(&k.to_le_bytes());
             p
         }
-        WalOp::InsertMany(batch) => {
-            let mut p = Vec::with_capacity(5 + batch.len() * (K::ENCODED_LEN + V::ENCODED_LEN));
-            p.push(3);
-            p.extend_from_slice(&(batch.len() as u32).to_le_bytes());
-            for (k, v) in batch.iter() {
-                p.extend_from_slice(&k.to_le_bytes());
-                p.extend_from_slice(&v.to_le_bytes());
-            }
-            p
-        }
     }
 }
 
@@ -370,26 +349,13 @@ fn field<T: Key>(bytes: &[u8]) -> Option<T> {
     (!item.to_f64().is_nan()).then_some(item)
 }
 
-fn decode_payload<K: Key, V: Key>(payload: &[u8]) -> Option<ReplayOp<K, V>> {
-    let pair = K::ENCODED_LEN + V::ENCODED_LEN;
-    let split = |c: &[u8]| Some((field(&c[..K::ENCODED_LEN])?, field(&c[K::ENCODED_LEN..])?));
+fn decode_payload<K: Key, V: Key>(payload: &[u8]) -> Option<WalOp<K, V>> {
     match payload.first()? {
-        1 if payload.len() == 1 + pair => {
-            let (key, value) = split(&payload[1..])?;
-            Some(ReplayOp::Insert(key, value))
+        1 if payload.len() == 1 + K::ENCODED_LEN + V::ENCODED_LEN => {
+            let (key, value) = payload[1..].split_at(K::ENCODED_LEN);
+            Some(WalOp::Insert(field(key)?, field(value)?))
         }
-        2 if payload.len() == 1 + K::ENCODED_LEN => Some(ReplayOp::Remove(field(&payload[1..])?)),
-        3 if payload.len() >= 5 => {
-            let count = u32::from_le_bytes(payload[1..5].try_into().ok()?) as usize;
-            let body = &payload[5..];
-            if body.len() != count * pair {
-                return None;
-            }
-            body.chunks_exact(pair)
-                .map(split)
-                .collect::<Option<_>>()
-                .map(ReplayOp::InsertMany)
-        }
+        2 if payload.len() == 1 + K::ENCODED_LEN => Some(WalOp::Remove(field(&payload[1..])?)),
         _ => None,
     }
 }
@@ -399,7 +365,7 @@ fn decode_payload<K: Key, V: Key>(payload: &[u8]) -> Option<ReplayOp<K, V>> {
 /// accepting the longest intact prefix and dropping a torn or corrupt
 /// tail silently.
 #[must_use]
-pub(crate) fn decode_records<K: Key, V: Key>(bytes: &[u8]) -> Vec<ReplayOp<K, V>> {
+pub(crate) fn decode_records<K: Key, V: Key>(bytes: &[u8]) -> Vec<WalOp<K, V>> {
     let mut ops = Vec::new();
     let mut pos = 0usize;
     while let Some((op, advance)) = decode_record_at::<K, V>(bytes, pos) {
@@ -412,7 +378,7 @@ pub(crate) fn decode_records<K: Key, V: Key>(bytes: &[u8]) -> Vec<ReplayOp<K, V>
 /// Decodes the framed record starting at byte `pos`, returning the op
 /// and the record's total length. `None` for a short, corrupt, or
 /// unparseable record (including `pos` at/past the end).
-fn decode_record_at<K: Key, V: Key>(bytes: &[u8], pos: usize) -> Option<(ReplayOp<K, V>, usize)> {
+fn decode_record_at<K: Key, V: Key>(bytes: &[u8], pos: usize) -> Option<(WalOp<K, V>, usize)> {
     let header = bytes.get(pos..pos + RECORD_HEADER_LEN)?;
     let len = u32::from_le_bytes(header[0..4].try_into().ok()?) as usize;
     let stored_crc = u32::from_le_bytes(header[4..8].try_into().ok()?);
@@ -527,7 +493,7 @@ mod tests {
             Wal::create(&RealIo, &path, FsyncPolicy::Always, policy, retries).unwrap();
         wal.append(&WalOp::Insert(1, 10));
         wal.append(&WalOp::Remove(2));
-        wal.append(&WalOp::InsertMany(&[(3, 30), (4, 40)]));
+        wal.append(&WalOp::Insert(3, 30));
         assert!(wal.commit().unwrap());
         assert!(wal.bytes() > 0);
         assert!(!wal.has_buffered());
@@ -537,11 +503,7 @@ mod tests {
         assert!(!replayed.truncated);
         assert_eq!(
             replayed.ops,
-            vec![
-                ReplayOp::Insert(1, 10),
-                ReplayOp::Remove(2),
-                ReplayOp::InsertMany(vec![(3, 30), (4, 40)]),
-            ]
+            vec![WalOp::Insert(1, 10), WalOp::Remove(2), WalOp::Insert(3, 30),]
         );
         std::fs::remove_file(&path).unwrap();
     }
@@ -583,7 +545,7 @@ mod tests {
         let replayed = replay::<u64, u64>(&RealIo, &path).unwrap();
         assert!(!replayed.truncated);
         assert_eq!(replayed.ops.len(), 10);
-        assert_eq!(*replayed.ops.last().unwrap(), ReplayOp::Insert(99, 99));
+        assert_eq!(*replayed.ops.last().unwrap(), WalOp::Insert(99, 99));
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -624,14 +586,14 @@ mod tests {
         assert!(!wal.has_buffered());
         assert_eq!(
             decode_records::<u64, u64>(&pending),
-            vec![ReplayOp::Insert(1, 10), ReplayOp::Remove(2)]
+            vec![WalOp::Insert(1, 10), WalOp::Remove(2)]
         );
         // A torn tail in the stream is dropped silently, prefix kept.
         let mut torn = pending.clone();
         torn.truncate(pending.len() - 3);
         assert_eq!(
             decode_records::<u64, u64>(&torn),
-            vec![ReplayOp::Insert(1, 10)]
+            vec![WalOp::Insert(1, 10)]
         );
         let _ = std::fs::remove_file(&path);
     }
@@ -652,10 +614,9 @@ mod tests {
             [&[1][..], &nan, &one].concat(),
             [&[1][..], &one, &nan].concat(),
             [&[2][..], &nan].concat(),
-            [&[3][..], &2u32.to_le_bytes(), &one, &one, &one, &nan].concat(),
         ] {
             let stream = [&good[..], &record(&bad), &good].concat();
-            let kept = vec![ReplayOp::Insert(f(1.0), f(2.0))];
+            let kept = vec![WalOp::Insert(f(1.0), f(2.0))];
             assert_eq!(decode_records::<F, F>(&stream), kept);
             std::fs::write(&path, [&header_bytes::<F, F>()[..], &stream].concat()).unwrap();
             let replayed = replay::<F, F>(&RealIo, &path).unwrap();
@@ -693,7 +654,7 @@ mod tests {
         assert!(wal.commit().unwrap());
         assert!(retries.load(std::sync::atomic::Ordering::Relaxed) >= 2);
         let replayed = replay::<u64, u64>(&RealIo, &path).unwrap();
-        assert_eq!(replayed.ops, vec![ReplayOp::Insert(5, 50)]);
+        assert_eq!(replayed.ops, vec![WalOp::Insert(5, 50)]);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -716,10 +677,7 @@ mod tests {
         assert!(!wal.has_buffered());
         let replayed = replay::<u64, u64>(&RealIo, &path).unwrap();
         assert!(!replayed.truncated);
-        assert_eq!(
-            replayed.ops,
-            vec![ReplayOp::Insert(1, 1), ReplayOp::Insert(2, 2)]
-        );
+        assert_eq!(replayed.ops, vec![WalOp::Insert(1, 1), WalOp::Insert(2, 2)]);
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -45,8 +45,8 @@ fn main() {
     );
 
     // Ingest clients: each batches locally and submits through
-    // `insert_many`, which splits per shard and resolves one ticket
-    // with the total fresh-key count.
+    // `insert_many`, which submits one insert per key (the workers
+    // coalesce them) and resolves one ticket with the fresh-key count.
     let mut ingest = Vec::new();
     for t in 0..2u64 {
         let client = service.client();

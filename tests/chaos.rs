@@ -170,15 +170,15 @@ fn shard_storm(root: &Path, seed: u64, io: &FaultIo) -> Result<bool, String> {
                 let batch: Vec<(u64, u64)> = (0..1 + rng.next() % 6)
                     .map(|_| (rng.next() % 512, rng.next()))
                     .collect();
-                match idx.try_insert_many(batch.clone()) {
-                    Ok(_) => {
-                        // Duplicate keys in one batch: last write wins
-                        // (submission order), matching `insert_many`.
-                        for (k, v) in batch {
+                // A run of point writes; duplicate keys in one batch:
+                // last write wins (submission order).
+                for (k, v) in batch {
+                    match idx.try_insert(k, v) {
+                        Ok(_) => {
                             oracle.insert(k, v);
                         }
+                        Err(Degraded) => was_degraded = true,
                     }
-                    Err(Degraded) => was_degraded = true,
                 }
             }
             70..=79 => {
@@ -400,14 +400,6 @@ impl SortedIndex<u64, u64> for PanicOn {
         self.0.range(range)
     }
 
-    fn insert_many(&mut self, batch: Vec<(u64, u64)>) -> usize {
-        assert!(
-            !batch.iter().any(|(k, _)| BOOMS.contains(k)),
-            "boom: poisoned key in batch"
-        );
-        self.0.insert_many(batch)
-    }
-
     fn wal_bytes(&self) -> usize {
         self.0.wal_bytes()
     }
@@ -419,14 +411,6 @@ impl SortedIndex<u64, u64> for PanicOn {
 
     fn try_remove(&mut self, key: &u64) -> Result<Option<u64>, Degraded> {
         self.0.try_remove(key)
-    }
-
-    fn try_insert_many(&mut self, batch: Vec<(u64, u64)>) -> Result<usize, Degraded> {
-        assert!(
-            !batch.iter().any(|(k, _)| BOOMS.contains(k)),
-            "boom: poisoned key in batch"
-        );
-        self.0.try_insert_many(batch)
     }
 
     fn try_sync(&mut self) -> Result<bool, Degraded> {
@@ -852,7 +836,12 @@ fn rebalance_storm(root: &Path, seed: u64, io: &FaultIo) -> Result<(u64, u64), S
                 let batch: BTreeMap<u64, u64> = (0..1 + rng.next() % 8)
                     .map(|_| (rng.next() % 1_600, rng.next()))
                     .collect();
-                let (_, refused_keys) = index.insert_many_reporting(batch.clone());
+                let mut refused_keys = 0;
+                index.with_write_groups(batch.clone().into_iter().collect(), |shard, k, v| {
+                    if shard.try_insert(k, v).is_err() {
+                        refused_keys += 1;
+                    }
+                });
                 // Nothing runs concurrently, so a key was refused iff
                 // the shard that owns it is degraded right now.
                 let health: Vec<ShardHealth> =

@@ -62,7 +62,6 @@ impl Lcg {
 enum Op {
     Insert(u64, u64),
     Remove(u64),
-    Many(Vec<(u64, u64)>),
 }
 
 impl Op {
@@ -73,9 +72,6 @@ impl Op {
             }
             Op::Remove(k) => {
                 idx.remove(k);
-            }
-            Op::Many(pairs) => {
-                idx.insert_many(pairs.clone());
             }
         }
     }
@@ -88,27 +84,26 @@ impl Op {
             Op::Remove(k) => {
                 map.remove(k);
             }
-            Op::Many(pairs) => {
-                for &(k, v) in pairs {
-                    map.insert(k, v);
-                }
-            }
         }
     }
 }
 
+/// At least `n` ops: removes, inserts, and batches logged as runs of
+/// one to five inserts.
 fn gen_ops(n: usize, rng: &mut Lcg) -> Vec<Op> {
-    (0..n)
-        .map(|i| match rng.next() % 8 {
-            0 => Op::Remove(rng.next() % (BASE_N * 4)),
-            1 => Op::Many(
-                (0..(1 + rng.next() % 5))
-                    .map(|_| (rng.next() % (BASE_N * 8), rng.next()))
-                    .collect(),
-            ),
-            _ => Op::Insert(rng.next() % (BASE_N * 8), i as u64),
-        })
-        .collect()
+    let mut ops = Vec::with_capacity(n + 4);
+    while ops.len() < n {
+        match rng.next() % 8 {
+            0 => ops.push(Op::Remove(rng.next() % (BASE_N * 4))),
+            1 => {
+                for _ in 0..1 + rng.next() % 5 {
+                    ops.push(Op::Insert(rng.next() % (BASE_N * 8), rng.next()));
+                }
+            }
+            _ => ops.push(Op::Insert(rng.next() % (BASE_N * 8), ops.len() as u64)),
+        }
+    }
+    ops
 }
 
 /// Byte offsets of record boundaries in `wal`, parsed from the record

@@ -1,7 +1,7 @@
 //! Oracle-differential battery for the wait-free read path: reader
 //! threads drive `get` and `range_collect` against a `BTreeMap` oracle
 //! while a writer continuously splits and merges shards and churns a
-//! disjoint flux key range through `insert_many`/`remove`.
+//! disjoint flux key range through `with_write_groups`/`remove`.
 //!
 //! Key-space discipline makes every concurrent observation exactly
 //! checkable:
@@ -200,7 +200,9 @@ fn concurrent_reads_match_oracle_under_split_merge_churn() {
                 (k, flux_value(k))
             })
             .collect();
-        index.insert_many(batch);
+        index.with_write_groups(batch, |shard, k, v| {
+            shard.insert(k, v);
+        });
         for i in 0..FLUX_KEYS {
             let k = FLUX_BASE + i * 10;
             assert_eq!(index.remove(&k), Some(flux_value(k)));
@@ -290,10 +292,15 @@ fn scans_straddling_a_moving_boundary_match_the_oracle() {
         // ended: the reader and the writer overlap however many cores
         // there are.
         let seen = scans.load(Ordering::Acquire);
-        index.insert_many((0..40).map(|i| {
-            let k = flux_key(cycle * 40 + i);
-            (k, flux_value(k))
-        }));
+        let batch = (0..40)
+            .map(|i| {
+                let k = flux_key(cycle * 40 + i);
+                (k, flux_value(k))
+            })
+            .collect();
+        index.with_write_groups(batch, |shard, k, v| {
+            shard.insert(k, v);
+        });
         let at = MID - 2_000 + (xorshift(&mut rng) % 400) * 10;
         if index.split_shard(index.shard_of(&at), at).is_ok() {
             splits += 1;

@@ -114,7 +114,9 @@ fn skew_stress_direct_rebalance_drops_imbalance_no_lost_keys() {
             .map(|i| (tail_key(i), tail_key(i)))
             .collect();
         sampler.observe_all(keys.iter().map(|&(k, _)| k));
-        index.insert_many(keys);
+        index.with_write_groups(keys, |shard, k, v| {
+            shard.insert(k, v);
+        });
         appended.store((batch + 1) * 1_000, Ordering::Release);
         if let RebalanceOutcome::Split { .. } = rebalancer.step(&index) {
             splits += 1;

@@ -80,15 +80,18 @@ fn batched_inserts_match_model<I: SortedIndex<u64, u64>>(
             fresh_model += 1;
         }
     }
-    let fresh = idx.insert_many(batch);
-    assert_eq!(fresh, fresh_model, "{name}: insert_many fresh count");
+    let mut fresh = 0;
+    for (k, v) in batch {
+        fresh += usize::from(idx.insert(k, v).is_none());
+    }
+    assert_eq!(fresh, fresh_model, "{name}: fresh count");
     assert_eq!(
         idx.get(&9),
         Some(&3),
         "{name}: duplicate key last-write-wins"
     );
     assert_eq!(idx.get(&4), Some(&90), "{name}: overwrite applied");
-    assert_eq!(idx.len(), model.len(), "{name}: len after insert_many");
+    assert_eq!(idx.len(), model.len(), "{name}: len after the batch");
 
     let want: Vec<(u64, u64)> = model.into_iter().collect();
     assert_eq!(
@@ -245,7 +248,9 @@ fn refuses_moves<I: BuildableIndex<u64, u64> + 'static>(name: &str, config: &I::
         assert_eq!(rebalancer.step(&index), RebalanceOutcome::Idle, "{name}");
     }
     // An appended tail on the last shard: the policy asks for its split.
-    index.insert_many((4_000..8_000u64).map(|k| (k, k)));
+    for k in 4_000..8_000u64 {
+        index.insert(k, k);
+    }
     for _ in 0..4 {
         assert_eq!(
             rebalancer.step(&index),
@@ -472,7 +477,9 @@ fn shard_stats_expose_imbalance() {
     }
 
     // Append-heavy growth: everything routes past the last boundary.
-    index.insert_many((0..3_000u64).map(|k| (100_000 + k * 2, k)));
+    for k in 0..3_000u64 {
+        index.insert(100_000 + k * 2, k);
+    }
     assert_eq!(index.shard_of(&200_000), index.shard_count() - 1);
     let after = index.shard_stats();
     assert_eq!(
@@ -529,11 +536,15 @@ fn sharded_index_concurrent_smoke() {
                 }
             });
         }
-        // Batch writer: one insert_many spanning all shards.
+        // Batch writer: one grouped write spanning all shards.
         {
             let index = index.clone();
             scope.spawn(move || {
-                let fresh = index.insert_many((0..2_000u64).map(|k| (k * 4 + 3, k)));
+                let mut fresh = 0;
+                let batch = (0..2_000u64).map(|k| (k * 4 + 3, k)).collect();
+                index.with_write_groups(batch, |shard, k, v| {
+                    fresh += usize::from(shard.insert(k, v).is_none());
+                });
                 assert_eq!(fresh, 2_000);
             });
         }
