@@ -172,6 +172,11 @@ where
     /// cut off mid-flight). If a degraded shard refused any insert it
     /// resolves [`Degraded`](crate::CommandError::Degraded), and the
     /// inserts routed to healthy shards were applied.
+    ///
+    /// A batch costs what that many [`insert`](Self::insert)s cost:
+    /// each pair is its own command in its lane's queue, so a batch
+    /// longer than a queue's capacity blocks on backpressure like any
+    /// other submitter.
     #[must_use]
     pub fn insert_many(&self, batch: Vec<(K, V)>) -> Ticket<usize> {
         let (t, done) = ticket();

@@ -303,7 +303,8 @@ pub struct ShardRecovery {
     pub generation: u64,
     /// Size of that snapshot on disk.
     pub snapshot_bytes: usize,
-    /// Intact WAL records replayed on top of the snapshot.
+    /// Mutations replayed from the WAL on top of the snapshot (an old
+    /// batched-insert record counts one per pair).
     pub replayed: usize,
     /// Whether a torn/corrupt WAL tail (or a damaged WAL header) was
     /// discarded.

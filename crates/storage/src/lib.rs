@@ -154,7 +154,7 @@ mod tests {
     }
 
     #[test]
-    fn a_log_holding_a_retired_insert_many_record_reopens_truncated() {
+    fn a_log_holding_an_old_insert_many_record_replays_whole() {
         let root = temp_root("op3");
         let cfg = config(&root);
         let mut idx: Durable =
@@ -172,29 +172,42 @@ mod tests {
             [&len[..], &crc, payload].concat()
         };
         let mut op3 = vec![3];
-        op3.extend_from_slice(&1u32.to_le_bytes());
-        for x in [3u64, 3] {
+        op3.extend_from_slice(&2u32.to_le_bytes());
+        for x in [3u64, 30, 7, 70] {
             op3.extend_from_slice(&x.to_le_bytes());
         }
-        let insert = [&[1][..], &5u64.to_le_bytes(), &5u64.to_le_bytes()].concat();
+        let insert = [&[1][..], &5u64.to_le_bytes(), &50u64.to_le_bytes()].concat();
         let wal = dir.join("wal.000000");
         let mut bytes = std::fs::read(&wal).unwrap();
-        let logged = bytes.len() as u64;
         bytes.extend([record(&op3), record(&insert)].concat());
+        let logged = bytes.len() as u64;
         std::fs::write(&wal, bytes).unwrap();
 
-        // Replay keeps the records before op 3 and cuts the log there.
+        // Replay reads op 3 as the inserts it stood for and keeps
+        // every record after it.
         let replayed = wal::replay::<u64, u64>(&RealIo, &wal).unwrap();
-        assert_eq!(replayed.ops, vec![WalOp::Insert(1, 1)]);
-        assert!(replayed.truncated);
+        assert_eq!(
+            replayed.ops,
+            vec![
+                WalOp::Insert(1, 1),
+                WalOp::Insert(3, 30),
+                WalOp::Insert(7, 70),
+                WalOp::Insert(5, 50),
+            ]
+        );
+        assert!(!replayed.truncated);
         assert_eq!(replayed.valid_len, logged);
         let (back, info) = Durable::open_shard(&cfg, &dir).unwrap();
-        assert_eq!(info.replayed, 1);
-        assert!(info.wal_truncated);
+        assert_eq!(info.replayed, 4);
+        assert!(!info.wal_truncated);
         assert_eq!(back.get(&1), Some(&1));
-        assert_eq!(back.get(&3), None);
-        assert_eq!(back.get(&5), None);
-        assert_eq!(back.len(), 101);
+        assert_eq!(back.get(&3), Some(&30));
+        assert_eq!(back.get(&7), Some(&70));
+        assert_eq!(back.get(&5), Some(&50));
+        assert_eq!(back.len(), 104);
+        drop(back);
+        // The reopened log still holds all of it.
+        assert_eq!(std::fs::metadata(&wal).unwrap().len(), logged);
         std::fs::remove_dir_all(&root).unwrap();
     }
 

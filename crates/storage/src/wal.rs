@@ -29,14 +29,16 @@
 //!   4..8    CRC32 of the payload
 //!   8..     payload
 //! payload
-//!   op 1: insert [1][key][value]
-//!   op 2: remove [2][key]
+//!   op 1: insert      [1][key][value]
+//!   op 2: remove      [2][key]
+//!   op 3: insert_many [3][count u32][key value]×count   (read only)
 //! ```
 //!
 //! All integers little-endian; keys and values use the fixed-width
-//! [`Key::to_le_bytes`] codecs, so every payload's length is fixed by
-//! its op byte. Op 3 (a batched insert, written by earlier versions)
-//! is retired: replay treats it like any undecodable record. Replay
+//! [`Key::to_le_bytes`] codecs, so every record's length is determined
+//! by its first five bytes. Op 3, the batched insert earlier versions
+//! logged, is no longer written; replay still reads it as `count`
+//! inserts, so a log they left behind recovers whole. Replay
 //! ([`replay`]) accepts the longest prefix of intact records and
 //! reports the byte offset where it stopped; the opener truncates the
 //! file there, which is what makes a torn tail write
@@ -349,15 +351,31 @@ fn field<T: Key>(bytes: &[u8]) -> Option<T> {
     (!item.to_f64().is_nan()).then_some(item)
 }
 
-fn decode_payload<K: Key, V: Key>(payload: &[u8]) -> Option<WalOp<K, V>> {
+/// Decodes one record's payload onto `ops`; `None` (pushing nothing)
+/// when it is not a known op shape. Op 3, the batched insert earlier
+/// versions logged, is still read as the run of inserts it stood for:
+/// nothing writes it any more, but a log that holds one replays whole.
+fn decode_payload<K: Key, V: Key>(payload: &[u8], ops: &mut Vec<WalOp<K, V>>) -> Option<()> {
+    let pair = K::ENCODED_LEN + V::ENCODED_LEN;
+    let insert = |c: &[u8]| {
+        let (key, value) = c.split_at(K::ENCODED_LEN);
+        Some(WalOp::Insert(field(key)?, field(value)?))
+    };
     match payload.first()? {
-        1 if payload.len() == 1 + K::ENCODED_LEN + V::ENCODED_LEN => {
-            let (key, value) = payload[1..].split_at(K::ENCODED_LEN);
-            Some(WalOp::Insert(field(key)?, field(value)?))
+        1 if payload.len() == 1 + pair => ops.push(insert(&payload[1..])?),
+        2 if payload.len() == 1 + K::ENCODED_LEN => ops.push(WalOp::Remove(field(&payload[1..])?)),
+        3 if payload.len() >= 5 => {
+            let count = u32::from_le_bytes(payload[1..5].try_into().ok()?) as usize;
+            let body = &payload[5..];
+            if body.len() != count.checked_mul(pair)? {
+                return None;
+            }
+            let batch: Vec<_> = body.chunks_exact(pair).map(insert).collect::<Option<_>>()?;
+            ops.extend(batch);
         }
-        2 if payload.len() == 1 + K::ENCODED_LEN => Some(WalOp::Remove(field(&payload[1..])?)),
-        _ => None,
+        _ => return None,
     }
+    Some(())
 }
 
 /// Decodes a bare record stream — length/CRC-framed records with no
@@ -368,17 +386,21 @@ fn decode_payload<K: Key, V: Key>(payload: &[u8]) -> Option<WalOp<K, V>> {
 pub(crate) fn decode_records<K: Key, V: Key>(bytes: &[u8]) -> Vec<WalOp<K, V>> {
     let mut ops = Vec::new();
     let mut pos = 0usize;
-    while let Some((op, advance)) = decode_record_at::<K, V>(bytes, pos) {
-        ops.push(op);
+    while let Some(advance) = decode_record_at::<K, V>(bytes, pos, &mut ops) {
         pos += advance;
     }
     ops
 }
 
-/// Decodes the framed record starting at byte `pos`, returning the op
-/// and the record's total length. `None` for a short, corrupt, or
-/// unparseable record (including `pos` at/past the end).
-fn decode_record_at<K: Key, V: Key>(bytes: &[u8], pos: usize) -> Option<(WalOp<K, V>, usize)> {
+/// Decodes the framed record starting at byte `pos` onto `ops`,
+/// returning the record's total length. `None` (pushing nothing) for a
+/// short, corrupt, or unparseable record (including `pos` at/past the
+/// end).
+fn decode_record_at<K: Key, V: Key>(
+    bytes: &[u8],
+    pos: usize,
+    ops: &mut Vec<WalOp<K, V>>,
+) -> Option<usize> {
     let header = bytes.get(pos..pos + RECORD_HEADER_LEN)?;
     let len = u32::from_le_bytes(header[0..4].try_into().ok()?) as usize;
     let stored_crc = u32::from_le_bytes(header[4..8].try_into().ok()?);
@@ -386,7 +408,7 @@ fn decode_record_at<K: Key, V: Key>(bytes: &[u8], pos: usize) -> Option<(WalOp<K
     if crc32(payload) != stored_crc {
         return None;
     }
-    decode_payload::<K, V>(payload).map(|op| (op, RECORD_HEADER_LEN + len))
+    decode_payload::<K, V>(payload, ops).map(|()| RECORD_HEADER_LEN + len)
 }
 
 /// Scans the log at `path`, returning the longest prefix of intact
@@ -448,11 +470,8 @@ pub(crate) fn replay<K: Key, V: Key>(
                 truncated: false,
             });
         }
-        match decode_record_at::<K, V>(&bytes, pos) {
-            Some((op, advance)) => {
-                ops.push(op);
-                pos += advance;
-            }
+        match decode_record_at::<K, V>(&bytes, pos, &mut ops) {
+            Some(advance) => pos += advance,
             None => {
                 // Torn or corrupt tail: accept the prefix, report the
                 // cut so the opener truncates it away.
@@ -614,6 +633,7 @@ mod tests {
             [&[1][..], &nan, &one].concat(),
             [&[1][..], &one, &nan].concat(),
             [&[2][..], &nan].concat(),
+            [&[3][..], &2u32.to_le_bytes(), &one, &one, &one, &nan].concat(),
         ] {
             let stream = [&good[..], &record(&bad), &good].concat();
             let kept = vec![WalOp::Insert(f(1.0), f(2.0))];
