@@ -3,19 +3,23 @@
 //!
 //! The rules here enforce *protocol* invariants that rustc and clippy
 //! cannot see — conventions the sharded router and the service pipeline
-//! depend on for correctness:
+//! depend on for correctness. (What clippy can see, it checks where it
+//! applies: `unwrap_used`, `expect_used`, `panic`, `unreachable` and
+//! `todo` denied at the top of the worker, queue, client, service
+//! telemetry and sharded modules; `unwrap_used` and `expect_used` in
+//! `fiting-storage`'s crate root; `undocumented_unsafe_blocks` in
+//! `crates/sync/Cargo.toml`. A vetted site carries
+//! `#[expect(<lint>, reason = "..")]`, which fails the build once it
+//! matches nothing.)
 //!
 //! | rule | invariant |
 //! |------|-----------|
 //! | `lock-order` | shard locks acquired in ascending table position, with a `// lock-order:` comment on every multi-lock hold |
 //! | `blocking-in-guard` | no blocking call (`wait`, `sync_all`, `submit`, `recv`, …) while holding a lock guard, except condvar waits that take the guard |
 //! | `ordering-justification` | every explicit `Ordering::…` site is covered by a `// ordering:` comment explaining why that strength suffices |
-//! | `hot-path-panic` | no `unwrap` / `expect` / `panic!` in worker-thread and shard-hot-path modules (vetted exceptions in `allowlist.txt`) |
 //! | `forbid-unsafe` | `#![forbid(unsafe_code)]` present on every crate root |
 //! | `std-sync-quarantine` | a lock or an atomic is named through the seam: `std::sync` locks only in `fiting_sync::primitives` and `crates/compat/`, no `std` atomic imported by the four model-checked modules, `shuttle::sync` in no test file (a mirror) |
-//! | `storage-io-unwrap` | no `.unwrap()` / `.expect(..)` on storage-crate Results outside `#[cfg(test)]` — I/O faults are expected inputs there, not bugs |
 //! | `reader-wait-free` | no `.read()` guard acquisition in reader hot-path modules or anywhere in `crates/telemetry/` — recording must never block a reader or worker |
-//! | `unsafe-safety-comment` | every `unsafe` site in the audited `crates/sync/` carries a per-site `// safety:` comment |
 //! | `sync-ordering-per-site` | every atomic-ordering site in `crates/sync/` carries its own `// ordering:` comment |
 //! | `branchless-claim` | a production `fn` named `*branchless*` calls `select_unpredictable` and holds no `if` / `match` inside its loop — the name stays true of the compiled code |
 //! | `doc-link-integrity` | relative links and `BENCH_*.json` references in the operator docs (README / ARCHITECTURE / ROADMAP / docs/ / crate READMEs) resolve to real files |
@@ -24,9 +28,8 @@
 //! The checker is a hand-rolled lexer (comments, strings, brace depth,
 //! `#[cfg(test)]` spans) over line-oriented scanning — no `syn`, no
 //! network, no build integration needed. False positives are handled
-//! with inline `// fiting-check: allow(<rule>) — reason` comments or
-//! (for `hot-path-panic`) `allowlist.txt` entries, both of which
-//! reviewers can grep.
+//! with inline `// fiting-check: allow(<rule>) — reason` comments,
+//! which reviewers can grep.
 //!
 //! `fiting-check --lines` reuses the same lexer for the ROADMAP's
 //! "least code" and public-surface budgets: production code lines per
@@ -42,7 +45,7 @@ pub mod rules;
 mod surface;
 
 pub use docs::{check_doc_file, is_checked_doc};
-pub use rules::{check_file, parse_allowlist, AllowEntry, Finding};
+pub use rules::{check_file, Finding};
 pub use surface::Surface;
 use surface::{check_e2e_imports, PRODUCT_CRATES};
 
@@ -102,14 +105,10 @@ fn relative(root: &Path, path: &Path) -> String {
 /// Propagates I/O errors from walking the tree or reading the
 /// manifests; an unreadable individual file is skipped.
 pub fn check_workspace(root: &Path) -> std::io::Result<(Vec<Finding>, usize)> {
-    let allow = match std::fs::read_to_string(root.join("crates/analysis/allowlist.txt")) {
-        Ok(text) => parse_allowlist(&text),
-        Err(_) => Vec::new(),
-    };
     let files = workspace_files(root)?;
     let mut findings: Vec<Finding> = files
         .iter()
-        .flat_map(|(rel, source)| check_file(rel, source, &allow))
+        .flat_map(|(rel, source)| check_file(rel, source))
         .collect();
     findings.extend(check_e2e_imports(&files, &members(root)?));
     let mut scanned = files.len();

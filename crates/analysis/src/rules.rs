@@ -29,34 +29,6 @@ impl std::fmt::Display for Finding {
     }
 }
 
-/// A vetted exception to the hot-path panic rule: `file` is a path
-/// suffix, `snippet` must appear verbatim in the offending source line.
-#[derive(Debug, Clone)]
-pub struct AllowEntry {
-    /// Path suffix the exception applies to.
-    pub file: String,
-    /// Verbatim source fragment identifying the vetted site.
-    pub snippet: String,
-}
-
-/// Parses `allowlist.txt`: `<path-suffix> | <snippet> | <reason>` per
-/// line; blank lines and `#` comments ignored. The reason column is
-/// mandatory documentation but not machine-checked.
-#[must_use]
-pub fn parse_allowlist(text: &str) -> Vec<AllowEntry> {
-    text.lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .filter_map(|l| {
-            let mut parts = l.splitn(3, '|');
-            let file = parts.next()?.trim().to_string();
-            let snippet = parts.next()?.trim().to_string();
-            parts.next()?; // reason — required, unused
-            Some(AllowEntry { file, snippet })
-        })
-        .collect()
-}
-
 /// Whether the line's comment suppresses `rule` via
 /// `fiting-check: allow(<rule>)` (which must carry a reason after it).
 fn line_allows(cf: &CleanFile, line: usize, rule: &str) -> bool {
@@ -87,23 +59,18 @@ fn site_comment_contains(cf: &CleanFile, line: usize, needle: &str) -> bool {
     false
 }
 
-/// Runs every rule against one file. `raw` is the original source (the
-/// allowlist matches verbatim snippets); `path` is workspace-relative
-/// with `/` separators.
+/// Runs every rule against one file's source; `path` is
+/// workspace-relative with `/` separators.
 #[must_use]
-pub fn check_file(path: &str, raw: &str, allow: &[AllowEntry]) -> Vec<Finding> {
+pub fn check_file(path: &str, raw: &str) -> Vec<Finding> {
     let cf = clean(raw);
-    let raw_lines: Vec<&str> = raw.lines().collect();
     let mut findings = Vec::new();
     let in_src = path.contains("/src/") || path.starts_with("src/");
     if in_src {
         findings.extend(rule_lock_order(path, &cf));
         findings.extend(rule_blocking_in_guard(path, &cf));
         findings.extend(rule_ordering_justification(path, &cf));
-        findings.extend(rule_hot_path_panic(path, &cf, &raw_lines, allow));
-        findings.extend(rule_storage_io_unwrap(path, &cf));
         findings.extend(rule_reader_wait_free(path, &cf));
-        findings.extend(rule_unsafe_safety_comment(path, &cf));
         findings.extend(rule_sync_ordering_per_site(path, &cf));
         findings.extend(rule_kernel_claim(path, &cf));
     }
@@ -398,69 +365,6 @@ fn rule_ordering_justification(path: &str, cf: &CleanFile) -> Vec<Finding> {
 }
 
 // ---------------------------------------------------------------------
-// Rule: hot-path-panic — no unwrap/expect/panic in worker & hot paths
-// ---------------------------------------------------------------------
-
-/// Modules where a panic either strands queued tickets (worker thread)
-/// or poisons a shard lock under reader traffic (sharded hot path).
-const HOT_PATH_MODULES: [&str; 5] = [
-    "index-service/src/worker.rs",
-    "index-service/src/queue.rs",
-    "index-service/src/client.rs",
-    "index-service/src/telemetry.rs",
-    "index-api/src/sharded.rs",
-];
-
-const PANIC_TOKENS: [&str; 5] = [
-    ".unwrap()",
-    ".expect(",
-    "panic!(",
-    "unreachable!(",
-    "todo!(",
-];
-
-/// No panicking construct in worker-thread or shard-hot-path modules;
-/// vetted exceptions live in `allowlist.txt` with a reason.
-fn rule_hot_path_panic(
-    path: &str,
-    cf: &CleanFile,
-    raw_lines: &[&str],
-    allow: &[AllowEntry],
-) -> Vec<Finding> {
-    if !HOT_PATH_MODULES.iter().any(|m| path.ends_with(m)) {
-        return Vec::new();
-    }
-    let mut findings = Vec::new();
-    for (ln0, line) in cf.code.iter().enumerate() {
-        let ln = ln0 + 1;
-        if !cf.is_production(ln) {
-            continue;
-        }
-        for tok in PANIC_TOKENS {
-            if !line.contains(tok) {
-                continue;
-            }
-            let raw = raw_lines.get(ln0).copied().unwrap_or("");
-            let allowed = allow
-                .iter()
-                .any(|e| path.ends_with(&e.file) && raw.contains(&e.snippet));
-            if !allowed {
-                findings.push(Finding {
-                    file: path.to_string(),
-                    line: ln,
-                    rule: "hot-path-panic",
-                    message: format!(
-                        "`{tok}` in a worker/hot-path module; return an error \
-                         or add a vetted allowlist.txt entry"
-                    ),
-                });
-            }
-        }
-    }
-    findings
-}
-
-// ---------------------------------------------------------------------
 // Rule: forbid-unsafe — #![forbid(unsafe_code)] on every crate root
 // ---------------------------------------------------------------------
 
@@ -473,8 +377,8 @@ fn rule_hot_path_panic(
 /// prefetch intrinsic and the `madvise` call cannot be expressed in
 /// safe Rust). Its crate
 /// root must instead carry `#![deny(unsafe_op_in_unsafe_fn)]`, and
-/// every `unsafe` site there is held to the `unsafe-safety-comment`
-/// rule.
+/// clippy's `undocumented_unsafe_blocks`, denied in its manifest, holds
+/// every `unsafe` site there to a `// safety:` comment.
 fn rule_forbid_unsafe(path: &str, cf: &CleanFile) -> Vec<Finding> {
     let is_root = path.ends_with("/lib.rs")
         || path == "src/lib.rs"
@@ -596,47 +500,6 @@ fn rule_std_sync_quarantine(path: &str, in_src: bool, cf: &CleanFile) -> Vec<Fin
 }
 
 // ---------------------------------------------------------------------
-// Rule: storage-io-unwrap — no unwrap/expect on I/O results in storage
-// ---------------------------------------------------------------------
-
-const UNWRAP_TOKENS: [&str; 2] = [".unwrap()", ".expect("];
-
-/// Inside `crates/storage/` every fallible path carries an
-/// `io::Error` / `StorageError` lineage, and the whole crate runs
-/// behind `FaultIo` in the chaos battery — faults there are *expected
-/// inputs*, not bugs. An `.unwrap()` / `.expect(..)` in production
-/// code turns an injectable, recoverable fault into a panic that
-/// poisons the calling thread, so production code must propagate the
-/// error or degrade instead. Vetted exceptions use
-/// `// fiting-check: allow(storage-io-unwrap) <reason>`.
-fn rule_storage_io_unwrap(path: &str, cf: &CleanFile) -> Vec<Finding> {
-    if !path.starts_with("crates/storage/") {
-        return Vec::new();
-    }
-    let mut findings = Vec::new();
-    for (ln0, line) in cf.code.iter().enumerate() {
-        let ln = ln0 + 1;
-        if !cf.is_production(ln) {
-            continue;
-        }
-        for tok in UNWRAP_TOKENS {
-            if line.contains(tok) && !line_allows(cf, ln, "storage-io-unwrap") {
-                findings.push(Finding {
-                    file: path.to_string(),
-                    line: ln,
-                    rule: "storage-io-unwrap",
-                    message: format!(
-                        "`{tok}` on a storage-crate Result; I/O faults are \
-                         expected inputs here — propagate the error or degrade"
-                    ),
-                });
-            }
-        }
-    }
-    findings
-}
-
-// ---------------------------------------------------------------------
 // Rule: reader-wait-free — no read-guard acquisition on reader hot paths
 // ---------------------------------------------------------------------
 
@@ -682,38 +545,6 @@ fn rule_reader_wait_free(path: &str, cf: &CleanFile) -> Vec<Finding> {
                 message: "`.read()` guard in a reader hot-path module; use the \
                           wait-free primitives (Snapshots::read / \
                           SeqRwLock::read_with) instead"
-                    .to_string(),
-            });
-        }
-    }
-    findings
-}
-
-// ---------------------------------------------------------------------
-// Rule: unsafe-safety-comment — every unsafe site in crates/sync audited
-// ---------------------------------------------------------------------
-
-/// Every `unsafe` site in the audited crate (`crates/sync/`, the only
-/// crate exempt from `forbid(unsafe_code)`) must carry a `// safety:`
-/// comment on the line or in the comment block directly above it,
-/// stating the invariant that makes the site sound.
-fn rule_unsafe_safety_comment(path: &str, cf: &CleanFile) -> Vec<Finding> {
-    if !path.starts_with("crates/sync/src/") {
-        return Vec::new();
-    }
-    let mut findings = Vec::new();
-    for (ln0, line) in cf.code.iter().enumerate() {
-        let ln = ln0 + 1;
-        if !cf.is_production(ln) || find_word(line, "unsafe").is_none() {
-            continue;
-        }
-        if !site_comment_contains(cf, ln, "safety:") {
-            findings.push(Finding {
-                file: path.to_string(),
-                line: ln,
-                rule: "unsafe-safety-comment",
-                message: "`unsafe` site without a `// safety:` comment stating \
-                          the invariant that makes it sound"
                     .to_string(),
             });
         }
@@ -841,7 +672,7 @@ fn merge(&self, shard: usize) {
     let mut keep_guard = keep.write();
 }
 ";
-        let f = check_file("crates/x/src/sharded.rs", bad, &[]);
+        let f = check_file("crates/x/src/sharded.rs", bad);
         assert!(
             f.iter()
                 .any(|f| f.rule == "lock-order" && f.message.contains("descending")),
@@ -857,7 +688,7 @@ fn merge(&self, shard: usize) {
     let mut retire_guard = retire.write();
 }
 ";
-        let f = check_file("crates/x/src/sharded.rs", uncommented, &[]);
+        let f = check_file("crates/x/src/sharded.rs", uncommented);
         assert!(
             f.iter()
                 .any(|f| f.rule == "lock-order" && f.message.contains("lock-order:")),
@@ -873,7 +704,7 @@ fn merge(&self, shard: usize) {
     let mut retire_guard = retire.write();
 }
 ";
-        let f = check_file("crates/x/src/sharded.rs", good, &[]);
+        let f = check_file("crates/x/src/sharded.rs", good);
         assert!(!rules_of(&f).contains(&"lock-order"), "{f:?}");
     }
 
@@ -885,7 +716,7 @@ fn drain(&self) {
     self.file.sync_all();
 }
 ";
-        let f = check_file("crates/x/src/worker.rs", bad, &[]);
+        let f = check_file("crates/x/src/worker.rs", bad);
         assert!(rules_of(&f).contains(&"blocking-in-guard"), "{f:?}");
 
         // Condvar waits that take the guard are the sanctioned shape.
@@ -895,7 +726,7 @@ fn pop(&self) {
     self.not_empty.wait(&mut state);
 }
 ";
-        let f = check_file("crates/x/src/worker.rs", condvar, &[]);
+        let f = check_file("crates/x/src/worker.rs", condvar);
         assert!(!rules_of(&f).contains(&"blocking-in-guard"), "{f:?}");
 
         // Dropping the guard before blocking is clean.
@@ -906,7 +737,7 @@ fn drain(&self) {
     self.file.sync_all();
 }
 ";
-        let f = check_file("crates/x/src/worker.rs", dropped, &[]);
+        let f = check_file("crates/x/src/worker.rs", dropped);
         assert!(!rules_of(&f).contains(&"blocking-in-guard"), "{f:?}");
     }
 
@@ -918,7 +749,7 @@ fn bump(&self) {
     self.epoch.fetch_add(1, Ordering::Release);
 }
 ";
-        let f = check_file("crates/x/src/sharded.rs", bad, &[]);
+        let f = check_file("crates/x/src/sharded.rs", bad);
         assert!(rules_of(&f).contains(&"ordering-justification"), "{f:?}");
 
         let good = r"
@@ -927,53 +758,23 @@ fn bump(&self) {
     self.epoch.fetch_add(1, Ordering::Release);
 }
 ";
-        let f = check_file("crates/x/src/sharded.rs", good, &[]);
+        let f = check_file("crates/x/src/sharded.rs", good);
         assert!(!rules_of(&f).contains(&"ordering-justification"), "{f:?}");
     }
 
     #[test]
-    fn hot_path_panic_fires_respects_allowlist_and_module_scope() {
-        let bad = "fn run() {\n    let v = queue.pop().expect(\"peeked\");\n}\n";
-        let f = check_file("crates/index-service/src/worker.rs", bad, &[]);
-        assert!(rules_of(&f).contains(&"hot-path-panic"), "{f:?}");
-
-        // The same site, vetted in the allowlist, is clean.
-        let allow = parse_allowlist(
-            "index-service/src/worker.rs | .expect(\"peeked\") | vetted for this test\n",
-        );
-        let f = check_file("crates/index-service/src/worker.rs", bad, &allow);
-        assert!(!rules_of(&f).contains(&"hot-path-panic"), "{f:?}");
-
-        // The service's recording sites are covered too: `submit` and
-        // the worker call into them on every command.
-        let unwrap = "fn note(&self) {\n    self.slot().unwrap();\n}\n";
-        let f = check_file("crates/index-service/src/telemetry.rs", unwrap, &[]);
-        assert!(rules_of(&f).contains(&"hot-path-panic"), "{f:?}");
-
-        // Outside the hot-path module list the rule does not apply.
-        let f = check_file("crates/index-service/src/stats.rs", bad, &[]);
-        assert!(!rules_of(&f).contains(&"hot-path-panic"), "{f:?}");
-
-        // Panics inside #[cfg(test)] are fine even in hot modules.
-        let test_only = "#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); }\n}\n";
-        let f = check_file("crates/index-service/src/worker.rs", test_only, &[]);
-        assert!(!rules_of(&f).contains(&"hot-path-panic"), "{f:?}");
-    }
-
-    #[test]
     fn forbid_unsafe_fires_on_missing_attribute() {
-        let f = check_file("crates/x/src/lib.rs", "//! docs\npub fn a() {}\n", &[]);
+        let f = check_file("crates/x/src/lib.rs", "//! docs\npub fn a() {}\n");
         assert!(rules_of(&f).contains(&"forbid-unsafe"), "{f:?}");
 
         let f = check_file(
             "crates/x/src/lib.rs",
             "//! docs\n#![forbid(unsafe_code)]\npub fn a() {}\n",
-            &[],
         );
         assert!(!rules_of(&f).contains(&"forbid-unsafe"), "{f:?}");
 
         // Non-root files are not required to repeat the attribute.
-        let f = check_file("crates/x/src/worker.rs", "pub fn a() {}\n", &[]);
+        let f = check_file("crates/x/src/worker.rs", "pub fn a() {}\n");
         assert!(!rules_of(&f).contains(&"forbid-unsafe"), "{f:?}");
 
         // The audited sync crate is exempt from forbid(unsafe_code) but
@@ -981,11 +782,10 @@ fn bump(&self) {
         let f = check_file(
             "crates/sync/src/lib.rs",
             "//! docs\n#![deny(unsafe_op_in_unsafe_fn)]\npub fn a() {}\n",
-            &[],
         );
         assert!(!rules_of(&f).contains(&"forbid-unsafe"), "{f:?}");
         // Mutation: the deny attribute dropped from the audited root.
-        let f = check_file("crates/sync/src/lib.rs", "//! docs\npub fn a() {}\n", &[]);
+        let f = check_file("crates/sync/src/lib.rs", "//! docs\npub fn a() {}\n");
         assert!(
             f.iter()
                 .any(|f| f.rule == "forbid-unsafe" && f.message.contains("unsafe_op_in_unsafe_fn")),
@@ -997,85 +797,41 @@ fn bump(&self) {
     fn reader_wait_free_fires_on_read_guard_in_hot_modules_only() {
         // Mutation: a read *guard* re-introduced on the read path.
         let bad = "fn get(&self) {\n    let guard = shard.read();\n}\n";
-        let f = check_file("crates/index-api/src/sharded.rs", bad, &[]);
+        let f = check_file("crates/index-api/src/sharded.rs", bad);
         assert!(rules_of(&f).contains(&"reader-wait-free"), "{f:?}");
-        let f = check_file("crates/index-service/src/worker.rs", bad, &[]);
+        let f = check_file("crates/index-service/src/worker.rs", bad);
         assert!(rules_of(&f).contains(&"reader-wait-free"), "{f:?}");
-        let f = check_file("crates/index-service/src/telemetry.rs", bad, &[]);
+        let f = check_file("crates/index-service/src/telemetry.rs", bad);
         assert!(rules_of(&f).contains(&"reader-wait-free"), "{f:?}");
 
         // The wait-free closure form is the fixed shape.
         let good = "fn get(&self) {\n    shard.read_with(|s| s.len());\n}\n";
-        let f = check_file("crates/index-api/src/sharded.rs", good, &[]);
+        let f = check_file("crates/index-api/src/sharded.rs", good);
         assert!(!rules_of(&f).contains(&"reader-wait-free"), "{f:?}");
 
         // The telemetry crate is covered wholesale: recording is
         // called from the hot paths, so no module there may take a
         // read guard.
-        let f = check_file("crates/telemetry/src/histogram.rs", bad, &[]);
+        let f = check_file("crates/telemetry/src/histogram.rs", bad);
         assert!(rules_of(&f).contains(&"reader-wait-free"), "{f:?}");
-        let f = check_file("crates/telemetry/src/snapshot.rs", bad, &[]);
+        let f = check_file("crates/telemetry/src/snapshot.rs", bad);
         assert!(rules_of(&f).contains(&"reader-wait-free"), "{f:?}");
 
         // Writers may block; cold modules may take read guards.
         let writer = "fn put(&self) {\n    let mut g = shard.write();\n}\n";
-        let f = check_file("crates/index-api/src/sharded.rs", writer, &[]);
+        let f = check_file("crates/index-api/src/sharded.rs", writer);
         assert!(!rules_of(&f).contains(&"reader-wait-free"), "{f:?}");
-        let f = check_file("crates/index-service/src/stats.rs", bad, &[]);
+        let f = check_file("crates/index-service/src/stats.rs", bad);
         assert!(!rules_of(&f).contains(&"reader-wait-free"), "{f:?}");
 
         // Test code and vetted allow comments stay clean.
         let test_only = "#[cfg(test)]\nmod tests {\n    fn t() { let g = shard.read(); }\n}\n";
-        let f = check_file("crates/index-api/src/sharded.rs", test_only, &[]);
+        let f = check_file("crates/index-api/src/sharded.rs", test_only);
         assert!(!rules_of(&f).contains(&"reader-wait-free"), "{f:?}");
         let allowed = "fn get(&self) {\n    let g = shard.read(); \
                        // fiting-check: allow(reader-wait-free) cold diagnostic\n}\n";
-        let f = check_file("crates/index-api/src/sharded.rs", allowed, &[]);
+        let f = check_file("crates/index-api/src/sharded.rs", allowed);
         assert!(!rules_of(&f).contains(&"reader-wait-free"), "{f:?}");
-    }
-
-    #[test]
-    fn unsafe_safety_comment_fires_without_per_site_audit() {
-        // Mutation: the safety comment removed from an unsafe site.
-        let bad = "fn read(&self) {\n    let v = unsafe { &*self.data.get() };\n}\n";
-        let f = check_file("crates/sync/src/seqlock.rs", bad, &[]);
-        assert!(rules_of(&f).contains(&"unsafe-safety-comment"), "{f:?}");
-
-        // A `// safety:` block directly above the site is the contract,
-        // including multi-line justifications.
-        let good = "fn read(&self) {\n    // safety: writers drain this reader's\n    \
-                    // presence slot before mutating.\n    \
-                    let v = unsafe { &*self.data.get() };\n}\n";
-        let f = check_file("crates/sync/src/seqlock.rs", good, &[]);
-        assert!(!rules_of(&f).contains(&"unsafe-safety-comment"), "{f:?}");
-
-        // A blank line between comment and site breaks the coverage.
-        let detached = "fn read(&self) {\n    // safety: stale\n\n    \
-                        let v = unsafe { &*self.data.get() };\n}\n";
-        let f = check_file("crates/sync/src/seqlock.rs", detached, &[]);
-        assert!(rules_of(&f).contains(&"unsafe-safety-comment"), "{f:?}");
-
-        // Outside the audited crate the rule does not apply (the code
-        // wouldn't compile there anyway — forbid(unsafe_code)).
-        let f = check_file("crates/x/src/lib.rs", bad, &[]);
-        assert!(!rules_of(&f).contains(&"unsafe-safety-comment"), "{f:?}");
-
-        // The crate's second and third sites, `prefetch_read` and
-        // `advise_huge_pages`, as they ship — and with either one's
-        // `// safety:` line taken out.
-        let shipped = include_str!("../../sync/src/hint.rs");
-        let f = check_file("crates/sync/src/hint.rs", shipped, &[]);
-        assert!(!rules_of(&f).contains(&"unsafe-safety-comment"), "{f:?}");
-        let sites: Vec<usize> = shipped
-            .match_indices("// safety:")
-            .map(|(at, _)| at)
-            .collect();
-        assert_eq!(sites.len(), 2);
-        for at in sites {
-            let stripped = format!("{}//{}", &shipped[..at], &shipped[at + 10..]);
-            let f = check_file("crates/sync/src/hint.rs", &stripped, &[]);
-            assert!(rules_of(&f).contains(&"unsafe-safety-comment"), "{f:?}");
-        }
     }
 
     #[test]
@@ -1092,7 +848,7 @@ fn bump(&self) {
         // Mutation: the body this rule was written against — it reads
         // as a select and compiled to `cmp; ja; mov; jmp`.
         let bad = kernel("base = if run[mid] <= *key { mid } else { base };");
-        let f = check_file("crates/core/src/directory.rs", &bad, &[]);
+        let f = check_file("crates/core/src/directory.rs", &bad);
         let claims: Vec<_> = f.iter().filter(|f| f.rule == "branchless-claim").collect();
         assert!(
             claims
@@ -1108,7 +864,7 @@ fn bump(&self) {
         );
 
         let good = kernel("base = std::hint::select_unpredictable(run[mid] <= *key, mid, base);");
-        let f = check_file("crates/core/src/directory.rs", &good, &[]);
+        let f = check_file("crates/core/src/directory.rs", &good);
         assert!(!rules_of(&f).contains(&"branchless-claim"), "{f:?}");
 
         // Branches outside the loop (an empty-input guard) are fine, as
@@ -1118,12 +874,11 @@ fn bump(&self) {
             "if run.is_empty() { return 0; }\n    let mut base = 0usize;",
             1,
         );
-        let f = check_file("crates/core/src/directory.rs", &guarded, &[]);
+        let f = check_file("crates/core/src/directory.rs", &guarded);
         assert!(!rules_of(&f).contains(&"branchless-claim"), "{f:?}");
         let f = check_file(
             "crates/core/src/directory.rs",
             &bad.replace("branchless_floor", "bounded_floor"),
-            &[],
         );
         assert!(!rules_of(&f).contains(&"branchless-claim"), "{f:?}");
     }
@@ -1135,7 +890,7 @@ fn bump(&self) {
         let bad = "fn publish(&self) {\n    // ordering: Release pairs with reader Acquire.\n    \
                    self.seq.fetch_add(1, Ordering::Release);\n    \
                    let v = self.version.load(Ordering::Acquire);\n}\n";
-        let f = check_file("crates/sync/src/snapshot.rs", bad, &[]);
+        let f = check_file("crates/sync/src/snapshot.rs", bad);
         assert!(
             f.iter()
                 .any(|f| f.rule == "sync-ordering-per-site" && f.line == 4),
@@ -1146,7 +901,7 @@ fn bump(&self) {
                     self.seq.fetch_add(1, Ordering::Release);\n    \
                     // ordering: Acquire pairs with the publisher's Release.\n    \
                     let v = self.version.load(Ordering::Acquire);\n}\n";
-        let f = check_file("crates/sync/src/snapshot.rs", good, &[]);
+        let f = check_file("crates/sync/src/snapshot.rs", good);
         assert!(!rules_of(&f).contains(&"sync-ordering-per-site"), "{f:?}");
 
         // Outside the audited crate only the per-function rule applies.
@@ -1154,58 +909,25 @@ fn bump(&self) {
             "fn publish(&self) {\n    // ordering: Release publishes; Acquire reads.\n    \
                        self.seq.fetch_add(1, Ordering::Release);\n    \
                        let v = self.version.load(Ordering::Acquire);\n}\n";
-        let f = check_file("crates/x/src/epoch.rs", fnlevel, &[]);
+        let f = check_file("crates/x/src/epoch.rs", fnlevel);
         assert!(!rules_of(&f).contains(&"sync-ordering-per-site"), "{f:?}");
         assert!(!rules_of(&f).contains(&"ordering-justification"), "{f:?}");
     }
 
     #[test]
-    fn storage_io_unwrap_fires_in_storage_production_only() {
-        // Mutation: a `?` propagation replaced by `.unwrap()`.
-        let bad = "fn flush(&mut self) {\n    self.file.sync_data().unwrap();\n}\n";
-        let f = check_file("crates/storage/src/wal.rs", bad, &[]);
-        assert!(rules_of(&f).contains(&"storage-io-unwrap"), "{f:?}");
-
-        // `.expect(..)` is the same panic with a nicer epitaph.
-        let expect = "fn open(&self) {\n    let data = io.read(&p).expect(\"snapshot\");\n}\n";
-        let f = check_file("crates/storage/src/durable.rs", expect, &[]);
-        assert!(rules_of(&f).contains(&"storage-io-unwrap"), "{f:?}");
-
-        // Propagation is the fixed shape.
-        let good = "fn flush(&mut self) -> io::Result<()> {\n    self.file.sync_data()\n}\n";
-        let f = check_file("crates/storage/src/wal.rs", good, &[]);
-        assert!(!rules_of(&f).contains(&"storage-io-unwrap"), "{f:?}");
-
-        // #[cfg(test)] code in storage may unwrap freely.
-        let test_only = "#[cfg(test)]\nmod tests {\n    fn t() { f.sync_data().unwrap(); }\n}\n";
-        let f = check_file("crates/storage/src/wal.rs", test_only, &[]);
-        assert!(!rules_of(&f).contains(&"storage-io-unwrap"), "{f:?}");
-
-        // Outside crates/storage the rule does not apply.
-        let f = check_file("crates/tree/src/lib.rs", bad, &[]);
-        assert!(!rules_of(&f).contains(&"storage-io-unwrap"), "{f:?}");
-
-        // A vetted allow comment with a reason suppresses the finding.
-        let allowed = "fn flush(&mut self) {\n    self.file.sync_data().unwrap(); \
-                       // fiting-check: allow(storage-io-unwrap) infallible in-memory io\n}\n";
-        let f = check_file("crates/storage/src/wal.rs", allowed, &[]);
-        assert!(!rules_of(&f).contains(&"storage-io-unwrap"), "{f:?}");
-    }
-
-    #[test]
     fn std_sync_quarantine_fires_outside_the_seam_and_compat_only() {
         let bad = "#![forbid(unsafe_code)]\nuse std::sync::Mutex;\n";
-        let f = check_file("crates/x/src/lib.rs", bad, &[]);
+        let f = check_file("crates/x/src/lib.rs", bad);
         assert!(rules_of(&f).contains(&"std-sync-quarantine"), "{f:?}");
 
         // Brace imports are seen through.
         let braced = "#![forbid(unsafe_code)]\nuse std::sync::{Arc, Condvar};\n";
-        let f = check_file("crates/x/src/lib.rs", braced, &[]);
+        let f = check_file("crates/x/src/lib.rs", braced);
         assert!(rules_of(&f).contains(&"std-sync-quarantine"), "{f:?}");
 
         // Arc / atomics / OnceLock stay allowed.
         let ok = "#![forbid(unsafe_code)]\nuse std::sync::{Arc, OnceLock};\nuse std::sync::atomic::AtomicU64;\n";
-        let f = check_file("crates/x/src/lib.rs", ok, &[]);
+        let f = check_file("crates/x/src/lib.rs", ok);
         assert!(!rules_of(&f).contains(&"std-sync-quarantine"), "{f:?}");
 
         // The seam's normal arm and the compat crates are the
@@ -1215,7 +937,7 @@ fn bump(&self) {
             "crates/compat/shuttle/src/sync.rs",
             "crates/x/tests/stress.rs",
         ] {
-            let f = check_file(exempt, "use std::sync::Mutex;\n", &[]);
+            let f = check_file(exempt, "use std::sync::Mutex;\n");
             assert!(!rules_of(&f).contains(&"std-sync-quarantine"), "{f:?}");
         }
     }
@@ -1226,7 +948,7 @@ fn bump(&self) {
         // would compile under `--cfg fiting_model` and never yield.
         let bad = "use std::sync::atomic::{AtomicU64, Ordering};\n";
         for module in SEAM_ONLY_MODULES.map(|m| format!("crates/{m}")) {
-            let f = check_file(&module, bad, &[]);
+            let f = check_file(&module, bad);
             assert!(
                 f.iter()
                     .any(|f| f.rule == "std-sync-quarantine" && f.message.contains("`AtomicU64`")),
@@ -1236,7 +958,6 @@ fn bump(&self) {
         let f = check_file(
             "crates/sync/src/seqlock.rs",
             "static N: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);\n",
-            &[],
         );
         assert!(rules_of(&f).contains(&"std-sync-quarantine"), "{f:?}");
 
@@ -1247,18 +968,18 @@ fn bump(&self) {
             "use std::sync::atomic::Ordering;\n",
             "use std::sync::atomic::AtomicU64 as Id; // fiting-check: allow(std-sync-quarantine) static id\n",
         ] {
-            let f = check_file("crates/sync/src/snapshot.rs", good, &[]);
+            let f = check_file("crates/sync/src/snapshot.rs", good);
             assert!(!rules_of(&f).contains(&"std-sync-quarantine"), "{f:?}");
         }
-        let f = check_file("crates/index-service/src/stats.rs", bad, &[]);
+        let f = check_file("crates/index-service/src/stats.rs", bad);
         assert!(!rules_of(&f).contains(&"std-sync-quarantine"), "{f:?}");
 
         // The shipped files are clean, and stay so only through the seam.
         let shipped = include_str!("../../sync/src/seqlock.rs");
-        let f = check_file("crates/sync/src/seqlock.rs", shipped, &[]);
+        let f = check_file("crates/sync/src/seqlock.rs", shipped);
         assert!(!rules_of(&f).contains(&"std-sync-quarantine"), "{f:?}");
         let direct = shipped.replacen("use crate::primitives::{", "use std::sync::atomic::{", 1);
-        let f = check_file("crates/sync/src/seqlock.rs", &direct, &[]);
+        let f = check_file("crates/sync/src/seqlock.rs", &direct);
         assert!(rules_of(&f).contains(&"std-sync-quarantine"), "{f:?}");
     }
 
@@ -1272,7 +993,7 @@ fn bump(&self) {
             "tests/chaos.rs",
             "crates/index-api/src/sharded.rs",
         ] {
-            let f = check_file(path, mirror, &[]);
+            let f = check_file(path, mirror);
             assert!(
                 f.iter()
                     .any(|f| f.rule == "std-sync-quarantine" && f.line == 1),
@@ -1283,13 +1004,13 @@ fn bump(&self) {
         // The scheduler's entry points are what a real-type model uses;
         // the checker's self-tests and the seam name the locks.
         let model = "use shuttle::{model, thread};\nuse fiting_sync::primitives::Mutex;\n";
-        let f = check_file("crates/index-service/tests/models.rs", model, &[]);
+        let f = check_file("crates/index-service/tests/models.rs", model);
         assert!(!rules_of(&f).contains(&"std-sync-quarantine"), "{f:?}");
         for exempt in [
             "crates/compat/shuttle/tests/regressions.rs",
             "crates/sync/src/primitives.rs",
         ] {
-            let f = check_file(exempt, mirror, &[]);
+            let f = check_file(exempt, mirror);
             assert!(!rules_of(&f).contains(&"std-sync-quarantine"), "{f:?}");
         }
     }

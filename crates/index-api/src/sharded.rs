@@ -74,6 +74,12 @@
 //! [`split_shard`]: ShardedIndex::split_shard
 //! [`merge_with_next`]: ShardedIndex::merge_with_next
 
+// A panic on the shard hot path poisons a shard lock under reader
+// traffic: production code returns an error, and a vetted site says
+// why with `#[expect(.., reason)]`.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+
 use crate::key::Key;
 use crate::sorted::{BuildableIndex, ShardHealth, SortedIndex};
 use fiting_sync::primitives::Mutex;
@@ -554,6 +560,12 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ShardedIndex<K, V, I> {
         let routing = &self.inner.routing;
         let mut f = Some(f);
         loop {
+            #[expect(
+                clippy::expect_used,
+                reason = "FnOnce closure moved out of the Option exactly once per retry loop; \
+                          take() is only reached on the first success, so the expect is \
+                          unreachable by construction"
+            )]
             let done = routing.read(|version, table| {
                 let shard = &table.shards[table.shard_for(key)];
                 shard.read_with(|s| {
@@ -574,6 +586,12 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ShardedIndex<K, V, I> {
         let routing = &self.inner.routing;
         let mut f = Some(f);
         loop {
+            #[expect(
+                clippy::expect_used,
+                reason = "FnOnce closure moved out of the Option exactly once per retry loop; \
+                          take() is only reached on the first success, so the expect is \
+                          unreachable by construction"
+            )]
             let done = routing.read(|version, table| {
                 let shard = &table.shards[table.shard_for(key)];
                 let mut guard = shard.write();
@@ -598,17 +616,6 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ShardedIndex<K, V, I> {
     #[must_use]
     pub fn boundaries(&self) -> Vec<K> {
         self.table().bounds.clone()
-    }
-
-    /// Index of the shard that owns `key` — the routing function,
-    /// exposed so layers above can partition work per shard without
-    /// taking any lock. A snapshot: a concurrent rebalance can re-route
-    /// the key before the caller acts on the answer (every multi-key
-    /// operation on this type revalidates internally instead of
-    /// trusting a stale answer).
-    #[must_use]
-    pub fn shard_of(&self, key: &K) -> usize {
-        self.inner.routing.read(|_, table| table.shard_for(key))
     }
 
     /// Counters for the wait-free read path — see [`RoutingStats`].
@@ -791,6 +798,12 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ShardedIndex<K, V, I> {
                         (Some(b), Bound::Excluded(h)) => *h <= b,
                         (Some(_), Bound::Unbounded) => false,
                     };
+                    #[expect(
+                        clippy::unreachable,
+                        reason = "Table construction invariant: bounds.len() == \
+                                  shards.len() - 1, so every non-final range step \
+                                  has a boundary"
+                    )]
                     let step_hi = match (last_step, shard_hi) {
                         (true, _) => hi,
                         (false, Some(b)) => Bound::Excluded(b),
@@ -802,6 +815,10 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ShardedIndex<K, V, I> {
             });
             match step {
                 Some((true, _)) => return out,
+                #[expect(
+                    clippy::expect_used,
+                    reason = "same Table construction invariant as the unreachable! above"
+                )]
                 Some((false, shard_hi)) => {
                     cursor =
                         Bound::Included(shard_hi.expect("non-final steps have a shard boundary"));
@@ -907,8 +924,7 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ShardedIndex<K, V, I> {
     /// once); for volatile shard structures every call is a no-op and
     /// the cost is one uncontended lock round per shard.
     pub fn try_sync_all(&self) -> (usize, usize) {
-        let mut flushed = 0;
-        let mut failed = 0;
+        let (mut flushed, mut failed) = (0, 0);
         for s in &self.table().shards {
             match s.write().try_sync() {
                 Ok(true) => flushed += 1,
@@ -917,12 +933,6 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ShardedIndex<K, V, I> {
             }
         }
         (flushed, failed)
-    }
-
-    /// [`try_sync_all`](Self::try_sync_all) for callers that only want
-    /// the number of shards that actually flushed.
-    pub fn sync_all(&self) -> usize {
-        self.try_sync_all().0
     }
 
     /// Checkpoints ([`SortedIndex::try_checkpoint`]) every shard whose
@@ -1249,8 +1259,9 @@ mod tests {
             assert_eq!(idx.get(&(k * 2)), Some(k), "key {}", k * 2);
         }
         // Routing sends new writes to the right place.
-        assert_eq!(idx.shard_of(&1_499), 1);
-        assert_eq!(idx.shard_of(&1_500), 2);
+        let shard_of = |k: u64| idx.boundaries().partition_point(|b| *b <= k);
+        assert_eq!(shard_of(1_499), 1);
+        assert_eq!(shard_of(1_500), 2);
         idx.insert(1_501, 42);
         assert_eq!(idx.shard_lens(), vec![500, 250, 251]);
         // Cross-boundary range scans stitch the split shards together.

@@ -34,6 +34,12 @@
 //! bound's lane — writes still queued on later lanes may be missed.
 //! Wait on the write tickets first when a scan must see them.
 
+// A panic on a lane's path strands queued tickets: production code
+// returns an error, and a vetted site says why with
+// `#[expect(.., reason)]`.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+
 use crate::command::Command;
 use crate::queue::{Closed, TryPushError};
 use crate::telemetry::Timed;
@@ -249,6 +255,11 @@ impl Aggregate {
             Err(CommandError::Degraded) => state.degraded = true,
         }
         if state.pending == 0 {
+            #[expect(
+                clippy::expect_used,
+                reason = "pending hits zero exactly once under the state mutex; \
+                          `done` is Some until that single transition"
+            )]
             let done = state.done.take().expect("aggregate resolves once");
             let fresh = state.fresh;
             let canceled = state.canceled;

@@ -267,7 +267,7 @@ where
     /// to snapshot-and-rotate shards whose WAL has reached
     /// [`checkpoint_wal_bytes`](DurabilityConfig::checkpoint_wal_bytes).
     ///
-    /// Shutdown issues one final [`ShardedIndex::sync_all`] after the
+    /// Shutdown issues one final [`ShardedIndex::try_sync_all`] after the
     /// workers drain, so a clean [`shutdown`](Self::shutdown) leaves
     /// every accepted write in the log.
     #[must_use]
@@ -526,7 +526,7 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> IndexService<K, V, I> {
         // Final group commit: a durable service leaves no accepted
         // write sitting in an unsynced WAL buffer after clean shutdown.
         if self.shared.durability.is_some() {
-            self.shared.index.sync_all();
+            self.shared.index.try_sync_all();
         }
     }
 }

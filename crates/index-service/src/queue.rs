@@ -17,6 +17,12 @@
 //! unless shutdown has sealed it: both decisions are made under the
 //! queue's mutex, so a reopen can never slip in after the seal.
 
+// A panic on a lane's path strands queued tickets: production code
+// returns an error, and a vetted site says why with
+// `#[expect(.., reason)]`.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+
 use fiting_sync::primitives::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};

@@ -35,6 +35,12 @@
 //! metric catalog — name, type, unit, what a bad value looks like —
 //! lives in `docs/OBSERVABILITY.md`.
 
+// A panic on a lane's path strands queued tickets: production code
+// returns an error, and a vetted site says why with
+// `#[expect(.., reason)]`.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+
 use crate::stats::ServiceStats;
 use fiting_telemetry::{Counter, Histogram, Metric, Unit};
 use std::time::Instant;

@@ -79,6 +79,12 @@
 //! [`ShardedIndex::range_collect`]: fiting_index_api::ShardedIndex::range_collect
 //! [`ShardedIndex::with_write_groups`]: fiting_index_api::ShardedIndex::with_write_groups
 
+// A panic on a lane's path strands queued tickets: production code
+// returns an error, and a vetted site says why with
+// `#[expect(.., reason)]`.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+
 use crate::command::Command;
 use crate::stats::LaneHealth;
 use crate::telemetry::{CommandKind, ServiceTelemetry, Timed};

@@ -71,6 +71,11 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// Every fallible path here carries an `io::Error` / `StorageError`, and
+// the chaos battery injects faults into all of them: a fault is an
+// expected input, so production code propagates it or degrades, never
+// unwraps it into a panic.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod durable;
 mod error;
@@ -298,7 +303,7 @@ mod tests {
         assert_eq!(index.shard_count(), 4);
 
         index.insert(90001, 42);
-        assert_eq!(index.sync_all(), 4);
+        assert_eq!(index.try_sync_all().0, 4);
         let stats = index.shard_stats();
         assert!(stats.iter().all(|s| s.disk_bytes > 0));
         assert!(stats.iter().any(|s| s.wal_bytes > 0));
@@ -414,7 +419,7 @@ mod tests {
             ShardedIndex::bulk_load(&cfg, 2, (0..2000u64).map(|k| (k, k)).collect()).unwrap();
         // Write into only the low shard.
         index.insert(1, 1);
-        index.sync_all();
+        index.try_sync_all();
         assert_eq!(index.checkpoint_shards(1), 1);
         assert_eq!(index.checkpoint_shards(1), 0);
         // Threshold 0 checkpoints everything.
@@ -544,7 +549,7 @@ mod tests {
         let cfg = config(&root);
         let index: ShardedIndex<u64, u64, Durable> =
             ShardedIndex::bulk_load(&cfg, 2, (0..1000u64).map(|k| (k, k)).collect()).unwrap();
-        index.sync_all();
+        index.try_sync_all();
         drop(index);
         // A shard directory minted by a split that died before its
         // first snapshot landed: present but empty.
@@ -568,7 +573,7 @@ mod tests {
         let cfg = config(&root);
         let index: ShardedIndex<u64, u64, Durable> =
             ShardedIndex::bulk_load(&cfg, 1, (0..1000u64).map(|k| (k, k)).collect()).unwrap();
-        index.sync_all();
+        index.try_sync_all();
         drop(index);
         // Fake the crash window of an interrupted split: a second
         // shard holding a copy of the tail [600, 1000) while the first

@@ -48,11 +48,12 @@
 //! Every other crate in the workspace carries
 //! `#![forbid(unsafe_code)]`, enforced by the `fiting-check`
 //! `forbid-unsafe` rule. This crate holds all four sites and is held to a
-//! stricter local bar (also machine-checked by `fiting-check`):
+//! stricter local bar (machine-checked by `fiting-check` and clippy):
 //!
 //! 1. `#![deny(unsafe_op_in_unsafe_fn)]` — no implicit unsafe scopes.
 //! 2. Every `unsafe` site carries a `// safety:` comment stating the
-//!    invariant that makes it sound (`unsafe-safety-comment` rule).
+//!    invariant that makes it sound (clippy's
+//!    `undocumented_unsafe_blocks`, denied in this crate's manifest).
 //! 3. Every atomic-ordering site carries a per-site `// ordering:`
 //!    justification on or immediately above the line
 //!    (`sync-ordering-per-site` rule — stricter than the workspace's

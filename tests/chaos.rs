@@ -846,9 +846,10 @@ fn rebalance_storm(root: &Path, seed: u64, io: &FaultIo) -> Result<(u64, u64), S
                 // the shard that owns it is degraded right now.
                 let health: Vec<ShardHealth> =
                     index.shard_stats().iter().map(|s| s.health).collect();
+                let bounds = index.boundaries();
                 let mut expect_refused = 0;
                 for (k, v) in batch {
-                    if health[index.shard_of(&k)] == ShardHealth::Healthy {
+                    if health[bounds.partition_point(|b| *b <= k)] == ShardHealth::Healthy {
                         oracle.insert(k, v);
                     } else {
                         expect_refused += 1;
@@ -868,7 +869,7 @@ fn rebalance_storm(root: &Path, seed: u64, io: &FaultIo) -> Result<(u64, u64), S
                         .keys()
                         .nth(rng.next() as usize % oracle.len())
                         .expect("the storm never drains the oracle");
-                    let outcome = index.split_shard(index.shard_of(&at), at);
+                    let outcome = index.split_shard(bounds.partition_point(|b| *b <= at), at);
                     (format!("split at {at}"), outcome, count + 1)
                 } else {
                     let left = rng.next() as usize % count;
@@ -932,7 +933,7 @@ fn rebalance_storm(root: &Path, seed: u64, io: &FaultIo) -> Result<(u64, u64), S
     {
         return Err("a shard stayed degraded after a clean heal pass".to_string());
     }
-    index.sync_all();
+    index.try_sync_all();
     drop(index);
     let (back, _report) = open_sharded::<u64, u64, FitingTree<u64, u64>>(&cfg)
         .map_err(|e| format!("clean-io reopen failed: {e}"))?;

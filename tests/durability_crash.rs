@@ -374,7 +374,7 @@ fn durable_service_reopens_to_last_group_commit() {
     assert_eq!(removed.wait(), Ok(Some(0)));
     let expect_len = svc.index().len();
     drop(client);
-    let _ = svc.shutdown(); // final sync_all: everything is in the logs
+    let _ = svc.shutdown(); // final try_sync_all: everything is in the logs
 
     let (back, report) = open_sharded::<u64, u64, FitingTree<u64, u64>>(&cfg).unwrap();
     assert_eq!(report.shards.len(), 4);

@@ -213,7 +213,7 @@ fn concurrent_reads_match_oracle_under_split_merge_churn() {
         // the point is continuous routing republishes.
         if index.shard_count() < 10 {
             let k = (xorshift(&mut rng) % STABLE) * 10;
-            let shard = index.shard_of(&k);
+            let shard = index.boundaries().partition_point(|b| *b <= k);
             if index.split_shard(shard, k).is_ok() {
                 splits += 1;
             }
@@ -252,7 +252,11 @@ fn scans_straddling_a_moving_boundary_match_the_oracle() {
 
     let config = FitingTreeBuilder::new(64);
     let index: Idx = ShardedIndex::bulk_load(&config, 2, oracle().into_iter().collect()).unwrap();
-    assert_eq!(index.shard_of(&(MID - 10)) + 1, index.shard_of(&MID));
+    let bounds = index.boundaries();
+    assert_eq!(
+        bounds.partition_point(|b| *b <= MID - 10) + 1,
+        bounds.partition_point(|b| *b <= MID)
+    );
     let oracle = Arc::new(oracle());
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -302,7 +306,8 @@ fn scans_straddling_a_moving_boundary_match_the_oracle() {
             shard.insert(k, v);
         });
         let at = MID - 2_000 + (xorshift(&mut rng) % 400) * 10;
-        if index.split_shard(index.shard_of(&at), at).is_ok() {
+        let shard = index.boundaries().partition_point(|b| *b <= at);
+        if index.split_shard(shard, at).is_ok() {
             splits += 1;
         }
         for i in 0..20 {
@@ -339,7 +344,7 @@ fn steady_state_reads_are_wait_free_from_cold_start() {
     // A couple of structural mutations so the routing version is past
     // its initial value — the steady state must hold on any version.
     // 30_000 sits mid-quartile, strictly inside its shard's span.
-    let shard = index.shard_of(&30_000);
+    let shard = index.boundaries().partition_point(|b| *b <= 30_000);
     index.split_shard(shard, 30_000).expect("mid-key split");
     index.merge_with_next(0).expect("adjacent merge");
     assert_steady_state_reads_are_wait_free(&index, &oracle());

@@ -480,7 +480,10 @@ fn shard_stats_expose_imbalance() {
     for k in 0..3_000u64 {
         index.insert(100_000 + k * 2, k);
     }
-    assert_eq!(index.shard_of(&200_000), index.shard_count() - 1);
+    assert_eq!(
+        index.boundaries().partition_point(|b| *b <= 200_000),
+        index.shard_count() - 1
+    );
     let after = index.shard_stats();
     assert_eq!(
         after.last().unwrap().entries,
