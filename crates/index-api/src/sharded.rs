@@ -989,8 +989,8 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ShardedIndex<K, V, I> {
     /// ([`SortedIndex::reload`]) under its write lock, returning what
     /// `reload` reported or `None` when `idx` is out of range.
     ///
-    /// Positional on purpose — this is the lane-resurrection path of
-    /// the supervised service, which runs lanes 1:1 with shards and
+    /// Positional on purpose — this is how a durable service's lane
+    /// heals in place, and that service runs lanes 1:1 with shards and
     /// **no** rebalancer, so indices are stable. Under a concurrent
     /// rebalance the index may name a different shard by the time the
     /// lock lands; a reload is then wasted work but never unsound (a

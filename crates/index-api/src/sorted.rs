@@ -249,8 +249,8 @@ pub trait SortedIndex<K: Key, V: Clone> {
     }
 
     /// Rebuilds the in-memory state from persistent storage, replacing
-    /// `self` — the lane-resurrection path after a worker panic left
-    /// the in-memory structure suspect. Returns `true` when a rebuild
+    /// `self` — how a durable service's lane heals in place after a
+    /// worker panic left the in-memory structure suspect. Returns `true` when a rebuild
     /// happened; volatile structures keep the default `false` (there
     /// is nothing to rebuild from).
     fn reload(&mut self) -> bool {

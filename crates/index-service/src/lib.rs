@@ -95,7 +95,7 @@ pub use fiting_index_api::{RebalanceStats, Rebalancer, WriteSampler};
 
 use fiting_index_api::{Key, RebalanceCounters, ShardedIndex, SortedIndex};
 use fiting_sync::primitives::{Condvar, Mutex};
-use stats::{LaneState, WorkerCounters};
+use stats::WorkerCounters;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -171,13 +171,6 @@ pub(crate) struct ServiceShared<K: Key, V: Clone, I: SortedIndex<K, V> + 'static
     /// Per-kind latency histograms and submission counters; recording
     /// is a single relaxed atomic, shared by clients and workers.
     pub(crate) telemetry: ServiceTelemetry,
-    /// Per-lane health words (see [`LaneHealth`]); each written only
-    /// by its lane's worker, read by stats snapshots.
-    pub(crate) lane_state: Vec<LaneState>,
-    /// Resurrections each lane's worker may perform after a caught
-    /// panic; 0 unless started with
-    /// [`start_supervised`](IndexService::start_supervised).
-    pub(crate) max_lane_restarts: u64,
     /// Failed checkpoint rotations observed by the checkpoint
     /// coordinator — surfaced through [`ServiceStats`], where before
     /// this counter the coordinator silently dropped the error.
@@ -207,12 +200,20 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ServiceShared<K, V, I> {
                 .iter()
                 .enumerate()
                 .map(|(lane, counters)| {
+                    let queue = &self.queues[lane];
+                    // While the service is observable, only a worker
+                    // that gave up on its lane closes its queue.
+                    let health = if queue.is_closed() {
+                        LaneHealth::Poisoned
+                    } else {
+                        LaneHealth::Healthy
+                    };
                     LaneServiceStats::from_counters(
                         lane,
-                        self.queues[lane].len(),
-                        self.queues[lane].capacity(),
+                        queue.len(),
+                        queue.capacity(),
                         counters,
-                        self.lane_state[lane].get(),
+                        health,
                     )
                 })
                 .collect(),
@@ -235,7 +236,7 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ServiceShared<K, V, I> {
 /// index.
 pub struct IndexService<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> {
     shared: Arc<ServiceShared<K, V, I>>,
-    /// One per lane, for the service's lifetime: a worker recovers its
+    /// One per lane, for the service's lifetime: a worker heals its
     /// lane itself, so shutdown joins the threads spawned at start.
     workers: Vec<JoinHandle<()>>,
     /// The timer thread (rebalance coordinator or checkpointer), if
@@ -255,7 +256,7 @@ where
     /// rebalancing.
     #[must_use]
     pub fn start(index: ShardedIndex<K, V, I>, config: ServiceConfig) -> Self {
-        Self::launch(index, config, None, None, None, 0)
+        Self::launch(index, config, None, None, None)
     }
 
     /// Starts the service with durability hooks: workers group-commit
@@ -270,47 +271,30 @@ where
     /// Shutdown issues one final [`ShardedIndex::try_sync_all`] after the
     /// workers drain, so a clean [`shutdown`](Self::shutdown) leaves
     /// every accepted write in the log.
+    ///
+    /// Lanes heal in place: a worker that catches a panic rebuilds its
+    /// shard from the newest snapshot plus WAL replay
+    /// ([`SortedIndex::reload`]) and goes back to draining its queue,
+    /// which stays open throughout — commands queued behind the
+    /// panicked batch run in order, and submissions made meanwhile are
+    /// accepted. The panicked batch's unresolved commands report
+    /// [`CommandError::Canceled`]; acknowledged writes survive (their
+    /// log records outlive the in-memory structure). A lane that keeps
+    /// panicking stops healing after a fixed number of heals (32) and
+    /// becomes [`LaneHealth::Poisoned`]: the crash loop evidently is
+    /// not transient.
+    ///
+    /// A durable service runs without a rebalancer on purpose: the
+    /// lane ↔ shard mapping stays 1:1 for the service's lifetime,
+    /// which is what lets a worker reload exactly its own lane's shard
+    /// by position.
     #[must_use]
     pub fn start_durable(
         index: ShardedIndex<K, V, I>,
         config: ServiceConfig,
         durability: DurabilityConfig,
     ) -> Self {
-        Self::start_supervised(index, config, durability, 0)
-    }
-
-    /// Starts a durable service whose lanes heal themselves: a worker
-    /// that catches a panic poisons its lane (see [`LaneHealth`]) and
-    /// then, up to `max_lane_restarts` times per lane, resurrects it on
-    /// the same thread — the shard is rebuilt from its newest snapshot
-    /// plus WAL replay ([`SortedIndex::reload`]), the lane's queue is
-    /// reopened, and the worker resumes draining it. A lane out of
-    /// budget stays [`LaneHealth::Poisoned`] (submissions fail fast):
-    /// the crash loop evidently is not transient. `0` disables
-    /// resurrection, which is [`start_durable`](Self::start_durable).
-    /// Acknowledged writes survive (they were WAL-committed before
-    /// their tickets resolved); commands canceled by the poisoning were
-    /// reported as [`CommandError::Canceled`] and stay that way.
-    ///
-    /// A supervised service runs without a rebalancer on purpose: the
-    /// lane ↔ shard mapping stays 1:1 for the service's lifetime,
-    /// which is what lets a worker reload exactly its own lane's shard
-    /// by position.
-    #[must_use]
-    pub fn start_supervised(
-        index: ShardedIndex<K, V, I>,
-        config: ServiceConfig,
-        durability: DurabilityConfig,
-        max_lane_restarts: u64,
-    ) -> Self {
-        let mut service = Self::launch(
-            index,
-            config,
-            None,
-            None,
-            Some(durability),
-            max_lane_restarts,
-        );
+        let mut service = Self::launch(index, config, None, None, Some(durability));
         service.spawn_checkpointer();
         service
     }
@@ -365,7 +349,7 @@ where
     ) -> Self {
         let sampler = rebalancer.sampler();
         let counters = rebalancer.counters();
-        let mut service = Self::launch(index, config, Some(sampler), Some(counters), None, 0);
+        let mut service = Self::launch(index, config, Some(sampler), Some(counters), None);
         let index = service.shared.index.clone();
         let mut rebalancer = rebalancer;
         service.spawn_ticker("index-service-rebalance", interval, move || {
@@ -380,7 +364,6 @@ where
         sampler: Option<Arc<fiting_index_api::WriteSampler<K>>>,
         rebalance: Option<Arc<RebalanceCounters>>,
         durability: Option<DurabilityConfig>,
-        max_lane_restarts: u64,
     ) -> Self {
         let router = index.boundaries();
         let lanes = router.len() + 1;
@@ -389,10 +372,8 @@ where
                 .map(|_| BoundedQueue::new(config.queue_capacity))
                 .collect(),
             counters: (0..lanes).map(|_| WorkerCounters::default()).collect(),
-            lane_state: (0..lanes).map(|_| LaneState::default()).collect(),
             telemetry: ServiceTelemetry::new(),
             checkpoint_failures: AtomicU64::new(0),
-            max_lane_restarts,
             index,
             router,
             sampler,
@@ -512,11 +493,11 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> IndexService<K, V, I> {
         if let Some(coordinator) = self.coordinator.take() {
             let _ = coordinator.join();
         }
-        // Sealed, not just closed: a worker recovering its lane right
-        // now is refused the reopen, drains and exits, so every join
-        // below returns.
+        // A worker healing its lane right now drains what its queue
+        // accepted and then exits like the others, so every join below
+        // returns.
         for queue in &self.shared.queues {
-            queue.seal();
+            queue.close();
         }
         for worker in self.workers.drain(..) {
             // A panicked worker already canceled its in-flight tickets
@@ -964,12 +945,35 @@ mod tests {
     }
 
     /// Fault injection for the worker's panic-containment path: a
-    /// [`BinarySearchIndex`] that panics when asked to insert [`BOOM_KEY`], and
-    /// whose `reload` can be held: it meets the barrier on entry and
-    /// again to leave.
+    /// [`BinarySearchIndex`] that panics when asked to insert [`BOOM_KEY`].
+    /// Either step can be held: the boom insert meets `boom_gate`, and
+    /// `reload` meets `reload_gate`, each on entry and again to leave.
     struct PanicOnKey {
         inner: BinarySearchIndex<u64, u64>,
+        boom_gate: Option<Arc<std::sync::Barrier>>,
         reload_gate: Option<Arc<std::sync::Barrier>>,
+    }
+
+    impl PanicOnKey {
+        fn gated(
+            boom_gate: Option<Arc<std::sync::Barrier>>,
+            reload_gate: Option<Arc<std::sync::Barrier>>,
+        ) -> ShardedIndex<u64, u64, Self> {
+            let inner = BinarySearchIndex::build_from(&(), (0..10u64).map(|k| (k, k))).unwrap();
+            let shard = PanicOnKey {
+                inner,
+                boom_gate,
+                reload_gate,
+            };
+            ShardedIndex::from_shards(Vec::new(), vec![shard])
+        }
+    }
+
+    fn hold(gate: Option<&Arc<std::sync::Barrier>>) {
+        if let Some(gate) = gate {
+            gate.wait();
+            gate.wait();
+        }
     }
 
     const BOOM_KEY: u64 = u64::MAX;
@@ -981,7 +985,10 @@ mod tests {
             self.inner.get(key)
         }
         fn insert(&mut self, key: u64, value: u64) -> Option<u64> {
-            assert_ne!(key, BOOM_KEY, "injected fault");
+            if key == BOOM_KEY {
+                hold(self.boom_gate.as_ref());
+                panic!("injected fault");
+            }
             self.inner.insert(key, value)
         }
         fn remove(&mut self, key: &u64) -> Option<u64> {
@@ -997,10 +1004,7 @@ mod tests {
             self.inner.range(range)
         }
         fn reload(&mut self) -> bool {
-            if let Some(gate) = &self.reload_gate {
-                gate.wait();
-                gate.wait();
-            }
+            hold(self.reload_gate.as_ref());
             false
         }
     }
@@ -1015,6 +1019,7 @@ mod tests {
         ) -> Result<Self, Self::BuildError> {
             Ok(PanicOnKey {
                 inner: BinarySearchIndex::build_from(config, sorted)?,
+                boom_gate: None,
                 reload_gate: None,
             })
         }
@@ -1073,20 +1078,19 @@ mod tests {
     }
 
     #[test]
-    fn supervisor_resurrects_poisoned_lane() {
-        // BOOM_KEY routes to lane 1 of 2. After the panic poisons the
-        // lane, its worker must rebuild it and serve fresh writes
-        // through it again — the acceptance-criteria round trip.
+    fn a_durable_lane_heals_in_place() {
+        // BOOM_KEY routes to lane 1 of 2. After the panic, the lane's
+        // worker must reload its shard and serve fresh writes through
+        // the same queue.
         let index: ShardedIndex<u64, u64, PanicOnKey> =
             ShardedIndex::bulk_load(&(), 2, (0..100u64).map(|k| (k, k)).collect()).unwrap();
-        let svc = IndexService::start_supervised(
+        let svc = IndexService::start_durable(
             index,
             ServiceConfig::default(),
             DurabilityConfig {
                 checkpoint_interval: Duration::from_millis(5),
                 ..DurabilityConfig::default()
             },
-            4,
         );
         let client = svc.client();
 
@@ -1096,7 +1100,7 @@ mod tests {
         );
         await_panics(&svc, 1, 1);
 
-        // Wait for the resurrection: restart counted, health Healthy.
+        // Wait for the heal: restart counted, health Healthy.
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         loop {
             let lane = svc.stats().lanes[1];
@@ -1105,13 +1109,13 @@ mod tests {
             }
             assert!(
                 std::time::Instant::now() < deadline,
-                "lane 1 never resurrected: {lane:?}"
+                "lane 1 never healed: {lane:?}"
             );
             thread::sleep(Duration::from_millis(2));
         }
         assert!(!client.is_closed());
 
-        // Fresh writes and reads round-trip through the revived lane
+        // Fresh writes and reads round-trip through the healed lane
         // (keys ≥ 50 route to lane 1); pre-panic data survived (the
         // volatile shard has nothing to reload, so it keeps serving
         // its in-memory state).
@@ -1121,7 +1125,7 @@ mod tests {
         // The healthy lane was never disturbed.
         assert_eq!(svc.stats().lanes[0].panics, 0);
 
-        // A second panic on the same lane resurrects again.
+        // A second panic on the same lane heals again.
         assert_eq!(
             client.insert(BOOM_KEY, 0).wait(),
             Err(CommandError::Canceled)
@@ -1131,7 +1135,7 @@ mod tests {
         while svc.stats().lanes[1].restarts < 2 {
             assert!(
                 std::time::Instant::now() < deadline,
-                "no second resurrection: {:?}",
+                "no second heal: {:?}",
                 svc.stats().lanes
             );
             thread::sleep(Duration::from_millis(2));
@@ -1143,48 +1147,47 @@ mod tests {
     }
 
     #[test]
-    fn supervisor_respects_restart_budget() {
-        // max_lane_restarts == 0: the worker must leave its poisoned
-        // lane alone, so it behaves like the unsupervised service —
-        // submissions fail fast forever.
-        let index: ShardedIndex<u64, u64, PanicOnKey> =
-            ShardedIndex::bulk_load(&(), 1, (0..10u64).map(|k| (k, k)).collect()).unwrap();
-        let svc = IndexService::start_supervised(
-            index,
+    fn writes_queued_behind_a_panic_run_in_order() {
+        // The worker is held inside the boom insert — the boom alone in
+        // its drain — while one client pipelines 50 writes to the same
+        // key behind it. Released, the worker panics, heals, and runs
+        // every queued write in submission order: each sees the value
+        // the write before it left.
+        let gate = Arc::new(std::sync::Barrier::new(2));
+        let svc = IndexService::start_durable(
+            PanicOnKey::gated(Some(Arc::clone(&gate)), None),
             ServiceConfig::default(),
             DurabilityConfig::default(),
-            0,
         );
         let client = svc.client();
-        assert_eq!(
-            client.insert(BOOM_KEY, 0).wait(),
-            Err(CommandError::Canceled)
-        );
-        await_panics(&svc, 0, 1);
-        // Give a (wrong) resurrection time to happen.
-        thread::sleep(Duration::from_millis(20));
+        let boom = client.insert(BOOM_KEY, 0);
+        gate.wait();
+        let behind: Vec<_> = (0..50u64).map(|v| client.insert(5, 100 + v)).collect();
+        gate.wait();
+        assert_eq!(boom.wait(), Err(CommandError::Canceled));
+        let mut previous = 5;
+        for (v, t) in (100u64..).zip(behind) {
+            assert_eq!(t.wait(), Ok(Some(previous)), "write of {v}");
+            previous = v;
+        }
+        assert_eq!(client.get(5).wait(), Ok(Some(149)));
         let lane = svc.stats().lanes[0];
-        assert_eq!(lane.health, LaneHealth::Poisoned);
-        assert_eq!(lane.restarts, 0);
-        assert!(client.is_closed());
-        assert_eq!(client.get(0).wait(), Err(CommandError::Canceled));
-        let _ = svc.shutdown();
+        assert_eq!((lane.panics, lane.restarts), (1, 1));
+        assert_eq!(lane.health, LaneHealth::Healthy);
+        assert_eq!(svc.shutdown().get(&5), Some(149));
     }
 
     #[test]
     fn a_lane_heals_with_no_timer_due() {
         // The checkpoint timer is an hour away and nothing else ticks:
-        // the panicking worker resurrects its own lane.
-        let index: ShardedIndex<u64, u64, PanicOnKey> =
-            ShardedIndex::bulk_load(&(), 1, (0..10u64).map(|k| (k, k)).collect()).unwrap();
-        let svc = IndexService::start_supervised(
-            index,
+        // the panicking worker heals its own lane.
+        let svc = IndexService::start_durable(
+            PanicOnKey::gated(None, None),
             ServiceConfig::default(),
             DurabilityConfig {
                 checkpoint_interval: Duration::from_secs(3_600),
                 ..DurabilityConfig::default()
             },
-            1,
         );
         let client = svc.client();
         assert_eq!(
@@ -1203,18 +1206,23 @@ mod tests {
             thread::sleep(Duration::from_millis(1));
         }
         assert_eq!(client.insert(20, 2).wait(), Ok(None));
-        // The budget of one is spent: a second panic leaves it down.
-        assert_eq!(
-            client.insert(BOOM_KEY, 0).wait(),
-            Err(CommandError::Canceled)
-        );
-        await_panics(&svc, 0, 2);
+        // Every heal is spent by the shipped budget's last panic; the
+        // one after it leaves the lane down.
+        for _ in 0..worker::LANE_HEALS {
+            assert_eq!(
+                client.insert(BOOM_KEY, 0).wait(),
+                Err(CommandError::Canceled)
+            );
+        }
+        await_panics(&svc, 0, worker::LANE_HEALS + 1);
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         while svc.stats().lanes[0].health != LaneHealth::Poisoned {
             assert!(std::time::Instant::now() < deadline, "lane not poisoned");
             thread::sleep(Duration::from_millis(1));
         }
-        assert_eq!(svc.stats().lanes[0].restarts, 1);
+        assert_eq!(svc.stats().lanes[0].restarts, worker::LANE_HEALS);
+        // Poisoned: submissions fail fast.
+        assert!(client.is_closed());
         assert_eq!(client.get(20).wait(), Err(CommandError::Canceled));
         assert_eq!(svc.shutdown().get(&20), Some(2));
     }
@@ -1222,18 +1230,13 @@ mod tests {
     #[test]
     fn shutdown_during_a_lane_recovery_returns() {
         // The worker is held inside its shard reload while shutdown
-        // seals the queue; released, it must be refused the reopen and
-        // exit rather than block the join in `pop_batch` forever.
+        // closes the queue; released, it must drain and exit rather
+        // than block the join in `pop_batch` forever.
         let gate = Arc::new(std::sync::Barrier::new(2));
-        let shard = PanicOnKey {
-            inner: BinarySearchIndex::build_from(&(), (0..10u64).map(|k| (k, k))).unwrap(),
-            reload_gate: Some(Arc::clone(&gate)),
-        };
-        let svc = IndexService::start_supervised(
-            ShardedIndex::from_shards(Vec::new(), vec![shard]),
+        let svc = IndexService::start_durable(
+            PanicOnKey::gated(None, Some(Arc::clone(&gate))),
             ServiceConfig::default(),
             DurabilityConfig::default(),
-            1,
         );
         assert_eq!(
             svc.client().insert(BOOM_KEY, 0).wait(),
@@ -1245,13 +1248,12 @@ mod tests {
         let shared = Arc::clone(&svc.shared);
         let (done, stopped) = std::sync::mpsc::channel();
         let stopper = thread::spawn(move || done.send(svc.shutdown().len()).unwrap());
-        // Release the reload only once shutdown has sealed the queue:
-        // the order in which a reopen would strand the worker.
+        // Release the reload only once shutdown has closed the queue.
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while !shared.queues[0].is_sealed() {
+        while !shared.queues[0].is_closed() {
             assert!(
                 std::time::Instant::now() < deadline,
-                "shutdown never sealed"
+                "shutdown never closed the queue"
             );
             thread::yield_now();
         }

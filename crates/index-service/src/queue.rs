@@ -12,10 +12,9 @@
 //! Closing ([`close`](BoundedQueue::close)) is one-way: producers are
 //! refused from that point, but the consumer keeps draining what was
 //! already accepted — an accepted command is never dropped, which is
-//! what lets shutdown resolve every in-flight ticket. Inside the crate
-//! a lane recovering from a caught panic reopens its own closed queue,
-//! unless shutdown has sealed it: both decisions are made under the
-//! queue's mutex, so a reopen can never slip in after the seal.
+//! what lets shutdown resolve every in-flight ticket. A lane healing
+//! from a caught panic never closes its queue: its worker, the only
+//! consumer, reloads the shard between two drains.
 
 // A panic on a lane's path strands queued tickets: production code
 // returns an error, and a vetted site says why with
@@ -53,8 +52,6 @@ impl<T> TryPushError<T> {
 struct State<T> {
     items: VecDeque<T>,
     closed: bool,
-    /// Closed for good: [`reopen`](BoundedQueue::reopen) refuses.
-    sealed: bool,
 }
 
 /// A blocking, bounded MPSC queue: many submitters, one shard worker.
@@ -80,7 +77,6 @@ impl<T> BoundedQueue<T> {
             state: Mutex::new(State {
                 items: VecDeque::new(),
                 closed: false,
-                sealed: false,
             }),
             capacity,
             not_empty: Condvar::new(),
@@ -173,39 +169,6 @@ impl<T> BoundedQueue<T> {
         self.not_full.notify_all();
     }
 
-    /// Closes the queue for good — shutdown's close: a later
-    /// [`reopen`](Self::reopen) is refused.
-    pub(crate) fn seal(&self) {
-        self.lock().sealed = true;
-        self.close();
-    }
-
-    /// Reopens a closed queue so producers are accepted again — a
-    /// recovering lane's hook, run by the lane's own worker. A no-op on
-    /// an open queue. Returns `false`, leaving the queue closed, once
-    /// [`seal`](Self::seal) has run: the check and the reopen share one
-    /// critical section, so shutdown's seal is ordered entirely before
-    /// or entirely after it and never strands a worker in `pop_batch`.
-    ///
-    /// Only meaningful once the closed queue has been fully drained
-    /// (a poisoned lane's teardown canceled everything it held) and
-    /// its consumer is about to resume; reopening with commands still
-    /// queued would hand them to the consumer out of order with the
-    /// cancellations already reported.
-    pub(crate) fn reopen(&self) -> bool {
-        let mut state = self.lock();
-        if !state.sealed {
-            state.closed = false;
-        }
-        !state.sealed
-    }
-
-    /// Whether [`seal`](Self::seal) has run.
-    #[cfg(test)]
-    pub(crate) fn is_sealed(&self) -> bool {
-        self.lock().sealed
-    }
-
     /// Items currently queued (a racy snapshot — for stats).
     #[must_use]
     pub fn len(&self) -> usize {
@@ -231,10 +194,7 @@ impl<T> BoundedQueue<T> {
     }
 }
 
-// `tests/models.rs` compiles this file into its model-checker target
-// too; these tests spawn real threads and stay out of it.
 #[cfg(test)]
-#[cfg(not(fiting_model))]
 mod tests {
     use super::*;
     use std::sync::Arc;
@@ -324,31 +284,6 @@ mod tests {
         });
         assert_eq!(q.pop_batch(4, Duration::ZERO), vec![7]);
         h.join().unwrap();
-    }
-
-    #[test]
-    fn reopen_revives_a_drained_closed_queue() {
-        let q = BoundedQueue::new(4);
-        q.push(1).unwrap();
-        q.close();
-        assert_eq!(q.pop_batch(16, Duration::ZERO), vec![1]);
-        assert_eq!(q.push(2), Err(Closed(2)));
-        assert!(q.reopen());
-        assert!(!q.is_closed());
-        q.push(3).unwrap();
-        assert_eq!(q.pop_batch(16, Duration::ZERO), vec![3]);
-    }
-
-    #[test]
-    fn a_sealed_queue_refuses_to_reopen() {
-        let q = BoundedQueue::new(4);
-        q.push(1).unwrap();
-        q.seal();
-        assert_eq!(q.push(2), Err(Closed(2)));
-        assert_eq!(q.pop_batch(16, Duration::ZERO), vec![1]);
-        assert!(!q.reopen());
-        assert!(q.is_closed());
-        assert_eq!(q.pop_batch(16, Duration::ZERO), Vec::<i32>::new());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! vectors in [`ServiceStats`] therefore have independent lengths.
 
 use fiting_index_api::{RebalanceStats, RoutingStats, ShardHealth, ShardStats};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The lifecycle state of one lane (queue + worker pair), as reported
 /// by [`LaneServiceStats::health`].
@@ -23,72 +23,29 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 /// State machine (see ARCHITECTURE.md "Failure model"):
 ///
 /// ```text
-/// Healthy -> Poisoned           (worker panic; queue closed)
-/// Poisoned -> Recovering        (the worker resurrecting its lane)
-/// Recovering -> Healthy         (shard reloaded, queue reopened)
+/// Healthy -> Poisoned           (worker panic it cannot heal; queue closed)
 /// ```
 ///
-/// The lane's own worker makes every transition, so each lane's
-/// health has one writer.
+/// A lane's health is its queue's closed flag: while the service is
+/// observable, only a worker that gave up on its lane closes it. A
+/// worker that catches a panic on a durable service
+/// ([`IndexService::start_durable`]) reloads its shard and keeps
+/// draining, so its lane stays `Healthy` until it runs out of heals;
+/// on any other service the first panic poisons the lane. `Poisoned`
+/// is terminal for the process lifetime.
 ///
 /// "Writes may be refused" is not a lane state: a shard owns its
 /// [`ShardHealth`] under its write lock, and
 /// [`ServiceStats::is_degraded`] reads it there.
 ///
-/// Without a restart budget (any constructor but
-/// [`IndexService::start_supervised`], or a lane whose budget is
-/// spent) `Poisoned` is terminal for the process lifetime.
-///
-/// [`IndexService::start_supervised`]: crate::IndexService::start_supervised
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// [`IndexService::start_durable`]: crate::IndexService::start_durable
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LaneHealth {
     /// Serving normally.
-    #[default]
     Healthy,
-    /// The worker caught a panic: the queue is closed and everything
-    /// queued was canceled.
+    /// The worker caught a panic it could not heal: the queue is
+    /// closed and everything queued was canceled.
     Poisoned,
-    /// The lane's worker is reloading its shard and about to reopen
-    /// its queue.
-    Recovering,
-}
-
-impl LaneHealth {
-    pub(crate) fn as_u8(self) -> u8 {
-        match self {
-            LaneHealth::Healthy => 0,
-            LaneHealth::Poisoned => 1,
-            LaneHealth::Recovering => 2,
-        }
-    }
-
-    pub(crate) fn from_u8(raw: u8) -> Self {
-        match raw {
-            1 => LaneHealth::Poisoned,
-            2 => LaneHealth::Recovering,
-            _ => LaneHealth::Healthy,
-        }
-    }
-}
-
-/// One lane's live health word (an atomic [`LaneHealth`] its worker
-/// writes and stats snapshots read).
-#[derive(Debug, Default)]
-pub(crate) struct LaneState(AtomicU8);
-
-impl LaneState {
-    // Lane health is an advisory signal with one writer — the queue
-    // mutex (close/reopen) is what submitters actually synchronize on
-    // — so Relaxed suffices for every access on this impl block.
-    pub(crate) fn get(&self) -> LaneHealth {
-        // ordering: Relaxed load — see the note on this impl block.
-        LaneHealth::from_u8(self.0.load(Ordering::Relaxed))
-    }
-
-    pub(crate) fn set(&self, health: LaneHealth) {
-        // ordering: Relaxed store — see the note on this impl block.
-        self.0.store(health.as_u8(), Ordering::Relaxed);
-    }
 }
 
 /// Live counters for one lane worker (internal; snapshot via
@@ -109,12 +66,11 @@ pub(crate) struct WorkerCounters {
     /// Point writes (`Insert`/`Remove`) applied in a run of more than
     /// one, under one lock per shard instead of one per op.
     pub coalesced_writes: AtomicU64,
-    /// Panics caught by the lane's worker. A nonzero value means the
-    /// lane has been poisoned: its queue is closed and its remaining
-    /// commands were canceled (under supervision the worker then
-    /// resurrects it — see `restarts`).
+    /// Panics caught by the lane's worker: each one either healed the
+    /// lane (see `restarts`) or poisoned it.
     pub panics: AtomicU64,
-    /// Times the lane's worker resurrected it after a poisoning.
+    /// Times the lane's worker reloaded its shard after a caught panic
+    /// and kept draining.
     pub restarts: AtomicU64,
     /// Write commands refused with `CommandError::Degraded` because
     /// their shard was in degraded read-only mode.
@@ -158,12 +114,12 @@ pub struct LaneServiceStats {
     pub read_runs: u64,
     /// Point writes applied in a run of more than one.
     pub coalesced_writes: u64,
-    /// Worker panics caught on this lane; without a restart budget,
-    /// nonzero means the lane is poisoned (queue closed, queued
-    /// commands canceled).
+    /// Worker panics caught on this lane; each one not matched by a
+    /// restart poisoned the lane (queue closed, queued commands
+    /// canceled).
     pub panics: u64,
-    /// Resurrections of this lane by its own worker (each one rebuilt
-    /// the shard from snapshot + WAL and reopened the queue).
+    /// Heals of this lane by its own worker (each one rebuilt the
+    /// shard from snapshot + WAL between two drains).
     pub restarts: u64,
     /// Writes refused by a degraded read-only shard on this lane.
     pub degraded_writes: u64,
@@ -357,21 +313,6 @@ mod tests {
         stats.shards[0].health = ShardHealth::Healthy;
         stats.lanes[0].health = LaneHealth::Poisoned;
         assert!(!stats.is_degraded());
-    }
-
-    #[test]
-    fn lane_state_round_trips_every_health() {
-        let state = LaneState::default();
-        assert_eq!(state.get(), LaneHealth::Healthy);
-        for h in [
-            LaneHealth::Poisoned,
-            LaneHealth::Recovering,
-            LaneHealth::Healthy,
-        ] {
-            assert_eq!(LaneHealth::from_u8(h.as_u8()), h);
-            state.set(h);
-            assert_eq!(state.get(), h);
-        }
     }
 
     #[test]

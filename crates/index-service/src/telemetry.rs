@@ -19,7 +19,7 @@
 //!   by the worker from the [`Timed`] stamp just before it resolves
 //!   the ticket. Canceled commands are **not** recorded: their
 //!   completers are dropped, never resolved by the worker, and their
-//!   wall time measures teardown (shutdown, lane poisoning), not
+//!   wall time measures teardown (shutdown, a caught panic), not
 //!   service latency — cancellations surface through the
 //!   `service.panics` counter and the ticket error instead.
 //!
@@ -250,13 +250,13 @@ pub(crate) fn stats_metrics(stats: &ServiceStats) -> Vec<Metric> {
         Metric::counter(
             "service.panics",
             Unit::Count,
-            "worker panics caught (each one poisoned its lane)",
+            "worker panics caught (each one healed or poisoned its lane)",
             lane_sum(|l| l.panics),
         ),
         Metric::counter(
             "service.restarts",
             Unit::Count,
-            "lane resurrections by their own workers",
+            "lane heals: shard reloads by a lane's own worker after a panic",
             lane_sum(|l| l.restarts),
         ),
         Metric::counter(

@@ -38,26 +38,31 @@
 //! # Panic containment
 //!
 //! A panic escaping the index structure (or a completer sink) while a
-//! batch executes used to kill the worker thread outright, stranding
+//! batch executes would kill the worker thread outright, stranding
 //! every command still queued on the lane: nothing would ever drain
-//! the queue again, so their submitters' [`Ticket::wait`] calls hung
-//! forever. The loop now catches the unwind and **poisons the lane**:
-//! the in-flight batch's unresolved completers cancel as the unwind
-//! drops them, the queue is closed so further submissions fail fast
-//! with [`Closed`](crate::Closed), everything already queued is
-//! drained and canceled, and the lane's
-//! [`panics`](crate::LaneServiceStats::panics) counter records the
-//! event. Other lanes — and [`shutdown`](crate::IndexService::shutdown)
-//! — proceed normally. The shard the panic escaped from may hold a
-//! partially applied batch (the locks themselves do not poison), which
-//! is exactly the weaker guarantee the canceled tickets report. Under
-//! [`start_supervised`](crate::IndexService::start_supervised) the
-//! same worker then resurrects its lane while it has restart budget
-//! left: it reloads the shard from snapshot + WAL, reopens its own
-//! queue and goes back to draining it. No other thread is involved, so
-//! the steps run in order with nothing to join or respawn; the one
-//! race left, shutdown sealing the queue mid-recovery, is settled under
-//! the queue's mutex ([`BoundedQueue::reopen`](crate::BoundedQueue)).
+//! the queue again, so their submitters' [`Ticket::wait`] calls would
+//! hang forever. The loop catches the unwind instead; the in-flight
+//! batch's unresolved completers cancel as the unwind drops them, and
+//! the lane's [`panics`](crate::LaneServiceStats::panics) counter
+//! records the event. Then one of two things happens:
+//!
+//! * on a durable service
+//!   ([`start_durable`](crate::IndexService::start_durable)) with heals
+//!   left, the worker **heals the lane in place**: it reloads its
+//!   shard from snapshot + WAL, discarding whatever partial batch the
+//!   panic left in memory, and goes back to draining. The queue is
+//!   never closed — this worker is its only consumer, so nothing can
+//!   drain it mid-reload — and commands queued behind the panicked
+//!   batch run next, in submission order;
+//! * otherwise the worker **poisons the lane**: the queue is closed so
+//!   further submissions fail fast with [`Closed`](crate::Closed),
+//!   everything already queued is drained and canceled, and the worker
+//!   exits. The shard may keep a partially applied batch (the locks
+//!   themselves do not poison), which is exactly the weaker guarantee
+//!   the canceled tickets report.
+//!
+//! Other lanes — and [`shutdown`](crate::IndexService::shutdown) —
+//! proceed normally either way.
 //!
 //! # Degraded shards
 //!
@@ -86,10 +91,9 @@
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
 
 use crate::command::Command;
-use crate::stats::LaneHealth;
 use crate::telemetry::{CommandKind, ServiceTelemetry, Timed};
 use crate::ticket::{CommandError, Completer};
-use crate::ServiceShared;
+use crate::{BoundedQueue, ServiceShared};
 use fiting_index_api::{Degraded, Key, SortedIndex};
 use std::panic::AssertUnwindSafe;
 // ordering: worker counters are monotonic statistics — nothing reads
@@ -101,6 +105,14 @@ use std::time::{Duration, Instant};
 /// holds its shards' write locks. A drain takes whatever is queued
 /// without lingering: under load, batches form by themselves.
 const MAX_BATCH: usize = 256;
+
+/// Heals one lane's worker performs before it gives the lane up as
+/// crash-looping. A heal costs one shard reload, so the cap only has
+/// to stop a poison pill that keeps coming back; 32 is twice the most
+/// panics one lane takes in any of the chaos battery's service storms
+/// (15, at `FITING_CHAOS_SEEDS=1600` and at nightly's 4000), so that
+/// battery never exhausts it.
+pub(crate) const LANE_HEALS: u64 = 32;
 
 /// One point write travelling through a grouped run: the new value
 /// (`None` removes the key), the completer to resolve with the
@@ -183,13 +195,15 @@ where
         shared.counters[lane].note_batch(drained.len());
         // Contain panics from the index structure (or a completer
         // sink): the unwind cancels the batch's unresolved tickets as
-        // it drops them, and the lane is then poisoned below instead
-        // of silently stranding its queue.
+        // it drops them, and the lane is then healed or poisoned below
+        // instead of silently stranding its queue.
         let outcome =
             std::panic::catch_unwind(AssertUnwindSafe(|| execute_batch(lane, shared, drained)));
         if outcome.is_err() {
-            poison_lane(lane, shared);
-            if !resurrect_lane(lane, shared) {
+            // ordering: Relaxed — advisory stats counter.
+            shared.counters[lane].panics.fetch_add(1, Ordering::Relaxed);
+            if !heal_lane(lane, shared) {
+                poison_lane(queue);
                 return;
             }
             continue;
@@ -210,60 +224,39 @@ where
     }
 }
 
-/// Lane teardown after a caught panic: refuse new submissions, then
-/// cancel every command already accepted, so no submitter ever hangs
-/// on a lane whose worker is gone.
-fn poison_lane<K: Key, V: Clone, I: SortedIndex<K, V> + 'static>(
+/// Heals lane `lane` after a caught panic, if it may: on a durable
+/// service with heals left, reload the shard from snapshot + WAL replay
+/// and count the restart. Returns `false` — the lane is then poisoned —
+/// on a volatile service or with no heals left. Lanes run 1:1 with
+/// shards on a durable service (no rebalancer), so the lane index is
+/// the shard index; a volatile shard has nothing to reload and keeps
+/// its state.
+fn heal_lane<K: Key, V: Clone, I: SortedIndex<K, V> + 'static>(
     lane: usize,
     shared: &ServiceShared<K, V, I>,
-) {
-    let queue = &shared.queues[lane];
-    // ordering: Relaxed — the panic count is advisory stats; the
-    // queue.close() below (a mutex) is what submitters synchronize on.
-    shared.counters[lane].panics.fetch_add(1, Ordering::Relaxed);
-    // Unconditional store: this worker is the lane's only health writer.
-    shared.lane_state[lane].set(LaneHealth::Poisoned);
+) -> bool {
+    let restarts = &shared.counters[lane].restarts;
+    // ordering: Relaxed — this worker is the only writer of its lane's
+    // restarts, so program order orders its own read and increment;
+    // stats snapshots only observe.
+    if shared.durability.is_none() || restarts.load(Ordering::Relaxed) >= LANE_HEALS {
+        return false;
+    }
+    let _ = shared.index.reload_shard(lane);
+    restarts.fetch_add(1, Ordering::Relaxed);
+    true
+}
+
+/// Lane teardown after a caught panic that did not heal: refuse new
+/// submissions, then cancel every command already accepted, so no
+/// submitter ever hangs on a lane whose worker is gone.
+fn poison_lane<T>(queue: &BoundedQueue<T>) {
     queue.close();
     // Drain whatever was queued and drop it: dropping a command drops
     // its completer, which resolves the ticket as Canceled. After
     // close(), an empty drain means the queue is spent — blocked
     // submitters were woken with `Closed` by close() itself.
-    loop {
-        let rest = queue.pop_batch(usize::MAX, Duration::ZERO);
-        if rest.is_empty() {
-            return;
-        }
-    }
-}
-
-/// Brings a poisoned lane back on its own worker, if the restart
-/// budget allows: reload the shard from snapshot + WAL replay while
-/// the queue is still closed (discarding whatever partial batch the
-/// panic left in memory), reopen the queue, count the restart. Returns
-/// `false` — the worker then exits — with no budget left, or when
-/// shutdown sealed the queue first. Lanes run 1:1 with shards under
-/// supervision (no rebalancer), so the lane index is the shard index;
-/// a volatile shard has nothing to reload and keeps its state.
-fn resurrect_lane<K: Key, V: Clone, I: SortedIndex<K, V> + 'static>(
-    lane: usize,
-    shared: &ServiceShared<K, V, I>,
-) -> bool {
-    let (counters, state) = (&shared.counters[lane], &shared.lane_state[lane]);
-    // ordering: Relaxed — this worker is the only writer of its lane's
-    // restarts, so program order orders its own read and increment;
-    // stats snapshots only observe.
-    if counters.restarts.load(Ordering::Relaxed) >= shared.max_lane_restarts {
-        // Crash-looping lane: it stays Poisoned, submissions fail fast.
-        return false;
-    }
-    state.set(LaneHealth::Recovering);
-    let _ = shared.index.reload_shard(lane);
-    if !shared.queues[lane].reopen() {
-        return false;
-    }
-    counters.restarts.fetch_add(1, Ordering::Relaxed);
-    state.set(LaneHealth::Healthy);
-    true
+    while !queue.pop_batch(usize::MAX, Duration::ZERO).is_empty() {}
 }
 
 /// Executes one drained batch. Write commands refused by degraded

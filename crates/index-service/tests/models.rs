@@ -9,18 +9,10 @@
 //! are explored.
 #![cfg(fiting_model)]
 
-use fiting_index_service::{ticket, BoundedQueue, CommandError, Completer};
+use fiting_index_service::{ticket, BoundedQueue};
 use shuttle::{model, thread};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// The library's own `queue.rs`, compiled into this target as well: a
-/// recovering lane's `reopen` and shutdown's `seal` are crate-private,
-/// and this reaches the shipped code without widening the public API.
-#[path = "../src/queue.rs"]
-#[allow(dead_code)]
-mod queue;
 
 /// Submit / drain / close race on a queue of capacity 1. Under every
 /// interleaving an accepted (`Ok`) push is drained exactly once, in
@@ -87,60 +79,5 @@ fn ticket_complete_vs_wait() {
         let done = thread::spawn(move || completer.complete(7));
         assert_eq!(ticket.wait(), Ok(7));
         done.join().unwrap();
-    });
-}
-
-/// A lane recovering from a caught panic races shutdown on its queue.
-/// The lane's worker runs its teardown (close, then drain and cancel
-/// everything queued) and its resurrection (reopen, then resume
-/// draining), `stop` seals the queue and joins the worker, and a
-/// submitter pushes throughout. Under every interleaving the queue
-/// ends closed, the worker's next drain comes back empty — so the join
-/// returns — and every ticket resolves, executed or canceled.
-#[test]
-fn lane_recovery_vs_shutdown_seal() {
-    model::battery("lane recovery vs shutdown seal", || {
-        let q = Arc::new(queue::BoundedQueue::new(1));
-        let (q_sub, q_lane) = (Arc::clone(&q), Arc::clone(&q));
-        // Counts completions, executed or canceled; a plain atomic
-        // adds no schedule point and is read only after the joins.
-        let resolved = Arc::new(AtomicUsize::new(0));
-        let sink = Arc::clone(&resolved);
-        let submitter = thread::spawn(move || {
-            for v in [1u32, 2] {
-                let sink = Arc::clone(&sink);
-                let done = Completer::from_fn(move |_: Result<u32, CommandError>| {
-                    sink.fetch_add(1, Ordering::SeqCst);
-                });
-                // A refused push drops the completer: Canceled.
-                let _ = q_sub.push((v, done));
-            }
-        });
-        let worker = thread::spawn(move || {
-            q_lane.close();
-            while !q_lane.pop_batch(usize::MAX, Duration::ZERO).is_empty() {}
-            if !q_lane.reopen() {
-                return;
-            }
-            loop {
-                let batch = q_lane.pop_batch(4, Duration::ZERO);
-                if batch.is_empty() {
-                    return;
-                }
-                for (v, done) in batch {
-                    done.complete(v);
-                }
-            }
-        });
-        q.seal();
-        worker.join().unwrap();
-        assert!(q.is_closed(), "a sealed queue was reopened");
-        assert!(q.pop_batch(4, Duration::ZERO).is_empty());
-        submitter.join().unwrap();
-        assert_eq!(
-            resolved.load(Ordering::SeqCst),
-            2,
-            "a ticket was left unresolved"
-        );
     });
 }

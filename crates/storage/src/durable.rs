@@ -655,7 +655,7 @@ impl<K: Key, V: Key, I: SortedIndex<K, V> + PageSnapshot> DurableIndex<K, V, I> 
     /// behind. The in-memory structure is discarded, which is the
     /// point: after a panic mid-batch it may be arbitrarily
     /// inconsistent, while disk + carried suffix reconstruct exactly
-    /// the acknowledged state, so a lane resurrection loses nothing
+    /// the acknowledged state, so a lane healing in place loses nothing
     /// even while the disk is refusing writes.
     ///
     /// (Re-applying a record the failed flush *did* partially land is

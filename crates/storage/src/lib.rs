@@ -272,7 +272,7 @@ mod tests {
         assert_eq!(idx.try_remove(&0), Ok(Some(0)));
         // The reopen's own flush attempt hits ENOSPC — the records
         // must ride across the reload instead of dying with the
-        // handle (this is the lane-resurrection path).
+        // handle (this is how a durable service heals a lane).
         io.fail_nth(IoOp::Write, "wal.000000", 1, InjectKind::Enospc, false);
         assert!(idx.reload());
         assert_eq!(idx.get(&7777), Some(&70));

@@ -20,14 +20,15 @@
 //!   and readable, degrades the shard, and that the very next clean
 //!   checkpoint heals it.
 //! * **C — service storms** (¼ of the seed knob, min 110): a
-//!   two-lane supervised durable service per seed, with seeded I/O
+//!   two-lane durable service per seed, with seeded I/O
 //!   faults *and* deterministic worker panics (a booby-trapped key per
 //!   lane). Tickets resolving `Ok` form the oracle; `Canceled` point
 //!   writes must NOT be applied (they were never executed);
 //!   `Degraded`/`Canceled` cross-shard batches are the only uncertain
-//!   keys. After the storm the harness disarms, waits for the lane
-//!   workers (which resurrect their own lanes) and the checkpoint
-//!   coordinator to heal every lane and shard, round-trips a fresh probe write per lane, shuts down, and
+//!   keys. After the storm the harness disarms, waits for the
+//!   checkpoint coordinator to heal every shard (each lane's worker
+//!   healed its own lane in place after every panic), round-trips a
+//!   fresh probe write per lane, shuts down, and
 //!   reopens the store from disk — the recovered state must match the
 //!   oracle on every certain key.
 //!
@@ -459,8 +460,8 @@ struct StormLedger {
     never_applied: BTreeSet<u64>,
 }
 
-/// One seeded storm against a two-lane supervised durable service with
-/// worker panics. `Err` carries a violation; the caller dumps the
+/// One seeded storm against a two-lane durable service with worker
+/// panics. `Err` carries a violation; the caller dumps the
 /// schedule.
 fn service_storm(root: &Path, seed: u64, io: &FaultIo) -> Result<(u64, u64), String> {
     io.disarm();
@@ -477,7 +478,7 @@ fn service_storm(root: &Path, seed: u64, io: &FaultIo) -> Result<(u64, u64), Str
     let base: Vec<(u64, u64)> = (0..500u64).map(|k| (k * 4, k)).collect();
     let index: ShardedIndex<u64, u64, PanicOn> = ShardedIndex::bulk_load(&cfg, 2, base.clone())
         .map_err(|e| format!("clean-io bulk load failed: {e:?}"))?;
-    let svc = IndexService::start_supervised(
+    let svc = IndexService::start_durable(
         index,
         ServiceConfig { queue_capacity: 64 },
         DurabilityConfig {
@@ -485,7 +486,6 @@ fn service_storm(root: &Path, seed: u64, io: &FaultIo) -> Result<(u64, u64), Str
             checkpoint_interval: Duration::from_millis(3),
             checkpoint_wal_bytes: 4 << 10,
         },
-        1_000,
     );
     let client = svc.client();
 
@@ -583,8 +583,8 @@ fn service_storm(root: &Path, seed: u64, io: &FaultIo) -> Result<(u64, u64), Str
         }
     }
 
-    // Quiesce: no more faults; poisoned lanes' workers resurrect them
-    // and the checkpoint coordinator heals degraded shards. No write is
+    // Quiesce: no more faults; the checkpoint coordinator heals
+    // degraded shards, and every lane must still be serving. No write is
     // submitted while waiting: health is read from the shards that own
     // it, so a healed service reads healed by itself.
     io.disarm();
@@ -605,13 +605,11 @@ fn service_storm(root: &Path, seed: u64, io: &FaultIo) -> Result<(u64, u64), Str
         std::thread::sleep(Duration::from_millis(2));
     }
 
-    // A resurrected, healed service must round-trip fresh writes on
-    // both lanes (997 → lane 0, 2 997 → lane 1; odd keys the workload
-    // counter cannot plausibly reach). The stats snapshot can race the
-    // final poison — a worker resolves its batch's tickets while still
-    // unwinding, before the lane flips Poisoned — so the probe retries
-    // like a real client would; a refused/canceled point write was
-    // never applied, making the retry safe.
+    // A healed service must round-trip fresh writes on both lanes
+    // (997 → lane 0, 2 997 → lane 1; odd keys the workload counter
+    // cannot plausibly reach). The probe retries like a real client
+    // would; a refused/canceled point write was never applied, making
+    // the retry safe.
     for probe in [997u64, 2_997] {
         let v = probe * 10;
         let deadline = Instant::now() + Duration::from_secs(20);
@@ -646,7 +644,7 @@ fn service_storm(root: &Path, seed: u64, io: &FaultIo) -> Result<(u64, u64), Str
     let panics: u64 = stats.lanes.iter().map(|l| l.panics).sum();
     let checkpoint_failures = stats.checkpoint_failures;
     if panics != restarts {
-        return Err(format!("{panics} panics but {restarts} resurrections"));
+        return Err(format!("{panics} panics but {restarts} heals"));
     }
 
     // Shutdown drains, final-syncs under clean I/O, and the store must
@@ -697,7 +695,7 @@ fn forced_checkpoint_failure(root: &Path, io: &FaultIo) -> Result<(), String> {
     let base: Vec<(u64, u64)> = (0..200u64).map(|k| (k * 2, k)).collect();
     let index: ShardedIndex<u64, u64, Durable> =
         ShardedIndex::bulk_load(&cfg, 2, base).map_err(|e| format!("bulk load failed: {e:?}"))?;
-    let svc = IndexService::start_supervised(
+    let svc = IndexService::start_durable(
         index,
         ServiceConfig { queue_capacity: 64 },
         DurabilityConfig {
@@ -708,7 +706,6 @@ fn forced_checkpoint_failure(root: &Path, io: &FaultIo) -> Result<(), String> {
             checkpoint_interval: Duration::from_millis(1),
             checkpoint_wal_bytes: 0,
         },
-        10,
     );
     let client = svc.client();
     io.fail_nth(IoOp::Create, "snapshot.tmp", 1, InjectKind::Enospc, false);
@@ -759,10 +756,10 @@ fn battery_c_service_storms_keep_every_acknowledged_write() {
         let _ = std::fs::remove_dir_all(&dir);
     }
     // The storm must be real: poison pills actually fired and lanes
-    // actually came back.
+    // actually healed.
     assert!(
         total_restarts >= seeds,
-        "only {total_restarts} lane resurrections across {seeds} storms"
+        "only {total_restarts} lane heals across {seeds} storms"
     );
     // Checkpoint-failure propagation is pinned deterministically — the
     // seeded storms only hit the coordinator when the schedule happens
