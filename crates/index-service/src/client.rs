@@ -16,9 +16,9 @@
 //!   [`remove`](Client::remove), [`range`](Client::range)) build the
 //!   command, submit it, and return its [`Ticket`]. If the service is
 //!   already shut down the ticket comes back pre-canceled rather than
-//!   erroring — one code path for callers either way.
-//!   [`insert_many`](Client::insert_many) submits one `Insert` per
-//!   pair and fans their results into one ticket.
+//!   erroring — one code path for callers either way. Every command
+//!   resolves exactly its own ticket; a batch of writes is a loop over
+//!   [`insert`](Client::insert), pipelined by holding the tickets.
 //!
 //! # Ordering
 //!
@@ -43,10 +43,9 @@
 use crate::command::Command;
 use crate::queue::{Closed, TryPushError};
 use crate::telemetry::Timed;
-use crate::ticket::{ticket, CommandError, Completer, Ticket};
+use crate::ticket::Ticket;
 use crate::ServiceShared;
 use fiting_index_api::{Key, SortedIndex};
-use fiting_sync::primitives::Mutex;
 use std::ops::{Bound, RangeBounds};
 use std::sync::Arc;
 
@@ -165,44 +164,6 @@ where
         t
     }
 
-    /// Submits a batched upsert as one `Insert` per pair, in batch
-    /// order, so every key goes through its owning lane's queue (full
-    /// per-key ordering; duplicate keys resolve last-write-wins) and
-    /// the lane workers coalesce the inserts like any other run of
-    /// point writes. The single ticket resolves with the number of keys
-    /// that were new once every insert has resolved.
-    ///
-    /// If shutdown interrupts the fan-out, the ticket resolves
-    /// [`Canceled`](crate::CommandError::Canceled) — some inserts may
-    /// still have been applied (at-most-once *reporting*, like any RPC
-    /// cut off mid-flight). If a degraded shard refused any insert it
-    /// resolves [`Degraded`](crate::CommandError::Degraded), and the
-    /// inserts routed to healthy shards were applied.
-    ///
-    /// A batch costs what that many [`insert`](Self::insert)s cost:
-    /// each pair is its own command in its lane's queue, so a batch
-    /// longer than a queue's capacity blocks on backpressure like any
-    /// other submitter.
-    #[must_use]
-    pub fn insert_many(&self, batch: Vec<(K, V)>) -> Ticket<usize> {
-        let (t, done) = ticket();
-        if batch.is_empty() {
-            done.complete(0);
-            return t;
-        }
-        let agg = Arc::new(Aggregate::new(batch.len(), done));
-        for (key, value) in batch {
-            let agg = Arc::clone(&agg);
-            let done = Completer::from_fn(move |result: Result<Option<V>, CommandError>| {
-                agg.resolve_one(result.map(|old| usize::from(old.is_none())));
-            });
-            // A Closed rejection drops the command and with it the
-            // sub-completer, canceling the aggregate.
-            let _ = self.submit(Command::Insert { key, value, done });
-        }
-        t
-    }
-
     /// Whether the service has shut down (all further submissions
     /// fail): every lane's queue is closed. A single poisoned lane
     /// refuses only the commands routed to it.
@@ -212,66 +173,5 @@ where
             .queues
             .iter()
             .all(super::queue::BoundedQueue::is_closed)
-    }
-}
-
-/// Fans `n` insert completions back into one `usize` ticket, summing
-/// fresh counts. Once all `n` have resolved: any canceled insert
-/// cancels the whole ticket (unknown application); otherwise any
-/// degraded refusal resolves it `Err(Degraded)` (the refused inserts
-/// were declined, the others applied); otherwise it completes with the
-/// summed fresh count.
-struct Aggregate {
-    state: Mutex<AggregateState>,
-}
-
-struct AggregateState {
-    pending: usize,
-    fresh: usize,
-    canceled: bool,
-    degraded: bool,
-    done: Option<Completer<usize>>,
-}
-
-impl Aggregate {
-    fn new(pending: usize, done: Completer<usize>) -> Self {
-        Aggregate {
-            state: Mutex::new(AggregateState {
-                pending,
-                fresh: 0,
-                canceled: false,
-                degraded: false,
-                done: Some(done),
-            }),
-        }
-    }
-
-    fn resolve_one(&self, result: Result<usize, CommandError>) {
-        let mut state = self.state.lock();
-        state.pending -= 1;
-        match result {
-            Ok(n) => state.fresh += n,
-            Err(CommandError::Canceled) => state.canceled = true,
-            Err(CommandError::Degraded) => state.degraded = true,
-        }
-        if state.pending == 0 {
-            #[expect(
-                clippy::expect_used,
-                reason = "pending hits zero exactly once under the state mutex; \
-                          `done` is Some until that single transition"
-            )]
-            let done = state.done.take().expect("aggregate resolves once");
-            let fresh = state.fresh;
-            let canceled = state.canceled;
-            let degraded = state.degraded;
-            drop(state);
-            if canceled {
-                done.cancel();
-            } else if degraded {
-                done.degrade();
-            } else {
-                done.complete(fresh);
-            }
-        }
     }
 }

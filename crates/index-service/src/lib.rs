@@ -18,10 +18,10 @@
 //!   per involved shard,
 //! * point reads are answered one by one straight off the index's
 //!   wait-free read path (there is no read lock to amortize),
-//! * each command resolves an executor-free Condvar [`Ticket`] the submitter
-//!   holds (executor-agnostic: a future `tokio` front-end wraps
-//!   [`Completer::from_fn`] around a oneshot sender instead of
-//!   replacing this crate).
+//! * each command resolves exactly its own executor-free Condvar
+//!   [`Ticket`], which the submitter holds; a caller that must act the
+//!   instant a command resolves (the `slo` bench's open-loop latency
+//!   recorder) wraps its own sink in [`Completer::from_fn`].
 //!
 //! Backpressure is structural: queues are bounded, so
 //! [`Client::submit`] blocks — and [`Client::try_submit`] refuses with
@@ -58,11 +58,11 @@
 //!
 //! // Pipelined: fire commands, hold tickets, wait when needed.
 //! let hit = client.get(500);
-//! let fresh = client.insert_many((0..10).map(|k| (k * 2 + 1, k)).collect());
+//! let writes: Vec<_> = (0..10).map(|k| client.insert(k * 2 + 1, k)).collect();
 //! let scan = client.range(0..=9);
 //!
 //! assert_eq!(hit.wait(), Ok(Some(250)));
-//! assert_eq!(fresh.wait(), Ok(10));
+//! assert!(writes.into_iter().all(|t| t.wait() == Ok(None))); // all fresh
 //! assert_eq!(scan.wait().unwrap().len(), 10);
 //!
 //! let index = service.shutdown(); // drains, resolves, joins
@@ -568,7 +568,8 @@ mod tests {
         let client = svc.client();
         assert_eq!(client.insert(1, 7).wait(), Ok(None));
         assert_eq!(client.remove(1).wait(), Ok(Some(7)));
-        assert_eq!(client.insert_many(vec![(3, 1), (5, 2)]).wait(), Ok(2));
+        let writes = [client.insert(3, 1), client.insert(5, 2)];
+        assert_eq!(writes.map(Ticket::wait), [Ok(None), Ok(None)]);
         // Give the checkpoint coordinator a few beats; every pass is a
         // no-op because try_checkpoint() defaults to Ok(false).
         thread::sleep(Duration::from_millis(10));
@@ -576,21 +577,27 @@ mod tests {
     }
 
     #[test]
-    fn insert_many_fans_out_and_sums() {
+    fn pipelined_inserts_fan_out_across_lanes() {
         let svc = start(10_000, 8, ServiceConfig::default());
         let client = svc.client();
+        let fresh = |tickets: Vec<Ticket<Option<u64>>>| {
+            tickets
+                .into_iter()
+                .map(Ticket::wait)
+                .filter(|r| *r == Ok(None))
+                .count()
+        };
         // Odd keys across the whole key space: touches every lane.
-        let fresh = client.insert_many((0..1_000u64).map(|k| (k * 20 + 1, k)).collect());
-        assert_eq!(fresh.wait(), Ok(1_000));
+        let writes = (0..1_000u64).map(|k| client.insert(k * 20 + 1, k));
+        assert_eq!(fresh(writes.collect()), 1_000);
         // Overwrites are not fresh.
-        let again = client.insert_many(vec![(1, 9), (21, 9), (2_000_001, 9)]);
-        assert_eq!(again.wait(), Ok(1));
-        assert_eq!(client.insert_many(Vec::new()).wait(), Ok(0));
+        let again = [1, 21, 2_000_001].map(|k| client.insert(k, 9));
+        assert_eq!(fresh(again.into()), 1);
         assert_eq!(svc.shutdown().len(), 11_001);
     }
 
     #[test]
-    fn insert_many_takes_one_lock_per_shard_per_drain() {
+    fn pipelined_inserts_take_one_lock_per_shard_per_drain() {
         // Two lanes over four shards: each lane's keys span two shards.
         let index: ShardedIndex<u64, u64, BinarySearchIndex<u64, u64>> =
             ShardedIndex::bulk_load(&(), 2, (0..4_000u64).map(|k| (k * 2, k)).collect()).unwrap();
@@ -603,8 +610,8 @@ mod tests {
         let submitted = || svc.metrics().counter("service.insert.submitted");
         let before = submitted().unwrap_or(0);
         // Stall each lane's worker inside a `Get`'s completion until the
-        // whole batch has queued behind it, so the worker must drain
-        // the inserts as runs.
+        // whole wave of inserts has queued behind it, so the worker
+        // must drain them as runs.
         let gate = Arc::new(std::sync::Barrier::new(3));
         for key in [0, 7_998] {
             let gate = Arc::clone(&gate);
@@ -615,10 +622,16 @@ mod tests {
         }
         // 1 000 writes to 800 fresh odd keys; the last 200 rewrite the
         // first 200 keys.
-        let batch: Vec<(u64, u64)> = (0..1_000u64).map(|i| ((i % 800) * 10 + 1, i)).collect();
-        let fresh = client.insert_many(batch);
+        let writes: Vec<_> = (0..1_000u64)
+            .map(|i| client.insert((i % 800) * 10 + 1, i))
+            .collect();
         gate.wait();
-        assert_eq!(fresh.wait(), Ok(800));
+        let fresh = writes
+            .into_iter()
+            .map(Ticket::wait)
+            .filter(|r| *r == Ok(None))
+            .count();
+        assert_eq!(fresh, 800);
         for j in 0..800u64 {
             let last = if j < 200 { j + 800 } else { j };
             assert_eq!(shards.get(&(j * 10 + 1)), Some(last), "key {}", j * 10 + 1);
@@ -664,10 +677,7 @@ mod tests {
         // Post-shutdown submissions come back canceled, not hung.
         assert!(client.is_closed());
         assert_eq!(client.get(0).wait(), Err(CommandError::Canceled));
-        assert_eq!(
-            client.insert_many(vec![(1, 1)]).wait(),
-            Err(CommandError::Canceled)
-        );
+        assert_eq!(client.insert(1, 1).wait(), Err(CommandError::Canceled));
         let (cmd, t) = Command::get(0);
         assert!(client.submit(cmd).is_err());
         assert_eq!(t.wait(), Err(CommandError::Canceled));
@@ -752,8 +762,7 @@ mod tests {
 
     #[test]
     fn every_kind_records_end_to_end_before_its_ticket_resolves() {
-        // The `insert_many` below submits one `Insert` per pair, each
-        // its own command and sample.
+        // Each round's `insert`s are their own commands and samples.
         let svc = start(1_000, 2, ServiceConfig::default());
         let client = svc.client();
         let e2e = |kind: &str| {
@@ -773,8 +782,9 @@ mod tests {
             assert_eq!(e2e("insert"), Some(3 * round - 2));
             assert_eq!(client.remove(11).wait(), Ok(Some(round)));
             assert_eq!(e2e("remove"), Some(round));
-            let fresh = client.insert_many(vec![(1, round), (1_999, round)]);
-            assert_eq!(fresh.wait(), Ok(if round == 1 { 2 } else { 0 }));
+            let writes = [client.insert(1, round), client.insert(1_999, round)];
+            let old = if round == 1 { None } else { Some(round - 1) };
+            assert_eq!(writes.map(Ticket::wait), [Ok(old), Ok(old)]);
             assert_eq!(e2e("insert"), Some(3 * round));
         }
         // The same order without a race to win: a sink reads the

@@ -3,15 +3,16 @@
 //!
 //! The pair is the pipeline's only synchronization primitive beyond the
 //! queues themselves, and it is deliberately executor-free (one `Mutex`
-//! and `Condvar` per ticket): a future `tokio` front-end wraps a oneshot
-//! sender in [`Completer::from_fn`] instead of replacing the pipeline.
+//! and `Condvar` per ticket). A caller that must act at the instant a
+//! command resolves wraps its own sink in [`Completer::from_fn`]: the
+//! `slo` bench's open-loop recorder measures latency from each
+//! command's intended send time that way.
 //!
 //! Lifecycle guarantees:
 //!
 //! * Every [`Completer`] resolves its ticket **exactly once** — with a
 //!   value via [`complete`](Completer::complete), as
-//!   [`Canceled`](CommandError::Canceled) via
-//!   [`cancel`](Completer::cancel) or by being dropped, or as
+//!   [`Canceled`](CommandError::Canceled) by being dropped, or as
 //!   [`Degraded`](CommandError::Degraded) via
 //!   [`degrade`](Completer::degrade) when a write is refused by a
 //!   read-only shard. A command dropped on the floor (worker panic,
@@ -33,8 +34,6 @@ pub enum CommandError {
     /// The command was a write refused fast by a shard in degraded
     /// read-only mode (permanent storage failure; see
     /// `fiting_index_api::ShardHealth`). The command was **not**
-    /// applied — except `insert_many`, which resolves `Degraded` when
-    /// any of its keys was refused: part of the batch may have been
     /// applied.
     Degraded,
 }
@@ -130,9 +129,9 @@ type Sink<T> = Box<dyn FnOnce(Result<T, CommandError>) + Send>;
 /// The pipeline's half: resolves the paired [`Ticket`] exactly once.
 ///
 /// Internally a boxed one-shot sink rather than a hard-wired ticket
-/// reference, so completions can also fan into an aggregate (the
-/// client's `insert_many` counts fresh keys across its inserts) or,
-/// later, an async channel.
+/// reference, so a caller can act at the instant the command resolves
+/// (the `slo` bench's open-loop recorder stamps latency from intended
+/// send time in one).
 pub struct Completer<T> {
     sink: Option<Sink<T>>,
 }
@@ -159,13 +158,6 @@ impl<T> Completer<T> {
     /// Resolves the ticket with `value`.
     pub fn complete(self, value: T) {
         self.resolve(Ok(value));
-    }
-
-    /// Resolves the ticket as [`Canceled`](CommandError::Canceled)
-    /// (same as dropping, but explicit at call sites that decline a
-    /// command on purpose).
-    pub(crate) fn cancel(self) {
-        self.resolve(Err(CommandError::Canceled));
     }
 
     /// Resolves the ticket as [`Degraded`](CommandError::Degraded):
@@ -220,10 +212,6 @@ mod tests {
     fn dropping_completer_cancels() {
         let (t, c) = ticket::<u32>();
         drop(c);
-        assert_eq!(t.wait(), Err(CommandError::Canceled));
-
-        let (t, c) = ticket::<u32>();
-        c.cancel();
         assert_eq!(t.wait(), Err(CommandError::Canceled));
     }
 

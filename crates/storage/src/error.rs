@@ -189,7 +189,7 @@ impl RetryPolicy {
     /// A policy with `attempts` total tries (including the first) and
     /// the given backoff window.
     #[must_use]
-    pub fn new(attempts: u32, base_delay: Duration, max_delay: Duration) -> Self {
+    fn new(attempts: u32, base_delay: Duration, max_delay: Duration) -> Self {
         RetryPolicy {
             attempts: attempts.max(1),
             base_delay,

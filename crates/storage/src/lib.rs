@@ -159,7 +159,7 @@ mod tests {
     }
 
     #[test]
-    fn a_log_holding_an_old_insert_many_record_replays_whole() {
+    fn a_log_holding_an_old_batch_record_replays_whole() {
         let root = temp_root("op3");
         let cfg = config(&root);
         let mut idx: Durable =

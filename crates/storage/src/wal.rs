@@ -31,7 +31,7 @@
 //! payload
 //!   op 1: insert      [1][key][value]
 //!   op 2: remove      [2][key]
-//!   op 3: insert_many [3][count u32][key value]×count   (read only)
+//!   op 3: batch       [3][count u32][key value]×count   (read only)
 //! ```
 //!
 //! All integers little-endian; keys and values use the fixed-width

@@ -44,19 +44,23 @@ fn main() {
         },
     );
 
-    // Ingest clients: each batches locally and submits through
-    // `insert_many`, which submits one insert per key (the workers
-    // coalesce them) and resolves one ticket with the fresh-key count.
+    // Ingest clients: each pipelines waves of inserts (submit the
+    // whole wave, then wait its tickets) — the workers coalesce them —
+    // and counts the fresh keys, whose tickets resolve `Ok(None)`.
     let mut ingest = Vec::new();
     for t in 0..2u64 {
         let client = service.client();
         ingest.push(thread::spawn(move || {
             let mut fresh = 0;
             for wave in 0..20u64 {
-                let batch: Vec<(u64, u64)> = (0..500u64)
-                    .map(|i| (last + 1 + (t * 20 + wave) * 500 + i, i))
+                let tickets: Vec<_> = (0..500u64)
+                    .map(|i| client.insert(last + 1 + (t * 20 + wave) * 500 + i, i))
                     .collect();
-                fresh += client.insert_many(batch).wait().expect("service running");
+                for ticket in tickets {
+                    if ticket.wait().expect("service running").is_none() {
+                        fresh += 1;
+                    }
+                }
             }
             fresh
         }));

@@ -22,15 +22,15 @@
 //! * **C — service storms** (¼ of the seed knob, min 110): a
 //!   two-lane durable service per seed, with seeded I/O
 //!   faults *and* deterministic worker panics (a booby-trapped key per
-//!   lane). Tickets resolving `Ok` form the oracle; `Canceled` point
-//!   writes must NOT be applied (they were never executed);
-//!   `Degraded`/`Canceled` cross-shard batches are the only uncertain
-//!   keys. After the storm the harness disarms, waits for the
-//!   checkpoint coordinator to heal every shard (each lane's worker
-//!   healed its own lane in place after every panic), round-trips a
-//!   fresh probe write per lane, shuts down, and
-//!   reopens the store from disk — the recovered state must match the
-//!   oracle on every certain key.
+//!   lane). Every write is a point command with its own ticket
+//!   (a wave's batch arm pipelines four inserts): tickets resolving
+//!   `Ok` form the oracle, and `Canceled`/`Degraded` writes must NOT
+//!   be applied (they were never executed). After the storm the
+//!   harness disarms, waits for the checkpoint coordinator to heal
+//!   every shard (each lane's worker healed its own lane in place
+//!   after every panic), round-trips a fresh probe write per lane,
+//!   shuts down, and reopens the store from disk — the recovered
+//!   state must match the oracle on every key; no key is exempt.
 //!
 //! * **D — rebalance storms** (¼ of the seed knob, min 100): a
 //!   three-shard durable `ShardedIndex` per seed under
@@ -452,10 +452,7 @@ struct StormLedger {
     /// Keys whose last outcome was an acknowledged write (`Ok`) — the
     /// oracle: each must hold exactly this value after recovery.
     acked: BTreeMap<u64, u64>,
-    /// Keys last touched by a refused or canceled cross-shard batch —
-    /// partially applied by design, excluded from the verdict.
-    uncertain: BTreeSet<u64>,
-    /// Fresh keys whose only op was a canceled/refused *point* write —
+    /// Fresh keys whose only op was a canceled/refused point write —
     /// never executed, so they must NOT exist after recovery.
     never_applied: BTreeSet<u64>,
 }
@@ -491,7 +488,6 @@ fn service_storm(root: &Path, seed: u64, io: &FaultIo) -> Result<(u64, u64), Str
 
     let mut ledger = StormLedger {
         acked: base.into_iter().collect(),
-        uncertain: BTreeSet::new(),
         never_applied: BTreeSet::new(),
     };
     let mut rng = Lcg(seed ^ 0xC0FF_EE00_DEAD_BEEF);
@@ -505,7 +501,6 @@ fn service_storm(root: &Path, seed: u64, io: &FaultIo) -> Result<(u64, u64), Str
     enum Pending {
         Insert(u64, u64, fiting::Ticket<Option<u64>>),
         Remove(u64, fiting::Ticket<Option<u64>>),
-        Batch(Vec<(u64, u64)>, fiting::Ticket<usize>),
         Boom(fiting::Ticket<Option<u64>>),
     }
     for _wave in 0..8u32 {
@@ -528,8 +523,11 @@ fn service_storm(root: &Path, seed: u64, io: &FaultIo) -> Result<(u64, u64), Str
                     wave.push(Pending::Remove(k, client.remove(k)));
                 }
                 _ => {
-                    let batch: Vec<(u64, u64)> = (0..4).map(|_| (next_key(), rng.next())).collect();
-                    wave.push(Pending::Batch(batch.clone(), client.insert_many(batch)));
+                    // A batch: four pipelined point inserts.
+                    for _ in 0..4 {
+                        let (k, v) = (next_key(), rng.next());
+                        wave.push(Pending::Insert(k, v, client.insert(k, v)));
+                    }
                 }
             }
         }
@@ -559,21 +557,6 @@ fn service_storm(root: &Path, seed: u64, io: &FaultIo) -> Result<(u64, u64), Str
                         }
                     }
                 }
-                Pending::Batch(batch, t) => match t.wait() {
-                    Ok(_) => {
-                        for (k, v) in batch {
-                            ledger.acked.insert(k, v);
-                        }
-                    }
-                    Err(_) => {
-                        // Cross-shard batch: may have landed on some
-                        // lanes before a refusal/panic on another.
-                        for (k, _) in batch {
-                            ledger.acked.remove(&k);
-                            ledger.uncertain.insert(k);
-                        }
-                    }
-                },
                 Pending::Boom(t) => {
                     if t.wait().is_ok() {
                         return Err("boom key insert was acknowledged".to_string());
@@ -657,15 +640,12 @@ fn service_storm(root: &Path, seed: u64, io: &FaultIo) -> Result<(u64, u64), Str
         return Err(format!("reopen skipped {} shards", report.skipped.len()));
     }
     for (&k, &v) in &ledger.acked {
-        if ledger.uncertain.contains(&k) {
-            continue;
-        }
         if back.get(&k) != Some(v) {
             return Err(format!("acked write {k}={v} lost (got {:?})", back.get(&k)));
         }
     }
     for &k in &ledger.never_applied {
-        if !ledger.uncertain.contains(&k) && back.get(&k).is_some() {
+        if back.get(&k).is_some() {
             return Err(format!("canceled write {k} rose from the dead"));
         }
     }

@@ -1,6 +1,6 @@
 //! Conformance suite for the command-pipeline service layer: one
 //! shared battery — typed round trips, raw command submission,
-//! `insert_many` fan-out, backpressure, stats, shutdown
+//! pipelined cross-lane inserts, backpressure, stats, shutdown
 //! draining — run against a service over **every** `BuildableIndex`
 //! implementation in the workspace. The pipeline is generic over
 //! `SortedIndex` via `ShardedIndex` routing; this suite is that claim
@@ -8,7 +8,7 @@
 
 use fiting::btree::{BPlusTree, FixedPageIndex};
 use fiting::index_api::BinarySearchIndex;
-use fiting::service::{Command, IndexService, ServiceConfig, TryPushError};
+use fiting::service::{Command, IndexService, ServiceConfig, Ticket, TryPushError};
 use fiting::tree::{FitingTree, FitingTreeBuilder};
 use fiting::{BuildableIndex, ShardedIndex};
 
@@ -57,11 +57,19 @@ where
         "{name}: scan ordered"
     );
 
-    // Cross-lane batched insert through the fan-out convenience.
-    let fresh = client.insert_many((0..500u64).map(|k| (k * 20 + 1, k)).collect());
-    assert_eq!(fresh.wait(), Ok(500), "{name}: insert_many fresh");
-    let again = client.insert_many(vec![(1, 9), (10_001, 9)]);
-    assert_eq!(again.wait(), Ok(1), "{name}: overwrites not fresh");
+    // Pipelined cross-lane inserts: submit them all, then wait; a
+    // fresh key resolves `Ok(None)`.
+    let fresh = |tickets: Vec<Ticket<Option<u64>>>| {
+        tickets
+            .into_iter()
+            .map(Ticket::wait)
+            .filter(|r| *r == Ok(None))
+            .count()
+    };
+    let writes = (0..500u64).map(|k| client.insert(k * 20 + 1, k));
+    assert_eq!(fresh(writes.collect()), 500, "{name}: pipelined fresh");
+    let again = vec![client.insert(1, 9), client.insert(10_001, 9)];
+    assert_eq!(fresh(again), 1, "{name}: overwrites not fresh");
 
     // Raw command submission (the lower-level half of the API).
     let (cmd, t) = Command::get(1);
@@ -93,7 +101,7 @@ where
 
     // Shutdown drains, then refuses.
     let index = service.shutdown();
-    // 5 000 preload + 500 batch + 10 001 + keys 3, 5, and 7.
+    // 5 000 preload + 500 pipelined + 10 001 + keys 3, 5, and 7.
     assert_eq!(index.len(), 5_504, "{name}: final contents");
     assert_eq!(index.get(&3), Some(3), "{name}");
     assert!(client.is_closed(), "{name}");

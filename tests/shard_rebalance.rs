@@ -190,11 +190,13 @@ fn skew_stress_service_rebalances_under_pipelined_load() {
 
     let client = service.client();
     let tail = tail_len();
-    for batch in 0..(tail / 1_000) {
-        let keys: Vec<(u64, u64)> = (batch * 1_000..(batch + 1) * 1_000)
-            .map(|i| (tail_key(i), tail_key(i)))
+    for wave in 0..(tail / 1_000) {
+        let writes: Vec<_> = (wave * 1_000..(wave + 1) * 1_000)
+            .map(|i| client.insert(tail_key(i), tail_key(i)))
             .collect();
-        client.insert_many(keys).wait().expect("service alive");
+        for t in writes {
+            t.wait().expect("service alive");
+        }
     }
 
     // The coordinator steps every 1ms; wait for it to catch up with
