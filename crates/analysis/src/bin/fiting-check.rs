@@ -9,8 +9,6 @@
 //! running the rules; any other `--flag` is refused with a usage line
 //! (exit 2).
 
-#![forbid(unsafe_code)]
-
 use std::path::PathBuf;
 use std::process::ExitCode;
 

@@ -75,7 +75,6 @@ pub fn check_file(path: &str, raw: &str) -> Vec<Finding> {
         findings.extend(rule_kernel_claim(path, &cf));
     }
     findings.extend(rule_std_sync_quarantine(path, in_src, &cf));
-    findings.extend(rule_forbid_unsafe(path, &cf));
     findings.sort_by_key(|f| f.line);
     findings
 }
@@ -365,60 +364,53 @@ fn rule_ordering_justification(path: &str, cf: &CleanFile) -> Vec<Finding> {
 }
 
 // ---------------------------------------------------------------------
-// Rule: forbid-unsafe — #![forbid(unsafe_code)] on every crate root
+// Rule: forbid-unsafe — every manifest keeps `unsafe_code` forbidden
 // ---------------------------------------------------------------------
 
-/// Every crate root must carry `#![forbid(unsafe_code)]` — the
-/// workspace-level `unsafe_code = "deny"` lint can be `allow`ed
-/// locally; `forbid` cannot.
-///
-/// The one vetted exception is `crates/sync/`, the workspace's single
-/// audited `unsafe` boundary (the seqlock's shared reads, the
-/// prefetch intrinsic and the `madvise` call cannot be expressed in
-/// safe Rust). Its crate
-/// root must instead carry `#![deny(unsafe_op_in_unsafe_fn)]`, and
-/// clippy's `undocumented_unsafe_blocks`, denied in its manifest, holds
-/// every `unsafe` site there to a `// safety:` comment.
-fn rule_forbid_unsafe(path: &str, cf: &CleanFile) -> Vec<Finding> {
-    let is_root = path.ends_with("/lib.rs")
-        || path == "src/lib.rs"
-        || path.contains("/src/bin/")
-        || path.ends_with("/main.rs");
-    if !is_root {
-        return Vec::new();
-    }
-    if path.starts_with("crates/sync/") {
-        let denies = cf
-            .code
-            .iter()
-            .any(|l| l.contains("#![deny(unsafe_op_in_unsafe_fn)]"));
-        return if denies {
-            Vec::new()
-        } else {
-            vec![Finding {
-                file: path.to_string(),
-                line: 1,
-                rule: "forbid-unsafe",
-                message: "audited-unsafe crate root missing \
-                          `#![deny(unsafe_op_in_unsafe_fn)]`"
-                    .to_string(),
-            }]
-        };
-    }
-    let present = cf
-        .code
+/// `unsafe_code` is forbidden in the workspace lint table, which no
+/// attribute in a member's source can lift (rustc refuses one with
+/// E0453), so what can still let `unsafe` in is a manifest: the table
+/// relaxed, or a member that stops inheriting it. Every manifest must
+/// carry `[lints] workspace = true`, the root's table must keep
+/// `unsafe_code = "forbid"`, and `crates/sync/`, the workspace's one
+/// audited `unsafe` boundary, must pair its own `unsafe_code = "allow"`
+/// with `unsafe_op_in_unsafe_fn = "deny"` (clippy's
+/// `undocumented_unsafe_blocks`, denied there too, holds each site to a
+/// `// safety:` comment). `dir` is the package's directory relative to
+/// the workspace root, `""` for the root package.
+pub(crate) fn check_manifest(dir: &str, manifest: &str) -> Option<Finding> {
+    const INHERIT: &str = "[lints] workspace = true";
+    let required = match dir {
+        "crates/sync" => [
+            r#"[lints.rust] unsafe_code = "allow""#,
+            r#"[lints.rust] unsafe_op_in_unsafe_fn = "deny""#,
+        ],
+        "" => [INHERIT, r#"[workspace.lints.rust] unsafe_code = "forbid""#],
+        _ => [INHERIT; 2],
+    };
+    // Each entry of the manifest, prefixed by its table's header line.
+    let mut table = "";
+    let entries: Vec<String> = manifest
+        .lines()
+        .map(str::trim)
+        .filter_map(|line| {
+            let header = line.starts_with('[');
+            table = if header { line } else { table };
+            (!header).then(|| format!("{table} {line}"))
+        })
+        .collect();
+    let missing = required
         .iter()
-        .any(|l| l.contains("#![forbid(unsafe_code)]"));
-    if present {
-        Vec::new()
-    } else {
-        vec![Finding {
-            file: path.to_string(),
-            line: 1,
-            rule: "forbid-unsafe",
-            message: "crate root missing `#![forbid(unsafe_code)]`".to_string(),
-        }]
-    }
+        .find(|&want| !entries.iter().any(|e| e == want))?;
+    Some(Finding {
+        file: format!("{dir}/Cargo.toml").trim_start_matches('/').into(),
+        line: 1,
+        rule: "forbid-unsafe",
+        message: format!(
+            "manifest lacks `{missing}`, which keeps `unsafe` out of the workspace \
+             (or, in `crates/sync`, audited)"
+        ),
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -763,34 +755,49 @@ fn bump(&self) {
     }
 
     #[test]
-    fn forbid_unsafe_fires_on_missing_attribute() {
-        let f = check_file("crates/x/src/lib.rs", "//! docs\npub fn a() {}\n");
-        assert!(rules_of(&f).contains(&"forbid-unsafe"), "{f:?}");
+    fn forbid_unsafe_fires_on_a_manifest_that_lets_unsafe_in() {
+        let plr = include_str!("../../plr/Cargo.toml");
+        let sync = include_str!("../../sync/Cargo.toml");
+        let root = include_str!("../../../Cargo.toml");
+        assert_eq!(check_manifest("crates/plr", plr), None);
+        assert_eq!(check_manifest("crates/sync", sync), None);
+        assert_eq!(check_manifest("", root), None);
 
-        let f = check_file(
-            "crates/x/src/lib.rs",
-            "//! docs\n#![forbid(unsafe_code)]\npub fn a() {}\n",
+        // Mutation: a member that stops inheriting the workspace table.
+        let f = check_manifest(
+            "crates/plr",
+            &plr.replace("[lints]\nworkspace = true\n", ""),
         );
-        assert!(!rules_of(&f).contains(&"forbid-unsafe"), "{f:?}");
-
-        // Non-root files are not required to repeat the attribute.
-        let f = check_file("crates/x/src/worker.rs", "pub fn a() {}\n");
-        assert!(!rules_of(&f).contains(&"forbid-unsafe"), "{f:?}");
-
-        // The audited sync crate is exempt from forbid(unsafe_code) but
-        // must deny implicit unsafe scopes instead.
-        let f = check_file(
-            "crates/sync/src/lib.rs",
-            "//! docs\n#![deny(unsafe_op_in_unsafe_fn)]\npub fn a() {}\n",
-        );
-        assert!(!rules_of(&f).contains(&"forbid-unsafe"), "{f:?}");
-        // Mutation: the deny attribute dropped from the audited root.
-        let f = check_file("crates/sync/src/lib.rs", "//! docs\npub fn a() {}\n");
         assert!(
-            f.iter()
-                .any(|f| f.rule == "forbid-unsafe" && f.message.contains("unsafe_op_in_unsafe_fn")),
+            f.as_ref().is_some_and(|f| f.file == "crates/plr/Cargo.toml"
+                && f.rule == "forbid-unsafe"
+                && f.message.contains("`[lints] workspace = true`")),
             "{f:?}"
         );
+        // Mutation: the audited crate without its companion deny.
+        let f = check_manifest(
+            "crates/sync",
+            &sync.replace("unsafe_op_in_unsafe_fn = \"deny\"\n", ""),
+        );
+        assert!(
+            f.as_ref()
+                .is_some_and(|f| f.message.contains("unsafe_op_in_unsafe_fn")),
+            "{f:?}"
+        );
+        // Mutation: the workspace table relaxed back to a `deny`, which
+        // an `#[allow]` in any member could lift.
+        let f = check_manifest(
+            "",
+            &root.replace("unsafe_code = \"forbid\"", "unsafe_code = \"deny\""),
+        );
+        assert!(
+            f.as_ref().is_some_and(|f| f.file == "Cargo.toml"
+                && f.message
+                    .contains("`[workspace.lints.rust] unsafe_code = \"forbid\"`")),
+            "{f:?}"
+        );
+        // The sync crate's form is no way out for any other member.
+        assert!(check_manifest("crates/plr", sync).is_some());
     }
 
     #[test]
@@ -916,17 +923,17 @@ fn bump(&self) {
 
     #[test]
     fn std_sync_quarantine_fires_outside_the_seam_and_compat_only() {
-        let bad = "#![forbid(unsafe_code)]\nuse std::sync::Mutex;\n";
+        let bad = "use std::sync::Mutex;\n";
         let f = check_file("crates/x/src/lib.rs", bad);
         assert!(rules_of(&f).contains(&"std-sync-quarantine"), "{f:?}");
 
         // Brace imports are seen through.
-        let braced = "#![forbid(unsafe_code)]\nuse std::sync::{Arc, Condvar};\n";
+        let braced = "use std::sync::{Arc, Condvar};\n";
         let f = check_file("crates/x/src/lib.rs", braced);
         assert!(rules_of(&f).contains(&"std-sync-quarantine"), "{f:?}");
 
         // Arc / atomics / OnceLock stay allowed.
-        let ok = "#![forbid(unsafe_code)]\nuse std::sync::{Arc, OnceLock};\nuse std::sync::atomic::AtomicU64;\n";
+        let ok = "use std::sync::{Arc, OnceLock};\nuse std::sync::atomic::AtomicU64;\n";
         let f = check_file("crates/x/src/lib.rs", ok);
         assert!(!rules_of(&f).contains(&"std-sync-quarantine"), "{f:?}");
 

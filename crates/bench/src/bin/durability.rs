@@ -21,8 +21,6 @@
 //! Knobs: `FITING_N` (rows; default 1M full, 200k smoke),
 //! `FITING_SEED`.
 
-#![forbid(unsafe_code)]
-
 use fiting_bench::{default_seed, env_usize};
 use fiting_index_api::{BuildableIndex, SortedIndex};
 use fiting_storage::{DurableConfig, DurableIndex, FsyncPolicy};

@@ -17,8 +17,6 @@
 //!
 //! Run: `cargo run --release -p fiting-bench --bin paper -- [--fig ID]... [--n ROWS] [--seed SEED]`
 
-#![forbid(unsafe_code)]
-
 use fiting_bench::driver::Structure::{self, Binary, Fiting, Fixed, Full};
 use fiting_bench::driver::{insert_mops, lookup_ns};
 use fiting_bench::{

@@ -50,8 +50,6 @@
 //! [`Client::try_submit`]: fiting_index_service::Client::try_submit
 //! [`IndexService::metrics`]: fiting_index_service::IndexService::metrics
 
-#![forbid(unsafe_code)]
-
 use fiting_bench::{env_usize, print_table};
 use fiting_index_api::ShardedIndex;
 use fiting_index_service::{Command, Completer, IndexService, ServiceConfig, TryPushError};

@@ -8,7 +8,6 @@
 //! formatting, and the environment knobs `durability` and `slo` read.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod driver;
 

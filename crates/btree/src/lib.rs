@@ -48,7 +48,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 mod bulk;
 mod fixed;

@@ -14,7 +14,6 @@
 //! datasets and benches actually rely on.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 use std::ops::Range;
 

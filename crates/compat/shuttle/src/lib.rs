@@ -52,7 +52,6 @@
 //!   `RwLock`, no `swap` / `compare_exchange`.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 mod chooser;
 mod runtime;

@@ -82,7 +82,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 mod builder;
 mod clustered;

@@ -32,7 +32,6 @@
 //! Figure 8 metric.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 mod arrivals;
 pub mod nonlinearity;

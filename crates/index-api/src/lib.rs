@@ -46,7 +46,6 @@
 //! `tests/sorted_index_conformance.rs` holds them all to this contract.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 mod binary;
 mod key;

@@ -367,7 +367,7 @@ impl<K: Key> Rebalancer<K> {
             self.cooldown -= 1;
             return RebalanceOutcome::Cooldown;
         }
-        let lens = index.shard_lens();
+        let lens: Vec<usize> = index.shard_stats().iter().map(|s| s.entries).collect();
         let total: usize = lens.iter().sum();
         if total == 0 || lens.is_empty() {
             return RebalanceOutcome::Idle;

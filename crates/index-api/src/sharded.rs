@@ -877,18 +877,6 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ShardedIndex<K, V, I> {
     // making their panic contract unsatisfiable. The key-routed and
     // grouped accessors above are the supported forms.
 
-    /// Per-shard entry counts, in shard order (each shard read inside
-    /// its own read section, one at a time) — the quick imbalance
-    /// probe.
-    #[must_use]
-    pub fn shard_lens(&self) -> Vec<usize> {
-        self.table()
-            .shards
-            .iter()
-            .map(|s| s.read_with(SortedIndex::len))
-            .collect()
-    }
-
     /// Per-shard [`ShardStats`] snapshots, in shard order.
     ///
     /// Like every multi-shard read, each shard is sampled atomically
@@ -1029,9 +1017,16 @@ mod tests {
         fresh
     }
 
+    /// Per-shard entry counts, in shard order.
+    fn shard_lens<I: SortedIndex<u64, u64> + 'static>(
+        idx: &ShardedIndex<u64, u64, I>,
+    ) -> Vec<usize> {
+        idx.shard_stats().iter().map(|s| s.entries).collect()
+    }
+
     /// Position of the fullest shard — where the storm tests split.
     fn hottest_shard<I: SortedIndex<u64, u64> + 'static>(idx: &ShardedIndex<u64, u64, I>) -> usize {
-        let lens = idx.shard_lens();
+        let lens = shard_lens(idx);
         (0..lens.len())
             .max_by_key(|&i| lens[i])
             .expect("at least one shard")
@@ -1231,7 +1226,7 @@ mod tests {
             want.extend(idx.boundaries().into_iter().map(Some));
             assert_eq!(firsts, want, "{ctx}");
             let items: Vec<usize> = builds.iter().map(|b| b.1).collect();
-            assert_eq!(items, idx.shard_lens(), "{ctx}");
+            assert_eq!(items, shard_lens(&idx), "{ctx}");
             // Exact hints: a build sizes its storage once.
             for &(first, items, hint) in builds.iter() {
                 assert_eq!(hint, items, "{ctx}: span at {first:?}");
@@ -1243,7 +1238,7 @@ mod tests {
     fn split_moves_upper_run_and_reroutes() {
         let idx = load(1_000, 2); // keys 0..2000 even; boundary at 1000
         assert_eq!(idx.boundaries(), vec![1_000]);
-        let before: Vec<usize> = idx.shard_lens();
+        let before: Vec<usize> = shard_lens(&idx);
         assert_eq!(before, vec![500, 500]);
 
         // Split shard 1 (keys 1000..1998) at 1500.
@@ -1251,7 +1246,7 @@ mod tests {
         assert_eq!(moved, 250);
         assert_eq!(idx.shard_count(), 3);
         assert_eq!(idx.boundaries(), vec![1_000, 1_500]);
-        assert_eq!(idx.shard_lens(), vec![500, 250, 250]);
+        assert_eq!(shard_lens(&idx), vec![500, 250, 250]);
         assert_eq!(idx.len(), 1_000);
 
         // Every key still resolves, on both sides of the new boundary.
@@ -1263,7 +1258,7 @@ mod tests {
         assert_eq!(shard_of(1_499), 1);
         assert_eq!(shard_of(1_500), 2);
         idx.insert(1_501, 42);
-        assert_eq!(idx.shard_lens(), vec![500, 250, 251]);
+        assert_eq!(shard_lens(&idx), vec![500, 250, 251]);
         // Cross-boundary range scans stitch the split shards together.
         assert_eq!(idx.range_collect(1_400..1_600).len(), 101);
     }
@@ -1331,7 +1326,7 @@ mod tests {
         assert_eq!(idx.split_shard(0, 500), Err(RebalanceError::Refused));
         assert_eq!(idx.merge_with_next(0), Err(RebalanceError::Refused));
         assert_eq!(idx.boundaries(), vec![1_000]);
-        assert_eq!(idx.shard_lens(), vec![500, 500]);
+        assert_eq!(shard_lens(&idx), vec![500, 500]);
         assert_eq!(idx.range_collect(..), before);
         assert_eq!(applied.load(Ordering::Relaxed), 0, "nothing copied");
     }
@@ -1639,7 +1634,7 @@ mod tests {
         assert_eq!((fresh, refused), (4, 3));
         // The refusing shard applied nothing; the healthy ones all of
         // theirs.
-        assert_eq!(idx.shard_lens(), vec![502, 500, 502]);
+        assert_eq!(shard_lens(&idx), vec![502, 500, 502]);
         assert_eq!(idx.get(&1_201), None);
         assert_eq!(idx.get(&1_204), Some(602));
         assert_eq!(idx.get(&4), Some(7));

@@ -70,7 +70,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 mod client;
 mod command;

@@ -44,7 +44,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 #[cfg(test)]
 mod adversarial;

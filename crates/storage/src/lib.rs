@@ -70,7 +70,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 // Every fallible path here carries an `io::Error` / `StorageError`, and
 // the chaos battery injects faults into all of them: a fault is an
 // expected input, so production code propagates it or degrades, never

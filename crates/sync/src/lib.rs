@@ -45,12 +45,15 @@
 //!
 //! # Audit rules for `unsafe` in this crate
 //!
-//! Every other crate in the workspace carries
-//! `#![forbid(unsafe_code)]`, enforced by the `fiting-check`
-//! `forbid-unsafe` rule. This crate holds all four sites and is held to a
-//! stricter local bar (machine-checked by `fiting-check` and clippy):
+//! Every other crate in the workspace inherits the workspace lint
+//! table's `unsafe_code = "forbid"`, which no attribute in its source
+//! can lift; `fiting-check`'s `forbid-unsafe` rule keeps every member
+//! manifest inheriting it. This crate holds all four sites and is held
+//! to a stricter local bar (machine-checked by rustc, `fiting-check`
+//! and clippy):
 //!
-//! 1. `#![deny(unsafe_op_in_unsafe_fn)]` — no implicit unsafe scopes.
+//! 1. `unsafe_op_in_unsafe_fn = "deny"` in this crate's manifest — no
+//!    implicit unsafe scopes.
 //! 2. Every `unsafe` site carries a `// safety:` comment stating the
 //!    invariant that makes it sound (clippy's
 //!    `undocumented_unsafe_blocks`, denied in this crate's manifest).
@@ -73,7 +76,6 @@
 //! pinned on fixtures in `crates/compat/shuttle/tests`.
 
 #![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
 
 mod give;
 mod hint;

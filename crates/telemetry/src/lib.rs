@@ -25,7 +25,6 @@
 //! `docs/OBSERVABILITY.md` at the repo root catalogs every metric the
 //! service exports through this crate and how to read it.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod counter;

@@ -40,7 +40,6 @@
 //! README's "Performance" section for paper-vs-measured results.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub use fiting_btree as btree;
 pub use fiting_datasets as datasets;

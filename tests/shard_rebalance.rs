@@ -138,7 +138,7 @@ fn skew_stress_direct_rebalance_drops_imbalance_no_lost_keys() {
     assert!(splits >= 1, "append skew must trigger splits");
     assert!(rebalancer.stats().splits >= splits as u64);
     assert!(rebalancer.stats().moved_keys > 0);
-    let lens = index.shard_lens();
+    let lens: Vec<usize> = index.shard_stats().iter().map(|s| s.entries).collect();
     assert!(lens.len() > SHARDS, "shard count grew: {lens:?}");
     let imb = imbalance(&lens);
     assert!(

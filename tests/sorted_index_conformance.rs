@@ -461,8 +461,8 @@ fn size_accounting_contract() {
     );
 }
 
-/// Shard occupancy must be observable: `shard_lens` / `shard_stats`
-/// see skewed growth (the rebalancing item's input signal), and the
+/// Shard occupancy must be observable: `shard_stats` sees skewed
+/// growth (the rebalancing item's input signal), and the
 /// per-shard sizes reconcile with the front-end's total.
 #[test]
 fn shard_stats_expose_imbalance() {
@@ -471,10 +471,7 @@ fn shard_stats_expose_imbalance() {
         ShardedIndex::bulk_load(&FitingTreeBuilder::new(64), 4, pairs).unwrap();
     let before = index.shard_stats();
     assert_eq!(before.len(), index.shard_count());
-    assert_eq!(index.shard_lens().iter().sum::<usize>(), 10_000);
-    for (len, stats) in index.shard_lens().iter().zip(&before) {
-        assert_eq!(*len, stats.entries);
-    }
+    assert_eq!(before.iter().map(|s| s.entries).sum::<usize>(), 10_000);
 
     // Append-heavy growth: everything routes past the last boundary.
     for k in 0..3_000u64 {
