@@ -48,15 +48,13 @@ impl FitingTreeBuilder {
 
     /// Bulk loads strictly increasing `(key, value)` pairs.
     ///
-    /// One sequential pass copies the pairs into the tree's column.
-    /// ShrinkingCone then cuts it into pages on
-    /// [`available_parallelism`](std::thread::available_parallelism)
-    /// threads, one chunk of at least 65 536 keys each; a shorter input
-    /// stays on the calling thread. The chunks are stitched back into
-    /// the sequential cut, bit for bit, so the pages do not depend on
-    /// the thread count. Input that never resyncs across a chunk
-    /// boundary (perfectly linear keys, one page over everything) is
-    /// cut again on the calling thread, about one sequential pass more.
+    /// One sequential pass copies the pairs into the tree's column,
+    /// 2 MiB of input at a time. One ShrinkingCone pass on a second
+    /// thread cuts each step into pages while the next one is copied,
+    /// so the load costs about the longer of the two passes. An input
+    /// whose `size_hint` shows no more than one step, or a build whose
+    /// second thread cannot start, is cut on the calling thread after
+    /// its copy. The pages are the sequential cut either way.
     ///
     /// # Errors
     ///

@@ -12,7 +12,7 @@
 //! re-segmentation.
 
 use crate::builder::FitingTreeBuilder;
-use crate::cut::{chunks_for, cut, cut_pieces, PageCut};
+use crate::cut::{cut_spans, project, Cutter, PageCut};
 use crate::directory::FlatDirectory;
 use crate::error::{AbsorbError, BuildError};
 use crate::range::RangeIter;
@@ -21,13 +21,15 @@ use crate::stats::{FitingTreeStats, LookupTrace};
 use fiting_index_api::{GiveBack, Key};
 use fiting_plr::Cone;
 use std::ops::{Range, RangeBounds};
-use std::sync::Arc;
+use std::panic::resume_unwind;
+use std::sync::{mpsc, Arc};
+use std::thread;
 use std::time::Instant;
 use std::vec::Splice;
 
 /// How many bytes of a caller's input an owned bulk load copies between
 /// two give-backs: the most the build holds of both copies at once.
-const STEP: usize = 2 << 20;
+pub(crate) const STEP: usize = 2 << 20;
 
 /// A clustered FITing-Tree index mapping unique keys to values.
 ///
@@ -104,25 +106,24 @@ impl<K: Key, V> FitingTree<K, V> {
     }
 
     /// Bulk loads strictly increasing `(key, value)` pairs (paper
-    /// Section 3). One sequential pass copies the pairs into one column,
-    /// sized from the input's `size_hint` and advised onto huge pages
-    /// before the first write; then [`cut_and_load`](Self::cut_and_load).
+    /// Section 3) through [`copy_and_cut`](Self::copy_and_cut), one
+    /// step of the iterator at a time, into a column sized from its
+    /// `size_hint`.
     pub(crate) fn bulk_load_sorted<I>(self, iter: I) -> Result<Self, BuildError>
     where
         I: IntoIterator<Item = (K, V)>,
     {
-        let iter = iter.into_iter();
-        let expected = iter.size_hint().0;
-        let mut run: Run<K, V> = (advised(expected), advised(expected));
-        run.extend(iter);
-        let len = run.0.len();
-        let mut trees = self.cut_and_load(run, &[len])?;
+        let mut iter = iter.into_iter();
+        let mut trees = self.copy_and_cut(iter.size_hint().0, &[], |run, step| {
+            let copied = run.0.len();
+            run.extend(iter.by_ref().take(step));
+            run.0.len() - copied == step
+        })?;
         Ok(trees.pop().expect("one span loads one tree"))
     }
 
     /// [`bulk_load_sorted`](Self::bulk_load_sorted) from the caller's
-    /// own `Vec`, copied into the column [`STEP`] bytes of input at a
-    /// time, and one tree per span of it (as
+    /// own `Vec`, and one tree per span of it (as
     /// [`build_spans`](fiting_index_api::BuildableIndex::build_spans)
     /// marks them by `ends`). After each step the input's consumed
     /// pages go back to the kernel, so the load holds one copy of the
@@ -132,45 +133,84 @@ impl<K: Key, V> FitingTree<K, V> {
         sorted: Vec<(K, V)>,
         ends: &[usize],
     ) -> Result<Vec<Self>, BuildError> {
-        let step = (STEP / std::mem::size_of::<(K, V)>().max(1)).max(1);
-        let mut run: Run<K, V> = (advised(sorted.len()), advised(sorted.len()));
+        let capacity = sorted.len();
         let mut input = GiveBack::new(sorted);
-        while !input.is_empty() {
+        self.copy_and_cut(capacity, &ends[..ends.len() - 1], move |run, step| {
             run.extend(input.next_run(step));
             input.give_back();
-        }
-        drop(input);
-        self.cut_and_load(run, ends)
+            !input.is_empty()
+        })
     }
 
-    /// The tail both bulk loads share: one tree per span of `run` that
-    /// `ends` marks, each span cut on its own, so a span end is a page
-    /// end and each tree is the one its span alone would load.
-    /// ShrinkingCone cuts a span into pages on every core, one chunk of
-    /// at least [`MIN_KEYS_PER_THREAD`](crate::cut::MIN_KEYS_PER_THREAD)
-    /// keys a thread, and the chunks are stitched back into the
-    /// sequential cut bit for bit ([`cut`]); a span that never resyncs
-    /// is cut again on this thread. Every tree's pages are windows of
-    /// the one column `run` becomes, and one dense directory build over
-    /// its segment anchors ends each tree's load. An unsorted slot is
-    /// named from the start of `run`, a span's first key checked
-    /// against the key before it too.
-    fn cut_and_load(self, run: Run<K, V>, ends: &[usize]) -> Result<Vec<Self>, BuildError> {
-        let column = Column::shared(run);
-        let keys = column.keys();
-        let mut trees = Vec::with_capacity(ends.len());
-        let mut start = 0;
-        for &end in ends {
-            let unsorted = |at| BuildError::UnsortedInput { at: start + at };
-            if start > 0 && start < end && keys[start - 1] >= keys[start] {
-                return Err(unsorted(0));
-            }
-            let cuts = cut(self.seg_error, &keys[start..end], chunks_for(end - start))
-                .map_err(unsorted)?;
-            trees.push(self.empty_like().load(paginate(&column, start, cuts)));
-            start = end;
-        }
-        Ok(trees)
+    /// The body both bulk loads share. `copy` appends the input's next
+    /// `step` pairs (one [`STEP`] of bytes) to the column, advised onto
+    /// huge pages before the first write, and says whether input is
+    /// left. After each step its keys are checked and projected, and the
+    /// projections go, in one of two recycled buffers allocated before
+    /// the column, to a [`Cutter`] on a second thread, which cuts them
+    /// while the next step is copied: the load costs the longer of the
+    /// copy and the cut, not their sum. An input whose `capacity` is one
+    /// step or less, or a load whose cutter thread cannot start, is cut
+    /// here after its copy. One tree is loaded per span, the spans
+    /// ending at `breaks` and at the end of the input: a span end is a
+    /// page end, so each tree is the one its span alone would load.
+    /// Every tree's pages are windows of the one column, and one dense
+    /// directory build over its segment anchors ends each tree's load.
+    /// An unsorted slot is named from the start of the input.
+    fn copy_and_cut(
+        self,
+        capacity: usize,
+        breaks: &[usize],
+        mut copy: impl FnMut(&mut Run<K, V>, usize) -> bool,
+    ) -> Result<Vec<Self>, BuildError> {
+        let (step, seg_error) = ((STEP / size_of::<(K, V)>().max(1)).max(1), self.seg_error);
+        let streamed = capacity > step;
+        let buffers = [(); 2].map(|()| Vec::with_capacity(if streamed { step } else { 0 }));
+        let mut run: Run<K, V> = (advised(capacity), advised(capacity));
+        let cuts = thread::scope(|scope| {
+            let (to_cutter, batches) = mpsc::sync_channel::<Vec<f64>>(buffers.len());
+            let (to_copier, recycled) = mpsc::channel();
+            let _ = buffers.map(|buffer| to_copier.send(buffer));
+            let cutter = move || {
+                let mut cutter = Cutter::new(seg_error, breaks);
+                for batch in batches {
+                    cutter.feed(&batch);
+                    drop(to_copier.send(batch));
+                }
+                cutter
+            };
+            let spawn = || thread::Builder::new().spawn_scoped(scope, cutter).ok();
+            let Some(cutter) = streamed.then(spawn).flatten() else {
+                while copy(&mut run, step) {}
+                return cut_spans(seg_error, &run.0, breaks, step);
+            };
+            // A cutter that panicked stops the copy, and its join says why.
+            let mut fed = 0;
+            let checked = loop {
+                let more = copy(&mut run, step);
+                let Ok(mut batch) = recycled.recv() else {
+                    break Ok(());
+                };
+                if let Err(unsorted) = project(&run.0, fed, &mut batch) {
+                    break Err(unsorted);
+                }
+                fed = run.0.len();
+                if to_cutter.send(batch).is_err() || !more {
+                    break Ok(());
+                }
+            };
+            drop(to_cutter);
+            let cutter = cutter.join().unwrap_or_else(|panic| resume_unwind(panic));
+            checked.map(|()| cutter.finish(&run.0))
+        });
+        let mut cuts = cuts?.into_iter();
+        let (len, column) = (run.0.len(), Column::shared(run));
+        let trees = breaks.iter().chain([&len]).map(|&end| {
+            let span = cuts.as_slice().partition_point(|cut| cut.slots.start < end);
+            self.empty_like()
+                .load(paginate(&column, cuts.by_ref().take(span)))
+        });
+        Ok(trees.collect())
     }
 
     /// Fills an empty tree with the pages of one carved run, collected
@@ -713,8 +753,9 @@ fn carve<K: Key, V: Clone>(
     run: Run<K, V>,
     pieces: usize,
 ) -> Vec<Box<Segment<K, V>>> {
-    let cuts = cut_pieces(seg_error, &run.0, pieces).expect("a merged run is sorted");
-    let mut pages: Vec<_> = paginate(&Column::shared(run), 0, cuts)
+    let breaks: Vec<usize> = (1..pieces).map(|i| i * run.0.len() / pieces).collect();
+    let cuts = cut_spans(seg_error, &run.0, &breaks, run.0.len()).expect("a merged run is sorted");
+    let mut pages: Vec<_> = paginate(&Column::shared(run), cuts.into_iter())
         .map(Box::new)
         .collect();
     for page in &mut pages {
@@ -724,16 +765,14 @@ fn carve<K: Key, V: Clone>(
     pages
 }
 
-/// The pages `cuts` marks out of `column` from slot `from` on, each a
-/// window of it.
+/// The pages `cuts` marks out of `column`, each a window of it.
 pub(crate) fn paginate<K: Key, V>(
     column: &Arc<Column<K, V>>,
-    from: usize,
-    cuts: Vec<PageCut>,
+    cuts: impl ExactSizeIterator<Item = PageCut>,
 ) -> impl ExactSizeIterator<Item = Segment<K, V>> {
     let column = Arc::clone(column);
-    cuts.into_iter().map(move |cut| {
-        let page = Page::new(&column, from + cut.slots.start, cut.slots.len());
+    cuts.map(move |cut| {
+        let page = Page::new(&column, cut.slots.start, cut.slots.len());
         Segment::from_cut(cut.slope, page, cut.envelope)
     })
 }
@@ -871,13 +910,27 @@ mod tests {
             .bulk_load([(3, 0), (2, 0)])
             .unwrap_err();
         assert!(matches!(err, BuildError::UnsortedInput { at: 1 }));
-        // Long enough to be cut on every core: the slot is still the
-        // first one out of order, wherever its chunk starts.
-        let keys = (0..200_000u64).map(|k| if k == 150_000 { 0 } else { k * 3 });
-        let err = FitingTree::<u64, u64>::builder(16)
-            .bulk_load(keys.map(|k| (k, k)))
-            .unwrap_err();
-        assert!(matches!(err, BuildError::UnsortedInput { at: 150_000 }));
+        // Long enough to be cut while it is copied: the slot is still
+        // the first one out of order, inside a copy step or at the
+        // first slot of one.
+        use fiting_index_api::BuildableIndex;
+        let config = FitingTreeBuilder::new(16);
+        let step = STEP / 16;
+        assert_eq!(step, 131_072);
+        for at in [150_000, step] {
+            let pairs: Vec<(u64, u64)> = (0..200_000)
+                .map(|k| if k == at { (0, 0) } else { (k as u64 * 3, 0) })
+                .collect();
+            let err = config.clone().bulk_load(pairs.clone()).unwrap_err();
+            assert!(matches!(err, BuildError::UnsortedInput { at: slot } if slot == at));
+            let err = FitingTree::build_sorted(&config, pairs).unwrap_err();
+            assert!(matches!(err, BuildError::UnsortedInput { at: slot } if slot == at));
+        }
+        // At a span's first slot, checked against the span before it.
+        let mut pairs: Vec<(u64, u64)> = (0..200_000).map(|k| (k * 3, k)).collect();
+        pairs[70_000].0 = pairs[69_999].0;
+        let err = FitingTree::build_spans(&config, pairs, &[70_000, 200_000]).unwrap_err();
+        assert!(matches!(err, BuildError::UnsortedInput { at: 70_000 }));
     }
 
     /// Every page of `t` in key order: start key, length, slope bits
@@ -896,9 +949,8 @@ mod tests {
     fn owned_and_streamed_loads_build_one_tree() {
         use fiting_index_api::BuildableIndex;
         let config = FitingTreeBuilder::new(16);
-        // Two cut chunks on a multi-core machine, and a last step that
-        // is one pair long.
-        let n = 2 * crate::cut::MIN_KEYS_PER_THREAD as u64 + 1;
+        // Two copy steps, the last one pair long.
+        let n = (STEP / 16) as u64 + 1;
         assert_ne!(n as usize % (STEP / 16), 0);
         let curvy: Vec<(u64, u64)> = (0..n).map(|k| (k * k / 1024 + 3 * k, k)).collect();
         let owned = FitingTree::build_sorted(&config, curvy.clone()).unwrap();

@@ -123,13 +123,21 @@ fn predict_slot(key: f64, start: f64, slope: f64) -> usize {
 /// under the line from `start` with `slope` (see
 /// [`Segment::under`](field@Segment::under)). O(page), pure arithmetic.
 pub(crate) fn measure_envelope<K: Key>(keys: &[K], start: f64, slope: f64) -> (u32, u32) {
-    let (mut under, mut over) = (0usize, 0usize);
-    for (i, &k) in keys.iter().enumerate() {
-        let pred = predict_slot(k.to_f64(), start, slope);
-        under = under.max(pred.saturating_sub(i));
-        over = over.max(i.saturating_sub(pred));
-    }
-    (saturate_u32(under), saturate_u32(over))
+    envelope_of(keys.iter().map(|k| k.to_f64()), start, slope)
+}
+
+/// [`measure_envelope`] of a page whose keys are already projected,
+/// `xs`: [`predict_slot`]'s line, cast to `i64` rather than `usize`
+/// because the signed cast costs fewer instructions. The two casts part
+/// only for predictions past `i64::MAX`, which saturate the stored
+/// `u32` either way.
+pub(crate) fn envelope_of(xs: impl Iterator<Item = f64>, start: f64, slope: f64) -> (u32, u32) {
+    let (under, over) = xs.enumerate().fold((0, 0), |(under, over), (i, key)| {
+        let deviation = (((key - start) * slope + 0.5) as i64).max(0) - i as i64;
+        (deviation.max(under), (-deviation).max(over))
+    });
+    let saturate = |deviation| u32::try_from(deviation).unwrap_or(u32::MAX);
+    (saturate(under), saturate(over))
 }
 
 /// An empty array with room for `capacity` items, advised onto huge
@@ -156,11 +164,6 @@ impl<K, V> Column<K, V> {
     pub(crate) fn shared((keys, values): Run<K, V>) -> Arc<Self> {
         debug_assert_eq!(keys.len(), values.len());
         Arc::new(Column { keys, values })
-    }
-
-    /// The column's keys.
-    pub(crate) fn keys(&self) -> &[K] {
-        &self.keys
     }
 }
 

@@ -47,8 +47,9 @@
 //! The decoder checks the page table against the input's length before
 //! it allocates anything, then checksums and converts each column in
 //! one pass into one array advised onto huge pages — the two columns on
-//! two threads when the image is large — and builds the tree through
-//! bulk load's own path, so its pages are windows of those two arrays.
+//! two threads when the pairs fill more than one bulk-load step — and
+//! builds the tree through bulk load's own path, so its pages are
+//! windows of those two arrays.
 //! It re-derives what is cheap to re-derive (the tombstone counts, the
 //! directory) and trusts the checksummed copy of what is not (the
 //! measured error envelope `under`/`over` — an O(n) float pass the
@@ -57,8 +58,8 @@
 //! builds also re-measure every envelope and run the tree's exhaustive
 //! per-key invariant check, where the crash and round-trip suites live.
 
-use crate::clustered::{paginate, FitingTree};
-use crate::cut::{chunks_for, PageCut};
+use crate::clustered::{paginate, FitingTree, STEP};
+use crate::cut::PageCut;
 use crate::error::BuildError;
 use crate::segment::{advised, measure_envelope, Column, Run};
 use fiting_index_api::Key;
@@ -567,7 +568,7 @@ pub fn decode_tree<K: Key, V: Key>(bytes: &[u8]) -> Result<FitingTree<K, V>, Sna
     if r.pos != bytes.len() {
         return Err(SnapshotError::Corrupt("bytes past the last section".into()));
     }
-    let (keys, values) = columns::<K, V>(keys, values, chunks_for(slots) > 1)?;
+    let (keys, values) = columns::<K, V>(keys, values, slots * size_of::<(K, V)>() > STEP)?;
 
     // The sparse section, row by row; a buffered key must fall in its
     // page's key range (the first page's buffer may also hold keys
@@ -620,7 +621,7 @@ pub fn decode_tree<K: Key, V: Key>(bytes: &[u8]) -> Result<FitingTree<K, V>, Sna
         return Err(SnapshotError::Corrupt(why));
     }
 
-    let pages = paginate(&Column::shared((keys, values)), 0, cuts)
+    let pages = paginate(&Column::shared((keys, values)), cuts.into_iter())
         .zip(parts)
         .map(|(seg, (dead, buffer))| seg.with_sparse(dead, buffer));
     let tree = tree.load(pages);
@@ -638,7 +639,6 @@ pub fn decode_tree<K: Key, V: Key>(bytes: &[u8]) -> Result<FitingTree<K, V>, Sna
 mod tests {
     use super::*;
     use crate::builder::FitingTreeBuilder;
-    use crate::cut::MIN_KEYS_PER_THREAD;
     use fiting_index_api::OrderedF64;
     use std::convert::Infallible;
 
@@ -659,7 +659,7 @@ mod tests {
 
     /// A bulk-loaded tree past the two-thread decode threshold, dirtied.
     fn above_threshold() -> FitingTree<u64, u64> {
-        let n = 2 * MIN_KEYS_PER_THREAD as u64 + 1_000;
+        let n = (STEP / 16) as u64 + 1_000;
         let mut tree = FitingTreeBuilder::new(64)
             .buffer_size(8)
             .bulk_load((0..n).map(|k| (k * 5 + k % 3, k)))
@@ -1015,7 +1015,7 @@ mod tests {
         let empty = round_trip(&FitingTreeBuilder::new(32).build_empty().unwrap());
         assert_eq!(empty.segment_count(), 0);
         let large = above_threshold();
-        assert!(large.len() > 2 * MIN_KEYS_PER_THREAD);
+        assert!(large.len() > STEP / 16);
         round_trip(&large);
     }
 

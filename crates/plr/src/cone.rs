@@ -24,6 +24,9 @@ pub struct Cone {
     high: f64,
 }
 
+/// A point `(dx, dy, err)` from a cone's origin under an error budget.
+pub(crate) type Offset = (f64, f64, f64);
+
 impl Cone {
     /// Opens a cone at the segment origin.
     #[must_use]
@@ -48,6 +51,18 @@ impl Cone {
         self.origin_pos
     }
 
+    /// Where `(key, pos)` sits from the origin under an `error` budget,
+    /// each converted once: what the admission tests and
+    /// [`update`](Self::update) read.
+    pub(crate) fn offset(&self, key: f64, pos: u64, error: u64) -> Offset {
+        debug_assert!(key >= self.origin_key, "keys must arrive in order");
+        (
+            key - self.origin_key,
+            (pos - self.origin_pos) as f64,
+            error as f64,
+        )
+    }
+
     /// The paper's Algorithm 2 admission test: the point must lie
     /// **inside** the cone, i.e. the slope of the line from the origin
     /// through the point falls within `[low, high]`.
@@ -65,16 +80,12 @@ impl Cone {
     /// keys whose difference overflows) has no slope: the point is
     /// rejected, closing the segment, in both admission tests.
     #[must_use]
-    pub(crate) fn admits_endpoint(&self, key: f64, pos: u64, error: u64) -> bool {
-        debug_assert!(key >= self.origin_key, "keys must arrive in order");
-        debug_assert!(pos >= self.origin_pos, "positions must increase");
-        let dx = key - self.origin_key;
-        let dy = (pos - self.origin_pos) as f64;
+    pub(crate) fn admits_endpoint(&self, (dx, dy, err): Offset) -> bool {
         if !dx.is_finite() {
             return false;
         }
         if dx == 0.0 {
-            return dy <= error as f64;
+            return dy <= err;
         }
         let slope = dy / dx;
         slope >= self.low && slope <= self.high
@@ -89,12 +100,7 @@ impl Cone {
     /// segment can ever cover the point, which is what makes the DP's
     /// early break sound.
     #[must_use]
-    pub(crate) fn admits_feasible(&self, key: f64, pos: u64, error: u64) -> bool {
-        debug_assert!(key >= self.origin_key, "keys must arrive in order");
-        debug_assert!(pos >= self.origin_pos, "positions must increase");
-        let dx = key - self.origin_key;
-        let dy = (pos - self.origin_pos) as f64;
-        let err = error as f64;
+    pub(crate) fn admits_feasible(&self, (dx, dy, err): Offset) -> bool {
         if !dx.is_finite() {
             return false;
         }
@@ -108,16 +114,14 @@ impl Cone {
         pred_lo <= dy + err && pred_hi >= dy - err
     }
 
-    /// Narrows the cone with `(key, pos)`'s slope band. Must only be
+    /// Narrows the cone with the point's slope band. Must only be
     /// called after [`admits_endpoint`](Self::admits_endpoint) or
-    /// [`admits_feasible`](Self::admits_feasible) returned `true`.
-    pub(crate) fn update(&mut self, key: f64, pos: u64, error: u64) {
-        let dx = key - self.origin_key;
+    /// [`admits_feasible`](Self::admits_feasible) admitted the same
+    /// offset.
+    pub(crate) fn update(&mut self, (dx, dy, err): Offset) {
         if dx == 0.0 {
             return; // duplicate of the origin: no slope information
         }
-        let dy = (pos - self.origin_pos) as f64;
-        let err = error as f64;
         let band_low = ((dy - err) / dx).max(0.0);
         let band_high = (dy + err) / dx;
         self.low = self.low.max(band_low);
@@ -157,18 +161,18 @@ mod tests {
     #[test]
     fn fresh_cone_admits_anything_reachable() {
         let c = Cone::new(0.0, 0);
-        assert!(c.admits_endpoint(10.0, 1_000_000, 1)); // high = inf
-        assert!(c.admits_endpoint(10.0, 0, 1)); // slope 0 = low bound
-        assert!(c.admits_feasible(10.0, 1_000_000, 1));
+        assert!(c.admits_endpoint(c.offset(10.0, 1_000_000, 1))); // high = inf
+        assert!(c.admits_endpoint(c.offset(10.0, 0, 1))); // slope 0 = low bound
+        assert!(c.admits_feasible(c.offset(10.0, 1_000_000, 1)));
     }
 
     #[test]
     fn cone_narrows_monotonically() {
         let mut c = Cone::new(0.0, 0);
-        c.update(10.0, 10, 2);
+        c.update(c.offset(10.0, 10, 2));
         let (l1, h1) = (c.low, c.high);
         assert!(l1 > 0.0 && h1.is_finite());
-        c.update(20.0, 20, 2);
+        c.update(c.offset(20.0, 20, 2));
         let (l2, h2) = (c.low, c.high);
         assert!(l2 >= l1 && h2 <= h1);
     }
@@ -176,25 +180,25 @@ mod tests {
     #[test]
     fn rejects_point_outside_band() {
         let mut c = Cone::new(0.0, 0);
-        c.update(10.0, 10, 1); // slope ∈ [0.9, 1.1]
+        c.update(c.offset(10.0, 10, 1)); // slope ∈ [0.9, 1.1]
 
         // At x=20 the cone spans positions [18, 22]; y=30 is out for both
         // tests, y=21 is inside the cone, y=23 is outside the cone but
         // within error of its edge — feasible only.
-        assert!(!c.admits_endpoint(20.0, 30, 1));
-        assert!(!c.admits_feasible(20.0, 30, 1));
-        assert!(c.admits_endpoint(20.0, 21, 1));
-        assert!(!c.admits_endpoint(20.0, 23, 1));
-        assert!(c.admits_feasible(20.0, 23, 1));
+        assert!(!c.admits_endpoint(c.offset(20.0, 30, 1)));
+        assert!(!c.admits_feasible(c.offset(20.0, 30, 1)));
+        assert!(c.admits_endpoint(c.offset(20.0, 21, 1)));
+        assert!(!c.admits_endpoint(c.offset(20.0, 23, 1)));
+        assert!(c.admits_feasible(c.offset(20.0, 23, 1)));
     }
 
     #[test]
     fn duplicate_origin_keys_admit_up_to_error() {
         let c = Cone::new(5.0, 100);
-        assert!(c.admits_endpoint(5.0, 100, 3));
-        assert!(c.admits_endpoint(5.0, 103, 3));
-        assert!(!c.admits_endpoint(5.0, 104, 3));
-        assert!(!c.admits_feasible(5.0, 104, 3));
+        assert!(c.admits_endpoint(c.offset(5.0, 100, 3)));
+        assert!(c.admits_endpoint(c.offset(5.0, 103, 3)));
+        assert!(!c.admits_endpoint(c.offset(5.0, 104, 3)));
+        assert!(!c.admits_feasible(c.offset(5.0, 104, 3)));
     }
 
     #[test]
@@ -209,19 +213,25 @@ mod tests {
             (-f64::MAX, f64::MAX),                  // dx overflows
         ] {
             let c = Cone::new(origin, 0);
-            assert!(!c.admits_endpoint(key, 1, 16), "{origin} -> {key}");
-            assert!(!c.admits_feasible(key, 1, 16), "{origin} -> {key}");
+            assert!(
+                !c.admits_endpoint(c.offset(key, 1, 16)),
+                "{origin} -> {key}"
+            );
+            assert!(
+                !c.admits_feasible(c.offset(key, 1, 16)),
+                "{origin} -> {key}"
+            );
         }
     }
 
     #[test]
     fn duplicates_after_origin_constrain_via_band() {
         let mut c = Cone::new(0.0, 0);
-        c.update(10.0, 10, 1);
+        c.update(c.offset(10.0, 10, 1));
         // Duplicates of key 10 at increasing positions tighten the low
         // bound: position 12 needs slope ≥ 1.1.
-        assert!(c.admits_endpoint(10.0, 11, 1));
-        c.update(10.0, 11, 1);
+        assert!(c.admits_endpoint(c.offset(10.0, 11, 1)));
+        c.update(c.offset(10.0, 11, 1));
         let (low, _) = (c.low, c.high);
         assert!(low >= 1.0);
     }
@@ -229,8 +239,8 @@ mod tests {
     #[test]
     fn final_slope_clamped_into_cone() {
         let mut c = Cone::new(0.0, 0);
-        c.update(10.0, 10, 1);
-        c.update(20.0, 20, 1);
+        c.update(c.offset(10.0, 10, 1));
+        c.update(c.offset(20.0, 20, 1));
         let slope = c.final_slope(20.0, 20);
         let (l, h) = (c.low, c.high);
         assert!(slope >= l && slope <= h);

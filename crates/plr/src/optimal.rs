@@ -83,10 +83,11 @@ fn dp(points: &[Point], error: u64) -> (Vec<usize>, Vec<usize>) {
         }
         for k in (j + 1)..n {
             let p = points[k];
-            if !cone.admits_feasible(p.key, p.pos, error) {
+            let offset = cone.offset(p.key, p.pos, error);
+            if !cone.admits_feasible(offset) {
                 break;
             }
-            cone.update(p.key, p.pos, error);
+            cone.update(offset);
             // `<=` prefers later starts at equal cost, i.e. the longest
             // feasible final segment.
             if cost <= t[k + 1] {
@@ -240,11 +241,9 @@ fn fit_segment(points: &[Point], error: u64) -> LinearSegment {
     let last = points[points.len() - 1];
     let mut cone = Cone::new(first.key, first.pos);
     for p in &points[1..] {
-        debug_assert!(
-            cone.admits_feasible(p.key, p.pos, error),
-            "infeasible reconstruction"
-        );
-        cone.update(p.key, p.pos, error);
+        let offset = cone.offset(p.key, p.pos, error);
+        debug_assert!(cone.admits_feasible(offset), "infeasible reconstruction");
+        cone.update(offset);
     }
     LinearSegment {
         start_key: first.key,

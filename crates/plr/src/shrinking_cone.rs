@@ -60,6 +60,7 @@ impl ShrinkingCone {
     /// # Panics
     ///
     /// Panics if points arrive out of order.
+    #[inline]
     pub fn push(&mut self, p: Point) -> Option<LinearSegment> {
         match &mut self.state {
             None => {
@@ -74,8 +75,9 @@ impl ShrinkingCone {
                     p.key >= state.last.key && p.pos > state.last.pos,
                     "points must arrive with non-decreasing keys and increasing positions"
                 );
-                if state.cone.admits_endpoint(p.key, p.pos, self.error) {
-                    state.cone.update(p.key, p.pos, self.error);
+                let offset = state.cone.offset(p.key, p.pos, self.error);
+                if state.cone.admits_endpoint(offset) {
+                    state.cone.update(offset);
                     state.last = p;
                     None
                 } else {
