@@ -10,19 +10,20 @@
 //! `expect_used` in `fiting-storage`'s crate root;
 //! `undocumented_unsafe_blocks` in `crates/sync/Cargo.toml`. A vetted
 //! site carries `#[expect(<lint>, reason = "..")]`, which fails the
-//! build once it matches nothing. rustc's `unsafe_code` is forbidden in
-//! the workspace lint table, and `e2e/`'s imports are held by compiling
-//! that package in CI's `e2e` job.)
+//! build once it matches nothing. The root `clippy.toml` disallows the
+//! `std::sync` locks (`disallowed-types`) and `RwLock::read` /
+//! `try_read` (`disallowed-methods`) in every member, which keeps locks
+//! behind `fiting_sync::primitives` and readers wait-free. rustc's
+//! `unsafe_code` is forbidden in the workspace lint table, and `e2e/`'s
+//! imports are held by compiling that package in CI's `e2e` job.)
 //!
 //! | rule | invariant |
 //! |------|-----------|
 //! | `lock-order` | shard locks acquired in ascending table position, with a `// lock-order:` comment on every multi-lock hold |
 //! | `blocking-in-guard` | no blocking call (`wait`, `sync_all`, `submit`, `recv`, …) while holding a lock guard, except condvar waits that take the guard |
-//! | `ordering-justification` | every explicit `Ordering::…` site is covered by a `// ordering:` comment explaining why that strength suffices |
+//! | `ordering-justification` | every explicit `Ordering::…` site is covered by a `// ordering:` comment explaining why that strength suffices: one per site in `crates/sync/`, one per function elsewhere |
 //! | `forbid-unsafe` | the workspace lint table keeps `unsafe_code = "forbid"`, and every package inherits it (`[lints] workspace = true`) except `crates/sync`, whose own table pairs `unsafe_code = "allow"` with `unsafe_op_in_unsafe_fn = "deny"` |
-//! | `std-sync-quarantine` | a lock or an atomic is named through the seam: `std::sync` locks only in `fiting_sync::primitives` and `crates/compat/`, no `std` atomic imported by the four model-checked modules, `shuttle::sync` in no test file (a mirror) |
-//! | `reader-wait-free` | no `.read()` guard acquisition in reader hot-path modules or anywhere in `crates/telemetry/` — recording must never block a reader or worker |
-//! | `sync-ordering-per-site` | every atomic-ordering site in `crates/sync/` carries its own `// ordering:` comment |
+//! | `std-sync-quarantine` | a model sees what the seam hands out: no `std` atomic imported by the four model-checked modules, `shuttle::sync` in no test file (a mirror) |
 //! | `branchless-claim` | a production `fn` named `*branchless*` calls `select_unpredictable` and holds no `if` / `match` inside its loop — the name stays true of the compiled code |
 //! | `doc-link-integrity` | relative links and `BENCH_*.json` references in the operator docs (README / ARCHITECTURE / ROADMAP / docs/ / crate READMEs) resolve to real files |
 //!

@@ -4,7 +4,7 @@
 //! on any. Every rule has a mutation self-test below proving it fires
 //! on a seeded violation and stays quiet on the fixed version.
 
-use crate::lexer::{clean, find_word, CleanFile, FnSpan};
+use crate::lexer::{clean, find_word, CleanFile};
 
 /// One rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,44 +37,19 @@ fn line_allows(cf: &CleanFile, line: usize, rule: &str) -> bool {
         .is_some_and(|c| c.contains(&format!("fiting-check: allow({rule})")))
 }
 
-/// Whether `needle` appears in the comments covering a site: the
-/// line's own trailing comment or the contiguous run of comment-only
-/// lines directly above it (multi-line justifications count; a blank
-/// or code line terminates the run).
-fn site_comment_contains(cf: &CleanFile, line: usize, needle: &str) -> bool {
-    if cf.comments[line - 1].contains(needle) {
-        return true;
-    }
-    let mut ln = line;
-    while ln > 1 {
-        ln -= 1;
-        let comment = &cf.comments[ln - 1];
-        if !cf.code[ln - 1].trim().is_empty() || comment.is_empty() {
-            return false;
-        }
-        if comment.contains(needle) {
-            return true;
-        }
-    }
-    false
-}
-
 /// Runs every rule against one file's source; `path` is
 /// workspace-relative with `/` separators.
 #[must_use]
 pub fn check_file(path: &str, raw: &str) -> Vec<Finding> {
     let cf = clean(raw);
     let mut findings = Vec::new();
-    let in_src = path.contains("/src/") || path.starts_with("src/");
-    if in_src {
+    if path.contains("/src/") || path.starts_with("src/") {
         findings.extend(rule_lock_order(path, &cf));
         findings.extend(rule_blocking_in_guard(path, &cf));
         findings.extend(rule_ordering_justification(path, &cf));
-        findings.extend(rule_reader_wait_free(path, &cf));
-        findings.extend(rule_sync_ordering_per_site(path, &cf));
         findings.extend(rule_kernel_claim(path, &cf));
     }
-    findings.extend(rule_std_sync_quarantine(path, in_src, &cf));
+    findings.extend(rule_std_sync_quarantine(path, &cf));
     findings.sort_by_key(|f| f.line);
     findings
 }
@@ -326,37 +301,51 @@ const ORDERINGS: [&str; 5] = [
     "Ordering::SeqCst",
 ];
 
-/// Every explicit memory-ordering site must be covered by a
-/// `// ordering:` justification comment in the same function (or just
-/// above it) — the reviewer contract for why the chosen strength is
+/// Where each explicit `Ordering::…` site carries its own `// ordering:`
+/// comment, on its line or in the comment-only lines directly above it.
+/// `crates/sync/` holds the epoch and seqlock handshakes, where one
+/// misplaced `Relaxed` is a torn read. Everywhere else one comment in the
+/// enclosing function, or in the three lines above it, covers each site
+/// in it (outside any function, the site's line or the three above).
+const PER_SITE: [&str; 1] = ["crates/sync/src/"];
+
+/// Every explicit memory-ordering site must be covered by an
+/// `// ordering:` comment, per site or per function as [`PER_SITE`]
+/// says — the reviewer contract for why the chosen strength is
 /// sufficient.
 fn rule_ordering_justification(path: &str, cf: &CleanFile) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    let justified = |f: &FnSpan| {
-        (f.decl_line.saturating_sub(3).max(1)..=f.body_end)
-            .any(|ln| cf.comments[ln - 1].contains("ordering:"))
+    let per_site = PER_SITE.iter().any(|p| path.starts_with(p));
+    let place = if per_site {
+        "at this site"
+    } else {
+        "in this function"
     };
+    let mut findings = Vec::new();
     for (ln0, line) in cf.code.iter().enumerate() {
         let ln = ln0 + 1;
         if !cf.is_production(ln) || !ORDERINGS.iter().any(|o| line.contains(o)) {
             continue;
         }
-        let covered = match cf.enclosing_fn(ln) {
-            Some(f) => justified(f),
-            // Outside any fn (consts, field defaults): same line or the
-            // three lines above must justify.
-            None => {
-                (ln.saturating_sub(3).max(1)..=ln).any(|l| cf.comments[l - 1].contains("ordering:"))
+        // The lines the comment may sit on.
+        let mut lines = match (per_site, cf.enclosing_fn(ln)) {
+            (true, _) => {
+                let run = (1..ln).rev().take_while(|&l| {
+                    cf.code[l - 1].trim().is_empty() && !cf.comments[l - 1].is_empty()
+                });
+                run.last().unwrap_or(ln)..=ln
             }
+            (false, Some(f)) => f.decl_line.saturating_sub(3).max(1)..=f.body_end,
+            (false, None) => ln.saturating_sub(3).max(1)..=ln,
         };
-        if !covered {
+        if !lines.any(|l| cf.comments[l - 1].contains("ordering:")) {
             findings.push(Finding {
                 file: path.to_string(),
                 line: ln,
                 rule: "ordering-justification",
-                message: "explicit memory Ordering without a `// ordering:` \
-                          justification comment in this function"
-                    .to_string(),
+                message: format!(
+                    "explicit memory Ordering without a `// ordering:` \
+                     justification comment {place}"
+                ),
             });
         }
     }
@@ -414,13 +403,12 @@ pub(crate) fn check_manifest(dir: &str, manifest: &str) -> Option<Finding> {
 }
 
 // ---------------------------------------------------------------------
-// Rule: std-sync-quarantine — locks and atomics are named via the seam
+// Rule: std-sync-quarantine — a model sees what the seam hands out
 // ---------------------------------------------------------------------
 
-const STD_SYNC_PRIMITIVES: [&str; 4] = ["Mutex", "RwLock", "Condvar", "Barrier"];
-
-/// The one module that may name `std::sync` locks (its normal-build
-/// arm wraps them) and `shuttle::sync` (its model-build arm).
+/// The one module that may name `std` atomics for the modelled types
+/// (its normal-build arm re-exports them) and `shuttle::sync` (its
+/// model-build arm).
 const SEAM: &str = "crates/sync/src/primitives.rs";
 
 /// The concurrency types the model checker runs as themselves: here an
@@ -444,15 +432,17 @@ fn names_from<'a>(text: &'a str, prefix: &'a str) -> impl Iterator<Item = &'a st
     })
 }
 
-/// A lock or an atomic is named through the seam,
-/// `fiting_sync::primitives`. Production code outside it (and outside
-/// `crates/compat/`) names no `std::sync` lock; the
-/// [`SEAM_ONLY_MODULES`] import no `std` atomic either
-/// (`std::sync::{Arc, OnceLock, mpsc}` stay allowed everywhere, atomics
-/// elsewhere); and no file, tests included, names `shuttle::sync` —
-/// a test that builds a protocol out of the checker's locks is a mirror
-/// of a production type, which nothing keeps in step with it.
-fn rule_std_sync_quarantine(path: &str, in_src: bool, cf: &CleanFile) -> Vec<Finding> {
+/// What a model runs comes through the seam, `fiting_sync::primitives`:
+/// the [`SEAM_ONLY_MODULES`] import no `std` atomic (`Ordering` and
+/// atomics elsewhere stay allowed), and no file, tests included, names
+/// `shuttle::sync` — a test that builds a protocol out of the checker's
+/// locks is a mirror of a production type, which nothing keeps in step
+/// with it. (`std::sync` locks are clippy's `disallowed-types` in the
+/// root `clippy.toml`. Neither clause fits such a list: clippy matches a
+/// disallowed type through re-exports, so every user of the seam's own
+/// atomics, or of its locks under `--cfg fiting_model`, would need an
+/// `#[expect]`.)
+fn rule_std_sync_quarantine(path: &str, cf: &CleanFile) -> Vec<Finding> {
     if path.starts_with("crates/compat/") || path == SEAM {
         return Vec::new();
     }
@@ -468,12 +458,8 @@ fn rule_std_sync_quarantine(path: &str, in_src: bool, cf: &CleanFile) -> Vec<Fin
         let rest = &cf.code[ln0..];
         let end = rest.iter().position(|l| !is_use || l.contains(';'));
         let stmt = rest[..=end.unwrap_or(0)].concat();
-        let named = names_from(&stmt, "std::sync::")
-            .find(|w| in_src && STD_SYNC_PRIMITIVES.contains(w))
-            .or_else(|| {
-                names_from(&stmt, "std::sync::atomic::")
-                    .find(|w| seam_only && w.starts_with("Atomic"))
-            })
+        let named = names_from(&stmt, "std::sync::atomic::")
+            .find(|w| seam_only && w.starts_with("Atomic"))
             .or_else(|| stmt.contains("shuttle::sync::").then_some("shuttle::sync"));
         if let Some(name) = named {
             findings.push(Finding {
@@ -481,96 +467,10 @@ fn rule_std_sync_quarantine(path: &str, in_src: bool, cf: &CleanFile) -> Vec<Fin
                 line: ln,
                 rule: "std-sync-quarantine",
                 message: format!(
-                    "`{name}` named directly; locks and atomics come through \
-                     `fiting_sync::primitives`, and a model runs the production \
-                     type built with `--cfg fiting_model`, not a copy of it"
+                    "`{name}` named directly; a model runs the production type \
+                     built with `--cfg fiting_model`, which takes its atomics and \
+                     locks from `fiting_sync::primitives`, not a copy of it"
                 ),
-            });
-        }
-    }
-    findings
-}
-
-// ---------------------------------------------------------------------
-// Rule: reader-wait-free — no read-guard acquisition on reader hot paths
-// ---------------------------------------------------------------------
-
-/// Modules on the wait-free read path. Since the epoch/seqlock
-/// migration, a steady-state `get`/`range` performs zero lock
-/// acquisitions; a `.read()` guard creeping back into these modules
-/// silently re-introduces reader/writer blocking that no functional
-/// test would catch.
-const READER_HOT_PATH_MODULES: [&str; 3] = [
-    "index-api/src/sharded.rs",
-    "index-service/src/worker.rs",
-    "index-service/src/telemetry.rs",
-];
-
-/// Whole crates on the wait-free read path. The telemetry crate's
-/// recording surface (`Counter::add`, `Histogram::record`) is called
-/// *from* the reader/worker hot paths, so the same no-read-guard
-/// discipline applies to every module in it — readout may lock,
-/// recording may not.
-const READER_HOT_PATH_CRATES: [&str; 1] = ["crates/telemetry/src/"];
-
-/// No `RwLock`-style `.read()` guard acquisition in reader hot-path
-/// modules — shared access there goes through the wait-free primitives
-/// (`Snapshots::read`, `SeqRwLock::read_with`) or plain atomics.
-/// Writer-side `.write()` guards stay legal: writers may block.
-fn rule_reader_wait_free(path: &str, cf: &CleanFile) -> Vec<Finding> {
-    let covered = READER_HOT_PATH_MODULES.iter().any(|m| path.ends_with(m))
-        || READER_HOT_PATH_CRATES.iter().any(|c| path.starts_with(c));
-    if !covered {
-        return Vec::new();
-    }
-    let mut findings = Vec::new();
-    for (ln0, line) in cf.code.iter().enumerate() {
-        let ln = ln0 + 1;
-        if !cf.is_production(ln) || !line.contains(".read()") {
-            continue;
-        }
-        if !line_allows(cf, ln, "reader-wait-free") {
-            findings.push(Finding {
-                file: path.to_string(),
-                line: ln,
-                rule: "reader-wait-free",
-                message: "`.read()` guard in a reader hot-path module; use the \
-                          wait-free primitives (Snapshots::read / \
-                          SeqRwLock::read_with) instead"
-                    .to_string(),
-            });
-        }
-    }
-    findings
-}
-
-// ---------------------------------------------------------------------
-// Rule: sync-ordering-per-site — per-site ordering audit in crates/sync
-// ---------------------------------------------------------------------
-
-/// Inside `crates/sync/` — where the epoch and seqlock handshakes live
-/// and a single misplaced `Relaxed` is a torn read — the workspace's
-/// per-function `ordering-justification` rule is not enough: every
-/// atomic-ordering site must carry its own `// ordering:` comment on
-/// the line or in the comment block directly above it.
-fn rule_sync_ordering_per_site(path: &str, cf: &CleanFile) -> Vec<Finding> {
-    if !path.starts_with("crates/sync/src/") {
-        return Vec::new();
-    }
-    let mut findings = Vec::new();
-    for (ln0, line) in cf.code.iter().enumerate() {
-        let ln = ln0 + 1;
-        if !cf.is_production(ln) || !ORDERINGS.iter().any(|o| line.contains(o)) {
-            continue;
-        }
-        if !site_comment_contains(cf, ln, "ordering:") {
-            findings.push(Finding {
-                file: path.to_string(),
-                line: ln,
-                rule: "sync-ordering-per-site",
-                message: "atomic-ordering site in the audited sync crate \
-                          without a per-site `// ordering:` justification"
-                    .to_string(),
             });
         }
     }
@@ -734,24 +634,60 @@ fn drain(&self) {
     }
 
     #[test]
-    fn ordering_justification_fires_when_comment_dropped() {
-        // Mutation: the justification comment removed.
-        let bad = r"
-fn bump(&self) {
-    self.epoch.fetch_add(1, Ordering::Release);
-}
-";
-        let f = check_file("crates/x/src/sharded.rs", bad);
-        assert!(rules_of(&f).contains(&"ordering-justification"), "{f:?}");
-
-        let good = r"
-fn bump(&self) {
-    // ordering: Release publishes the new table to epoch readers.
-    self.epoch.fetch_add(1, Ordering::Release);
-}
-";
-        let f = check_file("crates/x/src/sharded.rs", good);
-        assert!(!rules_of(&f).contains(&"ordering-justification"), "{f:?}");
+    fn ordering_justification_demands_a_comment_per_function_or_per_sync_site() {
+        // One function-level comment over two sites.
+        let fn_level =
+            "fn publish(&self) {\n    // ordering: Release publishes; Acquire reads.\n    \
+                        self.seq.fetch_add(1, Ordering::Release);\n    \
+                        let v = self.version.load(Ordering::Acquire);\n}\n";
+        let per_site =
+            "fn publish(&self) {\n    // ordering: Release pairs with reader Acquire.\n    \
+                        self.seq.fetch_add(1, Ordering::Release);\n    \
+                        // ordering: Acquire pairs with the publisher's Release.\n    \
+                        let v = self.version.load(Ordering::Acquire);\n}\n";
+        let above_fn = "// ordering: Release publishes the sequence word.\n\
+                        fn publish(&self) {\n    self.seq.fetch_add(1, Ordering::Release);\n}\n";
+        // (path, source, lines that must fire)
+        let rows: [(&str, &str, &[usize]); 8] = [
+            // Mutation: the justification comment removed.
+            (
+                "crates/x/src/sharded.rs",
+                "\nfn bump(&self) {\n    self.epoch.fetch_add(1, Ordering::Release);\n}\n",
+                &[3],
+            ),
+            (
+                "crates/x/src/sharded.rs",
+                "\nfn bump(&self) {\n    // ordering: Release publishes the new table.\n    \
+                 self.epoch.fetch_add(1, Ordering::Release);\n}\n",
+                &[],
+            ),
+            // Outside `crates/sync` the function's comment covers every
+            // site in it, and a comment just above the fn counts.
+            ("crates/x/src/epoch.rs", fn_level, &[]),
+            ("crates/x/src/epoch.rs", above_fn, &[]),
+            // In `crates/sync` each site needs its own: the second site
+            // under one function-level comment fires.
+            ("crates/sync/src/snapshot.rs", fn_level, &[4]),
+            ("crates/sync/src/snapshot.rs", per_site, &[]),
+            // A comment that covers the whole function but sits at no
+            // site covers none there.
+            ("crates/sync/src/seqlock.rs", above_fn, &[3]),
+            // Test code is not audited.
+            (
+                "crates/sync/src/seqlock.rs",
+                "#[cfg(test)]\nmod tests {\n    fn t() { X.load(Ordering::Relaxed); }\n}\n",
+                &[],
+            ),
+        ];
+        for (path, source, fire) in rows {
+            let f = check_file(path, source);
+            let lines: Vec<_> = f
+                .iter()
+                .filter(|f| f.rule == "ordering-justification")
+                .map(|f| f.line)
+                .collect();
+            assert_eq!(lines, fire, "{path}:\n{source}{f:?}");
+        }
     }
 
     #[test]
@@ -801,47 +737,6 @@ fn bump(&self) {
     }
 
     #[test]
-    fn reader_wait_free_fires_on_read_guard_in_hot_modules_only() {
-        // Mutation: a read *guard* re-introduced on the read path.
-        let bad = "fn get(&self) {\n    let guard = shard.read();\n}\n";
-        let f = check_file("crates/index-api/src/sharded.rs", bad);
-        assert!(rules_of(&f).contains(&"reader-wait-free"), "{f:?}");
-        let f = check_file("crates/index-service/src/worker.rs", bad);
-        assert!(rules_of(&f).contains(&"reader-wait-free"), "{f:?}");
-        let f = check_file("crates/index-service/src/telemetry.rs", bad);
-        assert!(rules_of(&f).contains(&"reader-wait-free"), "{f:?}");
-
-        // The wait-free closure form is the fixed shape.
-        let good = "fn get(&self) {\n    shard.read_with(|s| s.len());\n}\n";
-        let f = check_file("crates/index-api/src/sharded.rs", good);
-        assert!(!rules_of(&f).contains(&"reader-wait-free"), "{f:?}");
-
-        // The telemetry crate is covered wholesale: recording is
-        // called from the hot paths, so no module there may take a
-        // read guard.
-        let f = check_file("crates/telemetry/src/histogram.rs", bad);
-        assert!(rules_of(&f).contains(&"reader-wait-free"), "{f:?}");
-        let f = check_file("crates/telemetry/src/snapshot.rs", bad);
-        assert!(rules_of(&f).contains(&"reader-wait-free"), "{f:?}");
-
-        // Writers may block; cold modules may take read guards.
-        let writer = "fn put(&self) {\n    let mut g = shard.write();\n}\n";
-        let f = check_file("crates/index-api/src/sharded.rs", writer);
-        assert!(!rules_of(&f).contains(&"reader-wait-free"), "{f:?}");
-        let f = check_file("crates/index-service/src/stats.rs", bad);
-        assert!(!rules_of(&f).contains(&"reader-wait-free"), "{f:?}");
-
-        // Test code and vetted allow comments stay clean.
-        let test_only = "#[cfg(test)]\nmod tests {\n    fn t() { let g = shard.read(); }\n}\n";
-        let f = check_file("crates/index-api/src/sharded.rs", test_only);
-        assert!(!rules_of(&f).contains(&"reader-wait-free"), "{f:?}");
-        let allowed = "fn get(&self) {\n    let g = shard.read(); \
-                       // fiting-check: allow(reader-wait-free) cold diagnostic\n}\n";
-        let f = check_file("crates/index-api/src/sharded.rs", allowed);
-        assert!(!rules_of(&f).contains(&"reader-wait-free"), "{f:?}");
-    }
-
-    #[test]
     fn branchless_claim_fires_on_a_branch_in_the_loop_or_a_missing_select() {
         let kernel = |step: &str| {
             format!(
@@ -888,65 +783,6 @@ fn bump(&self) {
             &bad.replace("branchless_floor", "bounded_floor"),
         );
         assert!(!rules_of(&f).contains(&"branchless-claim"), "{f:?}");
-    }
-
-    #[test]
-    fn sync_ordering_per_site_demands_per_site_comments() {
-        // One function-level comment covering two sites satisfies the
-        // workspace rule but NOT the audited crate's per-site rule.
-        let bad = "fn publish(&self) {\n    // ordering: Release pairs with reader Acquire.\n    \
-                   self.seq.fetch_add(1, Ordering::Release);\n    \
-                   let v = self.version.load(Ordering::Acquire);\n}\n";
-        let f = check_file("crates/sync/src/snapshot.rs", bad);
-        assert!(
-            f.iter()
-                .any(|f| f.rule == "sync-ordering-per-site" && f.line == 4),
-            "uncommented second site must fire: {f:?}"
-        );
-
-        let good = "fn publish(&self) {\n    // ordering: Release pairs with reader Acquire.\n    \
-                    self.seq.fetch_add(1, Ordering::Release);\n    \
-                    // ordering: Acquire pairs with the publisher's Release.\n    \
-                    let v = self.version.load(Ordering::Acquire);\n}\n";
-        let f = check_file("crates/sync/src/snapshot.rs", good);
-        assert!(!rules_of(&f).contains(&"sync-ordering-per-site"), "{f:?}");
-
-        // Outside the audited crate only the per-function rule applies.
-        let fnlevel =
-            "fn publish(&self) {\n    // ordering: Release publishes; Acquire reads.\n    \
-                       self.seq.fetch_add(1, Ordering::Release);\n    \
-                       let v = self.version.load(Ordering::Acquire);\n}\n";
-        let f = check_file("crates/x/src/epoch.rs", fnlevel);
-        assert!(!rules_of(&f).contains(&"sync-ordering-per-site"), "{f:?}");
-        assert!(!rules_of(&f).contains(&"ordering-justification"), "{f:?}");
-    }
-
-    #[test]
-    fn std_sync_quarantine_fires_outside_the_seam_and_compat_only() {
-        let bad = "use std::sync::Mutex;\n";
-        let f = check_file("crates/x/src/lib.rs", bad);
-        assert!(rules_of(&f).contains(&"std-sync-quarantine"), "{f:?}");
-
-        // Brace imports are seen through.
-        let braced = "use std::sync::{Arc, Condvar};\n";
-        let f = check_file("crates/x/src/lib.rs", braced);
-        assert!(rules_of(&f).contains(&"std-sync-quarantine"), "{f:?}");
-
-        // Arc / atomics / OnceLock stay allowed.
-        let ok = "use std::sync::{Arc, OnceLock};\nuse std::sync::atomic::AtomicU64;\n";
-        let f = check_file("crates/x/src/lib.rs", ok);
-        assert!(!rules_of(&f).contains(&"std-sync-quarantine"), "{f:?}");
-
-        // The seam's normal arm and the compat crates are the
-        // implementation; a test may park on a std lock.
-        for exempt in [
-            "crates/sync/src/primitives.rs",
-            "crates/compat/shuttle/src/sync.rs",
-            "crates/x/tests/stress.rs",
-        ] {
-            let f = check_file(exempt, "use std::sync::Mutex;\n");
-            assert!(!rules_of(&f).contains(&"std-sync-quarantine"), "{f:?}");
-        }
     }
 
     #[test]

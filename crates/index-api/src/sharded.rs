@@ -992,6 +992,10 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> ShardedIndex<K, V, I> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "a test lines its writer threads up on a std Barrier; no production type is modelled here"
+)]
 mod tests {
     use super::*;
     use crate::sorted::Degraded;

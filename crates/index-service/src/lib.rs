@@ -518,6 +518,10 @@ impl<K: Key, V: Clone, I: SortedIndex<K, V> + 'static> Drop for IndexService<K, 
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "tests line threads up on a std Barrier; no production type is modelled here"
+)]
 mod tests {
     use super::*;
     use fiting_index_api::{BinarySearchIndex, BuildableIndex, RebalanceOutcome};

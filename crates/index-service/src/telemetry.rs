@@ -3,7 +3,7 @@
 //!
 //! Three clocks per command, all recorded into `fiting-telemetry`
 //! histograms (single relaxed atomics — recording never blocks a
-//! submitter or worker; see the `reader-wait-free` invariant in
+//! submitter or worker; see the wait-free recording invariant in
 //! ARCHITECTURE.md):
 //!
 //! * **queue wait** — submission accepted → drained by the lane

@@ -59,8 +59,8 @@
 //!    `undocumented_unsafe_blocks`, denied in this crate's manifest).
 //! 3. Every atomic-ordering site carries a per-site `// ordering:`
 //!    justification on or immediately above the line
-//!    (`sync-ordering-per-site` rule — stricter than the workspace's
-//!    per-function `ordering-justification`).
+//!    (`fiting-check`'s `ordering-justification`, whose scope table asks
+//!    for one per site here and one per function elsewhere).
 //!
 //! # What the model checker runs
 //!

@@ -40,6 +40,10 @@ mod imp {
 }
 
 #[cfg(not(fiting_model))]
+#[expect(
+    clippy::disallowed_types,
+    reason = "the seam's std arm: the one production module that wraps std's locks"
+)]
 mod imp {
     pub use std::hint::spin_loop;
     pub use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};

@@ -18,9 +18,9 @@
 //!   `IndexService::metrics()`, enumerates what it exports itself.
 //!
 //! The recording invariant — **a metric record never blocks a reader
-//! or worker hot path** — is enforced statically: the `fiting-check`
-//! `reader-wait-free` rule covers this crate, which holds no lock at
-//! all.
+//! or worker hot path** — is enforced statically: the root
+//! `clippy.toml` disallows the `std::sync` locks and `RwLock::read`
+//! across the workspace, and this crate holds no lock at all.
 //!
 //! `docs/OBSERVABILITY.md` at the repo root catalogs every metric the
 //! service exports through this crate and how to read it.
