@@ -421,50 +421,92 @@ const SEAM_ONLY_MODULES: [&str; 4] = [
     "index-service/src/ticket.rs",
 ];
 
-/// The names `text` takes from module path `prefix`: the word right
-/// after each occurrence, or every word of a brace import there.
-fn names_from<'a>(text: &'a str, prefix: &'a str) -> impl Iterator<Item = &'a str> {
-    text.split(prefix).skip(1).flat_map(|seg| {
-        let braced = seg.strip_prefix('{');
-        let names = braced.map_or(seg, |rest| rest.split('}').next().unwrap_or(rest));
-        let words = names.split(|c: char| !(c.is_alphanumeric() || c == '_'));
-        words.take(if braced.is_some() { usize::MAX } else { 1 })
+/// The paths the `use` tree `tree` imports, after `prefix`, brace
+/// groups expanded: `std::sync::{atomic::{AtomicU64, Ordering}, Arc}`
+/// imports `std::sync::atomic::AtomicU64`, `std::sync::atomic::Ordering`
+/// and `std::sync::Arc`.
+fn use_paths(tree: &str, prefix: &str, paths: &mut Vec<String>) {
+    let Some(open) = tree.find('{') else {
+        paths.push(format!("{prefix}{}", tree.trim()));
+        return;
+    };
+    let prefix = format!("{prefix}{}", tree[..open].trim());
+    let body = &tree[open + 1..tree.rfind('}').unwrap_or(tree.len())];
+    let mut depth = 0;
+    let top_level_comma = |c| {
+        depth += i32::from(c == '{') - i32::from(c == '}');
+        c == ',' && depth == 0
+    };
+    for item in body.split(top_level_comma).filter(|i| !i.trim().is_empty()) {
+        use_paths(item, &prefix, paths);
+    }
+}
+
+/// The word after each `module::` in `text` that starts a path there:
+/// `module` does not follow another path segment.
+fn names_after<'a>(text: &'a str, module: &'a str) -> impl Iterator<Item = &'a str> {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    text.match_indices(module).filter_map(move |(at, _)| {
+        let before = &text[..at];
+        let rest = text[at + module.len()..].strip_prefix("::")?;
+        let starts = !before.strip_suffix("::").unwrap_or(before).ends_with(ident);
+        starts.then(|| rest.split(|c| !ident(c)).next())?
     })
 }
 
 /// What a model runs comes through the seam, `fiting_sync::primitives`:
 /// the [`SEAM_ONLY_MODULES`] import no `std` atomic (`Ordering` and
-/// atomics elsewhere stay allowed), and no file, tests included, names
-/// `shuttle::sync` — a test that builds a protocol out of the checker's
-/// locks is a mirror of a production type, which nothing keeps in step
-/// with it. (`std::sync` locks are clippy's `disallowed-types` in the
-/// root `clippy.toml`. Neither clause fits such a list: clippy matches a
-/// disallowed type through re-exports, so every user of the seam's own
-/// atomics, or of its locks under `--cfg fiting_model`, would need an
-/// `#[expect]`.)
+/// atomics elsewhere stay allowed) — by its path, from a brace group,
+/// or through `std::sync::atomic` imported as a module — and no file,
+/// tests included, names `shuttle::sync` — a test that builds a
+/// protocol out of the checker's locks is a mirror of a production
+/// type, which nothing keeps in step with it. (`std::sync` locks are
+/// clippy's `disallowed-types` in the root `clippy.toml`. Neither
+/// clause fits such a list: clippy matches a disallowed type through
+/// re-exports, so every user of the seam's own atomics, or of its locks
+/// under `--cfg fiting_model`, would need an `#[expect]`.)
 fn rule_std_sync_quarantine(path: &str, cf: &CleanFile) -> Vec<Finding> {
     if path.starts_with("crates/compat/") || path == SEAM {
         return Vec::new();
     }
     let seam_only = SEAM_ONLY_MODULES.iter().any(|m| path.ends_with(m));
-    let mut findings = Vec::new();
-    for (ln0, line) in cf.code.iter().enumerate() {
-        let ln = ln0 + 1;
-        if !cf.is_production(ln) || line_allows(cf, ln, "std-sync-quarantine") {
-            continue;
+    // Each line read as paths: a `use`, read to its `;` (rustfmt wraps
+    // long ones), as the paths it imports; any other line as itself.
+    let lines: Vec<(usize, Vec<String>)> = (1..=cf.code.len())
+        .filter(|&ln| cf.is_production(ln) && !line_allows(cf, ln, "std-sync-quarantine"))
+        .map(|ln| {
+            let rest = &cf.code[ln - 1..];
+            let Some(tree) = rest[0].trim_start().strip_prefix("use ") else {
+                return (ln, vec![rest[0].clone()]);
+            };
+            let end = rest.iter().position(|l| l.contains(';')).unwrap_or(0);
+            let stmt = tree.to_string() + &rest[1..=end].concat();
+            let mut paths = Vec::new();
+            use_paths(stmt.split(';').next().unwrap_or(""), "", &mut paths);
+            (ln, paths)
+        })
+        .collect();
+    // `std::sync::atomic`, and each name a `use` gives it.
+    let mut modules = vec!["std::sync::atomic"];
+    for path in lines.iter().flat_map(|(_, paths)| paths) {
+        match path.strip_prefix("std::sync::atomic") {
+            Some("") => modules.push("atomic"),
+            Some(rest) => modules.extend(rest.strip_prefix(" as ").map(str::trim)),
+            None => {}
         }
-        // A `use` that rustfmt wrapped is read to its `;`.
-        let is_use = line.trim_start().starts_with("use ");
-        let rest = &cf.code[ln0..];
-        let end = rest.iter().position(|l| !is_use || l.contains(';'));
-        let stmt = rest[..=end.unwrap_or(0)].concat();
-        let named = names_from(&stmt, "std::sync::atomic::")
-            .find(|w| seam_only && w.starts_with("Atomic"))
-            .or_else(|| stmt.contains("shuttle::sync::").then_some("shuttle::sync"));
+    }
+    let mut findings = Vec::new();
+    for (ln, paths) in &lines {
+        let named = paths.iter().find_map(|text| {
+            let mut atomics = modules.iter().flat_map(|m| names_after(text, m));
+            atomics
+                .find(|w| seam_only && w.starts_with("Atomic"))
+                .or_else(|| text.contains("shuttle::sync::").then_some("shuttle::sync"))
+        });
         if let Some(name) = named {
             findings.push(Finding {
                 file: path.to_string(),
-                line: ln,
+                line: *ln,
                 rule: "std-sync-quarantine",
                 message: format!(
                     "`{name}` named directly; a model runs the production type \
@@ -789,13 +831,23 @@ fn drain(&self) {
     fn std_sync_quarantine_keeps_std_atomics_out_of_the_modelled_types() {
         // Mutation: the seqlock's sequence word imported from std — it
         // would compile under `--cfg fiting_model` and never yield.
-        let bad = "use std::sync::atomic::{AtomicU64, Ordering};\n";
-        for module in SEAM_ONLY_MODULES.map(|m| format!("crates/{m}")) {
-            let f = check_file(&module, bad);
+        // The same import from a brace group of `std::sync`, nested or
+        // not, and through the module imported by itself.
+        let bads = [
+            "use std::sync::atomic::{AtomicU64, Ordering};\n",
+            "use std::sync::{atomic::AtomicU64, Arc};\n",
+            "use std::sync::{Arc, atomic::{AtomicU64, Ordering}};\n",
+            "use std::sync::atomic;\nstatic N: atomic::AtomicU64 = atomic::AtomicU64::new(0);\n",
+        ];
+        for (bad, module) in bads
+            .iter()
+            .flat_map(|bad| SEAM_ONLY_MODULES.map(|m| (bad, m)))
+        {
+            let f = check_file(&format!("crates/{module}"), bad);
             assert!(
                 f.iter()
                     .any(|f| f.rule == "std-sync-quarantine" && f.message.contains("`AtomicU64`")),
-                "{module}: {f:?}"
+                "{module}, {bad}: {f:?}"
             );
         }
         let f = check_file(
@@ -809,13 +861,16 @@ fn drain(&self) {
         for good in [
             "use crate::primitives::{AtomicU64, Ordering};\n",
             "use std::sync::atomic::Ordering;\n",
+            "use std::sync::{atomic::Ordering, Arc};\nuse crate::primitives::atomic::AtomicU64;\n",
             "use std::sync::atomic::AtomicU64 as Id; // fiting-check: allow(std-sync-quarantine) static id\n",
         ] {
             let f = check_file("crates/sync/src/snapshot.rs", good);
             assert!(!rules_of(&f).contains(&"std-sync-quarantine"), "{f:?}");
         }
-        let f = check_file("crates/index-service/src/stats.rs", bad);
-        assert!(!rules_of(&f).contains(&"std-sync-quarantine"), "{f:?}");
+        for bad in bads {
+            let f = check_file("crates/index-service/src/stats.rs", bad);
+            assert!(!rules_of(&f).contains(&"std-sync-quarantine"), "{f:?}");
+        }
 
         // The shipped files are clean, and stay so only through the seam.
         let shipped = include_str!("../../sync/src/seqlock.rs");

@@ -7,11 +7,14 @@
 //! the one before it and projects it once). A page also ends at every
 //! span end the cutter is given, where a fresh cone opens the next
 //! span. A page the cone opens and closes inside one batch is measured
-//! from that batch's projections while they are in cache; the few that
-//! straddle a batch or a span end are measured from the column in
-//! [`Cutter::finish`]. The batching does not show in the result: every
-//! batch size cuts the same pages, with the same starts, slopes and
-//! envelopes.
+//! from that batch's projections while they are in cache, by the lane
+//! kernel every page measurement shares ([`envelope_of`]); the few
+//! that straddle a batch or a span end are measured from the column in
+//! [`Cutter::finish`], which projects their keys again
+//! ([`measure_envelope`]). Either way the envelope is the one the
+//! definition's per-key fold gives. The batching does not show in the
+//! result: every batch size cuts the same pages, with the same starts,
+//! slopes and envelopes.
 //!
 //! * Bulk load feeds a cutter on a thread of its own, one copy step at
 //!   a time, while it copies, checks and projects the next step.
@@ -97,9 +100,7 @@ impl<'a> Cutter<'a> {
     /// Closes the open page before slot `end` under `slope`, measured
     /// from `page`, its keys' projections, if they are at hand.
     fn close(&mut self, slope: f64, end: usize, page: Option<&[f64]>) {
-        let envelope = page.map_or(UNMEASURED, |xs| {
-            envelope_of(xs.iter().copied(), xs[0], slope)
-        });
+        let envelope = page.map_or(UNMEASURED, |xs| envelope_of(xs, xs[0], slope));
         self.pages.push(PageCut {
             slots: self.open..end,
             slope,

@@ -112,32 +112,105 @@ fn saturate_u32(deviation: usize) -> u32 {
 #[inline]
 fn predict_slot(key: f64, start: f64, slope: f64) -> usize {
     // `+ 0.5` then truncate rounds half up without the libm call
-    // `f64::round` costs on baseline x86-64 (this runs once per page
-    // key in the envelope pass). The cast saturates: negative
-    // predictions land on slot 0 (keys are NaN-free by the Key
+    // `f64::round` costs on baseline x86-64. The cast saturates:
+    // negative predictions land on slot 0 (keys are NaN-free by the Key
     // contract), huge ones on `usize::MAX`.
     ((key - start) * slope + 0.5) as usize
 }
 
+/// Keys [`measure_envelope`] projects at a time, into a stack array.
+const CHUNK: usize = 256;
+
+/// Independent max and min chains of the envelope fold; the loop over
+/// them compiles to packed `f64` arithmetic.
+const LANES: usize = 4;
+
+/// 2⁵²: the `f64`s from here to 2⁵³ are the integers, so
+/// `(q + ROUND) - ROUND` rounds a `q` in `[0, 2⁵²]` to an integer.
+const ROUND: f64 = 4_503_599_627_370_496.0;
+
 /// The prediction-error envelope `(under, over)` of the page `keys`
 /// under the line from `start` with `slope` (see
-/// [`Segment::under`](field@Segment::under)). O(page), pure arithmetic.
+/// [`Segment::under`](field@Segment::under)). O(page), pure arithmetic:
+/// [`envelope_of`] of the keys' projections, made [`CHUNK`] at a time.
 pub(crate) fn measure_envelope<K: Key>(keys: &[K], start: f64, slope: f64) -> (u32, u32) {
-    envelope_of(keys.iter().map(|k| k.to_f64()), start, slope)
+    let (mut fold, mut chunk) = (Envelope::new(start, slope), [0.0; CHUNK]);
+    for keys in keys.chunks(CHUNK) {
+        let xs = &mut chunk[..keys.len()];
+        xs.iter_mut().zip(keys).for_each(|(x, k)| *x = k.to_f64());
+        fold.feed(xs);
+    }
+    fold.finish()
 }
 
 /// [`measure_envelope`] of a page whose keys are already projected,
-/// `xs`: [`predict_slot`]'s line, cast to `i64` rather than `usize`
-/// because the signed cast costs fewer instructions. The two casts part
-/// only for predictions past `i64::MAX`, which saturate the stored
-/// `u32` either way.
-pub(crate) fn envelope_of(xs: impl Iterator<Item = f64>, start: f64, slope: f64) -> (u32, u32) {
-    let (under, over) = xs.enumerate().fold((0, 0), |(under, over), (i, key)| {
-        let deviation = (((key - start) * slope + 0.5) as i64).max(0) - i as i64;
-        (deviation.max(under), (-deviation).max(over))
-    });
-    let saturate = |deviation| u32::try_from(deviation).unwrap_or(u32::MAX);
-    (saturate(under), saturate(over))
+/// `xs`, folded in [`LANES`] `f64` lanes. A key's deviation is
+/// `⌊max(p, 0)⌋ − slot`, where `p = (x − start) · slope + 0.5` is
+/// [`predict_slot`]'s line, floored as `r − (r > q)` for `q = max(p, 0)`
+/// and `r` its rounding by [`ROUND`]. That is exact for `q ≤ 2⁵²`; a
+/// larger `q` (+∞ too) rounds to an `r ≥ 2⁵²` and saturates the stored
+/// `u32`, as it does under the definition, and NaN and −∞ give 0 both
+/// ways. Each deviation is a difference of integers below 2⁵³, so
+/// exact, and the envelope is the per-key `i64` fold's bit for bit.
+pub(crate) fn envelope_of(xs: &[f64], start: f64, slope: f64) -> (u32, u32) {
+    let mut fold = Envelope::new(start, slope);
+    fold.feed(xs);
+    fold.finish()
+}
+
+/// An envelope fold: the slot of the next key fed, and per lane the
+/// largest and smallest deviation so far, from 0.
+struct Envelope {
+    start: f64,
+    slope: f64,
+    next: usize,
+    max: [f64; LANES],
+    min: [f64; LANES],
+}
+
+impl Envelope {
+    fn new(start: f64, slope: f64) -> Self {
+        let (next, max, min) = (0, [0.0; LANES], [0.0; LANES]);
+        Envelope {
+            start,
+            slope,
+            next,
+            max,
+            min,
+        }
+    }
+
+    /// Folds in the next keys, projected to `xs`.
+    fn feed(&mut self, xs: &[f64]) {
+        let (start, slope, max, min) = (self.start, self.slope, &mut self.max, &mut self.min);
+        let mut slots: [f64; LANES] = std::array::from_fn(|l| (self.next + l) as f64);
+        let mut step = |l: usize, x: f64| {
+            // Selects, not `f64::max`: they compile to `maxpd` alone.
+            let p = (x - start) * slope + 0.5;
+            let q = if p > 0.0 { p } else { 0.0 };
+            let r = (q + ROUND) - ROUND;
+            let deviation = r - if r > q { 1.0 } else { 0.0 } - slots[l];
+            let (hi, lo) = (max[l], min[l]);
+            max[l] = if deviation > hi { deviation } else { hi };
+            min[l] = if deviation < lo { deviation } else { lo };
+            slots[l] += LANES as f64;
+        };
+        let mut lanes = xs.chunks_exact(LANES);
+        for xs in &mut lanes {
+            (0..LANES).for_each(|l| step(l, xs[l]));
+        }
+        for (l, &x) in lanes.remainder().iter().enumerate() {
+            step(l, x);
+        }
+        self.next += xs.len();
+    }
+
+    /// `(under, over)`, each saturated at `u32::MAX`.
+    fn finish(self) -> (u32, u32) {
+        let under = self.max.into_iter().fold(0.0, f64::max);
+        let over = -self.min.into_iter().fold(0.0, f64::min);
+        (under as u32, over as u32)
+    }
 }
 
 /// An empty array with room for `capacity` items, advised onto huge
@@ -1236,6 +1309,178 @@ mod tests {
         t.remove(30, 2);
         assert_eq!(t.min_key(), Some(20));
         assert_eq!(t.max_key(), Some(20));
+    }
+
+    /// The envelope fold one key at a time in `i64`, as the definition
+    /// reads: the oracle the lane kernel must equal bit for bit.
+    fn scalar_envelope(xs: impl Iterator<Item = f64>, start: f64, slope: f64) -> (u32, u32) {
+        let (under, over) = xs.enumerate().fold((0, 0), |(under, over), (i, key)| {
+            let deviation = (((key - start) * slope + 0.5) as i64).max(0) - i as i64;
+            (deviation.max(under), (-deviation).max(over))
+        });
+        let saturate = |deviation| u32::try_from(deviation).unwrap_or(u32::MAX);
+        (saturate(under), saturate(over))
+    }
+
+    /// Both entries to the kernel, from keys and from projections,
+    /// against the oracle.
+    fn assert_exact<K: Key>(keys: &[K], start: f64, slope: f64, label: &str) {
+        let xs: Vec<f64> = keys.iter().map(|k| k.to_f64()).collect();
+        let want = scalar_envelope(xs.iter().copied(), start, slope);
+        let at = format!(
+            "{label}: {} keys, start {start:e}, slope {slope:e}",
+            keys.len()
+        );
+        assert_eq!(measure_envelope(keys, start, slope), want, "keys, {at}");
+        assert_eq!(envelope_of(&xs, start, slope), want, "projections, {at}");
+    }
+
+    #[test]
+    fn the_lane_kernel_is_the_scalar_fold_on_cut_pages_and_windows() {
+        use fiting_datasets::{make_strictly_increasing, Dataset};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(54);
+        for dataset in Dataset::headline() {
+            let mut keys = dataset.generate(100_000, 42);
+            make_strictly_increasing(&mut keys);
+            for seg_error in [16, 64, 4096] {
+                let cuts = crate::cut::cut_spans(seg_error, &keys, &[], keys.len()).unwrap();
+                for cut in &cuts {
+                    let page = &keys[cut.slots.clone()];
+                    let want =
+                        scalar_envelope(page.iter().map(|&k| k as f64), page[0] as f64, cut.slope);
+                    assert_eq!(cut.envelope, want, "{}, e={seg_error}", dataset.name());
+                    assert_exact(page, page[0] as f64, cut.slope, dataset.name());
+                }
+                // Windows that start mid-page and cross chunk
+                // boundaries, under slopes near those the cut chose.
+                for _ in 0..200 {
+                    let from = rng.gen_range(0..keys.len() - 1);
+                    let len = rng.gen_range(1..3_000usize).min(keys.len() - from);
+                    let slope = cuts[rng.gen_range(0..cuts.len())].slope * rng.gen_range(0.5..2.0);
+                    assert_exact(
+                        &keys[from..from + len],
+                        keys[from] as f64,
+                        slope,
+                        dataset.name(),
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_lane_kernel_is_exact_at_every_length_slope_and_edge() {
+        let curvy: Vec<u64> = (0..1_300u64).map(|i| i * 50 + i * i / 7).collect();
+        let lengths = [0, 1, 3, 4, 5, 255, 256, 257, 511, 513, 1_000, 1_300];
+        let fit =
+            |keys: &[u64]| (keys.len() as f64 - 1.0) / (keys[keys.len() - 1] - keys[0]) as f64;
+        for len in lengths {
+            for offset in [0, 1, 130] {
+                let keys = &curvy[offset.min(len)..len];
+                let Some(&first) = keys.first() else {
+                    assert_exact(keys, 0.0, 1.0, "empty");
+                    continue;
+                };
+                let slopes = [
+                    0.0,
+                    1e-300,
+                    f64::MIN_POSITIVE,
+                    0.02,
+                    fit(&curvy[..len.max(2)]),
+                    1e300,
+                ];
+                let extremes = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -0.02];
+                for slope in slopes.into_iter().chain(extremes) {
+                    // Anchored at the first key, at 0, and one above
+                    // every key, so that every prediction is negative.
+                    for start in [first as f64, 0.0, (keys[keys.len() - 1] + 1) as f64] {
+                        assert_exact(keys, start, slope, "curvy");
+                    }
+                }
+            }
+        }
+        // Predictions within an ulp or two of an integer, of a half,
+        // and of the floor trick's edges at 2^52 and 2^53.
+        let mut xs = Vec::new();
+        let centres = (0..600).map(|n| f64::from(n) / 2.0 - 0.5);
+        for centre in centres.chain([
+            4_503_599_627_370_495.5,
+            4_503_599_627_370_496.0,
+            9_007_199_254_740_992.0,
+        ]) {
+            let (mut down, mut up) = (centre, centre);
+            xs.push(centre);
+            for _ in 0..2 {
+                (down, up) = (down.next_down(), up.next_up());
+                xs.extend([down, up]);
+            }
+        }
+        for len in [xs.len(), 257, 4] {
+            for start in [0.0, -0.5, 0.25] {
+                let want = scalar_envelope(xs[..len].iter().copied(), start, 1.0);
+                assert_eq!(
+                    envelope_of(&xs[..len], start, 1.0),
+                    want,
+                    "{len} near-integers from {start}"
+                );
+            }
+        }
+        // Keys whose projections collide or go negative.
+        let high: Vec<u64> = (0..700)
+            .map(|i| (1 << 60) + i * 3 + (1 << 53) * (i % 5))
+            .collect();
+        assert_exact(&high, high[0] as f64, fit(&high), "u64 above 2^53");
+        assert_exact(&high, high[0] as f64, 1.0, "u64 above 2^53");
+        let signed: Vec<i64> = (-400..400).map(|i| i * i * i).collect();
+        assert_exact(&signed, -64e6, 8e-7, "negative i64");
+        assert_exact(&signed, -64e6, 1e-3, "negative i64");
+        assert_exact(&signed, 0.0, 1e-5, "negative i64");
+        let wide: Vec<u128> = (0..600).map(|i| (1 << 100) + (i << 70) + i * i).collect();
+        assert_exact(&wide, wide[0] as f64, 1.0 / (1u128 << 70) as f64, "u128");
+        assert_exact(&wide, wide[0] as f64, 1e-9, "u128");
+    }
+
+    #[test]
+    fn every_page_a_churn_stream_makes_stores_the_scalar_envelope() {
+        use crate::builder::FitingTreeBuilder;
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        // Fixture keys 16 apart, back-filled mostly in the top 1 %, as
+        // the recent-key churn workload does; one op in eight removes.
+        let mut rng = StdRng::seed_from_u64(42);
+        let keys = (0..30_000u64).map(|i| (i * 16, i));
+        let mut tree = FitingTreeBuilder::new(64).bulk_load(keys).unwrap();
+        let mut resegmentations = 0;
+        for op in 0..40_000u64 {
+            let slot = if rng.gen_range(0..10) == 0 {
+                rng.gen_range(0..480_000)
+            } else {
+                480_000 - rng.gen_range(1..4_800u64)
+            };
+            if op % 8 == 0 {
+                tree.remove(&slot);
+            } else {
+                tree.insert(slot, op);
+            }
+            if tree.stats().resegmentations == resegmentations {
+                continue;
+            }
+            resegmentations = tree.stats().resegmentations;
+            for seg in &tree.segments {
+                let oracle = scalar_envelope(
+                    seg.keys().iter().map(|&k| k as f64),
+                    seg.start_key_f,
+                    seg.slope,
+                );
+                assert_eq!(
+                    seg.error_envelope(),
+                    oracle,
+                    "page at {} after op {op}",
+                    seg.start_key
+                );
+            }
+        }
+        assert!(resegmentations > 100, "{resegmentations} re-segmentations");
     }
 
     #[test]
